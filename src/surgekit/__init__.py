@@ -6,9 +6,11 @@ Library layout:
   equilibrium/throttle algebra.
 - ``stability``: Jacobian/eigenvalue analysis on the equilibrium
   manifold, surge boundary, divergence indicator, limit-cycle detection.
-- ``odesim``: fixed-step RK4 engine and trajectory records.
+- ``odesim``: trajectory records and the open-loop surge-model run.
 - ``loop``: saturating anti-surge valve, fixed PD/PID and gradient
   adaptive controllers, tangent tuning rule, closed-loop simulation.
+- ``_kernels``: the fixed-step RK4 kernels and ``closed_loop_rhs``, the
+  one definition of the closed-loop equations.
 - ``averaging``: averaged adaptation dynamics and their eigenvalues.
 - ``cli``: the ``surgekit`` command-line front end and scenario files.
 """
@@ -22,11 +24,9 @@ from .compressor import (CompressorMap, DEFAULT_MAP, GreitzerParams,
 from .errors import (AnalysisError, DegenerateResponseError, DivergenceError,
                      DomainError, ModelBreakdownError, NoEquilibriumError,
                      ScenarioError, SurgeKitError)
-from .loop import (ControllerConfig, DisturbanceProfile, LoopState,
-                   ValveModel, control_signal, extract_LT,
-                   resolve_control_signal, simulate_closed_loop, zn_gains)
-from .odesim import (SystemDescriptor, Trajectory, integrate,
-                     simulate_greitzer, steady_state_of, step_rk4,
+from .loop import (ControllerConfig, DisturbanceProfile, ValveModel,
+                   extract_LT, simulate_closed_loop, zn_gains)
+from .odesim import (Trajectory, simulate_greitzer, steady_state_of,
                      vector_field_grid)
 from .stability import (LimitCycleReport, StabilityRow, bendixson_indicator,
                         char_poly, detect_limit_cycle, discriminant,
@@ -44,11 +44,9 @@ __all__ = [
     "AnalysisError", "DegenerateResponseError", "DivergenceError",
     "DomainError", "ModelBreakdownError", "NoEquilibriumError",
     "ScenarioError", "SurgeKitError",
-    "ControllerConfig", "DisturbanceProfile", "LoopState", "ValveModel",
-    "control_signal", "extract_LT", "resolve_control_signal",
+    "ControllerConfig", "DisturbanceProfile", "ValveModel", "extract_LT",
     "simulate_closed_loop", "zn_gains",
-    "SystemDescriptor", "Trajectory", "integrate", "simulate_greitzer",
-    "steady_state_of", "step_rk4", "vector_field_grid",
+    "Trajectory", "simulate_greitzer", "steady_state_of", "vector_field_grid",
     "LimitCycleReport", "StabilityRow", "bendixson_indicator", "char_poly",
     "detect_limit_cycle", "discriminant", "eig_real_part",
     "jacobian_at_equilibrium", "stability_scan", "surge_boundary",

@@ -4,8 +4,11 @@ Both kernels exist in two flavours built from the same source: a plain
 Python version (``*_py``) and a compiled version (``*_jit``).  The public
 names (``greitzer_loop``, ``closed_loop_loop``) point at the compiled
 flavour unless numba is missing or ``SURGEKIT_NO_NUMBA=1`` is set, in
-which case they fall back to pure Python/numpy.  ``benchmarks/`` times the
-two flavours against each other.
+which case they fall back to pure Python/numpy.  ``perfbench/run.py``
+times whichever flavour is active, end to end through the CLI.
+
+The closed-loop equations are defined once, in :func:`closed_loop_rhs`,
+which the closed-loop kernel calls (as a jitable helper when compiled).
 
 Kernels never raise: they return ``(status, row)`` so the wrappers in
 ``odesim``/``loop`` can map failures onto the package exceptions.
@@ -18,10 +21,14 @@ import numpy as np
 
 try:
     import numba
+    from numba.extending import register_jitable as _jitable
     _HAVE_NUMBA = True
 except ImportError:  # pragma: no cover - numba is a declared dependency
     numba = None
     _HAVE_NUMBA = False
+
+    def _jitable(fn):
+        return fn
 
 NUMBA_ENABLED = _HAVE_NUMBA and os.environ.get(
     "SURGEKIT_NO_NUMBA", "").lower() not in ("1", "true", "yes")
@@ -99,95 +106,106 @@ def _greitzer_loop(out, dt, m_psi0, m_h, m_sl, m_off, c0, c1, c2, c3,
     return OK, n - 1
 
 
+@_jitable
+def closed_loop_rhs(q, dq, sig, kind, kp, ki, kd, gamma, r, vtau, vlo, vhi,
+                    ftau, dtarget, dtau, rm_w2, rm_2zw, observe, m_psi0, m_h,
+                    m_sl, m_off, c0, c1, c2, c3, a, b):
+    """The closed-loop equations: rates of the state ``q`` (in ``CL_STATE``
+    order) into ``dq`` and the signals (u, co, y, e) into ``sig``.
+
+    Returns a status code.
+    """
+    x = q[0]
+    d = q[1]
+    d_dot = (dtarget - d) / dtau
+    linear = vlo <= x <= vhi
+    if x > vhi:
+        co = vhi
+    elif x < vlo:
+        co = vlo
+    else:
+        co = x
+    y = d + co
+    # control signal, solved per mode for the u <-> y_dot loop
+    if kind == KIND_ADAPTIVE:
+        p = q[7] * r - q[8] * y
+        dgain = q[9]
+    elif kind == KIND_FIXED_PID:
+        p = kp * (r - y) + ki * q[10]
+        dgain = kd
+    else:
+        p = kp * (r - y)
+        dgain = kd
+    if linear:
+        u = (p - dgain * d_dot + dgain * x / vtau) / (1.0 + dgain / vtau)
+    else:
+        u = p - dgain * d_dot
+    x_dot = (u - x) / vtau
+    if linear:
+        y_dot = d_dot + x_dot
+    else:
+        y_dot = d_dot
+    e = y - q[2]
+    dq[0] = x_dot
+    dq[1] = d_dot
+    dq[2] = q[3]
+    dq[3] = rm_w2 * r - rm_w2 * q[2] - rm_2zw * q[3]
+    dq[4] = (r - q[4]) / ftau
+    dq[5] = (-y - q[5]) / ftau
+    dq[6] = (-y_dot - q[6]) / ftau
+    if kind == KIND_ADAPTIVE and linear:
+        dq[7] = -gamma * e * q[4]
+        dq[8] = -gamma * e * q[5]
+        dq[9] = -gamma * e * q[6]
+    else:
+        dq[7] = 0.0
+        dq[8] = 0.0
+        dq[9] = 0.0
+    if kind == KIND_FIXED_PID:
+        dq[10] = r - y
+    else:
+        dq[10] = 0.0
+    if observe:
+        phi = q[11]
+        psi = q[12]
+        if psi <= 0.0:
+            return PSI_NONPOSITIVE
+        w = m_sl * y + m_off
+        pcy = m_psi0 + m_h * (c0 + w * (c1 + w * (c2 + w * c3)))
+        if pcy <= 0.0:
+            return PSI_NONPOSITIVE
+        g = y / math.sqrt(pcy)
+        w = m_sl * phi + m_off
+        pc = m_psi0 + m_h * (c0 + w * (c1 + w * (c2 + w * c3)))
+        dq[11] = a * (pc - psi)
+        dq[12] = b * (phi - g * math.sqrt(psi))
+    else:
+        dq[11] = 0.0
+        dq[12] = 0.0
+    sig[0] = u
+    sig[1] = co
+    sig[2] = y
+    sig[3] = e
+    return OK
+
+
 def _closed_loop_loop(out, state, dt, kind, kp, ki, kd, gamma, r,
                       vtau, vlo, vhi, ftau, dtarget, dtau, rm_w2, rm_2zw,
                       observe, m_psi0, m_h, m_sl, m_off, c0, c1, c2, c3,
                       a, b):
     """RK4 on the joint anti-surge loop state.
 
-    ``state`` is the 13-element vector (x, d, ym1, ym2, v1, v2, v3, k1,
-    k2, k3, e_int, phi, psi); the trailing pair is integrated only when
-    ``observe`` is true.  ``out`` is (rows, 11) or (rows, 13): columns
-    t, d, u, x, co, y, ym, e, k1, k2, k3 [, phi, psi].  Row i is recorded
-    from the state at t = i*dt before stepping.  Returns (status, row).
+    ``state`` is the ``CL_DIM``-element vector in ``CL_STATE`` order; the
+    trailing pair (phi, psi) is integrated only when ``observe`` is true.
+    ``out`` is (rows, 11) or (rows, 13): columns t, d, u, x, co, y, ym, e,
+    k1, k2, k3 [, phi, psi].  Row i is recorded from the state at t = i*dt
+    before stepping.  The arguments after ``dt`` are those of
+    :func:`closed_loop_rhs`.  Returns (status, row).
     """
-
-    def deriv(q, dq, sig):
-        x = q[0]
-        d = q[1]
-        d_dot = (dtarget - d) / dtau
-        linear = vlo <= x <= vhi
-        if x > vhi:
-            co = vhi
-        elif x < vlo:
-            co = vlo
-        else:
-            co = x
-        y = d + co
-        # control signal, solved per mode for the u <-> y_dot loop
-        if kind == KIND_ADAPTIVE:
-            p = q[7] * r - q[8] * y
-            dgain = q[9]
-        elif kind == KIND_FIXED_PID:
-            p = kp * (r - y) + ki * q[10]
-            dgain = kd
-        else:
-            p = kp * (r - y)
-            dgain = kd
-        if linear:
-            u = (p - dgain * d_dot + dgain * x / vtau) / (1.0 + dgain / vtau)
-        else:
-            u = p - dgain * d_dot
-        x_dot = (u - x) / vtau
-        if linear:
-            y_dot = d_dot + x_dot
-        else:
-            y_dot = d_dot
-        e = y - q[2]
-        dq[0] = x_dot
-        dq[1] = d_dot
-        dq[2] = q[3]
-        dq[3] = rm_w2 * r - rm_w2 * q[2] - rm_2zw * q[3]
-        dq[4] = (r - q[4]) / ftau
-        dq[5] = (-y - q[5]) / ftau
-        dq[6] = (-y_dot - q[6]) / ftau
-        if kind == KIND_ADAPTIVE and linear:
-            dq[7] = -gamma * e * q[4]
-            dq[8] = -gamma * e * q[5]
-            dq[9] = -gamma * e * q[6]
-        else:
-            dq[7] = 0.0
-            dq[8] = 0.0
-            dq[9] = 0.0
-        if kind == KIND_FIXED_PID:
-            dq[10] = r - y
-        else:
-            dq[10] = 0.0
-        if observe:
-            phi = q[11]
-            psi = q[12]
-            if psi <= 0.0:
-                return PSI_NONPOSITIVE
-            w = m_sl * y + m_off
-            pcy = m_psi0 + m_h * (c0 + w * (c1 + w * (c2 + w * c3)))
-            if pcy <= 0.0:
-                return PSI_NONPOSITIVE
-            g = y / math.sqrt(pcy)
-            w = m_sl * phi + m_off
-            pc = m_psi0 + m_h * (c0 + w * (c1 + w * (c2 + w * c3)))
-            dq[11] = a * (pc - psi)
-            dq[12] = b * (phi - g * math.sqrt(psi))
-        else:
-            dq[11] = 0.0
-            dq[12] = 0.0
-        sig[0] = u
-        sig[1] = co
-        sig[2] = y
-        sig[3] = e
-        return OK
-
+    p = (kind, kp, ki, kd, gamma, r, vtau, vlo, vhi, ftau, dtarget, dtau,
+         rm_w2, rm_2zw, observe, m_psi0, m_h, m_sl, m_off, c0, c1, c2, c3, a, b)
     n = out.shape[0]
-    dim = 13
+    dim = CL_DIM
     s = state
     st = np.empty(dim)
     g1 = np.empty(dim)
@@ -196,7 +214,7 @@ def _closed_loop_loop(out, state, dt, kind, kp, ki, kd, gamma, r,
     g4 = np.empty(dim)
     sig = np.empty(4)
     for i in range(n):
-        rc = deriv(s, g1, sig)
+        rc = closed_loop_rhs(s, g1, sig, *p)
         if rc != OK:
             return rc, i
         out[i, 0] = i * dt
@@ -217,17 +235,17 @@ def _closed_loop_loop(out, state, dt, kind, kp, ki, kd, gamma, r,
             break
         for j in range(dim):
             st[j] = s[j] + 0.5 * dt * g1[j]
-        rc = deriv(st, g2, sig)
+        rc = closed_loop_rhs(st, g2, sig, *p)
         if rc != OK:
             return rc, i + 1
         for j in range(dim):
             st[j] = s[j] + 0.5 * dt * g2[j]
-        rc = deriv(st, g3, sig)
+        rc = closed_loop_rhs(st, g3, sig, *p)
         if rc != OK:
             return rc, i + 1
         for j in range(dim):
             st[j] = s[j] + dt * g3[j]
-        rc = deriv(st, g4, sig)
+        rc = closed_loop_rhs(st, g4, sig, *p)
         if rc != OK:
             return rc, i + 1
         ok = True

@@ -10,7 +10,6 @@ validation, 4 model/runtime failure, 5 I/O failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -22,11 +21,11 @@ from .compressor import PlantState, GreitzerParams, equilibrium_from_throttle, \
     map_pressure_rise
 from .csvio import write_rows, write_trajectory
 from .errors import ScenarioError, SurgeKitError
-from .loop import extract_LT, gain_excursion, simulate_closed_loop, \
-    zn_gains
+from .loop import CONTROLLER_KINDS, extract_LT, gain_excursion, \
+    simulate_closed_loop, zn_gains
 from .odesim import Trajectory, simulate_greitzer, steady_state_of
-from .scenario import Scenario, TUNE_RULES, resolve_scenario, shipped_scenarios, \
-    validate
+from .scenario import KNOWN_KEYS, Scenario, TUNE_RULES, apply_values, \
+    resolve_scenario, shipped_scenarios, validate
 from .stability import SCAN_HEADER, detect_limit_cycle, stability_scan, \
     surge_boundary
 from .svgplot import Series, render_svg
@@ -59,41 +58,9 @@ def _load(args, kind: str) -> Scenario:
 
 
 def _apply_overrides(sc: Scenario, args) -> None:
-    simple = [("dt", "dt"), ("t_end", "t_end"), ("decimation", "decimation"),
-              ("flow", "flow"), ("g", "g"), ("phi0", "phi0"), ("psi0", "psi0"),
-              ("perturb_phi", "perturb_phi"), ("perturb_psi", "perturb_psi"),
-              ("lo", "stab_lo"), ("hi", "stab_hi"), ("n", "stab_n"),
-              ("settle_fraction", "settle_fraction"), ("tol", "cycle_tol"),
-              ("L", "tune_L"), ("T", "tune_T"), ("rule", "tune_rule"),
-              ("k1_lo", "avg_k1_lo"), ("k1_hi", "avg_k1_hi"),
-              ("k2_lo", "avg_k2_lo"), ("k2_hi", "avg_k2_hi"),
-              ("grid_n", "avg_n"), ("avg_k3", "avg_k3"),
-              ("avg_gamma", "avg_gamma"), ("avg_r", "avg_r")]
-    for flag, attr in simple:
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(sc, attr, value)
-    ctrl = {}
-    for flag in ("controller", "kp", "ki", "kd", "k1", "k2", "k3", "gamma",
-                 "reference"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            ctrl["kind" if flag == "controller" else flag] = value
-    dist = {}
-    for flag, name in (("target", "target"), ("dtau", "tau"),
-                       ("dinit", "initial")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            dist[name] = value
-    try:
-        if ctrl:
-            sc.controller = dataclasses.replace(sc.controller, **ctrl)
-        if dist:
-            sc.disturbance = dataclasses.replace(sc.disturbance, **dist)
-    except SurgeKitError as err:
-        raise ScenarioError(str(err)) from err
-    if getattr(args, "observe", False):
-        sc.observe = True
+    """Apply the override flags given: each flag's dest is its scenario key."""
+    apply_values(sc, {key: value for key, value in vars(args).items()
+                      if key in KNOWN_KEYS and value is not None})
 
 
 def _thin(arr, limit: int = 2000):
@@ -102,8 +69,7 @@ def _thin(arr, limit: int = 2000):
     stride = max(1, n // limit)
     if stride == 1:
         return arr
-    import numpy as _np
-    return _np.concatenate([arr[::stride], arr[-1:]])
+    return np.concatenate([arr[::stride], arr[-1:]])
 
 
 def _plant_initial(sc: Scenario) -> tuple[PlantState, float]:
@@ -217,17 +183,39 @@ def cmd_limit_cycle(args) -> int:
     return 0
 
 
+def _read_step_csv(path) -> Trajectory:
+    """A step-response CSV with a uniform, increasing ``t`` column."""
+    try:
+        data = np.genfromtxt(path, delimiter=",", names=True, ndmin=1)
+    except ValueError as err:
+        raise ScenarioError(f"step CSV {path}: {err}") from err
+    names = list(data.dtype.names or ())
+    if "t" not in names:
+        raise ScenarioError(f"step CSV {path}: no 't' column in {names}")
+    if data.size < 3:
+        raise ScenarioError(
+            f"step CSV {path}: need at least 3 rows, got {data.size}")
+    steps = np.diff(data["t"])
+    if not (np.all(steps > 0.0)
+            and np.allclose(steps, steps[0], rtol=1e-3, atol=0.0)):
+        raise ScenarioError(
+            f"step CSV {path}: time column must be strictly increasing "
+            "with a uniform step")
+    columns = ["t"] + [c for c in names if c != "t"]
+    return Trajectory(float(steps[0]), columns,
+                      np.column_stack([data[c] for c in columns]))
+
+
 def cmd_tune(args) -> int:
     if args.step_csv:
-        data = np.genfromtxt(args.step_csv, delimiter=",", names=True)
-        names = list(data.dtype.names)
-        signal = args.signal or names[1]
-        traj = Trajectory(float(data["t"][1] - data["t"][0]), names,
-                          np.column_stack([data[c] for c in names]))
+        traj = _read_step_csv(args.step_csv)
+        signal = args.signal or traj.columns[1]
         L, T = extract_LT(traj, signal, final_value=args.final)
-        sc = _load(args, "tune") if args.scenario else Scenario(
-            name="tune", kind="tune", tune_L=max(L, 1e-12), tune_T=T,
-            tune_rule=args.rule or "PID")
+        if args.scenario:
+            sc = _load(args, "tune")
+        else:
+            sc = Scenario(name="tune", kind="tune")
+            _apply_overrides(sc, args)
         sc.tune_L, sc.tune_T = L, T
         print(f"tangent fit of {signal!r}: L = {L:.6g}, T = {T:.6g}")
         if L <= 0.0:
@@ -316,6 +304,14 @@ def cmd_averaging(args) -> int:
     return 0
 
 
+def _override(p, option: str, key: str, **kwargs) -> None:
+    """Add a flag that overrides scenario key ``key`` (its dest); the help
+    shows the metavar argparse derives from the option, not the key."""
+    if "choices" not in kwargs and kwargs.get("action") != "store_true":
+        kwargs["metavar"] = option.lstrip("-").replace("-", "_").upper()
+    p.add_argument(option, dest=key, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="surgekit",
@@ -324,96 +320,88 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--scenario", help="shipped scenario name or file path")
         p.add_argument("--out-dir", help="output directory "
                        "(default: $SURGEKIT_OUT_DIR or '.')")
         p.add_argument("--csv", help="explicit CSV output path")
-        p.add_argument("--decimation", type=int,
-                       help="record every Nth sample in the CSV")
+        _override(p, "--decimation", "run.decimation", type=int,
+                  help="record every Nth sample in the CSV")
+        return p
 
-    p = sub.add_parser("map", help="tabulate the compressor map")
-    common(p)
+    def time_flags(p):
+        _override(p, "--dt", "run.dt", type=float)
+        _override(p, "--t-end", "run.t_end", type=float)
+
+    p = command("map", cmd_map, "tabulate the compressor map")
     p.add_argument("--lo", type=float)
     p.add_argument("--hi", type=float)
     p.add_argument("--n", type=int)
     p.add_argument("--svg")
-    p.set_defaults(func=cmd_map)
 
-    p = sub.add_parser("stability", help="scan equilibrium stability vs flow")
-    common(p)
-    p.add_argument("--lo", type=float)
-    p.add_argument("--hi", type=float)
-    p.add_argument("--n", type=int)
+    p = command("stability", cmd_stability,
+                "scan equilibrium stability vs flow")
+    for flag in ("lo", "hi"):
+        _override(p, f"--{flag}", f"stability.{flag}", type=float)
+    _override(p, "--n", "stability.n", type=int)
     p.add_argument("--svg")
-    p.set_defaults(func=cmd_stability)
 
     def plant_flags(p):
-        p.add_argument("--flow", type=float,
-                       help="equilibrium flow; sets the throttle parameter")
-        p.add_argument("--g", type=float, help="throttle parameter directly")
-        p.add_argument("--phi0", type=float)
-        p.add_argument("--psi0", type=float)
-        p.add_argument("--perturb-phi", dest="perturb_phi", type=float)
-        p.add_argument("--perturb-psi", dest="perturb_psi", type=float)
-        p.add_argument("--dt", type=float)
-        p.add_argument("--t-end", dest="t_end", type=float)
+        _override(p, "--flow", "plant.flow", type=float,
+                  help="equilibrium flow; sets the throttle parameter")
+        _override(p, "--g", "plant.g", type=float,
+                  help="throttle parameter directly")
+        for flag in ("phi0", "psi0", "perturb-phi", "perturb-psi"):
+            _override(p, f"--{flag}", "plant." + flag.replace("-", "_"),
+                      type=float)
+        time_flags(p)
         p.add_argument("--svg")
 
-    p = sub.add_parser("simulate", help="open-loop surge-model run")
-    common(p)
+    p = command("simulate", cmd_simulate, "open-loop surge-model run")
     plant_flags(p)
     p.add_argument("--ss-window", dest="ss_window", type=float, default=5.0)
     p.add_argument("--ss-tol", dest="ss_tol", type=float, default=1e-3)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("limit-cycle",
-                       help="open-loop run plus limit-cycle detection")
-    common(p)
+    p = command("limit-cycle", cmd_limit_cycle,
+                "open-loop run plus limit-cycle detection")
     plant_flags(p)
-    p.add_argument("--settle-fraction", dest="settle_fraction", type=float)
-    p.add_argument("--tol", type=float)
-    p.set_defaults(func=cmd_limit_cycle)
+    _override(p, "--settle-fraction", "cycle.settle_fraction", type=float)
+    _override(p, "--tol", "cycle.tol", type=float)
 
-    p = sub.add_parser("tune", help="tangent tuning rule gains")
-    common(p)
-    p.add_argument("--L", type=float, help="dead time")
-    p.add_argument("--T", type=float, help="time constant")
-    p.add_argument("--rule", choices=TUNE_RULES)
+    p = command("tune", cmd_tune, "tangent tuning rule gains")
+    _override(p, "--L", "tune.L", type=float, help="dead time")
+    _override(p, "--T", "tune.T", type=float, help="time constant")
+    _override(p, "--rule", "tune.rule", choices=TUNE_RULES)
     p.add_argument("--step-csv", dest="step_csv",
                    help="extract L and T from a step-response trajectory CSV")
     p.add_argument("--signal", help="column to fit (default: first signal)")
     p.add_argument("--final", type=float,
                    help="known final value of the step response")
-    p.set_defaults(func=cmd_tune)
 
-    p = sub.add_parser("closedloop", help="closed-loop anti-surge run")
-    common(p)
-    p.add_argument("--controller", choices=("fixed-pd", "fixed-pid",
-                                            "adaptive"))
-    for flag in ("kp", "ki", "kd", "k1", "k2", "k3", "gamma", "reference",
-                 "target", "dtau", "dinit"):
-        p.add_argument(f"--{flag}", type=float)
-    p.add_argument("--observe", action="store_true",
-                   help="append side-by-side compressor states phi, psi")
-    p.add_argument("--dt", type=float)
-    p.add_argument("--t-end", dest="t_end", type=float)
+    p = command("closedloop", cmd_closedloop, "closed-loop anti-surge run")
+    _override(p, "--controller", "controller.kind", choices=CONTROLLER_KINDS)
+    for flag in ("kp", "ki", "kd", "k1", "k2", "k3", "gamma", "reference"):
+        _override(p, f"--{flag}", f"controller.{flag}", type=float)
+    for flag, name in (("target", "target"), ("dtau", "tau"),
+                       ("dinit", "initial")):
+        _override(p, f"--{flag}", f"disturbance.{name}", type=float)
+    _override(p, "--observe", "observe.enabled", action="store_true",
+              default=None,
+              help="append side-by-side compressor states phi, psi")
+    time_flags(p)
     p.add_argument("--svg")
     p.add_argument("--svg-params", dest="svg_params")
-    p.set_defaults(func=cmd_closedloop)
 
-    p = sub.add_parser("averaging",
-                       help="stability grid of the averaged adaptation")
-    common(p)
-    p.add_argument("--k1-lo", dest="k1_lo", type=float)
-    p.add_argument("--k1-hi", dest="k1_hi", type=float)
-    p.add_argument("--k2-lo", dest="k2_lo", type=float)
-    p.add_argument("--k2-hi", dest="k2_hi", type=float)
-    p.add_argument("--grid-n", dest="grid_n", type=int)
-    p.add_argument("--avg-k3", dest="avg_k3", type=float)
-    p.add_argument("--avg-gamma", dest="avg_gamma", type=float)
-    p.add_argument("--avg-r", dest="avg_r", type=float)
-    p.set_defaults(func=cmd_averaging)
+    p = command("averaging", cmd_averaging,
+                "stability grid of the averaged adaptation")
+    for flag in ("k1-lo", "k1-hi", "k2-lo", "k2-hi"):
+        _override(p, f"--{flag}", "averaging." + flag.replace("-", "_"),
+                  type=float)
+    _override(p, "--grid-n", "averaging.n", type=int)
+    for name in ("k3", "gamma", "r"):
+        _override(p, f"--avg-{name}", f"averaging.{name}", type=float)
 
     p = sub.add_parser("scenarios", help="list shipped scenario files")
     p.set_defaults(func=lambda args: _cmd_scenarios())

@@ -9,8 +9,9 @@ error, with the parameter updates gated off while the valve is saturated.
 
 Because the derivative term acts on ``y_dot`` and ``y_dot`` depends on the
 control signal through the valve in linear mode, the control signal is an
-algebraic loop; :func:`resolve_control_signal` solves it in closed form
-per actuator mode rather than breaking it with a one-step delay.
+algebraic loop; the kernel's ``closed_loop_rhs`` (the one definition of
+the loop equations) solves it in closed form per actuator mode rather than
+breaking it with a one-step delay.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import _kernels
 from .compressor import CompressorMap, DEFAULT_MAP, FLOW_GAIN, PRESSURE_GAIN, \
     map_pressure_rise
 from .errors import DegenerateResponseError, DivergenceError, DomainError
-from .odesim import LOOP_DT, Trajectory, _n_steps
+from .odesim import LOOP_DT, Trajectory, _output_buffer
 
 #: reference model y_m(s)/r(s) = W2 / (s^2 + TWO_ZW*s + W2): unit-gain,
 #: damping 0.85, natural frequency 5 rad/s.
@@ -37,6 +38,7 @@ ADAPTIVE = "adaptive"
 _KIND_CODES = {FIXED_PD: _kernels.KIND_FIXED_PD,
                FIXED_PID: _kernels.KIND_FIXED_PID,
                ADAPTIVE: _kernels.KIND_ADAPTIVE}
+CONTROLLER_KINDS = tuple(_KIND_CODES)
 
 #: recorded columns of a closed-loop run (observation appends phi, psi)
 LOOP_COLUMNS = ("t", "d", "u", "x", "co", "y", "ym", "e", "k1", "k2", "k3")
@@ -71,9 +73,9 @@ class ControllerConfig:
     reference: float = 0.55
 
     def __post_init__(self):
-        if self.kind not in _KIND_CODES:
+        if self.kind not in CONTROLLER_KINDS:
             raise DomainError(
-                f"controller kind must be one of {sorted(_KIND_CODES)}, "
+                f"controller kind must be one of {sorted(CONTROLLER_KINDS)}, "
                 f"got {self.kind!r}")
         gains = (self.kp, self.ki, self.kd, self.k1, self.k2, self.k3)
         if any(not math.isfinite(g) or g < 0.0 for g in gains):
@@ -98,132 +100,6 @@ class DisturbanceProfile:
             raise DomainError(
                 f"disturbance needs target >= 0, tau > 0, initial >= 0, "
                 f"got {self}")
-
-
-@dataclass
-class LoopState:
-    """Joint closed-loop state.
-
-    ``x`` is the valve linear-mode output, ``d`` the disturbance flow,
-    (ym1, ym2) the reference model, (v1, v2, v3) the lag-filtered
-    regressors of the gradient update, (k1, k2, k3) the current adaptive
-    gains, and ``e_int`` the error integral used by the fixed PID.
-    """
-
-    x: float
-    d: float
-    ym1: float
-    ym2: float = 0.0
-    v1: float = 0.0
-    v2: float = 0.0
-    v3: float = 0.0
-    k1: float = 10.0
-    k2: float = 10.0
-    k3: float = 0.7
-    e_int: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.d, self.ym1, self.ym2, self.v1,
-                         self.v2, self.v3, self.k1, self.k2, self.k3,
-                         self.e_int, 0.0, 0.0])
-
-
-def valve_rhs(x: float, u: float, valve: ValveModel) -> float:
-    """State equation of the first-order lag valve."""
-    return (u - x) / valve.tau
-
-
-def saturate(x: float, valve: ValveModel) -> float:
-    """Valve flow actually delivered for linear-mode output x."""
-    if x > valve.out_max:
-        return valve.out_max
-    if x < valve.out_min:
-        return valve.out_min
-    return x
-
-
-def in_linear_mode(x: float, valve: ValveModel) -> bool:
-    """True when the valve output is inside its limits (inclusive)."""
-    return valve.out_min <= x <= valve.out_max
-
-
-def plant_output(d: float, co: float) -> float:
-    """Measured compressor inlet flow: disturbance plus valve flow."""
-    return d + co
-
-
-def disturbance_rhs(d: float, profile: DisturbanceProfile) -> float:
-    return (profile.target - d) / profile.tau
-
-
-def reference_model_rhs(ym1: float, ym2: float, r: float) -> tuple[float, float]:
-    """State-space form of the second-order unit-gain reference model."""
-    return ym2, REF_MODEL_W2 * r - REF_MODEL_W2 * ym1 - REF_MODEL_TWO_ZW * ym2
-
-
-def sensitivity_rhs(v1: float, v2: float, v3: float, r: float, y: float,
-                    y_dot: float, tau: float = 2.0) -> tuple[float, float, float]:
-    """Lag-filtered regressors: v1 <- r, v2 <- -y, v3 <- -y_dot.
-
-    The filter is the valve transfer function, since the regressors are
-    the sensitivities of the valve output to the controller gains.
-    """
-    return (r - v1) / tau, (-y - v2) / tau, (-y_dot - v3) / tau
-
-
-def mras_update(e: float, v1: float, v2: float, v3: float, gamma: float,
-                linear_mode: bool) -> tuple[float, float, float]:
-    """Gradient-descent gain rates; frozen while the valve saturates."""
-    if not linear_mode:
-        return 0.0, 0.0, 0.0
-    return -gamma * e * v1, -gamma * e * v2, -gamma * e * v3
-
-
-def control_signal(r: float, y: float, y_dot: float, cfg: ControllerConfig,
-                   e_int: float = 0.0, k1: float | None = None,
-                   k2: float | None = None, k3: float | None = None) -> float:
-    """Direct control law given the measured y_dot.
-
-    The adaptive law is u = k1*r - k2*y - k3*y_dot with the current gains
-    (defaults to the configured initial gains).  The fixed laws apply the
-    derivative to the measurement, which for a constant set point is the
-    same as differentiating the error.
-    """
-    if cfg.kind == ADAPTIVE:
-        a1 = cfg.k1 if k1 is None else k1
-        a2 = cfg.k2 if k2 is None else k2
-        a3 = cfg.k3 if k3 is None else k3
-        return a1 * r - a2 * y - a3 * y_dot
-    u = cfg.kp * (r - y) - cfg.kd * y_dot
-    if cfg.kind == FIXED_PID:
-        u += cfg.ki * e_int
-    return u
-
-
-def resolve_control_signal(cfg: ControllerConfig, state: LoopState,
-                           valve: ValveModel, d_dot: float) -> float:
-    """Solve the u <-> y_dot algebraic loop for the current mode.
-
-    In linear mode y_dot = d_dot + (u - x)/tau, so the derivative gain
-    feeds u back into itself; the closed form divides by (1 + kd/tau),
-    which is positive because gains are nonnegative.  In saturated mode
-    the valve contributes nothing and y_dot = d_dot.
-    """
-    co = saturate(state.x, valve)
-    y = plant_output(state.d, co)
-    if cfg.kind == ADAPTIVE:
-        p = state.k1 * cfg.reference - state.k2 * y
-        dgain = state.k3
-    else:
-        p = cfg.kp * (cfg.reference - y)
-        if cfg.kind == FIXED_PID:
-            p += cfg.ki * state.e_int
-        dgain = cfg.kd
-    if in_linear_mode(state.x, valve):
-        denom = 1.0 + dgain / valve.tau
-        assert denom > 0.0
-        return (p - dgain * d_dot + dgain * state.x / valve.tau) / denom
-    return p - dgain * d_dot
 
 
 def zn_gains(L: float, T: float, kind: str = "PID") -> dict[str, float]:
@@ -273,61 +149,64 @@ def extract_LT(traj: Trajectory, signal: str,
 
 
 def initial_loop_state(cfg: ControllerConfig, valve: ValveModel,
-                       profile: DisturbanceProfile) -> LoopState:
-    """Default initial state: loop at rest on its current operating point.
+                       profile: DisturbanceProfile) -> np.ndarray:
+    """Initial state in ``CL_STATE`` order: the loop at rest.
 
     The valve sits at its floor, the reference model starts on the current
-    output (zero initial model error) and the regressor filters start at
-    their steady values for that output.
+    output (zero initial model error), the regressor filters start at
+    their steady values for that output, and the gains at their configured
+    initial values.  The observed compressor pair (phi, psi) is zero.
     """
-    x0 = valve.out_min
-    y0 = plant_output(profile.initial, saturate(x0, valve))
-    return LoopState(x=x0, d=profile.initial, ym1=y0, ym2=0.0,
-                     v1=cfg.reference, v2=-y0, v3=0.0,
-                     k1=cfg.k1, k2=cfg.k2, k3=cfg.k3, e_int=0.0)
+    y0 = profile.initial + valve.out_min
+    return np.array([valve.out_min, profile.initial, y0, 0.0, cfg.reference,
+                     -y0, 0.0, cfg.k1, cfg.k2, cfg.k3, 0.0, 0.0, 0.0])
+
+
+def _kernel_args(cfg: ControllerConfig, valve: ValveModel,
+                 profile: DisturbanceProfile, observe: bool = False,
+                 cmap: CompressorMap = DEFAULT_MAP, a: float = FLOW_GAIN,
+                 b: float = PRESSURE_GAIN) -> tuple:
+    """Trailing arguments shared by ``closed_loop_rhs`` and the kernel."""
+    c0, c1, c2, c3 = cmap.cubic
+    return (_KIND_CODES[cfg.kind], cfg.kp, cfg.ki, cfg.kd, cfg.gamma,
+            cfg.reference, valve.tau, valve.out_min, valve.out_max,
+            valve.tau, profile.target, profile.tau, REF_MODEL_W2,
+            REF_MODEL_TWO_ZW, observe, cmap.psi0, cmap.h, cmap.slope,
+            cmap.offset, c0, c1, c2, c3, a, b)
 
 
 def simulate_closed_loop(cfg: ControllerConfig,
                          valve: ValveModel = ValveModel(),
                          profile: DisturbanceProfile = DisturbanceProfile(),
                          dt: float = LOOP_DT, t_end: float = 40.0,
-                         initial: LoopState | None = None,
                          observe: bool = False,
                          cmap: CompressorMap = DEFAULT_MAP,
                          a: float = FLOW_GAIN,
                          b: float = PRESSURE_GAIN) -> Trajectory:
-    """Integrate the closed loop and record every step.
+    """Integrate the closed loop from :func:`initial_loop_state`.
 
     Columns: t, d, u, x, co, y, ym, e, k1, k2, k3.  With ``observe`` the
     measured inlet flow drives a side-by-side compressor integration
     (throttle parameter g = y/sqrt(psi_c(y))) and phi, psi columns are
     appended; the loop itself never feeds back from them.
     """
-    n = _n_steps(dt, t_end)
-    if initial is None:
-        initial = initial_loop_state(cfg, valve, profile)
-    state = initial.as_array()
-    columns = list(LOOP_COLUMNS)
+    columns = list(LOOP_COLUMNS) + (["phi", "psi"] if observe else [])
+    out = _output_buffer(dt, t_end, len(columns))
+    state = initial_loop_state(cfg, valve, profile)
     if observe:
-        y0 = plant_output(initial.d, saturate(initial.x, valve))
+        y0 = state[2]   # the reference model starts on the measured flow
         psi0 = map_pressure_rise(cmap, y0)
         if psi0 <= 0.0:
             raise DomainError(
                 f"map value at observed flow {y0} is {psi0}; cannot observe")
         state[11] = y0
         state[12] = psi0
-        columns += ["phi", "psi"]
     if not np.all(np.isfinite(state)):
-        raise DomainError(f"initial loop state must be finite, got {initial}")
+        raise DomainError("initial loop state must be finite, got "
+                          f"{dict(zip(_kernels.CL_STATE, state.tolist()))}")
 
-    out = np.empty((n + 1, len(columns)))
-    c0, c1, c2, c3 = cmap.cubic
     status, row = _kernels.closed_loop_loop(
-        out, state, dt, _KIND_CODES[cfg.kind], cfg.kp, cfg.ki, cfg.kd,
-        cfg.gamma, cfg.reference, valve.tau, valve.out_min, valve.out_max,
-        valve.tau, profile.target, profile.tau, REF_MODEL_W2,
-        REF_MODEL_TWO_ZW, observe, cmap.psi0, cmap.h, cmap.slope,
-        cmap.offset, c0, c1, c2, c3, a, b)
+        out, state, dt, *_kernel_args(cfg, valve, profile, observe, cmap, a, b))
     if status == _kernels.OK:
         return Trajectory(dt, columns, out)
     partial = Trajectory(dt, columns, out[:row].copy())

@@ -1,17 +1,17 @@
-"""Deterministic fixed-step RK4 integration and trajectory handling.
+"""Trajectory records and the open-loop surge-model run.
 
-Two entry points: :func:`integrate` drives any :class:`SystemDescriptor`
-through a plain Python loop, while :func:`simulate_greitzer` runs the
-surge model through the compiled kernel.  Both produce the same
-:class:`Trajectory` layout: column 0 is time, sampling is uniform, and a
-non-finite value aborts the run instead of being recorded.
+:func:`simulate_greitzer` runs the surge model through the fixed-step RK4
+kernel in ``_kernels``; ``loop.simulate_closed_loop`` does the same for
+the closed loop.  Both produce the same :class:`Trajectory` layout:
+column 0 is time, sampling is uniform, and a non-finite value aborts the
+run instead of being recorded.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -23,19 +23,6 @@ from .errors import DivergenceError, DomainError, ModelBreakdownError
 #: Default step sizes: nondimensional time for plant runs, seconds for loop runs.
 PLANT_DT = 1e-2
 LOOP_DT = 1e-3
-
-
-@dataclass
-class SystemDescriptor:
-    """A first-order ODE system ``d(state)/dt = rhs(t, state)``."""
-
-    dimension: int
-    rhs: Callable[[float, np.ndarray], np.ndarray]
-    output_names: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.output_names) != self.dimension:
-            raise DomainError("output_names must match the state dimension")
 
 
 @dataclass
@@ -72,85 +59,33 @@ class Trajectory:
         return Trajectory(self.dt, self.columns, self.samples[start:])
 
 
-def _n_steps(dt: float, t_end: float) -> int:
+def _output_buffer(dt: float, t_end: float, n_cols: int) -> np.ndarray:
+    """Uninitialised record of a run from t=0 to t_end, one row per step;
+    a run too long to hold is a DomainError naming the size it needs."""
     if not (dt > 0.0 and t_end > 0.0):
         raise DomainError(f"need dt > 0 and t_end > 0, got {dt}, {t_end}")
-    return int(math.floor(t_end / dt + 1e-9))
-
-
-def step_rk4(sys: SystemDescriptor, t: float, state: np.ndarray,
-             dt: float) -> np.ndarray:
-    """One classical fourth-order Runge-Kutta step."""
-    if dt <= 0.0:
-        raise DomainError(f"dt must be positive, got {dt}")
-    y = np.asarray(state, dtype=float)
-    k1 = np.asarray(sys.rhs(t, y), dtype=float)
-    k2 = np.asarray(sys.rhs(t + 0.5 * dt, y + 0.5 * dt * k1), dtype=float)
-    k3 = np.asarray(sys.rhs(t + 0.5 * dt, y + 0.5 * dt * k2), dtype=float)
-    k4 = np.asarray(sys.rhs(t + dt, y + dt * k3), dtype=float)
-    for k in (k1, k2, k3, k4):
-        if not np.all(np.isfinite(k)):
-            raise DivergenceError(
-                f"non-finite derivative at t={t}", time=t, state=y.copy())
-    out = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
-        raise DivergenceError(
-            f"non-finite state after step at t={t}", time=t, state=y.copy())
-    return out
-
-
-def integrate(sys: SystemDescriptor, initial_state: Sequence[float],
-              dt: float, t_end: float) -> Trajectory:
-    """Integrate and record every step, initial row included.
-
-    On divergence (non-finite values, or a model-breakdown raised by the
-    rhs) the error carries the partial trajectory recorded so far.
-    """
-    n = _n_steps(dt, t_end)
-    state = np.asarray(initial_state, dtype=float)
-    if state.shape != (sys.dimension,):
-        raise DomainError(
-            f"initial state must have shape ({sys.dimension},), got {state.shape}")
-    columns = ["t", *sys.output_names]
-    out = np.empty((n + 1, sys.dimension + 1))
-    out[0, 0] = 0.0
-    out[0, 1:] = state
-    for i in range(1, n + 1):
-        t = (i - 1) * dt
+    rows = t_end / dt + 1e-9
+    if math.isfinite(rows):
+        rows = math.floor(rows) + 1
         try:
-            state = step_rk4(sys, t, state, dt)
-        except (DivergenceError, ModelBreakdownError) as err:
-            partial = Trajectory(dt, columns, out[:i].copy())
-            raise DivergenceError(
-                f"run aborted at t={t}: {err}", time=t,
-                state=out[i - 1, 1:].copy(), partial=partial) from err
-        out[i, 0] = i * dt
-        out[i, 1:] = state
-    return Trajectory(dt, columns, out)
-
-
-def greitzer_system(params: GreitzerParams,
-                    cmap: CompressorMap = DEFAULT_MAP) -> SystemDescriptor:
-    """Descriptor wrapping the surge model for the generic integrator."""
-
-    def rhs(_t, state):
-        return np.array(greitzer_rhs(PlantState(state[0], state[1]),
-                                     params, cmap))
-
-    return SystemDescriptor(dimension=2, rhs=rhs, output_names=("phi", "psi"))
+            return np.empty((rows, n_cols))
+        except (ValueError, MemoryError):
+            pass
+    raise DomainError(
+        f"a run of t_end={t_end:g} at dt={dt:g} needs {rows:.6g} rows of "
+        f"{n_cols} values ({8.0 * rows * n_cols:.3g} bytes); cannot allocate")
 
 
 def simulate_greitzer(initial: PlantState, params: GreitzerParams,
                       cmap: CompressorMap = DEFAULT_MAP,
                       dt: float = PLANT_DT, t_end: float = 50.0) -> Trajectory:
     """Kernel-backed open-loop run of the surge model."""
-    n = _n_steps(dt, t_end)
+    out = _output_buffer(dt, t_end, 3)
     if not (math.isfinite(initial.phi) and math.isfinite(initial.psi)):
         raise DomainError(f"initial state must be finite, got {initial}")
     if initial.psi <= 0.0:
         raise ModelBreakdownError(
             f"plenum pressure must stay positive, got psi={initial.psi}")
-    out = np.empty((n + 1, 3))
     out[0] = (0.0, initial.phi, initial.psi)
     c0, c1, c2, c3 = cmap.cubic
     status, row = _kernels.greitzer_loop(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 
 from .compressor import CompressorMap, throttle_from_flow
@@ -22,7 +22,6 @@ from .odesim import LOOP_DT, PLANT_DT
 KINDS = ("map", "stability", "simulate", "limit-cycle", "tune",
          "closedloop", "averaging")
 
-CONTROLLER_KINDS = ("fixed-pd", "fixed-pid", "adaptive")
 TUNE_RULES = ("P", "PI", "PID")
 
 #: per-kind (dt, t_end) defaults for the kinds that integrate
@@ -32,36 +31,7 @@ _TIME_DEFAULTS = {
     "closedloop": (LOOP_DT, 50.0),
 }
 
-_FLOAT, _INT, _STR, _BOOL = "float", "int", "str", "bool"
-
-#: every key a scenario file may set
-KNOWN_KEYS = {
-    "run.name": _STR, "run.kind": _STR, "run.dt": _FLOAT,
-    "run.t_end": _FLOAT, "run.decimation": _INT,
-    "controller.kind": _STR, "controller.kp": _FLOAT,
-    "controller.ki": _FLOAT, "controller.kd": _FLOAT,
-    "controller.k1": _FLOAT, "controller.k2": _FLOAT,
-    "controller.k3": _FLOAT, "controller.gamma": _FLOAT,
-    "controller.reference": _FLOAT,
-    "disturbance.target": _FLOAT, "disturbance.tau": _FLOAT,
-    "disturbance.initial": _FLOAT,
-    "valve.tau": _FLOAT, "valve.out_min": _FLOAT, "valve.out_max": _FLOAT,
-    "map.psi0": _FLOAT, "map.h": _FLOAT, "map.slope": _FLOAT,
-    "map.offset": _FLOAT, "map.c0": _FLOAT, "map.c1": _FLOAT,
-    "map.c2": _FLOAT, "map.c3": _FLOAT,
-    "map.domain_lo": _FLOAT, "map.domain_hi": _FLOAT,
-    "plant.phi0": _FLOAT, "plant.psi0": _FLOAT, "plant.flow": _FLOAT,
-    "plant.g": _FLOAT, "plant.perturb_phi": _FLOAT,
-    "plant.perturb_psi": _FLOAT,
-    "observe.enabled": _BOOL,
-    "stability.lo": _FLOAT, "stability.hi": _FLOAT, "stability.n": _INT,
-    "cycle.settle_fraction": _FLOAT, "cycle.tol": _FLOAT,
-    "averaging.k1_lo": _FLOAT, "averaging.k1_hi": _FLOAT,
-    "averaging.k2_lo": _FLOAT, "averaging.k2_hi": _FLOAT,
-    "averaging.n": _INT, "averaging.k3": _FLOAT,
-    "averaging.gamma": _FLOAT, "averaging.r": _FLOAT,
-    "tune.L": _FLOAT, "tune.T": _FLOAT, "tune.rule": _STR,
-}
+_FLOAT, _INT, _BOOL = "float", "int", "bool"
 
 
 @dataclass
@@ -118,6 +88,76 @@ class Scenario:
         return throttle_from_flow(self.cmap, self.flow)
 
 
+#: scenario key -> flat ``Scenario`` attribute
+_FLAT_KEYS = {
+    "run.name": "name", "run.kind": "kind", "run.dt": "dt",
+    "run.t_end": "t_end", "run.decimation": "decimation",
+    "observe.enabled": "observe",
+    "plant.phi0": "phi0", "plant.psi0": "psi0", "plant.flow": "flow",
+    "plant.g": "g", "plant.perturb_phi": "perturb_phi",
+    "plant.perturb_psi": "perturb_psi",
+    "stability.lo": "stab_lo", "stability.hi": "stab_hi",
+    "stability.n": "stab_n",
+    "cycle.settle_fraction": "settle_fraction", "cycle.tol": "cycle_tol",
+    "averaging.k1_lo": "avg_k1_lo", "averaging.k1_hi": "avg_k1_hi",
+    "averaging.k2_lo": "avg_k2_lo", "averaging.k2_hi": "avg_k2_hi",
+    "averaging.n": "avg_n", "averaging.k3": "avg_k3",
+    "averaging.gamma": "avg_gamma", "averaging.r": "avg_r",
+    "tune.L": "tune_L", "tune.T": "tune_T", "tune.rule": "tune_rule",
+}
+
+#: scenario section -> (``Scenario`` attribute, its config class); the
+#: section's keys are the class's fields, with ``map.c0..c3`` for ``cubic``
+_SECTIONS = {
+    "controller": ("controller", ControllerConfig),
+    "disturbance": ("disturbance", DisturbanceProfile),
+    "valve": ("valve", ValveModel),
+    "map": ("cmap", CompressorMap),
+}
+_CUBIC_KEYS = ("c0", "c1", "c2", "c3")
+
+
+def _known_keys() -> dict:
+    attr_type = {f.name: f.type.removesuffix(" | None")
+                 for f in fields(Scenario)}
+    keys = {key: attr_type[attr] for key, attr in _FLAT_KEYS.items()}
+    for section, (_, cls) in _SECTIONS.items():
+        for f in fields(cls):
+            if f.name == "cubic":
+                keys.update((f"map.{c}", _FLOAT) for c in _CUBIC_KEYS)
+            else:
+                keys[f"{section}.{f.name}"] = f.type
+    return keys
+
+
+#: every key a scenario file may set, with its value type
+KNOWN_KEYS = _known_keys()
+
+
+def apply_values(sc: Scenario, values: dict) -> None:
+    """Set scenario keys on ``sc``: flat keys by attribute, section keys by
+    rebuilding that section's validated config from its current value."""
+    by_section = {}
+    for key, value in values.items():
+        if key in _FLAT_KEYS:
+            setattr(sc, _FLAT_KEYS[key], value)
+        else:
+            section, _, name = key.partition(".")
+            by_section.setdefault(section, {})[name] = value
+    for section, (attr, _) in _SECTIONS.items():
+        changes = by_section.get(section)
+        if not changes:
+            continue
+        current = getattr(sc, attr)
+        if section == "map":
+            changes["cubic"] = tuple(
+                changes.pop(c, old) for c, old in zip(_CUBIC_KEYS, current.cubic))
+        try:
+            setattr(sc, attr, replace(current, **changes))
+        except DomainError as err:
+            raise ScenarioError(f"{section}: {err}") from err
+
+
 def _parse_value(key: str, raw: str, lineno: int):
     want = KNOWN_KEYS[key]
     try:
@@ -169,80 +209,16 @@ def _parse_lines(lines) -> dict:
 
 
 def _build(values: dict, default_name: str) -> Scenario:
-    def take(key, default=None):
-        return values.pop(key, default)
-
-    sc = Scenario(name=take("run.name", default_name))
-    sc.kind = take("run.kind", sc.kind)
-    if sc.kind not in KINDS:
-        raise ScenarioError(f"run.kind: must be one of {KINDS}, got {sc.kind!r}")
-    sc.dt = take("run.dt", sc.dt)
-    sc.t_end = take("run.t_end", sc.t_end)
-    sc.decimation = take("run.decimation", sc.decimation)
-    if sc.decimation < 1:
-        raise ScenarioError(f"run.decimation: must be >= 1, got {sc.decimation}")
-
-    try:
-        sc.controller = ControllerConfig(
-            kind=take("controller.kind", "adaptive"),
-            kp=take("controller.kp", 10.0), ki=take("controller.ki", 24.0),
-            kd=take("controller.kd", 1.0), k1=take("controller.k1", 10.0),
-            k2=take("controller.k2", 10.0), k3=take("controller.k3", 0.7),
-            gamma=take("controller.gamma", 1.0),
-            reference=take("controller.reference", 0.55))
-    except DomainError as err:
-        raise ScenarioError(f"controller: {err}") from err
-    try:
-        sc.disturbance = DisturbanceProfile(
-            target=take("disturbance.target", 0.35),
-            tau=take("disturbance.tau", 1.0),
-            initial=take("disturbance.initial", 0.50))
-    except DomainError as err:
-        raise ScenarioError(f"disturbance: {err}") from err
-    try:
-        sc.valve = ValveModel(tau=take("valve.tau", 2.0),
-                              out_min=take("valve.out_min", 0.05),
-                              out_max=take("valve.out_max", 0.25))
-    except DomainError as err:
-        raise ScenarioError(f"valve: {err}") from err
-    try:
-        sc.cmap = CompressorMap(
-            psi0=take("map.psi0", 0.352), h=take("map.h", 0.18),
-            slope=take("map.slope", 4.0), offset=take("map.offset", -1.0),
-            cubic=(take("map.c0", 1.0), take("map.c1", 1.5),
-                   take("map.c2", 0.0), take("map.c3", -0.5)),
-            domain_lo=take("map.domain_lo", 0.0),
-            domain_hi=take("map.domain_hi", 0.8))
-    except DomainError as err:
-        raise ScenarioError(f"map: {err}") from err
-
-    sc.observe = take("observe.enabled", False)
-    for attr, key in (("phi0", "plant.phi0"), ("psi0", "plant.psi0"),
-                      ("flow", "plant.flow"), ("g", "plant.g"),
-                      ("perturb_phi", "plant.perturb_phi"),
-                      ("perturb_psi", "plant.perturb_psi"),
-                      ("stab_lo", "stability.lo"), ("stab_hi", "stability.hi"),
-                      ("stab_n", "stability.n"),
-                      ("settle_fraction", "cycle.settle_fraction"),
-                      ("cycle_tol", "cycle.tol"),
-                      ("avg_k1_lo", "averaging.k1_lo"),
-                      ("avg_k1_hi", "averaging.k1_hi"),
-                      ("avg_k2_lo", "averaging.k2_lo"),
-                      ("avg_k2_hi", "averaging.k2_hi"),
-                      ("avg_n", "averaging.n"), ("avg_k3", "averaging.k3"),
-                      ("avg_gamma", "averaging.gamma"),
-                      ("avg_r", "averaging.r"),
-                      ("tune_L", "tune.L"), ("tune_T", "tune.T"),
-                      ("tune_rule", "tune.rule")):
-        if key in values:
-            setattr(sc, attr, values.pop(key))
-    assert not values, f"unconsumed keys: {values}"
+    sc = Scenario(name=default_name)
+    apply_values(sc, values)
     validate(sc)
     return sc
 
 
 def validate(sc: Scenario) -> None:
     """Reject precondition violations before any integration starts."""
+    if sc.kind not in KINDS:
+        raise ScenarioError(f"run.kind: must be one of {KINDS}, got {sc.kind!r}")
     if sc.dt is not None and not sc.dt > 0.0:
         raise ScenarioError(f"run.dt: must be > 0, got {sc.dt}")
     if sc.t_end is not None and not sc.t_end > 0.0:

@@ -6,22 +6,20 @@ it asserts is the one this loop provably obeys, and the proof is checked
 in the test (see src/surgekit/scenarios/README.md for the analysis).
 """
 
-import math
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from support import reference_matrix
 
 from surgekit.averaging import (AveragedPoint, averaged_eigenvalues,
                                 averaged_rhs, grid_points)
 from surgekit.compressor import (DEFAULT_MAP, GreitzerParams, PlantState,
                                  equilibrium_from_throttle,
                                  map_pressure_rise, throttle_from_flow)
-from surgekit.loop import (DisturbanceProfile, gain_excursion,
-                           reference_model_rhs, simulate_closed_loop,
-                           zn_gains)
-from surgekit.odesim import (SystemDescriptor, integrate, simulate_greitzer,
-                             steady_state_of)
+from surgekit.loop import (ControllerConfig, DisturbanceProfile,
+                           gain_excursion, simulate_closed_loop, zn_gains)
+from surgekit.odesim import simulate_greitzer, steady_state_of
 from surgekit.scenario import resolve_scenario
 from surgekit.stability import (bendixson_indicator, detect_limit_cycle,
                                 discriminant, eig_real_part,
@@ -284,11 +282,17 @@ def test_c12_fixed_pid_comparison(fig10, fig15):
 def test_c13_integrator_order():
     with criterion(13, "RK4 global error shrinks 16x +- 20 % under step "
                        "halving"):
-        sys = SystemDescriptor(1, lambda t, s: -s, ("x",))
-        errs = []
-        for dt in (0.1, 0.05, 0.025):
-            traj = integrate(sys, [1.0], dt, 1.0)
-            errs.append(abs(traj.column("x")[-1] - math.exp(-1.0)))
+        # the shipped open-loop kernel, against its own dt = 1e-3 run
+        params = GreitzerParams(g=throttle_from_flow(M, 0.51))
+
+        def final_state(dt):
+            traj = simulate_greitzer(PlantState(0.63, 0.62), params, M,
+                                     dt=dt, t_end=1.0)
+            return traj.samples[-1, 1:]
+
+        ref = final_state(1e-3)
+        errs = [np.abs(final_state(dt) - ref).max()
+                for dt in (0.1, 0.05, 0.025)]
         for e0, e1 in zip(errs, errs[1:]):
             assert 16 * 0.8 <= e0 / e1 <= 16 * 1.2
 
@@ -296,24 +300,22 @@ def test_c13_integrator_order():
 def test_c14_reference_model():
     with criterion(14, "reference model: unit gain +- 1e-6, overshoot "
                        "<= 1 %, 2 % settling time in [0.85, 1.05] s"):
-        def rhs(t, s):
-            return np.array(reference_model_rhs(s[0], s[1], 0.55))
-        traj = integrate(SystemDescriptor(2, rhs, ("ym", "ymd")),
-                         [0.0, 0.0], 1e-4, 6.0)
+        # the kernel's reference model, from y = out_min (d = 0) to r = 0.55
+        traj = simulate_closed_loop(
+            ControllerConfig(reference=0.55),
+            profile=DisturbanceProfile(target=0.0, initial=0.0), t_end=6.0)
         ym = traj.column("ym")
+        step = 0.55 - ym[0]
         assert abs(ym[-1] / 0.55 - 1.0) <= 1e-6
-        assert (ym.max() - 0.55) / 0.55 <= 0.01
+        assert (ym.max() - 0.55) / step <= 0.01
         # conventional 2 % settling time 4/(zeta*wn) from the realization's
         # poles (the band-exit time of this lightly damped response is
         # earlier, about 0.84 s; both are printed by the summary line)
-        a_mat = np.column_stack([
-            np.array(reference_model_rhs(1.0, 0.0, 0.0)),
-            np.array(reference_model_rhs(0.0, 1.0, 0.0))])
-        lam = np.linalg.eigvals(a_mat)
+        lam = np.linalg.eigvals(reference_matrix())
         wn = abs(lam[0])
         zeta = -lam[0].real / wn
         t_settle = 4.0 / (zeta * wn)
         assert 0.85 <= t_settle <= 1.05
-        outside = np.abs(ym - 0.55) > 0.02 * 0.55
+        outside = np.abs(ym - 0.55) > 0.02 * step
         print(f"     settling: conventional {t_settle:.4f} s, band-exit "
               f"{traj.t[outside][-1]:.4f} s;", end=" ")

@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
+from support import integrate
 
 from surgekit.averaging import (AveragedPoint, averaged_eigenvalues,
                                 averaged_jacobian, averaged_rhs, grid_points,
                                 saturated_mode_eigenvalues, stability_verdict)
 from surgekit.errors import DomainError
-from surgekit.odesim import SystemDescriptor, integrate
 
 P0 = AveragedPoint(k1=10.0, k2=10.0, k3=0.7, r=0.55, gamma=1.0)
 
@@ -137,8 +137,8 @@ class TestCrossCheckWithSimulation:
         def rhs(t, s):
             p = AveragedPoint(k1=max(s[0], 0.0), k2=max(s[1], 0.0), k3=s[2])
             return np.array(averaged_rhs(p))
-        traj = integrate(SystemDescriptor(3, rhs, ("k1", "k2", "k3")),
-                         [10.0, 10.0, 0.7], 0.05, 300.0)
+        traj = integrate(rhs, [10.0, 10.0, 0.7], 0.05, 300.0,
+                         ("k1", "k2", "k3"))
         k1 = traj.column("k1")
         k2 = traj.column("k2")
         assert abs(k1[-1] - (1.0 + k2[-1])) < 1e-4

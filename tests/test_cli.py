@@ -1,9 +1,13 @@
 """Command-line behavior: subcommands, scenario catalog, exit codes."""
 
+import argparse
+
 import numpy as np
 import pytest
+from support import integrate, key_sample, load_one_key, scenario_diff
 
-from surgekit.cli import main
+from surgekit.cli import _apply_overrides, build_parser, main
+from surgekit.scenario import KNOWN_KEYS, Scenario
 
 
 def run(capsys, *argv):
@@ -53,12 +57,10 @@ class TestTune:
         # S-shaped two-lag step response written the same way the other
         # subcommands write trajectories
         from surgekit.csvio import write_trajectory
-        from surgekit.odesim import SystemDescriptor, integrate
 
         def rhs(t, s):
             return np.array([s[1], (1.0 - s[0] - 3.0 * s[1]) / 2.0])
-        traj = integrate(SystemDescriptor(2, rhs, ("y", "ydot")),
-                         [0.0, 0.0], 1e-3, 25.0)
+        traj = integrate(rhs, [0.0, 0.0], 1e-3, 25.0, ("y", "ydot"))
         write_trajectory(traj, tmp_path / "step.csv")
         code, out, _ = run(capsys, "tune", "--step-csv",
                            str(tmp_path / "step.csv"), "--signal", "y",
@@ -67,6 +69,22 @@ class TestTune:
         assert "tangent fit" in out
         assert "L = 0.386" in out and "T = 4\n" in out
         assert "kp = " in out
+
+    @pytest.mark.parametrize("text,complaint", [
+        ("t,y\n0,0.1\n", "at least 3 rows"),
+        ("time,y\n0,0\n1,0.5\n2,1\n", "no 't' column"),
+        ("t,y\n0,0\n1,0.5\n0.5,0.7\n2,1\n", "strictly increasing"),
+        ("t,y\n0,0\n1,0.5\n3,0.7\n4,1\n", "uniform"),
+    ], ids=["one-row", "no-t", "non-monotonic", "non-uniform"])
+    def test_bad_step_csv_exits_three(self, tmp_path, capsys, text,
+                                      complaint):
+        path = tmp_path / "step.csv"
+        path.write_text(text)
+        code, out, err = run(capsys, "tune", "--step-csv", str(path),
+                             "--out-dir", str(tmp_path))
+        assert code == 3
+        assert complaint in err
+        assert len(err.splitlines()) == 1 and out == ""
 
 
 class TestClosedLoop:
@@ -212,8 +230,43 @@ class TestExitCodes:
         assert code == 4
         assert "pressure" in err
 
+    def test_unallocatable_run_exits_four(self, tmp_path, capsys):
+        # 1e303 rows: refused before anything is allocated
+        code, out, err = run(capsys, "closedloop", "--t-end", "1e300",
+                             "--out-dir", str(tmp_path))
+        assert code == 4
+        assert "cannot allocate" in err and "bytes" in err
+        assert len(err.splitlines()) == 1 and out == ""
+
     def test_missing_scenario_exits_three(self, tmp_path, capsys):
         code, _, err = run(capsys, "closedloop", "--scenario", "figZZ",
                            "--out-dir", str(tmp_path))
         assert code == 3
         assert "shipped" in err
+
+
+
+class TestOverrideFlags:
+    def test_override_flags_land_on_their_keys(self, tmp_path):
+        # each flag whose dest is a scenario key changes what that key
+        # changes when a scenario file sets it
+        parser = build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        seen = set()
+        for command, sub in commands.items():
+            for action in sub._actions:
+                key = action.dest
+                if key not in KNOWN_KEYS:
+                    continue
+                seen.add(key)
+                argv = [command, action.option_strings[0]]
+                if action.nargs != 0:
+                    argv.append(action.choices[0] if action.choices
+                                else str(key_sample(key)))
+                sc = Scenario(name="case")
+                _apply_overrides(sc, parser.parse_args(argv))
+                expected = load_one_key(tmp_path, key)
+                assert scenario_diff(sc, Scenario(name="case")).keys() == \
+                    expected.keys(), argv
+        assert len(seen) == 38

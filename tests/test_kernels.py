@@ -11,8 +11,8 @@ from surgekit import _kernels
 from surgekit.compressor import DEFAULT_MAP, GreitzerParams, PlantState, \
     throttle_from_flow
 from surgekit.loop import (ControllerConfig, DisturbanceProfile,
-                           initial_loop_state, simulate_closed_loop,
-                           ValveModel)
+                           ValveModel, _kernel_args, initial_loop_state,
+                           simulate_closed_loop)
 
 M = DEFAULT_MAP
 
@@ -26,15 +26,12 @@ def _greitzer_args(out):
             0.8, 1.25, throttle_from_flow(M, 0.51))
 
 
-def _closed_loop_args(out, state):
+def _closed_loop_args(out):
     cfg = ControllerConfig(kind="adaptive")
     valve = ValveModel()
     prof = DisturbanceProfile(target=0.35)
-    c0, c1, c2, c3 = M.cubic
-    return (out, state, 1e-3, _kernels.KIND_ADAPTIVE, cfg.kp, cfg.ki,
-            cfg.kd, cfg.gamma, cfg.reference, valve.tau, valve.out_min,
-            valve.out_max, valve.tau, prof.target, prof.tau, 25.0, 8.5,
-            False, M.psi0, M.h, M.slope, M.offset, c0, c1, c2, c3, 0.8, 1.25)
+    return (out, initial_loop_state(cfg, valve, prof), 1e-3,
+            *_kernel_args(cfg, valve, prof))
 
 
 @needs_jit
@@ -49,22 +46,14 @@ class TestFlavourParity:
         assert np.array_equal(out_a, out_b)
 
     def test_closed_loop_bitwise(self):
-        cfg = ControllerConfig(kind="adaptive")
-        st = initial_loop_state(cfg, ValveModel(),
-                                DisturbanceProfile(target=0.35))
         out_a = np.empty((4001, 11))
         out_b = np.empty((4001, 11))
-        ra = _kernels.closed_loop_loop_py(
-            *_closed_loop_args(out_a, st.as_array()))
-        rb = _kernels.closed_loop_loop_jit(
-            *_closed_loop_args(out_b, st.as_array()))
+        ra = _kernels.closed_loop_loop_py(*_closed_loop_args(out_a))
+        rb = _kernels.closed_loop_loop_jit(*_closed_loop_args(out_b))
         assert ra == rb == (_kernels.OK, 4000)
         assert np.array_equal(out_a, out_b)
 
     def test_fixed_pid_bitwise(self):
-        import os
-        import subprocess
-        import sys
         # fixed-pid exercises the integral branch; compare the full
         # simulate wrapper across the env-flag boundary
         code = (
@@ -96,9 +85,12 @@ class TestStatusCodes:
     def test_wrapper_raises_on_breakdown(self):
         from surgekit.errors import DivergenceError
         from surgekit.odesim import simulate_greitzer
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DivergenceError) as exc:
             simulate_greitzer(PlantState(0.5, 1e-9),
                               GreitzerParams(g=5.0), M, dt=1.0, t_end=50.0)
+        # the run stops in its first step, keeping the finite initial row
+        assert exc.value.partial.n_rows == 1
+        assert np.all(np.isfinite(exc.value.partial.samples))
 
 
 class TestEnvFlag:

@@ -1,40 +1,48 @@
-"""Valve, controllers, tuning rule, reference model, closed-loop scenarios."""
+"""Valve, controllers, tuning rule, reference model, closed-loop scenarios.
+
+The loop equations are tested where they are defined: the kernel's
+``closed_loop_rhs`` at hand-built states (``support.loop_rates``), or a
+kernel run through ``simulate_closed_loop``.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from support import integrate, loop_rates, reference_matrix
 
+from surgekit._kernels import CL_STATE
 from surgekit.errors import DegenerateResponseError, DomainError
 from surgekit.loop import (ADAPTIVE, ControllerConfig, DisturbanceProfile,
-                           FIXED_PD, FIXED_PID, LoopState, ValveModel,
-                           control_signal, disturbance_rhs, extract_LT,
-                           gain_excursion, in_linear_mode, initial_loop_state,
-                           mras_update, plant_output, reference_model_rhs,
-                           resolve_control_signal, saturate, sensitivity_rhs,
-                           simulate_closed_loop, tracking_cost, valve_rhs,
-                           zn_gains)
-from surgekit.odesim import SystemDescriptor, integrate
+                           FIXED_PD, FIXED_PID, ValveModel, extract_LT,
+                           gain_excursion, initial_loop_state,
+                           simulate_closed_loop, tracking_cost, zn_gains)
 
 VALVE = ValveModel()
+GAINS = {"k1": 10.0, "k2": 10.0, "k3": 0.7}    # adaptive gains in use
 
 
 class TestValve:
     def test_rhs_zero_at_steady_state(self):
-        assert valve_rhs(0.3, 0.3, VALVE) == 0.0
+        # a P law whose command equals the valve output holds it at rest
+        r = loop_rates(FIXED_PD, x=0.125, d=0.375, kp=1.0, kd=0.0,
+                       reference=0.625)
+        assert r["u"] == 0.125 and r["x_dot"] == 0.0
 
     def test_rhs_value(self):
-        assert valve_rhs(0.0, 1.0, VALVE) == pytest.approx(0.5)
+        r = loop_rates(FIXED_PD, x=0.1, d=0.35, kp=10.0, kd=0.0)
+        assert r["u"] == pytest.approx(1.0)
+        assert r["x_dot"] == pytest.approx(0.45)
 
     def test_step_response_time_constant(self):
-        sys = SystemDescriptor(1, lambda t, s: np.array(
-            [valve_rhs(s[0], 1.0, VALVE)]), ("x",))
-        traj = integrate(sys, [0.0], 1e-3, 6.0)
+        # kp = kd = 0 commands u = 0, so x decays as exp(-t/tau)
+        traj = simulate_closed_loop(
+            ControllerConfig(kind=FIXED_PD, kp=0.0, kd=0.0), t_end=6.0)
         x = traj.column("x")
-        i = int(round(VALVE.tau / 1e-3))
-        assert x[i] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-6)
-        # crossing of 0.632*u happens at t = tau up to the sample grid
-        cross = traj.t[np.argmax(x >= 1.0 - math.exp(-1.0))]
+        i = int(round(VALVE.tau / traj.dt))
+        assert x[i] / x[0] == pytest.approx(math.exp(-1.0), abs=1e-14)
+        # crossing of x0/e happens at t = tau up to the sample grid
+        cross = traj.t[np.argmax(x <= x[0] * math.exp(-1.0))]
         assert cross == pytest.approx(VALVE.tau, abs=0.01)
 
     @pytest.mark.parametrize("x,expected", [
@@ -42,13 +50,16 @@ class TestValve:
         (0.25, 0.25), (0.05, 0.05),
     ])
     def test_saturation_branches(self, x, expected):
-        assert saturate(x, VALVE) == expected
+        assert loop_rates(x=x, d=0.3)["co"] == expected
 
     def test_linear_mode_is_inclusive(self):
-        assert in_linear_mode(0.05, VALVE)
-        assert in_linear_mode(0.25, VALVE)
-        assert not in_linear_mode(0.25 + 1e-12, VALVE)
-        assert not in_linear_mode(0.05 - 1e-12, VALVE)
+        # the adaptive gains move only in linear mode
+        def moving(x):
+            r = loop_rates(x=x, d=0.3, ym1=0.2, v1=0.5, **GAINS)
+            return r["k1_dot"] != 0.0
+        assert moving(0.05) and moving(0.25)
+        assert not moving(0.25 + 1e-12)
+        assert not moving(0.05 - 1e-12)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -59,27 +70,26 @@ class TestValve:
 
 class TestPlantOutput:
     def test_values(self):
-        assert plant_output(0.35, 0.20) == pytest.approx(0.55)
-        assert plant_output(0.6, 0.05) == pytest.approx(0.65)
-        assert plant_output(0.42, 0.0) == 0.42
+        # y = d + co; a command below the floor still delivers out_min
+        for d, x, y in ((0.35, 0.20, 0.55), (0.6, 0.05, 0.65),
+                        (0.42, 0.0, 0.47)):
+            r = loop_rates(x=x, d=d)
+            assert r["y"] == pytest.approx(y) and r["y"] == d + r["co"]
 
 
 class TestDisturbance:
     def test_zero_at_target(self):
-        prof = DisturbanceProfile(target=0.35)
-        assert disturbance_rhs(0.35, prof) == 0.0
+        assert loop_rates(d=0.35, target=0.35)["d_dot"] == 0.0
 
     def test_initial_rate(self):
-        prof = DisturbanceProfile(target=0.35, tau=1.0)
-        assert disturbance_rhs(0.0, prof) == pytest.approx(0.35)
+        assert loop_rates(d=0.0, target=0.35)["d_dot"] == pytest.approx(0.35)
 
     def test_three_time_constants(self):
         prof = DisturbanceProfile(target=0.35, tau=1.0, initial=0.0)
-        sys = SystemDescriptor(1, lambda t, s: np.array(
-            [disturbance_rhs(s[0], prof)]), ("d",))
-        traj = integrate(sys, [prof.initial], 1e-3, 3.0)
+        traj = simulate_closed_loop(ControllerConfig(), profile=prof,
+                                    t_end=3.0)
         reached = traj.column("d")[-1] / prof.target
-        assert reached == pytest.approx(1.0 - math.exp(-3.0), rel=0.01)
+        assert reached == pytest.approx(1.0 - math.exp(-3.0), rel=1e-9)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -118,31 +128,29 @@ class TestTuningRule:
 
 
 class TestExtractLT:
+    @staticmethod
+    def two_lag_step():
+        # 1/((s+1)(2s+1)): analytically L = 2*ln(2) - 1, T = 4
+        def rhs(t, s):
+            return np.array([s[1], (1.0 - s[0] - 3.0 * s[1]) / 2.0])
+        return integrate(rhs, [0.0, 0.0], 1e-3, 25.0, ("y", "ydot"))
+
     def test_first_order_lag(self):
         # max slope at the origin: tangent gives L = 0 and T = tau
-        sys = SystemDescriptor(1, lambda t, s: np.array(
-            [(1.0 - s[0]) / 2.0]), ("x",))
-        traj = integrate(sys, [0.0], 1e-3, 14.0)
+        traj = integrate(lambda t, s: (1.0 - s) / 2.0, [0.0], 1e-3, 14.0,
+                         ("x",))
         L, T = extract_LT(traj, "x", final_value=1.0)
         assert L == 0.0
         assert T == pytest.approx(2.0, abs=0.01)
 
     def test_second_order_s_curve(self):
-        # 1/((s+1)(2s+1)): analytically L = 2*ln(2) - 1, T = 4
-        def rhs(t, s):
-            return np.array([s[1], (1.0 - s[0] - 3.0 * s[1]) / 2.0])
-        traj = integrate(SystemDescriptor(2, rhs, ("y", "ydot")), [0.0, 0.0],
-                         1e-3, 25.0)
-        L, T = extract_LT(traj, "y", final_value=1.0)
+        L, T = extract_LT(self.two_lag_step(), "y", final_value=1.0)
         assert L == pytest.approx(2.0 * math.log(2.0) - 1.0, abs=2e-3)
         assert T == pytest.approx(4.0, abs=5e-3)
         assert T > L > 0.0
 
     def test_amplitude_invariance(self):
-        def rhs(t, s):
-            return np.array([s[1], (1.0 - s[0] - 3.0 * s[1]) / 2.0])
-        traj = integrate(SystemDescriptor(2, rhs, ("y", "ydot")), [0.0, 0.0],
-                         1e-3, 25.0)
+        traj = self.two_lag_step()
         scaled = traj.samples.copy()
         scaled[:, 1:] *= 7.5
         from surgekit.odesim import Trajectory
@@ -158,22 +166,29 @@ class TestExtractLT:
 
 
 class TestControlSignal:
+    # the valve is saturated high (co = 0.25), so y_dot = d_dot; the
+    # disturbance sits at its target unless a rate is wanted
+    @staticmethod
+    def u(d, target, kind=ADAPTIVE, **values):
+        return loop_rates(kind, x=0.3, d=d, target=target, **values)["u"]
+
     def test_adaptive_balanced(self):
-        cfg = ControllerConfig(kind=ADAPTIVE, k1=10, k2=10, k3=0.7)
-        assert control_signal(0.55, 0.55, 0.0, cfg) == pytest.approx(0.0)
+        # y = 0.55 = r
+        assert self.u(0.30, 0.30, **GAINS) == pytest.approx(0.0)
 
     def test_adaptive_hand_value(self):
-        cfg = ControllerConfig(kind=ADAPTIVE, k1=10, k2=10, k3=0.7)
-        assert control_signal(0.55, 0.40, 0.0, cfg) == pytest.approx(1.5)
+        # y = 0.40: u = 10*0.55 - 10*0.40
+        assert self.u(0.15, 0.15, **GAINS) == pytest.approx(1.5)
 
     def test_fixed_pid_hand_value(self):
-        cfg = ControllerConfig(kind=FIXED_PID, kp=10, ki=24, kd=1)
-        assert control_signal(0.55, 0.45, 0.0, cfg, e_int=0.0) == \
-            pytest.approx(1.0)
+        # y = 0.45: u = 10*0.10 + 24*0.05
+        assert self.u(0.20, 0.20, FIXED_PID, e_int=0.05, kp=10, ki=24,
+                      kd=1) == pytest.approx(2.2)
 
     def test_fixed_pd_derivative_on_measurement(self):
-        cfg = ControllerConfig(kind=FIXED_PD, kp=10, kd=2)
-        assert control_signal(0.5, 0.5, 0.3, cfg) == pytest.approx(-0.6)
+        # y = 0.5 = r and y_dot = d_dot = 0.3: u = -kd*y_dot
+        assert self.u(0.25, 0.55, FIXED_PD, kp=10, kd=2,
+                      reference=0.5) == pytest.approx(-0.6)
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -184,97 +199,115 @@ class TestControlSignal:
             ControllerConfig(kp=-1.0)
 
 
+@pytest.fixture(scope="module")
+def ref_step():
+    # d and its target at 0: the loop starts at y = out_min = 0.05 and the
+    # reference model steps from there to r = 0.55
+    return simulate_closed_loop(
+        ControllerConfig(reference=0.55),
+        profile=DisturbanceProfile(target=0.0, initial=0.0), t_end=6.0)
+
+
 class TestReferenceModel:
     def test_fixed_point(self):
-        assert reference_model_rhs(0.55, 0.0, 0.55) == (0.0, 0.0)
+        r = loop_rates(ym1=0.55, ym2=0.0, reference=0.55)
+        assert (r["ym1_dot"], r["ym2_dot"]) == (0.0, 0.0)
 
     def test_poles(self):
-        a = np.array([[0.0, 1.0], [-25.0, -8.5]])
-        eig = np.linalg.eigvals(a)
+        eig = np.linalg.eigvals(reference_matrix())
         assert np.allclose(sorted(eig.real), [-4.25, -4.25], atol=1e-12)
         assert np.allclose(sorted(abs(eig.imag)),
                            [math.sqrt(6.9375)] * 2, atol=1e-12)
 
-    def _step(self, t_end=6.0, dt=1e-4):
-        def rhs(t, s):
-            return np.array(reference_model_rhs(s[0], s[1], 0.55))
-        return integrate(SystemDescriptor(2, rhs, ("ym", "ymd")),
-                         [0.0, 0.0], dt, t_end)
-
-    def test_unit_steady_gain(self):
-        ym = self._step().column("ym")
+    def test_unit_steady_gain(self, ref_step):
+        ym = ref_step.column("ym")
         assert abs(ym[-1] / 0.55 - 1.0) <= 1e-6
 
-    def test_overshoot_below_one_percent(self):
-        ym = self._step().column("ym")
-        overshoot = (ym.max() - 0.55) / 0.55
+    def test_overshoot_below_one_percent(self, ref_step):
+        ym = ref_step.column("ym")
+        overshoot = (ym.max() - 0.55) / (0.55 - ym[0])
         assert 0.0 < overshoot <= 0.01
 
-    def test_band_exit_settling_time(self):
+    def test_band_exit_settling_time(self, ref_step):
         # frozen oracle from the closed-form response: the error envelope
         # last leaves the +-2 % band at t ~= 0.8385 s (the sin factor at
         # the crossing makes this earlier than the 4/(zeta*wn) value)
-        traj = self._step()
-        ym = traj.column("ym")
-        outside = np.abs(ym - 0.55) > 0.02 * 0.55
-        t_settle = traj.t[outside][-1]
+        ym = ref_step.column("ym")
+        outside = np.abs(ym - 0.55) > 0.02 * (0.55 - ym[0])
+        t_settle = ref_step.t[outside][-1]
         assert t_settle == pytest.approx(0.8385, abs=0.01)
+
+
+def _dots(r, *names):
+    return tuple(r[f"{name}_dot"] for name in names)
 
 
 class TestSensitivityAndUpdate:
     def test_filter_steady_state(self):
-        assert sensitivity_rhs(0.55, -0.5, 0.0, 0.55, 0.5, 0.0) == (0, 0, 0)
+        # saturated valve and d at its target: y = 0.5, y_dot = 0
+        r = loop_rates(x=0.3, d=0.25, v1=0.55, v2=-0.5, target=0.25)
+        assert _dots(r, "v1", "v2", "v3") == (0.0, 0.0, 0.0)
 
     def test_filter_rates(self):
-        dv1, dv2, dv3 = sensitivity_rhs(0.0, 0.0, 0.0, 0.55, 0.5, 0.2)
-        assert dv1 == pytest.approx(0.275)
-        assert dv2 == pytest.approx(-0.25)
-        assert dv3 == pytest.approx(-0.1)
+        # y = 0.5, y_dot = d_dot = 0.2; the filter lag is the valve's tau
+        for tau in (2.0, 4.0):
+            r = loop_rates(x=0.3, d=0.25, target=0.45,
+                           valve=ValveModel(tau=tau))
+            assert _dots(r, "v1", "v2", "v3") == pytest.approx(
+                (0.55 / tau, -0.5 / tau, -0.2 / tau))
+
+    @staticmethod
+    def gain_rates(x, d, ym1, v3=0.1, gamma=2.0):
+        r = loop_rates(x=x, d=d, ym1=ym1, v1=0.5, v2=-0.5, v3=v3,
+                       gamma=gamma, **GAINS)
+        return r["e"], _dots(r, "k1", "k2", "k3")
 
     def test_update_gated_off_when_saturated(self):
-        assert mras_update(0.3, 0.5, -0.5, 0.1, 2.0, False) == (0, 0, 0)
+        e, dk = self.gain_rates(x=0.3, d=0.3, ym1=0.25)
+        assert e == pytest.approx(0.3)
+        assert dk == (0, 0, 0)
 
     def test_update_zero_error(self):
-        assert mras_update(0.0, 0.5, -0.5, 0.1, 2.0, True) == (0, 0, 0)
+        e, dk = self.gain_rates(x=0.1, d=0.45, ym1=0.45 + 0.1)
+        assert e == 0.0
+        assert dk == (0, 0, 0)
 
     def test_update_hand_values(self):
-        dk = mras_update(0.1, 0.5, -0.5, 0.0, 1.0, True)
+        e, dk = self.gain_rates(x=0.1, d=0.45, ym1=0.45, v3=0.0, gamma=1.0)
+        assert e == pytest.approx(0.1)
         assert dk == pytest.approx((-0.05, 0.05, 0.0))
 
 
 class TestResolveControlSignal:
     def test_no_derivative_gain_short_circuits(self):
-        cfg = ControllerConfig(kind=ADAPTIVE, k1=8, k2=4, k3=0)
-        st = LoopState(x=0.1, d=0.3, ym1=0.4, k1=8, k2=4, k3=0)
-        u = resolve_control_signal(cfg, st, VALVE, d_dot=0.7)
-        assert u == pytest.approx(8 * 0.55 - 4 * 0.4)
+        # k3 = 0: u = k1*r - k2*y whatever d_dot (0.7 here) is
+        r = loop_rates(x=0.1, d=0.3, k1=8, k2=4, k3=0, target=1.0)
+        assert r["u"] == pytest.approx(8 * 0.55 - 4 * 0.4)
 
     def test_hand_value_linear_mode(self):
-        cfg = ControllerConfig(kind=ADAPTIVE)
-        st = LoopState(x=0.1, d=0.45, ym1=0.55, k1=10, k2=10, k3=0.7)
-        u = resolve_control_signal(cfg, st, VALVE, d_dot=0.0)
-        assert u == pytest.approx(0.035 / 1.35, abs=1e-12)
+        r = loop_rates(x=0.1, d=0.45, target=0.45, **GAINS)
+        assert r["u"] == pytest.approx(0.035 / 1.35, abs=1e-12)
 
     @pytest.mark.parametrize("x", [0.07, 0.18, 0.25, 0.05, 0.3, -0.4, 0.8])
     def test_residual_identity(self, x):
+        # the solved u satisfies the direct law with the y_dot it causes
         rng = np.random.default_rng(hash(x) % 2**32)
+        linear = VALVE.out_min <= x <= VALVE.out_max
         for _ in range(25):
-            d, ym1, k1, k2, k3, d_dot = rng.uniform(
-                [0.0, 0.0, 0.0, 0.0, 0.0, -0.5], [0.8, 0.8, 20, 20, 3, 0.5])
-            cfg = ControllerConfig(kind=ADAPTIVE)
-            st = LoopState(x=x, d=d, ym1=ym1, k1=k1, k2=k2, k3=k3)
-            u = resolve_control_signal(cfg, st, VALVE, d_dot)
-            co = saturate(x, VALVE)
-            y = d + co
-            x_dot = (u - x) / VALVE.tau
-            y_dot = d_dot + (x_dot if in_linear_mode(x, VALVE) else 0.0)
-            back = k1 * cfg.reference - k2 * y - k3 * y_dot
-            assert abs(u - back) <= 1e-12
+            d, ym1, k1, k2, k3, target = rng.uniform(
+                [0.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0.8, 0.8, 20, 20, 3, 0.8])
+            r = loop_rates(x=x, d=d, ym1=ym1, k1=k1, k2=k2, k3=k3,
+                           target=target)
+            assert r["co"] == min(max(x, VALVE.out_min), VALVE.out_max)
+            assert r["x_dot"] == (r["u"] - x) / VALVE.tau
+            y_dot = r["d_dot"] + (r["x_dot"] if linear else 0.0)
+            back = k1 * 0.55 - k2 * r["y"] - k3 * y_dot
+            assert abs(r["u"] - back) <= 1e-12
 
     def test_fixed_pid_residual_identity(self):
-        cfg = ControllerConfig(kind=FIXED_PID, kp=10, ki=24, kd=1)
-        st = LoopState(x=0.12, d=0.4, ym1=0.5, e_int=0.03)
-        u = resolve_control_signal(cfg, st, VALVE, d_dot=0.1)
+        r = loop_rates(FIXED_PID, x=0.12, d=0.4, ym1=0.5, e_int=0.03,
+                       kp=10, ki=24, kd=1, target=0.5)
+        u = r["u"]
         y = 0.4 + 0.12
         y_dot = 0.1 + (u - 0.12) / 2.0
         back = 10 * (0.55 - y) + 24 * 0.03 - 1.0 * y_dot
@@ -388,10 +421,13 @@ class TestClosedLoopScenarios:
 
     def test_initial_state_starts_on_reference(self):
         cfg = ControllerConfig(kind="adaptive")
-        st = initial_loop_state(cfg, VALVE, DisturbanceProfile(target=0.35))
-        assert st.x == VALVE.out_min
-        assert st.ym1 == plant_output(st.d, saturate(st.x, VALVE))
-        assert st.v1 == cfg.reference and st.v2 == -st.ym1
+        st = dict(zip(CL_STATE, initial_loop_state(
+            cfg, VALVE, DisturbanceProfile(target=0.35))))
+        assert st["x"] == VALVE.out_min
+        assert st["ym1"] == st["d"] + VALVE.out_min
+        assert st["v1"] == cfg.reference and st["v2"] == -st["ym1"]
+        # zero initial model error
+        assert loop_rates(target=0.35, **st)["e"] == 0.0
 
     def test_fixed_pid_converges_at_defaults(self):
         traj = _run(kind="fixed-pid", target=0.35)

@@ -4,81 +4,93 @@ import math
 
 import numpy as np
 import pytest
+from support import integrate, rk4_step
 
 from surgekit.compressor import (DEFAULT_MAP, GreitzerParams, PlantState,
-                                 equilibrium_from_throttle,
+                                 equilibrium_from_throttle, greitzer_rhs,
                                  throttle_from_flow)
+from surgekit.csvio import write_trajectory
 from surgekit.errors import DivergenceError, DomainError, ModelBreakdownError
-from surgekit.odesim import (SystemDescriptor, Trajectory, greitzer_system,
-                             integrate, simulate_greitzer, steady_state_of,
-                             step_rk4, vector_field_grid)
+from surgekit.loop import ControllerConfig, simulate_closed_loop
+from surgekit.odesim import (Trajectory, simulate_greitzer, steady_state_of,
+                             vector_field_grid)
 
 M = DEFAULT_MAP
+G51 = throttle_from_flow(M, 0.51)
 
 
-def decay_system():
-    return SystemDescriptor(1, lambda t, s: -s, ("x",))
+def decay(t, s):
+    return -s
+
+
+def decay_run():
+    return integrate(decay, [1.0], 0.1, 1.0, ("x",))
 
 
 class TestStepRk4:
+    # the reference step the kernels are compared against
     def test_zero_rhs_keeps_state(self):
-        sys = SystemDescriptor(2, lambda t, s: np.zeros(2), ("a", "b"))
-        out = step_rk4(sys, 0.0, np.array([1.5, -2.0]), 0.1)
+        out = rk4_step(lambda t, s: np.zeros(2), 0.0, np.array([1.5, -2.0]),
+                       0.1)
         assert np.array_equal(out, [1.5, -2.0])
 
     def test_constant_rhs_is_exact(self):
-        sys = SystemDescriptor(1, lambda t, s: np.ones(1), ("x",))
-        out = step_rk4(sys, 0.0, np.array([3.0]), 0.25)
+        out = rk4_step(lambda t, s: np.ones(1), 0.0, np.array([3.0]), 0.25)
         assert out[0] == 3.25
 
     def test_exponential_decay_one_step(self):
-        out = step_rk4(decay_system(), 0.0, np.array([1.0]), 0.1)
+        out = rk4_step(decay, 0.0, np.array([1.0]), 0.1)
         # truncated exponential series 1 - h + h^2/2 - h^3/6 + h^4/24
         assert out[0] == pytest.approx(0.9048375, abs=1e-12)
         assert out[0] == pytest.approx(math.exp(-0.1), abs=1e-7)
 
     def test_nonfinite_stage_raises(self):
-        def bad(t, s):
-            return np.array([math.inf])
-        with pytest.raises(DivergenceError) as exc:
-            step_rk4(SystemDescriptor(1, bad, ("x",)), 2.5, np.array([1.0]), 0.1)
-        assert exc.value.time == 2.5
+        # the loop state overflows: the kernel stops and reports where
+        with np.errstate(all="ignore"), \
+                pytest.raises(DivergenceError, match="non-finite") as exc:
+            simulate_closed_loop(ControllerConfig(kind="fixed-pid"),
+                                 dt=1e200, t_end=1e201)
+        assert exc.value.time is not None
+        assert np.all(np.isfinite(exc.value.partial.samples))
 
     def test_bad_dt(self):
-        with pytest.raises(DomainError):
-            step_rk4(decay_system(), 0.0, np.array([1.0]), 0.0)
+        for dt in (0.0, -0.1, math.nan):
+            with pytest.raises(DomainError):
+                simulate_greitzer(PlantState(0.63, 0.62),
+                                  GreitzerParams(g=G51), M, dt=dt)
 
 
 class TestIntegrate:
     def test_row_count_and_time_axis(self):
-        traj = integrate(decay_system(), [1.0], 0.1, 1.0)
+        traj = simulate_greitzer(PlantState(0.63, 0.62),
+                                 GreitzerParams(g=G51), M, dt=0.1, t_end=1.0)
         assert traj.n_rows == 11
         diffs = np.diff(traj.t)
         assert np.all(diffs > 0)
         assert np.allclose(diffs, 0.1, rtol=1e-12)
 
     def test_order_four_convergence(self):
-        # independent oracle: exact solution of x' = -x
+        # independent oracle for the reference: exact solution of x' = -x
         errs = []
         for dt in (0.1, 0.05, 0.025):
-            traj = integrate(decay_system(), [1.0], dt, 1.0)
+            traj = integrate(decay, [1.0], dt, 1.0, ("x",))
             errs.append(abs(traj.column("x")[-1] - math.exp(-1.0)))
         for e0, e1 in zip(errs, errs[1:]):
             ratio = e0 / e1
             assert 16 * 0.8 <= ratio <= 16 * 1.2
 
     def test_determinism(self):
-        g = throttle_from_flow(M, 0.51)
-        a = simulate_greitzer(PlantState(0.63, 0.62), GreitzerParams(g=g), M)
-        b = simulate_greitzer(PlantState(0.63, 0.62), GreitzerParams(g=g), M)
+        a = simulate_greitzer(PlantState(0.63, 0.62), GreitzerParams(g=G51), M)
+        b = simulate_greitzer(PlantState(0.63, 0.62), GreitzerParams(g=G51), M)
         assert np.array_equal(a.samples, b.samples)
 
     def test_generic_path_matches_kernel(self):
-        g = throttle_from_flow(M, 0.51)
-        params = GreitzerParams(g=g)
+        params = GreitzerParams(g=G51)
         kern = simulate_greitzer(PlantState(0.63, 0.62), params, M,
                                  dt=1e-2, t_end=5.0)
-        gen = integrate(greitzer_system(params, M), [0.63, 0.62], 1e-2, 5.0)
+        gen = integrate(
+            lambda t, s: np.array(greitzer_rhs(PlantState(*s), params, M)),
+            [0.63, 0.62], 1e-2, 5.0, ("phi", "psi"))
         assert kern.columns == gen.columns
         np.testing.assert_allclose(kern.samples, gen.samples,
                                    rtol=1e-12, atol=1e-14)
@@ -87,9 +99,6 @@ class TestIntegrate:
         params = GreitzerParams(g=0.6)
         with pytest.raises(ModelBreakdownError):
             simulate_greitzer(PlantState(0.5, -0.1), params, M)
-        with pytest.raises(DivergenceError) as exc:
-            integrate(greitzer_system(params, M), [0.5, -0.1], 1e-2, 1.0)
-        assert np.all(np.isfinite(exc.value.partial.samples))
 
     def test_all_samples_finite(self):
         g = throttle_from_flow(M, 0.4)
@@ -101,9 +110,8 @@ class TestIntegrate:
 
 class TestGreitzerRuns:
     def test_settles_to_known_point(self):
-        g = throttle_from_flow(M, 0.51)
-        traj = simulate_greitzer(PlantState(0.63, 0.62), GreitzerParams(g=g),
-                                 M, dt=1e-2, t_end=50.0)
+        traj = simulate_greitzer(PlantState(0.63, 0.62),
+                                 GreitzerParams(g=G51), M, dt=1e-2, t_end=50.0)
         ss = steady_state_of(traj, window=5.0, tol=1e-3)
         assert ss is not None
         assert ss[0] == pytest.approx(0.51, abs=0.01)
@@ -134,30 +142,34 @@ class TestSteadyStateOf:
         assert steady_state_of(traj, window=10.0, tol=1e-3) is None
 
     def test_window_validation(self):
-        traj = integrate(decay_system(), [1.0], 0.1, 1.0)
+        traj = decay_run()
         with pytest.raises(DomainError):
             steady_state_of(traj, window=50.0, tol=1e-3)
 
 
 class TestTrajectory:
     def test_unknown_column(self):
-        traj = integrate(decay_system(), [1.0], 0.1, 1.0)
+        traj = decay_run()
         with pytest.raises(DomainError, match="no column"):
             traj.column("y")
 
     def test_tail_fraction_validation(self):
-        traj = integrate(decay_system(), [1.0], 0.1, 1.0)
+        traj = decay_run()
         with pytest.raises(DomainError):
             traj.tail(0.0)
         assert traj.tail(0.5).n_rows == 6
 
     def test_initial_state_shape_checked(self):
-        with pytest.raises(DomainError):
-            integrate(decay_system(), [1.0, 2.0], 0.1, 1.0)
+        # a non-finite initial state is rejected before the kernel runs
+        for phi, psi in ((math.nan, 0.6), (0.5, math.inf)):
+            with pytest.raises(DomainError, match="finite"):
+                simulate_greitzer(PlantState(phi, psi), GreitzerParams(g=G51))
 
-    def test_descriptor_name_count_checked(self):
-        with pytest.raises(DomainError):
-            SystemDescriptor(2, lambda t, s: s, ("only-one",))
+    def test_descriptor_name_count_checked(self, tmp_path):
+        # column names must match the sample width when a run is written
+        traj = Trajectory(0.1, ["t", "only-one"], np.zeros((3, 3)))
+        with pytest.raises(DomainError, match="width"):
+            write_trajectory(traj, tmp_path / "bad.csv")
 
 
 class TestVectorFieldGrid:
@@ -165,14 +177,12 @@ class TestVectorFieldGrid:
         params = GreitzerParams(g=0.6)
         PHI, PSI, DPHI, DPSI = vector_field_grid(params, (0.5, 0.5),
                                                  (0.6, 0.6), 1, M)
-        from surgekit.compressor import greitzer_rhs
         dphi, dpsi = greitzer_rhs(PlantState(0.5, 0.6), params, M)
         assert DPHI[0, 0] == dphi and DPSI[0, 0] == dpsi
 
     def test_equilibrium_is_local_field_minimum(self):
-        g = throttle_from_flow(M, 0.51)
-        eq = equilibrium_from_throttle(M, g)
-        params = GreitzerParams(g=g)
+        eq = equilibrium_from_throttle(M, G51)
+        params = GreitzerParams(g=G51)
         PHI, PSI, DPHI, DPSI = vector_field_grid(
             params, (eq.phi - 0.1, eq.phi + 0.1),
             (eq.psi - 0.1, eq.psi + 0.1), 21, M)
@@ -187,7 +197,6 @@ class TestVectorFieldGrid:
         g = throttle_from_flow(M, 0.4)
         eq = equilibrium_from_throttle(M, g)
         params = GreitzerParams(g=g)
-        from surgekit.compressor import greitzer_rhs
         quadrants = set()
         for ang in np.linspace(0, 2 * math.pi, 48, endpoint=False):
             s = PlantState(eq.phi + 0.02 * math.cos(ang),

@@ -1,10 +1,11 @@
 """Scenario file parsing, validation, and the shipped catalog."""
 
 import pytest
+from support import key_sample, load_one_key
 
 from surgekit.errors import ScenarioError
-from surgekit.scenario import (Scenario, load_scenario, resolve_scenario,
-                               shipped_scenarios, validate)
+from surgekit.scenario import (KNOWN_KEYS, Scenario, load_scenario,
+                               resolve_scenario, shipped_scenarios, validate)
 
 
 def write(tmp_path, text, name="case.scn"):
@@ -152,3 +153,19 @@ class TestCatalog:
         assert sc.controller.kind == "fixed-pid"
         assert (sc.controller.kp, sc.controller.ki, sc.controller.kd) == \
             (10.0, 24.0, 1.0)
+
+
+class TestKeys:
+    @pytest.mark.parametrize("key", sorted(KNOWN_KEYS))
+    def test_key_round_trip(self, tmp_path, key):
+        # a one-line file changes exactly one value, named like the key,
+        # to the value it sets
+        (path, value), = load_one_key(tmp_path, key).items()
+        assert value == key_sample(key)
+        name = key.partition(".")[2]
+        if key.startswith("map.c"):
+            assert path == ("cmap", "cubic", int(name[1:]))
+        elif key == "observe.enabled":
+            assert path == ("observe",)
+        else:
+            assert str(path[-1]).endswith(name)
