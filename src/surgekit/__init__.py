@@ -2,15 +2,16 @@
 
 Library layout:
 
-- ``compressor``: cubic pressure-rise map, two-state surge model,
+- ``compressor``: cubic pressure-rise map, surge-model parameters,
   equilibrium/throttle algebra.
 - ``stability``: Jacobian/eigenvalue analysis on the equilibrium
   manifold, surge boundary, divergence indicator, limit-cycle detection.
 - ``odesim``: trajectory records and the open-loop surge-model run.
 - ``loop``: saturating anti-surge valve, fixed PD/PID and gradient
   adaptive controllers, tangent tuning rule, closed-loop simulation.
-- ``_kernels``: the fixed-step RK4 kernels and ``closed_loop_rhs``, the
-  one definition of the closed-loop equations.
+- ``_kernels``: the fixed-step RK4 kernels and the one definition of each
+  model equation: ``pressure_rise`` (the map), ``surge_rhs`` (the surge
+  model) and ``closed_loop_rhs`` (the closed loop).
 - ``averaging``: averaged adaptation dynamics and their eigenvalues.
 - ``cli``: the ``surgekit`` command-line front end and scenario files.
 """
@@ -19,15 +20,14 @@ from .averaging import (AveragedPoint, averaged_eigenvalues,
                         averaged_jacobian, averaged_rhs, grid_points,
                         stability_verdict)
 from .compressor import (CompressorMap, DEFAULT_MAP, GreitzerParams,
-                         PlantState, equilibrium_from_throttle, greitzer_rhs,
+                         PlantState, equilibrium_from_throttle,
                          map_pressure_rise, map_slope, throttle_from_flow)
 from .errors import (AnalysisError, DegenerateResponseError, DivergenceError,
                      DomainError, ModelBreakdownError, NoEquilibriumError,
                      ScenarioError, SurgeKitError)
 from .loop import (ControllerConfig, DisturbanceProfile, ValveModel,
                    extract_LT, simulate_closed_loop, zn_gains)
-from .odesim import (Trajectory, simulate_greitzer, steady_state_of,
-                     vector_field_grid)
+from .odesim import Trajectory, simulate_greitzer, steady_state_of
 from .stability import (LimitCycleReport, StabilityRow, bendixson_indicator,
                         char_poly, detect_limit_cycle, discriminant,
                         eig_real_part, jacobian_at_equilibrium,
@@ -39,14 +39,14 @@ __all__ = [
     "AveragedPoint", "averaged_eigenvalues", "averaged_jacobian",
     "averaged_rhs", "grid_points", "stability_verdict",
     "CompressorMap", "DEFAULT_MAP", "GreitzerParams", "PlantState",
-    "equilibrium_from_throttle", "greitzer_rhs", "map_pressure_rise",
-    "map_slope", "throttle_from_flow",
+    "equilibrium_from_throttle", "map_pressure_rise", "map_slope",
+    "throttle_from_flow",
     "AnalysisError", "DegenerateResponseError", "DivergenceError",
     "DomainError", "ModelBreakdownError", "NoEquilibriumError",
     "ScenarioError", "SurgeKitError",
     "ControllerConfig", "DisturbanceProfile", "ValveModel", "extract_LT",
     "simulate_closed_loop", "zn_gains",
-    "Trajectory", "simulate_greitzer", "steady_state_of", "vector_field_grid",
+    "Trajectory", "simulate_greitzer", "steady_state_of",
     "LimitCycleReport", "StabilityRow", "bendixson_indicator", "char_poly",
     "detect_limit_cycle", "discriminant", "eig_real_part",
     "jacobian_at_equilibrium", "stability_scan", "surge_boundary",

@@ -7,8 +7,11 @@ flavour unless numba is missing or ``SURGEKIT_NO_NUMBA=1`` is set, in
 which case they fall back to pure Python/numpy.  ``perfbench/run.py``
 times whichever flavour is active, end to end through the CLI.
 
-The closed-loop equations are defined once, in :func:`closed_loop_rhs`,
-which the closed-loop kernel calls (as a jitable helper when compiled).
+Each model equation is defined once, as a jitable helper (compiled into
+the kernels that call it): the compressor map in :func:`pressure_rise`,
+the surge model's rates in :func:`surge_rhs` (called by the open-loop
+kernel at each RK4 stage and by the observe branch of the closed loop),
+and the closed-loop equations in :func:`closed_loop_rhs`.
 
 Kernels never raise: they return ``(status, row)`` so the wrappers in
 ``odesim``/``loop`` can map failures onto the package exceptions.
@@ -49,6 +52,24 @@ CL_STATE = ("x", "d", "ym1", "ym2", "v1", "v2", "v3",
 CL_DIM = len(CL_STATE)
 
 
+@_jitable
+def pressure_rise(phi, psi0, h, slope, offset, c0, c1, c2, c3):
+    """The compressor map psi_c(phi) = psi0 + h * P(slope*phi + offset),
+    ``P`` the cubic with ascending coefficients c0..c3."""
+    w = slope * phi + offset
+    return psi0 + h * (c0 + w * (c1 + w * (c2 + w * c3)))
+
+
+@_jitable
+def surge_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3, a, b):
+    """Rates (d phi/dt, d psi/dt) of the surge model at throttle g.
+
+    Needs psi > 0; callers check it, since sqrt(psi) is undefined below.
+    """
+    pc = pressure_rise(phi, psi0, h, slope, offset, c0, c1, c2, c3)
+    return a * (pc - psi), b * (phi - g * math.sqrt(psi))
+
+
 def _greitzer_loop(out, dt, m_psi0, m_h, m_sl, m_off, c0, c1, c2, c3,
                    a, b, g):
     """RK4 on the two-state surge model.
@@ -61,40 +82,28 @@ def _greitzer_loop(out, dt, m_psi0, m_h, m_sl, m_off, c0, c1, c2, c3,
     phi = out[0, 1]
     psi = out[0, 2]
     for i in range(1, n):
-        # stage 1
         if psi <= 0.0:
             return PSI_NONPOSITIVE, i
-        w = m_sl * phi + m_off
-        pc = m_psi0 + m_h * (c0 + w * (c1 + w * (c2 + w * c3)))
-        k1p = a * (pc - psi)
-        k1s = b * (phi - g * math.sqrt(psi))
-        # stage 2
+        k1p, k1s = surge_rhs(phi, psi, g, m_psi0, m_h, m_sl, m_off,
+                             c0, c1, c2, c3, a, b)
         p2 = phi + 0.5 * dt * k1p
         s2 = psi + 0.5 * dt * k1s
         if s2 <= 0.0:
             return PSI_NONPOSITIVE, i
-        w = m_sl * p2 + m_off
-        pc = m_psi0 + m_h * (c0 + w * (c1 + w * (c2 + w * c3)))
-        k2p = a * (pc - s2)
-        k2s = b * (p2 - g * math.sqrt(s2))
-        # stage 3
+        k2p, k2s = surge_rhs(p2, s2, g, m_psi0, m_h, m_sl, m_off,
+                             c0, c1, c2, c3, a, b)
         p3 = phi + 0.5 * dt * k2p
         s3 = psi + 0.5 * dt * k2s
         if s3 <= 0.0:
             return PSI_NONPOSITIVE, i
-        w = m_sl * p3 + m_off
-        pc = m_psi0 + m_h * (c0 + w * (c1 + w * (c2 + w * c3)))
-        k3p = a * (pc - s3)
-        k3s = b * (p3 - g * math.sqrt(s3))
-        # stage 4
+        k3p, k3s = surge_rhs(p3, s3, g, m_psi0, m_h, m_sl, m_off,
+                             c0, c1, c2, c3, a, b)
         p4 = phi + dt * k3p
         s4 = psi + dt * k3s
         if s4 <= 0.0:
             return PSI_NONPOSITIVE, i
-        w = m_sl * p4 + m_off
-        pc = m_psi0 + m_h * (c0 + w * (c1 + w * (c2 + w * c3)))
-        k4p = a * (pc - s4)
-        k4s = b * (p4 - g * math.sqrt(s4))
+        k4p, k4s = surge_rhs(p4, s4, g, m_psi0, m_h, m_sl, m_off,
+                             c0, c1, c2, c3, a, b)
 
         phi = phi + dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
         psi = psi + dt / 6.0 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
@@ -170,15 +179,11 @@ def closed_loop_rhs(q, dq, sig, kind, kp, ki, kd, gamma, r, vtau, vlo, vhi,
         psi = q[12]
         if psi <= 0.0:
             return PSI_NONPOSITIVE
-        w = m_sl * y + m_off
-        pcy = m_psi0 + m_h * (c0 + w * (c1 + w * (c2 + w * c3)))
+        pcy = pressure_rise(y, m_psi0, m_h, m_sl, m_off, c0, c1, c2, c3)
         if pcy <= 0.0:
             return PSI_NONPOSITIVE
-        g = y / math.sqrt(pcy)
-        w = m_sl * phi + m_off
-        pc = m_psi0 + m_h * (c0 + w * (c1 + w * (c2 + w * c3)))
-        dq[11] = a * (pc - psi)
-        dq[12] = b * (phi - g * math.sqrt(psi))
+        dq[11], dq[12] = surge_rhs(phi, psi, y / math.sqrt(pcy), m_psi0, m_h,
+                                   m_sl, m_off, c0, c1, c2, c3, a, b)
     else:
         dq[11] = 0.0
         dq[12] = 0.0

@@ -1,4 +1,4 @@
-"""Cubic compressor map and the two-state Greitzer surge model.
+"""Cubic compressor map, surge-model parameters and equilibrium algebra.
 
 The map gives the steady-state pressure rise ``psi_c(phi)`` as a cubic in
 the shifted flow coordinate ``w = slope*phi + offset``.  The transient
@@ -8,8 +8,10 @@ model couples nondimensional mass flow ``phi`` and plenum pressure rise
     d(phi)/dt = a * (psi_c(phi) - psi)
     d(psi)/dt = b * (phi - g * sqrt(psi))
 
-where ``g`` is the throttle parameter.  At an equilibrium both rates
-vanish, so ``psi = psi_c(phi)`` and ``phi = g*sqrt(psi)``.
+where ``g`` is the throttle parameter.  Both equations are defined once,
+in ``_kernels`` (``pressure_rise`` and ``surge_rhs``), which the kernels
+and :func:`map_pressure_rise` call.  At an equilibrium both rates vanish,
+so ``psi = psi_c(phi)`` and ``phi = g*sqrt(psi)``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ModelBreakdownError, NoEquilibriumError
+from ._kernels import pressure_rise
+from .errors import DomainError, NoEquilibriumError
 
 #: Flow-equation and pressure-equation gains of the shipped model.
 FLOW_GAIN = 0.8
@@ -83,9 +86,8 @@ def map_pressure_rise(cmap: CompressorMap, phi: float) -> float:
     """Evaluate psi_c(phi).  No domain clamping: callers decide."""
     if not math.isfinite(phi):
         raise DomainError(f"phi must be finite, got {phi}")
-    c0, c1, c2, c3 = cmap.cubic
-    w = cmap.slope * phi + cmap.offset
-    return cmap.psi0 + cmap.h * (c0 + w * (c1 + w * (c2 + w * c3)))
+    return pressure_rise(phi, cmap.psi0, cmap.h, cmap.slope, cmap.offset,
+                         *cmap.cubic)
 
 
 def map_slope(cmap: CompressorMap, phi: float) -> float:
@@ -95,24 +97,6 @@ def map_slope(cmap: CompressorMap, phi: float) -> float:
     _, c1, c2, c3 = cmap.cubic
     w = cmap.slope * phi + cmap.offset
     return cmap.h * cmap.slope * (c1 + w * (2.0 * c2 + w * 3.0 * c3))
-
-
-def greitzer_rhs(state: PlantState, params: GreitzerParams,
-                 cmap: CompressorMap = DEFAULT_MAP) -> tuple[float, float]:
-    """Time derivatives (d phi/dt, d psi/dt) of the surge model.
-
-    Raises ModelBreakdownError for psi <= 0, where sqrt(psi) and with it
-    the throttle characteristic are undefined.  That situation signals
-    divergence and is never silently clamped.
-    """
-    if not (math.isfinite(state.phi) and math.isfinite(state.psi)):
-        raise DomainError(f"state must be finite, got {state}")
-    if state.psi <= 0.0:
-        raise ModelBreakdownError(
-            f"plenum pressure must stay positive, got psi={state.psi}")
-    dphi = params.a * (map_pressure_rise(cmap, state.phi) - state.psi)
-    dpsi = params.b * (state.phi - params.g * math.sqrt(state.psi))
-    return dphi, dpsi
 
 
 def throttle_from_flow(cmap: CompressorMap, phi: float) -> float:

@@ -13,35 +13,49 @@ from .errors import DomainError
 from .odesim import Trajectory
 
 
-def format_value(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return f"{float(v):.9g}"
+#: trajectory rows formatted at a time, which bounds the memory a write takes
+_BLOCK_ROWS = 4096
 
 
 def write_rows(header: Sequence[str], rows: Iterable[Sequence], path) -> None:
-    """Write one header row plus data rows as comma-separated text."""
+    """Write one header row plus data rows as comma-separated text.
+
+    A string is written as it is, a number with 9 significant digits.
+    """
     lines = [",".join(header)]
     for row in rows:
         if len(row) != len(header):
             raise DomainError(
                 f"row width {len(row)} does not match header {header}")
-        lines.append(",".join(format_value(v) for v in row))
-    _write_text(path, "\n".join(lines) + "\n")
+        lines.append(",".join(v if isinstance(v, str) else "%.9g" % v
+                              for v in row))
+    _write_text(path, ["\n".join(lines) + "\n"])
 
 
 def write_trajectory(traj: Trajectory, path, decimate: int = 1) -> None:
     """Trajectory CSV: column 't' first, then the recorded signals."""
     if decimate < 1:
         raise DomainError(f"decimation factor must be >= 1, got {decimate}")
-    write_rows(traj.columns, traj.samples[::decimate], path)
+    samples = traj.samples[::decimate]
+    width = samples.shape[1]
+    if width != len(traj.columns):
+        raise DomainError(
+            f"row width {width} does not match header {traj.columns}")
+    row_format = ",".join(["%.9g"] * width) + "\n"
+
+    def blocks():
+        yield ",".join(traj.columns) + "\n"
+        for start in range(0, len(samples), _BLOCK_ROWS):
+            block = samples[start:start + _BLOCK_ROWS].tolist()
+            yield "".join([row_format % tuple(row) for row in block])
+
+    _write_text(path, blocks())
 
 
-def _write_text(path, text: str) -> None:
+def _write_text(path, chunks: Iterable[str]) -> None:
+    """Write the text pieces in order, creating the directory if needed."""
     parent = os.path.dirname(os.fspath(path))
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(chunks)

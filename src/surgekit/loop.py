@@ -25,7 +25,7 @@ from . import _kernels
 from .compressor import CompressorMap, DEFAULT_MAP, FLOW_GAIN, PRESSURE_GAIN, \
     map_pressure_rise
 from .errors import DegenerateResponseError, DivergenceError, DomainError
-from .odesim import LOOP_DT, Trajectory, _output_buffer
+from .odesim import LOOP_DT, LOOP_T_END, Trajectory, _output_buffer
 
 #: reference model y_m(s)/r(s) = W2 / (s^2 + TWO_ZW*s + W2): unit-gain,
 #: damping 0.85, natural frequency 5 rad/s.
@@ -53,9 +53,11 @@ class ValveModel:
     out_max: float = 0.25
 
     def __post_init__(self):
-        if not (self.tau > 0.0 and 0.0 < self.out_min < self.out_max):
-            raise DomainError(
-                f"valve needs tau > 0 and 0 < out_min < out_max, got {self}")
+        values = (self.tau, self.out_min, self.out_max)
+        if not (all(math.isfinite(v) for v in values) and self.tau > 0.0
+                and 0.0 < self.out_min < self.out_max):
+            raise DomainError(f"valve needs finite tau > 0 and "
+                              f"0 < out_min < out_max, got {self}")
 
 
 @dataclass(frozen=True)
@@ -80,9 +82,10 @@ class ControllerConfig:
         gains = (self.kp, self.ki, self.kd, self.k1, self.k2, self.k3)
         if any(not math.isfinite(g) or g < 0.0 for g in gains):
             raise DomainError(f"controller gains must be >= 0, got {self}")
-        if self.kind == ADAPTIVE and not self.gamma > 0.0:
-            raise DomainError(
-                f"adaptation gain gamma must be positive, got {self.gamma}")
+        if not math.isfinite(self.gamma) or (self.kind == ADAPTIVE
+                                             and not self.gamma > 0.0):
+            raise DomainError(f"adaptation gain gamma must be finite and "
+                              f"positive, got {self.gamma}")
         if not math.isfinite(self.reference):
             raise DomainError(f"reference must be finite, got {self.reference}")
 
@@ -96,10 +99,12 @@ class DisturbanceProfile:
     initial: float = 0.50
 
     def __post_init__(self):
-        if not (self.target >= 0.0 and self.tau > 0.0 and self.initial >= 0.0):
+        values = (self.target, self.tau, self.initial)
+        if not (all(math.isfinite(v) for v in values) and self.target >= 0.0
+                and self.tau > 0.0 and self.initial >= 0.0):
             raise DomainError(
-                f"disturbance needs target >= 0, tau > 0, initial >= 0, "
-                f"got {self}")
+                f"disturbance needs finite target >= 0, tau > 0, "
+                f"initial >= 0, got {self}")
 
 
 def zn_gains(L: float, T: float, kind: str = "PID") -> dict[str, float]:
@@ -178,7 +183,7 @@ def _kernel_args(cfg: ControllerConfig, valve: ValveModel,
 def simulate_closed_loop(cfg: ControllerConfig,
                          valve: ValveModel = ValveModel(),
                          profile: DisturbanceProfile = DisturbanceProfile(),
-                         dt: float = LOOP_DT, t_end: float = 40.0,
+                         dt: float = LOOP_DT, t_end: float = LOOP_T_END,
                          observe: bool = False,
                          cmap: CompressorMap = DEFAULT_MAP,
                          a: float = FLOW_GAIN,
@@ -205,8 +210,11 @@ def simulate_closed_loop(cfg: ControllerConfig,
         raise DomainError("initial loop state must be finite, got "
                           f"{dict(zip(_kernels.CL_STATE, state.tolist()))}")
 
-    status, row = _kernels.closed_loop_loop(
-        out, state, dt, *_kernel_args(cfg, valve, profile, observe, cmap, a, b))
+    # an overflow is reported by the kernel's status, not by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        status, row = _kernels.closed_loop_loop(
+            out, state, dt,
+            *_kernel_args(cfg, valve, profile, observe, cmap, a, b))
     if status == _kernels.OK:
         return Trajectory(dt, columns, out)
     partial = Trajectory(dt, columns, out[:row].copy())

@@ -1,10 +1,12 @@
 """Trajectory records and the open-loop surge-model run.
 
 :func:`simulate_greitzer` runs the surge model through the fixed-step RK4
-kernel in ``_kernels``; ``loop.simulate_closed_loop`` does the same for
-the closed loop.  Both produce the same :class:`Trajectory` layout:
-column 0 is time, sampling is uniform, and a non-finite value aborts the
-run instead of being recorded.
+kernel in ``_kernels``, whose ``surge_rhs`` is the one definition of the
+model's rates; ``loop.simulate_closed_loop`` does the same for the closed
+loop.  Both produce the same :class:`Trajectory` layout: column 0 is time,
+sampling is uniform, and a non-finite value aborts the run instead of
+being recorded.  The default step sizes and horizons of both runs are
+defined here.
 """
 
 from __future__ import annotations
@@ -16,13 +18,15 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .compressor import (CompressorMap, DEFAULT_MAP, GreitzerParams,
-                         PlantState, greitzer_rhs)
+from .compressor import CompressorMap, DEFAULT_MAP, GreitzerParams, PlantState
 from .errors import DivergenceError, DomainError, ModelBreakdownError
 
-#: Default step sizes: nondimensional time for plant runs, seconds for loop runs.
+#: Default step sizes and horizons: nondimensional time for plant runs,
+#: seconds for loop runs.
 PLANT_DT = 1e-2
+PLANT_T_END = 50.0
 LOOP_DT = 1e-3
+LOOP_T_END = 50.0
 
 
 @dataclass
@@ -78,7 +82,8 @@ def _output_buffer(dt: float, t_end: float, n_cols: int) -> np.ndarray:
 
 def simulate_greitzer(initial: PlantState, params: GreitzerParams,
                       cmap: CompressorMap = DEFAULT_MAP,
-                      dt: float = PLANT_DT, t_end: float = 50.0) -> Trajectory:
+                      dt: float = PLANT_DT,
+                      t_end: float = PLANT_T_END) -> Trajectory:
     """Kernel-backed open-loop run of the surge model."""
     out = _output_buffer(dt, t_end, 3)
     if not (math.isfinite(initial.phi) and math.isfinite(initial.psi)):
@@ -88,9 +93,11 @@ def simulate_greitzer(initial: PlantState, params: GreitzerParams,
             f"plenum pressure must stay positive, got psi={initial.psi}")
     out[0] = (0.0, initial.phi, initial.psi)
     c0, c1, c2, c3 = cmap.cubic
-    status, row = _kernels.greitzer_loop(
-        out, dt, cmap.psi0, cmap.h, cmap.slope, cmap.offset, c0, c1, c2, c3,
-        params.a, params.b, params.g)
+    # an overflow is reported by the kernel's status, not by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        status, row = _kernels.greitzer_loop(
+            out, dt, cmap.psi0, cmap.h, cmap.slope, cmap.offset,
+            c0, c1, c2, c3, params.a, params.b, params.g)
     columns = ["t", "phi", "psi"]
     if status == _kernels.OK:
         return Trajectory(dt, columns, out)
@@ -126,30 +133,3 @@ def steady_state_of(traj: Trajectory, window: float,
     if np.any(spread > tol):
         return None
     return tail.mean(axis=0)
-
-
-def vector_field_grid(params: GreitzerParams, phi_range: tuple[float, float],
-                      psi_range: tuple[float, float], n: int,
-                      cmap: CompressorMap = DEFAULT_MAP):
-    """Evaluate the surge-model field on an n-by-n grid.
-
-    Returns (PHI, PSI, DPHI, DPSI) arrays for phase-plane plotting.
-    """
-    if n < 1:
-        raise DomainError(f"grid size must be >= 1, got {n}")
-    if psi_range[0] <= 0.0:
-        raise DomainError("psi range must stay positive")
-    if not (phi_range[0] <= phi_range[1] and psi_range[0] <= psi_range[1]):
-        raise DomainError("ranges must be ordered (lo, hi)")
-    phis = np.linspace(phi_range[0], phi_range[1], n)
-    psis = np.linspace(psi_range[0], psi_range[1], n)
-    PHI, PSI = np.meshgrid(phis, psis)
-    DPHI = np.empty_like(PHI)
-    DPSI = np.empty_like(PSI)
-    for i in range(n):
-        for j in range(n):
-            dphi, dpsi = greitzer_rhs(
-                PlantState(PHI[i, j], PSI[i, j]), params, cmap)
-            DPHI[i, j] = dphi
-            DPSI[i, j] = dpsi
-    return PHI, PSI, DPHI, DPSI

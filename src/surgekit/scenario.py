@@ -17,7 +17,7 @@ from importlib import resources
 from .compressor import CompressorMap, throttle_from_flow
 from .errors import DomainError, ScenarioError
 from .loop import ControllerConfig, DisturbanceProfile, ValveModel
-from .odesim import LOOP_DT, PLANT_DT
+from .odesim import LOOP_DT, LOOP_T_END, PLANT_DT, PLANT_T_END
 
 KINDS = ("map", "stability", "simulate", "limit-cycle", "tune",
          "closedloop", "averaging")
@@ -26,9 +26,9 @@ TUNE_RULES = ("P", "PI", "PID")
 
 #: per-kind (dt, t_end) defaults for the kinds that integrate
 _TIME_DEFAULTS = {
-    "simulate": (PLANT_DT, 50.0),
+    "simulate": (PLANT_DT, PLANT_T_END),
     "limit-cycle": (PLANT_DT, 100.0),
-    "closedloop": (LOOP_DT, 50.0),
+    "closedloop": (LOOP_DT, LOOP_T_END),
 }
 
 _FLOAT, _INT, _BOOL = "float", "int", "bool"

@@ -94,6 +94,19 @@ def discriminant(cmap: CompressorMap, phi: float, a: float = FLOW_GAIN,
     return pb * pb - 4.0 * pc
 
 
+def _focus(cmap: CompressorMap, phi: float, a: float,
+           b: float) -> tuple[float, float]:
+    """(discriminant, eigenvalue real part) from one characteristic
+    polynomial; AnalysisError unless the eigenvalues are a complex pair."""
+    pb, pc = char_poly(cmap, phi, a, b)
+    delta = pb * pb - 4.0 * pc
+    if delta >= 0.0:
+        raise AnalysisError(
+            f"eigenvalues at phi={phi} are real; real-part analysis "
+            "assumes a complex pair")
+    return delta, -0.5 * pb
+
+
 def eig_real_part(cmap: CompressorMap, phi: float, a: float = FLOW_GAIN,
                   b: float = PRESSURE_GAIN) -> float:
     """Real part of the complex eigenvalue pair, i.e. trace/2.
@@ -101,12 +114,7 @@ def eig_real_part(cmap: CompressorMap, phi: float, a: float = FLOW_GAIN,
     Requires a negative discriminant (complex pair); its sign decides
     stable versus unstable focus.
     """
-    if discriminant(cmap, phi, a, b) >= 0.0:
-        raise AnalysisError(
-            f"eigenvalues at phi={phi} are real; real-part analysis "
-            "assumes a complex pair")
-    jac = jacobian_at_equilibrium(cmap, phi, a, b)
-    return 0.5 * (jac[0, 0] + jac[1, 1])
+    return _focus(cmap, phi, a, b)[1]
 
 
 def bendixson_indicator(cmap: CompressorMap, phi: float,
@@ -118,11 +126,7 @@ def bendixson_indicator(cmap: CompressorMap, phi: float,
     where it keeps one sign cannot contain a limit cycle, so its sign
     change marks where surge oscillations become possible.
     """
-    _check_phi(cmap, phi)
-    psi = map_pressure_rise(cmap, phi)
-    if psi <= 0.0:
-        raise DomainError(f"map value at phi={phi} is {psi}; need psi_c > 0")
-    return a * map_slope(cmap, phi) - b * phi / (2.0 * psi)
+    return -char_poly(cmap, phi, a, b)[0]
 
 
 def surge_boundary(cmap: CompressorMap = DEFAULT_MAP, a: float = FLOW_GAIN,
@@ -171,16 +175,15 @@ def stability_scan(cmap: CompressorMap, phi_lo: float, phi_hi: float, n: int,
         raise DomainError(f"scan needs at least 2 points, got {n}")
     rows = []
     for phi in np.linspace(phi_lo, phi_hi, n):
-        delta = discriminant(cmap, phi, a, b)
-        real = eig_real_part(cmap, phi, a, b)
-        r = bendixson_indicator(cmap, phi, a, b)
+        delta, real = _focus(cmap, phi, a, b)
         if real < -tol:
             cls = STABLE_FOCUS
         elif real > tol:
             cls = UNSTABLE_FOCUS
         else:
             cls = BOUNDARY
-        rows.append(StabilityRow(float(phi), delta, real, r, cls))
+        # the Bendixson indicator is the trace, twice the real part
+        rows.append(StabilityRow(float(phi), delta, real, 2.0 * real, cls))
     return rows
 
 

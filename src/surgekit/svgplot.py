@@ -110,4 +110,4 @@ def render_svg(series: Sequence[Series], path, x_label: str = "",
                    f'font-size="12">{escape(s.name)}</text>')
 
     out.append("</svg>")
-    _write_text(path, "\n".join(out) + "\n")
+    _write_text(path, ["\n".join(out) + "\n"])

@@ -1,13 +1,14 @@
 """Test-side references: a plain RK4 integrator (the oracle the kernels
-are compared against), the kernel's own closed-loop rhs at named states,
-and the values in which two scenarios differ.
+are compared against), the kernel's own surge-model and closed-loop rhs at
+named states, and the values in which two scenarios differ.
 """
 
 from dataclasses import asdict
 
 import numpy as np
 
-from surgekit._kernels import CL_DIM, CL_STATE, OK, closed_loop_rhs
+from surgekit._kernels import CL_DIM, CL_STATE, OK, closed_loop_rhs, surge_rhs
+from surgekit.compressor import DEFAULT_MAP, FLOW_GAIN, PRESSURE_GAIN
 from surgekit.loop import (ControllerConfig, DisturbanceProfile, ValveModel,
                            _kernel_args)
 from surgekit.odesim import Trajectory
@@ -35,20 +36,40 @@ def integrate(rhs, initial, dt, t_end, names):
     return Trajectory(dt, ["t", *names], out)
 
 
-def loop_rates(kind="adaptive", valve=ValveModel(), target=0.35, **values):
+def plant_rates(phi, psi, g, cmap=DEFAULT_MAP, a=FLOW_GAIN, b=PRESSURE_GAIN):
+    """``surge_rhs`` at a hand-built state: (d phi/dt, d psi/dt)."""
+    return surge_rhs(phi, psi, g, cmap.psi0, cmap.h, cmap.slope, cmap.offset,
+                     *cmap.cubic, a, b)
+
+
+def vector_field_grid(g, phi_range, psi_range, n, cmap=DEFAULT_MAP):
+    """(PHI, PSI, DPHI, DPSI): the surge-model field on an n-by-n grid."""
+    PHI, PSI = np.meshgrid(np.linspace(*phi_range, n),
+                           np.linspace(*psi_range, n))
+    DPHI = np.empty_like(PHI)
+    DPSI = np.empty_like(PSI)
+    for idx in np.ndindex(PHI.shape):
+        DPHI[idx], DPSI[idx] = plant_rates(PHI[idx], PSI[idx], g, cmap)
+    return PHI, PSI, DPHI, DPSI
+
+
+def loop_rates(kind="adaptive", valve=ValveModel(), target=0.35,
+               observe=False, status=OK, **values):
     """``closed_loop_rhs`` at a hand-built state.
 
     Keywords named in ``CL_STATE`` set the state (the rest of it is 0; the
     adaptive gains in use are the state's k1..k3), the others are
-    ``ControllerConfig`` fields; ``target`` is the disturbance target.
+    ``ControllerConfig`` fields; ``target`` is the disturbance target and
+    ``observe`` turns on the observed compressor's (phi, psi) rates.
+    Checks that the rhs returns ``status``.
     Returns the signals u, co, y, e and each rate as ``<name>_dot``.
     """
     q = np.array([float(values.pop(name, 0.0)) for name in CL_STATE])
     args = _kernel_args(ControllerConfig(kind=kind, **values), valve,
-                        DisturbanceProfile(target=target))
+                        DisturbanceProfile(target=target), observe)
     dq = np.empty(CL_DIM)
     sig = np.empty(4)
-    assert closed_loop_rhs(q, dq, sig, *args) == OK
+    assert closed_loop_rhs(q, dq, sig, *args) == status
     return {**dict(zip(("u", "co", "y", "e"), sig)),
             **{f"{name}_dot": rate for name, rate in zip(CL_STATE, dq)}}
 

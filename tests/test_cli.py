@@ -1,6 +1,7 @@
 """Command-line behavior: subcommands, scenario catalog, exit codes."""
 
 import argparse
+import warnings
 
 import numpy as np
 import pytest
@@ -237,6 +238,30 @@ class TestExitCodes:
         assert code == 4
         assert "cannot allocate" in err and "bytes" in err
         assert len(err.splitlines()) == 1 and out == ""
+
+    @pytest.mark.parametrize("flag", ["--dinit", "--dtau", "--target",
+                                      "--gamma"])
+    def test_nonfinite_config_exits_three(self, tmp_path, capsys, flag):
+        code, out, err = run(capsys, "closedloop", flag, "inf",
+                             "--out-dir", str(tmp_path))
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv,message", [
+        (["closedloop"], "error: non-finite loop state near t=0\n"),
+        (["simulate", "--scenario", "fig7"],
+         "error: plenum pressure reached zero near t=0 "
+         "(surge model breakdown)\n"),
+    ])
+    def test_overflow_exits_four_without_warnings(self, tmp_path, capsys,
+                                                  argv, message):
+        # the kernel reports the overflow through its status alone
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv, "--dt", "1e200", "--t-end",
+                                 "1e201", "--out-dir", str(tmp_path))
+        assert code == 4 and out == "" and err == message
+        assert [str(w.message) for w in caught] == []
 
     def test_missing_scenario_exits_three(self, tmp_path, capsys):
         code, _, err = run(capsys, "closedloop", "--scenario", "figZZ",

@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from support import plant_rates
 
 from surgekit.compressor import (CompressorMap, DEFAULT_MAP, GreitzerParams,
                                  PlantState, equilibrium_from_throttle,
-                                 greitzer_rhs, map_pressure_rise, map_slope,
+                                 map_pressure_rise, map_slope,
                                  throttle_from_flow)
 from surgekit.errors import (DomainError, ModelBreakdownError,
                              NoEquilibriumError)
+from surgekit.odesim import simulate_greitzer
 
 M = DEFAULT_MAP
 
@@ -73,37 +75,36 @@ class TestMapSlope:
 
 
 class TestGreitzerRhs:
+    # the kernel's surge_rhs, and simulate_greitzer's checks of its domain
     def test_zero_at_equilibrium(self):
         g = throttle_from_flow(M, 0.51)
         eq = equilibrium_from_throttle(M, g)
-        dphi, dpsi = greitzer_rhs(eq, GreitzerParams(g=g), M)
+        dphi, dpsi = plant_rates(eq.phi, eq.psi, g)
         assert abs(dphi) <= 1e-8 and abs(dpsi) <= 1e-8
 
     def test_published_point_nearly_balances(self):
         # g chosen so the throttle term matches the flow exactly; the
         # pressure equation balances and the flow equation carries only
         # the rounding of the published psi.
-        state = PlantState(0.4, 0.6746)
         g = 0.4 / math.sqrt(0.6746)
-        dphi, dpsi = greitzer_rhs(state, GreitzerParams(g=g), M)
+        dphi, dpsi = plant_rates(0.4, 0.6746, g)
         assert abs(dpsi) <= 1e-12
         assert abs(dphi) <= 1e-3
 
     def test_hand_evaluated_point(self):
-        dphi, dpsi = greitzer_rhs(PlantState(0.5, 0.6),
-                                  GreitzerParams(g=0.5926), M)
+        dphi, dpsi = plant_rates(0.5, 0.6, 0.5926)
         assert dphi == pytest.approx(0.0896, abs=1e-12)
         assert dpsi == pytest.approx(0.051217517259371175, abs=1e-12)
 
     def test_nonpositive_psi_is_model_breakdown(self):
         with pytest.raises(ModelBreakdownError):
-            greitzer_rhs(PlantState(0.4, 0.0), GreitzerParams(g=0.5))
+            simulate_greitzer(PlantState(0.4, 0.0), GreitzerParams(g=0.5))
         with pytest.raises(ModelBreakdownError):
-            greitzer_rhs(PlantState(0.4, -0.1), GreitzerParams(g=0.5))
+            simulate_greitzer(PlantState(0.4, -0.1), GreitzerParams(g=0.5))
 
     def test_nonfinite_state_rejected(self):
         with pytest.raises(DomainError):
-            greitzer_rhs(PlantState(math.nan, 0.5), GreitzerParams(g=0.5))
+            simulate_greitzer(PlantState(math.nan, 0.5), GreitzerParams(g=0.5))
 
 
 class TestThrottleEquilibrium:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from support import integrate, loop_rates, reference_matrix
 
-from surgekit._kernels import CL_STATE
+from surgekit._kernels import CL_STATE, PSI_NONPOSITIVE
 from surgekit.errors import DegenerateResponseError, DomainError
 from surgekit.loop import (ADAPTIVE, ControllerConfig, DisturbanceProfile,
                            FIXED_PD, FIXED_PID, ValveModel, extract_LT,
@@ -66,6 +66,8 @@ class TestValve:
             ValveModel(tau=0.0)
         with pytest.raises(DomainError):
             ValveModel(out_min=0.3, out_max=0.2)
+        with pytest.raises(DomainError):
+            ValveModel(tau=math.inf)
 
 
 class TestPlantOutput:
@@ -94,6 +96,8 @@ class TestDisturbance:
     def test_validation(self):
         with pytest.raises(DomainError):
             DisturbanceProfile(tau=0.0)
+        with pytest.raises(DomainError):
+            DisturbanceProfile(tau=math.inf)
 
 
 class TestTuningRule:
@@ -197,6 +201,8 @@ class TestControlSignal:
             ControllerConfig(kind=ADAPTIVE, gamma=0.0)
         with pytest.raises(DomainError):
             ControllerConfig(kp=-1.0)
+        with pytest.raises(DomainError):
+            ControllerConfig(kind=FIXED_PID, gamma=math.inf)
 
 
 @pytest.fixture(scope="module")
@@ -446,6 +452,19 @@ class TestClosedLoopScenarios:
         assert np.all(np.isfinite(traj.samples))
         # observation starts on the equilibrium of the initial flow
         assert traj.column("phi")[0] == pytest.approx(0.55, abs=1e-12)
+
+    def test_observed_compressor_rates(self):
+        # y = d + co = 0.5 throttles the observed compressor with
+        # g = 0.5/sqrt(psi_c(0.5)), psi_c(0.5) = 0.712
+        r = loop_rates(FIXED_PD, x=0.1, d=0.4, phi=0.5, psi=0.6, observe=True)
+        assert r["y"] == 0.5
+        assert r["phi_dot"] == pytest.approx(0.8 * (0.712 - 0.6), abs=1e-12)
+        assert r["psi_dot"] == pytest.approx(
+            1.25 * 0.5 * (1.0 - math.sqrt(0.6 / 0.712)), abs=1e-12)
+        # and the loop stops where the plenum pressure is gone
+        for psi in (0.0, -0.1):
+            loop_rates(FIXED_PD, x=0.1, d=0.4, phi=0.5, psi=psi, observe=True,
+                       status=PSI_NONPOSITIVE)
 
     def test_observed_compressor_tracks_measured_flow(self):
         # the side-by-side compressor is throttled by g = y/sqrt(psi_c(y)),

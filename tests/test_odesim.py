@@ -4,16 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from support import integrate, rk4_step
+from support import integrate, plant_rates, rk4_step, vector_field_grid
 
-from surgekit.compressor import (DEFAULT_MAP, GreitzerParams, PlantState,
-                                 equilibrium_from_throttle, greitzer_rhs,
+from surgekit import _kernels
+from surgekit.compressor import (DEFAULT_MAP, FLOW_GAIN, PRESSURE_GAIN,
+                                 GreitzerParams, PlantState,
+                                 equilibrium_from_throttle, map_pressure_rise,
                                  throttle_from_flow)
 from surgekit.csvio import write_trajectory
 from surgekit.errors import DivergenceError, DomainError, ModelBreakdownError
 from surgekit.loop import ControllerConfig, simulate_closed_loop
-from surgekit.odesim import (Trajectory, simulate_greitzer, steady_state_of,
-                             vector_field_grid)
+from surgekit.odesim import Trajectory, simulate_greitzer, steady_state_of
 
 M = DEFAULT_MAP
 G51 = throttle_from_flow(M, 0.51)
@@ -88,9 +89,8 @@ class TestIntegrate:
         params = GreitzerParams(g=G51)
         kern = simulate_greitzer(PlantState(0.63, 0.62), params, M,
                                  dt=1e-2, t_end=5.0)
-        gen = integrate(
-            lambda t, s: np.array(greitzer_rhs(PlantState(*s), params, M)),
-            [0.63, 0.62], 1e-2, 5.0, ("phi", "psi"))
+        gen = integrate(lambda t, s: np.array(plant_rates(*s, G51)),
+                        [0.63, 0.62], 1e-2, 5.0, ("phi", "psi"))
         assert kern.columns == gen.columns
         np.testing.assert_allclose(kern.samples, gen.samples,
                                    rtol=1e-12, atol=1e-14)
@@ -173,18 +173,18 @@ class TestTrajectory:
 
 
 class TestVectorFieldGrid:
+    # the kernel's surge_rhs over a grid of states
     def test_single_node_equals_rhs(self):
-        params = GreitzerParams(g=0.6)
-        PHI, PSI, DPHI, DPSI = vector_field_grid(params, (0.5, 0.5),
+        # the rates are the model's equations over the public map
+        PHI, PSI, DPHI, DPSI = vector_field_grid(0.6, (0.5, 0.5),
                                                  (0.6, 0.6), 1, M)
-        dphi, dpsi = greitzer_rhs(PlantState(0.5, 0.6), params, M)
-        assert DPHI[0, 0] == dphi and DPSI[0, 0] == dpsi
+        assert DPHI[0, 0] == FLOW_GAIN * (map_pressure_rise(M, 0.5) - 0.6)
+        assert DPSI[0, 0] == PRESSURE_GAIN * (0.5 - 0.6 * math.sqrt(0.6))
 
     def test_equilibrium_is_local_field_minimum(self):
         eq = equilibrium_from_throttle(M, G51)
-        params = GreitzerParams(g=G51)
         PHI, PSI, DPHI, DPSI = vector_field_grid(
-            params, (eq.phi - 0.1, eq.phi + 0.1),
+            G51, (eq.phi - 0.1, eq.phi + 0.1),
             (eq.psi - 0.1, eq.psi + 0.1), 21, M)
         mag = np.hypot(DPHI, DPSI)
         centre = mag[10, 10]
@@ -196,15 +196,21 @@ class TestVectorFieldGrid:
         # quadrants of (dphi, dpsi) all occur on a small circle
         g = throttle_from_flow(M, 0.4)
         eq = equilibrium_from_throttle(M, g)
-        params = GreitzerParams(g=g)
         quadrants = set()
         for ang in np.linspace(0, 2 * math.pi, 48, endpoint=False):
-            s = PlantState(eq.phi + 0.02 * math.cos(ang),
-                           eq.psi + 0.02 * math.sin(ang))
-            dphi, dpsi = greitzer_rhs(s, params, M)
+            dphi, dpsi = plant_rates(eq.phi + 0.02 * math.cos(ang),
+                                     eq.psi + 0.02 * math.sin(ang), g)
             quadrants.add((dphi > 0, dpsi > 0))
         assert len(quadrants) == 4
 
     def test_range_validation(self):
-        with pytest.raises(DomainError):
-            vector_field_grid(GreitzerParams(g=0.6), (0.1, 0.5), (0.0, 0.5), 5)
+        # the field ends at psi = 0: the kernel's own stage check reports
+        # it for a run started there, before any rate is evaluated
+        for psi in (0.0, -0.1):
+            out = np.zeros((5, 3))
+            out[0] = (0.0, 0.1, psi)
+            c0, c1, c2, c3 = M.cubic
+            status, row = _kernels.greitzer_loop(
+                out, 0.1, M.psi0, M.h, M.slope, M.offset, c0, c1, c2, c3,
+                FLOW_GAIN, PRESSURE_GAIN, 0.6)
+            assert (status, row) == (_kernels.PSI_NONPOSITIVE, 1)

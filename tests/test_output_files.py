@@ -1,11 +1,17 @@
-"""CSV formatting/determinism and SVG structure."""
+"""CSV formatting/determinism, output bytes, and SVG structure."""
 
+import contextlib
+import hashlib
+import io
+import json
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from surgekit.csvio import format_value, write_rows, write_trajectory
+from surgekit.cli import main
+from surgekit.csvio import write_rows, write_trajectory
 from surgekit.errors import DomainError
 from surgekit.odesim import Trajectory
 from surgekit.svgplot import Series, render_svg
@@ -18,10 +24,15 @@ def small_traj(n=20):
 
 
 class TestCsv:
-    def test_nine_significant_digits(self):
-        assert format_value(0.4349777151359241) == "0.434977715"
-        assert format_value(1.0) == "1"
-        assert format_value(-3.8073628448112613) == "-3.80736284"
+    def test_nine_significant_digits(self, tmp_path):
+        # table rows and trajectory rows are written with the same digits
+        values = (0.4349777151359241, 1.0, -3.8073628448112613)
+        expected = "v,w,x\n0.434977715,1,-3.80736284\n"
+        write_rows(("v", "w", "x"), [values], tmp_path / "rows.csv")
+        assert (tmp_path / "rows.csv").read_text() == expected
+        write_trajectory(Trajectory(1.0, ["v", "w", "x"], np.array([values])),
+                         tmp_path / "traj.csv")
+        assert (tmp_path / "traj.csv").read_text() == expected
 
     def test_header_and_rows(self, tmp_path):
         path = tmp_path / "rows.csv"
@@ -52,6 +63,43 @@ class TestCsv:
         write_trajectory(small_traj(), p1)
         write_trajectory(small_traj(), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+#: sha256 of each catalog CSV, recorded when the benchmark was defined
+DIGESTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                       "digests.json")
+
+
+def _sha256_of_run(argv, csv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    with open(csv, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+class TestOutputBytes:
+    # the short catalog calls of the benchmark, through the CLI
+    @pytest.mark.parametrize("name,argv", [
+        ("fig3_4", ["simulate", "--scenario", "fig3_4"]),
+        ("fig6", ["limit-cycle", "--scenario", "fig6"]),
+        ("fig7", ["simulate", "--scenario", "fig7"]),
+        ("stability", ["stability", "--n", "1000"]),
+        ("map", ["map"]),
+        ("avg", ["averaging", "--scenario", "avg"]),
+        ("zn", ["tune", "--scenario", "zn"]),
+    ])
+    def test_catalog_csv_matches_recorded_digest(self, tmp_path, name, argv):
+        with open(DIGESTS, encoding="utf-8") as fh:
+            expected = json.load(fh)[name]
+        assert _sha256_of_run(argv + ["--out-dir", str(tmp_path)],
+                              tmp_path / f"{name}.csv") == expected
+
+    def test_observed_closed_loop_csv_is_pinned(self, tmp_path):
+        csv = tmp_path / "observe.csv"
+        assert _sha256_of_run(
+            ["closedloop", "--observe", "--t-end", "2", "--csv", str(csv)],
+            csv) == ("5f9c9a07f26aedfa1c7a26eccc1a6ec0"
+                     "ade274138dc5fa81b33a29362cede01b")
 
 
 class TestSvg:
