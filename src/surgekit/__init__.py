@@ -16,38 +16,41 @@ Library layout:
 - ``cli``: the ``surgekit`` command-line front end and scenario files.
 """
 
-from .averaging import (AveragedPoint, averaged_eigenvalues,
+from .averaging import (AveragedPoint, AveragingConfig, averaged_eigenvalues,
                         averaged_jacobian, averaged_rhs, grid_points,
                         stability_verdict)
 from .compressor import (CompressorMap, DEFAULT_MAP, GreitzerParams,
-                         PlantState, equilibrium_from_throttle,
+                         PlantConfig, PlantState, equilibrium_from_throttle,
                          map_pressure_rise, map_slope, throttle_from_flow)
 from .errors import (AnalysisError, DegenerateResponseError, DivergenceError,
                      DomainError, ModelBreakdownError, NoEquilibriumError,
                      ScenarioError, SurgeKitError)
-from .loop import (ControllerConfig, DisturbanceProfile, ValveModel,
-                   extract_LT, simulate_closed_loop, zn_gains)
+from .loop import (ControllerConfig, DisturbanceProfile, TuneConfig,
+                   ValveModel, extract_LT, simulate_closed_loop, zn_gains)
 from .odesim import Trajectory, simulate_greitzer, steady_state_of
-from .stability import (LimitCycleReport, StabilityRow, bendixson_indicator,
-                        char_poly, detect_limit_cycle, discriminant,
-                        eig_real_part, jacobian_at_equilibrium,
-                        stability_scan, surge_boundary)
+from .stability import (CycleConfig, LimitCycleReport, StabilityConfig,
+                        StabilityRow, bendixson_indicator, char_poly,
+                        detect_limit_cycle, discriminant, eig_real_part,
+                        jacobian_at_equilibrium, stability_scan,
+                        surge_boundary)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AveragedPoint", "averaged_eigenvalues", "averaged_jacobian",
-    "averaged_rhs", "grid_points", "stability_verdict",
-    "CompressorMap", "DEFAULT_MAP", "GreitzerParams", "PlantState",
+    "AveragedPoint", "AveragingConfig", "averaged_eigenvalues",
+    "averaged_jacobian", "averaged_rhs", "grid_points", "stability_verdict",
+    "CompressorMap", "DEFAULT_MAP", "GreitzerParams", "PlantConfig",
+    "PlantState",
     "equilibrium_from_throttle", "map_pressure_rise", "map_slope",
     "throttle_from_flow",
     "AnalysisError", "DegenerateResponseError", "DivergenceError",
     "DomainError", "ModelBreakdownError", "NoEquilibriumError",
     "ScenarioError", "SurgeKitError",
-    "ControllerConfig", "DisturbanceProfile", "ValveModel", "extract_LT",
-    "simulate_closed_loop", "zn_gains",
+    "ControllerConfig", "DisturbanceProfile", "TuneConfig", "ValveModel",
+    "extract_LT", "simulate_closed_loop", "zn_gains",
     "Trajectory", "simulate_greitzer", "steady_state_of",
-    "LimitCycleReport", "StabilityRow", "bendixson_indicator", "char_poly",
+    "CycleConfig", "LimitCycleReport", "StabilityConfig", "StabilityRow",
+    "bendixson_indicator", "char_poly",
     "detect_limit_cycle", "discriminant", "eig_real_part",
     "jacobian_at_equilibrium", "stability_scan", "surge_boundary",
     "__version__",

@@ -26,7 +26,7 @@ try:
     import numba
     from numba.extending import register_jitable as _jitable
     _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is the optional ``jit`` extra
     numba = None
     _HAVE_NUMBA = False
 

@@ -11,8 +11,8 @@ autonomous three-state system in the controller gains,
 Its Jacobian has a zero third row and column and a singular upper block,
 so two eigenvalues are exactly zero and the third equals the block trace,
 which is strictly negative for nonnegative gains: the averaged adaptation
-never diverges.  In saturated-actuator mode all rates are zero and every
-eigenvalue vanishes (marginal).
+never diverges.  In saturated-actuator mode the kernel gates adaptation
+off, so all rates are zero and every eigenvalue vanishes (marginal).
 """
 
 from __future__ import annotations
@@ -33,14 +33,40 @@ REPORT_HEADER = ("k1", "k2", "k3", "gamma", "r", "lam1", "lam2", "lam3",
 
 
 @dataclass(frozen=True)
+class AveragingConfig:
+    """Gain grid of an averaged-dynamics report (the ``averaging`` section):
+    n by n points of [k1_lo, k1_hi] x [k2_lo, k2_hi] at one k3, r, gamma."""
+
+    k1_lo: float = 0.1
+    k1_hi: float = 50.0
+    k2_lo: float = 0.1
+    k2_hi: float = 50.0
+    n: int = 10
+    k3: float = 0.7
+    r: float = 0.55
+    gamma: float = 1.0
+
+    def __post_init__(self):
+        values = (self.k1_lo, self.k1_hi, self.k2_lo, self.k2_hi, self.k3,
+                  self.r, self.gamma)
+        if not (all(math.isfinite(v) for v in values)
+                and 0.0 <= self.k1_lo <= self.k1_hi
+                and 0.0 <= self.k2_lo <= self.k2_hi and self.n >= 2
+                and self.k3 >= 0.0 and self.gamma > 0.0):
+            raise DomainError(
+                f"averaging needs finite values, ordered bounds >= 0, "
+                f"n >= 2, k3 >= 0 and gamma > 0, got {self}")
+
+
+@dataclass(frozen=True)
 class AveragedPoint:
     """Operating point of the averaged gain dynamics."""
 
     k1: float
     k2: float
-    k3: float = 0.7
-    r: float = 0.55
-    gamma: float = 1.0
+    k3: float = AveragingConfig.k3
+    r: float = AveragingConfig.r
+    gamma: float = AveragingConfig.gamma
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in
@@ -48,9 +74,6 @@ class AveragedPoint:
             raise DomainError(f"averaged point must be finite, got {self}")
         if not (self.k1 >= 0.0 and self.k2 >= 0.0 and self.k3 >= 0.0):
             raise DomainError(f"gains must be >= 0, got {self}")
-        if 1.0 + self.k2 <= 0.0:
-            raise DomainError(f"k2 = {self.k2} makes 1 + k2 nonpositive "
-                              "(dynamics singular at k2 = -1)")
         if not self.gamma > 0.0:
             raise DomainError(f"gamma must be positive, got {self.gamma}")
 
@@ -95,11 +118,6 @@ def averaged_eigenvalues(p: AveragedPoint) -> tuple[float, float, float]:
     return tuple(sorted(lam.real, reverse=True))
 
 
-def saturated_mode_eigenvalues() -> tuple[float, float, float]:
-    """Eigenvalues while the actuator saturates: all rates are zero."""
-    return 0.0, 0.0, 0.0
-
-
 def stability_verdict(points: Iterable[AveragedPoint],
                       tol: float = VERDICT_TOL) -> list[AveragedReportRow]:
     """Per-point eigenvalues with a stable/unstable verdict.
@@ -115,14 +133,9 @@ def stability_verdict(points: Iterable[AveragedPoint],
     return rows
 
 
-def grid_points(k1_lo: float, k1_hi: float, k2_lo: float, k2_hi: float,
-                n: int, k3: float = 0.7, r: float = 0.55,
-                gamma: float = 1.0) -> list[AveragedPoint]:
-    """n-by-n grid of averaged points over [k1_lo, k1_hi] x [k2_lo, k2_hi]."""
-    if n < 2:
-        raise DomainError(f"grid needs n >= 2, got {n}")
-    if not (k1_lo <= k1_hi and k2_lo <= k2_hi):
-        raise DomainError("grid bounds must be ordered")
-    return [AveragedPoint(k1=float(k1), k2=float(k2), k3=k3, r=r, gamma=gamma)
-            for k1 in np.linspace(k1_lo, k1_hi, n)
-            for k2 in np.linspace(k2_lo, k2_hi, n)]
+def grid_points(grid: AveragingConfig) -> list[AveragedPoint]:
+    """The ``grid.n`` by ``grid.n`` averaged points of ``grid``."""
+    return [AveragedPoint(k1=float(k1), k2=float(k2), k3=grid.k3, r=grid.r,
+                          gamma=grid.gamma)
+            for k1 in np.linspace(grid.k1_lo, grid.k1_hi, grid.n)
+            for k2 in np.linspace(grid.k2_lo, grid.k2_hi, grid.n)]

@@ -17,30 +17,24 @@ import numpy as np
 
 from . import __version__
 from .averaging import REPORT_HEADER, grid_points, stability_verdict
-from .compressor import PlantState, GreitzerParams, equilibrium_from_throttle, \
-    map_pressure_rise
+from .compressor import GreitzerParams, map_pressure_rise
 from .csvio import write_rows, write_trajectory
 from .errors import ScenarioError, SurgeKitError
-from .loop import CONTROLLER_KINDS, extract_LT, gain_excursion, \
+from .loop import CONTROLLER_KINDS, TUNE_RULES, extract_LT, gain_excursion, \
     simulate_closed_loop, zn_gains
 from .odesim import Trajectory, simulate_greitzer, steady_state_of
-from .scenario import KNOWN_KEYS, Scenario, TUNE_RULES, apply_values, \
-    resolve_scenario, shipped_scenarios, validate
-from .stability import SCAN_HEADER, detect_limit_cycle, stability_scan, \
-    surge_boundary
+from .scenario import KNOWN_KEYS, Scenario, apply_values, resolve_scenario, \
+    shipped_scenarios, validate
+from .stability import SCAN_HEADER, StabilityConfig, detect_limit_cycle, \
+    stability_scan, surge_boundary
 from .svgplot import Series, render_svg
 
 
-def _out_dir(args) -> str:
-    if args.out_dir:
-        return args.out_dir
-    return os.environ.get("SURGEKIT_OUT_DIR", ".")
-
-
-def _csv_path(args, sc: Scenario, suffix: str = "") -> str:
+def _csv_path(args, sc: Scenario) -> str:
     if args.csv:
         return args.csv
-    return os.path.join(_out_dir(args), f"{sc.name}{suffix}.csv")
+    out_dir = args.out_dir or os.environ.get("SURGEKIT_OUT_DIR", ".")
+    return os.path.join(out_dir, f"{sc.name}.csv")
 
 
 def _load(args, kind: str) -> Scenario:
@@ -72,16 +66,8 @@ def _thin(arr, limit: int = 2000):
     return np.concatenate([arr[::stride], arr[-1:]])
 
 
-def _plant_initial(sc: Scenario) -> tuple[PlantState, float]:
-    g = sc.throttle()
-    if sc.phi0 is not None:
-        return PlantState(sc.phi0, sc.psi0), g
-    eq = equilibrium_from_throttle(sc.cmap, g)
-    return PlantState(eq.phi + sc.perturb_phi, eq.psi + sc.perturb_psi), g
-
-
 def _run_plant(sc: Scenario) -> Trajectory:
-    initial, g = _plant_initial(sc)
+    initial, g = sc.plant.start(sc.cmap)
     return simulate_greitzer(initial, GreitzerParams(g=g), sc.cmap,
                              dt=sc.resolved_dt(), t_end=sc.resolved_t_end())
 
@@ -91,8 +77,9 @@ def cmd_map(args) -> int:
     lo = args.lo if args.lo is not None else sc.cmap.domain_lo
     hi = args.hi if args.hi is not None else sc.cmap.domain_hi
     n = args.n if args.n is not None else 201
-    if not (lo < hi and n >= 2):
-        raise ScenarioError(f"need lo < hi and n >= 2, got ({lo}, {hi}, {n})")
+    if not (np.isfinite([lo, hi]).all() and lo < hi and n >= 2):
+        raise ScenarioError(
+            f"need finite lo < hi and n >= 2, got ({lo}, {hi}, {n})")
     phis = np.linspace(lo, hi, n)
     psis = np.array([map_pressure_rise(sc.cmap, p) for p in phis])
     path = _csv_path(args, sc)
@@ -110,14 +97,16 @@ def cmd_map(args) -> int:
 
 def cmd_stability(args) -> int:
     sc = _load(args, "stability")
-    rows = stability_scan(sc.cmap, sc.stab_lo, sc.stab_hi, sc.stab_n)
+    scan = sc.stability
+    rows = stability_scan(sc.cmap, scan)
     path = _csv_path(args, sc)
     write_rows(SCAN_HEADER,
                [(r.phi, r.discriminant, r.real_part, r.bendixson_r,
                  r.classification) for r in rows], path)
-    boundary = surge_boundary(sc.cmap, lo=sc.stab_lo, hi=sc.stab_hi)
-    print(f"stability scan: {sc.stab_n} points on "
-          f"[{sc.stab_lo:g}, {sc.stab_hi:g}] -> {path}")
+    # the boundary search brackets on its default grid, whatever the scan's n
+    boundary = surge_boundary(sc.cmap, scan=StabilityConfig(scan.lo, scan.hi))
+    print(f"stability scan: {scan.n} points on "
+          f"[{scan.lo:g}, {scan.hi:g}] -> {path}")
     print(f"surge boundary phi* = {boundary:.9g} "
           "(unstable focus below, stable focus above)")
     if args.svg:
@@ -163,8 +152,7 @@ def cmd_limit_cycle(args) -> int:
     traj = _run_plant(sc)
     path = _csv_path(args, sc)
     write_trajectory(traj, path, sc.decimation)
-    report = detect_limit_cycle(traj, settle_fraction=sc.settle_fraction,
-                                tol=sc.cycle_tol)
+    report = detect_limit_cycle(traj, sc.cycle)
     print(f"run: {traj.n_rows} samples, dt={traj.dt:g} -> {path}")
     if report.detected:
         print(f"limit cycle detected: amplitude phi = "
@@ -211,28 +199,23 @@ def cmd_tune(args) -> int:
         traj = _read_step_csv(args.step_csv)
         signal = args.signal or traj.columns[1]
         L, T = extract_LT(traj, signal, final_value=args.final)
-        if args.scenario:
-            sc = _load(args, "tune")
-        else:
-            sc = Scenario(name="tune", kind="tune")
-            _apply_overrides(sc, args)
-        sc.tune_L, sc.tune_T = L, T
         print(f"tangent fit of {signal!r}: L = {L:.6g}, T = {T:.6g}")
         if L <= 0.0:
             print("dead time is zero: the tuning table needs L > 0; "
                   "pass --L and --T explicitly to override")
             return 0
-    else:
-        sc = _load(args, "tune")
-        L, T = sc.tune_L, sc.tune_T
-    gains = zn_gains(L, T, sc.tune_rule)
-    print(f"rule {sc.tune_rule}: kp = {gains['kp']:.6g}, "
+        # the fit takes the place of --L and --T
+        vars(args).update({"tune.L": L, "tune.T": T})
+    sc = _load(args, "tune")
+    tune = sc.tune
+    gains = zn_gains(tune)
+    print(f"rule {tune.rule}: kp = {gains['kp']:.6g}, "
           f"ti = {gains['ti']:.6g}, td = {gains['td']:.6g}, "
           f"ki = {gains['ki']:.6g}, kd = {gains['kd']:.6g}")
     path = _csv_path(args, sc)
     write_rows(("L", "T", "rule", "kp", "ti", "td", "ki", "kd"),
-               [(L, T, sc.tune_rule, gains["kp"], gains["ti"], gains["td"],
-                 gains["ki"], gains["kd"])], path)
+               [(tune.L, tune.T, tune.rule, gains["kp"], gains["ti"],
+                 gains["td"], gains["ki"], gains["kd"])], path)
     print(f"gains -> {path}")
     return 0
 
@@ -283,18 +266,16 @@ def cmd_closedloop(args) -> int:
 
 def cmd_averaging(args) -> int:
     sc = _load(args, "averaging")
-    points = grid_points(sc.avg_k1_lo, sc.avg_k1_hi, sc.avg_k2_lo,
-                         sc.avg_k2_hi, sc.avg_n, k3=sc.avg_k3, r=sc.avg_r,
-                         gamma=sc.avg_gamma)
-    rows = stability_verdict(points)
+    grid = sc.averaging
+    rows = stability_verdict(grid_points(grid))
     path = _csv_path(args, sc)
     write_rows(REPORT_HEADER,
                [(w.point.k1, w.point.k2, w.point.k3, w.point.gamma,
                  w.point.r, *w.eigenvalues, w.verdict) for w in rows], path)
     lam_max = max(max(w.eigenvalues) for w in rows)
     n_stable = sum(w.verdict == "stable" for w in rows)
-    print(f"averaged-dynamics grid {sc.avg_n}x{sc.avg_n} "
-          f"(gamma = {sc.avg_gamma:g}, r = {sc.avg_r:g}) -> {path}")
+    print(f"averaged-dynamics grid {grid.n}x{grid.n} "
+          f"(gamma = {grid.gamma:g}, r = {grid.r:g}) -> {path}")
     print(f"{n_stable}/{len(rows)} points stable; "
           f"largest eigenvalue {lam_max:.3g}")
     print("note: eigenvalues come from the numeric eigensolve of the "
@@ -305,10 +286,12 @@ def cmd_averaging(args) -> int:
 
 
 def _override(p, option: str, key: str, **kwargs) -> None:
-    """Add a flag that overrides scenario key ``key`` (its dest); the help
-    shows the metavar argparse derives from the option, not the key."""
+    """Add a flag that overrides scenario key ``key`` (its dest), parsed as
+    the key's type; the help shows the metavar argparse derives from the
+    option, not the key."""
     if "choices" not in kwargs and kwargs.get("action") != "store_true":
         kwargs["metavar"] = option.lstrip("-").replace("-", "_").upper()
+        kwargs["type"] = int if KNOWN_KEYS[key] == "int" else float
     p.add_argument(option, dest=key, **kwargs)
 
 
@@ -327,13 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", help="output directory "
                        "(default: $SURGEKIT_OUT_DIR or '.')")
         p.add_argument("--csv", help="explicit CSV output path")
-        _override(p, "--decimation", "run.decimation", type=int,
+        _override(p, "--decimation", "run.decimation",
                   help="record every Nth sample in the CSV")
         return p
 
     def time_flags(p):
-        _override(p, "--dt", "run.dt", type=float)
-        _override(p, "--t-end", "run.t_end", type=float)
+        _override(p, "--dt", "run.dt")
+        _override(p, "--t-end", "run.t_end")
 
     p = command("map", cmd_map, "tabulate the compressor map")
     p.add_argument("--lo", type=float)
@@ -344,18 +327,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("stability", cmd_stability,
                 "scan equilibrium stability vs flow")
     for flag in ("lo", "hi"):
-        _override(p, f"--{flag}", f"stability.{flag}", type=float)
-    _override(p, "--n", "stability.n", type=int)
+        _override(p, f"--{flag}", f"stability.{flag}")
+    _override(p, "--n", "stability.n")
     p.add_argument("--svg")
 
     def plant_flags(p):
-        _override(p, "--flow", "plant.flow", type=float,
+        _override(p, "--flow", "plant.flow",
                   help="equilibrium flow; sets the throttle parameter")
-        _override(p, "--g", "plant.g", type=float,
+        _override(p, "--g", "plant.g",
                   help="throttle parameter directly")
         for flag in ("phi0", "psi0", "perturb-phi", "perturb-psi"):
-            _override(p, f"--{flag}", "plant." + flag.replace("-", "_"),
-                      type=float)
+            _override(p, f"--{flag}", "plant." + flag.replace("-", "_"))
         time_flags(p)
         p.add_argument("--svg")
 
@@ -367,12 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("limit-cycle", cmd_limit_cycle,
                 "open-loop run plus limit-cycle detection")
     plant_flags(p)
-    _override(p, "--settle-fraction", "cycle.settle_fraction", type=float)
-    _override(p, "--tol", "cycle.tol", type=float)
+    _override(p, "--settle-fraction", "cycle.settle_fraction")
+    _override(p, "--tol", "cycle.tol")
 
     p = command("tune", cmd_tune, "tangent tuning rule gains")
-    _override(p, "--L", "tune.L", type=float, help="dead time")
-    _override(p, "--T", "tune.T", type=float, help="time constant")
+    _override(p, "--L", "tune.L", help="dead time")
+    _override(p, "--T", "tune.T", help="time constant")
     _override(p, "--rule", "tune.rule", choices=TUNE_RULES)
     p.add_argument("--step-csv", dest="step_csv",
                    help="extract L and T from a step-response trajectory CSV")
@@ -383,10 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("closedloop", cmd_closedloop, "closed-loop anti-surge run")
     _override(p, "--controller", "controller.kind", choices=CONTROLLER_KINDS)
     for flag in ("kp", "ki", "kd", "k1", "k2", "k3", "gamma", "reference"):
-        _override(p, f"--{flag}", f"controller.{flag}", type=float)
+        _override(p, f"--{flag}", f"controller.{flag}")
     for flag, name in (("target", "target"), ("dtau", "tau"),
                        ("dinit", "initial")):
-        _override(p, f"--{flag}", f"disturbance.{name}", type=float)
+        _override(p, f"--{flag}", f"disturbance.{name}")
     _override(p, "--observe", "observe.enabled", action="store_true",
               default=None,
               help="append side-by-side compressor states phi, psi")
@@ -397,11 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("averaging", cmd_averaging,
                 "stability grid of the averaged adaptation")
     for flag in ("k1-lo", "k1-hi", "k2-lo", "k2-hi"):
-        _override(p, f"--{flag}", "averaging." + flag.replace("-", "_"),
-                  type=float)
-    _override(p, "--grid-n", "averaging.n", type=int)
+        _override(p, f"--{flag}", "averaging." + flag.replace("-", "_"))
+    _override(p, "--grid-n", "averaging.n")
     for name in ("k3", "gamma", "r"):
-        _override(p, f"--avg-{name}", f"averaging.{name}", type=float)
+        _override(p, f"--avg-{name}", f"averaging.{name}")
 
     p = sub.add_parser("scenarios", help="list shipped scenario files")
     p.set_defaults(func=lambda args: _cmd_scenarios())

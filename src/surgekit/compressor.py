@@ -55,6 +55,14 @@ class CompressorMap:
             raise DomainError("map coefficients must be four finite cubic "
                               "coefficients plus finite scalars")
 
+    def check_flow(self, *flows: float) -> None:
+        """DomainError unless each flow lies inside the open map domain."""
+        lo, hi = self.domain_lo, self.domain_hi
+        for phi in flows:
+            if not (math.isfinite(phi) and lo < phi < hi):
+                raise DomainError(
+                    f"equilibrium flow must lie in ({lo}, {hi}), got {phi}")
+
 
 @dataclass(frozen=True)
 class PlantState:
@@ -80,6 +88,38 @@ class GreitzerParams:
 
 #: The shipped axial-compressor map.
 DEFAULT_MAP = CompressorMap()
+
+
+@dataclass(frozen=True)
+class PlantConfig:
+    """Open-loop run setup (the ``plant`` scenario section): throttle ``g``
+    or equilibrium ``flow``, and the start ``(phi0, psi0)`` or the
+    equilibrium moved by ``(perturb_phi, perturb_psi)``."""
+
+    phi0: float | None = None
+    psi0: float | None = None
+    flow: float | None = None
+    g: float | None = None
+    perturb_phi: float = 0.01
+    perturb_psi: float = 0.01
+
+    def __post_init__(self):
+        free = (self.phi0, self.flow, self.perturb_phi, self.perturb_psi)
+        if not (all(v is None or math.isfinite(v) for v in free)
+                and all(v is None or (math.isfinite(v) and v > 0.0)
+                        for v in (self.psi0, self.g))):
+            raise DomainError(f"plant needs finite values, psi0 > 0 and "
+                              f"g > 0, got {self}")
+
+    def start(self, cmap: CompressorMap) -> tuple[PlantState, float]:
+        """Initial state and throttle parameter g of a run on ``cmap``."""
+        g = self.g if self.g is not None else throttle_from_flow(cmap,
+                                                                 self.flow)
+        if self.phi0 is not None:
+            return PlantState(self.phi0, self.psi0), g
+        eq = equilibrium_from_throttle(cmap, g)
+        return PlantState(eq.phi + self.perturb_phi,
+                          eq.psi + self.perturb_psi), g
 
 
 def map_pressure_rise(cmap: CompressorMap, phi: float) -> float:

@@ -107,21 +107,38 @@ class DisturbanceProfile:
                 f"initial >= 0, got {self}")
 
 
-def zn_gains(L: float, T: float, kind: str = "PID") -> dict[str, float]:
+TUNE_RULES = ("P", "PI", "PID")
+
+
+@dataclass(frozen=True)
+class TuneConfig:
+    """Dead time L, time constant T and rule (the ``tune`` section)."""
+
+    L: float | None = None
+    T: float | None = None
+    rule: str = "PID"
+
+    def __post_init__(self):
+        if not (all(v is None or (math.isfinite(v) and v > 0.0)
+                    for v in (self.L, self.T)) and self.rule in TUNE_RULES):
+            raise DomainError(f"tune needs finite L > 0, T > 0 and a rule "
+                              f"in {TUNE_RULES}, got {self}")
+
+
+def zn_gains(tune: TuneConfig) -> dict[str, float]:
     """Open-loop tangent tuning rule from dead time L and time constant T.
 
     Returns kp, ti, td plus the parallel-form ki = kp/ti and kd = kp*td.
     """
-    if not (L > 0.0 and T > 0.0):
-        raise DomainError(f"need L > 0 and T > 0, got L={L}, T={T}")
-    if kind == "P":
+    L, T = tune.L, tune.T
+    if L is None or T is None:
+        raise DomainError(f"tuning needs L and T, got {tune}")
+    if tune.rule == "P":
         kp, ti, td = T / L, math.inf, 0.0
-    elif kind == "PI":
+    elif tune.rule == "PI":
         kp, ti, td = 0.9 * T / L, L / 0.3, 0.0
-    elif kind == "PID":
-        kp, ti, td = 1.2 * T / L, 2.0 * L, 0.5 * L
     else:
-        raise DomainError(f"rule kind must be P, PI or PID, got {kind!r}")
+        kp, ti, td = 1.2 * T / L, 2.0 * L, 0.5 * L
     ki = 0.0 if math.isinf(ti) else kp / ti
     return {"kp": kp, "ti": ti, "td": td, "ki": ki, "kd": kp * td}
 
@@ -233,9 +250,3 @@ def gain_excursion(traj: Trajectory) -> float:
         col = traj.column(name)
         exc = max(exc, float(np.abs(col - col[0]).max()))
     return exc
-
-
-def tracking_cost(traj: Trajectory) -> float:
-    """Integral of the squared model error over the run."""
-    e = traj.column("e")
-    return float(np.sum(e * e) * traj.dt)

@@ -32,6 +32,36 @@ SCAN_HEADER = ("phi", "delta", "real_part", "bendixson_r", "class")
 
 
 @dataclass(frozen=True)
+class StabilityConfig:
+    """Flow range and point count of a scan (the ``stability`` section)."""
+
+    lo: float = 0.1
+    hi: float = 0.79
+    n: int = 1000
+
+    def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)
+                and self.lo < self.hi and self.n >= 2):
+            raise DomainError(
+                f"stability needs finite lo < hi and n >= 2, got {self}")
+
+
+@dataclass(frozen=True)
+class CycleConfig:
+    """Limit-cycle criteria (the ``cycle`` section): the share of the run
+    discarded as transient and the peak-amplitude tolerance."""
+
+    settle_fraction: float = 0.5
+    tol: float = 0.01
+
+    def __post_init__(self):
+        if not (0.0 < self.settle_fraction < 1.0
+                and math.isfinite(self.tol) and self.tol > 0.0):
+            raise DomainError(f"cycle needs 0 < settle_fraction < 1 and "
+                              f"finite tol > 0, got {self}")
+
+
+@dataclass(frozen=True)
 class StabilityRow:
     phi: float
     discriminant: float
@@ -49,13 +79,6 @@ class LimitCycleReport:
     cycles_analyzed: int
 
 
-def _check_phi(cmap: CompressorMap, phi: float) -> None:
-    if not math.isfinite(phi) or not cmap.domain_lo < phi < cmap.domain_hi:
-        raise DomainError(
-            f"equilibrium flow must lie in ({cmap.domain_lo}, "
-            f"{cmap.domain_hi}), got {phi}")
-
-
 def jacobian_at_equilibrium(cmap: CompressorMap, phi: float,
                             a: float = FLOW_GAIN,
                             b: float = PRESSURE_GAIN) -> np.ndarray:
@@ -64,7 +87,7 @@ def jacobian_at_equilibrium(cmap: CompressorMap, phi: float,
     At an equilibrium psi = psi_c(phi) and g = phi/sqrt(psi), which turns
     the throttle entry -b*g/(2*sqrt(psi)) into -b*phi/(2*psi_c(phi)).
     """
-    _check_phi(cmap, phi)
+    cmap.check_flow(phi)
     psi = map_pressure_rise(cmap, phi)
     if psi <= 0.0:
         raise DomainError(f"map value at phi={phi} is {psi}; need psi_c > 0")
@@ -130,21 +153,22 @@ def bendixson_indicator(cmap: CompressorMap, phi: float,
 
 
 def surge_boundary(cmap: CompressorMap = DEFAULT_MAP, a: float = FLOW_GAIN,
-                   b: float = PRESSURE_GAIN, lo: float = 0.1,
-                   hi: float = 0.79, n_scan: int = 1000) -> float:
+                   b: float = PRESSURE_GAIN,
+                   scan: StabilityConfig = StabilityConfig()) -> float:
     """Largest flow where the eigenvalue real part crosses zero.
 
-    Scans [lo, hi] for the rightmost sign change and bisects it down to
+    Scans ``scan`` for the rightmost sign change and bisects it down to
     |real part| <= 1e-10.  Below the returned flow the equilibrium is an
     unstable focus, above it a stable one.
     """
-    grid = np.linspace(lo, hi, n_scan)
+    grid = np.linspace(scan.lo, scan.hi, scan.n)
     vals = np.array([eig_real_part(cmap, p, a, b) for p in grid])
     signs = np.sign(vals)
     flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
     if len(flips) == 0:
         raise AnalysisError(
-            f"eigenvalue real part does not change sign on [{lo}, {hi}]")
+            f"eigenvalue real part does not change sign on "
+            f"[{scan.lo}, {scan.hi}]")
     i = flips[-1]
     xlo, xhi = grid[i], grid[i + 1]
     flo = vals[i]
@@ -163,18 +187,14 @@ def surge_boundary(cmap: CompressorMap = DEFAULT_MAP, a: float = FLOW_GAIN,
     return mid
 
 
-def stability_scan(cmap: CompressorMap, phi_lo: float, phi_hi: float, n: int,
+def stability_scan(cmap: CompressorMap, scan: StabilityConfig,
                    a: float = FLOW_GAIN, b: float = PRESSURE_GAIN,
                    tol: float = CLASS_TOL) -> list[StabilityRow]:
-    """Tabulate the stability quantities on n uniformly spaced flows."""
-    if not (cmap.domain_lo < phi_lo < phi_hi < cmap.domain_hi):
-        raise DomainError(
-            f"need {cmap.domain_lo} < phi_lo < phi_hi < {cmap.domain_hi}, "
-            f"got ({phi_lo}, {phi_hi})")
-    if n < 2:
-        raise DomainError(f"scan needs at least 2 points, got {n}")
+    """Tabulate the stability quantities on ``scan.n`` uniformly spaced
+    flows of ``scan``."""
+    cmap.check_flow(scan.lo, scan.hi)
     rows = []
-    for phi in np.linspace(phi_lo, phi_hi, n):
+    for phi in np.linspace(scan.lo, scan.hi, scan.n):
         delta, real = _focus(cmap, phi, a, b)
         if real < -tol:
             cls = STABLE_FOCUS
@@ -195,23 +215,20 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
     return np.nonzero(interior)[0] + 1
 
 
-def detect_limit_cycle(traj: Trajectory, settle_fraction: float = 0.5,
-                       tol: float = 0.01, signal: str = "phi",
-                       second_signal: str = "psi",
+def detect_limit_cycle(traj: Trajectory, cycle: CycleConfig = CycleConfig(),
+                       signal: str = "phi", second_signal: str = "psi",
                        min_amplitude: float = 1e-6) -> LimitCycleReport:
     """Decide from a simulated run whether it settled onto a limit cycle.
 
-    The first ``settle_fraction`` of the run is discarded as transient.
-    A cycle is reported when at least four local maxima of the primary
-    signal remain and the last three peak-to-peak amplitudes agree to the
-    relative tolerance (and exceed ``min_amplitude``, so a converged
-    steady state does not pass on numerical ripple).  The period is the
-    mean spacing of successive maxima.
+    The first ``cycle.settle_fraction`` of the run is discarded as
+    transient.  A cycle is reported when at least four local maxima of
+    the primary signal remain and the last three peak-to-peak amplitudes
+    agree to the relative tolerance ``cycle.tol`` (and exceed
+    ``min_amplitude``, so a converged steady state does not pass on
+    numerical ripple).  The period is the mean spacing of successive
+    maxima.
     """
-    if not 0.0 < settle_fraction < 1.0:
-        raise DomainError(
-            f"settle_fraction must be in (0, 1), got {settle_fraction}")
-    tail = traj.tail(1.0 - settle_fraction)
+    tail = traj.tail(1.0 - cycle.settle_fraction)
     x = tail.column(signal)
     t = tail.t
     none = LimitCycleReport(False, 0.0, 0.0, 0.0, 0)
@@ -235,7 +252,7 @@ def detect_limit_cycle(traj: Trajectory, settle_fraction: float = 0.5,
     period = float(np.diff(t[peaks]).mean())
     if mean_amp <= min_amplitude:
         return none
-    if (last3.max() - last3.min()) / mean_amp > tol:
+    if (last3.max() - last3.min()) / mean_amp > cycle.tol:
         return none
     amp_psi = float(np.array(amps_y[-3:]).mean()) if has_second else 0.0
     return LimitCycleReport(True, float(mean_amp), amp_psi, period, cycles)

@@ -1,0 +1,29 @@
+"""Shared fixtures: closed-loop runs integrated once per test session."""
+
+import inspect
+
+import pytest
+
+from surgekit.loop import simulate_closed_loop
+
+
+@pytest.fixture(scope="session")
+def closed_loop_run():
+    """``simulate_closed_loop``, integrated once per distinct argument set.
+
+    Calls with the same arguments (defaults filled in) share one run; its
+    samples are read-only, so a test that mutates a shared run fails.
+    """
+    signature = inspect.signature(simulate_closed_loop)
+    runs = {}
+
+    def run(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        key = tuple(bound.arguments.items())
+        if key not in runs:
+            traj = simulate_closed_loop(*args, **kwargs)
+            traj.samples.flags.writeable = False
+            runs[key] = traj
+        return runs[key]
+    return run

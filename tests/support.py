@@ -1,6 +1,7 @@
 """Test-side references: a plain RK4 integrator (the oracle the kernels
 are compared against), the kernel's own surge-model and closed-loop rhs at
-named states, and the values in which two scenarios differ.
+named states, the tracking cost of a run, and the values in which two
+scenarios differ.
 """
 
 from dataclasses import asdict
@@ -72,6 +73,12 @@ def loop_rates(kind="adaptive", valve=ValveModel(), target=0.35,
     assert closed_loop_rhs(q, dq, sig, *args) == status
     return {**dict(zip(("u", "co", "y", "e"), sig)),
             **{f"{name}_dot": rate for name, rate in zip(CL_STATE, dq)}}
+
+
+def tracking_cost(traj):
+    """Integral of the squared model error over a closed-loop run."""
+    e = traj.column("e")
+    return float(np.sum(e * e) * traj.dt)
 
 
 def reference_matrix():

@@ -12,16 +12,18 @@ import numpy as np
 import pytest
 from support import reference_matrix
 
-from surgekit.averaging import (AveragedPoint, averaged_eigenvalues,
+from surgekit.averaging import (AveragedPoint, AveragingConfig,
+                                averaged_eigenvalues,
                                 averaged_rhs, grid_points)
 from surgekit.compressor import (DEFAULT_MAP, GreitzerParams, PlantState,
                                  equilibrium_from_throttle,
                                  map_pressure_rise, throttle_from_flow)
-from surgekit.loop import (ControllerConfig, DisturbanceProfile,
+from surgekit.loop import (ControllerConfig, DisturbanceProfile, TuneConfig,
                            gain_excursion, simulate_closed_loop, zn_gains)
 from surgekit.odesim import simulate_greitzer, steady_state_of
 from surgekit.scenario import resolve_scenario
-from surgekit.stability import (bendixson_indicator, detect_limit_cycle,
+from surgekit.stability import (CycleConfig, bendixson_indicator,
+                                detect_limit_cycle,
                                 discriminant, eig_real_part,
                                 jacobian_at_equilibrium, surge_boundary)
 
@@ -39,32 +41,31 @@ def criterion(cid, summary):
         print(f"C{cid:02d} PASS {summary}")
 
 
-def run_shipped(name):
+def run_shipped(simulate, name):
     sc = resolve_scenario(name)
-    return simulate_closed_loop(sc.controller, sc.valve, sc.disturbance,
-                                dt=sc.resolved_dt(),
-                                t_end=sc.resolved_t_end(),
-                                cmap=sc.cmap)
+    return simulate(sc.controller, sc.valve, sc.disturbance,
+                    dt=sc.resolved_dt(), t_end=sc.resolved_t_end(),
+                    cmap=sc.cmap)
 
 
 @pytest.fixture(scope="module")
-def fig10():
-    return run_shipped("fig10")
+def fig10(closed_loop_run):
+    return run_shipped(closed_loop_run, "fig10")
 
 
 @pytest.fixture(scope="module")
-def fig12():
-    return run_shipped("fig12")
+def fig12(closed_loop_run):
+    return run_shipped(closed_loop_run, "fig12")
 
 
 @pytest.fixture(scope="module")
-def fig14():
-    return run_shipped("fig14")
+def fig14(closed_loop_run):
+    return run_shipped(closed_loop_run, "fig14")
 
 
 @pytest.fixture(scope="module")
-def fig15():
-    return run_shipped("fig15")
+def fig15(closed_loop_run):
+    return run_shipped(closed_loop_run, "fig15")
 
 
 def cycle_run(dt):
@@ -114,9 +115,9 @@ def test_c04_unstable_point_value():
 def test_c05_limit_cycle():
     with criterion(5, "limit cycle at flow 0.4: detected, peaks agree "
                       "to 1 %, amplitude stable to 2 % under dt halving"):
-        rep = detect_limit_cycle(cycle_run(1e-2), tol=0.01)
+        rep = detect_limit_cycle(cycle_run(1e-2), CycleConfig(tol=0.01))
         assert rep.detected
-        rep_half = detect_limit_cycle(cycle_run(5e-3), tol=0.01)
+        rep_half = detect_limit_cycle(cycle_run(5e-3), CycleConfig(tol=0.01))
         assert rep_half.detected
         assert (abs(rep.amplitude_phi - rep_half.amplitude_phi)
                 <= 0.02 * rep.amplitude_phi)
@@ -139,7 +140,7 @@ def test_c06_bendixson_consistency():
 def test_c07_tuning_gains():
     with criterion(7, "tangent rule at (0.213, 1.79): kp/kd within 1 %, "
                       "ki within 2 % of the expected gains"):
-        g = zn_gains(0.213, 1.79, "PID")
+        g = zn_gains(TuneConfig(0.213, 1.79, "PID"))
         assert abs(g["kp"] - 10.08) <= 0.01 * 10.08
         assert abs(g["kd"] - 1.065) <= 0.01 * 1.065
         assert abs(g["ki"] - 23.66) <= 0.02 * 23.66
@@ -194,7 +195,7 @@ def test_c11_averaging_eigenvalues():
         lam_fd = np.sort(np.linalg.eigvals(fd).real)[::-1]
         assert abs(lam_fd[2] - (-0.04795)) <= 1e-4
         assert abs(lam_fd[2] - lam[2]) <= 1e-6
-        for q in grid_points(0.1, 50.0, 0.1, 50.0, 10):
+        for q in grid_points(AveragingConfig(0.1, 50.0, 0.1, 50.0, 10)):
             assert max(averaged_eigenvalues(q)) <= 1e-9
         lam2 = averaged_eigenvalues(AveragedPoint(
             k1=10.0, k2=10.0, k3=0.7, r=0.55, gamma=2.0))[2]

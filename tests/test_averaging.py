@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from support import integrate
+from support import integrate, loop_rates
 
-from surgekit.averaging import (AveragedPoint, averaged_eigenvalues,
-                                averaged_jacobian, averaged_rhs, grid_points,
-                                saturated_mode_eigenvalues, stability_verdict)
+from surgekit.averaging import (AveragedPoint, AveragingConfig,
+                                averaged_eigenvalues, averaged_jacobian,
+                                averaged_rhs, grid_points, stability_verdict,
+                                VERDICT_TOL)
 from surgekit.errors import DomainError
 
 P0 = AveragedPoint(k1=10.0, k2=10.0, k3=0.7, r=0.55, gamma=1.0)
@@ -66,7 +67,7 @@ class TestAveragedJacobian:
                                            atol=1e-6)
 
     def test_block_determinant_vanishes(self):
-        for p in grid_points(0.1, 50.0, 0.1, 50.0, 8):
+        for p in grid_points(AveragingConfig(0.1, 50.0, 0.1, 50.0, 8)):
             jac = averaged_jacobian(p)
             det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
             assert abs(det) <= 1e-12
@@ -80,7 +81,7 @@ class TestAveragedEigenvalues:
         assert lam[2] == pytest.approx(-0.04795, abs=1e-4)
 
     def test_block_trace_formula(self):
-        for p in grid_points(0.5, 30.0, 0.5, 30.0, 6):
+        for p in grid_points(AveragingConfig(0.5, 30.0, 0.5, 30.0, 6)):
             c = 1.0 + p.k2
             expected = -p.gamma * p.r ** 2 * \
                 (c * c - p.k1 * c + 2.0 * p.k1 ** 2) / c ** 3
@@ -105,7 +106,7 @@ class TestAveragedEigenvalues:
         assert lam[2] == pytest.approx(-p.gamma * p.r ** 2 / 8.0, rel=1e-12)
 
     def test_two_zeros_one_nonpositive_on_grid(self):
-        for p in grid_points(0.0, 50.0, 0.0, 50.0, 10):
+        for p in grid_points(AveragingConfig(0.0, 50.0, 0.0, 50.0, 10)):
             lam = averaged_eigenvalues(p)
             assert abs(lam[0]) <= 1e-12
             assert abs(lam[1]) <= 1e-12
@@ -114,15 +115,31 @@ class TestAveragedEigenvalues:
 
 class TestVerdicts:
     def test_positive_grid_is_stable(self):
-        rows = stability_verdict(grid_points(0.1, 50.0, 0.1, 50.0, 10))
+        rows = stability_verdict(
+            grid_points(AveragingConfig(0.1, 50.0, 0.1, 50.0, 10)))
         assert len(rows) == 100
         assert all(r.verdict == "stable" for r in rows)
         assert max(max(r.eigenvalues) for r in rows) <= 1e-9
 
     def test_saturated_mode_is_marginally_stable(self):
-        lam = saturated_mode_eigenvalues()
-        assert lam == (0.0, 0.0, 0.0)
-        assert max(lam) <= 1e-9
+        # with the valve saturated low or high the kernel gates adaptation
+        # off: every gain rate is exactly zero, so the saturated mode's
+        # eigenvalues all vanish, which the verdict counts as stable
+        state = dict(d=0.3, ym1=0.2, v1=0.5, v2=-0.4, v3=0.1,
+                     k1=10.0, k2=10.0, k3=0.7)
+        rates = ("k1_dot", "k2_dot", "k3_dot")
+        assert all(loop_rates(x=0.1, **state)[k] != 0.0 for k in rates)
+        h = 1e-6
+        for x in (0.05 - 1e-3, 0.25 + 1e-3):     # below out_min, above out_max
+            r = loop_rates(x=x, **state)
+            assert r["e"] != 0.0
+            assert tuple(r[k] for k in rates) == (0.0, 0.0, 0.0)
+            # finite differences in the gains: the Jacobian of the gain
+            # rates is zero, and with it every eigenvalue
+            jac = np.array([
+                [(loop_rates(x=x, **{**state, g: state[g] + h})[k] - r[k]) / h
+                 for g in ("k1", "k2", "k3")] for k in rates])
+            assert max(np.linalg.eigvals(jac).real) <= VERDICT_TOL
 
     def test_single_point(self):
         rows = stability_verdict([P0])

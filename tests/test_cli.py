@@ -263,6 +263,16 @@ class TestExitCodes:
         assert code == 4 and out == "" and err == message
         assert [str(w.message) for w in caught] == []
 
+    @pytest.mark.parametrize("argv", [
+        ["averaging", "--scenario", "avg", "--avg-gamma", "inf"],
+        ["simulate", "--scenario", "fig7", "--g", "inf"],
+        ["map", "--lo=-inf", "--hi", "0.5"],
+    ], ids=["averaging-gamma", "simulate-g", "map-lo"])
+    def test_nonfinite_input_exits_three(self, tmp_path, capsys, argv):
+        # over a shipped scenario, and map's own range flags; the other
+        # float flags are TestOverrideFlags' cases
+        _assert_refused(capsys, tmp_path, argv)
+
     def test_missing_scenario_exits_three(self, tmp_path, capsys):
         code, _, err = run(capsys, "closedloop", "--scenario", "figZZ",
                            "--out-dir", str(tmp_path))
@@ -271,13 +281,36 @@ class TestExitCodes:
 
 
 
+def _assert_refused(capsys, tmp_path, argv):
+    """Exit 3 with one error line: no warning, no output and no CSV."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv, "--out-dir", str(tmp_path))
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert [str(w.message) for w in caught] == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def _subcommands(parser):
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _float_flags():
+    """(subcommand, option) of every override flag with a float key."""
+    return [(command, action.option_strings[0])
+            for command, sub in _subcommands(build_parser()).items()
+            for action in sub._actions
+            if KNOWN_KEYS.get(action.dest) == "float"]
+
+
 class TestOverrideFlags:
     def test_override_flags_land_on_their_keys(self, tmp_path):
         # each flag whose dest is a scenario key changes what that key
         # changes when a scenario file sets it
         parser = build_parser()
-        commands = next(a for a in parser._actions
-                        if isinstance(a, argparse._SubParsersAction)).choices
+        commands = _subcommands(parser)
         seen = set()
         for command, sub in commands.items():
             for action in sub._actions:
@@ -295,3 +328,10 @@ class TestOverrideFlags:
                 assert scenario_diff(sc, Scenario(name="case")).keys() == \
                     expected.keys(), argv
         assert len(seen) == 38
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("command,option", _float_flags())
+    def test_nonfinite_float_flag_exits_three(self, tmp_path, capsys, command,
+                                              option, value):
+        # a flag value meets the same check as the key in a scenario file
+        _assert_refused(capsys, tmp_path, [command, f"{option}={value}"])

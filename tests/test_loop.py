@@ -9,14 +9,14 @@ import math
 
 import numpy as np
 import pytest
-from support import integrate, loop_rates, reference_matrix
+from support import integrate, loop_rates, reference_matrix, tracking_cost
 
 from surgekit._kernels import CL_STATE, PSI_NONPOSITIVE
 from surgekit.errors import DegenerateResponseError, DomainError
 from surgekit.loop import (ADAPTIVE, ControllerConfig, DisturbanceProfile,
-                           FIXED_PD, FIXED_PID, ValveModel, extract_LT,
-                           gain_excursion, initial_loop_state,
-                           simulate_closed_loop, tracking_cost, zn_gains)
+                           FIXED_PD, FIXED_PID, TuneConfig, ValveModel,
+                           extract_LT, gain_excursion, initial_loop_state,
+                           simulate_closed_loop, zn_gains)
 
 VALVE = ValveModel()
 GAINS = {"k1": 10.0, "k2": 10.0, "k3": 0.7}    # adaptive gains in use
@@ -102,33 +102,37 @@ class TestDisturbance:
 
 class TestTuningRule:
     def test_pid_gains(self):
-        g = zn_gains(0.213, 1.79, "PID")
+        g = zn_gains(TuneConfig(0.213, 1.79, "PID"))
         assert g["kp"] == pytest.approx(10.0845070422535, rel=1e-12)
         assert g["kd"] == pytest.approx(1.074, rel=1e-12)
         assert g["ki"] == pytest.approx(23.672551746419, rel=1e-9)
         assert g["ti"] == pytest.approx(0.426) and g["td"] == pytest.approx(0.1065)
 
     def test_p_rule(self):
-        g = zn_gains(0.2, 1.6, "P")
+        g = zn_gains(TuneConfig(0.2, 1.6, "P"))
         assert g["kp"] == pytest.approx(8.0)
         assert math.isinf(g["ti"]) and g["td"] == 0.0
         assert g["ki"] == 0.0 and g["kd"] == 0.0
 
     def test_pi_rule(self):
-        g = zn_gains(0.2, 1.6, "PI")
+        g = zn_gains(TuneConfig(0.2, 1.6, "PI"))
         assert g["kp"] == pytest.approx(0.9 * 8.0)
         assert g["ti"] == pytest.approx(0.2 / 0.3)
 
     def test_ratio_invariance(self):
-        a = zn_gains(0.213, 1.79, "PID")
-        b = zn_gains(0.426, 3.58, "PID")
+        a = zn_gains(TuneConfig(0.213, 1.79, "PID"))
+        b = zn_gains(TuneConfig(0.426, 3.58, "PID"))
         assert a["kp"] == pytest.approx(b["kp"], rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            zn_gains(0.0, 1.0, "PID")
+            zn_gains(TuneConfig(0.0, 1.0, "PID"))
         with pytest.raises(DomainError):
-            zn_gains(0.1, 1.0, "PIDD")
+            zn_gains(TuneConfig(0.1, 1.0, "PIDD"))
+        with pytest.raises(DomainError):
+            zn_gains(TuneConfig(math.inf, 1.0, "PID"))
+        with pytest.raises(DomainError):
+            zn_gains(TuneConfig(T=1.0))
 
 
 class TestExtractLT:
@@ -320,25 +324,28 @@ class TestResolveControlSignal:
         assert abs(u - back) <= 1e-12
 
 
-def _run(kind="adaptive", target=0.35, gamma=1.0, t_end=50.0, **kw):
+def _run(kind="adaptive", target=0.35, gamma=1.0, t_end=50.0,
+         simulate=simulate_closed_loop, **kw):
     cfg = ControllerConfig(kind=kind, gamma=gamma)
-    return simulate_closed_loop(cfg, profile=DisturbanceProfile(target=target),
-                                t_end=t_end, **kw)
+    return simulate(cfg, profile=DisturbanceProfile(target=target),
+                    t_end=t_end, **kw)
+
+
+# the runs of fig10, fig12 and fig14, shared with the acceptance tests
+
+@pytest.fixture(scope="module")
+def run35(closed_loop_run):
+    return _run(target=0.35, simulate=closed_loop_run)
 
 
 @pytest.fixture(scope="module")
-def run35():
-    return _run(target=0.35)
+def run45(closed_loop_run):
+    return _run(target=0.45, simulate=closed_loop_run)
 
 
 @pytest.fixture(scope="module")
-def run45():
-    return _run(target=0.45)
-
-
-@pytest.fixture(scope="module")
-def run60():
-    return _run(target=0.6)
+def run60(closed_loop_run):
+    return _run(target=0.6, simulate=closed_loop_run)
 
 
 class TestClosedLoopScenarios:
@@ -376,9 +383,9 @@ class TestClosedLoopScenarios:
         # never change from one sample to the next
         self._assert_gated(run60)
 
-    def test_gating_invariant_above_ceiling(self):
+    def test_gating_invariant_above_ceiling(self, closed_loop_run):
         # the d = 0.25 run drives x above out_max late in the run
-        traj = _run(target=0.25)
+        traj = _run(target=0.25, simulate=closed_loop_run)
         assert traj.column("x").max() > 0.25
         self._assert_gated(traj)
 
@@ -396,9 +403,9 @@ class TestClosedLoopScenarios:
                  for g in (0.5, 1.0, 2.0)]
         assert costs[0] > costs[1] > costs[2]
 
-    def test_one_sided_actuator_floor(self):
+    def test_one_sided_actuator_floor(self, closed_loop_run):
         # with d = 0.25 the best reachable flow is 0.50: error >= 0.05
-        traj = _run(target=0.25)
+        traj = _run(target=0.25, simulate=closed_loop_run)
         y = traj.column("y")
         assert y[-1] <= 0.50 + 1e-9
         assert abs(y[-1] - 0.55) >= 0.05 - 1e-6
@@ -435,8 +442,9 @@ class TestClosedLoopScenarios:
         # zero initial model error
         assert loop_rates(target=0.35, **st)["e"] == 0.0
 
-    def test_fixed_pid_converges_at_defaults(self):
-        traj = _run(kind="fixed-pid", target=0.35)
+    def test_fixed_pid_converges_at_defaults(self, closed_loop_run):
+        # the run of fig15
+        traj = _run(kind="fixed-pid", target=0.35, simulate=closed_loop_run)
         y = traj.column("y")
         assert abs(y[-1] - 0.55) <= 1e-6
         assert y.min() > 0.43

@@ -1,6 +1,8 @@
 """Scenario file parsing, validation, and the shipped catalog."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from support import key_sample, load_one_key
 
 from surgekit.errors import ScenarioError
@@ -169,3 +171,19 @@ class TestKeys:
             assert path == ("observe",)
         else:
             assert str(path[-1]).endswith(name)
+
+    @settings(max_examples=150, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(key=st.sampled_from(sorted(KNOWN_KEYS)),
+           text=st.text(st.characters(blacklist_categories=("Cs",),
+                                      blacklist_characters="\r\n"))
+           | st.floats().map(repr) | st.integers().map(str))
+    def test_any_value_loads_or_is_rejected(self, tmp_path, key, text):
+        # a one-line file yields a Scenario or a ScenarioError, nothing else
+        path = tmp_path / "case.scn"
+        path.write_text(f"{key} = {text}\n", encoding="utf-8")
+        try:
+            sc = load_scenario(path)
+        except ScenarioError:
+            return
+        assert isinstance(sc, Scenario)

@@ -9,6 +9,7 @@ from surgekit.compressor import (DEFAULT_MAP, GreitzerParams, PlantState,
 from surgekit.errors import AnalysisError, DomainError
 from surgekit.odesim import Trajectory, simulate_greitzer
 from surgekit.stability import (BOUNDARY, STABLE_FOCUS, UNSTABLE_FOCUS,
+                                CycleConfig, StabilityConfig,
                                 bendixson_indicator, char_poly,
                                 detect_limit_cycle, discriminant,
                                 eig_real_part, jacobian_at_equilibrium,
@@ -107,7 +108,7 @@ class TestSurgeBoundary:
 
     def test_no_sign_change_raises(self):
         with pytest.raises(AnalysisError):
-            surge_boundary(M, lo=0.5, hi=0.7)
+            surge_boundary(M, scan=StabilityConfig(lo=0.5, hi=0.7))
 
 
 class TestBendixson:
@@ -138,19 +139,19 @@ class TestBendixson:
 
 class TestStabilityScan:
     def test_grid_spacing(self):
-        rows = stability_scan(M, 0.3, 0.5, 3)
+        rows = stability_scan(M, StabilityConfig(0.3, 0.5, 3))
         assert [r.phi for r in rows] == pytest.approx([0.3, 0.4, 0.5])
 
     def test_stable_zone_classification(self):
-        rows = stability_scan(M, 0.45, 0.79, 50)
+        rows = stability_scan(M, StabilityConfig(0.45, 0.79, 50))
         assert all(r.classification == STABLE_FOCUS for r in rows)
 
     def test_unstable_zone_classification(self):
-        rows = stability_scan(M, 0.1, 0.42, 50)
+        rows = stability_scan(M, StabilityConfig(0.1, 0.42, 50))
         assert all(r.classification == UNSTABLE_FOCUS for r in rows)
 
     def test_classification_consistency(self):
-        for r in stability_scan(M, 0.2, 0.7, 101):
+        for r in stability_scan(M, StabilityConfig(0.2, 0.7, 101)):
             if r.real_part < -1e-9:
                 assert r.classification == STABLE_FOCUS
             elif r.real_part > 1e-9:
@@ -161,9 +162,11 @@ class TestStabilityScan:
 
     def test_range_validation(self):
         with pytest.raises(DomainError):
-            stability_scan(M, 0.5, 0.3, 10)
+            stability_scan(M, StabilityConfig(0.5, 0.3, 10))
         with pytest.raises(DomainError):
-            stability_scan(M, 0.1, 0.5, 1)
+            stability_scan(M, StabilityConfig(0.1, 0.5, 1))
+        with pytest.raises(DomainError):
+            stability_scan(M, StabilityConfig(0.5, 0.9, 10))
 
 
 def _cycle_run(flow, dt=1e-2, t_end=100.0):
@@ -183,7 +186,7 @@ class TestLimitCycleDetection:
         assert rep.cycles_analyzed >= 3
 
     def test_peak_convergence_within_tolerance(self):
-        rep = detect_limit_cycle(_cycle_run(0.4), tol=0.01)
+        rep = detect_limit_cycle(_cycle_run(0.4), CycleConfig(tol=0.01))
         assert rep.detected
 
     def test_not_detected_in_stable_zone(self):
@@ -199,7 +202,7 @@ class TestLimitCycleDetection:
     def test_settle_fraction_validation(self):
         traj = _cycle_run(0.4, t_end=20.0)
         with pytest.raises(DomainError):
-            detect_limit_cycle(traj, settle_fraction=1.0)
+            detect_limit_cycle(traj, CycleConfig(settle_fraction=1.0))
 
     def test_amplitude_robust_to_step_halving(self):
         a = detect_limit_cycle(_cycle_run(0.4, dt=1e-2))
