@@ -4,8 +4,16 @@ Both kernels exist in two flavours built from the same source: a plain
 Python version (``*_py``) and a compiled version (``*_jit``).  The public
 names (``greitzer_loop``, ``closed_loop_loop``) point at the compiled
 flavour unless numba is missing or ``SURGEKIT_NO_NUMBA=1`` is set, in
-which case they fall back to pure Python/numpy.  ``perfbench/run.py``
+which case they fall back to the pure-Python flavour.  ``perfbench/run.py``
 times whichever flavour is active, end to end through the CLI.
+
+The flavours differ only in the storage the loops compute on.  The
+pure-Python flavour computes on Python floats, several times faster in
+the interpreter than numpy scalars: the open-loop kernel starts from
+``float`` scalars, and :func:`closed_loop_loop_py` runs the shared loop
+on ``state.tolist()``, whose copies are the RK scratch vectors.  The jit
+flavour computes on numpy arrays.  Both fill the preallocated ``out``
+array, with bit-identical results.
 
 Each model equation is defined once, as a jitable helper (compiled into
 the kernels that call it): the compressor map in :func:`pressure_rise`,
@@ -19,8 +27,6 @@ Kernels never raise: they return ``(status, row)`` so the wrappers in
 
 import math
 import os
-
-import numpy as np
 
 try:
     import numba
@@ -79,8 +85,8 @@ def _greitzer_loop(out, dt, m_psi0, m_h, m_sl, m_off, c0, c1, c2, c3,
     Returns (status, row): on failure ``row`` is the first unfilled row.
     """
     n = out.shape[0]
-    phi = out[0, 1]
-    psi = out[0, 2]
+    phi = float(out[0, 1])
+    psi = float(out[0, 2])
     for i in range(1, n):
         if psi <= 0.0:
             return PSI_NONPOSITIVE, i
@@ -146,7 +152,10 @@ def closed_loop_rhs(q, dq, sig, kind, kp, ki, kd, gamma, r, vtau, vlo, vhi,
         p = kp * (r - y)
         dgain = kd
     if linear:
-        u = (p - dgain * d_dot + dgain * x / vtau) / (1.0 + dgain / vtau)
+        den = 1.0 + dgain / vtau
+        if den == 0.0:  # an RK stage can carry a negative gain k3 = -vtau
+            return NONFINITE
+        u = (p - dgain * d_dot + dgain * x / vtau) / den
     else:
         u = p - dgain * d_dot
     x_dot = (u - x) / vtau
@@ -212,12 +221,13 @@ def _closed_loop_loop(out, state, dt, kind, kp, ki, kd, gamma, r,
     n = out.shape[0]
     dim = CL_DIM
     s = state
-    st = np.empty(dim)
-    g1 = np.empty(dim)
-    g2 = np.empty(dim)
-    g3 = np.empty(dim)
-    g4 = np.empty(dim)
-    sig = np.empty(4)
+    # scratch vectors in the storage of ``state``
+    st = state.copy()
+    g1 = state.copy()
+    g2 = state.copy()
+    g3 = state.copy()
+    g4 = state.copy()
+    sig = state[:4].copy()
     for i in range(n):
         rc = closed_loop_rhs(s, g1, sig, *p)
         if rc != OK:
@@ -268,8 +278,16 @@ def _closed_loop_loop(out, state, dt, kind, kp, ki, kd, gamma, r,
     return OK, n - 1
 
 
+def closed_loop_loop_py(out, state, *args):
+    """:func:`_closed_loop_loop` on ``state.tolist()``; the final state is
+    copied back into the array ``state``."""
+    s = state.tolist()
+    rc = _closed_loop_loop(out, s, *args)
+    state[:] = s
+    return rc
+
+
 greitzer_loop_py = _greitzer_loop
-closed_loop_loop_py = _closed_loop_loop
 
 if NUMBA_ENABLED:
     greitzer_loop_jit = numba.njit(cache=True)(_greitzer_loop)

@@ -81,9 +81,11 @@ class GreitzerParams:
     g: float = 1.0
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0 and self.g > 0):
-            raise DomainError(f"a, b, g must all be positive, got "
-                              f"({self.a}, {self.b}, {self.g})")
+        for name in ("a", "b", "g"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise DomainError(
+                    f"{name} must be finite and positive, got {value}")
 
 
 #: The shipped axial-compressor map.
@@ -111,8 +113,18 @@ class PlantConfig:
             raise DomainError(f"plant needs finite values, psi0 > 0 and "
                               f"g > 0, got {self}")
 
+    def check_start(self) -> None:
+        """DomainError unless the keys name a throttle and a whole start."""
+        if self.flow is None and self.g is None:
+            raise DomainError("plant.flow or plant.g is required")
+        if (self.phi0 is None) != (self.psi0 is None):
+            raise DomainError(
+                f"plant.phi0 and plant.psi0 must be given together, got "
+                f"phi0={self.phi0}, psi0={self.psi0}")
+
     def start(self, cmap: CompressorMap) -> tuple[PlantState, float]:
         """Initial state and throttle parameter g of a run on ``cmap``."""
+        self.check_start()
         g = self.g if self.g is not None else throttle_from_flow(cmap,
                                                                  self.flow)
         if self.phi0 is not None:

@@ -12,6 +12,7 @@ defined here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -86,8 +87,10 @@ def simulate_greitzer(initial: PlantState, params: GreitzerParams,
                       t_end: float = PLANT_T_END) -> Trajectory:
     """Kernel-backed open-loop run of the surge model."""
     out = _output_buffer(dt, t_end, 3)
-    if not (math.isfinite(initial.phi) and math.isfinite(initial.psi)):
-        raise DomainError(f"initial state must be finite, got {initial}")
+    if not all(isinstance(v, numbers.Real) and math.isfinite(v)
+               for v in (initial.phi, initial.psi)):
+        raise DomainError(f"initial state must be two finite real numbers, "
+                          f"got {initial}")
     if initial.psi <= 0.0:
         raise ModelBreakdownError(
             f"plenum pressure must stay positive, got psi={initial.psi}")

@@ -190,14 +190,12 @@ def validate(sc: Scenario) -> None:
 
     plant = sc.plant
     if sc.kind in ("simulate", "limit-cycle"):
-        if plant.flow is None and plant.g is None:
-            raise ScenarioError(
-                f"plant.flow or plant.g: required for kind={sc.kind}")
+        try:
+            plant.check_start()
+        except DomainError as err:
+            raise ScenarioError(f"{err} for kind={sc.kind}") from err
         if plant.flow is not None:
             _check_flows(sc, "plant.flow", plant.flow)
-        if (plant.phi0 is None) != (plant.psi0 is None):
-            raise ScenarioError(
-                "plant.phi0 and plant.psi0 must be given together")
     if sc.kind == "stability":
         _check_flows(sc, "stability.lo/hi", sc.stability.lo, sc.stability.hi)
     if sc.kind == "tune" and (sc.tune.L is None or sc.tune.T is None):

@@ -263,6 +263,16 @@ class TestExitCodes:
         assert code == 4 and out == "" and err == message
         assert [str(w.message) for w in caught] == []
 
+    def test_observed_breakdown_exits_four(self, tmp_path, capsys):
+        # the observed compressor breaks down mid-run: one line, no CSV
+        code, out, err = run(capsys, "closedloop", "--observe", "--target",
+                             "1.0", "--t-end", "5", "--out-dir",
+                             str(tmp_path))
+        assert code == 4 and out == ""
+        assert err == ("error: observed compressor model broke down "
+                       "(psi or psi_c <= 0) near t=0.854\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [
         ["averaging", "--scenario", "avg", "--avg-gamma", "inf"],
         ["simulate", "--scenario", "fig7", "--g", "inf"],

@@ -7,7 +7,8 @@ import pytest
 from support import plant_rates
 
 from surgekit.compressor import (CompressorMap, DEFAULT_MAP, GreitzerParams,
-                                 PlantState, equilibrium_from_throttle,
+                                 PlantConfig, PlantState,
+                                 equilibrium_from_throttle,
                                  map_pressure_rise, map_slope,
                                  throttle_from_flow)
 from surgekit.errors import (DomainError, ModelBreakdownError,
@@ -106,6 +107,12 @@ class TestGreitzerRhs:
         with pytest.raises(DomainError):
             simulate_greitzer(PlantState(math.nan, 0.5), GreitzerParams(g=0.5))
 
+    @pytest.mark.parametrize("phi,psi", [(None, 0.5), (0.5, None),
+                                         (0.5, "0.6")])
+    def test_nonreal_state_rejected(self, phi, psi):
+        with pytest.raises(DomainError, match="finite real numbers"):
+            simulate_greitzer(PlantState(phi, psi), GreitzerParams(g=0.5))
+
 
 class TestThrottleEquilibrium:
     @pytest.mark.parametrize("phi,expected", [
@@ -180,3 +187,26 @@ class TestTypes:
             GreitzerParams(a=-1.0)
         with pytest.raises(DomainError):
             GreitzerParams(g=0.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["a", "b", "g"])
+    def test_params_reject_nonfinite(self, name, value):
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            GreitzerParams(**{name: value})
+
+
+class TestPlantConfig:
+    def test_start_needs_a_throttle(self):
+        with pytest.raises(DomainError, match="plant.flow or plant.g"):
+            PlantConfig().start(M)
+
+    def test_start_needs_both_initial_values(self):
+        with pytest.raises(DomainError, match="phi0=0.5, psi0=None"):
+            PlantConfig(phi0=0.5, g=0.6).start(M)
+
+    def test_start_from_given_state_or_perturbed_equilibrium(self):
+        assert PlantConfig(phi0=0.5, psi0=0.6, g=0.6).start(M) == (
+            PlantState(0.5, 0.6), 0.6)
+        eq = equilibrium_from_throttle(M, 0.6)
+        assert PlantConfig(g=0.6).start(M) == (
+            PlantState(eq.phi + 0.01, eq.psi + 0.01), 0.6)

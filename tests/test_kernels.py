@@ -9,10 +9,10 @@ import pytest
 
 from surgekit import _kernels
 from surgekit.compressor import DEFAULT_MAP, GreitzerParams, PlantState, \
-    throttle_from_flow
-from surgekit.loop import (ControllerConfig, DisturbanceProfile,
-                           ValveModel, _kernel_args, initial_loop_state,
-                           simulate_closed_loop)
+    map_pressure_rise, throttle_from_flow
+from surgekit.loop import (CONTROLLER_KINDS, ControllerConfig,
+                           DisturbanceProfile, ValveModel, _kernel_args,
+                           initial_loop_state, simulate_closed_loop)
 
 M = DEFAULT_MAP
 
@@ -71,6 +71,46 @@ class TestFlavourParity:
         assert eval(res.stdout) == tr.samples[-1].tolist()
 
 
+class TestStorageParity:
+    """The shared loop on an array state (the jit flavour's storage) and
+    ``closed_loop_loop_py`` (Python floats) agree bit for bit."""
+
+    @staticmethod
+    def _run(kernel, kind, observe, target):
+        cfg = ControllerConfig(kind=kind)
+        valve = ValveModel()
+        prof = DisturbanceProfile(target=target)
+        state = initial_loop_state(cfg, valve, prof)
+        if observe:
+            state[11] = state[2]
+            state[12] = map_pressure_rise(M, state[2])
+        out = np.full((2001, 13 if observe else 11), np.nan)
+        rc = kernel(out, state, 1e-3, *_kernel_args(cfg, valve, prof, observe))
+        return rc, out, state
+
+    @pytest.mark.parametrize("observe", [False, True])
+    @pytest.mark.parametrize("kind", CONTROLLER_KINDS)
+    def test_array_and_float_storage_agree(self, kind, observe):
+        rc_a, out_a, state_a = self._run(_kernels._closed_loop_loop, kind,
+                                         observe, 0.35)
+        rc_b, out_b, state_b = self._run(_kernels.closed_loop_loop_py, kind,
+                                         observe, 0.35)
+        assert rc_a == rc_b == (_kernels.OK, 2000)
+        assert np.array_equal(out_a, out_b)
+        assert np.array_equal(state_a, state_b)
+
+    def test_breakdown_agrees(self):
+        # the observed compressor breaks down at row 855: both storages
+        # stop there, leaving the same rows and the same final state
+        runs = [self._run(kernel, "adaptive", True, 1.0)
+                for kernel in (_kernels._closed_loop_loop,
+                               _kernels.closed_loop_loop_py)]
+        (rc_a, out_a, state_a), (rc_b, out_b, state_b) = runs
+        assert rc_a == rc_b == (_kernels.PSI_NONPOSITIVE, 855)
+        assert np.array_equal(out_a, out_b, equal_nan=True)
+        assert np.array_equal(state_a, state_b)
+
+
 class TestStatusCodes:
     def test_greitzer_breakdown_reported(self):
         out = np.empty((100, 3))
@@ -91,6 +131,21 @@ class TestStatusCodes:
         # the run stops in its first step, keeping the finite initial row
         assert exc.value.partial.n_rows == 1
         assert np.all(np.isfinite(exc.value.partial.samples))
+
+    @pytest.mark.parametrize("storage", [np.array, list])
+    def test_zero_control_denominator_is_nonfinite(self, storage):
+        # an RK stage may carry the gain k3 = -vtau, which zeroes the
+        # denominator of the control signal in linear valve mode
+        cfg = ControllerConfig(kind="adaptive")
+        valve = ValveModel()
+        prof = DisturbanceProfile()
+        q = initial_loop_state(cfg, valve, prof)
+        q[0] = 0.1
+        q[9] = -valve.tau
+        status = _kernels.closed_loop_rhs(
+            storage(q.tolist()), storage([0.0] * _kernels.CL_DIM),
+            storage([0.0] * 4), *_kernel_args(cfg, valve, prof))
+        assert status == _kernels.NONFINITE
 
 
 class TestEnvFlag:

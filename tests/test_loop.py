@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from support import integrate, loop_rates, reference_matrix, tracking_cost
 
-from surgekit._kernels import CL_STATE, PSI_NONPOSITIVE
-from surgekit.errors import DegenerateResponseError, DomainError
+from surgekit._kernels import CL_DIM, CL_STATE, PSI_NONPOSITIVE
+from surgekit.errors import DegenerateResponseError, DivergenceError, \
+    DomainError
 from surgekit.loop import (ADAPTIVE, ControllerConfig, DisturbanceProfile,
                            FIXED_PD, FIXED_PID, TuneConfig, ValveModel,
                            extract_LT, gain_excursion, initial_loop_state,
@@ -483,3 +484,26 @@ class TestClosedLoopScenarios:
         assert traj.column("phi")[-1] == pytest.approx(y_end, abs=2e-3)
         assert traj.column("psi")[-1] == pytest.approx(
             map_pressure_rise(DEFAULT_MAP, y_end), abs=5e-3)
+
+    def test_observed_breakdown_keeps_finite_partial_and_state(self):
+        # with d = 1.0 the observed compressor breaks down near t = 0.854;
+        # the error carries the finite rows before it and the loop state
+        # of the last of them
+        with pytest.raises(DivergenceError,
+                           match="observed compressor model broke down"
+                           ) as exc:
+            _run(target=1.0, t_end=5.0, observe=True)
+        err = exc.value
+        assert err.time == pytest.approx(0.854, abs=1e-12)
+        partial = err.partial
+        assert partial.n_rows == 855
+        assert np.all(np.isfinite(partial.samples))
+        state = err.state
+        assert isinstance(state, np.ndarray) and state.shape == (CL_DIM,)
+        assert np.all(np.isfinite(state))
+        last = dict(zip(partial.columns, partial.samples[-1]))
+        named = dict(zip(CL_STATE, state))
+        for name, column in (("x", "x"), ("d", "d"), ("ym1", "ym"),
+                             ("k1", "k1"), ("k2", "k2"), ("k3", "k3"),
+                             ("phi", "phi"), ("psi", "psi")):
+            assert named[name] == last[column]
