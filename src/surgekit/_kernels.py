@@ -11,9 +11,21 @@ The flavours differ only in the storage the loops compute on.  The
 pure-Python flavour computes on Python floats, several times faster in
 the interpreter than numpy scalars: the open-loop kernel starts from
 ``float`` scalars, and :func:`closed_loop_loop_py` runs the shared loop
-on ``state.tolist()``, whose copies are the RK scratch vectors.  The jit
-flavour computes on numpy arrays.  Both fill the preallocated ``out``
-array, with bit-identical results.
+on ``state.tolist()``, whose copies are the RK scratch vectors, and
+records rows through ``memoryview(out)``.  The jit flavour computes on
+numpy arrays.  Both fill the preallocated ``out`` array, with
+bit-identical results.
+
+The closed loop integrates only its live states, :func:`live_states`:
+those whose rate :func:`closed_loop_rhs` can make nonzero for the run's
+controller kind and ``observe`` flag.  The gains k1..k3 move only under
+the adaptive kind, ``e_int`` only under the fixed PID, and (phi, psi)
+only when observed; the rhs sets every other rate to exactly 0.0, so
+those states keep their initial values, as a full RK4 step would leave
+them.  The one exception is a zero written as ``-0.0`` (a fixed
+controller's gain, say), which stays ``-0.0`` where a full step's
+``-0.0 + 0.0`` would make it ``0.0``.  The live indices are a tuple
+computed outside the loop, so under jit each run has one type for them.
 
 Each model equation is defined once, as a jitable helper (compiled into
 the kernels that call it): the compressor map in :func:`pressure_rise`,
@@ -122,14 +134,15 @@ def _greitzer_loop(out, dt, m_psi0, m_h, m_sl, m_off, c0, c1, c2, c3,
 
 
 @_jitable
-def closed_loop_rhs(q, dq, sig, kind, kp, ki, kd, gamma, r, vtau, vlo, vhi,
-                    ftau, dtarget, dtau, rm_w2, rm_2zw, observe, m_psi0, m_h,
-                    m_sl, m_off, c0, c1, c2, c3, a, b):
+def closed_loop_rhs(q, dq, sig, p):
     """The closed-loop equations: rates of the state ``q`` (in ``CL_STATE``
     order) into ``dq`` and the signals (u, co, y, e) into ``sig``.
 
+    ``p`` is the tuple of the loop constants (``loop._kernel_args``).
     Returns a status code.
     """
+    (kind, kp, ki, kd, gamma, r, vtau, vlo, vhi, ftau, dtarget, dtau, rm_w2,
+     rm_2zw, observe, m_psi0, m_h, m_sl, m_off, c0, c1, c2, c3, a, b) = p
     x = q[0]
     d = q[1]
     d_dot = (dtarget - d) / dtau
@@ -143,21 +156,21 @@ def closed_loop_rhs(q, dq, sig, kind, kp, ki, kd, gamma, r, vtau, vlo, vhi,
     y = d + co
     # control signal, solved per mode for the u <-> y_dot loop
     if kind == KIND_ADAPTIVE:
-        p = q[7] * r - q[8] * y
+        prop = q[7] * r - q[8] * y
         dgain = q[9]
     elif kind == KIND_FIXED_PID:
-        p = kp * (r - y) + ki * q[10]
+        prop = kp * (r - y) + ki * q[10]
         dgain = kd
     else:
-        p = kp * (r - y)
+        prop = kp * (r - y)
         dgain = kd
     if linear:
         den = 1.0 + dgain / vtau
         if den == 0.0:  # an RK stage can carry a negative gain k3 = -vtau
             return NONFINITE
-        u = (p - dgain * d_dot + dgain * x / vtau) / den
+        u = (prop - dgain * d_dot + dgain * x / vtau) / den
     else:
-        u = p - dgain * d_dot
+        u = prop - dgain * d_dot
     x_dot = (u - x) / vtau
     if linear:
         y_dot = d_dot + x_dot
@@ -203,23 +216,39 @@ def closed_loop_rhs(q, dq, sig, kind, kp, ki, kd, gamma, r, vtau, vlo, vhi,
     return OK
 
 
-def _closed_loop_loop(out, state, dt, kind, kp, ki, kd, gamma, r,
-                      vtau, vlo, vhi, ftau, dtarget, dtau, rm_w2, rm_2zw,
-                      observe, m_psi0, m_h, m_sl, m_off, c0, c1, c2, c3,
-                      a, b):
+def live_states(p):
+    """Indices of the states whose rate :func:`closed_loop_rhs` can make
+    nonzero under the constants ``p``: the gains k1..k3 only for the
+    adaptive kind, ``e_int`` only for the fixed PID, and (phi, psi) only
+    when ``observe`` is set.  Every other rate is exactly 0.0."""
+    kind = p[0]
+    observe = p[14]
+    live = (0, 1, 2, 3, 4, 5, 6)
+    if kind == KIND_ADAPTIVE:
+        live += (7, 8, 9)
+    elif kind == KIND_FIXED_PID:
+        live += (10,)
+    if observe:
+        live += (11, 12)
+    return live
+
+
+def _closed_loop_loop(out, state, live, dt, p):
     """RK4 on the joint anti-surge loop state.
 
-    ``state`` is the ``CL_DIM``-element vector in ``CL_STATE`` order; the
-    trailing pair (phi, psi) is integrated only when ``observe`` is true.
+    ``state`` is the ``CL_DIM``-element vector in ``CL_STATE`` order.  Only
+    the indices in ``live`` (:func:`live_states` of ``p``) are integrated;
+    the others keep their initial values, as their rates are exactly 0.0.
     ``out`` is (rows, 11) or (rows, 13): columns t, d, u, x, co, y, ym, e,
     k1, k2, k3 [, phi, psi].  Row i is recorded from the state at t = i*dt
-    before stepping.  The arguments after ``dt`` are those of
+    before stepping.  ``p`` is the constants tuple of
     :func:`closed_loop_rhs`.  Returns (status, row).
     """
-    p = (kind, kp, ki, kd, gamma, r, vtau, vlo, vhi, ftau, dtarget, dtau,
-         rm_w2, rm_2zw, observe, m_psi0, m_h, m_sl, m_off, c0, c1, c2, c3, a, b)
+    kind = p[0]
+    observe = p[14]
     n = out.shape[0]
-    dim = CL_DIM
+    h2 = 0.5 * dt
+    h6 = dt / 6.0
     s = state
     # scratch vectors in the storage of ``state``
     st = state.copy()
@@ -229,7 +258,7 @@ def _closed_loop_loop(out, state, dt, kind, kp, ki, kd, gamma, r,
     g4 = state.copy()
     sig = state[:4].copy()
     for i in range(n):
-        rc = closed_loop_rhs(s, g1, sig, *p)
+        rc = closed_loop_rhs(s, g1, sig, p)
         if rc != OK:
             return rc, i
         out[i, 0] = i * dt
@@ -248,24 +277,24 @@ def _closed_loop_loop(out, state, dt, kind, kp, ki, kd, gamma, r,
             out[i, 12] = s[12]
         if i == n - 1:
             break
-        for j in range(dim):
-            st[j] = s[j] + 0.5 * dt * g1[j]
-        rc = closed_loop_rhs(st, g2, sig, *p)
+        for j in live:
+            st[j] = s[j] + h2 * g1[j]
+        rc = closed_loop_rhs(st, g2, sig, p)
         if rc != OK:
             return rc, i + 1
-        for j in range(dim):
-            st[j] = s[j] + 0.5 * dt * g2[j]
-        rc = closed_loop_rhs(st, g3, sig, *p)
+        for j in live:
+            st[j] = s[j] + h2 * g2[j]
+        rc = closed_loop_rhs(st, g3, sig, p)
         if rc != OK:
             return rc, i + 1
-        for j in range(dim):
+        for j in live:
             st[j] = s[j] + dt * g3[j]
-        rc = closed_loop_rhs(st, g4, sig, *p)
+        rc = closed_loop_rhs(st, g4, sig, p)
         if rc != OK:
             return rc, i + 1
         ok = True
-        for j in range(dim):
-            s[j] = s[j] + dt / 6.0 * (g1[j] + 2.0 * g2[j] + 2.0 * g3[j] + g4[j])
+        for j in live:
+            s[j] = s[j] + h6 * (g1[j] + 2.0 * g2[j] + 2.0 * g3[j] + g4[j])
             if not math.isfinite(s[j]):
                 ok = False
         # adaptive gains are kept nonnegative by projection
@@ -278,11 +307,12 @@ def _closed_loop_loop(out, state, dt, kind, kp, ki, kd, gamma, r,
     return OK, n - 1
 
 
-def closed_loop_loop_py(out, state, *args):
-    """:func:`_closed_loop_loop` on ``state.tolist()``; the final state is
-    copied back into the array ``state``."""
+def closed_loop_loop_py(out, state, dt, p):
+    """:func:`_closed_loop_loop` on ``state.tolist()``, recording through
+    ``memoryview(out)``; the final state is copied back into the array
+    ``state``."""
     s = state.tolist()
-    rc = _closed_loop_loop(out, s, *args)
+    rc = _closed_loop_loop(memoryview(out), s, live_states(p), dt, p)
     state[:] = s
     return rc
 
@@ -291,7 +321,12 @@ greitzer_loop_py = _greitzer_loop
 
 if NUMBA_ENABLED:
     greitzer_loop_jit = numba.njit(cache=True)(_greitzer_loop)
-    closed_loop_loop_jit = numba.njit(cache=True)(_closed_loop_loop)
+    _closed_loop_loop_jit = numba.njit(cache=True)(_closed_loop_loop)
+
+    def closed_loop_loop_jit(out, state, dt, p):
+        """The compiled :func:`_closed_loop_loop` on the arrays."""
+        return _closed_loop_loop_jit(out, state, live_states(p), dt, p)
+
     greitzer_loop = greitzer_loop_jit
     closed_loop_loop = closed_loop_loop_jit
 else:

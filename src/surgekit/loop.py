@@ -188,7 +188,8 @@ def _kernel_args(cfg: ControllerConfig, valve: ValveModel,
                  profile: DisturbanceProfile, observe: bool = False,
                  cmap: CompressorMap = DEFAULT_MAP, a: float = FLOW_GAIN,
                  b: float = PRESSURE_GAIN) -> tuple:
-    """Trailing arguments shared by ``closed_loop_rhs`` and the kernel."""
+    """The loop constants: the tuple ``p`` of ``closed_loop_rhs`` and the
+    kernel."""
     c0, c1, c2, c3 = cmap.cubic
     return (_KIND_CODES[cfg.kind], cfg.kp, cfg.ki, cfg.kd, cfg.gamma,
             cfg.reference, valve.tau, valve.out_min, valve.out_max,
@@ -231,7 +232,7 @@ def simulate_closed_loop(cfg: ControllerConfig,
     with np.errstate(over="ignore", invalid="ignore"):
         status, row = _kernels.closed_loop_loop(
             out, state, dt,
-            *_kernel_args(cfg, valve, profile, observe, cmap, a, b))
+            _kernel_args(cfg, valve, profile, observe, cmap, a, b))
     if status == _kernels.OK:
         return Trajectory(dt, columns, out)
     partial = Trajectory(dt, columns, out[:row].copy())

@@ -70,7 +70,7 @@ def loop_rates(kind="adaptive", valve=ValveModel(), target=0.35,
                         DisturbanceProfile(target=target), observe)
     dq = np.empty(CL_DIM)
     sig = np.empty(4)
-    assert closed_loop_rhs(q, dq, sig, *args) == status
+    assert closed_loop_rhs(q, dq, sig, args) == status
     return {**dict(zip(("u", "co", "y", "e"), sig)),
             **{f"{name}_dot": rate for name, rate in zip(CL_STATE, dq)}}
 

@@ -31,7 +31,7 @@ def _closed_loop_args(out):
     valve = ValveModel()
     prof = DisturbanceProfile(target=0.35)
     return (out, initial_loop_state(cfg, valve, prof), 1e-3,
-            *_kernel_args(cfg, valve, prof))
+            _kernel_args(cfg, valve, prof))
 
 
 @needs_jit
@@ -71,6 +71,12 @@ class TestFlavourParity:
         assert eval(res.stdout) == tr.samples[-1].tolist()
 
 
+def _array_loop(out, state, dt, p):
+    """The shared loop on the arrays, the storage the jit flavour runs."""
+    return _kernels._closed_loop_loop(out, state, _kernels.live_states(p),
+                                      dt, p)
+
+
 class TestStorageParity:
     """The shared loop on an array state (the jit flavour's storage) and
     ``closed_loop_loop_py`` (Python floats) agree bit for bit."""
@@ -85,14 +91,13 @@ class TestStorageParity:
             state[11] = state[2]
             state[12] = map_pressure_rise(M, state[2])
         out = np.full((2001, 13 if observe else 11), np.nan)
-        rc = kernel(out, state, 1e-3, *_kernel_args(cfg, valve, prof, observe))
+        rc = kernel(out, state, 1e-3, _kernel_args(cfg, valve, prof, observe))
         return rc, out, state
 
     @pytest.mark.parametrize("observe", [False, True])
     @pytest.mark.parametrize("kind", CONTROLLER_KINDS)
     def test_array_and_float_storage_agree(self, kind, observe):
-        rc_a, out_a, state_a = self._run(_kernels._closed_loop_loop, kind,
-                                         observe, 0.35)
+        rc_a, out_a, state_a = self._run(_array_loop, kind, observe, 0.35)
         rc_b, out_b, state_b = self._run(_kernels.closed_loop_loop_py, kind,
                                          observe, 0.35)
         assert rc_a == rc_b == (_kernels.OK, 2000)
@@ -103,8 +108,7 @@ class TestStorageParity:
         # the observed compressor breaks down at row 855: both storages
         # stop there, leaving the same rows and the same final state
         runs = [self._run(kernel, "adaptive", True, 1.0)
-                for kernel in (_kernels._closed_loop_loop,
-                               _kernels.closed_loop_loop_py)]
+                for kernel in (_array_loop, _kernels.closed_loop_loop_py)]
         (rc_a, out_a, state_a), (rc_b, out_b, state_b) = runs
         assert rc_a == rc_b == (_kernels.PSI_NONPOSITIVE, 855)
         assert np.array_equal(out_a, out_b, equal_nan=True)
@@ -144,7 +148,7 @@ class TestStatusCodes:
         q[9] = -valve.tau
         status = _kernels.closed_loop_rhs(
             storage(q.tolist()), storage([0.0] * _kernels.CL_DIM),
-            storage([0.0] * 4), *_kernel_args(cfg, valve, prof))
+            storage([0.0] * 4), _kernel_args(cfg, valve, prof))
         assert status == _kernels.NONFINITE
 
 
