@@ -5,9 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from support import integrate, key_sample, load_one_key, scenario_diff
 
 from surgekit.cli import _apply_overrides, build_parser, main
+from surgekit.loop import CONTROLLER_KINDS
 from surgekit.scenario import KNOWN_KEYS, Scenario
 
 
@@ -289,6 +292,40 @@ class TestExitCodes:
         assert code == 3
         assert "shipped" in err
 
+    # zeros, extremes, ordinary values and any finite float
+    _VALUES = (st.sampled_from([0.0, -0.0, 1e300, 1.7e308])
+               | st.floats(0.0, 100.0)
+               | st.floats(allow_nan=False, allow_infinity=False))
+
+    @settings(max_examples=80, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kind=st.sampled_from(CONTROLLER_KINDS),
+           values=st.dictionaries(
+               st.sampled_from(["kp", "ki", "kd", "k1", "k2", "k3", "gamma",
+                                "reference", "target", "dinit"]), _VALUES),
+           dt=st.floats(1e-4, 0.05), t_end=st.floats(1e-6, 0.05),
+           observe=st.booleans(), decimation=st.integers(0, 600))
+    def test_fuzzed_closedloop_exits_cleanly(self, tmp_path, capsys, kind,
+                                             values, dt, t_end, observe,
+                                             decimation):
+        # a short closed-loop run from any flags ends in 0, 3 or 4, with
+        # at most one error line and no warning
+        argv = ["closedloop", "--controller", kind, f"--dt={dt!r}",
+                f"--t-end={t_end!r}", f"--decimation={decimation}",
+                "--out-dir", str(tmp_path)]
+        argv += [f"--{flag}={value!r}" for flag, value in values.items()]
+        if observe:
+            argv.append("--observe")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, *argv)
+        assert code in (0, 3, 4), argv
+        assert [str(w.message) for w in caught] == [], argv
+        if code == 0:
+            assert err == "", argv
+        else:
+            assert err.startswith("error:"), argv
+            assert len(err.splitlines()) == 1, argv
 
 
 def _assert_refused(capsys, tmp_path, argv):

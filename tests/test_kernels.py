@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from support import rk4_step
 
 from surgekit import _kernels
 from surgekit.compressor import DEFAULT_MAP, GreitzerParams, PlantState, \
@@ -113,6 +114,72 @@ class TestStorageParity:
         assert rc_a == rc_b == (_kernels.PSI_NONPOSITIVE, 855)
         assert np.array_equal(out_a, out_b, equal_nan=True)
         assert np.array_equal(state_a, state_b)
+
+
+class TestLiveStates:
+    """The loop integrates only :func:`_kernels.live_states`; a full
+    13-state RK4 over ``closed_loop_rhs`` is the oracle it must match."""
+
+    DT = 1e-3
+    STEPS = 2000
+
+    @staticmethod
+    def _oracle(state, dt, steps, p, skipped):
+        """Rows, final state and projection count of ``support.rk4_step``
+        on every state, with the adaptive gain projection; asserts that
+        each rhs call leaves the ``skipped`` rates at exactly 0.0."""
+        sig = np.empty(4)
+
+        def rates(_t, q):
+            dq = np.empty(_kernels.CL_DIM)
+            assert _kernels.closed_loop_rhs(q, dq, sig, p) == _kernels.OK
+            assert np.all(dq[skipped] == 0.0)
+            return dq
+
+        observe = p[14]
+        q = state.copy()
+        clamps = 0
+        rows = np.empty((steps + 1, 13 if observe else 11))
+        for i in range(steps + 1):
+            rates(i * dt, q)
+            row = [i * dt, q[1], sig[0], q[0], sig[1], sig[2], q[2], sig[3],
+                   q[7], q[8], q[9]]
+            rows[i] = row + [q[11], q[12]] if observe else row
+            if i == steps:
+                break
+            q = rk4_step(rates, i * dt, q, dt)
+            if p[0] == _kernels.KIND_ADAPTIVE:
+                clamps += np.count_nonzero(q[7:10] < 0.0)
+                q[7:10] = np.where(q[7:10] < 0.0, 0.0, q[7:10])
+        return rows, q, clamps
+
+    @pytest.mark.parametrize("kernel", [_array_loop,
+                                        _kernels.closed_loop_loop_py],
+                             ids=["array", "float"])
+    @pytest.mark.parametrize("observe", [False, True])
+    @pytest.mark.parametrize("kind", CONTROLLER_KINDS)
+    def test_kernel_matches_full_rk4(self, kind, observe, kernel):
+        # k3 starts at 0 and this set point drives its rate negative, so
+        # the adaptive runs clamp it
+        cfg = ControllerConfig(kind=kind, k3=0.0, reference=0.7)
+        valve = ValveModel()
+        prof = DisturbanceProfile(target=0.35)
+        p = _kernel_args(cfg, valve, prof, observe)
+        live = _kernels.live_states(p)
+        skipped = [j for j in range(_kernels.CL_DIM) if j not in live]
+        assert len(live) == (7 + 3 * (kind == "adaptive")
+                             + (kind == "fixed-pid") + 2 * observe)
+        state = initial_loop_state(cfg, valve, prof)
+        if observe:
+            state[11] = state[2]
+            state[12] = map_pressure_rise(M, state[2])
+        rows, final, clamps = self._oracle(state, self.DT, self.STEPS, p, skipped)
+        out = np.empty_like(rows)
+        rc = kernel(out, state, self.DT, p)
+        assert rc == (_kernels.OK, self.STEPS)
+        assert out.tobytes() == rows.tobytes()
+        assert state.tobytes() == final.tobytes()
+        assert (clamps > 0) == (kind == "adaptive")
 
 
 class TestStatusCodes:

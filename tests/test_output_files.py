@@ -9,6 +9,9 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from surgekit.cli import main
 from surgekit.csvio import write_rows, write_trajectory
@@ -64,6 +67,41 @@ class TestCsv:
         write_trajectory(small_traj(), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @settings(max_examples=60, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(1, 300), decimate=st.integers(1, 400))
+    def test_decimation_keeps_every_nth_row(self, tmp_path, n, decimate):
+        # the t column holds the row index, so it names the rows kept
+        rows = np.arange(n, dtype=float)
+        path = tmp_path / "traj.csv"
+        write_trajectory(Trajectory(1.0, ["t", "a"],
+                                    np.column_stack([rows, -rows])),
+                         path, decimate=decimate)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "t,a"
+        kept = [int(line.split(",")[0]) for line in lines[1:]]
+        assert kept == list(range(0, n, decimate))
+
+    @settings(max_examples=60, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(samples=hnp.arrays(
+        float, hnp.array_shapes(min_dims=2, max_dims=2, max_side=20),
+        elements=st.floats(allow_nan=False, allow_infinity=False,
+                           allow_subnormal=False)))
+    def test_read_back_matches_to_nine_digits(self, tmp_path, samples):
+        # rounding to 9 significant digits moves a value by at most
+        # 5e-9 of it; parsing the digits back adds at most half an ulp
+        path = tmp_path / "traj.csv"
+        names = [f"c{j}" for j in range(samples.shape[1])]
+        write_trajectory(Trajectory(1.0, names, samples), path)
+        with open(path, encoding="utf-8") as fh:
+            assert fh.readline() == ",".join(names) + "\n"
+            back = np.array([[float(v) for v in line.split(",")]
+                             for line in fh])
+        assert back.shape == samples.shape
+        assert np.all(np.abs(back - samples)
+                      <= 5e-9 * (1 + 1e-7) * np.abs(samples))
+
 
 #: sha256 of each catalog CSV, recorded when the benchmark was defined
 DIGESTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
@@ -100,6 +138,18 @@ class TestOutputBytes:
             ["closedloop", "--observe", "--t-end", "2", "--csv", str(csv)],
             csv) == ("5f9c9a07f26aedfa1c7a26eccc1a6ec0"
                      "ade274138dc5fa81b33a29362cede01b")
+
+    @pytest.mark.parametrize("kind", ["fixed-pd", "fixed-pid"])
+    def test_fixed_gain_written_as_negative_zero_stays(self, tmp_path, kind):
+        # a fixed controller's gains have no rate, so the loop leaves them
+        # as given: -0 on every row, never -0 + 0 = 0
+        csv = tmp_path / "k1.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["closedloop", "--controller", kind, "--k1=-0",
+                         "--t-end", "0.01", "--csv", str(csv)]) == 0
+        rows = [line.split(",") for line in csv.read_text().splitlines()]
+        assert rows[0][8:] == ["k1", "k2", "k3"]
+        assert [row[8:] for row in rows[1:]] == [["-0", "10", "0.7"]] * 11
 
 
 class TestSvg:
