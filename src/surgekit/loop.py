@@ -217,9 +217,11 @@ def simulate_closed_loop(cfg: ControllerConfig,
     out = _output_buffer(dt, t_end, len(columns))
     state = initial_loop_state(cfg, valve, profile)
     if observe:
-        y0 = state[2]   # the reference model starts on the measured flow
+        # the reference model starts on the measured flow; on a Python
+        # float a huge flow overflows the map to inf or nan, not a warning
+        y0 = float(state[2])
         psi0 = map_pressure_rise(cmap, y0)
-        if psi0 <= 0.0:
+        if not psi0 > 0.0:
             raise DomainError(
                 f"map value at observed flow {y0} is {psi0}; cannot observe")
         state[11] = y0

@@ -276,6 +276,20 @@ class TestExitCodes:
                        "(psi or psi_c <= 0) near t=0.854\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_observed_start_overflowing_the_map_exits_four(self, tmp_path,
+                                                           capsys):
+        # a huge finite flow overflows the map at the observed start: one
+        # line, no warning, no CSV
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "closedloop", "--observe",
+                                 "--dinit=1e300", "--out-dir", str(tmp_path))
+        assert code == 4 and out == ""
+        assert err == ("error: map value at observed flow 1e+300 is -inf; "
+                       "cannot observe\n")
+        assert [str(w.message) for w in caught] == []
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [
         ["averaging", "--scenario", "avg", "--avg-gamma", "inf"],
         ["simulate", "--scenario", "fig7", "--g", "inf"],
