@@ -12,17 +12,18 @@ pure-Python flavour computes on Python floats, several times faster in
 the interpreter than numpy scalars: the open-loop kernel starts from
 ``float`` scalars, and :func:`closed_loop_loop_py` runs the shared loop
 on ``state.tolist()``, whose copies are the RK scratch vectors, and
-records rows through ``memoryview(out)``.  The jit flavour computes on
-numpy arrays.  Both fill the preallocated ``out`` array, with
-bit-identical results.
+records rows through a flat ``memoryview`` of ``out``.  The jit flavour
+computes on numpy arrays and records through ``out.reshape(-1)``.  Both
+fill the preallocated ``out`` array, with bit-identical results.
 
 The closed loop integrates only its live states, :func:`live_states`:
 those whose rate :func:`closed_loop_rhs` can make nonzero for the run's
-controller kind and ``observe`` flag.  The gains k1..k3 move only under
-the adaptive kind, ``e_int`` only under the fixed PID, and (phi, psi)
-only when observed; the rhs sets every other rate to exactly 0.0, so
-those states keep their initial values, as a full RK4 step would leave
-them.  The one exception is a zero written as ``-0.0`` (a fixed
+controller kind and ``observe`` flag, less the reference model and the
+set-point filter when they start at rest.  The gains k1..k3 move only
+under the adaptive kind, ``e_int`` only under the fixed PID, and (phi,
+psi) only when observed; the rhs sets every other rate to exactly 0.0,
+so those states keep their initial values, as a full RK4 step would
+leave them.  The one exception is a zero written as ``-0.0`` (a fixed
 controller's gain, say), which stays ``-0.0`` where a full step's
 ``-0.0 + 0.0`` would make it ``0.0``.  The live indices are a tuple
 computed outside the loop, so under jit each run has one type for them.
@@ -216,14 +217,32 @@ def closed_loop_rhs(q, dq, sig, p):
     return OK
 
 
-def live_states(p):
-    """Indices of the states whose rate :func:`closed_loop_rhs` can make
-    nonzero under the constants ``p``: the gains k1..k3 only for the
-    adaptive kind, ``e_int`` only for the fixed PID, and (phi, psi) only
-    when ``observe`` is set.  Every other rate is exactly 0.0."""
+def live_states(p, state):
+    """Indices of the states the loop integrates from ``state`` under the
+    constants ``p``.
+
+    The gains k1..k3 move only under the adaptive kind, ``e_int`` only
+    under the fixed PID, and (phi, psi) only when ``observe`` is set;
+    :func:`closed_loop_rhs` sets every other such rate to exactly 0.0.
+    The reference model (ym1, ym2) and the set-point filter v1 are closed
+    subsystems: their rates read only themselves and the constants.  Each
+    is left out when its rates at ``state`` are exactly zero and none of
+    its values is ``-0.0``.  By induction it then never moves, and a full
+    RK4 step leaves it bit for bit as it is (``-0.0 + 0.0`` would be
+    ``0.0``, hence the sign check).  A rate the rhs leaves unwritten,
+    failing first, counts as nonzero.
+    """
     kind = p[0]
     observe = p[14]
-    live = (0, 1, 2, 3, 4, 5, 6)
+    dq = [math.nan] * CL_DIM
+    closed_loop_rhs(state, dq, [0.0] * 4, p)
+    live = (0, 1)
+    for sub in ((2, 3), (4,)):
+        if not all(dq[j] == 0.0 and (state[j] != 0.0
+                                     or math.copysign(1.0, state[j]) > 0.0)
+                   for j in sub):
+            live += sub
+    live += (5, 6)
     if kind == KIND_ADAPTIVE:
         live += (7, 8, 9)
     elif kind == KIND_FIXED_PID:
@@ -237,16 +256,18 @@ def _closed_loop_loop(out, state, live, dt, p):
     """RK4 on the joint anti-surge loop state.
 
     ``state`` is the ``CL_DIM``-element vector in ``CL_STATE`` order.  Only
-    the indices in ``live`` (:func:`live_states` of ``p``) are integrated;
-    the others keep their initial values, as their rates are exactly 0.0.
-    ``out`` is (rows, 11) or (rows, 13): columns t, d, u, x, co, y, ym, e,
-    k1, k2, k3 [, phi, psi].  Row i is recorded from the state at t = i*dt
-    before stepping.  ``p`` is the constants tuple of
+    the indices in ``live`` (:func:`live_states` of ``p`` and ``state``)
+    are integrated; the others keep their initial values, as a full step
+    would.  ``out`` is the flat buffer of a C-ordered (rows, w) array, w
+    11 or 13 (13 when observed): row i holds t, d, u, x, co, y, ym, e, k1,
+    k2, k3 [, phi, psi] at ``w*i`` to ``w*i + w - 1``, recorded from the
+    state at t = i*dt before stepping.  ``p`` is the constants tuple of
     :func:`closed_loop_rhs`.  Returns (status, row).
     """
     kind = p[0]
     observe = p[14]
-    n = out.shape[0]
+    w = 13 if observe else 11
+    n = len(out) // w
     h2 = 0.5 * dt
     h6 = dt / 6.0
     s = state
@@ -261,20 +282,21 @@ def _closed_loop_loop(out, state, live, dt, p):
         rc = closed_loop_rhs(s, g1, sig, p)
         if rc != OK:
             return rc, i
-        out[i, 0] = i * dt
-        out[i, 1] = s[1]
-        out[i, 2] = sig[0]
-        out[i, 3] = s[0]
-        out[i, 4] = sig[1]
-        out[i, 5] = sig[2]
-        out[i, 6] = s[2]
-        out[i, 7] = sig[3]
-        out[i, 8] = s[7]
-        out[i, 9] = s[8]
-        out[i, 10] = s[9]
+        b = w * i
+        out[b] = i * dt
+        out[b + 1] = s[1]
+        out[b + 2] = sig[0]
+        out[b + 3] = s[0]
+        out[b + 4] = sig[1]
+        out[b + 5] = sig[2]
+        out[b + 6] = s[2]
+        out[b + 7] = sig[3]
+        out[b + 8] = s[7]
+        out[b + 9] = s[8]
+        out[b + 10] = s[9]
         if observe:
-            out[i, 11] = s[11]
-            out[i, 12] = s[12]
+            out[b + 11] = s[11]
+            out[b + 12] = s[12]
         if i == n - 1:
             break
         for j in live:
@@ -294,8 +316,9 @@ def _closed_loop_loop(out, state, live, dt, p):
             return rc, i + 1
         ok = True
         for j in live:
-            s[j] = s[j] + h6 * (g1[j] + 2.0 * g2[j] + 2.0 * g3[j] + g4[j])
-            if not math.isfinite(s[j]):
+            v = s[j] + h6 * (g1[j] + 2.0 * g2[j] + 2.0 * g3[j] + g4[j])
+            s[j] = v
+            if not math.isfinite(v):
                 ok = False
         # adaptive gains are kept nonnegative by projection
         if kind == KIND_ADAPTIVE:
@@ -309,10 +332,11 @@ def _closed_loop_loop(out, state, live, dt, p):
 
 def closed_loop_loop_py(out, state, dt, p):
     """:func:`_closed_loop_loop` on ``state.tolist()``, recording through
-    ``memoryview(out)``; the final state is copied back into the array
-    ``state``."""
+    a flat ``memoryview`` of the C-ordered ``out``; the final state is
+    copied back into the array ``state``."""
     s = state.tolist()
-    rc = _closed_loop_loop(memoryview(out), s, live_states(p), dt, p)
+    rc = _closed_loop_loop(memoryview(out).cast("B").cast("d"), s,
+                           live_states(p, s), dt, p)
     state[:] = s
     return rc
 
@@ -325,7 +349,8 @@ if NUMBA_ENABLED:
 
     def closed_loop_loop_jit(out, state, dt, p):
         """The compiled :func:`_closed_loop_loop` on the arrays."""
-        return _closed_loop_loop_jit(out, state, live_states(p), dt, p)
+        return _closed_loop_loop_jit(out.reshape(-1), state,
+                                     live_states(p, state), dt, p)
 
     greitzer_loop = greitzer_loop_jit
     closed_loop_loop = closed_loop_loop_jit

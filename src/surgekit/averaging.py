@@ -97,11 +97,11 @@ def averaged_jacobian(p: AveragedPoint) -> np.ndarray:
     amp = p.gamma * p.r * p.r
     c = 1.0 + p.k2
     q = p.k1 / c
-    return amp * np.array([
-        [-1.0 / c, p.k1 / (c * c), 0.0],
-        [(2.0 * q - 1.0) / c, -(2.0 * q - 1.0) * p.k1 / (c * c), 0.0],
-        [0.0, 0.0, 0.0],
-    ])
+    rows = ((-1.0 / c, p.k1 / (c * c), 0.0),
+            ((2.0 * q - 1.0) / c, -(2.0 * q - 1.0) * p.k1 / (c * c), 0.0),
+            (0.0, 0.0, 0.0))
+    # products of Python floats: an overflow gives inf or nan, no warning
+    return np.array([[amp * v for v in row] for row in rows])
 
 
 def averaged_eigenvalues(p: AveragedPoint) -> tuple[float, float, float]:
@@ -112,7 +112,10 @@ def averaged_eigenvalues(p: AveragedPoint) -> tuple[float, float, float]:
     -gamma*r^2 * ((1+k2)^2 - k1*(1+k2) + 2*k1^2) / (1+k2)^3,
     a negative-definite quadratic in (1+k2, k1): never positive.
     """
-    lam = np.linalg.eigvals(averaged_jacobian(p))
+    jac = averaged_jacobian(p)
+    if not np.isfinite(jac).all():
+        raise DomainError(f"averaged Jacobian is not finite at {p}")
+    lam = np.linalg.eigvals(jac)
     if np.abs(lam.imag).max() > 1e-9:
         raise DomainError(f"unexpected complex eigenvalues at {p}: {lam}")
     return tuple(sorted(lam.real, reverse=True))
@@ -135,7 +138,10 @@ def stability_verdict(points: Iterable[AveragedPoint],
 
 def grid_points(grid: AveragingConfig) -> list[AveragedPoint]:
     """The ``grid.n`` by ``grid.n`` averaged points of ``grid``."""
-    return [AveragedPoint(k1=float(k1), k2=float(k2), k3=grid.k3, r=grid.r,
-                          gamma=grid.gamma)
-            for k1 in np.linspace(grid.k1_lo, grid.k1_hi, grid.n)
-            for k2 in np.linspace(grid.k2_lo, grid.k2_hi, grid.n)]
+    # near the float range, linspace's last step can round past it; that
+    # point is then set to the upper bound
+    with np.errstate(over="ignore"):
+        k1s = np.linspace(grid.k1_lo, grid.k1_hi, grid.n).tolist()
+        k2s = np.linspace(grid.k2_lo, grid.k2_hi, grid.n).tolist()
+    return [AveragedPoint(k1=k1, k2=k2, k3=grid.k3, r=grid.r,
+                          gamma=grid.gamma) for k1 in k1s for k2 in k2s]

@@ -19,7 +19,7 @@ from . import __version__
 from .averaging import REPORT_HEADER, grid_points, stability_verdict
 from .compressor import GreitzerParams, map_pressure_rise
 from .csvio import write_rows, write_trajectory
-from .errors import ScenarioError, SurgeKitError
+from .errors import DomainError, ScenarioError, SurgeKitError
 from .loop import CONTROLLER_KINDS, TUNE_RULES, extract_LT, gain_excursion, \
     simulate_closed_loop, zn_gains
 from .odesim import Trajectory, simulate_greitzer, steady_state_of
@@ -77,11 +77,26 @@ def cmd_map(args) -> int:
     lo = args.lo if args.lo is not None else sc.cmap.domain_lo
     hi = args.hi if args.hi is not None else sc.cmap.domain_hi
     n = args.n if args.n is not None else 201
-    if not (np.isfinite([lo, hi]).all() and lo < hi and n >= 2):
-        raise ScenarioError(
-            f"need finite lo < hi and n >= 2, got ({lo}, {hi}, {n})")
-    phis = np.linspace(lo, hi, n)
-    psis = np.array([map_pressure_rise(sc.cmap, p) for p in phis])
+    # a span hi - lo past the float range would make linspace overflow
+    if not (np.isfinite([lo, hi, hi - lo]).all() and lo < hi and n >= 2):
+        raise ScenarioError(f"need finite lo < hi, a finite span hi - lo "
+                            f"and n >= 2, got ({lo}, {hi}, {n})")
+    try:
+        phis = np.empty(n)
+    except (ValueError, MemoryError):
+        raise DomainError(
+            f"a map table of {n} points is too large to hold") from None
+    # near the float range, linspace's last step can round past it; that
+    # point is then set to hi
+    with np.errstate(over="ignore"):
+        phis[:] = np.linspace(lo, hi, n)
+    # on Python floats an overflow gives inf or nan, not a numpy warning
+    psis = np.array([map_pressure_rise(sc.cmap, p) for p in phis.tolist()])
+    finite = np.isfinite(psis)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise DomainError(f"map value at phi = {phis[k]:.9g} is {psis[k]}; "
+                          "the range leaves the map's float range")
     path = _csv_path(args, sc)
     write_rows(("phi", "psi_c"), np.column_stack([phis, psis]), path)
     peak = int(np.argmax(psis))

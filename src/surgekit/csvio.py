@@ -9,6 +9,8 @@ from __future__ import annotations
 import os
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DomainError
 from .odesim import Trajectory
 
@@ -41,12 +43,18 @@ def write_trajectory(traj: Trajectory, path, decimate: int = 1) -> None:
     if width != len(traj.columns):
         raise DomainError(
             f"row width {width} does not match header {traj.columns}")
-    row_format = ",".join(["%.9g"] * width) + "\n"
+    # a column whose values all have the same bits (-0.0 and NaN compared
+    # exactly) is formatted once, into the row template
+    bits = samples.view(np.uint64)
+    constant = (bits == bits[:1]).all(axis=0) & (len(samples) > 0)
+    row_format = ",".join(["%.9g" % samples[0, k] if constant[k] else "%.9g"
+                           for k in range(width)]) + "\n"
+    varying = np.flatnonzero(~constant)
 
     def blocks():
         yield ",".join(traj.columns) + "\n"
         for start in range(0, len(samples), _BLOCK_ROWS):
-            block = samples[start:start + _BLOCK_ROWS].tolist()
+            block = samples[start:start + _BLOCK_ROWS, varying].tolist()
             yield "".join([row_format % tuple(row) for row in block])
 
     _write_text(path, blocks())

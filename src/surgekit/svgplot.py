@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -27,6 +26,12 @@ class Series:
     name: str
     x: np.ndarray
     y: np.ndarray
+
+
+def _escape(text: str) -> str:
+    """``text`` with &, < and > replaced by their XML entities; ``&`` goes
+    first so the other entities keep their ampersands."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _bounds(values, pad_frac=0.04):
@@ -70,7 +75,7 @@ def render_svg(series: Sequence[Series], path, x_label: str = "",
                f'height="{plot_h}" fill="none" stroke="#333" stroke-width="1"/>')
     if title:
         out.append(f'<text x="{WIDTH / 2:.1f}" y="20" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="15">{escape(title)}</text>')
+                   f'font-family="sans-serif" font-size="15">{_escape(title)}</text>')
 
     for xv in np.linspace(x_lo, x_hi, 6):
         X = px(xv)
@@ -89,12 +94,12 @@ def render_svg(series: Sequence[Series], path, x_label: str = "",
     if x_label:
         out.append(f'<text x="{MARGIN_L + plot_w / 2:.1f}" y="{HEIGHT - 12}" '
                    f'text-anchor="middle" font-family="sans-serif" '
-                   f'font-size="13">{escape(x_label)}</text>')
+                   f'font-size="13">{_escape(x_label)}</text>')
     if y_label:
         cy = MARGIN_T + plot_h / 2
         out.append(f'<text x="16" y="{cy:.1f}" text-anchor="middle" '
                    f'font-family="sans-serif" font-size="13" '
-                   f'transform="rotate(-90 16 {cy:.1f})">{escape(y_label)}</text>')
+                   f'transform="rotate(-90 16 {cy:.1f})">{_escape(y_label)}</text>')
 
     for idx, s in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
@@ -107,7 +112,7 @@ def render_svg(series: Sequence[Series], path, x_label: str = "",
         out.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" '
                    f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
         out.append(f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
-                   f'font-size="12">{escape(s.name)}</text>')
+                   f'font-size="12">{_escape(s.name)}</text>')
 
     out.append("</svg>")
     _write_text(path, ["\n".join(out) + "\n"])

@@ -1,11 +1,13 @@
 """Command-line behavior: subcommands, scenario catalog, exit codes."""
 
 import argparse
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from support import integrate, key_sample, load_one_key, scenario_diff
 
@@ -251,20 +253,29 @@ class TestExitCodes:
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("argv,message", [
-        (["closedloop"], "error: non-finite loop state near t=0\n"),
-        (["simulate", "--scenario", "fig7"],
+        (["closedloop", "--dt", "1e200", "--t-end", "1e201"],
+         "error: non-finite loop state near t=0\n"),
+        (["simulate", "--scenario", "fig7", "--dt", "1e200", "--t-end",
+          "1e201"],
          "error: plenum pressure reached zero near t=0 "
          "(surge model breakdown)\n"),
+        (["map", "--hi", "1e300"], "error: map value at phi = 5e+297 is "
+         "-inf; the range leaves the map's float range\n"),
+        (["averaging", "--scenario", "avg", "--avg-r", "1e300"],
+         "error: averaged Jacobian is not finite at AveragedPoint(k1=0.1, "
+         "k2=0.1, k3=0.7, r=1e+300, gamma=1.0)\n"),
     ])
     def test_overflow_exits_four_without_warnings(self, tmp_path, capsys,
                                                   argv, message):
-        # the kernel reports the overflow through its status alone
+        # the kernels report an overflow through their status alone; the
+        # map and the averaged Jacobian overflow on Python floats and are
+        # refused.  One line, no warning and no CSV
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code, out, err = run(capsys, *argv, "--dt", "1e200", "--t-end",
-                                 "1e201", "--out-dir", str(tmp_path))
+            code, out, err = run(capsys, *argv, "--out-dir", str(tmp_path))
         assert code == 4 and out == "" and err == message
         assert [str(w.message) for w in caught] == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_observed_breakdown_exits_four(self, tmp_path, capsys):
         # the observed compressor breaks down mid-run: one line, no CSV
@@ -330,16 +341,55 @@ class TestExitCodes:
         argv += [f"--{flag}={value!r}" for flag, value in values.items()]
         if observe:
             argv.append("--observe")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, _, err = run(capsys, *argv)
-        assert code in (0, 3, 4), argv
-        assert [str(w.message) for w in caught] == [], argv
-        if code == 0:
-            assert err == "", argv
-        else:
-            assert err.startswith("error:"), argv
-            assert len(err.splitlines()) == 1, argv
+        _assert_clean_exit(capsys, argv)
+
+    @settings(max_examples=80, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(values=st.dictionaries(st.sampled_from(["lo", "hi"]), _VALUES),
+           n=st.none() | st.integers(-3, 300)
+           | st.sampled_from([10**18, 2**63 - 1, 2**64]))
+    @example(values={"hi": 1e300}, n=None)
+    @example(values={"lo": -1.7976931348623157e+308}, n=7)
+    def test_fuzzed_map_exits_cleanly(self, tmp_path, capsys, values, n):
+        # any range and size, huge ones included: the map overflows to
+        # inf in Python floats and is refused, and a table too large to
+        # hold is refused before it is built
+        argv = ["map", "--out-dir", str(tmp_path)]
+        argv += [f"--{flag}={value!r}" for flag, value in values.items()]
+        if n is not None:
+            argv.append(f"--n={n}")
+        _assert_clean_exit(capsys, argv)
+
+    @settings(max_examples=80, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(values=st.dictionaries(
+        st.sampled_from(["avg-k3", "avg-gamma", "avg-r", "k1-lo", "k1-hi",
+                         "k2-lo", "k2-hi"]), _VALUES),
+           n=st.integers(-1, 12))
+    @example(values={"avg-r": 1e300}, n=10)
+    @example(values={"k1-hi": 1.7976931348623157e+308}, n=10)
+    def test_fuzzed_averaging_exits_cleanly(self, tmp_path, capsys, values,
+                                            n):
+        # a huge gain, gamma or set point overflows the averaged Jacobian,
+        # which is refused before the eigensolve
+        argv = ["averaging", "--scenario", "avg", f"--grid-n={n}",
+                "--out-dir", str(tmp_path)]
+        argv += [f"--{flag}={value!r}" for flag, value in values.items()]
+        _assert_clean_exit(capsys, argv)
+
+
+def _assert_clean_exit(capsys, argv):
+    """Exit 0, 3 or 4 with no warning, and one error line unless 0."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(capsys, *argv)
+    assert code in (0, 3, 4), argv
+    assert [str(w.message) for w in caught] == [], argv
+    if code == 0:
+        assert err == "", argv
+    else:
+        assert err.startswith("error:"), argv
+        assert len(err.splitlines()) == 1, argv
 
 
 def _assert_refused(capsys, tmp_path, argv):
@@ -396,3 +446,14 @@ class TestOverrideFlags:
                                               option, value):
         # a flag value meets the same check as the key in a scenario file
         _assert_refused(capsys, tmp_path, [command, f"{option}={value}"])
+
+
+def test_import_loads_no_network_modules():
+    # svgplot escapes its own text: xml.sax.saxutils would import
+    # urllib.request and, through it, http.client, email and ssl, which
+    # every fresh start would pay for
+    code = ("import sys, surgekit.cli; print([m for m in ('urllib.request', "
+            "'http.client', 'email', 'ssl') if m in sys.modules])")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert res.stdout == "[]\n"

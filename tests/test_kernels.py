@@ -27,8 +27,8 @@ def _greitzer_args(out):
             0.8, 1.25, throttle_from_flow(M, 0.51))
 
 
-def _closed_loop_args(out):
-    cfg = ControllerConfig(kind="adaptive")
+def _closed_loop_args(out, reference):
+    cfg = ControllerConfig(kind="adaptive", reference=reference)
     valve = ValveModel()
     prof = DisturbanceProfile(target=0.35)
     return (out, initial_loop_state(cfg, valve, prof), 1e-3,
@@ -46,11 +46,15 @@ class TestFlavourParity:
         assert ra == rb == (_kernels.OK, 2000)
         assert np.array_equal(out_a, out_b)
 
-    def test_closed_loop_bitwise(self):
+    # the reference model starts at rest for the set point 0.55 and is
+    # left out of the RK4; at 0.7 it is integrated
+    @pytest.mark.parametrize("reference", [0.55, 0.7])
+    def test_closed_loop_bitwise(self, reference):
         out_a = np.empty((4001, 11))
         out_b = np.empty((4001, 11))
-        ra = _kernels.closed_loop_loop_py(*_closed_loop_args(out_a))
-        rb = _kernels.closed_loop_loop_jit(*_closed_loop_args(out_b))
+        ra = _kernels.closed_loop_loop_py(*_closed_loop_args(out_a, reference))
+        rb = _kernels.closed_loop_loop_jit(*_closed_loop_args(out_b,
+                                                              reference))
         assert ra == rb == (_kernels.OK, 4000)
         assert np.array_equal(out_a, out_b)
 
@@ -74,8 +78,8 @@ class TestFlavourParity:
 
 def _array_loop(out, state, dt, p):
     """The shared loop on the arrays, the storage the jit flavour runs."""
-    return _kernels._closed_loop_loop(out, state, _kernels.live_states(p),
-                                      dt, p)
+    return _kernels._closed_loop_loop(out.reshape(-1), state,
+                                      _kernels.live_states(p, state), dt, p)
 
 
 class TestStorageParity:
@@ -153,32 +157,54 @@ class TestLiveStates:
                 q[7:10] = np.where(q[7:10] < 0.0, 0.0, q[7:10])
         return rows, q, clamps
 
-    @pytest.mark.parametrize("observe", [False, True])
-    @pytest.mark.parametrize("kind", CONTROLLER_KINDS)
-    def test_kernel_matches_full_rk4(self, kind, observe):
-        # k3 starts at 0 and this set point drives its rate negative, so
-        # the adaptive runs clamp it
-        cfg = ControllerConfig(kind=kind, k3=0.0, reference=0.7)
+    def _check(self, kind, observe, reference, dropped):
+        """Both storages against the oracle, with the indices of the
+        reference model and the set-point filter that ``live_states``
+        drops; returns the oracle's projection count."""
+        cfg = ControllerConfig(kind=kind, k3=0.0, reference=reference)
         valve = ValveModel()
         prof = DisturbanceProfile(target=0.35)
         p = _kernel_args(cfg, valve, prof, observe)
-        live = _kernels.live_states(p)
-        skipped = [j for j in range(_kernels.CL_DIM) if j not in live]
-        assert len(live) == (7 + 3 * (kind == "adaptive")
-                             + (kind == "fixed-pid") + 2 * observe)
         state = initial_loop_state(cfg, valve, prof)
         if observe:
             state[11] = state[2]
             state[12] = map_pressure_rise(M, state[2])
+        live = _kernels.live_states(p, state)
+        skipped = [j for j in range(_kernels.CL_DIM) if j not in live]
+        assert [j for j in (2, 3, 4) if j not in live] == list(dropped)
+        assert len(live) == (7 - len(dropped) + 3 * (kind == "adaptive")
+                             + (kind == "fixed-pid") + 2 * observe)
         rows, final, clamps = self._oracle(state, self.DT, self.STEPS, p,
                                            skipped)
-        assert (clamps > 0) == (kind == "adaptive")
         for kernel in (_array_loop, _kernels.closed_loop_loop_py):
             q = state.copy()
             out = np.empty_like(rows)
             assert kernel(out, q, self.DT, p) == (_kernels.OK, self.STEPS)
             assert out.tobytes() == rows.tobytes()
             assert q.tobytes() == final.tobytes()
+        return clamps
+
+    @pytest.mark.parametrize("observe", [False, True])
+    @pytest.mark.parametrize("kind", CONTROLLER_KINDS)
+    def test_kernel_matches_full_rk4(self, kind, observe):
+        # the set point 0.7 moves the reference model, which starts on
+        # the measured flow 0.55; the set-point filter v1 starts on the
+        # set point, at rest, and is dropped.  k3 starts at 0 and this set
+        # point drives its rate negative, so the adaptive runs clamp it
+        clamps = self._check(kind, observe, 0.7, dropped=(4,))
+        assert (clamps > 0) == (kind == "adaptive")
+
+    @pytest.mark.parametrize("reference, dropped", [
+        (0.55, (2, 3, 4)), (-0.0, ())], ids=["at-rest", "negative-zero"])
+    @pytest.mark.parametrize("observe", [False, True])
+    @pytest.mark.parametrize("kind", CONTROLLER_KINDS)
+    def test_subsystems_at_rest_are_dropped(self, kind, observe, reference,
+                                            dropped):
+        # at the set point 0.55, the start's measured flow, the reference
+        # model and v1 both start at rest and are dropped.  At -0.0 the
+        # reference model moves, and v1 = -0.0 is kept: a full step would
+        # turn it into 0.0
+        self._check(kind, observe, reference, dropped)
 
 
 class TestStatusCodes:

@@ -61,6 +61,25 @@ class TestCsv:
         assert len(lines) == 5  # header + rows 0,5,10,15
         assert lines[1].startswith("0,")
 
+    def test_constant_columns_written_as_varying_ones(self, tmp_path):
+        # constant columns go into the row template; the text must be that
+        # of formatting every value, -0.0 and NaN included, and a column
+        # of zeros with one -0.0 is not constant
+        t = np.arange(6.0)
+        zeros = np.zeros(6)
+        zeros[2] = -0.0
+        samples = np.column_stack([t, np.full(6, -0.0), np.full(6, np.nan),
+                                   np.full(6, 1.0 / 3.0), zeros, -t])
+        path = tmp_path / "traj.csv"
+        write_trajectory(Trajectory(1.0, list("tabcde"), samples), path,
+                         decimate=2)
+        expected = "".join(",".join("%.9g" % v for v in row) + "\n"
+                           for row in samples[::2].tolist())
+        assert path.read_text() == "t,a,b,c,d,e\n" + expected
+        assert expected.splitlines()[0] == "0,-0,nan,0.333333333,0,-0"
+        write_trajectory(Trajectory(1.0, list("tabcde"), samples[:0]), path)
+        assert path.read_text() == "t,a,b,c,d,e\n"
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_trajectory(small_traj(), p1)
@@ -194,6 +213,17 @@ class TestSvg:
             render_svg([Series("bad", np.arange(3.0),
                                np.array([1.0, np.nan, 2.0]))],
                        tmp_path / "z.svg")
+
+    def test_text_is_escaped(self, tmp_path):
+        # &, < and > become entities, & first; quotes are left alone
+        path = tmp_path / "esc.svg"
+        render_svg([Series('s"1', np.arange(3.0), np.arange(3.0))], path,
+                   x_label="x&y", title="a<b&c>d")
+        text = path.read_text()
+        assert 'font-size="15">a&lt;b&amp;c&gt;d</text>' in text
+        assert 'font-size="13">x&amp;y</text>' in text
+        assert 'font-size="12">s"1</text>' in text
+        assert ET.fromstring(text).tag.endswith("svg")
 
     def test_deterministic_output(self, tmp_path):
         t = np.linspace(0, 1, 30)
