@@ -14,7 +14,9 @@ the interpreter than numpy scalars: the open-loop kernel starts from
 on ``state.tolist()``, whose copies are the RK scratch vectors, and
 records rows through a flat ``memoryview`` of ``out``.  The jit flavour
 computes on numpy arrays and records through ``out.reshape(-1)``.  Both
-fill the preallocated ``out`` array, with bit-identical results.
+fill the preallocated ``out`` array, with bit-identical results, in ranges
+of rows: after each, a caller's ``on_block`` can act on the rows filled
+so far (``csvio.TrajectoryFormatter`` formats them).
 
 The closed loop integrates only its live states, :func:`live_states`:
 those whose rate :func:`closed_loop_rhs` can make nonzero for the run's
@@ -252,17 +254,20 @@ def live_states(p, state):
     return live
 
 
-def _closed_loop_loop(out, state, live, dt, p):
-    """RK4 on the joint anti-surge loop state.
+def _closed_loop_loop(out, state, live, dt, p, start, stop):
+    """RK4 on the joint anti-surge loop state, over rows start..stop-1.
 
-    ``state`` is the ``CL_DIM``-element vector in ``CL_STATE`` order.  Only
-    the indices in ``live`` (:func:`live_states` of ``p`` and ``state``)
-    are integrated; the others keep their initial values, as a full step
-    would.  ``out`` is the flat buffer of a C-ordered (rows, w) array, w
-    11 or 13 (13 when observed): row i holds t, d, u, x, co, y, ym, e, k1,
-    k2, k3 [, phi, psi] at ``w*i`` to ``w*i + w - 1``, recorded from the
-    state at t = i*dt before stepping.  ``p`` is the constants tuple of
-    :func:`closed_loop_rhs`.  Returns (status, row).
+    ``state`` is the ``CL_DIM``-element vector in ``CL_STATE`` order, at
+    t = start*dt.  Only the indices in ``live`` (:func:`live_states` of
+    ``p`` and the run's first state) are integrated; the others keep their
+    initial values, as a full step would.  ``out`` is the flat buffer of a
+    C-ordered (rows, w) array, w 11 or 13 (13 when observed): row i holds
+    t, d, u, x, co, y, ym, e, k1, k2, k3 [, phi, psi] at ``w*i`` to
+    ``w*i + w - 1``, recorded from the state at t = i*dt before stepping.
+    Unless ``stop`` is the buffer's last row, ``state`` ends at
+    t = stop*dt, where the next range starts.  ``p`` is the constants
+    tuple of :func:`closed_loop_rhs`.  Returns (status, row): on failure
+    ``row`` is the first unfilled row, else the last one filled.
     """
     kind = p[0]
     observe = p[14]
@@ -278,7 +283,7 @@ def _closed_loop_loop(out, state, live, dt, p):
     g3 = state.copy()
     g4 = state.copy()
     sig = state[:4].copy()
-    for i in range(n):
+    for i in range(start, stop):
         rc = closed_loop_rhs(s, g1, sig, p)
         if rc != OK:
             return rc, i
@@ -327,18 +332,39 @@ def _closed_loop_loop(out, state, live, dt, p):
                     s[j] = 0.0
         if not ok:
             return NONFINITE, i + 1
-    return OK, n - 1
+    return OK, stop - 1
 
 
-def closed_loop_loop_py(out, state, dt, p):
-    """:func:`_closed_loop_loop` on ``state.tolist()``, recording through
-    a flat ``memoryview`` of the C-ordered ``out``; the final state is
-    copied back into the array ``state``."""
-    s = state.tolist()
-    rc = _closed_loop_loop(memoryview(out).cast("B").cast("d"), s,
-                           live_states(p, s), dt, p)
-    state[:] = s
+def _closed_loop_blocks(loop, flat, s, dt, p, block, on_block):
+    """``loop`` over the whole record ``flat`` in ranges of ``block``
+    rows, calling ``on_block(rows)`` with the rows filled after each
+    range; the live states are taken once, from the first state."""
+    live = live_states(p, s)
+    n = len(flat) // (13 if p[14] else 11)
+    rc = OK, n - 1
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        rc = loop(flat, s, live, dt, p, start, stop)
+        if rc[0] != OK:
+            break
+        if on_block is not None:
+            on_block(stop)
     return rc
+
+
+def closed_loop_loop_py(out, state, dt, p, block=None, on_block=None):
+    """:func:`_closed_loop_loop` over the C-ordered ``out`` on
+    ``state.tolist()``, recording through a flat ``memoryview``; the final
+    state is copied back into the array ``state``.  With ``block`` the
+    rows are filled ``block`` at a time, and ``on_block(rows)`` is called
+    after each such range with the rows filled so far."""
+    s = state.tolist()
+    try:
+        return _closed_loop_blocks(
+            _closed_loop_loop, memoryview(out).cast("B").cast("d"), s, dt, p,
+            block or len(out), on_block)
+    finally:
+        state[:] = s
 
 
 greitzer_loop_py = _greitzer_loop
@@ -347,10 +373,11 @@ if NUMBA_ENABLED:
     greitzer_loop_jit = numba.njit(cache=True)(_greitzer_loop)
     _closed_loop_loop_jit = numba.njit(cache=True)(_closed_loop_loop)
 
-    def closed_loop_loop_jit(out, state, dt, p):
-        """The compiled :func:`_closed_loop_loop` on the arrays."""
-        return _closed_loop_loop_jit(out.reshape(-1), state,
-                                     live_states(p, state), dt, p)
+    def closed_loop_loop_jit(out, state, dt, p, block=None, on_block=None):
+        """The compiled :func:`_closed_loop_loop` on the arrays, in the
+        ranges of :func:`closed_loop_loop_py`."""
+        return _closed_loop_blocks(_closed_loop_loop_jit, out.reshape(-1),
+                                   state, dt, p, block or len(out), on_block)
 
     greitzer_loop = greitzer_loop_jit
     closed_loop_loop = closed_loop_loop_jit

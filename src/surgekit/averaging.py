@@ -25,6 +25,8 @@ import numpy as np
 
 from .errors import DomainError
 
+#: bound on the largest eigenvalue of a stable point, relative to the
+#: largest Jacobian entry (``stability_verdict``)
 VERDICT_TOL = 1e-9
 
 #: CSV header for grid reports
@@ -112,7 +114,11 @@ def averaged_eigenvalues(p: AveragedPoint) -> tuple[float, float, float]:
     -gamma*r^2 * ((1+k2)^2 - k1*(1+k2) + 2*k1^2) / (1+k2)^3,
     a negative-definite quadratic in (1+k2, k1): never positive.
     """
-    jac = averaged_jacobian(p)
+    return _eigenvalues(averaged_jacobian(p), p)
+
+
+def _eigenvalues(jac: np.ndarray, p: AveragedPoint) -> tuple[float, ...]:
+    """:func:`averaged_eigenvalues` of the Jacobian ``jac`` at ``p``."""
     if not np.isfinite(jac).all():
         raise DomainError(f"averaged Jacobian is not finite at {p}")
     lam = np.linalg.eigvals(jac)
@@ -125,23 +131,38 @@ def stability_verdict(points: Iterable[AveragedPoint],
                       tol: float = VERDICT_TOL) -> list[AveragedReportRow]:
     """Per-point eigenvalues with a stable/unstable verdict.
 
-    Stable means the largest eigenvalue does not exceed ``tol``; the
-    marginal all-zero saturated case therefore counts as stable.
+    Stable means the largest eigenvalue does not exceed ``tol`` times the
+    largest Jacobian entry in magnitude.  The eigensolve's rounding error
+    grows with the matrix, so the exact zeros come out as small multiples
+    of its entries; relative to them, the verdict does not depend on the
+    scale of gamma*r^2.  The marginal all-zero saturated case counts as
+    stable.
     """
     rows = []
     for p in points:
-        lam = averaged_eigenvalues(p)
-        verdict = "stable" if max(lam) <= tol else "unstable"
-        rows.append(AveragedReportRow(p, lam, verdict))
+        jac = averaged_jacobian(p)
+        lam = _eigenvalues(jac, p)
+        stable = max(lam) <= tol * np.abs(jac).max()
+        rows.append(AveragedReportRow(p, lam,
+                                      "stable" if stable else "unstable"))
     return rows
 
 
 def grid_points(grid: AveragingConfig) -> list[AveragedPoint]:
-    """The ``grid.n`` by ``grid.n`` averaged points of ``grid``."""
+    """The ``grid.n`` by ``grid.n`` averaged points of ``grid``, k1 in the
+    outer order; a grid too large to hold is a DomainError."""
+    n = grid.n
+    try:
+        k1s = np.empty(n * n)
+        k2s = np.empty(n * n)
+    except (ValueError, MemoryError):
+        raise DomainError(f"an averaging grid of {n} x {n} points is too "
+                          "large to hold") from None
     # near the float range, linspace's last step can round past it; that
     # point is then set to the upper bound
     with np.errstate(over="ignore"):
-        k1s = np.linspace(grid.k1_lo, grid.k1_hi, grid.n).tolist()
-        k2s = np.linspace(grid.k2_lo, grid.k2_hi, grid.n).tolist()
+        k1s[:] = np.repeat(np.linspace(grid.k1_lo, grid.k1_hi, n), n)
+        k2s[:] = np.tile(np.linspace(grid.k2_lo, grid.k2_hi, n), n)
     return [AveragedPoint(k1=k1, k2=k2, k3=grid.k3, r=grid.r,
-                          gamma=grid.gamma) for k1 in k1s for k2 in k2s]
+                          gamma=grid.gamma)
+            for k1, k2 in zip(k1s.tolist(), k2s.tolist())]

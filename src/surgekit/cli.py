@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .averaging import REPORT_HEADER, grid_points, stability_verdict
 from .compressor import GreitzerParams, map_pressure_rise
-from .csvio import write_rows, write_trajectory
+from .csvio import TrajectoryFormatter, write_rows, write_trajectory
 from .errors import DomainError, ScenarioError, SurgeKitError
 from .loop import CONTROLLER_KINDS, TUNE_RULES, extract_LT, gain_excursion, \
     simulate_closed_loop, zn_gains
@@ -237,12 +237,15 @@ def cmd_tune(args) -> int:
 
 def cmd_closedloop(args) -> int:
     sc = _load(args, "closedloop")
-    traj = simulate_closed_loop(sc.controller, sc.valve, sc.disturbance,
-                                dt=sc.resolved_dt(),
-                                t_end=sc.resolved_t_end(),
-                                observe=sc.observe, cmap=sc.cmap)
     path = _csv_path(args, sc)
-    write_trajectory(traj, path, sc.decimation)
+    # where it pays, a second process formats the CSV while the kernel runs
+    with TrajectoryFormatter(sc.decimation) as formatter:
+        traj = simulate_closed_loop(sc.controller, sc.valve, sc.disturbance,
+                                    dt=sc.resolved_dt(),
+                                    t_end=sc.resolved_t_end(),
+                                    observe=sc.observe, cmap=sc.cmap,
+                                    on_block=formatter.rows_filled)
+        write_trajectory(traj, path, sc.decimation, formatter=formatter)
     y = traj.column("y")
     co = traj.column("co")
     r = sc.controller.reference

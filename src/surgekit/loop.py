@@ -16,6 +16,7 @@ breaking it with a one-step delay.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ import numpy as np
 from . import _kernels
 from .compressor import CompressorMap, DEFAULT_MAP, FLOW_GAIN, PRESSURE_GAIN, \
     map_pressure_rise
+from .csvio import _BLOCK_ROWS
 from .errors import DegenerateResponseError, DivergenceError, DomainError
 from .odesim import LOOP_DT, LOOP_T_END, Trajectory, _output_buffer
 
@@ -205,13 +207,19 @@ def simulate_closed_loop(cfg: ControllerConfig,
                          observe: bool = False,
                          cmap: CompressorMap = DEFAULT_MAP,
                          a: float = FLOW_GAIN,
-                         b: float = PRESSURE_GAIN) -> Trajectory:
+                         b: float = PRESSURE_GAIN,
+                         on_block=None) -> Trajectory:
     """Integrate the closed loop from :func:`initial_loop_state`.
 
     Columns: t, d, u, x, co, y, ym, e, k1, k2, k3.  With ``observe`` the
     measured inlet flow drives a side-by-side compressor integration
     (throttle parameter g = y/sqrt(psi_c(y))) and phi, psi columns are
     appended; the loop itself never feeds back from them.
+
+    The kernel fills the record in blocks of ``csvio._BLOCK_ROWS`` rows.
+    After each, ``on_block(samples, rows)`` is called, if given, with the
+    record and the rows filled so far; all of them means the run is
+    complete.
     """
     columns = list(LOOP_COLUMNS) + (["phi", "psi"] if observe else [])
     out = _output_buffer(dt, t_end, len(columns))
@@ -234,7 +242,9 @@ def simulate_closed_loop(cfg: ControllerConfig,
     with np.errstate(over="ignore", invalid="ignore"):
         status, row = _kernels.closed_loop_loop(
             out, state, dt,
-            _kernel_args(cfg, valve, profile, observe, cmap, a, b))
+            _kernel_args(cfg, valve, profile, observe, cmap, a, b),
+            _BLOCK_ROWS,
+            None if on_block is None else functools.partial(on_block, out))
     if status == _kernels.OK:
         return Trajectory(dt, columns, out)
     partial = Trajectory(dt, columns, out[:row].copy())

@@ -12,6 +12,7 @@ defined here.
 from __future__ import annotations
 
 import math
+import mmap
 import numbers
 from dataclasses import dataclass, field
 from typing import Optional
@@ -65,17 +66,24 @@ class Trajectory:
 
 
 def _output_buffer(dt: float, t_end: float, n_cols: int) -> np.ndarray:
-    """Uninitialised record of a run from t=0 to t_end, one row per step;
-    a run too long to hold is a DomainError naming the size it needs."""
+    """Zeroed record of a run from t=0 to t_end, one row per step; a run
+    too long to hold is a DomainError naming the size it needs.
+
+    The rows live in an anonymous shared mapping, so a process forked
+    while the run goes on (``csvio.TrajectoryFormatter``) reads the rows
+    filled after the fork.
+    """
     if not (dt > 0.0 and t_end > 0.0):
         raise DomainError(f"need dt > 0 and t_end > 0, got {dt}, {t_end}")
     rows = t_end / dt + 1e-9
     if math.isfinite(rows):
         rows = math.floor(rows) + 1
         try:
-            return np.empty((rows, n_cols))
-        except (ValueError, MemoryError):
+            shared = mmap.mmap(-1, 8 * rows * n_cols)
+        except (OverflowError, OSError, ValueError):
             pass
+        else:
+            return np.frombuffer(shared).reshape(rows, n_cols)
     raise DomainError(
         f"a run of t_end={t_end:g} at dt={dt:g} needs {rows:.6g} rows of "
         f"{n_cols} values ({8.0 * rows * n_cols:.3g} bytes); cannot allocate")

@@ -79,6 +79,18 @@ class LimitCycleReport:
     cycles_analyzed: int
 
 
+def _jacobian_entries(cmap: CompressorMap, phi: float, a: float,
+                      b: float) -> tuple[float, float, float, float]:
+    """Entries (j11, j12, j21, j22) of :func:`jacobian_at_equilibrium`,
+    as Python floats."""
+    cmap.check_flow(phi)
+    phi = float(phi)
+    psi = map_pressure_rise(cmap, phi)
+    if psi <= 0.0:
+        raise DomainError(f"map value at phi={phi} is {psi}; need psi_c > 0")
+    return a * map_slope(cmap, phi), -a, b, -b * phi / (2.0 * psi)
+
+
 def jacobian_at_equilibrium(cmap: CompressorMap, phi: float,
                             a: float = FLOW_GAIN,
                             b: float = PRESSURE_GAIN) -> np.ndarray:
@@ -87,23 +99,15 @@ def jacobian_at_equilibrium(cmap: CompressorMap, phi: float,
     At an equilibrium psi = psi_c(phi) and g = phi/sqrt(psi), which turns
     the throttle entry -b*g/(2*sqrt(psi)) into -b*phi/(2*psi_c(phi)).
     """
-    cmap.check_flow(phi)
-    psi = map_pressure_rise(cmap, phi)
-    if psi <= 0.0:
-        raise DomainError(f"map value at phi={phi} is {psi}; need psi_c > 0")
-    return np.array([
-        [a * map_slope(cmap, phi), -a],
-        [b, -b * phi / (2.0 * psi)],
-    ])
+    j11, j12, j21, j22 = _jacobian_entries(cmap, phi, a, b)
+    return np.array([[j11, j12], [j21, j22]])
 
 
 def char_poly(cmap: CompressorMap, phi: float, a: float = FLOW_GAIN,
               b: float = PRESSURE_GAIN) -> tuple[float, float]:
     """Coefficients (b, c) of the characteristic polynomial s^2 + b*s + c."""
-    jac = jacobian_at_equilibrium(cmap, phi, a, b)
-    trace = jac[0, 0] + jac[1, 1]
-    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-    return -trace, det
+    j11, j12, j21, j22 = _jacobian_entries(cmap, phi, a, b)
+    return -(j11 + j22), j11 * j22 - j12 * j21
 
 
 def discriminant(cmap: CompressorMap, phi: float, a: float = FLOW_GAIN,
@@ -193,8 +197,14 @@ def stability_scan(cmap: CompressorMap, scan: StabilityConfig,
     """Tabulate the stability quantities on ``scan.n`` uniformly spaced
     flows of ``scan``."""
     cmap.check_flow(scan.lo, scan.hi)
+    try:
+        phis = np.empty(scan.n)
+    except (ValueError, MemoryError):
+        raise DomainError(
+            f"a scan of {scan.n} points is too large to hold") from None
+    phis[:] = np.linspace(scan.lo, scan.hi, scan.n)
     rows = []
-    for phi in np.linspace(scan.lo, scan.hi, scan.n):
+    for phi in phis.tolist():
         delta, real = _focus(cmap, phi, a, b)
         if real < -tol:
             cls = STABLE_FOCUS
@@ -203,7 +213,7 @@ def stability_scan(cmap: CompressorMap, scan: StabilityConfig,
         else:
             cls = BOUNDARY
         # the Bendixson indicator is the trace, twice the real part
-        rows.append(StabilityRow(float(phi), delta, real, 2.0 * real, cls))
+        rows.append(StabilityRow(phi, delta, real, 2.0 * real, cls))
     return rows
 
 

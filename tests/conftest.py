@@ -1,6 +1,8 @@
-"""Shared fixtures: closed-loop runs integrated once per test session."""
+"""Shared fixtures: closed-loop runs integrated once per test session,
+and a check that no test leaves a child process behind."""
 
 import inspect
+import os
 
 import pytest
 
@@ -27,3 +29,18 @@ def closed_loop_run():
             runs[key] = traj
         return runs[key]
     return run
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running or unreaped, such
+    as a CSV formatter process (``csvio.TrajectoryFormatter``)."""
+    yield
+    if not hasattr(os, "WNOHANG"):
+        return
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("the test left a child process "
+                + (f"{pid} unreaped" if pid else "running"))

@@ -141,6 +141,14 @@ class TestVerdicts:
                  for g in ("k1", "k2", "k3")] for k in rates])
             assert max(np.linalg.eigvals(jac).real) <= VERDICT_TOL
 
+    def test_bound_scales_with_the_jacobian(self):
+        # at r = 1e150 the entries reach 1e301 and the eigensolve's exact
+        # zeros come out near 1e287, far above an absolute 1e-9; relative
+        # to the entries every point is stable, as it is at r = 0.55
+        rows = stability_verdict(grid_points(AveragingConfig(r=1e150)))
+        assert max(max(r.eigenvalues) for r in rows) > 1e280
+        assert all(r.verdict == "stable" for r in rows)
+
     def test_single_point(self):
         rows = stability_verdict([P0])
         assert rows[0].verdict == "stable"

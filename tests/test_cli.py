@@ -311,6 +311,18 @@ class TestExitCodes:
         # float flags are TestOverrideFlags' cases
         _assert_refused(capsys, tmp_path, argv)
 
+    @pytest.mark.parametrize("argv, err", [
+        (["stability", "--n", str(10**18)],
+         f"a scan of {10**18} points is too large to hold"),
+        (["averaging", "--scenario", "avg", "--grid-n", str(10**18)],
+         f"an averaging grid of {10**18} x {10**18} points is too large "
+         "to hold"),
+    ], ids=["stability", "averaging"])
+    def test_table_too_large_exits_four(self, tmp_path, capsys, argv, err):
+        code, out, stderr = run(capsys, *argv, "--out-dir", str(tmp_path))
+        assert (code, out, stderr) == (4, "", f"error: {err}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_scenario_exits_three(self, tmp_path, capsys):
         code, _, err = run(capsys, "closedloop", "--scenario", "figZZ",
                            "--out-dir", str(tmp_path))
@@ -360,18 +372,40 @@ class TestExitCodes:
             argv.append(f"--n={n}")
         _assert_clean_exit(capsys, argv)
 
+    # sizes the tables cannot hold: 8e14 bytes and more, past the address
+    # space, so they are refused without touching memory
+    _HUGE = (st.integers(10**14, 10**18)
+             | st.sampled_from([10**18, 2**63 - 1, 2**63, 2**64]))
+
+    @settings(max_examples=60, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(values=st.dictionaries(st.sampled_from(["lo", "hi"]), _VALUES),
+           n=st.none() | st.integers(-3, 40) | _HUGE)
+    @example(values={}, n=10**18)
+    def test_fuzzed_stability_exits_cleanly(self, tmp_path, capsys, values,
+                                            n):
+        # any flow range and point count: a scan too large to hold is
+        # refused before it is built
+        argv = ["stability", "--out-dir", str(tmp_path)]
+        argv += [f"--{flag}={value!r}" for flag, value in values.items()]
+        if n is not None:
+            argv.append(f"--n={n}")
+        _assert_clean_exit(capsys, argv)
+
     @settings(max_examples=80, deadline=None, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(values=st.dictionaries(
         st.sampled_from(["avg-k3", "avg-gamma", "avg-r", "k1-lo", "k1-hi",
                          "k2-lo", "k2-hi"]), _VALUES),
-           n=st.integers(-1, 12))
+           n=st.integers(-1, 12) | st.integers(10**7, 10**18) | _HUGE)
     @example(values={"avg-r": 1e300}, n=10)
     @example(values={"k1-hi": 1.7976931348623157e+308}, n=10)
+    @example(values={}, n=10**18)
     def test_fuzzed_averaging_exits_cleanly(self, tmp_path, capsys, values,
                                             n):
         # a huge gain, gamma or set point overflows the averaged Jacobian,
-        # which is refused before the eigensolve
+        # which is refused before the eigensolve; a grid of n*n >= 1e14
+        # points, too large to hold, is refused before it is built
         argv = ["averaging", "--scenario", "avg", f"--grid-n={n}",
                 "--out-dir", str(tmp_path)]
         argv += [f"--{flag}={value!r}" for flag, value in values.items()]

@@ -76,10 +76,12 @@ class TestFlavourParity:
         assert eval(res.stdout) == tr.samples[-1].tolist()
 
 
-def _array_loop(out, state, dt, p):
-    """The shared loop on the arrays, the storage the jit flavour runs."""
-    return _kernels._closed_loop_loop(out.reshape(-1), state,
-                                      _kernels.live_states(p, state), dt, p)
+def _array_loop(out, state, dt, p, block=None, on_block=None):
+    """The shared loop on the arrays, the storage the jit flavour runs, in
+    the jit flavour's ranges of ``block`` rows."""
+    return _kernels._closed_loop_blocks(_kernels._closed_loop_loop,
+                                        out.reshape(-1), state, dt, p,
+                                        block or len(out), on_block)
 
 
 class TestStorageParity:
@@ -176,12 +178,19 @@ class TestLiveStates:
                              + (kind == "fixed-pid") + 2 * observe)
         rows, final, clamps = self._oracle(state, self.DT, self.STEPS, p,
                                            skipped)
+        # whole, and in ranges of 777 rows, whose bounds are no multiple
+        # of the block size the CLI uses: the state carries over
         for kernel in (_array_loop, _kernels.closed_loop_loop_py):
-            q = state.copy()
-            out = np.empty_like(rows)
-            assert kernel(out, q, self.DT, p) == (_kernels.OK, self.STEPS)
-            assert out.tobytes() == rows.tobytes()
-            assert q.tobytes() == final.tobytes()
+            for block in (None, 777):
+                q = state.copy()
+                out = np.empty_like(rows)
+                reported = []
+                assert kernel(out, q, self.DT, p, block, reported.append) \
+                    == (_kernels.OK, self.STEPS)
+                assert out.tobytes() == rows.tobytes()
+                assert q.tobytes() == final.tobytes()
+                stops = range(block or len(rows), len(rows), block or 1)
+                assert reported == [*stops, len(rows)]
         return clamps
 
     @pytest.mark.parametrize("observe", [False, True])

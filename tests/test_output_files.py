@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import signal
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from surgekit import csvio, loop
 from surgekit.cli import main
 from surgekit.csvio import write_rows, write_trajectory
 from surgekit.errors import DomainError
@@ -169,6 +171,157 @@ class TestOutputBytes:
         rows = [line.split(",") for line in csv.read_text().splitlines()]
         assert rows[0][8:] == ["k1", "k2", "k3"]
         assert [row[8:] for row in rows[1:]] == [["-0", "10", "0.7"]] * 11
+
+
+class _Forks:
+    """The processes forked through ``os.fork`` while it is patched, and
+    ``pays``, for a patched ``csvio._fork_pays`` to answer."""
+
+    def __init__(self, monkeypatch):
+        self.pids = []
+        self.pays = True
+        fork = os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                self.pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+
+
+def _run_cli(capsys, *argv):
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestFormatterProcess:
+    """A closed-loop CSV formatted in a forked process while the kernel
+    runs has the bytes, files and messages of the in-process path."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Small kernel blocks, the formatter processes counted, and
+        ``forks.pays`` deciding whether one is forked."""
+        forks = _Forks(monkeypatch)
+        monkeypatch.setattr(loop, "_BLOCK_ROWS", 1000)
+        monkeypatch.setattr(csvio, "_fork_pays", lambda rows: forks.pays)
+        return forks
+
+    def _both(self, capsys, forks, *argv):
+        """(code, stdout, stderr) of the run without and with a formatter
+        process, checking that the second forks one."""
+        results = []
+        for pays in (False, True):
+            forks.pays = pays
+            del forks.pids[:]
+            results.append(_run_cli(capsys, *argv))
+            assert len(forks.pids) == pays, argv
+        return results
+
+    @pytest.mark.parametrize("decimation", [1, 7, 100])
+    @pytest.mark.parametrize("observe", [False, True])
+    @pytest.mark.parametrize("kind", ["fixed-pd", "fixed-pid", "adaptive"])
+    def test_bytes_match_in_process(self, tmp_path, capsys, forks, kind,
+                                    observe, decimation):
+        # 2501 rows in blocks of 1000: the kept rows straddle the bounds
+        csv = tmp_path / "run.csv"
+        argv = ["closedloop", "--controller", kind, "--t-end", "2.5",
+                f"--decimation={decimation}", "--csv", str(csv)]
+        if observe:
+            argv.append("--observe")
+        texts = []
+        for pays in (False, True):
+            forks.pays = pays
+            assert _run_cli(capsys, *argv)[0] == 0
+            texts.append(csv.read_bytes())
+        assert len(forks.pids) == 1
+        assert texts[0] == texts[1]
+        assert len(texts[0].splitlines()) == 1 + len(range(0, 2501,
+                                                           decimation))
+
+    def test_divergence_leaves_no_file(self, tmp_path, capsys, forks,
+                                       monkeypatch):
+        # the observed compressor breaks down at t=0.854, after the
+        # formatter has forked: no directory, no file, one line
+        monkeypatch.setattr(loop, "_BLOCK_ROWS", 100)
+        csv = tmp_path / "new" / "run.csv"
+        in_process, forked = self._both(
+            capsys, forks, "closedloop", "--observe", "--target", "1.0",
+            "--t-end", "5", "--csv", str(csv))
+        assert in_process == forked == (
+            4, "", "error: observed compressor model broke down "
+                   "(psi or psi_c <= 0) near t=0.854\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_csv_exits_five(self, tmp_path, capsys, forks):
+        (tmp_path / "afile").write_text("")
+        csv = tmp_path / "afile" / "run.csv"
+        in_process, forked = self._both(
+            capsys, forks, "closedloop", "--t-end", "2.5", "--csv", str(csv))
+        assert in_process == forked == (
+            5, "", f"error: [Errno 17] File exists: "
+                   f"'{tmp_path / 'afile'}'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+    @staticmethod
+    def _killed_at_start(samples, decimate, inbox, outbox):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    @staticmethod
+    def _killed_mid_text(samples, decimate, inbox, outbox):
+        # every report up to the complete run (or the end of the reports)
+        with open(inbox, "rb") as reports:
+            while 0 < int.from_bytes(reports.read(8), "little") < len(samples):
+                pass
+        os.write(outbox, b"0,1,2\n" * 1000)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    @pytest.mark.parametrize("formatter", ["_killed_at_start",
+                                           "_killed_mid_text"])
+    def test_killed_formatter_falls_back(self, tmp_path, capsys, forks,
+                                         monkeypatch, formatter):
+        csv = tmp_path / "run.csv"
+        argv = ("closedloop", "--t-end", "2.5", "--decimation=3", "--csv",
+                str(csv))
+        forks.pays = False
+        expected = _run_cli(capsys, *argv), csv.read_bytes()
+        forks.pays = True
+        monkeypatch.setattr(csvio, "_format_reported_rows",
+                            getattr(self, formatter))
+        assert (_run_cli(capsys, *argv), csv.read_bytes()) == expected
+        assert len(forks.pids) == 1
+
+    def test_forks_only_where_it_pays(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        pays = csvio._fork_pays
+        assert pays(csvio._FORK_MIN_ROWS + 1)
+        assert not pays(csvio._FORK_MIN_ROWS)
+        assert pays(csvio._FORK_MAX_ROWS)
+        assert not pays(csvio._FORK_MAX_ROWS + 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert not pays(50001)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.delattr(os, "fork")
+        assert not pays(50001)
+
+    def test_catalog_run_forks_and_sweep_call_does_not(self, tmp_path,
+                                                       monkeypatch):
+        # a 10001-row CSV takes the formatter process; the 201 rows a
+        # decimated sweep call writes do not
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        forks = _Forks(monkeypatch)
+        csv = str(tmp_path / "run.csv")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["closedloop", "--t-end", "10", "--csv", csv]) == 0
+            assert len(forks.pids) == 1
+            assert main(["closedloop", "--observe", "--t-end", "20",
+                         "--decimation", "100", "--csv", csv]) == 0
+        assert len(forks.pids) == 1
 
 
 class TestSvg:
