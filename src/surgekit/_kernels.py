@@ -1,22 +1,13 @@
-"""Hot fixed-step integration loops, JIT-compiled with numba when available.
+"""Hot fixed-step integration loops, in pure Python.
 
-Both kernels exist in two flavours built from the same source: a plain
-Python version (``*_py``) and a compiled version (``*_jit``).  The public
-names (``greitzer_loop``, ``closed_loop_loop``) point at the compiled
-flavour unless numba is missing or ``SURGEKIT_NO_NUMBA=1`` is set, in
-which case they fall back to the pure-Python flavour.  ``perfbench/run.py``
-times whichever flavour is active, end to end through the CLI.
-
-The flavours differ only in the storage the loops compute on.  The
-pure-Python flavour computes on Python floats, several times faster in
-the interpreter than numpy scalars: the open-loop kernel starts from
-``float`` scalars, and :func:`closed_loop_loop_py` runs the shared loop
-on ``state.tolist()``, whose copies are the RK scratch vectors, and
-records rows through a flat ``memoryview`` of ``out``.  The jit flavour
-computes on numpy arrays and records through ``out.reshape(-1)``.  Both
-fill the preallocated ``out`` array, with bit-identical results, in ranges
-of rows: after each, a caller's ``on_block`` can act on the rows filled
-so far (``csvio.TrajectoryFormatter`` formats them).
+Both loops compute on Python floats, several times faster in the
+interpreter than numpy scalars: the open-loop kernel
+:func:`greitzer_loop` starts from ``float`` scalars, and
+:func:`closed_loop_loop` runs on ``state.tolist()``, whose copies are the
+RK scratch vectors, and records rows through a flat ``memoryview`` of
+``out``.  Both fill the preallocated ``out`` array; the closed loop fills
+it in ranges of rows, and after each a caller's ``on_block`` can act on
+the rows filled so far (``csvio.TrajectoryFormatter`` formats them).
 
 The closed loop integrates only its live states, :func:`live_states`:
 those whose rate :func:`closed_loop_rhs` can make nonzero for the run's
@@ -27,35 +18,23 @@ psi) only when observed; the rhs sets every other rate to exactly 0.0,
 so those states keep their initial values, as a full RK4 step would
 leave them.  The one exception is a zero written as ``-0.0`` (a fixed
 controller's gain, say), which stays ``-0.0`` where a full step's
-``-0.0 + 0.0`` would make it ``0.0``.  The live indices are a tuple
-computed outside the loop, so under jit each run has one type for them.
+``-0.0 + 0.0`` would make it ``0.0``.
 
-Each model equation is defined once, as a jitable helper (compiled into
-the kernels that call it): the compressor map in :func:`pressure_rise`,
-the surge model's rates in :func:`surge_rhs` (called by the open-loop
-kernel at each RK4 stage and by the observe branch of the closed loop),
-and the closed-loop equations in :func:`closed_loop_rhs`.
+Each model equation is defined once: the compressor map in
+:func:`pressure_rise`, the surge model's rates in :func:`surge_rhs`
+(called by the open-loop kernel at each RK4 stage and by the observe
+branch of the closed loop), and the closed-loop equations in
+:func:`closed_loop_rhs`.
 
 Kernels never raise: they return ``(status, row)`` so the wrappers in
 ``odesim``/``loop`` can map failures onto the package exceptions.
 """
 
 import math
-import os
 
-try:
-    import numba
-    from numba.extending import register_jitable as _jitable
-    _HAVE_NUMBA = True
-except ImportError:  # numba is the optional ``jit`` extra
-    numba = None
-    _HAVE_NUMBA = False
-
-    def _jitable(fn):
-        return fn
-
-NUMBA_ENABLED = _HAVE_NUMBA and os.environ.get(
-    "SURGEKIT_NO_NUMBA", "").lower() not in ("1", "true", "yes")
+# the kernels are never compiled; perfbench/worker.py reads this flag to
+# record which flavour it timed
+NUMBA_ENABLED = False
 
 # status codes
 OK = 0
@@ -73,7 +52,6 @@ CL_STATE = ("x", "d", "ym1", "ym2", "v1", "v2", "v3",
 CL_DIM = len(CL_STATE)
 
 
-@_jitable
 def pressure_rise(phi, psi0, h, slope, offset, c0, c1, c2, c3):
     """The compressor map psi_c(phi) = psi0 + h * P(slope*phi + offset),
     ``P`` the cubic with ascending coefficients c0..c3."""
@@ -81,7 +59,6 @@ def pressure_rise(phi, psi0, h, slope, offset, c0, c1, c2, c3):
     return psi0 + h * (c0 + w * (c1 + w * (c2 + w * c3)))
 
 
-@_jitable
 def surge_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3, a, b):
     """Rates (d phi/dt, d psi/dt) of the surge model at throttle g.
 
@@ -91,8 +68,8 @@ def surge_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3, a, b):
     return a * (pc - psi), b * (phi - g * math.sqrt(psi))
 
 
-def _greitzer_loop(out, dt, m_psi0, m_h, m_sl, m_off, c0, c1, c2, c3,
-                   a, b, g):
+def greitzer_loop(out, dt, m_psi0, m_h, m_sl, m_off, c0, c1, c2, c3,
+                  a, b, g):
     """RK4 on the two-state surge model.
 
     ``out`` is a preallocated (rows, 3) array whose row 0 already holds
@@ -136,7 +113,6 @@ def _greitzer_loop(out, dt, m_psi0, m_h, m_sl, m_off, c0, c1, c2, c3,
     return OK, n - 1
 
 
-@_jitable
 def closed_loop_rhs(q, dq, sig, p):
     """The closed-loop equations: rates of the state ``q`` (in ``CL_STATE``
     order) into ``dq`` and the signals (u, co, y, e) into ``sig``.
@@ -254,20 +230,20 @@ def live_states(p, state):
     return live
 
 
-def _closed_loop_loop(out, state, live, dt, p, start, stop):
+def _closed_loop_loop(out, s, live, dt, p, start, stop):
     """RK4 on the joint anti-surge loop state, over rows start..stop-1.
 
-    ``state`` is the ``CL_DIM``-element vector in ``CL_STATE`` order, at
+    ``s`` is the list of the ``CL_DIM`` states in ``CL_STATE`` order, at
     t = start*dt.  Only the indices in ``live`` (:func:`live_states` of
     ``p`` and the run's first state) are integrated; the others keep their
-    initial values, as a full step would.  ``out`` is the flat buffer of a
+    initial values, as a full step would.  ``out`` is the flat view of a
     C-ordered (rows, w) array, w 11 or 13 (13 when observed): row i holds
     t, d, u, x, co, y, ym, e, k1, k2, k3 [, phi, psi] at ``w*i`` to
     ``w*i + w - 1``, recorded from the state at t = i*dt before stepping.
-    Unless ``stop`` is the buffer's last row, ``state`` ends at
-    t = stop*dt, where the next range starts.  ``p`` is the constants
-    tuple of :func:`closed_loop_rhs`.  Returns (status, row): on failure
-    ``row`` is the first unfilled row, else the last one filled.
+    Unless ``stop`` is the buffer's last row, ``s`` ends at t = stop*dt,
+    where the next range starts.  ``p`` is the constants tuple of
+    :func:`closed_loop_rhs`.  Returns (status, row): on failure ``row`` is
+    the first unfilled row, else the last one filled.
     """
     kind = p[0]
     observe = p[14]
@@ -275,14 +251,13 @@ def _closed_loop_loop(out, state, live, dt, p, start, stop):
     n = len(out) // w
     h2 = 0.5 * dt
     h6 = dt / 6.0
-    s = state
-    # scratch vectors in the storage of ``state``
-    st = state.copy()
-    g1 = state.copy()
-    g2 = state.copy()
-    g3 = state.copy()
-    g4 = state.copy()
-    sig = state[:4].copy()
+    # RK scratch vectors
+    st = s.copy()
+    g1 = s.copy()
+    g2 = s.copy()
+    g3 = s.copy()
+    g4 = s.copy()
+    sig = s[:4]
     for i in range(start, stop):
         rc = closed_loop_rhs(s, g1, sig, p)
         if rc != OK:
@@ -335,54 +310,28 @@ def _closed_loop_loop(out, state, live, dt, p, start, stop):
     return OK, stop - 1
 
 
-def _closed_loop_blocks(loop, flat, s, dt, p, block, on_block):
-    """``loop`` over the whole record ``flat`` in ranges of ``block``
-    rows, calling ``on_block(rows)`` with the rows filled after each
-    range; the live states are taken once, from the first state."""
-    live = live_states(p, s)
-    n = len(flat) // (13 if p[14] else 11)
-    rc = OK, n - 1
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        rc = loop(flat, s, live, dt, p, start, stop)
-        if rc[0] != OK:
-            break
-        if on_block is not None:
-            on_block(stop)
-    return rc
-
-
-def closed_loop_loop_py(out, state, dt, p, block=None, on_block=None):
-    """:func:`_closed_loop_loop` over the C-ordered ``out`` on
-    ``state.tolist()``, recording through a flat ``memoryview``; the final
-    state is copied back into the array ``state``.  With ``block`` the
-    rows are filled ``block`` at a time, and ``on_block(rows)`` is called
-    after each such range with the rows filled so far."""
+def closed_loop_loop(out, state, dt, p, block=None, on_block=None):
+    """:func:`_closed_loop_loop` over the C-ordered array ``out`` from the
+    array ``state``, into which the final state is copied back.  The loop
+    runs on ``state.tolist()`` and records through a flat ``memoryview``
+    of ``out``.  With ``block`` the rows are filled ``block`` at a time,
+    and ``on_block(rows)`` is called after each such range with the rows
+    filled so far; the live states are taken once, from the first state.
+    """
     s = state.tolist()
+    flat = memoryview(out).cast("B").cast("d")
+    live = live_states(p, s)
+    n = len(out)
+    block = block or n
+    rc = OK, n - 1
     try:
-        return _closed_loop_blocks(
-            _closed_loop_loop, memoryview(out).cast("B").cast("d"), s, dt, p,
-            block or len(out), on_block)
+        for start in range(0, n, block):
+            stop = min(start + block, n)
+            rc = _closed_loop_loop(flat, s, live, dt, p, start, stop)
+            if rc[0] != OK:
+                break
+            if on_block is not None:
+                on_block(stop)
+        return rc
     finally:
         state[:] = s
-
-
-greitzer_loop_py = _greitzer_loop
-
-if NUMBA_ENABLED:
-    greitzer_loop_jit = numba.njit(cache=True)(_greitzer_loop)
-    _closed_loop_loop_jit = numba.njit(cache=True)(_closed_loop_loop)
-
-    def closed_loop_loop_jit(out, state, dt, p, block=None, on_block=None):
-        """The compiled :func:`_closed_loop_loop` on the arrays, in the
-        ranges of :func:`closed_loop_loop_py`."""
-        return _closed_loop_blocks(_closed_loop_loop_jit, out.reshape(-1),
-                                   state, dt, p, block or len(out), on_block)
-
-    greitzer_loop = greitzer_loop_jit
-    closed_loop_loop = closed_loop_loop_jit
-else:
-    greitzer_loop_jit = None
-    closed_loop_loop_jit = None
-    greitzer_loop = greitzer_loop_py
-    closed_loop_loop = closed_loop_loop_py

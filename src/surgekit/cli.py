@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -138,6 +139,12 @@ def cmd_stability(args) -> int:
 
 def cmd_simulate(args) -> int:
     sc = _load(args, "simulate")
+    if not (np.isfinite(args.ss_window) and args.ss_window > 0.0):
+        raise ScenarioError(f"--ss-window must be finite and > 0, "
+                            f"got {args.ss_window}")
+    if not (np.isfinite(args.ss_tol) and args.ss_tol >= 0.0):
+        raise ScenarioError(f"--ss-tol must be finite and >= 0, "
+                            f"got {args.ss_tol}")
     traj = _run_plant(sc)
     path = _csv_path(args, sc)
     write_trajectory(traj, path, sc.decimation)
@@ -186,33 +193,48 @@ def cmd_limit_cycle(args) -> int:
     return 0
 
 
-def _read_step_csv(path) -> Trajectory:
-    """A step-response CSV with a uniform, increasing ``t`` column."""
-    try:
-        data = np.genfromtxt(path, delimiter=",", names=True, ndmin=1)
-    except ValueError as err:
-        raise ScenarioError(f"step CSV {path}: {err}") from err
+def _read_step_csv(path, signal) -> tuple[Trajectory, str]:
+    """A step-response CSV with a uniform, increasing ``t`` column, and
+    the column to fit: ``signal``, else the first one after ``t``.  The
+    time column and the fitted one must hold finite numbers."""
+    with warnings.catch_warnings():
+        # genfromtxt warns of an empty file before it fails on it
+        warnings.simplefilter("error", UserWarning)
+        try:
+            data = np.genfromtxt(path, delimiter=",", names=True, ndmin=1)
+        except (ValueError, UserWarning) as err:
+            detail = " ".join(str(err).split())  # one line
+            raise ScenarioError(f"step CSV {path}: {detail}") from None
     names = list(data.dtype.names or ())
     if "t" not in names:
         raise ScenarioError(f"step CSV {path}: no 't' column in {names}")
     if data.size < 3:
         raise ScenarioError(
             f"step CSV {path}: need at least 3 rows, got {data.size}")
-    steps = np.diff(data["t"])
-    if not (np.all(steps > 0.0)
+    # a span past the float range overflows; it is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.diff(data["t"])
+    if not (np.all(np.isfinite(steps)) and np.all(steps > 0.0)
             and np.allclose(steps, steps[0], rtol=1e-3, atol=0.0)):
         raise ScenarioError(
-            f"step CSV {path}: time column must be strictly increasing "
-            "with a uniform step")
+            f"step CSV {path}: time column must be finite and strictly "
+            "increasing with a uniform step")
     columns = ["t"] + [c for c in names if c != "t"]
+    if len(columns) < 2:
+        raise ScenarioError(f"step CSV {path}: no column besides 't'")
+    signal = signal or columns[1]
+    if signal in names and not np.all(np.isfinite(data[signal])):
+        raise ScenarioError(f"step CSV {path}: column {signal!r} holds a "
+                            "non-finite or unreadable value")
     return Trajectory(float(steps[0]), columns,
-                      np.column_stack([data[c] for c in columns]))
+                      np.column_stack([data[c] for c in columns])), signal
 
 
 def cmd_tune(args) -> int:
     if args.step_csv:
-        traj = _read_step_csv(args.step_csv)
-        signal = args.signal or traj.columns[1]
+        if args.final is not None and not np.isfinite(args.final):
+            raise ScenarioError(f"--final must be finite, got {args.final}")
+        traj, signal = _read_step_csv(args.step_csv, args.signal)
         L, T = extract_LT(traj, signal, final_value=args.final)
         print(f"tangent fit of {signal!r}: L = {L:.6g}, T = {T:.6g}")
         if L <= 0.0:

@@ -162,6 +162,15 @@ def throttle_from_flow(cmap: CompressorMap, phi: float) -> float:
     return phi / math.sqrt(psi)
 
 
+def _square(x: float) -> float:
+    """``x ** 2``, or inf past the float range, where ``**`` on a Python
+    float raises OverflowError (``x * x`` would round differently)."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
 def equilibrium_from_throttle(cmap: CompressorMap, g: float) -> PlantState:
     """Unique equilibrium (phi*, psi_c(phi*)) for a throttle parameter g.
 
@@ -173,7 +182,7 @@ def equilibrium_from_throttle(cmap: CompressorMap, g: float) -> PlantState:
         raise DomainError(f"throttle parameter must be positive, got {g}")
 
     def f(phi):
-        return map_pressure_rise(cmap, phi) - (phi / g) ** 2
+        return map_pressure_rise(cmap, phi) - _square(phi / g)
 
     def fprime(phi):
         return map_slope(cmap, phi) - 2.0 * phi / (g * g)
@@ -208,7 +217,7 @@ def equilibrium_from_throttle(cmap: CompressorMap, g: float) -> PlantState:
             root -= step
 
     psi = map_pressure_rise(cmap, root)
-    if abs(psi - (root / g) ** 2) > 1e-10:
+    if abs(psi - _square(root / g)) > 1e-10:
         raise NoEquilibriumError(
             f"equilibrium refinement stalled at phi={root} (g={g})")
     return PlantState(phi=root, psi=psi)

@@ -142,7 +142,14 @@ def zn_gains(tune: TuneConfig) -> dict[str, float]:
     else:
         kp, ti, td = 1.2 * T / L, 2.0 * L, 0.5 * L
     ki = 0.0 if math.isinf(ti) else kp / ti
-    return {"kp": kp, "ti": ti, "td": td, "ki": ki, "kd": kp * td}
+    kd = kp * td
+    # ti is infinite for the P rule by design; a gain past the float range
+    # is not a gain
+    if not all(map(math.isfinite, (kp, ki, kd, td))):
+        raise DomainError(
+            f"rule {tune.rule} at L = {L:g}, T = {T:g} gives gains past the "
+            f"float range: kp = {kp:g}, ki = {ki:g}, kd = {kd:g}, td = {td:g}")
+    return {"kp": kp, "ti": ti, "td": td, "ki": ki, "kd": kd}
 
 
 def extract_LT(traj: Trajectory, signal: str,
@@ -156,20 +163,27 @@ def extract_LT(traj: Trajectory, signal: str,
     """
     t = traj.t
     y = traj.column(signal)
-    if final_value is None:
-        n_tail = max(1, int(0.05 * len(y)))
-        final_value = float(y[-n_tail:].mean())
-    slope = np.gradient(y, t)
+    # on values near the float range the fit overflows to inf or nan,
+    # which is refused below instead of warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        if final_value is None:
+            n_tail = max(1, int(0.05 * len(y)))
+            final_value = float(y[-n_tail:].mean())
+        slope = np.gradient(y, t)
     i = int(np.argmax(slope))
-    s = slope[i]
-    span = abs(final_value - y[0])
-    if span <= 0.0 or s <= 0.0 or s * (t[-1] - t[0]) < 1e-9 * span:
+    s = float(slope[i])
+    ti, yi = float(t[i]), float(y[i])
+    span = abs(final_value - float(y[0]))
+    if (span <= 0.0 or s <= 0.0
+            or s * (float(t[-1]) - float(t[0])) < 1e-9 * span):
         raise DegenerateResponseError(
             "step response is flat; cannot place an inflection tangent")
-    t_axis = t[i] - y[i] / s
-    L = max(0.0, t_axis)
-    t_final = t[i] + (final_value - y[i]) / s
-    return L, t_final - L
+    L = max(0.0, ti - yi / s)
+    T = ti + (final_value - yi) / s - L
+    if not (math.isfinite(L) and math.isfinite(T)):
+        raise DegenerateResponseError(
+            f"tangent fit leaves the float range: L = {L}, T = {T}")
+    return L, T
 
 
 def initial_loop_state(cfg: ControllerConfig, valve: ValveModel,

@@ -1,6 +1,7 @@
 """Command-line behavior: subcommands, scenario catalog, exit codes."""
 
 import argparse
+import math
 import subprocess
 import sys
 import warnings
@@ -81,7 +82,14 @@ class TestTune:
         ("time,y\n0,0\n1,0.5\n2,1\n", "no 't' column"),
         ("t,y\n0,0\n1,0.5\n0.5,0.7\n2,1\n", "strictly increasing"),
         ("t,y\n0,0\n1,0.5\n3,0.7\n4,1\n", "uniform"),
-    ], ids=["one-row", "no-t", "non-monotonic", "non-uniform"])
+        ("t,y\n0,0\n1,nan\n2,1\n", "column 'y' holds a non-finite"),
+        ("t,y\n0,0\n1,abc\n2,1\n", "column 'y' holds a non-finite"),
+        ("t,y\n0,0\ninf,0.5\n2,1\n", "must be finite"),
+        ("t\n0\n1\n2\n", "no column besides 't'"),
+        ("", "Empty input file"),
+        ("t,y\n0,0,1\n1,0.5\n2,1\n", "got 3 columns instead of 2"),
+    ], ids=["one-row", "no-t", "non-monotonic", "non-uniform", "nan",
+            "unparseable", "infinite-t", "t-only", "empty", "ragged"])
     def test_bad_step_csv_exits_three(self, tmp_path, capsys, text,
                                       complaint):
         path = tmp_path / "step.csv"
@@ -150,6 +158,15 @@ class TestPlantCommands:
         assert code == 0
         assert "limit cycle detected" in out
         assert (tmp_path / "orbit.svg").exists()
+
+    @pytest.mark.parametrize("flag", [
+        "--ss-window=nan", "--ss-window=inf", "--ss-window=0",
+        "--ss-window=-1", "--ss-tol=nan", "--ss-tol=inf", "--ss-tol=-1"])
+    def test_bad_steady_state_flag_exits_three(self, tmp_path, capsys, flag):
+        # nan made steady_state_of raise a ValueError, and a nan tolerance
+        # let every run settle
+        _assert_refused(capsys, tmp_path,
+                        ["simulate", "--scenario", "fig7", flag])
 
     def test_stable_zone_reports_no_cycle(self, tmp_path, capsys):
         code, out, _ = run(capsys, "limit-cycle", "--flow", "0.55",
@@ -264,6 +281,12 @@ class TestExitCodes:
         (["averaging", "--scenario", "avg", "--avg-r", "1e300"],
          "error: averaged Jacobian is not finite at AveragedPoint(k1=0.1, "
          "k2=0.1, k3=0.7, r=1e+300, gamma=1.0)\n"),
+        (["tune", "--L", "1e-300", "--T", "1e300"],
+         "error: rule PID at L = 1e-300, T = 1e+300 gives gains past the "
+         "float range: kp = inf, ki = inf, kd = inf, td = 5e-301\n"),
+        (["tune", "--rule", "PI", "--L", "1e-300", "--T", "1e300"],
+         "error: rule PI at L = 1e-300, T = 1e+300 gives gains past the "
+         "float range: kp = inf, ki = inf, kd = nan, td = 0\n"),
     ])
     def test_overflow_exits_four_without_warnings(self, tmp_path, capsys,
                                                   argv, message):
@@ -333,6 +356,8 @@ class TestExitCodes:
     _VALUES = (st.sampled_from([0.0, -0.0, 1e300, 1.7e308])
                | st.floats(0.0, 100.0)
                | st.floats(allow_nan=False, allow_infinity=False))
+    # the same, or a negative one, an infinity or nan
+    _ANY = _VALUES | st.sampled_from([-1.0, math.inf, -math.inf, math.nan])
 
     @settings(max_examples=80, deadline=None, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -411,9 +436,84 @@ class TestExitCodes:
         argv += [f"--{flag}={value!r}" for flag, value in values.items()]
         _assert_clean_exit(capsys, argv)
 
+    @settings(max_examples=60, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(window=st.none() | _ANY, tol=st.none() | _ANY,
+           t_end=st.floats(1e-3, 2.0))
+    @example(window=math.nan, tol=None, t_end=1.0)
+    @example(window=None, tol=math.nan, t_end=1.0)
+    @example(window=None, tol=-1.0, t_end=1.0)
+    def test_fuzzed_simulate_exits_cleanly(self, tmp_path, capsys, window,
+                                           tol, t_end):
+        # any steady-state window and tolerance over a short run
+        argv = ["simulate", "--scenario", "fig7", f"--t-end={t_end!r}",
+                "--out-dir", str(tmp_path)]
+        if window is not None:
+            argv.append(f"--ss-window={window!r}")
+        if tol is not None:
+            argv.append(f"--ss-tol={tol!r}")
+        _assert_clean_exit(capsys, argv)
+
+    @settings(max_examples=60, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(values=st.dictionaries(
+        st.sampled_from(["flow", "g", "perturb-phi", "perturb-psi",
+                         "settle-fraction", "tol"]), _ANY),
+           t_end=st.floats(1e-3, 2.0))
+    def test_fuzzed_limit_cycle_exits_cleanly(self, tmp_path, capsys, values,
+                                              t_end):
+        # any plant start and detector setting over a short run
+        argv = ["limit-cycle", "--scenario", "fig6", f"--t-end={t_end!r}",
+                "--out-dir", str(tmp_path)]
+        argv += [f"--{flag}={value!r}" for flag, value in values.items()]
+        _assert_clean_exit(capsys, argv)
+
+    @settings(max_examples=80, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(values=st.dictionaries(st.sampled_from(["L", "T"]), _ANY),
+           rule=st.none() | st.sampled_from(["P", "PI", "PID"]))
+    @example(values={"L": 1e-320, "T": 1e308}, rule=None)
+    @example(values={"L": 1e-300, "T": 1e300}, rule="PI")
+    def test_fuzzed_tune_exits_cleanly(self, tmp_path, capsys, values, rule):
+        # any dead time and time constant: gains past the float range are
+        # refused, and only ti (infinite for the P rule) may be written
+        # non-finite
+        argv = ["tune", "--scenario", "zn", "--out-dir", str(tmp_path)]
+        argv += [f"--{flag}={value!r}" for flag, value in values.items()]
+        if rule is not None:
+            argv.append(f"--rule={rule}")
+        if _assert_clean_exit(capsys, argv) == 0:
+            header, row = read_csv(tmp_path / "zn.csv")
+            gains = dict(zip(header, row.tolist()))
+            assert all(math.isfinite(gains[g])
+                       for g in ("kp", "td", "ki", "kd")), argv
+
+    # a step-response field: any float, or a field that reads as nan
+    _FIELDS = (_ANY.map(repr)
+               | st.sampled_from(["", "abc", "1e999", "-1e999", "0x1"]))
+
+    @settings(max_examples=80, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(t0=_ANY, dt=_ANY, ys=st.lists(_FIELDS, max_size=12),
+           final=st.none() | _ANY)
+    @example(t0=0.0, dt=1.0, ys=["0", "nan", "1", "1"], final=None)
+    @example(t0=0.0, dt=1.0, ys=["0", "0.2", "0.9", "1"], final=math.nan)
+    def test_fuzzed_tune_step_csv_exits_cleanly(self, tmp_path, capsys, t0,
+                                                dt, ys, final):
+        # a written step response with any times and fields, and any
+        # final value: each is refused or fitted
+        path = tmp_path / "step.csv"
+        path.write_text("t,y\n" + "".join(
+            f"{t0 + k * dt!r},{y}\n" for k, y in enumerate(ys)))
+        argv = ["tune", "--step-csv", str(path), "--out-dir", str(tmp_path)]
+        if final is not None:
+            argv.append(f"--final={final!r}")
+        _assert_clean_exit(capsys, argv)
+
 
 def _assert_clean_exit(capsys, argv):
-    """Exit 0, 3 or 4 with no warning, and one error line unless 0."""
+    """Exit 0, 3 or 4 with no warning, and one error line unless 0;
+    returns the exit code."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, _, err = run(capsys, *argv)
@@ -424,6 +524,7 @@ def _assert_clean_exit(capsys, argv):
     else:
         assert err.startswith("error:"), argv
         assert len(err.splitlines()) == 1, argv
+    return code
 
 
 def _assert_refused(capsys, tmp_path, argv):

@@ -1,8 +1,5 @@
-"""Compiled and pure-Python kernel flavours must agree bit for bit."""
-
-import os
-import subprocess
-import sys
+"""The RK4 kernels against a full RK4 oracle, their status codes and
+their determinism."""
 
 import numpy as np
 import pytest
@@ -10,116 +7,12 @@ from support import rk4_step
 
 from surgekit import _kernels
 from surgekit.compressor import DEFAULT_MAP, GreitzerParams, PlantState, \
-    map_pressure_rise, throttle_from_flow
+    map_pressure_rise
 from surgekit.loop import (CONTROLLER_KINDS, ControllerConfig,
                            DisturbanceProfile, ValveModel, _kernel_args,
                            initial_loop_state, simulate_closed_loop)
 
 M = DEFAULT_MAP
-
-needs_jit = pytest.mark.skipif(not _kernels.NUMBA_ENABLED,
-                               reason="numba disabled or unavailable")
-
-
-def _greitzer_args(out):
-    c0, c1, c2, c3 = M.cubic
-    return (out, 1e-2, M.psi0, M.h, M.slope, M.offset, c0, c1, c2, c3,
-            0.8, 1.25, throttle_from_flow(M, 0.51))
-
-
-def _closed_loop_args(out, reference):
-    cfg = ControllerConfig(kind="adaptive", reference=reference)
-    valve = ValveModel()
-    prof = DisturbanceProfile(target=0.35)
-    return (out, initial_loop_state(cfg, valve, prof), 1e-3,
-            _kernel_args(cfg, valve, prof))
-
-
-@needs_jit
-class TestFlavourParity:
-    def test_greitzer_bitwise(self):
-        out_a = np.empty((2001, 3))
-        out_a[0] = (0.0, 0.63, 0.62)
-        out_b = out_a.copy()
-        ra = _kernels.greitzer_loop_py(*_greitzer_args(out_a))
-        rb = _kernels.greitzer_loop_jit(*_greitzer_args(out_b))
-        assert ra == rb == (_kernels.OK, 2000)
-        assert np.array_equal(out_a, out_b)
-
-    # the reference model starts at rest for the set point 0.55 and is
-    # left out of the RK4; at 0.7 it is integrated
-    @pytest.mark.parametrize("reference", [0.55, 0.7])
-    def test_closed_loop_bitwise(self, reference):
-        out_a = np.empty((4001, 11))
-        out_b = np.empty((4001, 11))
-        ra = _kernels.closed_loop_loop_py(*_closed_loop_args(out_a, reference))
-        rb = _kernels.closed_loop_loop_jit(*_closed_loop_args(out_b,
-                                                              reference))
-        assert ra == rb == (_kernels.OK, 4000)
-        assert np.array_equal(out_a, out_b)
-
-    def test_fixed_pid_bitwise(self):
-        # fixed-pid exercises the integral branch; compare the full
-        # simulate wrapper across the env-flag boundary
-        code = (
-            "from surgekit.loop import *\n"
-            "cfg = ControllerConfig(kind='fixed-pid', kp=10, ki=24, kd=1)\n"
-            "tr = simulate_closed_loop(cfg, "
-            "profile=DisturbanceProfile(target=0.35), t_end=4.0)\n"
-            "print(repr(tr.samples[-1].tolist()))\n")
-        env = dict(os.environ, SURGEKIT_NO_NUMBA="1")
-        res = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        cfg = ControllerConfig(kind="fixed-pid", kp=10, ki=24, kd=1)
-        tr = simulate_closed_loop(
-            cfg, profile=DisturbanceProfile(target=0.35), t_end=4.0)
-        assert eval(res.stdout) == tr.samples[-1].tolist()
-
-
-def _array_loop(out, state, dt, p, block=None, on_block=None):
-    """The shared loop on the arrays, the storage the jit flavour runs, in
-    the jit flavour's ranges of ``block`` rows."""
-    return _kernels._closed_loop_blocks(_kernels._closed_loop_loop,
-                                        out.reshape(-1), state, dt, p,
-                                        block or len(out), on_block)
-
-
-class TestStorageParity:
-    """The shared loop on an array state (the jit flavour's storage) and
-    ``closed_loop_loop_py`` (Python floats) agree bit for bit."""
-
-    @staticmethod
-    def _run(kernel, kind, observe, target):
-        cfg = ControllerConfig(kind=kind)
-        valve = ValveModel()
-        prof = DisturbanceProfile(target=target)
-        state = initial_loop_state(cfg, valve, prof)
-        if observe:
-            state[11] = state[2]
-            state[12] = map_pressure_rise(M, state[2])
-        out = np.full((2001, 13 if observe else 11), np.nan)
-        rc = kernel(out, state, 1e-3, _kernel_args(cfg, valve, prof, observe))
-        return rc, out, state
-
-    @pytest.mark.parametrize("observe", [False, True])
-    @pytest.mark.parametrize("kind", CONTROLLER_KINDS)
-    def test_array_and_float_storage_agree(self, kind, observe):
-        rc_a, out_a, state_a = self._run(_array_loop, kind, observe, 0.35)
-        rc_b, out_b, state_b = self._run(_kernels.closed_loop_loop_py, kind,
-                                         observe, 0.35)
-        assert rc_a == rc_b == (_kernels.OK, 2000)
-        assert np.array_equal(out_a, out_b)
-        assert np.array_equal(state_a, state_b)
-
-    def test_breakdown_agrees(self):
-        # the observed compressor breaks down at row 855: both storages
-        # stop there, leaving the same rows and the same final state
-        runs = [self._run(kernel, "adaptive", True, 1.0)
-                for kernel in (_array_loop, _kernels.closed_loop_loop_py)]
-        (rc_a, out_a, state_a), (rc_b, out_b, state_b) = runs
-        assert rc_a == rc_b == (_kernels.PSI_NONPOSITIVE, 855)
-        assert np.array_equal(out_a, out_b, equal_nan=True)
-        assert np.array_equal(state_a, state_b)
 
 
 class TestLiveStates:
@@ -160,7 +53,7 @@ class TestLiveStates:
         return rows, q, clamps
 
     def _check(self, kind, observe, reference, dropped):
-        """Both storages against the oracle, with the indices of the
+        """The kernel against the oracle, with the indices of the
         reference model and the set-point filter that ``live_states``
         drops; returns the oracle's projection count."""
         cfg = ControllerConfig(kind=kind, k3=0.0, reference=reference)
@@ -180,17 +73,17 @@ class TestLiveStates:
                                            skipped)
         # whole, and in ranges of 777 rows, whose bounds are no multiple
         # of the block size the CLI uses: the state carries over
-        for kernel in (_array_loop, _kernels.closed_loop_loop_py):
-            for block in (None, 777):
-                q = state.copy()
-                out = np.empty_like(rows)
-                reported = []
-                assert kernel(out, q, self.DT, p, block, reported.append) \
-                    == (_kernels.OK, self.STEPS)
-                assert out.tobytes() == rows.tobytes()
-                assert q.tobytes() == final.tobytes()
-                stops = range(block or len(rows), len(rows), block or 1)
-                assert reported == [*stops, len(rows)]
+        for block in (None, 777):
+            q = state.copy()
+            out = np.empty_like(rows)
+            reported = []
+            assert _kernels.closed_loop_loop(out, q, self.DT, p, block,
+                                             reported.append) \
+                == (_kernels.OK, self.STEPS)
+            assert out.tobytes() == rows.tobytes()
+            assert q.tobytes() == final.tobytes()
+            stops = range(block or len(rows), len(rows), block or 1)
+            assert reported == [*stops, len(rows)]
         return clamps
 
     @pytest.mark.parametrize("observe", [False, True])
@@ -221,7 +114,7 @@ class TestStatusCodes:
         out = np.empty((100, 3))
         out[0] = (0.0, 0.5, 1e-9)  # pressure collapses within one step
         c0, c1, c2, c3 = M.cubic
-        status, row = _kernels.greitzer_loop_py(
+        status, row = _kernels.greitzer_loop(
             out, 1.0, M.psi0, M.h, M.slope, M.offset, c0, c1, c2, c3,
             0.8, 1.25, 5.0)
         assert status == _kernels.PSI_NONPOSITIVE
@@ -251,35 +144,6 @@ class TestStatusCodes:
             storage(q.tolist()), storage([0.0] * _kernels.CL_DIM),
             storage([0.0] * 4), _kernel_args(cfg, valve, prof))
         assert status == _kernels.NONFINITE
-
-
-class TestEnvFlag:
-    def test_no_numba_env_selects_python_path(self):
-        code = ("import surgekit._kernels as k; "
-                "print(k.NUMBA_ENABLED, k.greitzer_loop is k.greitzer_loop_py)")
-        env = dict(os.environ, SURGEKIT_NO_NUMBA="1")
-        res = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert res.stdout.split() == ["False", "True"]
-
-    def test_python_fallback_runs_the_loop(self):
-        env = dict(os.environ, SURGEKIT_NO_NUMBA="1")
-        code = (
-            "import surgekit as sk\n"
-            "from surgekit.compressor import PlantState, GreitzerParams\n"
-            "t = sk.simulate_greitzer(PlantState(0.63, 0.62), "
-            "GreitzerParams(g=0.6046), dt=1e-2, t_end=2.0)\n"
-            "print(t.n_rows, t.column('phi')[-1])\n")
-        res = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        n, phi = res.stdout.split()
-        assert n == "201"
-        # same result as the in-process (possibly compiled) path
-        import surgekit as sk
-        ref = sk.simulate_greitzer(PlantState(0.63, 0.62),
-                                   GreitzerParams(g=0.6046),
-                                   dt=1e-2, t_end=2.0)
-        assert float(phi) == ref.column("phi")[-1]
 
 
 class TestKernelDeterminism:
