@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .averaging import REPORT_HEADER, grid_points, stability_verdict
 from .compressor import GreitzerParams, map_pressure_rise
-from .csvio import TrajectoryFormatter, write_rows, write_trajectory
+from .csvio import RunHelper, write_rows, write_trajectory
 from .errors import DomainError, ScenarioError, SurgeKitError
 from .loop import CONTROLLER_KINDS, TUNE_RULES, extract_LT, gain_excursion, \
     simulate_closed_loop, zn_gains
@@ -195,8 +195,9 @@ def cmd_limit_cycle(args) -> int:
 
 def _read_step_csv(path, signal) -> tuple[Trajectory, str]:
     """A step-response CSV with a uniform, increasing ``t`` column, and
-    the column to fit: ``signal``, else the first one after ``t``.  The
-    time column and the fitted one must hold finite numbers."""
+    the column to fit: ``signal``, which must name a column other than
+    ``t``, else the first one after ``t``.  The time column and the fitted
+    one must hold finite numbers."""
     with warnings.catch_warnings():
         # genfromtxt warns of an empty file before it fails on it
         warnings.simplefilter("error", UserWarning)
@@ -223,7 +224,10 @@ def _read_step_csv(path, signal) -> tuple[Trajectory, str]:
     if len(columns) < 2:
         raise ScenarioError(f"step CSV {path}: no column besides 't'")
     signal = signal or columns[1]
-    if signal in names and not np.all(np.isfinite(data[signal])):
+    if signal not in columns[1:]:
+        raise ScenarioError(f"step CSV {path}: --signal {signal!r} names "
+                            f"no signal column; have {columns[1:]}")
+    if not np.all(np.isfinite(data[signal])):
         raise ScenarioError(f"step CSV {path}: column {signal!r} holds a "
                             "non-finite or unreadable value")
     return Trajectory(float(steps[0]), columns,
@@ -260,14 +264,15 @@ def cmd_tune(args) -> int:
 def cmd_closedloop(args) -> int:
     sc = _load(args, "closedloop")
     path = _csv_path(args, sc)
-    # where it pays, a second process formats the CSV while the kernel runs
-    with TrajectoryFormatter(sc.decimation) as formatter:
+    # where it pays, a second process observes the compressor and formats
+    # the CSV while the kernel runs
+    with RunHelper(sc.decimation) as helper:
         traj = simulate_closed_loop(sc.controller, sc.valve, sc.disturbance,
                                     dt=sc.resolved_dt(),
                                     t_end=sc.resolved_t_end(),
                                     observe=sc.observe, cmap=sc.cmap,
-                                    on_block=formatter.rows_filled)
-        write_trajectory(traj, path, sc.decimation, formatter=formatter)
+                                    helper=helper)
+        write_trajectory(traj, path, sc.decimation, helper=helper)
     y = traj.column("y")
     co = traj.column("co")
     r = sc.controller.reference

@@ -1,14 +1,16 @@
-"""Deterministic CSV emission.
+"""Deterministic CSV emission, and the helper process of a closed-loop run.
 
 Numbers are written with 9 significant digits so repeated runs produce
 byte-identical files; the header row is always present.
 
-A long closed-loop record can be formatted while the kernel fills it: a
-:class:`TrajectoryFormatter` forks a process that formats each finished
-block of rows and sends the text back once the run is complete.  That
-process never touches the filesystem.  :func:`write_trajectory` creates
-and writes the file either way, and formats the rows itself when there is
-no formatter or it failed, so the bytes are the same.
+A closed-loop run can hand two jobs to a second CPU while its kernel
+fills the record: integrating the observed compressor, and formatting the
+CSV rows.  A :class:`RunHelper` forks one process per run that does both
+for each finished block of rows, and sends the text back once the run is
+complete.  That process never touches the filesystem.
+:func:`write_trajectory` creates and writes the file either way, and
+formats the rows itself when there is no helper or it failed, so the
+bytes are the same.
 """
 
 from __future__ import annotations
@@ -16,32 +18,41 @@ from __future__ import annotations
 import gc
 import os
 import signal
+import struct
 from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from ._kernels import OK
 from .errors import DomainError
 from .odesim import Trajectory
 
 
 #: trajectory rows formatted at a time, which bounds the memory a write
 #: takes.  Also the rows the closed-loop kernel fills between reports, so
-#: at most the rows a formatter process has left when the kernel ends: on
+#: at most the rows a helper process has left when the kernel ends: on
 #: fig10, 1024 beat 4096 end to end by about 2% (9 of 12 alternating runs)
 _BLOCK_ROWS = 1024
 
-#: written rows from which a forked formatter pays for itself.  On a
-#: 2-core Xeon VM, a fork round trip took 8 ms in an 87 MB process, and
-#: ``closedloop`` with the formatter against without (8 alternating runs
-#: each, 4096-row blocks) was even at 6,001 rows, 4% faster at 8,201 and
-#: 10% at 12,001
+#: written rows from which a helper process pays for formatting alone.
+#: On a 2-core Xeon VM, a fork round trip took 8 ms in an 87 MB process,
+#: and ``closedloop`` with a formatter process against without (8
+#: alternating runs each, 4096-row blocks) was even at 6,001 rows, 4%
+#: faster at 8,201 and 10% at 12,001
 _FORK_MIN_ROWS = 8192
 
-#: written rows up to which a forked formatter is used: it holds its text,
-#: about 130 bytes a row, until the run ends, where the in-process path
-#: holds one block at a time
+#: written rows up to which a helper process formats them: it holds their
+#: text, about 130 bytes a row, until the run ends, where the in-process
+#: path holds one block at a time
 _FORK_MAX_ROWS = 2_000_000
+
+#: observed rows from which a helper process pays for the observer alone.
+#: On the same VM, ``closedloop --observe --decimation 100`` with the
+#: helper against without (10 to 12 alternating runs each) was even at
+#: 2,001 and 3,001 rows (4 and 5 wins of 10), 3 to 13% faster from 3,501
+#: to 4,501 rows (7/10 to 10/12 wins) and 20% at 8,001 (10/10)
+_OBSERVE_MIN_ROWS = 4096
 
 
 def write_rows(header: Sequence[str], rows: Iterable[Sequence], path) -> None:
@@ -60,11 +71,11 @@ def write_rows(header: Sequence[str], rows: Iterable[Sequence], path) -> None:
 
 
 def write_trajectory(traj: Trajectory, path, decimate: int = 1,
-                     formatter: Optional[TrajectoryFormatter] = None) -> None:
+                     helper: Optional[RunHelper] = None) -> None:
     """Trajectory CSV: column 't' first, then the recorded signals.
 
-    With a ``formatter`` that followed the run of ``traj`` to its end, at
-    this decimation, the text it formatted is written.
+    With a ``helper`` that followed the run of ``traj`` to its end and
+    formatted it at this decimation, the text it formatted is written.
     """
     if decimate < 1:
         raise DomainError(f"decimation factor must be >= 1, got {decimate}")
@@ -74,13 +85,12 @@ def write_trajectory(traj: Trajectory, path, decimate: int = 1,
         raise DomainError(
             f"row width {width} does not match header {traj.columns}")
     header = ",".join(traj.columns) + "\n"
-    text = None if formatter is None else formatter.text(traj.samples,
-                                                         decimate)
+    text = None if helper is None else helper.text(traj.samples, decimate)
     if text is not None:
         try:
             _write_text(path, chain([header], text))
             return
-        except _FormatterLost:
+        except HelperLost:
             pass   # the file is written again below, from the record
     _write_text(path, chain([header], (
         _format_rows(samples[start:start + _BLOCK_ROWS])
@@ -103,15 +113,19 @@ def _format_rows(samples: np.ndarray) -> str:
     return "".join([row_format % tuple(row) for row in rows])
 
 
-class _FormatterLost(Exception):
-    """The formatter process ended without sending all of its text."""
+class HelperLost(Exception):
+    """The helper process ended without sending what it owed."""
 
 
-def _fork_pays(rows: int) -> bool:
-    """Whether a formatter process pays for ``rows`` written rows: there
-    is ``os.fork``, a second CPU, and more than ``_FORK_MIN_ROWS`` rows
-    but no more than ``_FORK_MAX_ROWS``."""
-    if not (hasattr(os, "fork") and _FORK_MIN_ROWS < rows <= _FORK_MAX_ROWS):
+def _fork_pays(written: int, observed: int) -> bool:
+    """Whether a helper process pays for a run that writes ``written`` CSV
+    rows and observes ``observed`` rows (0 when unobserved): there is
+    ``os.fork``, a second CPU, and either more than ``_FORK_MIN_ROWS``
+    written rows but no more than ``_FORK_MAX_ROWS``, or more than
+    ``_OBSERVE_MIN_ROWS`` observed ones."""
+    if not (hasattr(os, "fork")
+            and (_FORK_MIN_ROWS < written <= _FORK_MAX_ROWS
+                 or observed > _OBSERVE_MIN_ROWS)):
         return False
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -120,16 +134,26 @@ def _fork_pays(rows: int) -> bool:
     return cpus >= 2
 
 
-class TrajectoryFormatter:
-    """The CSV rows of a run, formatted in a forked process while the run
-    fills its record.
+#: the observer's result: status, row and stage (0 for None)
+_RESULT = struct.Struct("<qqq")
+#: a report: the rows filled, and whether the run ended there
+_REPORT = struct.Struct("<qq")
 
-    Pass :meth:`rows_filled` as the run's ``on_block`` and the formatter
-    to :func:`write_trajectory`, inside a ``with`` block, which ends the
-    process if its text is not collected.  The process is forked at the
-    first report when :func:`_fork_pays` for the rows to be written at
-    ``decimate``.  It formats the rows of each reported block and sends
-    the text back when the whole record has been reported.
+
+class RunHelper:
+    """A forked process that follows a closed-loop run while the kernel
+    fills its record: it integrates the observed compressor over each
+    reported range of rows, when the run is observed, and then formats
+    the range's CSV rows.
+
+    Pass the helper to ``loop.simulate_closed_loop`` and then to
+    :func:`write_trajectory`, inside a ``with`` block, which ends the
+    process if it is still running.  The process is forked when the run
+    starts (:meth:`start`) if :func:`_fork_pays`.  It formats the rows
+    when their text, which it holds until the run is complete, fits in
+    ``_FORK_MAX_ROWS`` rows.  Without the process, the caller observes and
+    formats in its own; it takes over the same way when the process is
+    lost.
     """
 
     def __init__(self, decimate: int):
@@ -137,30 +161,58 @@ class TrajectoryFormatter:
         self._samples = None
         self._pid = 0
         self._to_child = self._from_child = -1
-        self._complete = False
+        self._observes = self._formats = self._complete = False
 
-    def __enter__(self) -> "TrajectoryFormatter":
+    def __enter__(self) -> "RunHelper":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def rows_filled(self, samples: np.ndarray, rows: int) -> None:
-        """Report that the first ``rows`` rows of the record ``samples``
-        are final; all of them means the run is complete."""
-        if self._samples is None:
-            self._samples = samples
-            if _fork_pays(len(range(0, len(samples), self.decimate))):
-                self._fork()
-        if self._pid:
-            try:
-                os.write(self._to_child, rows.to_bytes(8, "little"))
-            except OSError:   # the process is gone
-                self.close()
-                return
-            self._complete = rows == len(samples)
+    def start(self, samples: np.ndarray, observe=None) -> bool:
+        """Fork the process, where it pays, for the run whose record is
+        ``samples``; ``observe(start, stop)`` integrates the observed
+        compressor over rows start..stop-1 and returns its (status, row,
+        stage).  Returns whether the process observes."""
+        self._samples = samples
+        written = len(range(0, len(samples), self.decimate))
+        if _fork_pays(written, 0 if observe is None else len(samples)):
+            self._fork(observe, written <= _FORK_MAX_ROWS)
+        return self._observes
 
-    def _fork(self) -> None:
+    def rows_filled(self, rows: int, last: bool = False):
+        """Report that the first ``rows`` rows of the record are final;
+        ``last``: the run ended there, complete if they are all of them.
+
+        Returns the observer's result when the process has one: its
+        failure, after which the process ends, or at the last report its
+        result.  Otherwise None.  Raises :class:`HelperLost` when the
+        process is gone without the result.
+        """
+        if not self._pid:
+            return None
+        try:
+            os.write(self._to_child, _REPORT.pack(rows, last))
+        except OSError:   # the process is gone, after a failure or not
+            return self._result()
+        if last:
+            self._complete = self._formats and rows == len(self._samples)
+            if self._observes:
+                return self._result()
+        return None
+
+    def _result(self):
+        data = b""
+        while len(data) < _RESULT.size:
+            chunk = os.read(self._from_child, _RESULT.size - len(data))
+            if not chunk:
+                self.close()
+                raise HelperLost
+            data += chunk
+        status, row, stage = _RESULT.unpack(data)
+        return status, row, stage or None
+
+    def _fork(self, observe, formats: bool) -> None:
         inbox = os.pipe()
         outbox = os.pipe()
         try:
@@ -177,8 +229,8 @@ class TrajectoryFormatter:
                 gc.disable()
                 os.close(inbox[1])
                 os.close(outbox[0])
-                _format_reported_rows(self._samples, self.decimate,
-                                      inbox[0], outbox[1])
+                _follow_run(self._samples, self.decimate if formats else 0,
+                            observe, inbox[0], outbox[1])
                 code = 0
             finally:
                 os._exit(code)
@@ -187,11 +239,13 @@ class TrajectoryFormatter:
         self._pid = pid
         self._to_child = inbox[1]
         self._from_child = outbox[0]
+        self._observes = observe is not None
+        self._formats = formats
 
     def text(self, samples: np.ndarray, decimate: int) -> Optional[Iterable]:
         """The text of the rows of ``samples`` at ``decimate``, as pieces
         read from the process, or None when it has not formatted them.
-        Reading past the last piece raises ``_FormatterLost`` when the
+        Reading past the last piece raises :class:`HelperLost` when the
         process ended without sending them all."""
         if (self._complete and samples is self._samples
                 and decimate == self.decimate):
@@ -203,7 +257,7 @@ class TrajectoryFormatter:
         while chunk := os.read(self._from_child, 1 << 20):
             yield chunk.decode("ascii")
         if not self._reap():
-            raise _FormatterLost
+            raise HelperLost
 
     def _reap(self) -> bool:
         """Wait for the process; whether it exited cleanly."""
@@ -220,25 +274,41 @@ class TrajectoryFormatter:
             if fd >= 0:
                 os.close(fd)
         self._to_child = self._from_child = -1
-        self._complete = False
+        self._observes = self._formats = self._complete = False
 
 
-def _format_reported_rows(samples: np.ndarray, decimate: int, inbox: int,
-                          outbox: int) -> None:
-    """The formatter process: format the rows of ``samples`` kept at
-    ``decimate`` as the counts of filled rows arrive on ``inbox``, and
-    write the text to ``outbox`` once every row has been reported."""
+def _follow_run(samples: np.ndarray, decimate: int, observe, inbox: int,
+                outbox: int) -> None:
+    """The helper process: for each range of filled rows reported on
+    ``inbox``, integrate the observed compressor over it with ``observe``,
+    if given, then format its rows kept at ``decimate``, if not 0.
+
+    The observer's result goes to ``outbox`` as soon as it fails, and
+    otherwise at the last report; then, when the run is complete, the
+    text.
+    """
     pieces = []
     done = 0
     with open(inbox, "rb") as reports:
-        while done < len(samples):
-            report = reports.read(8)
-            if len(report) < 8:
-                raise _FormatterLost   # the run stopped short
-            rows = int.from_bytes(report, "little")
-            first = -(-done // decimate) * decimate
-            pieces.append(_format_rows(samples[first:rows:decimate]))
+        while True:
+            report = reports.read(_REPORT.size)
+            if len(report) < _REPORT.size:
+                raise HelperLost   # the run's process is gone
+            rows, last = _REPORT.unpack(report)
+            if observe is not None:
+                status, row, stage = observe(done, rows)
+                if status != OK or last:
+                    os.write(outbox, _RESULT.pack(status, row, stage or 0))
+                    if status != OK:
+                        return
+            if last and rows < len(samples):
+                return
+            if decimate:
+                first = -(-done // decimate) * decimate
+                pieces.append(_format_rows(samples[first:rows:decimate]))
             done = rows
+            if last:
+                break
     with open(outbox, "w", encoding="ascii", newline="\n") as fh:
         fh.writelines(pieces)
 

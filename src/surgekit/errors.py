@@ -14,17 +14,22 @@ class ModelBreakdownError(SurgeKitError):
 
 
 class DivergenceError(SurgeKitError):
-    """A simulation produced a non-finite value.
+    """A simulation produced a non-finite value or left its model.
 
-    Carries the failure time, the last state, and whatever samples were
-    recorded up to the failure (``partial`` may be None).
+    Carries the failure time, the last state, whatever samples were
+    recorded up to the failure (``partial`` may be None), and for the
+    closed loop the RK stage 1-4 whose rates failed, or None when the
+    failing step's result was not finite (``stage``; None for the open
+    loop).
     """
 
-    def __init__(self, message, time=None, state=None, partial=None):
+    def __init__(self, message, time=None, state=None, partial=None,
+                 stage=None):
         super().__init__(message)
         self.time = time
         self.state = state
         self.partial = partial
+        self.stage = stage
 
 
 class AnalysisError(SurgeKitError):

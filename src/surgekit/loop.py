@@ -12,6 +12,15 @@ control signal through the valve in linear mode, the control signal is an
 algebraic loop; the kernel's ``closed_loop_rhs`` (the one definition of
 the loop equations) solves it in closed form per actuator mode rather than
 breaking it with a one-step delay.
+
+``--observe`` runs a compressor beside the loop, throttled by the
+measured flow and feeding nothing back.  The loop kernel records the flow
+at each RK stage, and the observer's own kernel integrates (phi, psi) from
+those flows one block of rows behind it: in the process of a
+``csvio.RunHelper`` when the CLI forks one (on the second CPU, while the
+loop goes on), else here after each block.  Either way the columns, and
+the time, rows, stage and state of a failure, are those of the coupled
+13-state RK4.
 """
 
 from __future__ import annotations
@@ -19,13 +28,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from . import _kernels
 from .compressor import CompressorMap, DEFAULT_MAP, FLOW_GAIN, PRESSURE_GAIN, \
     map_pressure_rise
-from .csvio import _BLOCK_ROWS
+from .csvio import _BLOCK_ROWS, HelperLost, RunHelper
 from .errors import DegenerateResponseError, DivergenceError, DomainError
 from .odesim import LOOP_DT, LOOP_T_END, Trajectory, _output_buffer
 
@@ -201,17 +211,68 @@ def initial_loop_state(cfg: ControllerConfig, valve: ValveModel,
 
 
 def _kernel_args(cfg: ControllerConfig, valve: ValveModel,
-                 profile: DisturbanceProfile, observe: bool = False,
-                 cmap: CompressorMap = DEFAULT_MAP, a: float = FLOW_GAIN,
-                 b: float = PRESSURE_GAIN) -> tuple:
+                 profile: DisturbanceProfile) -> tuple:
     """The loop constants: the tuple ``p`` of ``closed_loop_rhs`` and the
     kernel."""
-    c0, c1, c2, c3 = cmap.cubic
     return (_KIND_CODES[cfg.kind], cfg.kp, cfg.ki, cfg.kd, cfg.gamma,
             cfg.reference, valve.tau, valve.out_min, valve.out_max,
             valve.tau, profile.target, profile.tau, REF_MODEL_W2,
-            REF_MODEL_TWO_ZW, observe, cmap.psi0, cmap.h, cmap.slope,
-            cmap.offset, c0, c1, c2, c3, a, b)
+            REF_MODEL_TWO_ZW)
+
+
+def _observer_args(cmap: CompressorMap = DEFAULT_MAP, a: float = FLOW_GAIN,
+                   b: float = PRESSURE_GAIN) -> tuple:
+    """The observed compressor's constants: the tuple ``m`` of
+    ``observed_compressor``, whose items are those ``observed_rhs`` takes
+    after the flow."""
+    return (cmap.psi0, cmap.h, cmap.slope, cmap.offset, *cmap.cubic, a, b)
+
+
+class _Follower:
+    """``follow`` of ``_kernels.closed_loop_loop``: reports each range of
+    filled rows to the helper, if one is given, and integrates the
+    observed compressor over it with ``observe``, if given, where the
+    helper's process does not (none was forked, or it was lost; then from
+    the first row)."""
+
+    def __init__(self, observe, helper, samples):
+        self.observe = observe
+        self.helper = helper
+        self.done = 0
+        self.remote = helper is not None and helper.start(samples, observe)
+
+    def __call__(self, rows: int, last: bool):
+        if self.helper is not None:
+            try:
+                result = self.helper.rows_filled(rows, last)
+            except HelperLost:
+                self.remote = False
+            else:
+                if self.remote:
+                    return result
+        if self.observe is None:
+            return None
+        result = self.observe(self.done, rows)
+        self.done = rows
+        return result if last or result[0] != _kernels.OK else None
+
+
+def _integrate(out, ys, state, dt, p, m=None, helper=None, block=None):
+    """``_kernels.closed_loop_loop`` on the record ``out`` from ``state``,
+    ``block`` rows at a time: with the map constants ``m``, observed, the
+    stage flows going to ``ys``.  Both arrays must be shared mappings
+    (``odesim._output_buffer``) for a ``helper`` process to read and
+    write them.  Returns (status, row, stage)."""
+    observe = None
+    if m is not None:
+        observe = functools.partial(_kernels.observed_compressor,
+                                    _kernels.flat(out), _kernels.flat(ys),
+                                    dt, m)
+    follow = None
+    if observe is not None or helper is not None:
+        follow = _Follower(observe, helper, out)
+    return _kernels.closed_loop_loop(out, state, dt, p, block, follow,
+                                     None if m is None else ys)
 
 
 def simulate_closed_loop(cfg: ControllerConfig,
@@ -222,7 +283,7 @@ def simulate_closed_loop(cfg: ControllerConfig,
                          cmap: CompressorMap = DEFAULT_MAP,
                          a: float = FLOW_GAIN,
                          b: float = PRESSURE_GAIN,
-                         on_block=None) -> Trajectory:
+                         helper: Optional[RunHelper] = None) -> Trajectory:
     """Integrate the closed loop from :func:`initial_loop_state`.
 
     Columns: t, d, u, x, co, y, ym, e, k1, k2, k3.  With ``observe`` the
@@ -230,14 +291,17 @@ def simulate_closed_loop(cfg: ControllerConfig,
     (throttle parameter g = y/sqrt(psi_c(y))) and phi, psi columns are
     appended; the loop itself never feeds back from them.
 
-    The kernel fills the record in blocks of ``csvio._BLOCK_ROWS`` rows.
-    After each, ``on_block(samples, rows)`` is called, if given, with the
-    record and the rows filled so far; all of them means the run is
-    complete.
+    The kernel fills the record in blocks of ``csvio._BLOCK_ROWS`` rows,
+    and the observed compressor follows it, block by block.  A ``helper``
+    (``csvio.RunHelper``) is given each block when it is filled; where it
+    forks a process, that process observes and formats the blocks while
+    the kernel goes on.  Without one, the observer runs here after each
+    block.
     """
     columns = list(LOOP_COLUMNS) + (["phi", "psi"] if observe else [])
     out = _output_buffer(dt, t_end, len(columns))
     state = initial_loop_state(cfg, valve, profile)
+    m = ys = None
     if observe:
         # the reference model starts on the measured flow; on a Python
         # float a huge flow overflows the map to inf or nan, not a warning
@@ -248,17 +312,17 @@ def simulate_closed_loop(cfg: ControllerConfig,
                 f"map value at observed flow {y0} is {psi0}; cannot observe")
         state[11] = y0
         state[12] = psi0
+        m = _observer_args(cmap, a, b)
+        ys = _output_buffer(dt, t_end, 3)
     if not np.all(np.isfinite(state)):
         raise DomainError("initial loop state must be finite, got "
                           f"{dict(zip(_kernels.CL_STATE, state.tolist()))}")
 
     # an overflow is reported by the kernel's status, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
-        status, row = _kernels.closed_loop_loop(
-            out, state, dt,
-            _kernel_args(cfg, valve, profile, observe, cmap, a, b),
-            _BLOCK_ROWS,
-            None if on_block is None else functools.partial(on_block, out))
+        status, row, stage = _integrate(
+            out, ys, state, dt, _kernel_args(cfg, valve, profile), m,
+            helper, _BLOCK_ROWS)
     if status == _kernels.OK:
         return Trajectory(dt, columns, out)
     partial = Trajectory(dt, columns, out[:row].copy())
@@ -267,7 +331,7 @@ def simulate_closed_loop(cfg: ControllerConfig,
               if status == _kernels.PSI_NONPOSITIVE
               else "non-finite loop state")
     raise DivergenceError(f"{reason} near t={t_fail:.6g}", time=t_fail,
-                          state=state, partial=partial)
+                          state=state, partial=partial, stage=stage)
 
 
 def gain_excursion(traj: Trajectory) -> float:

@@ -70,8 +70,8 @@ def _output_buffer(dt: float, t_end: float, n_cols: int) -> np.ndarray:
     too long to hold is a DomainError naming the size it needs.
 
     The rows live in an anonymous shared mapping, so a process forked
-    while the run goes on (``csvio.TrajectoryFormatter``) reads the rows
-    filled after the fork.
+    while the run goes on (``csvio.RunHelper``) reads the rows filled
+    after the fork, and the rows it writes are the run's.
     """
     if not (dt > 0.0 and t_end > 0.0):
         raise DomainError(f"need dt > 0 and t_end > 0, got {dt}, {t_end}")

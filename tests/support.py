@@ -1,17 +1,25 @@
 """Test-side references: a plain RK4 integrator (the oracle the kernels
-are compared against), the kernel's own surge-model and closed-loop rhs at
-named states, the tracking cost of a run, and the values in which two
-scenarios differ.
+are compared against), the coupled 13-state closed-loop rhs, the kernel's
+own surge-model, closed-loop and observer rates at named states, a digest
+of the observed breakdown, the tracking cost of a run, and the values in
+which two scenarios differ.
 """
 
+import hashlib
+import math
 from dataclasses import asdict
 
 import numpy as np
 
-from surgekit._kernels import CL_DIM, CL_STATE, OK, closed_loop_rhs, surge_rhs
+from surgekit._kernels import (CL_DIM, CL_STATE, OK, PSI_NONPOSITIVE,
+                               closed_loop_rhs, observed_rhs, pressure_rise,
+                               surge_rhs)
 from surgekit.compressor import DEFAULT_MAP, FLOW_GAIN, PRESSURE_GAIN
+from surgekit.csvio import RunHelper
+from surgekit.errors import DivergenceError
 from surgekit.loop import (ControllerConfig, DisturbanceProfile, ValveModel,
-                           _kernel_args)
+                           _kernel_args, _observer_args,
+                           simulate_closed_loop)
 from surgekit.odesim import Trajectory
 from surgekit.scenario import KNOWN_KEYS, Scenario, load_scenario
 
@@ -54,25 +62,64 @@ def vector_field_grid(g, phi_range, psi_range, n, cmap=DEFAULT_MAP):
     return PHI, PSI, DPHI, DPSI
 
 
+def coupled_rhs(q, dq, sig, p, m=None):
+    """The closed loop with the observed compressor as one 13-state system:
+    ``closed_loop_rhs``'s rates and signals, and with the map constants
+    ``m`` the (phi, psi) rates of ``surge_rhs`` throttled by the stage's
+    measured flow, g = y/sqrt(psi_c(y)) (0.0 without ``m``).  The checks
+    come in the order of one rhs: the loop's, psi <= 0, psi_c(y) <= 0.
+    Returns a status code."""
+    status = closed_loop_rhs(q, dq, sig, p)
+    dq[11] = dq[12] = 0.0
+    if status != OK or m is None:
+        return status
+    if q[12] <= 0.0:
+        return PSI_NONPOSITIVE
+    pcy = pressure_rise(sig[2], *m[:8])
+    if pcy <= 0.0:
+        return PSI_NONPOSITIVE
+    dq[11], dq[12] = surge_rhs(q[11], q[12], sig[2] / math.sqrt(pcy), *m)
+    return OK
+
+
+def observed_rates(phi, psi, y, cmap=DEFAULT_MAP):
+    """``observed_rhs`` at a hand-built state and flow."""
+    return observed_rhs(phi, psi, y, *_observer_args(cmap))
+
+
 def loop_rates(kind="adaptive", valve=ValveModel(), target=0.35,
-               observe=False, status=OK, **values):
+               status=OK, **values):
     """``closed_loop_rhs`` at a hand-built state.
 
     Keywords named in ``CL_STATE`` set the state (the rest of it is 0; the
     adaptive gains in use are the state's k1..k3), the others are
-    ``ControllerConfig`` fields; ``target`` is the disturbance target and
-    ``observe`` turns on the observed compressor's (phi, psi) rates.
-    Checks that the rhs returns ``status``.
-    Returns the signals u, co, y, e and each rate as ``<name>_dot``.
+    ``ControllerConfig`` fields; ``target`` is the disturbance target.
+    Checks that the rhs returns ``status``.  Returns the signals u, co, y,
+    e and each loop rate as ``<name>_dot``.
     """
     q = np.array([float(values.pop(name, 0.0)) for name in CL_STATE])
     args = _kernel_args(ControllerConfig(kind=kind, **values), valve,
-                        DisturbanceProfile(target=target), observe)
+                        DisturbanceProfile(target=target))
     dq = np.empty(CL_DIM)
     sig = np.empty(4)
-    assert closed_loop_rhs(q, dq, sig, args) == status
+    assert coupled_rhs(q, dq, sig, args) == status
     return {**dict(zip(("u", "co", "y", "e"), sig)),
             **{f"{name}_dot": rate for name, rate in zip(CL_STATE, dq)}}
+
+
+def breakdown_digest():
+    """sha256 of the error of the observed breakdown at d = 1.0 (message,
+    time, stage, rows and state), the run given the CLI's helper."""
+    with RunHelper(1) as helper:
+        try:
+            simulate_closed_loop(ControllerConfig(),
+                                 profile=DisturbanceProfile(target=1.0),
+                                 t_end=5.0, observe=True, helper=helper)
+        except DivergenceError as err:
+            return hashlib.sha256(repr((
+                str(err), err.time, err.stage, err.partial.samples.tobytes(),
+                err.state.tobytes())).encode()).hexdigest()
+    raise AssertionError("the observed compressor did not break down")
 
 
 def tracking_cost(traj):

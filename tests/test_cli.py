@@ -77,25 +77,32 @@ class TestTune:
         assert "L = 0.386" in out and "T = 4\n" in out
         assert "kp = " in out
 
-    @pytest.mark.parametrize("text,complaint", [
-        ("t,y\n0,0.1\n", "at least 3 rows"),
-        ("time,y\n0,0\n1,0.5\n2,1\n", "no 't' column"),
-        ("t,y\n0,0\n1,0.5\n0.5,0.7\n2,1\n", "strictly increasing"),
-        ("t,y\n0,0\n1,0.5\n3,0.7\n4,1\n", "uniform"),
-        ("t,y\n0,0\n1,nan\n2,1\n", "column 'y' holds a non-finite"),
-        ("t,y\n0,0\n1,abc\n2,1\n", "column 'y' holds a non-finite"),
-        ("t,y\n0,0\ninf,0.5\n2,1\n", "must be finite"),
-        ("t\n0\n1\n2\n", "no column besides 't'"),
-        ("", "Empty input file"),
-        ("t,y\n0,0,1\n1,0.5\n2,1\n", "got 3 columns instead of 2"),
+    @pytest.mark.parametrize("text,complaint,signal", [
+        ("t,y\n0,0.1\n", "at least 3 rows", None),
+        ("time,y\n0,0\n1,0.5\n2,1\n", "no 't' column", None),
+        ("t,y\n0,0\n1,0.5\n0.5,0.7\n2,1\n", "strictly increasing", None),
+        ("t,y\n0,0\n1,0.5\n3,0.7\n4,1\n", "uniform", None),
+        ("t,y\n0,0\n1,nan\n2,1\n", "column 'y' holds a non-finite", None),
+        ("t,y\n0,0\n1,abc\n2,1\n", "column 'y' holds a non-finite", None),
+        ("t,y\n0,0\ninf,0.5\n2,1\n", "must be finite", None),
+        ("t\n0\n1\n2\n", "no column besides 't'", None),
+        ("", "Empty input file", None),
+        ("t,y\n0,0,1\n1,0.5\n2,1\n", "got 3 columns instead of 2", None),
+        ("t,y\n0,0\n1,0.5\n2,1\n",
+         "--signal 'zz' names no signal column; have ['y']", "zz"),
+        ("t,y\n0,0\n1,0.5\n2,1\n",
+         "--signal 't' names no signal column; have ['y']", "t"),
     ], ids=["one-row", "no-t", "non-monotonic", "non-uniform", "nan",
-            "unparseable", "infinite-t", "t-only", "empty", "ragged"])
+            "unparseable", "infinite-t", "t-only", "empty", "ragged",
+            "unknown-signal", "time-as-signal"])
     def test_bad_step_csv_exits_three(self, tmp_path, capsys, text,
-                                      complaint):
+                                      complaint, signal):
         path = tmp_path / "step.csv"
         path.write_text(text)
-        code, out, err = run(capsys, "tune", "--step-csv", str(path),
-                             "--out-dir", str(tmp_path))
+        argv = ["tune", "--step-csv", str(path), "--out-dir", str(tmp_path)]
+        if signal is not None:
+            argv.append(f"--signal={signal}")
+        code, out, err = run(capsys, *argv)
         assert code == 3
         assert complaint in err
         assert len(err.splitlines()) == 1 and out == ""
@@ -495,20 +502,31 @@ class TestExitCodes:
     @settings(max_examples=80, deadline=None, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(t0=_ANY, dt=_ANY, ys=st.lists(_FIELDS, max_size=12),
-           final=st.none() | _ANY)
-    @example(t0=0.0, dt=1.0, ys=["0", "nan", "1", "1"], final=None)
-    @example(t0=0.0, dt=1.0, ys=["0", "0.2", "0.9", "1"], final=math.nan)
+           final=st.none() | _ANY,
+           signal=st.none() | st.sampled_from(["y", "t", "zz", "Y"])
+           | st.text(max_size=4))
+    @example(t0=0.0, dt=1.0, ys=["0", "nan", "1", "1"], final=None,
+             signal=None)
+    @example(t0=0.0, dt=1.0, ys=["0", "0.2", "0.9", "1"], final=math.nan,
+             signal=None)
+    @example(t0=0.0, dt=1.0, ys=["0", "0.2", "0.9", "1"], final=None,
+             signal="t")
     def test_fuzzed_tune_step_csv_exits_cleanly(self, tmp_path, capsys, t0,
-                                                dt, ys, final):
-        # a written step response with any times and fields, and any
-        # final value: each is refused or fitted
+                                                dt, ys, final, signal):
+        # a written step response with any times and fields, any final
+        # value and any column named to fit: each is refused or fitted,
+        # and only the column y is fitted
         path = tmp_path / "step.csv"
         path.write_text("t,y\n" + "".join(
             f"{t0 + k * dt!r},{y}\n" for k, y in enumerate(ys)))
         argv = ["tune", "--step-csv", str(path), "--out-dir", str(tmp_path)]
         if final is not None:
             argv.append(f"--final={final!r}")
-        _assert_clean_exit(capsys, argv)
+        if signal is not None:
+            argv.append(f"--signal={signal}")
+        code = _assert_clean_exit(capsys, argv)
+        if signal not in ("y", "", None):
+            assert code == 3, argv
 
 
 def _assert_clean_exit(capsys, argv):

@@ -9,9 +9,11 @@ import math
 
 import numpy as np
 import pytest
-from support import integrate, loop_rates, reference_matrix, tracking_cost
+from support import (integrate, loop_rates, observed_rates,
+                     reference_matrix, tracking_cost)
 
-from surgekit._kernels import CL_DIM, CL_STATE, PSI_NONPOSITIVE
+from surgekit._kernels import CL_DIM, CL_STATE
+from surgekit.compressor import DEFAULT_MAP, map_pressure_rise
 from surgekit.errors import DegenerateResponseError, DivergenceError, \
     DomainError
 from surgekit.loop import (ADAPTIVE, ControllerConfig, DisturbanceProfile,
@@ -465,20 +467,22 @@ class TestClosedLoopScenarios:
     def test_observed_compressor_rates(self):
         # y = d + co = 0.5 throttles the observed compressor with
         # g = 0.5/sqrt(psi_c(0.5)), psi_c(0.5) = 0.712
-        r = loop_rates(FIXED_PD, x=0.1, d=0.4, phi=0.5, psi=0.6, observe=True)
-        assert r["y"] == 0.5
-        assert r["phi_dot"] == pytest.approx(0.8 * (0.712 - 0.6), abs=1e-12)
-        assert r["psi_dot"] == pytest.approx(
+        y = loop_rates(FIXED_PD, x=0.1, d=0.4)["y"]
+        assert y == 0.5
+        phi_dot, psi_dot = observed_rates(0.5, 0.6, y)
+        assert phi_dot == pytest.approx(0.8 * (0.712 - 0.6), abs=1e-12)
+        assert psi_dot == pytest.approx(
             1.25 * 0.5 * (1.0 - math.sqrt(0.6 / 0.712)), abs=1e-12)
-        # and the loop stops where the plenum pressure is gone
+        # and the observer stops where the plenum pressure is gone, or
+        # the map gives none at the measured flow
         for psi in (0.0, -0.1):
-            loop_rates(FIXED_PD, x=0.1, d=0.4, phi=0.5, psi=psi, observe=True,
-                       status=PSI_NONPOSITIVE)
+            assert observed_rates(0.5, psi, y) is None
+        assert map_pressure_rise(DEFAULT_MAP, 2.0) <= 0.0
+        assert observed_rates(0.5, 0.6, 2.0) is None
 
     def test_observed_compressor_tracks_measured_flow(self):
         # the side-by-side compressor is throttled by g = y/sqrt(psi_c(y)),
         # so once the loop settles its flow matches the measured inlet flow
-        from surgekit.compressor import DEFAULT_MAP, map_pressure_rise
         traj = _run(target=0.35, observe=True)
         y_end = traj.column("y")[-1]
         assert traj.column("phi")[-1] == pytest.approx(y_end, abs=2e-3)
@@ -495,6 +499,7 @@ class TestClosedLoopScenarios:
             _run(target=1.0, t_end=5.0, observe=True)
         err = exc.value
         assert err.time == pytest.approx(0.854, abs=1e-12)
+        assert err.stage == 2
         partial = err.partial
         assert partial.n_rows == 855
         assert np.all(np.isfinite(partial.samples))

@@ -6,6 +6,8 @@ import io
 import json
 import os
 import signal
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -13,8 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from support import breakdown_digest
 
-from surgekit import csvio, loop
+from surgekit import _kernels, csvio, loop
 from surgekit.cli import main
 from surgekit.csvio import write_rows, write_trajectory
 from surgekit.errors import DomainError
@@ -198,20 +201,21 @@ def _run_cli(capsys, *argv):
 
 
 class TestFormatterProcess:
-    """A closed-loop CSV formatted in a forked process while the kernel
-    runs has the bytes, files and messages of the in-process path."""
+    """A closed-loop run whose helper process observes the compressor and
+    formats the CSV while the kernel runs has the bytes, record, errors,
+    files and messages of the in-process path."""
 
     @pytest.fixture
     def forks(self, monkeypatch):
-        """Small kernel blocks, the formatter processes counted, and
+        """Small kernel blocks, the helper processes counted, and
         ``forks.pays`` deciding whether one is forked."""
         forks = _Forks(monkeypatch)
         monkeypatch.setattr(loop, "_BLOCK_ROWS", 1000)
-        monkeypatch.setattr(csvio, "_fork_pays", lambda rows: forks.pays)
+        monkeypatch.setattr(csvio, "_fork_pays", lambda *rows: forks.pays)
         return forks
 
     def _both(self, capsys, forks, *argv):
-        """(code, stdout, stderr) of the run without and with a formatter
+        """(code, stdout, stderr) of the run without and with a helper
         process, checking that the second forks one."""
         results = []
         for pays in (False, True):
@@ -245,7 +249,7 @@ class TestFormatterProcess:
     def test_divergence_leaves_no_file(self, tmp_path, capsys, forks,
                                        monkeypatch):
         # the observed compressor breaks down at t=0.854, after the
-        # formatter has forked: no directory, no file, one line
+        # helper has forked: no directory, no file, one line
         monkeypatch.setattr(loop, "_BLOCK_ROWS", 100)
         csv = tmp_path / "new" / "run.csv"
         in_process, forked = self._both(
@@ -266,52 +270,101 @@ class TestFormatterProcess:
                    f"'{tmp_path / 'afile'}'\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
 
-    @staticmethod
-    def _killed_at_start(samples, decimate, inbox, outbox):
-        os.kill(os.getpid(), signal.SIGKILL)
-
-    @staticmethod
-    def _killed_mid_text(samples, decimate, inbox, outbox):
-        # every report up to the complete run (or the end of the reports)
-        with open(inbox, "rb") as reports:
-            while 0 < int.from_bytes(reports.read(8), "little") < len(samples):
-                pass
-        os.write(outbox, b"0,1,2\n" * 1000)
-        os.kill(os.getpid(), signal.SIGKILL)
-
-    @pytest.mark.parametrize("formatter", ["_killed_at_start",
-                                           "_killed_mid_text"])
-    def test_killed_formatter_falls_back(self, tmp_path, capsys, forks,
-                                         monkeypatch, formatter):
-        csv = tmp_path / "run.csv"
-        argv = ("closedloop", "--t-end", "2.5", "--decimation=3", "--csv",
-                str(csv))
-        forks.pays = False
-        expected = _run_cli(capsys, *argv), csv.read_bytes()
-        forks.pays = True
-        monkeypatch.setattr(csvio, "_format_reported_rows",
-                            getattr(self, formatter))
-        assert (_run_cli(capsys, *argv), csv.read_bytes()) == expected
+    @pytest.mark.parametrize("block", [100, 1000])
+    def test_observed_breakdown_same_with_and_without_helper(
+            self, forks, monkeypatch, block):
+        # the observer fails at t=0.854 (row 855), in the first block or
+        # the ninth; the helper reports it, the loop stops, and the state
+        # is rebuilt from the start of the failing block.  The error's
+        # time, stage, rows and 13 states are those of the in-process run
+        # and of a process with one CPU, which forks no helper
+        monkeypatch.setattr(loop, "_BLOCK_ROWS", block)
+        digests = []
+        for pays in (False, True):
+            forks.pays = pays
+            digests.append(breakdown_digest())
         assert len(forks.pids) == 1
+        assert digests[0] == digests[1]
+        if hasattr(os, "sched_setaffinity"):
+            paths = [os.path.dirname(os.path.dirname(loop.__file__)),
+                     os.path.dirname(__file__)]
+            one_cpu = subprocess.run(
+                [sys.executable, "-c", _ONE_CPU.format(paths=paths)],
+                capture_output=True, text=True, check=True).stdout.split()
+            assert one_cpu == [digests[0], "forks=0"]
+
+    @staticmethod
+    def _killed_at_start(samples, decimate, observe, inbox, outbox):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    @staticmethod
+    def _killed_mid_run(samples, decimate, observe, inbox, outbox):
+        # the first reported range observed, if the run is, then no more
+        rows, _ = csvio._REPORT.unpack(os.read(inbox, csvio._REPORT.size))
+        if observe is not None:
+            observe(0, rows)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    @staticmethod
+    def _killed_mid_text(samples, decimate, observe, inbox, outbox):
+        # the whole run observed and its result sent, then part of a text
+        keep = os.dup(outbox)
+        _follow_run(samples, 0, observe, inbox, outbox)
+        os.write(keep, b"0,1,2\n" * 1000)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    @pytest.mark.parametrize("helper", ["_killed_at_start",
+                                        "_killed_mid_run",
+                                        "_killed_mid_text"])
+    def test_killed_formatter_falls_back(self, tmp_path, forks,
+                                         monkeypatch, helper):
+        # the run observes and formats in this process from where it
+        # finds the helper gone: the same record and the same CSV, with
+        # the observer or without
+        csv = tmp_path / "run.csv"
+
+        def run(observe):
+            with csvio.RunHelper(3) as process:
+                traj = loop.simulate_closed_loop(
+                    loop.ControllerConfig(reference=0.7), t_end=2.5,
+                    observe=observe, helper=process)
+                write_trajectory(traj, csv, 3, helper=process)
+            return traj.samples.tobytes(), csv.read_bytes()
+
+        for observe in (False, True):
+            forks.pays = False
+            expected = run(observe)
+            forks.pays = True
+            with monkeypatch.context() as patch:
+                patch.setattr(csvio, "_follow_run", getattr(self, helper))
+                assert run(observe) == expected
+        assert len(forks.pids) == 2
 
     def test_forks_only_where_it_pays(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
         pays = csvio._fork_pays
-        assert pays(csvio._FORK_MIN_ROWS + 1)
-        assert not pays(csvio._FORK_MIN_ROWS)
-        assert pays(csvio._FORK_MAX_ROWS)
-        assert not pays(csvio._FORK_MAX_ROWS + 1)
+        assert pays(csvio._FORK_MIN_ROWS + 1, 0)
+        assert not pays(csvio._FORK_MIN_ROWS, 0)
+        assert pays(csvio._FORK_MAX_ROWS, 0)
+        assert not pays(csvio._FORK_MAX_ROWS + 1, 0)
+        # an observed run pays from its own row count, whatever it writes
+        assert pays(1, csvio._OBSERVE_MIN_ROWS + 1)
+        assert pays(csvio._FORK_MAX_ROWS + 1, csvio._FORK_MAX_ROWS + 1)
+        assert not pays(csvio._OBSERVE_MIN_ROWS, csvio._OBSERVE_MIN_ROWS)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert not pays(50001)
+        assert not pays(50001, 0)
+        assert not pays(201, 20001)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.delattr(os, "fork")
-        assert not pays(50001)
+        assert not pays(50001, 0)
+        assert not pays(201, 20001)
 
-    def test_catalog_run_forks_and_sweep_call_does_not(self, tmp_path,
-                                                       monkeypatch):
-        # a 10001-row CSV takes the formatter process; the 201 rows a
-        # decimated sweep call writes do not
+    def test_catalog_run_and_sweep_call_fork_one_helper_each(self, tmp_path,
+                                                             monkeypatch):
+        # a 10001-row CSV takes a helper to format it, and so does the
+        # 20001-row record a decimated sweep call observes; a 1001-row
+        # observed run takes none
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
         forks = _Forks(monkeypatch)
@@ -321,7 +374,62 @@ class TestFormatterProcess:
             assert len(forks.pids) == 1
             assert main(["closedloop", "--observe", "--t-end", "20",
                          "--decimation", "100", "--csv", csv]) == 0
-        assert len(forks.pids) == 1
+            assert len(forks.pids) == 2
+            assert main(["closedloop", "--observe", "--t-end", "1",
+                         "--csv", csv]) == 0
+        assert len(forks.pids) == 2
+
+    def test_dense_observed_run_forks_one_helper_for_both_jobs(
+            self, tmp_path, monkeypatch):
+        # 10001 written rows: one process observes and formats them all,
+        # and this one does neither
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        forks = _Forks(monkeypatch)
+        here = []
+
+        def counted(fn):
+            def wrapper(*args):
+                here.append(fn.__name__)
+                return fn(*args)
+            return wrapper
+
+        csv = tmp_path / "run.csv"
+        argv = ["closedloop", "--observe", "--t-end", "10", "--csv", str(csv)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+            forked = csv.read_bytes()
+            monkeypatch.setattr(csvio, "_format_rows",
+                                counted(csvio._format_rows))
+            monkeypatch.setattr(_kernels, "observed_compressor",
+                                counted(_kernels.observed_compressor))
+            assert main(argv) == 0
+        assert len(forks.pids) == 2
+        assert here == []
+        monkeypatch.setattr(csvio, "_fork_pays", lambda *rows: False)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert len(forks.pids) == 2
+        assert set(here) == {"_format_rows", "observed_compressor"}
+        assert csv.read_bytes() == forked
+
+
+#: the helper process's own function, for the fakes that wrap it
+_follow_run = csvio._follow_run
+
+#: what a fresh interpreter bound to one CPU prints: the breakdown's
+#: digest, and the processes forked for it
+_ONE_CPU = """
+import os
+import sys
+sys.path[:0] = {paths!r}
+from support import breakdown_digest
+os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+forks = []
+fork = os.fork
+os.fork = lambda: forks.append(1) or fork()
+print(breakdown_digest(), f"forks={{len(forks)}}")
+"""
 
 
 class TestSvg:
