@@ -11,7 +11,9 @@ Library layout:
   adaptive controllers, tangent tuning rule, closed-loop simulation.
 - ``_kernels``: the fixed-step RK4 kernels and the one definition of each
   model equation: ``pressure_rise`` (the map), ``surge_rhs`` (the surge
-  model) and ``closed_loop_rhs`` (the closed loop).
+  model) and ``closed_loop_rhs`` (the closed loop, scalars in and a tuple
+  of rates and signals out).  The closed-loop RK4 step is straight-line
+  code generated once per live-state set on its first use.
 - ``averaging``: averaged adaptation dynamics and their eigenvalues.
 - ``cli``: the ``surgekit`` command-line front end and scenario files.
 """

@@ -3,11 +3,11 @@
 The loops compute on Python floats, several times faster in the
 interpreter than numpy scalars: the open-loop kernel
 :func:`greitzer_loop` starts from ``float`` scalars, and
-:func:`closed_loop_loop` runs on ``state.tolist()``, whose copies are the
-RK scratch vectors, and records rows through a flat ``memoryview`` of
-``out``.  Each fills a preallocated ``out`` array; the closed loop fills
-it in ranges of rows, and after each a caller's ``follow`` can act on the
-rows filled so far (``csvio.RunHelper`` formats them in another process).
+:func:`closed_loop_loop` runs on ``state.tolist()`` and records rows
+through a flat ``memoryview`` of ``out``.  Each fills a preallocated
+``out`` array; the closed loop fills it in ranges of rows, and after each
+a caller's ``follow`` can act on the rows filled so far
+(``csvio.RunHelper`` formats them in another process).
 
 The closed loop integrates only its live states, :func:`live_states`:
 those whose rate :func:`closed_loop_rhs` can make nonzero for the run's
@@ -18,6 +18,15 @@ exactly 0.0, so those states keep their initial values, as a full RK4
 step would leave them.  The one exception is a zero written as ``-0.0``
 (a fixed controller's gain, say), which stays ``-0.0`` where a full
 step's ``-0.0 + 0.0`` would make it ``0.0``.
+
+The rhs takes the 11 loop states as scalars and returns their rates and
+the signals as one tuple.  The RK4 step over a range of rows is written
+out as straight-line code for each live set, observed or not
+(:func:`_step_source`), compiled on its first use and cached
+(:func:`_step`): every loop state is a local named after it, a dead one
+is passed to each stage as it is, and the code holds only the RK
+combination, the record, the stage flows and the checks.  There are 24
+such functions at most (12 live sets, observed or not).
 
 The observed compressor (phi, psi) of ``closedloop --observe`` is
 one-way coupled: the measured flow y drives it and no loop rate reads it.
@@ -123,19 +132,18 @@ def greitzer_loop(out, dt, m_psi0, m_h, m_sl, m_off, c0, c1, c2, c3,
     return OK, n - 1
 
 
-def closed_loop_rhs(q, dq, sig, p):
-    """The closed-loop equations: rates of the loop states ``q[0..10]``
-    (``CL_STATE`` order) into ``dq[0..10]`` and the signals (u, co, y, e)
-    into ``sig``.
+def closed_loop_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
+    """The closed-loop equations at the loop state (x .. e_int, the first
+    11 entries of ``CL_STATE``): the 15-tuple of the 11 loop rates in
+    ``CL_STATE`` order, then the signals (u, co, y, e).  None where the
+    control signal is undefined: its denominator is zero.
 
     ``p`` is the tuple of the loop constants (``loop._kernel_args``).  The
     observed compressor (phi, psi) feeds nothing back; its rates are
-    :func:`observed_rhs`'s.  Returns a status code.
+    :func:`observed_rhs`'s.
     """
     (kind, kp, ki, kd, gamma, r, vtau, vlo, vhi, ftau, dtarget, dtau, rm_w2,
      rm_2zw) = p
-    x = q[0]
-    d = q[1]
     d_dot = (dtarget - d) / dtau
     linear = vlo <= x <= vhi
     if x > vhi:
@@ -147,10 +155,10 @@ def closed_loop_rhs(q, dq, sig, p):
     y = d + co
     # control signal, solved per mode for the u <-> y_dot loop
     if kind == KIND_ADAPTIVE:
-        prop = q[7] * r - q[8] * y
-        dgain = q[9]
+        prop = k1 * r - k2 * y
+        dgain = k3
     elif kind == KIND_FIXED_PID:
-        prop = kp * (r - y) + ki * q[10]
+        prop = kp * (r - y) + ki * e_int
         dgain = kd
     else:
         prop = kp * (r - y)
@@ -158,7 +166,7 @@ def closed_loop_rhs(q, dq, sig, p):
     if linear:
         den = 1.0 + dgain / vtau
         if den == 0.0:  # an RK stage can carry a negative gain k3 = -vtau
-            return NONFINITE
+            return None
         u = (prop - dgain * d_dot + dgain * x / vtau) / den
     else:
         u = prop - dgain * d_dot
@@ -167,31 +175,20 @@ def closed_loop_rhs(q, dq, sig, p):
         y_dot = d_dot + x_dot
     else:
         y_dot = d_dot
-    e = y - q[2]
-    dq[0] = x_dot
-    dq[1] = d_dot
-    dq[2] = q[3]
-    dq[3] = rm_w2 * r - rm_w2 * q[2] - rm_2zw * q[3]
-    dq[4] = (r - q[4]) / ftau
-    dq[5] = (-y - q[5]) / ftau
-    dq[6] = (-y_dot - q[6]) / ftau
+    e = y - ym1
     if kind == KIND_ADAPTIVE and linear:
-        dq[7] = -gamma * e * q[4]
-        dq[8] = -gamma * e * q[5]
-        dq[9] = -gamma * e * q[6]
+        k1_dot = -gamma * e * v1
+        k2_dot = -gamma * e * v2
+        k3_dot = -gamma * e * v3
     else:
-        dq[7] = 0.0
-        dq[8] = 0.0
-        dq[9] = 0.0
+        k1_dot = k2_dot = k3_dot = 0.0
     if kind == KIND_FIXED_PID:
-        dq[10] = r - y
+        e_int_dot = r - y
     else:
-        dq[10] = 0.0
-    sig[0] = u
-    sig[1] = co
-    sig[2] = y
-    sig[3] = e
-    return OK
+        e_int_dot = 0.0
+    return (x_dot, d_dot, ym2, rm_w2 * r - rm_w2 * ym1 - rm_2zw * ym2,
+            (r - v1) / ftau, (-y - v2) / ftau, (-y_dot - v3) / ftau,
+            k1_dot, k2_dot, k3_dot, e_int_dot, u, co, y, e)
 
 
 def observed_rhs(phi, psi, y, psi0, h, slope, offset, c0, c1, c2, c3, a, b):
@@ -218,19 +215,18 @@ def live_states(p, state):
     the constants.  Each is left out when its rates at ``state`` are
     exactly zero and none of its values is ``-0.0``.  By induction it then
     never moves, and a full RK4 step leaves it bit for bit as it is
-    (``-0.0 + 0.0`` would be ``0.0``, hence the sign check).  A rate the
-    rhs leaves unwritten, failing first, counts as nonzero.  The observed
-    (phi, psi) is never among them: :func:`observed_compressor` integrates
-    it.
+    (``-0.0 + 0.0`` would be ``0.0``, hence the sign check).  Where the rhs
+    returns None, every rate counts as nonzero.  The observed (phi, psi)
+    is never among them: :func:`observed_compressor` integrates it.
     """
     kind = p[0]
-    dq = [math.nan] * CL_DIM
-    closed_loop_rhs(state, dq, [0.0] * 4, p)
+    rates = closed_loop_rhs(*state[:11], p)
     live = (0, 1)
     for sub in ((2, 3), (4,)):
-        if not all(dq[j] == 0.0 and (state[j] != 0.0
+        if rates is None or not all(
+                rates[j] == 0.0 and (state[j] != 0.0
                                      or math.copysign(1.0, state[j]) > 0.0)
-                   for j in sub):
+                for j in sub):
             live += sub
     live += (5, 6)
     if kind == KIND_ADAPTIVE:
@@ -240,92 +236,103 @@ def live_states(p, state):
     return live
 
 
-def _closed_loop_loop(out, s, live, dt, p, start, stop, ys=None):
-    """RK4 on the joint anti-surge loop state, over rows start..stop-1.
+#: the RK4 range function of each (live, observed) key, built on first use
+_STEPS = {}
 
-    ``s`` is the list of the ``CL_DIM`` states in ``CL_STATE`` order, at
-    t = start*dt.  Only the indices in ``live`` (:func:`live_states` of
-    ``p`` and the run's first state) are integrated; the others keep their
-    initial values, as a full step would.  ``out`` is the flat view of a
-    C-ordered (rows, w) array: row i holds t, d, u, x, co, y, ym, e, k1,
-    k2, k3 at ``w*i`` to ``w*i + 10``, recorded from the state at t = i*dt
-    before stepping.  w is 11, or 13 when observed: then ``ys`` is the flat
-    view of a (rows, 3) array, and row i of it gets the measured flow y at
-    RK stages 2, 3 and 4 of step i (stage 1's is column 5 of the record).
-    Unless ``stop`` is the buffer's last row, ``s`` ends at t = stop*dt,
+
+def _step_source(live, observed):
+    """Source of ``run(out, s, dt, p, start, stop, last, ys)``, the RK4
+    range function of the live states ``live``, observed or not.
+
+    ``run`` integrates the loop over rows start..stop-1 of a record whose
+    last row is ``last``.  ``s`` is the list of the ``CL_DIM`` states in
+    ``CL_STATE`` order, at t = start*dt; in ``run`` each loop state is a
+    local named after it.  Only those in
+    ``live`` (:func:`live_states` of ``p`` and the run's first state) are
+    integrated: the others are passed to every stage unchanged, as a full
+    step would leave them.  ``out`` is the flat view of a C-ordered
+    (rows, w) array: row i holds t, d, u, x, co, y, ym, e, k1, k2, k3 at
+    ``w*i`` to ``w*i + 10``, recorded from the state at t = i*dt before
+    stepping.  w is 11, or 13 when observed: then ``ys`` is the flat view
+    of a (rows, 3) array, and row i of it gets the measured flow y at RK
+    stages 2, 3 and 4 of step i (stage 1's is column 5 of the record).
+    The adaptive gains, when live, are kept nonnegative by projection
+    after each step.  The loop states are written back into ``s`` on every
+    return: unless ``stop - 1`` is ``last``, ``s`` ends at t = stop*dt,
     where the next range starts.  ``p`` is the constants tuple of
-    :func:`closed_loop_rhs`.  Returns (status, row, stage): on failure
-    ``row`` is the first unfilled row and ``stage`` the RK stage 1-4 whose
-    rates failed, or None when the step's result is not finite; else
-    ``row`` is the last row filled.
+    :func:`closed_loop_rhs`.  Returns (status, row, stage): on
+    failure ``row`` is the first unfilled row and ``stage`` the RK stage
+    1-4 whose rates failed, or None when the step's result is not finite;
+    else ``row`` is the last row filled.
+
+    The code holds the RK combination, the record and the checks; every
+    model equation stays in :func:`closed_loop_rhs`.
     """
-    kind = p[0]
-    observed = ys is not None
+    names = CL_STATE[:11]
+    moving = [names[j] for j in live]
+    state = ", ".join(names)
     w = 13 if observed else 11
-    n = len(out) // w
-    h2 = 0.5 * dt
-    h6 = dt / 6.0
-    # RK scratch vectors
-    st = s.copy()
-    g1 = s.copy()
-    g2 = s.copy()
-    g3 = s.copy()
-    g4 = s.copy()
-    sig = s[:4]
-    for i in range(start, stop):
-        rc = closed_loop_rhs(s, g1, sig, p)
-        if rc != OK:
-            return rc, i, 1
-        b = w * i
-        out[b] = i * dt
-        out[b + 1] = s[1]
-        out[b + 2] = sig[0]
-        out[b + 3] = s[0]
-        out[b + 4] = sig[1]
-        out[b + 5] = sig[2]
-        out[b + 6] = s[2]
-        out[b + 7] = sig[3]
-        out[b + 8] = s[7]
-        out[b + 9] = s[8]
-        out[b + 10] = s[9]
-        if i == n - 1:
-            break
-        sb = 3 * i   # the step's row of the stage flows
-        for j in live:
-            st[j] = s[j] + h2 * g1[j]
-        rc = closed_loop_rhs(st, g2, sig, p)
-        if rc != OK:
-            return rc, i + 1, 2
+
+    def stage(k, signals, coef=None):
+        """The rhs call of stage k, at the state advanced by ``coef`` times
+        the rates of stage k-1, and its unpacking into the stage's live
+        rates (``<name>_<k>``) and ``signals``."""
+        args = ", ".join(
+            f"{n} + {coef} * {n}_{k - 1}" if coef and n in moving else n
+            for n in names)
+        rates = ", ".join(f"{n}_{k}" if n in moving else "_" for n in names)
+        return [f"g = closed_loop_rhs({args}, p)",
+                "if g is None:",
+                f"    s[:11] = {state}",
+                f"    return NONFINITE, {'i' if k == 1 else 'i + 1'}, {k}",
+                f"{rates}, {signals} = g"]
+
+    y_at = "_, _, y, _" if observed else "_, _, _, _"
+    body = stage(1, "u, co, y, e")
+    body += [f"b = {w} * i", "out[b] = i * dt"]
+    body += [f"out[b + {c}] = {v}" for c, v in enumerate(
+        ("d", "u", "x", "co", "y", "ym1", "e", "k1", "k2", "k3"), 1)]
+    body += ["if i == last:", "    break"]
+    if observed:
+        body += ["sb = 3 * i"]   # the step's row of the stage flows
+    for k, coef, at in ((2, "h2", "sb"), (3, "h2", "sb + 1"),
+                        (4, "dt", "sb + 2")):
+        body += stage(k, y_at, coef)
         if observed:
-            ys[sb] = sig[2]
-        for j in live:
-            st[j] = s[j] + h2 * g2[j]
-        rc = closed_loop_rhs(st, g3, sig, p)
-        if rc != OK:
-            return rc, i + 1, 3
-        if observed:
-            ys[sb + 1] = sig[2]
-        for j in live:
-            st[j] = s[j] + dt * g3[j]
-        rc = closed_loop_rhs(st, g4, sig, p)
-        if rc != OK:
-            return rc, i + 1, 4
-        if observed:
-            ys[sb + 2] = sig[2]
-        ok = True
-        for j in live:
-            v = s[j] + h6 * (g1[j] + 2.0 * g2[j] + 2.0 * g3[j] + g4[j])
-            s[j] = v
-            if not math.isfinite(v):
-                ok = False
-        # adaptive gains are kept nonnegative by projection
-        if kind == KIND_ADAPTIVE:
-            for j in range(7, 10):
-                if s[j] < 0.0:
-                    s[j] = 0.0
-        if not ok:
-            return NONFINITE, i + 1, None
-    return OK, stop - 1, None
+            body += [f"ys[{at}] = y"]
+    body += [f"{n} = {n} + h6 * ({n}_1 + 2.0 * {n}_2 + 2.0 * {n}_3 + {n}_4)"
+             for n in moving]
+    body += ["ok = " + " and ".join(f"isfinite({n})" for n in moving)]
+    # adaptive gains are kept nonnegative by projection
+    for n in ("k1", "k2", "k3"):
+        if n in moving:
+            body += [f"if {n} < 0.0:", f"    {n} = 0.0"]
+    body += ["if not ok:",
+             f"    s[:11] = {state}",
+             "    return NONFINITE, i + 1, None"]
+    lines = ["def run(out, s, dt, p, start, stop, last, ys):",
+             f"    {state} = s[:11]",
+             "    h2 = 0.5 * dt",
+             "    h6 = dt / 6.0",
+             "    for i in range(start, stop):"]
+    lines += ["        " + line for line in body]
+    lines += [f"    s[:11] = {state}", "    return OK, stop - 1, None"]
+    return "\n".join(lines) + "\n"
+
+
+def _step(live, observed):
+    """The RK4 range function of ``_step_source(live, observed)``, built
+    on its first use and cached in ``_STEPS``."""
+    run = _STEPS.get((live, observed))
+    if run is None:
+        namespace = {"closed_loop_rhs": closed_loop_rhs,
+                     "isfinite": math.isfinite, "OK": OK,
+                     "NONFINITE": NONFINITE}
+        exec(compile(_step_source(live, observed),
+                     f"<closed-loop step {live} observed={observed}>",
+                     "exec"), namespace)
+        run = _STEPS[live, observed] = namespace["run"]
+    return run
 
 
 def observed_compressor(out, ys, dt, m, start, stop):
@@ -333,14 +340,14 @@ def observed_compressor(out, ys, dt, m, start, stop):
     of an observed closed-loop record, driven by the flows the loop kernel
     recorded there.
 
-    ``out`` and ``ys`` are the flat views of :func:`_closed_loop_loop`'s
-    (rows, 13) record and (rows, 3) stage flows, ``m`` the map constants
+    ``out`` and ``ys`` are the flat views of the loop's (rows, 13)
+    record and (rows, 3) stage flows, ``m`` the map constants
     (psi0, h, slope, offset, c0..c3, a, b).  (phi, psi) at t = start*dt is
     read from columns 11-12 of row ``start``, and each step writes its
     result into those of the next row.  The rates, checks and stages are
     those the coupled 13-state RK4 would take: :func:`observed_rhs` at each
-    stage, and a finite result.  Returns (status, row, stage) as
-    :func:`_closed_loop_loop` does.
+    stage, and a finite result.  Returns (status, row, stage) as the
+    loop's range function (:func:`_step_source`) does.
     """
     psi0, h, slope, offset, c0, c1, c2, c3, a, b = m
     n = len(out) // 13
@@ -394,10 +401,11 @@ def _step_stage(row, stage):
 
 
 def closed_loop_loop(out, state, dt, p, block=None, follow=None, ys=None):
-    """:func:`_closed_loop_loop` over the C-ordered array ``out`` from the
+    """RK4 on the closed loop over the C-ordered array ``out`` from the
     array ``state``, into which the state at the end is copied back.  The
     loop runs on ``state.tolist()`` and records through a flat view of
-    ``out``; the live states are taken once, from the first state.
+    ``out``; the live states are taken once, from the first state, and
+    select the range function that integrates them (:func:`_step`).
 
     With ``block`` the rows are filled ``block`` at a time, and after each
     such range ``follow(rows, False)`` is called with the rows filled so
@@ -417,12 +425,12 @@ def closed_loop_loop(out, state, dt, p, block=None, follow=None, ys=None):
     failing stage on were never recorded: whatever it meets there comes at
     or after the loop's failure, and loses to it.
 
-    Returns (status, row, stage) as :func:`_closed_loop_loop` does.
+    Returns (status, row, stage) as the range function does.
     """
     s = state.tolist()
     rec = flat(out)
     stages = None if ys is None else flat(ys)
-    live = live_states(p, s)
+    run = _step(live_states(p, s), stages is not None)
     n = len(out)
     block = block or n
     kept = []
@@ -436,7 +444,7 @@ def closed_loop_loop(out, state, dt, p, block=None, follow=None, ys=None):
             if stages is not None:
                 kept.append(s.copy())
             stop = min(start + block, n)
-            rc = _closed_loop_loop(rec, s, live, dt, p, start, stop, stages)
+            rc = run(rec, s, dt, p, start, stop, n - 1, stages)
             if rc[0] != OK:
                 break
             if follow is not None and stop < n:
@@ -457,7 +465,7 @@ def closed_loop_loop(out, state, dt, p, block=None, follow=None, ys=None):
         if replay:
             k = min(at // block, len(kept) - 1)
             s[:] = kept[k]
-            _closed_loop_loop(rec, s, live, dt, p, k * block, at, stages)
+            run(rec, s, dt, p, k * block, at, n - 1, stages)
         s[11] = rec[13 * at + 11]
         s[12] = rec[13 * at + 12]
         return rc

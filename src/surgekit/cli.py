@@ -196,25 +196,34 @@ def cmd_limit_cycle(args) -> int:
 def _read_step_csv(path, signal) -> tuple[Trajectory, str]:
     """A step-response CSV with a uniform, increasing ``t`` column, and
     the column to fit: ``signal``, which must name a column other than
-    ``t``, else the first one after ``t``.  The time column and the fitted
-    one must hold finite numbers."""
+    ``t``, else the first one after ``t``.  The header names are read as
+    they are written, less the blanks around them, and must be unique and
+    nonempty; the time column and the fitted one must hold finite
+    numbers."""
     with warnings.catch_warnings():
         # genfromtxt warns of an empty file before it fails on it
         warnings.simplefilter("error", UserWarning)
         try:
-            data = np.genfromtxt(path, delimiter=",", names=True, ndmin=1)
+            # the header is the first row, read as text; as numbers it is
+            # a row of nan, dropped
+            names = [name.strip() for name in np.genfromtxt(
+                path, delimiter=",", dtype=str, max_rows=1, ndmin=1)]
+            data = np.genfromtxt(path, delimiter=",", ndmin=2)[1:]
         except (ValueError, UserWarning) as err:
             detail = " ".join(str(err).split())  # one line
             raise ScenarioError(f"step CSV {path}: {detail}") from None
-    names = list(data.dtype.names or ())
+    if "" in names or len(set(names)) < len(names):
+        raise ScenarioError(f"step CSV {path}: header names must be unique "
+                            f"and nonempty, got {names}")
     if "t" not in names:
         raise ScenarioError(f"step CSV {path}: no 't' column in {names}")
-    if data.size < 3:
+    if len(data) < 3:
         raise ScenarioError(
-            f"step CSV {path}: need at least 3 rows, got {data.size}")
+            f"step CSV {path}: need at least 3 rows, got {len(data)}")
+    column = dict(zip(names, data.T))
     # a span past the float range overflows; it is refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        steps = np.diff(data["t"])
+        steps = np.diff(column["t"])
     if not (np.all(np.isfinite(steps)) and np.all(steps > 0.0)
             and np.allclose(steps, steps[0], rtol=1e-3, atol=0.0)):
         raise ScenarioError(
@@ -227,11 +236,11 @@ def _read_step_csv(path, signal) -> tuple[Trajectory, str]:
     if signal not in columns[1:]:
         raise ScenarioError(f"step CSV {path}: --signal {signal!r} names "
                             f"no signal column; have {columns[1:]}")
-    if not np.all(np.isfinite(data[signal])):
+    if not np.all(np.isfinite(column[signal])):
         raise ScenarioError(f"step CSV {path}: column {signal!r} holds a "
                             "non-finite or unreadable value")
     return Trajectory(float(steps[0]), columns,
-                      np.column_stack([data[c] for c in columns])), signal
+                      np.column_stack([column[c] for c in columns])), signal
 
 
 def cmd_tune(args) -> int:

@@ -11,7 +11,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from surgekit._kernels import (CL_DIM, CL_STATE, OK, PSI_NONPOSITIVE,
+from surgekit._kernels import (CL_STATE, NONFINITE, OK, PSI_NONPOSITIVE,
                                closed_loop_rhs, observed_rhs, pressure_rise,
                                surge_rhs)
 from surgekit.compressor import DEFAULT_MAP, FLOW_GAIN, PRESSURE_GAIN
@@ -64,15 +64,20 @@ def vector_field_grid(g, phi_range, psi_range, n, cmap=DEFAULT_MAP):
 
 def coupled_rhs(q, dq, sig, p, m=None):
     """The closed loop with the observed compressor as one 13-state system:
-    ``closed_loop_rhs``'s rates and signals, and with the map constants
-    ``m`` the (phi, psi) rates of ``surge_rhs`` throttled by the stage's
-    measured flow, g = y/sqrt(psi_c(y)) (0.0 without ``m``).  The checks
-    come in the order of one rhs: the loop's, psi <= 0, psi_c(y) <= 0.
-    Returns a status code."""
-    status = closed_loop_rhs(q, dq, sig, p)
+    ``closed_loop_rhs``'s rates at ``q[:11]`` into ``dq`` and its signals
+    into ``sig``, and with the map constants ``m`` the (phi, psi) rates of
+    ``surge_rhs`` throttled by the stage's measured flow,
+    g = y/sqrt(psi_c(y)) (0.0 without ``m``).  The checks come in the
+    order of one rhs: the loop's, psi <= 0, psi_c(y) <= 0.  Returns a
+    status code."""
     dq[11] = dq[12] = 0.0
-    if status != OK or m is None:
-        return status
+    rates = closed_loop_rhs(*q[:11], p)
+    if rates is None:
+        return NONFINITE
+    dq[:11] = rates[:11]
+    sig[:] = rates[11:]
+    if m is None:
+        return OK
     if q[12] <= 0.0:
         return PSI_NONPOSITIVE
     pcy = pressure_rise(sig[2], *m[:8])
@@ -92,19 +97,21 @@ def loop_rates(kind="adaptive", valve=ValveModel(), target=0.35,
     """``closed_loop_rhs`` at a hand-built state.
 
     Keywords named in ``CL_STATE`` set the state (the rest of it is 0; the
-    adaptive gains in use are the state's k1..k3), the others are
-    ``ControllerConfig`` fields; ``target`` is the disturbance target.
-    Checks that the rhs returns ``status``.  Returns the signals u, co, y,
-    e and each loop rate as ``<name>_dot``.
+    adaptive gains in use are the state's k1..k3; phi and psi are not the
+    loop's), the others are ``ControllerConfig`` fields; ``target`` is the
+    disturbance target.  Checks that the rhs returns ``status``: NONFINITE
+    is its None.  Returns the signals u, co, y, e and each loop rate as
+    ``<name>_dot``, or None where the rhs does.
     """
-    q = np.array([float(values.pop(name, 0.0)) for name in CL_STATE])
+    q = [float(values.pop(name, 0.0)) for name in CL_STATE][:11]
     args = _kernel_args(ControllerConfig(kind=kind, **values), valve,
                         DisturbanceProfile(target=target))
-    dq = np.empty(CL_DIM)
-    sig = np.empty(4)
-    assert coupled_rhs(q, dq, sig, args) == status
-    return {**dict(zip(("u", "co", "y", "e"), sig)),
-            **{f"{name}_dot": rate for name, rate in zip(CL_STATE, dq)}}
+    rates = closed_loop_rhs(*q, args)
+    assert (OK if rates is not None else NONFINITE) == status
+    if rates is None:
+        return None
+    return dict(zip([f"{name}_dot" for name in CL_STATE[:11]]
+                    + ["u", "co", "y", "e"], rates))
 
 
 def breakdown_digest():

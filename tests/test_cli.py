@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from support import integrate, key_sample, load_one_key, scenario_diff
 
-from surgekit.cli import _apply_overrides, build_parser, main
+from surgekit.cli import _apply_overrides, _read_step_csv, build_parser, main
 from surgekit.loop import CONTROLLER_KINDS
 from surgekit.scenario import KNOWN_KEYS, Scenario
 
@@ -77,6 +77,24 @@ class TestTune:
         assert "L = 0.386" in out and "T = 4\n" in out
         assert "kp = " in out
 
+    @pytest.mark.parametrize("signal, values", [
+        ("y out", "0,0.5,1"), ("z-1", "1,1.5,2")])
+    def test_step_csv_header_names_read_as_written(self, tmp_path, capsys,
+                                                   signal, values):
+        # a name with a blank or a dash is the column's name, as written
+        path = tmp_path / "step.csv"
+        path.write_text("t,y out,z-1\n" + "".join(
+            f"{t},{y},{z}\n" for t, y, z in zip(range(3), (0, 0.5, 1),
+                                                (1, 1.5, 2))))
+        traj, fitted = _read_step_csv(path, signal)
+        assert fitted == signal and traj.columns == ["t", "y out", "z-1"]
+        assert ",".join(f"{v:g}" for v in traj.column(signal)) == values
+        code, out, err = run(capsys, "tune", "--step-csv", str(path),
+                             f"--signal={signal}", "--out-dir",
+                             str(tmp_path))
+        assert code == 0 and err == ""
+        assert out.startswith(f"tangent fit of {signal!r}: L = ")
+
     @pytest.mark.parametrize("text,complaint,signal", [
         ("t,y\n0,0.1\n", "at least 3 rows", None),
         ("time,y\n0,0\n1,0.5\n2,1\n", "no 't' column", None),
@@ -92,9 +110,19 @@ class TestTune:
          "--signal 'zz' names no signal column; have ['y']", "zz"),
         ("t,y\n0,0\n1,0.5\n2,1\n",
          "--signal 't' names no signal column; have ['y']", "t"),
+        ("t,y,y\n0,0,1\n1,0.5,2\n2,1,3\n",
+         "header names must be unique and nonempty, got ['t', 'y', 'y']",
+         None),
+        ("t,,z\n0,0,1\n1,0.5,2\n2,1,3\n",
+         "header names must be unique and nonempty, got ['t', '', 'z']",
+         None),
+        ("t,y out,z-1\n0,0,1\n1,0.5,2\n2,1,3\n",
+         "--signal 'y_out' names no signal column; have ['y out', 'z-1']",
+         "y_out"),
     ], ids=["one-row", "no-t", "non-monotonic", "non-uniform", "nan",
             "unparseable", "infinite-t", "t-only", "empty", "ragged",
-            "unknown-signal", "time-as-signal"])
+            "unknown-signal", "time-as-signal", "duplicate-name",
+            "empty-name", "mangled-name"])
     def test_bad_step_csv_exits_three(self, tmp_path, capsys, text,
                                       complaint, signal):
         path = tmp_path / "step.csv"

@@ -2,7 +2,10 @@
 merging of the loop's and the observer's failures, and their
 determinism."""
 
+import ast
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -165,20 +168,20 @@ class TestStatusCodes:
         assert exc.value.partial.n_rows == 1
         assert np.all(np.isfinite(exc.value.partial.samples))
 
-    @pytest.mark.parametrize("storage", [np.array, list])
-    def test_zero_control_denominator_is_nonfinite(self, storage):
+    @pytest.mark.parametrize("scalar", [float, np.float64])
+    def test_zero_control_denominator_is_nonfinite(self, scalar):
         # an RK stage may carry the gain k3 = -vtau, which zeroes the
-        # denominator of the control signal in linear valve mode
+        # denominator of the control signal in linear valve mode; the rhs
+        # then returns None, which the kernel reports as NONFINITE
         cfg = ControllerConfig(kind="adaptive")
         valve = ValveModel()
         prof = DisturbanceProfile()
         q = initial_loop_state(cfg, valve, prof)
         q[0] = 0.1
+        p = _kernel_args(cfg, valve, prof)
+        assert _kernels.closed_loop_rhs(*map(scalar, q[:11]), p) is not None
         q[9] = -valve.tau
-        status = _kernels.closed_loop_rhs(
-            storage(q.tolist()), storage([0.0] * _kernels.CL_DIM),
-            storage([0.0] * 4), _kernel_args(cfg, valve, prof))
-        assert status == _kernels.NONFINITE
+        assert _kernels.closed_loop_rhs(*map(scalar, q[:11]), p) is None
 
 
 class TestFailureMerge:
@@ -227,6 +230,133 @@ class TestFailureMerge:
         rc, state, start = self._merged(1e-3, -2.0, (PSI, 0, 1))
         assert rc == (NONFINITE, 0, 1)
         assert state.tobytes() == start.tobytes()
+
+
+class TestLoopStageFailure:
+    """A loop failure at RK stage 2, 3 or 4 reports that stage and the row
+    after the step's, and leaves the 13-entry state of the step's start,
+    in this process and through a helper process."""
+
+    # At this state the control signal is u = x exactly at stages 1 and 2
+    # (prop = k1*r = x and d_dot = 0, in linear valve mode), so x, y and
+    # e = y - ym1 = 0.34375 hold while v3 goes 4, 3, 3.25 and k3's rate
+    # -gamma*e*v3 is -1.375, -1.03125, -1.1171875 whatever k3 is.  k3 is
+    # chosen so that stage 2 (k3 + 0.5*-1.375), stage 3 (k3 + 0.5*-1.03125)
+    # or stage 4 (k3 + 1.0*-1.1171875) carries exactly k3 = -vtau = -2,
+    # which zeroes the control denominator there
+    STATE = dict(x=0.15625, d=0.34375, ym1=0.15625, ym2=0.0, v1=0.0, v2=0.0,
+                 v3=4.0, k1=1.0, k2=0.0, e_int=0.0)
+
+    @pytest.mark.parametrize("stage, k3", [
+        (2, -1.3125), (3, -1.484375), (4, -0.8828125)])
+    def test_failure_at_a_later_stage(self, monkeypatch, stage, k3):
+        cfg = ControllerConfig(kind="adaptive", reference=0.15625, gamma=1.0)
+        valve = ValveModel()
+        p = _kernel_args(cfg, valve, DisturbanceProfile(target=0.34375))
+        assert valve.tau == 2.0
+        start = np.array([self.STATE.get(name, 0.0)
+                          for name in _kernels.CL_STATE])
+        start[9] = k3
+        start[11:] = (0.5, map_pressure_rise(M, 0.5))
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            pid = fork()
+            forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(csvio, "_fork_pays", lambda *rows: True)
+        for forked in (False, True):
+            state = start.copy()
+            out = _output_buffer(1.0, 5.0, 13)
+            ys = _output_buffer(1.0, 5.0, 3)
+            del forks[:]
+            with csvio.RunHelper(1) as helper:
+                rc = loop._integrate(out, ys, state, 1.0, p, _observer_args(),
+                                     helper if forked else None)
+            assert len(forks) == forked
+            assert rc == (NONFINITE, 1, stage)
+            assert state.tobytes() == start.tobytes()
+            # row 0 was recorded from the start, observer columns included
+            assert out[0].tolist() == [
+                0.0, 0.34375, 0.15625, 0.15625, 0.15625, 0.5, 0.15625,
+                0.34375, 1.0, 0.0, k3, 0.5, start[12]]
+
+
+    @pytest.mark.parametrize("kind, dt, row, stage", [
+        ("fixed-pd", 0.05, 12, 4), ("fixed-pd", 0.25, 3, 2),
+        ("fixed-pid", 0.1, 5, 2)])
+    @pytest.mark.parametrize("block", [None, 1, 4])
+    def test_failure_after_some_steps(self, kind, dt, row, stage, block):
+        # a derivative gain kd = -vtau zeroes the control denominator
+        # wherever the valve is linear: the valve starts saturated at
+        # x = 0.5 and decays into its range at an RK stage of a later
+        # step.  The state is that step's start, where a run whose record
+        # ends there stops
+        cfg = ControllerConfig(kind=kind)
+        valve = ValveModel()
+        prof = DisturbanceProfile(target=0.35, initial=0.35)
+        p = _kernel_args(cfg, valve, prof)
+        p = p[:3] + (-valve.tau,) + p[4:]
+        start = initial_loop_state(cfg, valve, prof)
+        start[0] = 0.5
+        state = start.copy()
+        out = np.zeros((100, 11))
+        assert _kernels.closed_loop_loop(out, state, dt, p, block) == (
+            NONFINITE, row, stage)
+        before = start.copy()
+        assert _kernels.closed_loop_loop(
+            np.zeros((row, 11)), before, dt, p, block) == (OK, row - 1, None)
+        assert state.tobytes() == before.tobytes()
+        assert state[0] == out[row - 1, 3] > 0.25
+
+
+class TestGeneratedStep:
+    """The closed-loop RK4 step is generated per (live, observed) key: its
+    code holds no model equation, and it is built once, on first use."""
+
+    KEYS = [(live, observed)
+            for live in [(0, 1, 2, 3, 4, 5, 6, 7, 8, 9), (0, 1, 5, 6, 10),
+                         (0, 1, 4, 5, 6)]
+            for observed in (False, True)]
+
+    @pytest.mark.parametrize("live, observed", KEYS)
+    def test_only_rhs_isfinite_and_range_are_called(self, live, observed):
+        tree = ast.parse(_kernels._step_source(live, observed))
+        called = {node.func.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)}
+        assert called == {"closed_loop_rhs", "isfinite", "range"}
+        # the stage flows are written only when observed
+        names = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name)}
+        assert ("ys" in names) == observed
+
+    def test_second_run_reuses_the_step(self, monkeypatch):
+        cfg = ControllerConfig(kind="fixed-pid", reference=0.7)
+        first = simulate_closed_loop(cfg, t_end=0.5)
+        live = _kernels.live_states(
+            _kernel_args(cfg, ValveModel(), DisturbanceProfile()),
+            initial_loop_state(cfg, ValveModel(), DisturbanceProfile()))
+        run = _kernels._STEPS[live, False]
+        built = len(_kernels._STEPS)
+
+        def no_source(*key):
+            raise AssertionError(f"step {key} built twice")
+
+        monkeypatch.setattr(_kernels, "_step_source", no_source)
+        again = simulate_closed_loop(cfg, t_end=0.5)
+        assert again.samples.tobytes() == first.samples.tobytes()
+        assert _kernels._STEPS[live, False] is run
+        assert len(_kernels._STEPS) == built
+
+    def test_no_step_is_built_at_import(self):
+        code = ("import surgekit.cli; from surgekit import _kernels; "
+                "print(len(_kernels._STEPS))")
+        done = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "0\n"
 
 
 class TestKernelDeterminism:
