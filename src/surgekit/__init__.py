@@ -13,7 +13,8 @@ Library layout:
   model equation: ``pressure_rise`` (the map), ``surge_rhs`` (the surge
   model) and ``closed_loop_rhs`` (the closed loop, scalars in and a tuple
   of rates and signals out).  The closed-loop RK4 step is straight-line
-  code generated once per live-state set on its first use.
+  code generated once per live-state set on its first use, with
+  ``closed_loop_rhs``'s own statements inlined at each stage.
 - ``averaging``: averaged adaptation dynamics and their eigenvalues.
 - ``cli``: the ``surgekit`` command-line front end and scenario files.
 """

@@ -23,10 +23,12 @@ The rhs takes the 11 loop states as scalars and returns their rates and
 the signals as one tuple.  The RK4 step over a range of rows is written
 out as straight-line code for each live set, observed or not
 (:func:`_step_source`), compiled on its first use and cached
-(:func:`_step`): every loop state is a local named after it, a dead one
-is passed to each stage as it is, and the code holds only the RK
-combination, the record, the stage flows and the checks.  There are 24
-such functions at most (12 live sets, observed or not).
+(:func:`_step`): every loop state is a local named after it, and the
+stages are closed_loop_rhs's own statements, inlined.  So the step calls
+no function but ``isfinite`` and ``range``, and builds no tuple of rates;
+to inline the rhs it reads this module's source, which every installed
+copy has.  There are 24 such functions at most (12 live sets, observed or
+not).
 
 The observed compressor (phi, psi) of ``closedloop --observe`` is
 one-way coupled: the measured flow y drives it and no loop rate reads it.
@@ -42,14 +44,20 @@ Each model equation is defined once: the compressor map in
 :func:`pressure_rise`, the surge model's rates in :func:`surge_rhs`
 (called by the open-loop kernel at each RK4 stage, and through
 :func:`observed_rhs` by the observer), and the closed-loop equations in
-:func:`closed_loop_rhs`.
+:func:`closed_loop_rhs` (inlined into the closed-loop step, and called by
+:func:`live_states`).
 
 Kernels never raise: they return ``(status, row)`` (the closed loop and
 the observer ``(status, row, stage)``) so the wrappers in
 ``odesim``/``loop`` can map failures onto the package exceptions.
 """
 
+import ast
+import copy
+import functools
+import inspect
 import math
+import textwrap
 
 # the kernels are never compiled; perfbench/worker.py reads this flag to
 # record which flavour it timed
@@ -239,6 +247,92 @@ def live_states(p, state):
 #: the RK4 range function of each (live, observed) key, built on first use
 _STEPS = {}
 
+#: the names of the range function besides the loop states and ``p``; the
+#: inlined rhs may use none of them
+_STEP_NAMES = frozenset(
+    ["run", "out", "s", "dt", "start", "stop", "last", "ys", "i", "b",
+     "sb", "h2", "h6", "ok", "isfinite", "range", "OK", "NONFINITE"]
+    + [f"{n}_{k}" for n in CL_STATE[:11] for k in ("s", 1, 2, 3, 4)])
+
+
+@functools.lru_cache(maxsize=None)
+def _rhs_body(rhs):
+    """The definition of the closed-loop rhs ``rhs``, read from its source
+    and taken apart for :func:`_step_source` to inline: (unpack, body,
+    rates, constants), the statement that unpacks ``p``, the statements
+    after it up to the final return, the expressions of the 11 loop rates
+    that return gives, and the module globals the definition reads.  The
+    nodes are shared by every call; :func:`_step_source` copies them.
+
+    Raises ValueError where the definition has another shape than
+    :func:`closed_loop_rhs`'s: its parameters, an optional docstring, the
+    unpack of ``p`` into names, ``return None`` only where it fails, and a
+    final 15-tuple whose last four entries are the names u, co, y, e; or
+    where it assigns to a parameter, or one of its names is the range
+    function's.
+    """
+    fn = ast.parse(textwrap.dedent(inspect.getsource(rhs))).body[0]
+
+    def refuse(why):
+        return ValueError(f"cannot inline {rhs.__qualname__} into the "
+                          f"closed-loop RK4 step: {why}")
+
+    params = [a.arg for a in fn.args.args]
+    if params != [*CL_STATE[:11], "p"]:
+        raise refuse(f"its parameters are {params}, not the 11 loop "
+                     "states and p")
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    unpack = body[0] if len(body) > 1 else None
+    if not (isinstance(unpack, ast.Assign) and len(unpack.targets) == 1
+            and isinstance(unpack.targets[0], ast.Tuple)
+            and all(isinstance(t, ast.Name) for t in unpack.targets[0].elts)
+            and isinstance(unpack.value, ast.Name)
+            and unpack.value.id == "p"):
+        raise refuse("it does not begin by unpacking p into names")
+    *body, final = body[1:]
+    entries = []
+    if isinstance(final, ast.Return) and isinstance(final.value, ast.Tuple):
+        entries = final.value.elts
+    if not (len(entries) == 15
+            and [getattr(v, "id", None) for v in entries[11:]]
+            == ["u", "co", "y", "e"]):
+        raise refuse("it does not end by returning the 15-tuple of the 11 "
+                     "loop rates and u, co, y, e")
+    nodes = [node for st in body + [unpack, final] for node in ast.walk(st)]
+    returned = [node.value for node in nodes
+                if isinstance(node, ast.Return) and node is not final]
+    if any(v is not None and not (isinstance(v, ast.Constant)
+                                  and v.value is None) for v in returned):
+        raise refuse("it returns something other than None before its end")
+    names = {node.id for node in nodes if isinstance(node, ast.Name)}
+    stored = {node.id for node in nodes if isinstance(node, ast.Name)
+              and not isinstance(node.ctx, ast.Load)}
+    if stored & set(params):
+        raise refuse(f"it assigns to {sorted(stored & set(params))}")
+    clash = names & _STEP_NAMES
+    if clash:
+        raise refuse(f"its names {sorted(clash)} are the step's")
+    constants = {n: rhs.__globals__[n] for n in names - stored - set(params)
+                 if n in rhs.__globals__}
+    return unpack, body, entries[:11], constants
+
+
+class _Stage(ast.NodeTransformer):
+    """One RK stage of the inlined rhs: a read of a state in ``local``
+    reads its stage local instead, and ``return None`` becomes the
+    statements ``failure``."""
+
+    def __init__(self, local, failure):
+        self.local = local
+        self.failure = failure
+
+    def visit_Name(self, node):
+        node.id = self.local.get(node.id, node.id)
+        return node
+
+    def visit_Return(self, node):
+        return ast.parse(self.failure).body
+
 
 def _step_source(live, observed):
     """Source of ``run(out, s, dt, p, start, stop, last, ys)``, the RK4
@@ -265,30 +359,36 @@ def _step_source(live, observed):
     1-4 whose rates failed, or None when the step's result is not finite;
     else ``row`` is the last row filled.
 
-    The code holds the RK combination, the record and the checks; every
-    model equation stays in :func:`closed_loop_rhs`.
+    The stages are closed_loop_rhs's own statements, inlined
+    (:func:`_rhs_body`, which reads them from this module's source): its
+    unpack of ``p`` runs once, at the head of ``run``; at stages 2-4 a
+    live state is read from a stage local ``<name>_s``, the state
+    advanced by the rates of the stage before; its ``return None`` is the
+    stage's failure return; and its final return assigns the stage's
+    live rates ``<name>_<k>``, u, co, y and e being locals of the body
+    already.  A dead state keeps its name, which keeps the ``-0.0`` rule.
+    The rest of the code is the RK combination, the record and the
+    checks.
     """
+    unpack, rhs, rates, _ = _rhs_body(closed_loop_rhs)
     names = CL_STATE[:11]
     moving = [names[j] for j in live]
     state = ", ".join(names)
+
+    def stage(k, coef=None):
+        """The inlined rhs at stage k, at the state advanced by ``coef``
+        times the rates of stage k-1."""
+        local = {n: f"{n}_s" for n in moving} if coef else {}
+        inline = _Stage(local, f"s[:11] = {state}\n"
+                        f"return NONFINITE, {'i' if k == 1 else 'i + 1'}, {k}")
+        code = [f"{n}_s = {n} + {coef} * {n}_{k - 1}" for n in local]
+        code += [ast.unparse(inline.visit(copy.deepcopy(st))) for st in rhs]
+        code += [f"{n}_{k} = {ast.unparse(inline.visit(copy.deepcopy(v)))}"
+                 for n, v in zip(names, rates) if n in moving]
+        return "\n".join(code).splitlines()
+
     w = 13 if observed else 11
-
-    def stage(k, signals, coef=None):
-        """The rhs call of stage k, at the state advanced by ``coef`` times
-        the rates of stage k-1, and its unpacking into the stage's live
-        rates (``<name>_<k>``) and ``signals``."""
-        args = ", ".join(
-            f"{n} + {coef} * {n}_{k - 1}" if coef and n in moving else n
-            for n in names)
-        rates = ", ".join(f"{n}_{k}" if n in moving else "_" for n in names)
-        return [f"g = closed_loop_rhs({args}, p)",
-                "if g is None:",
-                f"    s[:11] = {state}",
-                f"    return NONFINITE, {'i' if k == 1 else 'i + 1'}, {k}",
-                f"{rates}, {signals} = g"]
-
-    y_at = "_, _, y, _" if observed else "_, _, _, _"
-    body = stage(1, "u, co, y, e")
+    body = stage(1)
     body += [f"b = {w} * i", "out[b] = i * dt"]
     body += [f"out[b + {c}] = {v}" for c, v in enumerate(
         ("d", "u", "x", "co", "y", "ym1", "e", "k1", "k2", "k3"), 1)]
@@ -297,7 +397,7 @@ def _step_source(live, observed):
         body += ["sb = 3 * i"]   # the step's row of the stage flows
     for k, coef, at in ((2, "h2", "sb"), (3, "h2", "sb + 1"),
                         (4, "dt", "sb + 2")):
-        body += stage(k, y_at, coef)
+        body += stage(k, coef)
         if observed:
             body += [f"ys[{at}] = y"]
     body += [f"{n} = {n} + h6 * ({n}_1 + 2.0 * {n}_2 + 2.0 * {n}_3 + {n}_4)"
@@ -312,6 +412,7 @@ def _step_source(live, observed):
              "    return NONFINITE, i + 1, None"]
     lines = ["def run(out, s, dt, p, start, stop, last, ys):",
              f"    {state} = s[:11]",
+             f"    {ast.unparse(unpack)}",
              "    h2 = 0.5 * dt",
              "    h6 = dt / 6.0",
              "    for i in range(start, stop):"]
@@ -325,9 +426,8 @@ def _step(live, observed):
     on its first use and cached in ``_STEPS``."""
     run = _STEPS.get((live, observed))
     if run is None:
-        namespace = {"closed_loop_rhs": closed_loop_rhs,
-                     "isfinite": math.isfinite, "OK": OK,
-                     "NONFINITE": NONFINITE}
+        namespace = dict(_rhs_body(closed_loop_rhs)[3],
+                         isfinite=math.isfinite, OK=OK, NONFINITE=NONFINITE)
         exec(compile(_step_source(live, observed),
                      f"<closed-loop step {live} observed={observed}>",
                      "exec"), namespace)

@@ -20,16 +20,18 @@ class DivergenceError(SurgeKitError):
     recorded up to the failure (``partial`` may be None), and for the
     closed loop the RK stage 1-4 whose rates failed, or None when the
     failing step's result was not finite (``stage``; None for the open
-    loop).
+    loop), and the names of the states that are not finite in ``state``
+    (``failing``; empty for the open loop).
     """
 
     def __init__(self, message, time=None, state=None, partial=None,
-                 stage=None):
+                 stage=None, failing=()):
         super().__init__(message)
         self.time = time
         self.state = state
         self.partial = partial
         self.stage = stage
+        self.failing = failing
 
 
 class AnalysisError(SurgeKitError):

@@ -330,8 +330,12 @@ def simulate_closed_loop(cfg: ControllerConfig,
     reason = ("observed compressor model broke down (psi or psi_c <= 0)"
               if status == _kernels.PSI_NONPOSITIVE
               else "non-finite loop state")
-    raise DivergenceError(f"{reason} near t={t_fail:.6g}", time=t_fail,
-                          state=state, partial=partial, stage=stage)
+    failing = tuple(name for name, v in zip(_kernels.CL_STATE, state.tolist())
+                    if not math.isfinite(v))
+    named = f": {', '.join(failing)}" if failing else ""
+    raise DivergenceError(f"{reason} near t={t_fail:.6g}{named}",
+                          time=t_fail, state=state, partial=partial,
+                          stage=stage, failing=failing)
 
 
 def gain_excursion(traj: Trajectory) -> float:

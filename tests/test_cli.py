@@ -306,7 +306,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv,message", [
         (["closedloop", "--dt", "1e200", "--t-end", "1e201"],
-         "error: non-finite loop state near t=0\n"),
+         "error: non-finite loop state near t=0: x, d, v2, v3\n"),
         (["simulate", "--scenario", "fig7", "--dt", "1e200", "--t-end",
           "1e201"],
          "error: plenum pressure reached zero near t=0 "

@@ -7,13 +7,17 @@ import os
 import subprocess
 import sys
 
+import re
+
 import numpy as np
 import pytest
+import support
 from support import coupled_rhs, rk4_step
 
 from surgekit import _kernels, csvio, loop
 from surgekit.compressor import DEFAULT_MAP, GreitzerParams, PlantState, \
     map_pressure_rise
+from surgekit.errors import DivergenceError
 from surgekit.loop import (CONTROLLER_KINDS, ControllerConfig,
                            DisturbanceProfile, ValveModel, _kernel_args,
                            _observer_args, initial_loop_state,
@@ -24,6 +28,122 @@ M = DEFAULT_MAP
 OK = _kernels.OK
 NONFINITE = _kernels.NONFINITE
 PSI = _kernels.PSI_NONPOSITIVE
+KIND_ADAPTIVE = _kernels.KIND_ADAPTIVE
+KIND_FIXED_PID = _kernels.KIND_FIXED_PID
+
+
+# closed_loop_rhs with the disturbance lag at half its rate, and without a
+# docstring, for a step built from it
+def slow_disturbance_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
+    (kind, kp, ki, kd, gamma, r, vtau, vlo, vhi, ftau, dtarget, dtau, rm_w2,
+     rm_2zw) = p
+    d_dot = 0.5 * (dtarget - d) / dtau
+    linear = vlo <= x <= vhi
+    if x > vhi:
+        co = vhi
+    elif x < vlo:
+        co = vlo
+    else:
+        co = x
+    y = d + co
+    if kind == KIND_ADAPTIVE:
+        prop = k1 * r - k2 * y
+        dgain = k3
+    elif kind == KIND_FIXED_PID:
+        prop = kp * (r - y) + ki * e_int
+        dgain = kd
+    else:
+        prop = kp * (r - y)
+        dgain = kd
+    if linear:
+        den = 1.0 + dgain / vtau
+        if den == 0.0:
+            return None
+        u = (prop - dgain * d_dot + dgain * x / vtau) / den
+    else:
+        u = prop - dgain * d_dot
+    x_dot = (u - x) / vtau
+    if linear:
+        y_dot = d_dot + x_dot
+    else:
+        y_dot = d_dot
+    e = y - ym1
+    if kind == KIND_ADAPTIVE and linear:
+        k1_dot = -gamma * e * v1
+        k2_dot = -gamma * e * v2
+        k3_dot = -gamma * e * v3
+    else:
+        k1_dot = k2_dot = k3_dot = 0.0
+    if kind == KIND_FIXED_PID:
+        e_int_dot = r - y
+    else:
+        e_int_dot = 0.0
+    return (x_dot, d_dot, ym2, rm_w2 * r - rm_w2 * ym1 - rm_2zw * ym2,
+            (r - v1) / ftau, (-y - v2) / ftau, (-y_dot - v3) / ftau,
+            k1_dot, k2_dot, k3_dot, e_int_dot, u, co, y, e)
+
+
+# rhs definitions the step cannot inline, each for one reason
+
+
+def no_unpack_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
+    """Reads no constant."""
+    u = co = y = e = x
+    return (x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, u, co, y, e)
+
+
+def short_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
+    vtau, r = p
+    u = co = y = e = r
+    return ((u - x) / vtau, u, co, y, e)
+
+
+def swapped_signals_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
+    vtau, r = p
+    u = co = y = e = r
+    return (x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, u, y, co, e)
+
+
+def early_return_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
+    vtau, r = p
+    if x > r:
+        return x
+    u = co = y = e = r
+    return (x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, u, co, y, e)
+
+
+def clamping_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
+    vtau, r = p
+    if x > r:
+        x = r
+    u = co = y = e = r
+    return (x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, u, co, y, e)
+
+
+def step_local_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
+    vtau, r = p
+    h2 = 0.5 * r
+    u = co = y = e = h2
+    return (x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, u, co, y, e)
+
+
+def stage_rate_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
+    vtau, r = p
+    x_1 = (r - x) / vtau
+    u = co = y = e = r
+    return (x_1, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, u, co, y, e)
+
+
+def step_constant_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
+    vtau, ok = p
+    u = co = y = e = ok
+    return (x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, u, co, y, e)
+
+
+def other_parameters_rhs(x, d, p):
+    vtau, r = p
+    u = co = y = e = r
+    return (x, d, x, x, x, x, x, x, x, x, x, u, co, y, e)
 
 
 class TestLiveStates:
@@ -159,7 +279,6 @@ class TestStatusCodes:
         assert row == 1
 
     def test_wrapper_raises_on_breakdown(self):
-        from surgekit.errors import DivergenceError
         from surgekit.odesim import simulate_greitzer
         with pytest.raises(DivergenceError) as exc:
             simulate_greitzer(PlantState(0.5, 1e-9),
@@ -285,6 +404,24 @@ class TestLoopStageFailure:
                 0.34375, 1.0, 0.0, k3, 0.5, start[12]]
 
 
+    def test_error_names_no_state(self, monkeypatch):
+        # the zero control denominator at stage 2 stops the run at the
+        # step's start, where every state is finite: the error names none
+        cfg = ControllerConfig(kind="adaptive", reference=0.15625, gamma=1.0)
+        start = np.array([self.STATE.get(name, 0.0)
+                          for name in _kernels.CL_STATE])
+        start[9] = -1.3125
+        monkeypatch.setattr(loop, "initial_loop_state",
+                            lambda *config: start.copy())
+        with pytest.raises(DivergenceError) as exc:
+            simulate_closed_loop(cfg,
+                                 profile=DisturbanceProfile(target=0.34375),
+                                 dt=1.0, t_end=5.0)
+        err = exc.value
+        assert (err.stage, err.failing) == (2, ())
+        assert str(err) == "non-finite loop state near t=0"
+        assert err.state.tobytes() == start.tobytes()
+
     @pytest.mark.parametrize("kind, dt, row, stage", [
         ("fixed-pd", 0.05, 12, 4), ("fixed-pd", 0.25, 3, 2),
         ("fixed-pid", 0.1, 5, 2)])
@@ -315,7 +452,8 @@ class TestLoopStageFailure:
 
 class TestGeneratedStep:
     """The closed-loop RK4 step is generated per (live, observed) key: its
-    code holds no model equation, and it is built once, on first use."""
+    stages are closed_loop_rhs's own statements, and it is built once, on
+    first use."""
 
     KEYS = [(live, observed)
             for live in [(0, 1, 2, 3, 4, 5, 6, 7, 8, 9), (0, 1, 5, 6, 10),
@@ -327,7 +465,8 @@ class TestGeneratedStep:
         tree = ast.parse(_kernels._step_source(live, observed))
         called = {node.func.id for node in ast.walk(tree)
                   if isinstance(node, ast.Call)}
-        assert called == {"closed_loop_rhs", "isfinite", "range"}
+        # the rhs is inlined, not called
+        assert called == {"isfinite", "range"}
         # the stage flows are written only when observed
         names = {node.id for node in ast.walk(tree)
                  if isinstance(node, ast.Name)}
@@ -350,6 +489,60 @@ class TestGeneratedStep:
         assert again.samples.tobytes() == first.samples.tobytes()
         assert _kernels._STEPS[live, False] is run
         assert len(_kernels._STEPS) == built
+
+    def test_step_follows_the_rhs(self, monkeypatch):
+        # a step built from another rhs integrates that rhs bit for bit,
+        # as the full RK4 oracle does: the step holds no equation of its
+        # own
+        cfg = ControllerConfig(kind="adaptive", k3=0.0, reference=0.7)
+        valve = ValveModel()
+        prof = DisturbanceProfile(target=0.35)
+        p = _kernel_args(cfg, valve, prof)
+        state = initial_loop_state(cfg, valve, prof)
+        dt, steps = 1e-3, 500
+        shipped = np.empty((steps + 1, 11))
+        assert _kernels.closed_loop_loop(shipped, state.copy(), dt, p) == (
+            OK, steps, None)
+        monkeypatch.setattr(_kernels, "_STEPS", {})
+        monkeypatch.setattr(_kernels, "closed_loop_rhs",
+                            slow_disturbance_rhs)
+        monkeypatch.setattr(support, "closed_loop_rhs", slow_disturbance_rhs)
+        live = _kernels.live_states(p, state)
+        rows, final, _ = TestLiveStates._oracle(
+            state, dt, steps, p, None,
+            [j for j in range(_kernels.CL_DIM) if j not in live])
+        out = np.empty_like(rows)
+        q = state.copy()
+        assert _kernels.closed_loop_loop(out, q, dt, p) == (OK, steps, None)
+        assert list(_kernels._STEPS) == [(live, False)]
+        assert out.tobytes() == rows.tobytes()
+        assert q.tobytes() == final.tobytes()
+        assert out.tobytes() != shipped.tobytes()
+
+    MALFORMED = [
+        (no_unpack_rhs, "it does not begin by unpacking p"),
+        (short_rhs, "it does not end by returning the 15-tuple"),
+        (swapped_signals_rhs, "it does not end by returning the 15-tuple"),
+        (early_return_rhs, "it returns something other than None"),
+        (clamping_rhs, "it assigns to ['x']"),
+        (step_local_rhs, "its names ['h2'] are the step's"),
+        (stage_rate_rhs, "its names ['x_1'] are the step's"),
+        (step_constant_rhs, "its names ['ok'] are the step's"),
+        (other_parameters_rhs, "its parameters are ['x', 'd', 'p']"),
+    ]
+
+    @pytest.mark.parametrize("rhs, why", MALFORMED,
+                             ids=[rhs.__name__ for rhs, _ in MALFORMED])
+    def test_malformed_rhs_is_refused(self, monkeypatch, rhs, why):
+        # an rhs the inliner would mistranslate is refused with one
+        # ValueError when the step is first built, and none is cached
+        monkeypatch.setattr(_kernels, "_STEPS", {})
+        monkeypatch.setattr(_kernels, "closed_loop_rhs", rhs)
+        with pytest.raises(ValueError, match=re.escape(
+                f"cannot inline {rhs.__name__} into the closed-loop RK4 "
+                f"step: {why}")):
+            _kernels._step((0, 1, 5, 6), False)
+        assert _kernels._STEPS == {}
 
     def test_no_step_is_built_at_import(self):
         code = ("import surgekit.cli; from surgekit import _kernels; "

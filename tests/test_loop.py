@@ -489,6 +489,22 @@ class TestClosedLoopScenarios:
         assert traj.column("psi")[-1] == pytest.approx(
             map_pressure_rise(DEFAULT_MAP, y_end), abs=5e-3)
 
+    def test_nonfinite_breakdown_names_the_failing_states(self):
+        # a step of 1e200 overflows the fixed PID loop in its first step;
+        # the error names the states it left non-finite, in CL_STATE order
+        with np.errstate(all="ignore"), \
+                pytest.raises(DivergenceError) as exc:
+            simulate_closed_loop(ControllerConfig(kind=FIXED_PID),
+                                 dt=1e200, t_end=1e201)
+        err = exc.value
+        assert err.stage is None
+        assert err.failing == ("x", "d", "v2", "v3", "e_int")
+        assert err.failing == tuple(
+            name for name, v in zip(CL_STATE, err.state)
+            if not math.isfinite(v))
+        assert str(err) == ("non-finite loop state near t=0: "
+                            "x, d, v2, v3, e_int")
+
     def test_observed_breakdown_keeps_finite_partial_and_state(self):
         # with d = 1.0 the observed compressor breaks down near t = 0.854;
         # the error carries the finite rows before it and the loop state
@@ -500,6 +516,7 @@ class TestClosedLoopScenarios:
         err = exc.value
         assert err.time == pytest.approx(0.854, abs=1e-12)
         assert err.stage == 2
+        assert err.failing == ()
         partial = err.partial
         assert partial.n_rows == 855
         assert np.all(np.isfinite(partial.samples))
