@@ -27,7 +27,7 @@ from .compressor import (CompressorMap, DEFAULT_MAP, GreitzerParams,
                          map_pressure_rise, map_slope, throttle_from_flow)
 from .errors import (AnalysisError, DegenerateResponseError, DivergenceError,
                      DomainError, ModelBreakdownError, NoEquilibriumError,
-                     ScenarioError, SurgeKitError)
+                     NoSignChangeError, ScenarioError, SurgeKitError)
 from .loop import (ControllerConfig, DisturbanceProfile, TuneConfig,
                    ValveModel, extract_LT, simulate_closed_loop, zn_gains)
 from .odesim import Trajectory, simulate_greitzer, steady_state_of
@@ -48,7 +48,7 @@ __all__ = [
     "throttle_from_flow",
     "AnalysisError", "DegenerateResponseError", "DivergenceError",
     "DomainError", "ModelBreakdownError", "NoEquilibriumError",
-    "ScenarioError", "SurgeKitError",
+    "NoSignChangeError", "ScenarioError", "SurgeKitError",
     "ControllerConfig", "DisturbanceProfile", "TuneConfig", "ValveModel",
     "extract_LT", "simulate_closed_loop", "zn_gains",
     "Trajectory", "simulate_greitzer", "steady_state_of",

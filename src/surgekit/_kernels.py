@@ -5,9 +5,9 @@ interpreter than numpy scalars: the open-loop kernel
 :func:`greitzer_loop` starts from ``float`` scalars, and
 :func:`closed_loop_loop` runs on ``state.tolist()`` and records rows
 through a flat ``memoryview`` of ``out``.  Each fills a preallocated
-``out`` array; the closed loop fills it in ranges of rows, and after each
-a caller's ``follow`` can act on the rows filled so far
-(``csvio.RunHelper`` formats them in another process).
+``out`` array; the closed loop fills it in ranges of rows, and reports
+each to a caller's ``report`` (``csvio.RunHelper`` observes and formats
+them in another process).
 
 The closed loop integrates only its live states, :func:`live_states`:
 those whose rate :func:`closed_loop_rhs` can make nonzero for the run's
@@ -36,9 +36,8 @@ So it has its own kernel, :func:`observed_compressor`, which integrates it
 over a range of rows from the flows the loop recorded: y at RK stage 1 in
 the record, and at stages 2-4 in a stage buffer.  It may run in another
 process while the loop goes on (``csvio.RunHelper``), or in this one
-after each range; its columns are bit for bit those of the coupled
-13-state RK4, and its failures are merged with the loop's by step and RK
-stage.
+after the loop; its columns are bit for bit those of the coupled
+13-state RK4.  ``loop`` merges its failure with the loop's.
 
 Each model equation is defined once: the compressor map in
 :func:`pressure_rise`, the surge model's rates in :func:`surge_rhs`
@@ -494,36 +493,18 @@ def flat(a):
     return memoryview(a).cast("B").cast("d")
 
 
-def _step_stage(row, stage):
-    """(step, stage) of a failure reported at ``row``, ordered as the
-    coupled RK4 meets it: the finite check after stage 4."""
-    return (row, 1) if stage == 1 else (row - 1, stage or 5)
-
-
-def closed_loop_loop(out, state, dt, p, block=None, follow=None, ys=None):
+def closed_loop_loop(out, state, dt, p, block=None, report=None, ys=None):
     """RK4 on the closed loop over the C-ordered array ``out`` from the
-    array ``state``, into which the state at the end is copied back.  The
-    loop runs on ``state.tolist()`` and records through a flat view of
-    ``out``; the live states are taken once, from the first state, and
-    select the range function that integrates them (:func:`_step`).
+    array ``state``, into which the loop states at the end are copied
+    back.  The loop runs on ``state.tolist()`` and records through a flat
+    view of ``out``; the live states are taken once, from the first state,
+    and select the range function that integrates them (:func:`_step`).
 
     With ``block`` the rows are filled ``block`` at a time, and after each
-    such range ``follow(rows, False)`` is called with the rows filled so
-    far; at the end, ``follow(rows, True)`` with the rows the loop filled
-    (all of them, or those before its failure).
-
-    Observed, ``ys`` is the (rows, 3) array of stage flows, and ``follow``
-    integrates the observed compressor (:func:`observed_compressor`) over
-    the rows it is given.  It returns the observer's failure, which stops
-    the run, or None; at the end, its result.  (phi, psi) at the start is
-    ``state[11:13]``.  The earlier failure by (step, RK stage) is returned,
-    the loop's on a tie (its rates come first in the coupled rhs), and
-    ``state`` is the 13-state vector at that failure: when it is the
-    observer's, the loop's part is rebuilt by replaying its range from
-    the state kept at the range's start.  When the loop fails at stage 2-4
-    of a step, the observer is given that step's row, whose flows from the
-    failing stage on were never recorded: whatever it meets there comes at
-    or after the loop's failure, and loses to it.
+    such range ``report(rows, False)`` is called with the rows filled so
+    far; at the end, ``report(rows, True)`` with the rows the loop filled
+    (all of them, or those before its failure).  What ``report`` returns
+    is ignored.  Observed, ``ys`` is the (rows, 3) array of stage flows.
 
     Returns (status, row, stage) as the range function does.
     """
@@ -533,41 +514,17 @@ def closed_loop_loop(out, state, dt, p, block=None, follow=None, ys=None):
     run = _step(live_states(p, s), stages is not None)
     n = len(out)
     block = block or n
-    kept = []
-    if stages is not None:
-        rec[11] = s[11]
-        rec[12] = s[12]
     rc = OK, n - 1, None
-    seen = None   # the observer's failure, or its result at the end
     try:
         for start in range(0, n, block):
-            if stages is not None:
-                kept.append(s.copy())
             stop = min(start + block, n)
             rc = run(rec, s, dt, p, start, stop, n - 1, stages)
             if rc[0] != OK:
                 break
-            if follow is not None and stop < n:
-                seen = follow(stop, False)
-                if seen is not None:
-                    break
-        if follow is not None and seen is None:
-            seen = follow(n if rc[0] == OK else rc[1], True)
-        if stages is None:
-            return rc
-        replay = seen[0] != OK and (
-            rc[0] == OK or _step_stage(*seen[1:]) < _step_stage(*rc[1:]))
-        if replay:
-            rc = seen
-        # the step whose state the failure reports: after the step for the
-        # finite check, before it for a stage
-        at = rc[1] - 1 if rc[2] in (2, 3, 4) else rc[1]
-        if replay:
-            k = min(at // block, len(kept) - 1)
-            s[:] = kept[k]
-            run(rec, s, dt, p, k * block, at, n - 1, stages)
-        s[11] = rec[13 * at + 11]
-        s[12] = rec[13 * at + 12]
+            if report is not None and stop < n:
+                report(stop, False)
+        if report is not None:
+            report(n if rc[0] == OK else rc[1], True)
         return rc
     finally:
         state[:] = s

@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 
@@ -20,7 +21,8 @@ from . import __version__
 from .averaging import REPORT_HEADER, grid_points, stability_verdict
 from .compressor import GreitzerParams, map_pressure_rise
 from .csvio import RunHelper, write_rows, write_trajectory
-from .errors import DomainError, ScenarioError, SurgeKitError
+from .errors import DomainError, NoSignChangeError, ScenarioError, \
+    SurgeKitError
 from .loop import CONTROLLER_KINDS, TUNE_RULES, extract_LT, gain_excursion, \
     simulate_closed_loop, zn_gains
 from .odesim import Trajectory, simulate_greitzer, steady_state_of
@@ -120,11 +122,21 @@ def cmd_stability(args) -> int:
                [(r.phi, r.discriminant, r.real_part, r.bendixson_r,
                  r.classification) for r in rows], path)
     # the boundary search brackets on its default grid, whatever the scan's n
-    boundary = surge_boundary(sc.cmap, scan=StabilityConfig(scan.lo, scan.hi))
+    try:
+        boundary = surge_boundary(sc.cmap,
+                                  scan=StabilityConfig(scan.lo, scan.hi))
+    except NoSignChangeError:
+        boundary = None
     print(f"stability scan: {scan.n} points on "
           f"[{scan.lo:g}, {scan.hi:g}] -> {path}")
-    print(f"surge boundary phi* = {boundary:.9g} "
-          "(unstable focus below, stable focus above)")
+    if boundary is None:
+        classes = Counter(r.classification for r in rows)
+        print(f"no surge boundary on [{scan.lo:g}, {scan.hi:g}]: "
+              + ", ".join(f"{count} of {scan.n} points {cls}"
+                          for cls, count in classes.items()))
+    else:
+        print(f"surge boundary phi* = {boundary:.9g} "
+              "(unstable focus below, stable focus above)")
     if args.svg:
         phis = np.array([r.phi for r in rows])
         render_svg([Series("eigenvalue real part", phis,
@@ -146,13 +158,19 @@ def cmd_simulate(args) -> int:
         raise ScenarioError(f"--ss-tol must be finite and >= 0, "
                             f"got {args.ss_tol}")
     traj = _run_plant(sc)
+    window = min(args.ss_window, 0.5 * sc.resolved_t_end())
+    # steady_state_of averages round(window/dt) rows: none up to 0.5.  A
+    # run that breaks down fails first, as it does at any window
+    if not window / traj.dt > 0.5:
+        raise ScenarioError(
+            f"steady-state window {window:g} (--ss-window, at most half of "
+            f"t_end) is under one step of dt={traj.dt:g}")
     path = _csv_path(args, sc)
     write_trajectory(traj, path, sc.decimation)
     phi = traj.column("phi")
     psi = traj.column("psi")
     print(f"open-loop run: {traj.n_rows} samples, dt={traj.dt:g} -> {path}")
     print(f"final state phi = {phi[-1]:.6g}, psi = {psi[-1]:.6g}")
-    window = min(args.ss_window, 0.5 * sc.resolved_t_end())
     ss = steady_state_of(traj, window=window, tol=args.ss_tol)
     if ss is None:
         print(f"no steady state within tol {args.ss_tol:g} over the final "

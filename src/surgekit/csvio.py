@@ -6,8 +6,9 @@ byte-identical files; the header row is always present.
 A closed-loop run can hand two jobs to a second CPU while its kernel
 fills the record: integrating the observed compressor, and formatting the
 CSV rows.  A :class:`RunHelper` forks one process per run that does both
-for each finished block of rows, and sends the text back once the run is
-complete.  That process never touches the filesystem.
+for each finished block of rows, sends the observer's result when the
+run ends, and the text once the run is complete.  That process never
+touches the filesystem.
 :func:`write_trajectory` creates and writes the file either way, and
 formats the rows itself when there is no helper or it failed, so the
 bytes are the same.
@@ -149,11 +150,12 @@ class RunHelper:
     Pass the helper to ``loop.simulate_closed_loop`` and then to
     :func:`write_trajectory`, inside a ``with`` block, which ends the
     process if it is still running.  The process is forked when the run
-    starts (:meth:`start`) if :func:`_fork_pays`.  It formats the rows
-    when their text, which it holds until the run is complete, fits in
-    ``_FORK_MAX_ROWS`` rows.  Without the process, the caller observes and
-    formats in its own; it takes over the same way when the process is
-    lost.
+    starts (:meth:`start`) if :func:`_fork_pays`.  It observes to the end
+    of the run, or to the observer's failure, and sends the result at the
+    last report (:meth:`result`).  It formats the rows when their text,
+    which it holds until the run is complete, fits in ``_FORK_MAX_ROWS``
+    rows.  Without the process, the caller observes and formats in its
+    own; it does the same when the process is lost.
     """
 
     def __init__(self, decimate: int):
@@ -169,45 +171,42 @@ class RunHelper:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def start(self, samples: np.ndarray, observe=None) -> bool:
+    def start(self, samples: np.ndarray, observe=None) -> None:
         """Fork the process, where it pays, for the run whose record is
         ``samples``; ``observe(start, stop)`` integrates the observed
         compressor over rows start..stop-1 and returns its (status, row,
-        stage).  Returns whether the process observes."""
+        stage)."""
         self._samples = samples
         written = len(range(0, len(samples), self.decimate))
         if _fork_pays(written, 0 if observe is None else len(samples)):
             self._fork(observe, written <= _FORK_MAX_ROWS)
-        return self._observes
 
-    def rows_filled(self, rows: int, last: bool = False):
+    def rows_filled(self, rows: int, last: bool = False) -> None:
         """Report that the first ``rows`` rows of the record are final;
         ``last``: the run ended there, complete if they are all of them.
-
-        Returns the observer's result when the process has one: its
-        failure, after which the process ends, or at the last report its
-        result.  Otherwise None.  Raises :class:`HelperLost` when the
-        process is gone without the result.
-        """
+        A process found gone is closed."""
         if not self._pid:
-            return None
+            return
         try:
             os.write(self._to_child, _REPORT.pack(rows, last))
-        except OSError:   # the process is gone, after a failure or not
-            return self._result()
+        except OSError:
+            self.close()
+            return
         if last:
             self._complete = self._formats and rows == len(self._samples)
-            if self._observes:
-                return self._result()
-        return None
 
-    def _result(self):
+    def result(self):
+        """The observer's (status, row, stage) over the run, read from the
+        process after the last report; None when no process observed the
+        run, or it was lost, which closes it."""
+        if not self._observes:
+            return None
         data = b""
         while len(data) < _RESULT.size:
             chunk = os.read(self._from_child, _RESULT.size - len(data))
             if not chunk:
                 self.close()
-                raise HelperLost
+                return None
             data += chunk
         status, row, stage = _RESULT.unpack(data)
         return status, row, stage or None
@@ -281,14 +280,15 @@ def _follow_run(samples: np.ndarray, decimate: int, observe, inbox: int,
                 outbox: int) -> None:
     """The helper process: for each range of filled rows reported on
     ``inbox``, integrate the observed compressor over it with ``observe``,
-    if given, then format its rows kept at ``decimate``, if not 0.
+    if given and it has not failed, then format its rows kept at
+    ``decimate``, if not 0.
 
-    The observer's result goes to ``outbox`` as soon as it fails, and
-    otherwise at the last report; then, when the run is complete, the
-    text.
+    The observer's result goes to ``outbox`` at the last report; then,
+    when the run is complete, the text.
     """
     pieces = []
     done = 0
+    status, row, stage = OK, 0, None
     with open(inbox, "rb") as reports:
         while True:
             report = reports.read(_REPORT.size)
@@ -296,11 +296,10 @@ def _follow_run(samples: np.ndarray, decimate: int, observe, inbox: int,
                 raise HelperLost   # the run's process is gone
             rows, last = _REPORT.unpack(report)
             if observe is not None:
-                status, row, stage = observe(done, rows)
-                if status != OK or last:
+                if status == OK:
+                    status, row, stage = observe(done, rows)
+                if last:
                     os.write(outbox, _RESULT.pack(status, row, stage or 0))
-                    if status != OK:
-                        return
             if last and rows < len(samples):
                 return
             if decimate:

@@ -38,6 +38,11 @@ class AnalysisError(SurgeKitError):
     """A numerical analysis step could not complete (e.g. no bracketed root)."""
 
 
+class NoSignChangeError(AnalysisError):
+    """The eigenvalue real part keeps its sign over a flow range: the
+    range holds no surge boundary."""
+
+
 class NoEquilibriumError(AnalysisError):
     """No equilibrium flow exists for the requested throttle setting."""
 

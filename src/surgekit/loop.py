@@ -16,11 +16,12 @@ breaking it with a one-step delay.
 ``--observe`` runs a compressor beside the loop, throttled by the
 measured flow and feeding nothing back.  The loop kernel records the flow
 at each RK stage, and the observer's own kernel integrates (phi, psi) from
-those flows one block of rows behind it: in the process of a
-``csvio.RunHelper`` when the CLI forks one (on the second CPU, while the
-loop goes on), else here after each block.  Either way the columns, and
-the time, rows, stage and state of a failure, are those of the coupled
-13-state RK4.
+those flows: one block of rows behind the loop in the process of a
+``csvio.RunHelper`` when the CLI forks one (on the second CPU), else here
+after the loop.  The loop runs to its own end or failure either way, and
+:func:`_integrate` merges the observer's result with the loop's once, at
+the end, so the columns, and the time, rows, stage and state of a
+failure, are those of the coupled 13-state RK4.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 from . import _kernels
 from .compressor import CompressorMap, DEFAULT_MAP, FLOW_GAIN, PRESSURE_GAIN, \
     map_pressure_rise
-from .csvio import _BLOCK_ROWS, HelperLost, RunHelper
+from .csvio import _BLOCK_ROWS, RunHelper
 from .errors import DegenerateResponseError, DivergenceError, DomainError
 from .odesim import LOOP_DT, LOOP_T_END, Trajectory, _output_buffer
 
@@ -228,51 +229,64 @@ def _observer_args(cmap: CompressorMap = DEFAULT_MAP, a: float = FLOW_GAIN,
     return (cmap.psi0, cmap.h, cmap.slope, cmap.offset, *cmap.cubic, a, b)
 
 
-class _Follower:
-    """``follow`` of ``_kernels.closed_loop_loop``: reports each range of
-    filled rows to the helper, if one is given, and integrates the
-    observed compressor over it with ``observe``, if given, where the
-    helper's process does not (none was forked, or it was lost; then from
-    the first row)."""
-
-    def __init__(self, observe, helper, samples):
-        self.observe = observe
-        self.helper = helper
-        self.done = 0
-        self.remote = helper is not None and helper.start(samples, observe)
-
-    def __call__(self, rows: int, last: bool):
-        if self.helper is not None:
-            try:
-                result = self.helper.rows_filled(rows, last)
-            except HelperLost:
-                self.remote = False
-            else:
-                if self.remote:
-                    return result
-        if self.observe is None:
-            return None
-        result = self.observe(self.done, rows)
-        self.done = rows
-        return result if last or result[0] != _kernels.OK else None
+def _step_stage(row, stage):
+    """(step, stage) of a failure reported at ``row``, ordered as the
+    coupled RK4 meets it: the finite check after stage 4."""
+    return (row, 1) if stage == 1 else (row - 1, stage or 5)
 
 
 def _integrate(out, ys, state, dt, p, m=None, helper=None, block=None):
     """``_kernels.closed_loop_loop`` on the record ``out`` from ``state``,
-    ``block`` rows at a time: with the map constants ``m``, observed, the
-    stage flows going to ``ys``.  Both arrays must be shared mappings
+    ``block`` rows at a time, each range reported to ``helper``, if given;
+    with the map constants ``m``, observed, the stage flows going to
+    ``ys``.  Both arrays must be shared mappings
     (``odesim._output_buffer``) for a ``helper`` process to read and
-    write them.  Returns (status, row, stage)."""
+    write them.  Returns (status, row, stage), and leaves in ``state``
+    the 13 states at the end or at the failure.
+
+    Observed, (phi, psi) starts at ``state[11:13]``.  The observer's
+    result is the helper's (``RunHelper.result``), or where no process
+    gave one, that of :func:`_kernels.observed_compressor` run here over
+    the rows the loop filled.  The earlier failure by (step, RK stage) is
+    the run's, the loop's on a tie (its rates come first in the coupled
+    rhs).  When it is the observer's, the loop's part of the state is
+    rebuilt by running the loop again from the start up to the failing
+    step.  When the loop fails at stage 2-4 of a step, the observer is
+    given that step's row, whose flows from the failing stage on were
+    never recorded: whatever it meets there comes at or after the loop's
+    failure, and loses to it.
+    """
     observe = None
     if m is not None:
+        out[0, 11:] = state[11:]
         observe = functools.partial(_kernels.observed_compressor,
                                     _kernels.flat(out), _kernels.flat(ys),
                                     dt, m)
-    follow = None
-    if observe is not None or helper is not None:
-        follow = _Follower(observe, helper, out)
-    return _kernels.closed_loop_loop(out, state, dt, p, block, follow,
-                                     None if m is None else ys)
+    report = None
+    if helper is not None:
+        helper.start(out, observe)
+        report = helper.rows_filled
+    start = state.copy()
+    rc = _kernels.closed_loop_loop(out, state, dt, p, block, report,
+                                   None if m is None else ys)
+    if observe is None:
+        return rc
+    seen = None if helper is None else helper.result()
+    if seen is None:
+        seen = observe(0, len(out) if rc[0] == _kernels.OK else rc[1])
+    replay = seen[0] != _kernels.OK and (
+        rc[0] == _kernels.OK or _step_stage(*seen[1:]) < _step_stage(*rc[1:]))
+    if replay:
+        rc = seen
+    # the step whose state the failure reports: after the step for the
+    # finite check, before it for a stage
+    at = rc[1] - 1 if rc[2] in (2, 3, 4) else rc[1]
+    if replay:
+        state[:] = start
+        _kernels.closed_loop_loop(out[:at + 1], state, dt, p,
+                                  ys=ys[:at + 1])
+    state[11:] = out[at, 11:]
+    return rc
 
 
 def simulate_closed_loop(cfg: ControllerConfig,
@@ -291,12 +305,13 @@ def simulate_closed_loop(cfg: ControllerConfig,
     (throttle parameter g = y/sqrt(psi_c(y))) and phi, psi columns are
     appended; the loop itself never feeds back from them.
 
-    The kernel fills the record in blocks of ``csvio._BLOCK_ROWS`` rows,
-    and the observed compressor follows it, block by block.  A ``helper``
-    (``csvio.RunHelper``) is given each block when it is filled; where it
-    forks a process, that process observes and formats the blocks while
-    the kernel goes on.  Without one, the observer runs here after each
-    block.
+    The kernel fills the record in blocks of ``csvio._BLOCK_ROWS`` rows.
+    A ``helper`` (``csvio.RunHelper``) is given each block when it is
+    filled; where it forks a process, that process observes and formats
+    the blocks while the kernel goes on.  Without one, the observer runs
+    here after the loop.  An observed run whose observer fails still runs
+    the loop to its end, or to the loop's own failure, before the earlier
+    failure is raised.
     """
     columns = list(LOOP_COLUMNS) + (["phi", "psi"] if observe else [])
     out = _output_buffer(dt, t_end, len(columns))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .compressor import (CompressorMap, DEFAULT_MAP, FLOW_GAIN,
                          PRESSURE_GAIN, map_pressure_rise, map_slope)
-from .errors import AnalysisError, DomainError
+from .errors import AnalysisError, DomainError, NoSignChangeError
 from .odesim import Trajectory
 
 #: classification threshold on the eigenvalue real part
@@ -163,14 +163,15 @@ def surge_boundary(cmap: CompressorMap = DEFAULT_MAP, a: float = FLOW_GAIN,
 
     Scans ``scan`` for the rightmost sign change and bisects it down to
     |real part| <= 1e-10.  Below the returned flow the equilibrium is an
-    unstable focus, above it a stable one.
+    unstable focus, above it a stable one.  Raises
+    :class:`NoSignChangeError` where the scan finds no sign change.
     """
     grid = np.linspace(scan.lo, scan.hi, scan.n)
     vals = np.array([eig_real_part(cmap, p, a, b) for p in grid])
     signs = np.sign(vals)
     flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
     if len(flips) == 0:
-        raise AnalysisError(
+        raise NoSignChangeError(
             f"eigenvalue real part does not change sign on "
             f"[{scan.lo}, {scan.hi}]")
     i = flips[-1]

@@ -45,6 +45,35 @@ class TestStability:
         value = float(out.split("phi* = ")[1].split()[0])
         assert 0.42 <= value <= 0.44
 
+    def test_default_range_summary(self, tmp_path, capsys):
+        code, out, err = run(capsys, "stability", "--out-dir", str(tmp_path))
+        assert (code, err) == (0, "")
+        assert out == (
+            f"stability scan: 1000 points on [0.1, 0.79] -> "
+            f"{tmp_path / 'stability.csv'}\n"
+            "surge boundary phi* = 0.434977715 "
+            "(unstable focus below, stable focus above)\n")
+
+    @pytest.mark.parametrize("lo, hi, cls", [
+        ("0.5", "0.7", "stable-focus"), ("0.1", "0.3", "unstable-focus")],
+        ids=["stable-only", "unstable-only"])
+    def test_range_without_boundary(self, tmp_path, capsys, lo, hi, cls):
+        # the scan is complete: its CSV and figure are kept, and the
+        # summary says the range holds no boundary
+        csv, svg = tmp_path / "scan.csv", tmp_path / "scan.svg"
+        code, out, err = run(capsys, "stability", "--lo", lo, "--hi", hi,
+                             "--csv", str(csv), "--svg", str(svg))
+        assert (code, err) == (0, "")
+        assert out == (
+            f"stability scan: 1000 points on [{lo}, {hi}] -> {csv}\n"
+            f"no surge boundary on [{lo}, {hi}]: 1000 of 1000 points "
+            f"{cls}\n"
+            f"figure -> {svg}\n")
+        _, data = read_csv(csv)
+        assert len(data) == 1000
+        assert {row[4] for row in data} == {cls}
+        assert svg.read_text().startswith("<svg")
+
 
 class TestTune:
     def test_reference_constants(self, tmp_path, capsys):
@@ -196,12 +225,14 @@ class TestPlantCommands:
 
     @pytest.mark.parametrize("flag", [
         "--ss-window=nan", "--ss-window=inf", "--ss-window=0",
-        "--ss-window=-1", "--ss-tol=nan", "--ss-tol=inf", "--ss-tol=-1"])
+        "--ss-window=-1", "--ss-tol=nan", "--ss-tol=inf", "--ss-tol=-1",
+        "--t-end=0.001", "--t-end=0.02 --ss-window=0.001"])
     def test_bad_steady_state_flag_exits_three(self, tmp_path, capsys, flag):
         # nan made steady_state_of raise a ValueError, and a nan tolerance
-        # let every run settle
+        # let every run settle.  The window, at most half of t_end, must
+        # span a step of fig7's dt = 0.01: the last two ran, then failed
         _assert_refused(capsys, tmp_path,
-                        ["simulate", "--scenario", "fig7", flag])
+                        ["simulate", "--scenario", "fig7", *flag.split()])
 
     def test_stable_zone_reports_no_cycle(self, tmp_path, capsys):
         code, out, _ = run(capsys, "limit-cycle", "--flow", "0.55",

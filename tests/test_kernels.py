@@ -4,6 +4,7 @@ determinism."""
 
 import ast
 import os
+import signal
 import subprocess
 import sys
 
@@ -304,15 +305,15 @@ class TestStatusCodes:
 
 
 class TestFailureMerge:
-    """The loop's failure and the observer's merge by (step, RK stage):
-    the earlier one is the run's, the loop's on a tie, as its checks come
-    first in the coupled rhs.  An observer that fails first leaves the
-    state of its step, the loop's part replayed."""
+    """The loop's failure and the observer's merge by (step, RK stage) in
+    ``loop._integrate``: the earlier one is the run's, the loop's on a
+    tie, as its checks come first in the coupled rhs.  An observer that
+    fails first leaves the state of its step, the loop's part replayed."""
 
     @staticmethod
-    def _merged(dt, k3, seen):
+    def _merged(monkeypatch, dt, k3, seen):
         """(status, row, stage) and final state of a 3-row observed run
-        whose observer reports ``seen`` at the end."""
+        whose observer, run in this process, returns ``seen``."""
         cfg = ControllerConfig(kind="adaptive")
         valve = ValveModel()
         prof = DisturbanceProfile()
@@ -320,9 +321,11 @@ class TestFailureMerge:
         state[9] = k3
         state[11:] = (0.55, 0.7)
         start = state.copy()
-        rc = _kernels.closed_loop_loop(
-            np.zeros((3, 13)), state, dt, _kernel_args(cfg, valve, prof),
-            None, lambda rows, last: seen if last else None, np.zeros((3, 3)))
+        monkeypatch.setattr(_kernels, "observed_compressor",
+                            lambda *args: seen)
+        rc = loop._integrate(
+            np.zeros((3, 13)), np.zeros((3, 3)), state, dt,
+            _kernel_args(cfg, valve, prof), _observer_args())
         return rc, state, start
 
     @pytest.mark.parametrize("seen, expected", [
@@ -332,10 +335,10 @@ class TestFailureMerge:
         ((PSI, 1, 2), (PSI, 1, 2)),
         ((PSI, 0, 1), (PSI, 0, 1)),
     ], ids=["observer-ok", "tie", "stage-4", "stage-2", "stage-1"])
-    def test_overflowing_step(self, seen, expected):
+    def test_overflowing_step(self, monkeypatch, seen, expected):
         # a step of 1e200 overflows the loop state in step 0, after its
         # four stages
-        rc, state, start = self._merged(1e200, 0.7, seen)
+        rc, state, start = self._merged(monkeypatch, 1e200, 0.7, seen)
         assert rc == expected
         if rc[0] == PSI:
             # the state before step 0
@@ -343,12 +346,127 @@ class TestFailureMerge:
         else:
             assert not np.all(np.isfinite(state[:11]))
 
-    def test_tie_at_a_stage(self):
+    def test_tie_at_a_stage(self, monkeypatch):
         # k3 = -vtau zeroes the control denominator at stage 1 of row 0;
         # an observer failing there too loses
-        rc, state, start = self._merged(1e-3, -2.0, (PSI, 0, 1))
+        rc, state, start = self._merged(monkeypatch, 1e-3, -2.0, (PSI, 0, 1))
         assert rc == (NONFINITE, 0, 1)
         assert state.tobytes() == start.tobytes()
+
+
+def _killed_after_one_range(samples, decimate, observe, inbox, outbox):
+    """A helper process that observes the first reported range and is
+    then killed."""
+    rows, _ = csvio._REPORT.unpack(os.read(inbox, csvio._REPORT.size))
+    observe(0, rows)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class TestResultAfterTheLoop:
+    """``loop._integrate`` reads the observer's result once, after the
+    loop: from the helper process when one observed the run, else from
+    the observer run in this process over the rows the loop filled.  An
+    observer that fails first does not stop the loop."""
+
+    DT = 0.05
+
+    @staticmethod
+    def _start(phi):
+        """The constants and the start of a fixed-PD run whose loop fails
+        on its own at stage 4 of step 11: kd = -vtau zeroes the control
+        denominator once the valve, which starts saturated at 0.5, decays
+        into its range.  The observer starts at (phi, 0.2)."""
+        cfg = ControllerConfig(kind="fixed-pd")
+        valve = ValveModel()
+        prof = DisturbanceProfile(target=0.35, initial=0.35)
+        p = _kernel_args(cfg, valve, prof)
+        p = p[:3] + (-valve.tau,) + p[4:]
+        start = initial_loop_state(cfg, valve, prof)
+        start[0] = 0.5
+        start[11:] = (phi, 0.2)
+        return p, start
+
+    def _run(self, p, start, helper):
+        """(status, row, stage), final state and record of the observed
+        run from ``start``, in 4-row blocks."""
+        out = _output_buffer(self.DT, 5.0, 13)
+        ys = _output_buffer(self.DT, 5.0, 3)
+        state = start.copy()
+        rc = loop._integrate(out, ys, state, self.DT, p, _observer_args(),
+                             helper, 4)
+        return rc, state, out
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The helper processes forked, one for every run given one."""
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            pid = fork()
+            forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(csvio, "_fork_pays", lambda *rows: True)
+        return forks
+
+    def test_observer_failing_in_an_earlier_block(self, forks):
+        # from phi = -0.5 the observed psi reaches zero at stage 4 of step
+        # 5, in the second block; the loop's own failure comes in the
+        # third.  The run reports the observer's, with the state at the
+        # start of step 5: the loop's part as a run whose record ends
+        # there leaves it
+        p, start = self._start(-0.5)
+        alone = start.copy()
+        assert _kernels.closed_loop_loop(
+            np.zeros((101, 11)), alone, self.DT, p, 4) == (NONFINITE, 12, 4)
+        before = start.copy()
+        assert _kernels.closed_loop_loop(
+            np.zeros((6, 11)), before, self.DT, p) == (OK, 5, None)
+        runs = []
+        for forked in (False, True):
+            with csvio.RunHelper(1) as helper:
+                rc, state, out = self._run(p, start,
+                                           helper if forked else None)
+            assert rc == (PSI, 6, 4)
+            assert state[:11].tobytes() == before[:11].tobytes()
+            assert state[11:].tobytes() == out[5, 11:].tobytes()
+            # the loop ran on to its own failure, recording row 11
+            assert out[11, 0] == 11 * self.DT
+            runs.append((state.tobytes(), out[:6].tobytes()))
+        assert len(forks) == 1
+        assert runs[0] == runs[1]
+
+    def test_unobserved_run_has_no_result(self, forks):
+        # the process only formats
+        p, start = self._start(0.0)
+        with csvio.RunHelper(1) as helper:
+            assert loop._integrate(_output_buffer(self.DT, 5.0, 11), None,
+                                   start.copy(), self.DT, p, None, helper,
+                                   4) == (NONFINITE, 12, 4)
+            assert len(forks) == 1
+            assert helper.result() is None
+
+    @pytest.mark.parametrize("phi", [0.0, -0.5],
+                             ids=["loop-fails", "observer-fails"])
+    def test_killed_process_gives_the_in_process_record(self, forks,
+                                                        monkeypatch, phi):
+        p, start = self._start(phi)
+        expected = self._run(p, start, None)
+        results = []
+        result = csvio.RunHelper.result
+        monkeypatch.setattr(
+            csvio.RunHelper, "result",
+            lambda helper: results.append(result(helper)) or results[-1])
+        monkeypatch.setattr(csvio, "_follow_run", _killed_after_one_range)
+        with csvio.RunHelper(1) as helper:
+            rc, state, out = self._run(p, start, helper)
+        assert len(forks) == 1
+        assert results == [None]
+        assert rc == expected[0]
+        assert state.tobytes() == expected[1].tobytes()
+        assert out.tobytes() == expected[2].tobytes()
 
 
 class TestLoopStageFailure:

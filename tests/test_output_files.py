@@ -274,8 +274,9 @@ class TestFormatterProcess:
     def test_observed_breakdown_same_with_and_without_helper(
             self, forks, monkeypatch, block):
         # the observer fails at t=0.854 (row 855), in the first block or
-        # the ninth; the helper reports it, the loop stops, and the state
-        # is rebuilt from the start of the failing block.  The error's
+        # the ninth; the loop runs on to the end of the run, the helper
+        # reports the failure at the last report, and the loop's state is
+        # rebuilt by running it again up to the failing step.  The error's
         # time, stage, rows and 13 states are those of the in-process run
         # and of a process with one CPU, which forks no helper
         monkeypatch.setattr(loop, "_BLOCK_ROWS", block)
