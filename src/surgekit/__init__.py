@@ -11,10 +11,11 @@ Library layout:
   adaptive controllers, tangent tuning rule, closed-loop simulation.
 - ``_kernels``: the fixed-step RK4 kernels and the one definition of each
   model equation: ``pressure_rise`` (the map), ``surge_rhs`` (the surge
-  model) and ``closed_loop_rhs`` (the closed loop, scalars in and a tuple
-  of rates and signals out).  The closed-loop RK4 step is straight-line
-  code generated once per live-state set on its first use, with
-  ``closed_loop_rhs``'s own statements inlined at each stage.
+  model), ``observed_rhs`` (the observed compressor) and
+  ``closed_loop_rhs`` (the closed loop), scalars in and a tuple of rates
+  out.  Each kernel's RK4 step is straight-line code generated on its
+  first use (the closed loop's once per live-state set), with its rhs's
+  own statements inlined at each stage.
 - ``averaging``: averaged adaptation dynamics and their eigenvalues.
 - ``cli``: the ``surgekit`` command-line front end and scenario files.
 """

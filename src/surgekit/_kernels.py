@@ -1,13 +1,26 @@
 """Hot fixed-step integration loops, in pure Python.
 
-The loops compute on Python floats, several times faster in the
-interpreter than numpy scalars: the open-loop kernel
-:func:`greitzer_loop` starts from ``float`` scalars, and
-:func:`closed_loop_loop` runs on ``state.tolist()`` and records rows
-through a flat ``memoryview`` of ``out``.  Each fills a preallocated
-``out`` array; the closed loop fills it in ranges of rows, and reports
-each to a caller's ``report`` (``csvio.RunHelper`` observes and formats
-them in another process).
+Three RK4 kernels run here, each over a range of rows of a preallocated
+record: the open-loop surge model (:func:`greitzer_loop`), the closed
+loop (:func:`closed_loop_loop`) and the observed compressor
+(:func:`observed_compressor`).  Each runs on Python floats, several times
+faster in the interpreter than numpy scalars, and records through a flat
+``memoryview`` of its record (:func:`flat`).  The closed loop fills its
+record in ranges of rows, and reports each to a caller's ``report``
+(``csvio.RunHelper`` observes and formats them in another process).
+
+Each model equation is defined once: the compressor map in
+:func:`pressure_rise`, the surge model's rates in :func:`surge_rhs`, the
+observed compressor's in :func:`observed_rhs` and the closed loop's in
+:func:`closed_loop_rhs`, each a function of scalars.  No kernel calls
+them: each kernel's RK4 step over a range of rows is written out as
+straight-line code (:func:`_step_source`, :func:`_open_loop_source`,
+:func:`_observer_source`), compiled on its first use and cached
+(:func:`_built`).  Every state is a local named after it, and each stage
+is the rhs's own statements, inlined from this module's source, which
+every installed copy has, with the calls to pressure_rise and surge_rhs
+inlined in turn (:func:`_inlined`).  So a step calls no function but
+``isfinite``, ``sqrt`` and ``range``, and builds no tuple of rates.
 
 The closed loop integrates only its live states, :func:`live_states`:
 those whose rate :func:`closed_loop_rhs` can make nonzero for the run's
@@ -17,34 +30,17 @@ and ``e_int`` only under the fixed PID; the rhs sets every other rate to
 exactly 0.0, so those states keep their initial values, as a full RK4
 step would leave them.  The one exception is a zero written as ``-0.0``
 (a fixed controller's gain, say), which stays ``-0.0`` where a full
-step's ``-0.0 + 0.0`` would make it ``0.0``.
-
-The rhs takes the 11 loop states as scalars and returns their rates and
-the signals as one tuple.  The RK4 step over a range of rows is written
-out as straight-line code for each live set, observed or not
-(:func:`_step_source`), compiled on its first use and cached
-(:func:`_step`): every loop state is a local named after it, and the
-stages are closed_loop_rhs's own statements, inlined.  So the step calls
-no function but ``isfinite`` and ``range``, and builds no tuple of rates;
-to inline the rhs it reads this module's source, which every installed
-copy has.  There are 24 such functions at most (12 live sets, observed or
-not).
+step's ``-0.0 + 0.0`` would make it ``0.0``.  There is one closed-loop
+step for each live set, observed or not: 24 at most.
 
 The observed compressor (phi, psi) of ``closedloop --observe`` is
 one-way coupled: the measured flow y drives it and no loop rate reads it.
-So it has its own kernel, :func:`observed_compressor`, which integrates it
-over a range of rows from the flows the loop recorded: y at RK stage 1 in
-the record, and at stages 2-4 in a stage buffer.  It may run in another
-process while the loop goes on (``csvio.RunHelper``), or in this one
-after the loop; its columns are bit for bit those of the coupled
-13-state RK4.  ``loop`` merges its failure with the loop's.
-
-Each model equation is defined once: the compressor map in
-:func:`pressure_rise`, the surge model's rates in :func:`surge_rhs`
-(called by the open-loop kernel at each RK4 stage, and through
-:func:`observed_rhs` by the observer), and the closed-loop equations in
-:func:`closed_loop_rhs` (inlined into the closed-loop step, and called by
-:func:`live_states`).
+So it has its own kernel, which integrates it over a range of rows from
+the flows the loop recorded: y at RK stage 1 in the record, and at
+stages 2-4 in a stage buffer.  It may run in another process while the
+loop goes on (``csvio.RunHelper``), or in this one after the loop; its
+columns are bit for bit those of the coupled 13-state RK4.  ``loop``
+merges its failure with the loop's.
 
 Kernels never raise: they return ``(status, row)`` (the closed loop and
 the observer ``(status, row, stage)``) so the wrappers in
@@ -57,6 +53,7 @@ import functools
 import inspect
 import math
 import textwrap
+from math import sqrt
 
 # the kernels are never compiled; perfbench/worker.py reads this flag to
 # record which flavour it timed
@@ -88,55 +85,11 @@ def pressure_rise(phi, psi0, h, slope, offset, c0, c1, c2, c3):
 def surge_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3, a, b):
     """Rates (d phi/dt, d psi/dt) of the surge model at throttle g.
 
-    Needs psi > 0; callers check it, since sqrt(psi) is undefined below.
+    Needs psi > 0, since sqrt(psi) is undefined below: the open-loop step
+    checks it before each stage, and :func:`observed_rhs` before its call.
     """
     pc = pressure_rise(phi, psi0, h, slope, offset, c0, c1, c2, c3)
-    return a * (pc - psi), b * (phi - g * math.sqrt(psi))
-
-
-def greitzer_loop(out, dt, m_psi0, m_h, m_sl, m_off, c0, c1, c2, c3,
-                  a, b, g):
-    """RK4 on the two-state surge model.
-
-    ``out`` is a preallocated (rows, 3) array whose row 0 already holds
-    (0, phi0, psi0); remaining rows are filled with (t, phi, psi).
-    Returns (status, row): on failure ``row`` is the first unfilled row.
-    """
-    n = out.shape[0]
-    phi = float(out[0, 1])
-    psi = float(out[0, 2])
-    for i in range(1, n):
-        if psi <= 0.0:
-            return PSI_NONPOSITIVE, i
-        k1p, k1s = surge_rhs(phi, psi, g, m_psi0, m_h, m_sl, m_off,
-                             c0, c1, c2, c3, a, b)
-        p2 = phi + 0.5 * dt * k1p
-        s2 = psi + 0.5 * dt * k1s
-        if s2 <= 0.0:
-            return PSI_NONPOSITIVE, i
-        k2p, k2s = surge_rhs(p2, s2, g, m_psi0, m_h, m_sl, m_off,
-                             c0, c1, c2, c3, a, b)
-        p3 = phi + 0.5 * dt * k2p
-        s3 = psi + 0.5 * dt * k2s
-        if s3 <= 0.0:
-            return PSI_NONPOSITIVE, i
-        k3p, k3s = surge_rhs(p3, s3, g, m_psi0, m_h, m_sl, m_off,
-                             c0, c1, c2, c3, a, b)
-        p4 = phi + dt * k3p
-        s4 = psi + dt * k3s
-        if s4 <= 0.0:
-            return PSI_NONPOSITIVE, i
-        k4p, k4s = surge_rhs(p4, s4, g, m_psi0, m_h, m_sl, m_off,
-                             c0, c1, c2, c3, a, b)
-
-        phi = phi + dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        psi = psi + dt / 6.0 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
-        if not (math.isfinite(phi) and math.isfinite(psi)):
-            return NONFINITE, i
-        out[i, 0] = i * dt
-        out[i, 1] = phi
-        out[i, 2] = psi
-    return OK, n - 1
+    return a * (pc - psi), b * (phi - g * sqrt(psi))
 
 
 def closed_loop_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
@@ -207,7 +160,7 @@ def observed_rhs(phi, psi, y, psi0, h, slope, offset, c0, c1, c2, c3, a, b):
     pcy = pressure_rise(y, psi0, h, slope, offset, c0, c1, c2, c3)
     if pcy <= 0.0:
         return None
-    return surge_rhs(phi, psi, y / math.sqrt(pcy), psi0, h, slope, offset,
+    return surge_rhs(phi, psi, y / sqrt(pcy), psi0, h, slope, offset,
                      c0, c1, c2, c3, a, b)
 
 
@@ -243,85 +196,31 @@ def live_states(p, state):
     return live
 
 
-#: the RK4 range function of each (live, observed) key, built on first use
+#: the RK4 range functions built so far: the closed loop's by its
+#: (live, observed) key, the open loop's and the observer's by name
 _STEPS = {}
-
-#: the names of the range function besides the loop states and ``p``; the
-#: inlined rhs may use none of them
-_STEP_NAMES = frozenset(
-    ["run", "out", "s", "dt", "start", "stop", "last", "ys", "i", "b",
-     "sb", "h2", "h6", "ok", "isfinite", "range", "OK", "NONFINITE"]
-    + [f"{n}_{k}" for n in CL_STATE[:11] for k in ("s", 1, 2, 3, 4)])
 
 
 @functools.lru_cache(maxsize=None)
-def _rhs_body(rhs):
-    """The definition of the closed-loop rhs ``rhs``, read from its source
-    and taken apart for :func:`_step_source` to inline: (unpack, body,
-    rates, constants), the statement that unpacks ``p``, the statements
-    after it up to the final return, the expressions of the 11 loop rates
-    that return gives, and the module globals the definition reads.  The
-    nodes are shared by every call; :func:`_step_source` copies them.
+def _definition(fn):
+    """The ``def`` of the function ``fn``, parsed from its source.  The
+    tree is shared by every call; :func:`_inlined` copies it."""
+    return ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0]
 
-    Raises ValueError where the definition has another shape than
-    :func:`closed_loop_rhs`'s: its parameters, an optional docstring, the
-    unpack of ``p`` into names, ``return None`` only where it fails, and a
-    final 15-tuple whose last four entries are the names u, co, y, e; or
-    where it assigns to a parameter, or one of its names is the range
-    function's.
-    """
-    fn = ast.parse(textwrap.dedent(inspect.getsource(rhs))).body[0]
 
-    def refuse(why):
-        return ValueError(f"cannot inline {rhs.__qualname__} into the "
-                          f"closed-loop RK4 step: {why}")
-
-    params = [a.arg for a in fn.args.args]
-    if params != [*CL_STATE[:11], "p"]:
-        raise refuse(f"its parameters are {params}, not the 11 loop "
-                     "states and p")
-    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
-    unpack = body[0] if len(body) > 1 else None
-    if not (isinstance(unpack, ast.Assign) and len(unpack.targets) == 1
-            and isinstance(unpack.targets[0], ast.Tuple)
-            and all(isinstance(t, ast.Name) for t in unpack.targets[0].elts)
-            and isinstance(unpack.value, ast.Name)
-            and unpack.value.id == "p"):
-        raise refuse("it does not begin by unpacking p into names")
-    *body, final = body[1:]
-    entries = []
-    if isinstance(final, ast.Return) and isinstance(final.value, ast.Tuple):
-        entries = final.value.elts
-    if not (len(entries) == 15
-            and [getattr(v, "id", None) for v in entries[11:]]
-            == ["u", "co", "y", "e"]):
-        raise refuse("it does not end by returning the 15-tuple of the 11 "
-                     "loop rates and u, co, y, e")
-    nodes = [node for st in body + [unpack, final] for node in ast.walk(st)]
-    returned = [node.value for node in nodes
-                if isinstance(node, ast.Return) and node is not final]
-    if any(v is not None and not (isinstance(v, ast.Constant)
-                                  and v.value is None) for v in returned):
-        raise refuse("it returns something other than None before its end")
-    names = {node.id for node in nodes if isinstance(node, ast.Name)}
-    stored = {node.id for node in nodes if isinstance(node, ast.Name)
-              and not isinstance(node.ctx, ast.Load)}
-    if stored & set(params):
-        raise refuse(f"it assigns to {sorted(stored & set(params))}")
-    clash = names & _STEP_NAMES
-    if clash:
-        raise refuse(f"its names {sorted(clash)} are the step's")
-    constants = {n: rhs.__globals__[n] for n in names - stored - set(params)
-                 if n in rhs.__globals__}
-    return unpack, body, entries[:11], constants
+def _names(stmts, stored=False):
+    """The names the statements ``stmts`` use (with ``stored``, only those
+    they assign)."""
+    return {node.id for st in stmts for node in ast.walk(st)
+            if isinstance(node, ast.Name)
+            and not (stored and isinstance(node.ctx, ast.Load))}
 
 
 class _Stage(ast.NodeTransformer):
-    """One RK stage of the inlined rhs: a read of a state in ``local``
-    reads its stage local instead, and ``return None`` becomes the
-    statements ``failure``."""
+    """Renames each name in ``local`` to its value, and each
+    ``return None`` becomes the statements ``failure``."""
 
-    def __init__(self, local, failure):
+    def __init__(self, local, failure=None):
         self.local = local
         self.failure = failure
 
@@ -331,6 +230,165 @@ class _Stage(ast.NodeTransformer):
 
     def visit_Return(self, node):
         return ast.parse(self.failure).body
+
+
+def _free(params, stmts):
+    """The names the statements ``stmts`` of a function whose parameters
+    are ``params`` read but neither assign nor take."""
+    return _names(stmts) - _names(stmts, stored=True) - set(params)
+
+
+def _inlined(fn, outer=()):
+    """(params, statements, namespace): the parameters of the function
+    ``fn``, a copy of its statements after the docstring with its calls
+    inlined, and the values of the globals those read.
+
+    A statement ``t = f(...)`` or ``return f(...)`` whose ``f`` is another
+    function of ``fn``'s module becomes ``f``'s own statements, inlined in
+    turn (:func:`_call_inlined`).
+    """
+    node = _definition(fn)
+    params = [a.arg for a in node.args.args]
+    stmts = node.body[1:] if ast.get_docstring(node) is not None else node.body
+    names = _names(stmts) | set(params)
+    bound = _names(stmts, stored=True) | set(params)
+    code = []
+    for st in copy.deepcopy(stmts):
+        code += _call_inlined(st, fn, names, bound, outer + (fn,)) or [st]
+    namespace = {n: fn.__globals__[n] for n in _free(params, code)
+                 if n in fn.__globals__}
+    return params, code, namespace
+
+
+def _call_inlined(st, fn, names, bound, outer):
+    """The statements that replace the statement ``st`` of the function
+    ``fn``, ``t = f(...)`` or ``return f(...)``, whose ``f`` is a function
+    of ``fn``'s module not in ``outer``: ``f``'s statements
+    (:func:`_inlined`), a parameter passed a name renamed to it, one
+    passed another expression assigned it, and ``f``'s final return
+    assigning ``t`` or returned.
+
+    None where ``st`` is no such call, or ``f`` takes other arguments,
+    returns before its end or assigns a parameter, or would clash with
+    ``fn``: it assigns one of ``fn``'s ``names``, or reads one ``fn``
+    assigns or takes, ``bound``.
+    """
+    call = getattr(st, "value", None)
+    f = fn.__globals__.get(getattr(getattr(call, "func", None), "id", None))
+    if not (isinstance(call, ast.Call) and inspect.isfunction(f)
+            and f.__globals__ is fn.__globals__ and f not in outer
+            and (isinstance(st, ast.Return)
+                 or len(st.targets) == 1
+                 and isinstance(st.targets[0], ast.Name))):
+        return None
+    params, stmts, _ = _inlined(f, outer)
+    *body, final = stmts or [None]
+    given = dict(zip(params, call.args))
+    rename = {p: a.id for p, a in given.items() if isinstance(a, ast.Name)}
+    assigned = _names(body, stored=True)
+    temps = [p for p in params if p not in rename]
+    if (len(params) != len(call.args) or call.keywords
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or not isinstance(final, ast.Return) or final.value is None
+            or any(isinstance(n, ast.Return)
+                   for s in body for n in ast.walk(s))
+            or assigned & set(params)
+            or (assigned | set(temps)) & names
+            or _free(params, stmts) & bound):
+        return None
+    inline = _Stage(rename)
+    value = inline.visit(final.value)
+    code = [ast.Assign([ast.Name(p, ast.Store())], given[p]) for p in temps]
+    code += [inline.visit(s) for s in body]
+    code.append(ast.Return(value) if isinstance(st, ast.Return)
+                else ast.Assign(st.targets, value))
+    return [ast.fix_missing_locations(ast.copy_location(s, st))
+            for s in code]
+
+
+def _reserved(states, *extra):
+    """The names a range function over ``states`` gives its own locals and
+    globals, the common ones and ``extra``: the inlined rhs may use none
+    of them."""
+    return frozenset(
+        ["run", "out", "dt", "start", "stop", "i", "h2", "h6", "ok",
+         "isfinite", "range", "OK", "NONFINITE", "PSI_NONPOSITIVE", *extra]
+        + [f"{n}_{k}" for n in states for k in ("s", 1, 2, 3, 4)])
+
+
+def _refusal(rhs, step, why):
+    return ValueError(f"cannot inline {rhs.__qualname__} into the {step} "
+                      f"RK4 step: {why}")
+
+
+def _rhs_body(rhs, step, lead, reserved):
+    """The rhs ``rhs`` of the ``step`` RK4 step, inlined (:func:`_inlined`)
+    and taken apart for a range function: (constants, body, entries), the
+    parameters after ``lead``, the statements before the final return,
+    and the entries of the tuple that return gives ([] if none).
+
+    Raises ValueError where the parameters do not begin with ``lead``, or
+    the rhs returns something other than None before its end, assigns to
+    a parameter, or uses a name in ``reserved``.
+    """
+    params, stmts, _ = _inlined(rhs)
+    if params[:len(lead)] != list(lead):
+        raise _refusal(rhs, step, f"its parameters are {params}, not "
+                       f"{list(lead)} and its constants")
+    *body, final = stmts or [None]
+    entries = []
+    if isinstance(final, ast.Return) and isinstance(final.value, ast.Tuple):
+        entries = final.value.elts
+    returned = [node.value for st in body for node in ast.walk(st)
+                if isinstance(node, ast.Return)]
+    if any(v is not None and not (isinstance(v, ast.Constant)
+                                  and v.value is None) for v in returned):
+        raise _refusal(rhs, step,
+                       "it returns something other than None before its end")
+    stored = _names(stmts, stored=True) & set(params)
+    if stored:
+        raise _refusal(rhs, step, f"it assigns to {sorted(stored)}")
+    clash = (_names(stmts) | set(params)) & reserved
+    if clash:
+        raise _refusal(rhs, step, f"its names {sorted(clash)} are the step's")
+    return params[len(lead):], body, entries
+
+
+def _stage(body, rates, moving, k, coef, failure):
+    """The lines of RK stage k of the inlined rhs ``body``, at the state
+    advanced by ``coef`` times the rates of stage k-1 (at the state itself
+    without ``coef``).  A state in ``moving`` is read from its stage local
+    ``<name>_s`` at stages 2-4; ``return None`` becomes the statements
+    ``failure``; and the rate expressions ``rates`` (state name: rate)
+    of the states in ``moving`` assign the stage's rates ``<name>_<k>``."""
+    local = {n: f"{n}_s" for n in moving} if coef else {}
+    inline = _Stage(local, failure)
+    code = [f"{n}_s = {n} + {coef} * {n}_{k - 1}" for n in local]
+    code += [ast.unparse(inline.visit(copy.deepcopy(st))) for st in body]
+    code += [f"{n}_{k} = {ast.unparse(inline.visit(copy.deepcopy(v)))}"
+             for n, v in rates.items() if n in moving]
+    return "\n".join(code).splitlines()
+
+
+def _combine(moving):
+    """The lines of the RK4 combination of the states ``moving`` and of
+    ``ok``, whether they all are finite."""
+    return ([f"{n} = {n} + h6 * ({n}_1 + 2.0 * {n}_2 + 2.0 * {n}_3 + {n}_4)"
+             for n in moving]
+            + ["ok = " + " and ".join(f"isfinite({n})" for n in moving)])
+
+
+def _function(signature, head, body, tail):
+    """The source of ``def <signature>``: the lines ``head``, the half
+    step ``h2`` and the sixth ``h6`` of ``dt``, a loop
+    ``for i in range(start, stop)`` over the lines ``body``, and the
+    lines ``tail``."""
+    lines = [f"def {signature}:"] + ["    " + line for line in head]
+    lines += ["    h2 = 0.5 * dt", "    h6 = dt / 6.0",
+              "    for i in range(start, stop):"]
+    lines += ["        " + line for line in body]
+    lines += ["    " + line for line in tail]
+    return "\n".join(lines) + "\n"
 
 
 def _step_source(live, observed):
@@ -358,134 +416,207 @@ def _step_source(live, observed):
     1-4 whose rates failed, or None when the step's result is not finite;
     else ``row`` is the last row filled.
 
-    The stages are closed_loop_rhs's own statements, inlined
-    (:func:`_rhs_body`, which reads them from this module's source): its
-    unpack of ``p`` runs once, at the head of ``run``; at stages 2-4 a
-    live state is read from a stage local ``<name>_s``, the state
-    advanced by the rates of the stage before; its ``return None`` is the
-    stage's failure return; and its final return assigns the stage's
-    live rates ``<name>_<k>``, u, co, y and e being locals of the body
-    already.  A dead state keeps its name, which keeps the ``-0.0`` rule.
-    The rest of the code is the RK combination, the record and the
-    checks.
+    The stages are closed_loop_rhs's own statements (:func:`_rhs_body`):
+    its unpack of ``p`` runs once, at the head of ``run``; a dead state
+    keeps its name at every stage, which keeps the ``-0.0`` rule.
+    Raises ValueError where closed_loop_rhs takes other constants than
+    ``p``, does not begin by unpacking ``p`` into names, or does not end
+    by returning the 15-tuple of the 11 loop rates and the signals u, co,
+    y, e.
     """
-    unpack, rhs, rates, _ = _rhs_body(closed_loop_rhs)
     names = CL_STATE[:11]
+    rhs = closed_loop_rhs
+    constants, body, entries = _rhs_body(
+        rhs, "closed-loop", names, _reserved(names, "s", "last", "ys", "b",
+                                             "sb"))
+    if constants != ["p"]:
+        raise _refusal(rhs, "closed-loop", f"its parameters are "
+                       f"{[*names, *constants]}, not the 11 loop states "
+                       "and p")
+    unpack = body[0] if body else None
+    if not (isinstance(unpack, ast.Assign) and len(unpack.targets) == 1
+            and isinstance(unpack.targets[0], ast.Tuple)
+            and all(isinstance(t, ast.Name) for t in unpack.targets[0].elts)
+            and isinstance(unpack.value, ast.Name)
+            and unpack.value.id == "p"):
+        raise _refusal(rhs, "closed-loop",
+                       "it does not begin by unpacking p into names")
+    if not (len(entries) == 15
+            and [getattr(v, "id", None) for v in entries[11:]]
+            == ["u", "co", "y", "e"]):
+        raise _refusal(rhs, "closed-loop", "it does not end by returning "
+                       "the 15-tuple of the 11 loop rates and u, co, y, e")
+    rates = dict(zip(names, entries))
     moving = [names[j] for j in live]
     state = ", ".join(names)
 
     def stage(k, coef=None):
-        """The inlined rhs at stage k, at the state advanced by ``coef``
-        times the rates of stage k-1."""
-        local = {n: f"{n}_s" for n in moving} if coef else {}
-        inline = _Stage(local, f"s[:11] = {state}\n"
-                        f"return NONFINITE, {'i' if k == 1 else 'i + 1'}, {k}")
-        code = [f"{n}_s = {n} + {coef} * {n}_{k - 1}" for n in local]
-        code += [ast.unparse(inline.visit(copy.deepcopy(st))) for st in rhs]
-        code += [f"{n}_{k} = {ast.unparse(inline.visit(copy.deepcopy(v)))}"
-                 for n, v in zip(names, rates) if n in moving]
-        return "\n".join(code).splitlines()
+        return _stage(body[1:], rates, moving, k, coef,
+                      f"s[:11] = {state}\n"
+                      f"return NONFINITE, {'i' if k == 1 else 'i + 1'}, {k}")
 
     w = 13 if observed else 11
-    body = stage(1)
-    body += [f"b = {w} * i", "out[b] = i * dt"]
-    body += [f"out[b + {c}] = {v}" for c, v in enumerate(
+    code = stage(1)
+    code += [f"b = {w} * i", "out[b] = i * dt"]
+    code += [f"out[b + {c}] = {v}" for c, v in enumerate(
         ("d", "u", "x", "co", "y", "ym1", "e", "k1", "k2", "k3"), 1)]
-    body += ["if i == last:", "    break"]
+    code += ["if i == last:", "    break"]
     if observed:
-        body += ["sb = 3 * i"]   # the step's row of the stage flows
+        code += ["sb = 3 * i"]   # the step's row of the stage flows
     for k, coef, at in ((2, "h2", "sb"), (3, "h2", "sb + 1"),
                         (4, "dt", "sb + 2")):
-        body += stage(k, coef)
+        code += stage(k, coef)
         if observed:
-            body += [f"ys[{at}] = y"]
-    body += [f"{n} = {n} + h6 * ({n}_1 + 2.0 * {n}_2 + 2.0 * {n}_3 + {n}_4)"
-             for n in moving]
-    body += ["ok = " + " and ".join(f"isfinite({n})" for n in moving)]
+            code += [f"ys[{at}] = y"]
+    code += _combine(moving)
     # adaptive gains are kept nonnegative by projection
     for n in ("k1", "k2", "k3"):
         if n in moving:
-            body += [f"if {n} < 0.0:", f"    {n} = 0.0"]
-    body += ["if not ok:",
+            code += [f"if {n} < 0.0:", f"    {n} = 0.0"]
+    code += ["if not ok:",
              f"    s[:11] = {state}",
              "    return NONFINITE, i + 1, None"]
-    lines = ["def run(out, s, dt, p, start, stop, last, ys):",
-             f"    {state} = s[:11]",
-             f"    {ast.unparse(unpack)}",
-             "    h2 = 0.5 * dt",
-             "    h6 = dt / 6.0",
-             "    for i in range(start, stop):"]
-    lines += ["        " + line for line in body]
-    lines += [f"    s[:11] = {state}", "    return OK, stop - 1, None"]
-    return "\n".join(lines) + "\n"
+    return _function(
+        "run(out, s, dt, p, start, stop, last, ys)",
+        [f"{state} = s[:11]", ast.unparse(unpack)],
+        code, [f"s[:11] = {state}", "return OK, stop - 1, None"])
+
+
+#: the states of the open loop and of the observed compressor
+_PLANT = ("phi", "psi")
+
+
+def _plant_body(rhs, step, lead, *reserved):
+    """(constants, body, rates) of :func:`_rhs_body` for the two plant
+    states; raises ValueError where ``rhs`` does not end by returning
+    their rates."""
+    constants, body, entries = _rhs_body(rhs, step, lead,
+                                         _reserved(_PLANT, *reserved))
+    if len(entries) != 2:
+        raise _refusal(rhs, step, "it does not end by returning the rates "
+                       "of phi and psi")
+    return constants, body, dict(zip(_PLANT, entries))
+
+
+def _open_loop_source():
+    """Source of ``run(out, dt, m, start, stop)``, the open loop's RK4
+    range function: the surge model, :func:`surge_rhs`.
+
+    ``out`` is the flat view of a C-ordered (rows, 3) record whose row
+    ``start - 1`` holds (t, phi, psi); ``run`` fills rows start..stop-1
+    with the state after each step.  ``m`` is the tuple of surge_rhs's
+    constants, its parameters after phi and psi.  Each stage first checks
+    psi > 0, which surge_rhs needs.  Returns (status, row): on failure
+    ``row`` is the first unfilled row (PSI_NONPOSITIVE where a stage's psi
+    is not positive, NONFINITE where the step's result is not finite),
+    else ``row`` is the last row filled.  The stages are surge_rhs's own
+    statements, with pressure_rise's inlined.
+    """
+    constants, body, rates = _plant_body(surge_rhs, "open-loop", _PLANT,
+                                         "m", "r")
+    body = ast.parse("if psi <= 0.0:\n    return None").body + body
+    code = []
+    for k, coef in ((1, None), (2, "h2"), (3, "h2"), (4, "dt")):
+        code += _stage(body, rates, _PLANT, k, coef,
+                       "return PSI_NONPOSITIVE, i")
+    code += _combine(_PLANT)
+    code += ["if not ok:", "    return NONFINITE, i", "r = 3 * i",
+             "out[r] = i * dt", "out[r + 1] = phi", "out[r + 2] = psi"]
+    return _function(
+        "run(out, dt, m, start, stop)",
+        [f"[{', '.join(constants)}] = m", "phi = out[3 * start - 2]",
+         "psi = out[3 * start - 1]"],
+        code, ["return OK, stop - 1"])
+
+
+def _observer_source():
+    """Source of ``run(out, ys, dt, m, start, stop, last)``, the RK4 range
+    function of the observed compressor (phi, psi): :func:`observed_rhs`,
+    driven by the flows the loop recorded.
+
+    ``out`` and ``ys`` are the flat views of the loop's (rows, 13) record,
+    whose last row is ``last``, and (rows, 3) stage flows; ``m`` is the
+    tuple of observed_rhs's constants, its parameters after phi, psi and
+    y.  (phi, psi) at t = start*dt is read from columns 11-12 of row
+    ``start``, and each step over rows start..stop-1 writes its result
+    into those of the next row.  The flow y at stage 1 is column 5 of the
+    step's row, at stages 2-4 the step's row of ``ys``.  The rates,
+    checks and stages are those the coupled 13-state RK4 would take:
+    observed_rhs's own statements, with pressure_rise's and surge_rhs's
+    inlined, at each stage (at stage 1 also in the last row), and a
+    finite result.  Returns (status, row, stage) as the loop's range
+    function (:func:`_step_source`) does.
+    """
+    constants, body, rates = _plant_body(
+        observed_rhs, "observer", _PLANT + ("y",), "m", "r", "ys", "sb",
+        "last")
+    code = ["r = 13 * i", "y = out[r + 5]"]
+    code += _stage(body, rates, _PLANT, 1, None,
+                   "return PSI_NONPOSITIVE, i, 1")
+    code += ["if i == last:", "    break", "sb = 3 * i"]
+    for k, coef, at in ((2, "h2", "sb"), (3, "h2", "sb + 1"),
+                        (4, "dt", "sb + 2")):
+        code += [f"y = ys[{at}]"]
+        code += _stage(body, rates, _PLANT, k, coef,
+                       f"return PSI_NONPOSITIVE, i + 1, {k}")
+    code += _combine(_PLANT)
+    code += ["out[r + 24] = phi", "out[r + 25] = psi", "if not ok:",
+             "    return NONFINITE, i + 1, None"]
+    return _function(
+        "run(out, ys, dt, m, start, stop, last)",
+        [f"[{', '.join(constants)}] = m", "phi = out[13 * start + 11]",
+         "psi = out[13 * start + 12]"],
+        code, ["return OK, stop - 1, None"])
+
+
+def _built(key, rhs, source):
+    """The range function ``run`` of the text ``source()``, whose stages
+    inline ``rhs``: built on its first use and cached in ``_STEPS`` under
+    ``key``."""
+    run = _STEPS.get(key)
+    if run is None:
+        text = source()
+        namespace = dict(_inlined(rhs)[2], isfinite=math.isfinite, OK=OK,
+                         NONFINITE=NONFINITE,
+                         PSI_NONPOSITIVE=PSI_NONPOSITIVE)
+        exec(compile(text, f"<RK4 step {key}>", "exec"), namespace)
+        run = _STEPS[key] = namespace["run"]
+    return run
 
 
 def _step(live, observed):
     """The RK4 range function of ``_step_source(live, observed)``, built
     on its first use and cached in ``_STEPS``."""
-    run = _STEPS.get((live, observed))
-    if run is None:
-        namespace = dict(_rhs_body(closed_loop_rhs)[3],
-                         isfinite=math.isfinite, OK=OK, NONFINITE=NONFINITE)
-        exec(compile(_step_source(live, observed),
-                     f"<closed-loop step {live} observed={observed}>",
-                     "exec"), namespace)
-        run = _STEPS[live, observed] = namespace["run"]
-    return run
+    return _built((live, observed), closed_loop_rhs,
+                  lambda: _step_source(live, observed))
+
+
+def greitzer_loop(out, dt, m_psi0, m_h, m_sl, m_off, c0, c1, c2, c3,
+                  a, b, g):
+    """RK4 on the two-state surge model (:func:`_open_loop_source`).
+
+    ``out`` is a preallocated C-ordered (rows, 3) array whose row 0
+    already holds (0, phi0, psi0); remaining rows are filled with
+    (t, phi, psi).  Returns (status, row): on failure ``row`` is the first
+    unfilled row.
+    """
+    run = _built("open loop", surge_rhs, _open_loop_source)
+    return run(flat(out), dt, (g, m_psi0, m_h, m_sl, m_off, c0, c1, c2, c3,
+                               a, b), 1, len(out))
 
 
 def observed_compressor(out, ys, dt, m, start, stop):
     """RK4 on the observed compressor (phi, psi) over rows start..stop-1
     of an observed closed-loop record, driven by the flows the loop kernel
-    recorded there.
+    recorded there (:func:`_observer_source`).
 
     ``out`` and ``ys`` are the flat views of the loop's (rows, 13)
     record and (rows, 3) stage flows, ``m`` the map constants
-    (psi0, h, slope, offset, c0..c3, a, b).  (phi, psi) at t = start*dt is
-    read from columns 11-12 of row ``start``, and each step writes its
-    result into those of the next row.  The rates, checks and stages are
-    those the coupled 13-state RK4 would take: :func:`observed_rhs` at each
-    stage, and a finite result.  Returns (status, row, stage) as the
-    loop's range function (:func:`_step_source`) does.
+    (psi0, h, slope, offset, c0..c3, a, b).  Returns (status, row, stage)
+    as the loop's range function (:func:`_step_source`) does.
     """
-    psi0, h, slope, offset, c0, c1, c2, c3, a, b = m
-    n = len(out) // 13
-    h2 = 0.5 * dt
-    h6 = dt / 6.0
-    phi = out[13 * start + 11]
-    psi = out[13 * start + 12]
-    for i in range(start, stop):
-        r = 13 * i
-        k = observed_rhs(phi, psi, out[r + 5], psi0, h, slope, offset,
-                         c0, c1, c2, c3, a, b)
-        if k is None:
-            return PSI_NONPOSITIVE, i, 1
-        if i == n - 1:
-            break
-        k1p, k1s = k
-        sb = 3 * i
-        k = observed_rhs(phi + h2 * k1p, psi + h2 * k1s, ys[sb], psi0, h,
-                         slope, offset, c0, c1, c2, c3, a, b)
-        if k is None:
-            return PSI_NONPOSITIVE, i + 1, 2
-        k2p, k2s = k
-        k = observed_rhs(phi + h2 * k2p, psi + h2 * k2s, ys[sb + 1], psi0, h,
-                         slope, offset, c0, c1, c2, c3, a, b)
-        if k is None:
-            return PSI_NONPOSITIVE, i + 1, 3
-        k3p, k3s = k
-        k = observed_rhs(phi + dt * k3p, psi + dt * k3s, ys[sb + 2], psi0, h,
-                         slope, offset, c0, c1, c2, c3, a, b)
-        if k is None:
-            return PSI_NONPOSITIVE, i + 1, 4
-        k4p, k4s = k
-        phi = phi + h6 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        psi = psi + h6 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
-        out[r + 24] = phi
-        out[r + 25] = psi
-        if not (math.isfinite(phi) and math.isfinite(psi)):
-            return NONFINITE, i + 1, None
-    return OK, stop - 1, None
+    run = _built("observer", observed_rhs, _observer_source)
+    return run(out, ys, dt, m, start, stop, len(out) // 13 - 1)
 
 
 def flat(a):

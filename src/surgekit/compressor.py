@@ -9,9 +9,10 @@ model couples nondimensional mass flow ``phi`` and plenum pressure rise
     d(psi)/dt = b * (phi - g * sqrt(psi))
 
 where ``g`` is the throttle parameter.  Both equations are defined once,
-in ``_kernels`` (``pressure_rise`` and ``surge_rhs``), which the kernels
-and :func:`map_pressure_rise` call.  At an equilibrium both rates vanish,
-so ``psi = psi_c(phi)`` and ``phi = g*sqrt(psi)``.
+in ``_kernels`` (``pressure_rise`` and ``surge_rhs``), which
+:func:`map_pressure_rise` calls and the kernels' RK4 steps inline.  At
+an equilibrium both rates vanish, so ``psi = psi_c(phi)`` and
+``phi = g*sqrt(psi)``.
 """
 
 from __future__ import annotations

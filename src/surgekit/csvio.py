@@ -50,9 +50,10 @@ _FORK_MAX_ROWS = 2_000_000
 
 #: observed rows from which a helper process pays for the observer alone.
 #: On the same VM, ``closedloop --observe --decimation 100`` with the
-#: helper against without (10 to 12 alternating runs each) was even at
-#: 2,001 and 3,001 rows (4 and 5 wins of 10), 3 to 13% faster from 3,501
-#: to 4,501 rows (7/10 to 10/12 wins) and 20% at 8,001 (10/10)
+#: helper against without (10 alternating calls each in one process, the
+#: observer's step generated from its rhs) was 15% slower at 2,001 rows
+#: (1 win of 10), within 4% from 3,001 to 4,001 (5 to 8 wins), and 12 to
+#: 16% faster from 4,501 to 8,001 (8 or 9 wins)
 _OBSERVE_MIN_ROWS = 4096
 
 

@@ -1,12 +1,12 @@
 """Trajectory records and the open-loop surge-model run.
 
-:func:`simulate_greitzer` runs the surge model through the fixed-step RK4
-kernel in ``_kernels``, whose ``surge_rhs`` is the one definition of the
-model's rates; ``loop.simulate_closed_loop`` does the same for the closed
-loop.  Both produce the same :class:`Trajectory` layout: column 0 is time,
-sampling is uniform, and a non-finite value aborts the run instead of
-being recorded.  The default step sizes and horizons of both runs are
-defined here.
+:func:`simulate_greitzer` runs the surge model through the open-loop RK4
+kernel in ``_kernels``, whose step is generated from ``surge_rhs``, the
+one definition of the model's rates; ``loop.simulate_closed_loop`` does
+the same for the closed loop.  Both produce the same :class:`Trajectory`
+layout: column 0 is time, sampling is uniform, and a non-finite value
+aborts the run instead of being recorded.  The default step sizes and
+horizons of both runs are defined here.
 """
 
 from __future__ import annotations

@@ -6,14 +6,12 @@ which two scenarios differ.
 """
 
 import hashlib
-import math
 from dataclasses import asdict
 
 import numpy as np
 
 from surgekit._kernels import (CL_STATE, NONFINITE, OK, PSI_NONPOSITIVE,
-                               closed_loop_rhs, observed_rhs, pressure_rise,
-                               surge_rhs)
+                               closed_loop_rhs, observed_rhs, surge_rhs)
 from surgekit.compressor import DEFAULT_MAP, FLOW_GAIN, PRESSURE_GAIN
 from surgekit.csvio import RunHelper
 from surgekit.errors import DivergenceError
@@ -66,10 +64,9 @@ def coupled_rhs(q, dq, sig, p, m=None):
     """The closed loop with the observed compressor as one 13-state system:
     ``closed_loop_rhs``'s rates at ``q[:11]`` into ``dq`` and its signals
     into ``sig``, and with the map constants ``m`` the (phi, psi) rates of
-    ``surge_rhs`` throttled by the stage's measured flow,
-    g = y/sqrt(psi_c(y)) (0.0 without ``m``).  The checks come in the
-    order of one rhs: the loop's, psi <= 0, psi_c(y) <= 0.  Returns a
-    status code."""
+    ``observed_rhs`` driven by the stage's measured flow (0.0 without
+    ``m``).  The checks come in the order of one rhs: the loop's, then the
+    observer's.  Returns a status code."""
     dq[11] = dq[12] = 0.0
     rates = closed_loop_rhs(*q[:11], p)
     if rates is None:
@@ -78,12 +75,10 @@ def coupled_rhs(q, dq, sig, p, m=None):
     sig[:] = rates[11:]
     if m is None:
         return OK
-    if q[12] <= 0.0:
+    rates = observed_rhs(q[11], q[12], sig[2], *m)
+    if rates is None:
         return PSI_NONPOSITIVE
-    pcy = pressure_rise(sig[2], *m[:8])
-    if pcy <= 0.0:
-        return PSI_NONPOSITIVE
-    dq[11], dq[12] = surge_rhs(q[11], q[12], sig[2] / math.sqrt(pcy), *m)
+    dq[11], dq[12] = rates
     return OK
 
 

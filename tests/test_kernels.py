@@ -3,12 +3,12 @@ merging of the loop's and the observer's failures, and their
 determinism."""
 
 import ast
+import math
 import os
+import re
 import signal
 import subprocess
 import sys
-
-import re
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from support import coupled_rhs, rk4_step
 from surgekit import _kernels, csvio, loop
 from surgekit.compressor import DEFAULT_MAP, GreitzerParams, PlantState, \
     map_pressure_rise
+from surgekit.odesim import simulate_greitzer
 from surgekit.errors import DivergenceError
 from surgekit.loop import (CONTROLLER_KINDS, ControllerConfig,
                            DisturbanceProfile, ValveModel, _kernel_args,
@@ -84,6 +85,27 @@ def slow_disturbance_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
             k1_dot, k2_dot, k3_dot, e_int_dot, u, co, y, e)
 
 
+# surge_rhs with the pressure equation at twice its rate, and observed_rhs
+# throttled at half the flow's throttle, for steps built from them; their
+# calls into _kernels, another module, stay calls
+def fast_pressure_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3,
+                      a, b):
+    pc = _kernels.pressure_rise(phi, psi0, h, slope, offset, c0, c1, c2, c3)
+    return a * (pc - psi), 2.0 * b * (phi - g * math.sqrt(psi))
+
+
+def half_throttle_rhs(phi, psi, y, psi0, h, slope, offset, c0, c1, c2, c3,
+                      a, b):
+    if psi <= 0.0:
+        return None
+    pcy = _kernels.pressure_rise(y, psi0, h, slope, offset, c0, c1, c2, c3)
+    if pcy <= 0.0:
+        return None
+    g = 0.5 * y / math.sqrt(pcy)
+    pc = _kernels.pressure_rise(phi, psi0, h, slope, offset, c0, c1, c2, c3)
+    return a * (pc - psi), b * (phi - g * math.sqrt(psi))
+
+
 # rhs definitions the step cannot inline, each for one reason
 
 
@@ -145,6 +167,22 @@ def other_parameters_rhs(x, d, p):
     vtau, r = p
     u = co = y = e = r
     return (x, d, x, x, x, x, x, x, x, x, x, u, co, y, e)
+
+
+def three_rates_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3, a,
+                    b):
+    return phi, psi, g
+
+
+def unobserved_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3, a,
+                   b):
+    return phi, psi
+
+
+def record_index_rhs(phi, psi, y, psi0, h, slope, offset, c0, c1, c2, c3, a,
+                     b):
+    r = 13 * y
+    return r, psi
 
 
 class TestLiveStates:
@@ -569,9 +607,9 @@ class TestLoopStageFailure:
 
 
 class TestGeneratedStep:
-    """The closed-loop RK4 step is generated per (live, observed) key: its
-    stages are closed_loop_rhs's own statements, and it is built once, on
-    first use."""
+    """Each RK4 step is generated: the closed loop's per (live, observed)
+    key, the open loop's and the observer's once.  Its stages are its
+    rhs's own statements, and it is built once, on first use."""
 
     KEYS = [(live, observed)
             for live in [(0, 1, 2, 3, 4, 5, 6, 7, 8, 9), (0, 1, 5, 6, 10),
@@ -589,6 +627,15 @@ class TestGeneratedStep:
         names = {node.id for node in ast.walk(tree)
                  if isinstance(node, ast.Name)}
         assert ("ys" in names) == observed
+
+    @pytest.mark.parametrize("source", ["_open_loop_source",
+                                        "_observer_source"])
+    def test_plant_steps_call_only_isfinite_sqrt_and_range(self, source):
+        # surge_rhs, observed_rhs and pressure_rise are inlined, not called
+        tree = ast.parse(getattr(_kernels, source)())
+        called = {node.func.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)}
+        assert called == {"isfinite", "sqrt", "range"}
 
     def test_second_run_reuses_the_step(self, monkeypatch):
         cfg = ControllerConfig(kind="fixed-pid", reference=0.7)
@@ -636,6 +683,97 @@ class TestGeneratedStep:
         assert out.tobytes() == rows.tobytes()
         assert q.tobytes() == final.tobytes()
         assert out.tobytes() != shipped.tobytes()
+
+    @pytest.mark.parametrize("key, source, run", [
+        ("open loop", "_open_loop_source",
+         lambda: simulate_greitzer(PlantState(0.63, 0.62),
+                                   GreitzerParams(g=0.6), t_end=1.0)),
+        ("observer", "_observer_source",
+         lambda: simulate_closed_loop(ControllerConfig(), t_end=0.5,
+                                      observe=True))],
+        ids=["open-loop", "observer"])
+    def test_entry_point_reuses_its_step(self, monkeypatch, key, source,
+                                         run):
+        first = run()
+        step = _kernels._STEPS[key]
+
+        def no_source():
+            raise AssertionError(f"step {key} built twice")
+
+        monkeypatch.setattr(_kernels, source, no_source)
+        assert run().samples.tobytes() == first.samples.tobytes()
+        assert _kernels._STEPS[key] is step
+
+    def test_open_loop_step_follows_the_rhs(self, monkeypatch):
+        # the open-loop step built from another surge_rhs integrates it bit
+        # for bit, as the RK4 oracle does
+        def run():
+            return simulate_greitzer(PlantState(0.63, 0.62),
+                                     GreitzerParams(g=0.6), dt=1e-2,
+                                     t_end=5.0)
+
+        shipped = run()
+        monkeypatch.setattr(_kernels, "_STEPS", {})
+        monkeypatch.setattr(_kernels, "surge_rhs", fast_pressure_rhs)
+        monkeypatch.setattr(support, "surge_rhs", fast_pressure_rhs)
+        traj = run()
+        assert list(_kernels._STEPS) == ["open loop"]
+        gen = support.integrate(
+            lambda t, s: np.array(support.plant_rates(*s, 0.6)), [0.63, 0.62],
+            1e-2, 5.0, ("phi", "psi"))
+        assert traj.samples.tobytes() == gen.samples.tobytes()
+        assert traj.samples.tobytes() != shipped.samples.tobytes()
+
+    def test_observer_step_follows_the_rhs(self, monkeypatch):
+        # the observer step built from another observed_rhs integrates it
+        # bit for bit, as the coupled 13-state oracle does
+        cfg = ControllerConfig(kind="fixed-pd", reference=0.7)
+        valve = ValveModel()
+        prof = DisturbanceProfile(target=0.35)
+        p = _kernel_args(cfg, valve, prof)
+        m = _observer_args()
+        state = initial_loop_state(cfg, valve, prof)
+        state[11:] = (state[2], map_pressure_rise(M, state[2]))
+        dt, steps = 1e-3, 500
+
+        def run():
+            out = np.empty((steps + 1, 13))
+            q = state.copy()
+            assert loop._integrate(out, np.empty((steps + 1, 3)), q, dt, p,
+                                   m) == (OK, steps, None)
+            return out, q
+
+        shipped, _ = run()
+        monkeypatch.setattr(_kernels, "_STEPS", {})
+        monkeypatch.setattr(_kernels, "observed_rhs", half_throttle_rhs)
+        monkeypatch.setattr(support, "observed_rhs", half_throttle_rhs)
+        live = _kernels.live_states(p, state)
+        rows, final, _ = TestLiveStates._oracle(
+            state, dt, steps, p, m, [j for j in range(11) if j not in live])
+        out, q = run()
+        assert "observer" in _kernels._STEPS
+        assert out.tobytes() == rows.tobytes()
+        assert q.tobytes() == final.tobytes()
+        assert out[:, 11:].tobytes() != shipped[:, 11:].tobytes()
+
+    PLANT_MALFORMED = [
+        ("surge_rhs", "_open_loop_source", three_rates_rhs, "open-loop",
+         "it does not end by returning the rates of phi and psi"),
+        ("observed_rhs", "_observer_source", unobserved_rhs, "observer",
+         "its parameters are ['phi', 'psi', 'g',"),
+        ("observed_rhs", "_observer_source", record_index_rhs, "observer",
+         "its names ['r'] are the step's"),
+    ]
+
+    @pytest.mark.parametrize("name, source, rhs, step, why", PLANT_MALFORMED,
+                             ids=[c[2].__name__ for c in PLANT_MALFORMED])
+    def test_malformed_plant_rhs_is_refused(self, monkeypatch, name, source,
+                                            rhs, step, why):
+        monkeypatch.setattr(_kernels, name, rhs)
+        with pytest.raises(ValueError, match=re.escape(
+                f"cannot inline {rhs.__name__} into the {step} RK4 step: "
+                f"{why}")):
+            getattr(_kernels, source)()
 
     MALFORMED = [
         (no_unpack_rhs, "it does not begin by unpacking p"),

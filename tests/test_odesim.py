@@ -86,14 +86,46 @@ class TestIntegrate:
         assert np.array_equal(a.samples, b.samples)
 
     def test_generic_path_matches_kernel(self):
-        params = GreitzerParams(g=G51)
-        kern = simulate_greitzer(PlantState(0.63, 0.62), params, M,
-                                 dt=1e-2, t_end=5.0)
-        gen = integrate(lambda t, s: np.array(plant_rates(*s, G51)),
-                        [0.63, 0.62], 1e-2, 5.0, ("phi", "psi"))
-        assert kern.columns == gen.columns
-        np.testing.assert_allclose(kern.samples, gen.samples,
-                                   rtol=1e-12, atol=1e-14)
+        # the kernel's step takes surge_rhs's operations in the oracle's
+        # order, so every byte matches, on the stable and the surging side
+        for g in (G51, 0.6):
+            kern = simulate_greitzer(PlantState(0.63, 0.62),
+                                     GreitzerParams(g=g), M, dt=1e-2,
+                                     t_end=50.0)
+            gen = integrate(lambda t, s: np.array(plant_rates(*s, g)),
+                            [0.63, 0.62], 1e-2, 50.0, ("phi", "psi"))
+            assert kern.columns == gen.columns
+            assert kern.samples.tobytes() == gen.samples.tobytes()
+
+    @pytest.mark.parametrize("stage, g, dt, start, a", [
+        (1, 1.0, 0.5, (0.5, 1.0), 5.0), (2, 1.5, 0.125, (-1.0, 2.0), 0.8),
+        (3, 0.5, 0.25, (0.5, 0.5), 10.0), (4, 0.5, 1.0, (0.5, 1.0), 2.0)])
+    def test_failure_after_some_steps(self, stage, g, dt, start, a):
+        # psi reaches zero at RK stage ``stage`` of the step into row 9,
+        # the first unfilled row; the rows before it are the oracle's
+        out = np.zeros((20, 3))
+        out[0] = (0.0, *start)
+        args = (M.psi0, M.h, M.slope, M.offset, *M.cubic, a, PRESSURE_GAIN,
+                g)
+        assert _kernels.greitzer_loop(out, dt, *args) == (
+            _kernels.PSI_NONPOSITIVE, 9)
+        gen = integrate(
+            lambda t, s: np.array(plant_rates(*s, g, M, a=a)), start, dt,
+            8 * dt, ("phi", "psi"))
+        assert out[:9].tobytes() == gen.samples.tobytes()
+        assert not out[9:].any()
+        # the stage whose psi is first nonpositive, from the last row
+        phi, psi = gen.samples[-1, 1:]
+        rates = (0.0, 0.0)
+        for k, coef in enumerate((0.0, 0.5 * dt, 0.5 * dt, dt), 1):
+            s = psi + coef * rates[1]
+            if s <= 0.0:
+                break
+            rates = plant_rates(phi + coef * rates[0], s, g, M, a=a)
+        assert k == stage
+        # a record that ends before that step is filled whole
+        assert _kernels.greitzer_loop(out[:9].copy(), dt, *args) == (
+            _kernels.OK, 8)
 
     def test_negative_psi_fails_immediately(self):
         params = GreitzerParams(g=0.6)
