@@ -245,7 +245,8 @@ def _inlined(fn, outer=()):
 
     A statement ``t = f(...)`` or ``return f(...)`` whose ``f`` is another
     function of ``fn``'s module becomes ``f``'s own statements, inlined in
-    turn (:func:`_call_inlined`).
+    turn (:func:`_call_inlined`); any other call of such an ``f`` raises
+    :class:`_Uninlinable`.
     """
     node = _definition(fn)
     params = [a.arg for a in node.args.args]
@@ -254,48 +255,74 @@ def _inlined(fn, outer=()):
     bound = _names(stmts, stored=True) | set(params)
     code = []
     for st in copy.deepcopy(stmts):
-        code += _call_inlined(st, fn, names, bound, outer + (fn,)) or [st]
+        code += _call_inlined(st, fn, names, bound, outer + (fn,))
     namespace = {n: fn.__globals__[n] for n in _free(params, code)
                  if n in fn.__globals__}
     return params, code, namespace
 
 
+class _Uninlinable(ValueError):
+    """A call of a function of the rhs's module that cannot be inlined."""
+
+
+def _callee(node, fn):
+    """The function of ``fn``'s module that ``node`` calls, or None."""
+    f = (fn.__globals__.get(node.func.id) if isinstance(node, ast.Call)
+         and isinstance(node.func, ast.Name) else None)
+    return f if (inspect.isfunction(f)
+                 and f.__globals__ is fn.__globals__) else None
+
+
 def _call_inlined(st, fn, names, bound, outer):
     """The statements that replace the statement ``st`` of the function
-    ``fn``, ``t = f(...)`` or ``return f(...)``, whose ``f`` is a function
-    of ``fn``'s module not in ``outer``: ``f``'s statements
-    (:func:`_inlined`), a parameter passed a name renamed to it, one
-    passed another expression assigned it, and ``f``'s final return
-    assigning ``t`` or returned.
+    ``fn``: ``[st]`` where it calls no function of ``fn``'s module, else
+    the call inlined.  ``st`` must then be ``t = f(...)`` or
+    ``return f(...)``, and becomes ``f``'s statements (:func:`_inlined`),
+    a parameter passed a name renamed to it, one passed another
+    expression assigned it, and ``f``'s final return assigning ``t`` or
+    returned.
 
-    None where ``st`` is no such call, or ``f`` takes other arguments,
-    returns before its end or assigns a parameter, or would clash with
-    ``fn``: it assigns one of ``fn``'s ``names``, or reads one ``fn``
-    assigns or takes, ``bound``.
+    Raises :class:`_Uninlinable` where ``st`` calls such an ``f`` in
+    another way, ``f`` is in ``outer`` (being inlined already), takes
+    other arguments, returns before its end or assigns a parameter, or
+    would clash with ``fn``: it assigns one of ``fn``'s ``names``, or
+    reads one ``fn`` assigns or takes, ``bound``.
     """
-    call = getattr(st, "value", None)
-    f = fn.__globals__.get(getattr(getattr(call, "func", None), "id", None))
-    if not (isinstance(call, ast.Call) and inspect.isfunction(f)
-            and f.__globals__ is fn.__globals__ and f not in outer
+    calls = [n for n in ast.walk(st) if _callee(n, fn) is not None]
+    if not calls:
+        return [st]
+    call = calls[0]
+    f = _callee(call, fn)
+    if not (calls == [getattr(st, "value", None)]
             and (isinstance(st, ast.Return)
-                 or len(st.targets) == 1
+                 or isinstance(st, ast.Assign) and len(st.targets) == 1
                  and isinstance(st.targets[0], ast.Name))):
-        return None
+        raise _Uninlinable(
+            f"{fn.__name__} calls {f.__name__} other than as "
+            f"t = {f.__name__}(...) or return {f.__name__}(...)")
+    if f in outer:
+        raise _Uninlinable(f"{f.__name__} calls itself")
     params, stmts, _ = _inlined(f, outer)
+    if (len(params) != len(call.args) or call.keywords
+            or any(isinstance(a, ast.Starred) for a in call.args)):
+        raise _Uninlinable(f"{fn.__name__} does not pass {f.__name__} one "
+                           "positional argument for each parameter")
     *body, final = stmts or [None]
+    if not isinstance(final, ast.Return) or final.value is None:
+        raise _Uninlinable(f"{f.__name__} does not end by returning a value")
+    if any(isinstance(n, ast.Return) for s in body for n in ast.walk(s)):
+        raise _Uninlinable(f"{f.__name__} returns before its end")
     given = dict(zip(params, call.args))
     rename = {p: a.id for p, a in given.items() if isinstance(a, ast.Name)}
     assigned = _names(body, stored=True)
     temps = [p for p in params if p not in rename]
-    if (len(params) != len(call.args) or call.keywords
-            or any(isinstance(a, ast.Starred) for a in call.args)
-            or not isinstance(final, ast.Return) or final.value is None
-            or any(isinstance(n, ast.Return)
-                   for s in body for n in ast.walk(s))
-            or assigned & set(params)
-            or (assigned | set(temps)) & names
-            or _free(params, stmts) & bound):
-        return None
+    if assigned & set(params):
+        raise _Uninlinable(f"{f.__name__} assigns to "
+                           f"{sorted(assigned & set(params))}")
+    clash = ((assigned | set(temps)) & names) | (_free(params, stmts) & bound)
+    if clash:
+        raise _Uninlinable(f"the names {sorted(clash)} of {f.__name__} are "
+                           f"{fn.__name__}'s")
     inline = _Stage(rename)
     value = inline.visit(final.value)
     code = [ast.Assign([ast.Name(p, ast.Store())], given[p]) for p in temps]
@@ -327,11 +354,15 @@ def _rhs_body(rhs, step, lead, reserved):
     parameters after ``lead``, the statements before the final return,
     and the entries of the tuple that return gives ([] if none).
 
-    Raises ValueError where the parameters do not begin with ``lead``, or
+    Raises ValueError where a call in the rhs cannot be inlined
+    (:class:`_Uninlinable`), the parameters do not begin with ``lead``, or
     the rhs returns something other than None before its end, assigns to
     a parameter, or uses a name in ``reserved``.
     """
-    params, stmts, _ = _inlined(rhs)
+    try:
+        params, stmts, _ = _inlined(rhs)
+    except _Uninlinable as e:
+        raise _refusal(rhs, step, str(e)) from None
     if params[:len(lead)] != list(lead):
         raise _refusal(rhs, step, f"its parameters are {params}, not "
                        f"{list(lead)} and its constants")

@@ -185,6 +185,49 @@ def record_index_rhs(phi, psi, y, psi0, h, slope, offset, c0, c1, c2, c3, a,
     return r, psi
 
 
+# a compressor map of this module, which the inliner takes in as it does
+# pressure_rise; and one it cannot, which returns before its end
+def local_pressure(phi, psi0, h, slope, offset, c0, c1, c2, c3):
+    w = slope * phi + offset
+    return psi0 + h * (c0 + w * (c1 + w * (c2 + w * c3)))
+
+
+def clipped_pressure(phi, psi0, h, slope, offset, c0, c1, c2, c3):
+    if phi < 0.0:
+        return psi0
+    w = slope * phi + offset
+    return psi0 + h * (c0 + w * (c1 + w * (c2 + w * c3)))
+
+
+def augmented_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3, a, b):
+    pc = 0.0
+    pc += local_pressure(phi, psi0, h, slope, offset, c0, c1, c2, c3)
+    return a * (pc - psi), b * (phi - g * math.sqrt(psi))
+
+
+def nested_call_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3, a,
+                    b):
+    return (a * (local_pressure(phi, psi0, h, slope, offset, c0, c1, c2, c3)
+                 - psi), b * (phi - g * math.sqrt(psi)))
+
+
+def keyword_call_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3, a,
+                     b):
+    pc = local_pressure(phi, psi0, h, slope, offset, c0, c1, c2, c3=c3)
+    return a * (pc - psi), b * (phi - g * math.sqrt(psi))
+
+
+def clipped_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3, a, b):
+    pc = clipped_pressure(phi, psi0, h, slope, offset, c0, c1, c2, c3)
+    return a * (pc - psi), b * (phi - g * math.sqrt(psi))
+
+
+def clashing_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3, a, b):
+    w = phi
+    pc = local_pressure(w, psi0, h, slope, offset, c0, c1, c2, c3)
+    return a * (pc - psi), b * (phi - g * math.sqrt(psi))
+
+
 class TestLiveStates:
     """The loop integrates only :func:`_kernels.live_states`, and the
     observed compressor has its own kernel; a full 13-state RK4 over the
@@ -763,6 +806,20 @@ class TestGeneratedStep:
          "its parameters are ['phi', 'psi', 'g',"),
         ("observed_rhs", "_observer_source", record_index_rhs, "observer",
          "its names ['r'] are the step's"),
+        # a call of a function of the rhs's module is inlined or refused,
+        # never left a call
+        ("surge_rhs", "_open_loop_source", augmented_rhs, "open-loop",
+         "augmented_rhs calls local_pressure other than as "
+         "t = local_pressure(...) or return local_pressure(...)"),
+        ("surge_rhs", "_open_loop_source", nested_call_rhs, "open-loop",
+         "nested_call_rhs calls local_pressure other than as"),
+        ("surge_rhs", "_open_loop_source", keyword_call_rhs, "open-loop",
+         "keyword_call_rhs does not pass local_pressure one positional "
+         "argument for each parameter"),
+        ("surge_rhs", "_open_loop_source", clipped_rhs, "open-loop",
+         "clipped_pressure returns before its end"),
+        ("surge_rhs", "_open_loop_source", clashing_rhs, "open-loop",
+         "the names ['w'] of local_pressure are clashing_rhs's"),
     ]
 
     @pytest.mark.parametrize("name, source, rhs, step, why", PLANT_MALFORMED,
