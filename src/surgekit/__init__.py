@@ -3,9 +3,11 @@
 Library layout:
 
 - ``compressor``: cubic pressure-rise map, surge-model parameters,
-  equilibrium/throttle algebra.
+  equilibrium/throttle algebra, and the one sign-change bisection (the
+  equilibrium's and the surge boundary's).
 - ``stability``: Jacobian/eigenvalue analysis on the equilibrium
-  manifold, surge boundary, divergence indicator, limit-cycle detection.
+  manifold, surge boundary, stability scans (whose rows carry the
+  discriminant and the divergence indicator), limit-cycle detection.
 - ``odesim``: trajectory records and the open-loop surge-model run.
 - ``loop``: saturating anti-surge valve, fixed PD/PID and gradient
   adaptive controllers, tangent tuning rule, closed-loop simulation.
@@ -33,10 +35,9 @@ from .loop import (ControllerConfig, DisturbanceProfile, TuneConfig,
                    ValveModel, extract_LT, simulate_closed_loop, zn_gains)
 from .odesim import Trajectory, simulate_greitzer, steady_state_of
 from .stability import (CycleConfig, LimitCycleReport, StabilityConfig,
-                        StabilityRow, bendixson_indicator, char_poly,
-                        detect_limit_cycle, discriminant, eig_real_part,
-                        jacobian_at_equilibrium, stability_scan,
-                        surge_boundary)
+                        StabilityRow, char_poly, detect_limit_cycle,
+                        eig_real_part, jacobian_at_equilibrium,
+                        stability_scan, surge_boundary)
 
 __version__ = "0.1.0"
 
@@ -54,8 +55,7 @@ __all__ = [
     "extract_LT", "simulate_closed_loop", "zn_gains",
     "Trajectory", "simulate_greitzer", "steady_state_of",
     "CycleConfig", "LimitCycleReport", "StabilityConfig", "StabilityRow",
-    "bendixson_indicator", "char_poly",
-    "detect_limit_cycle", "discriminant", "eig_real_part",
+    "char_poly", "detect_limit_cycle", "eig_real_part",
     "jacobian_at_equilibrium", "stability_scan", "surge_boundary",
     "__version__",
 ]

@@ -622,18 +622,17 @@ def _step(live, observed):
                   lambda: _step_source(live, observed))
 
 
-def greitzer_loop(out, dt, m_psi0, m_h, m_sl, m_off, c0, c1, c2, c3,
-                  a, b, g):
+def greitzer_loop(out, dt, m):
     """RK4 on the two-state surge model (:func:`_open_loop_source`).
 
     ``out`` is a preallocated C-ordered (rows, 3) array whose row 0
     already holds (0, phi0, psi0); remaining rows are filled with
-    (t, phi, psi).  Returns (status, row): on failure ``row`` is the first
-    unfilled row.
+    (t, phi, psi).  ``m`` is the tuple of surge_rhs's constants
+    (g, psi0, h, slope, offset, c0..c3, a, b).  Returns (status, row): on
+    failure ``row`` is the first unfilled row.
     """
     run = _built("open loop", surge_rhs, _open_loop_source)
-    return run(flat(out), dt, (g, m_psi0, m_h, m_sl, m_off, c0, c1, c2, c3,
-                               a, b), 1, len(out))
+    return run(flat(out), dt, m, 1, len(out))
 
 
 def observed_compressor(out, ys, dt, m, start, stop):

@@ -127,22 +127,22 @@ def _eigenvalues(jac: np.ndarray, p: AveragedPoint) -> tuple[float, ...]:
     return tuple(sorted(lam.real, reverse=True))
 
 
-def stability_verdict(points: Iterable[AveragedPoint],
-                      tol: float = VERDICT_TOL) -> list[AveragedReportRow]:
+def stability_verdict(
+        points: Iterable[AveragedPoint]) -> list[AveragedReportRow]:
     """Per-point eigenvalues with a stable/unstable verdict.
 
-    Stable means the largest eigenvalue does not exceed ``tol`` times the
-    largest Jacobian entry in magnitude.  The eigensolve's rounding error
-    grows with the matrix, so the exact zeros come out as small multiples
-    of its entries; relative to them, the verdict does not depend on the
-    scale of gamma*r^2.  The marginal all-zero saturated case counts as
-    stable.
+    Stable means the largest eigenvalue does not exceed ``VERDICT_TOL``
+    times the largest Jacobian entry in magnitude.  The eigensolve's
+    rounding error grows with the matrix, so the exact zeros come out as
+    small multiples of its entries; relative to them, the verdict does not
+    depend on the scale of gamma*r^2.  The marginal all-zero saturated
+    case counts as stable.
     """
     rows = []
     for p in points:
         jac = averaged_jacobian(p)
         lam = _eigenvalues(jac, p)
-        stable = max(lam) <= tol * np.abs(jac).max()
+        stable = max(lam) <= VERDICT_TOL * np.abs(jac).max()
         rows.append(AveragedReportRow(p, lam,
                                       "stable" if stable else "unstable"))
     return rows

@@ -21,8 +21,8 @@ from . import __version__
 from .averaging import REPORT_HEADER, grid_points, stability_verdict
 from .compressor import GreitzerParams, map_pressure_rise
 from .csvio import RunHelper, write_rows, write_trajectory
-from .errors import DomainError, NoSignChangeError, ScenarioError, \
-    SurgeKitError
+from .errors import AnalysisError, DomainError, NoSignChangeError, \
+    ScenarioError, SurgeKitError
 from .loop import CONTROLLER_KINDS, TUNE_RULES, extract_LT, gain_excursion, \
     simulate_closed_loop, zn_gains
 from .odesim import Trajectory, simulate_greitzer, steady_state_of
@@ -303,7 +303,12 @@ def cmd_closedloop(args) -> int:
     y = traj.column("y")
     co = traj.column("co")
     r = sc.controller.reference
-    boundary = surge_boundary(sc.cmap)
+    # the boundary is only compared with the finished run: a map on which
+    # it cannot be placed skips that comparison, not the run
+    try:
+        boundary = surge_boundary(sc.cmap)
+    except (AnalysisError, DomainError) as err:
+        boundary, why = None, err
     print(f"closed-loop run ({sc.controller.kind}, gamma = "
           f"{sc.controller.gamma:g}): {traj.n_rows} samples, "
           f"dt={traj.dt:g} -> {path}")
@@ -311,7 +316,9 @@ def cmd_closedloop(args) -> int:
           f"error {abs(y[-1] - r):.3g})")
     print(f"valve flow range [{co.min():.6g}, {co.max():.6g}], "
           f"gain excursion {gain_excursion(traj):.6g}")
-    if y.min() < boundary:
+    if boundary is None:
+        print(f"surge boundary check skipped: {why}")
+    elif y.min() < boundary:
         print(f"WARNING: flow dipped below the surge boundary "
               f"{boundary:.4g} (min y = {y.min():.6g})")
     else:
@@ -382,13 +389,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", help="output directory "
                        "(default: $SURGEKIT_OUT_DIR or '.')")
         p.add_argument("--csv", help="explicit CSV output path")
-        _override(p, "--decimation", "run.decimation",
-                  help="record every Nth sample in the CSV")
         return p
 
-    def time_flags(p):
+    def run_flags(p):
         _override(p, "--dt", "run.dt")
         _override(p, "--t-end", "run.t_end")
+        _override(p, "--decimation", "run.decimation",
+                  help="record every Nth sample in the CSV")
 
     p = command("map", cmd_map, "tabulate the compressor map")
     p.add_argument("--lo", type=float)
@@ -410,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
                   help="throttle parameter directly")
         for flag in ("phi0", "psi0", "perturb-phi", "perturb-psi"):
             _override(p, f"--{flag}", "plant." + flag.replace("-", "_"))
-        time_flags(p)
+        run_flags(p)
         p.add_argument("--svg")
 
     p = command("simulate", cmd_simulate, "open-loop surge-model run")
@@ -444,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     _override(p, "--observe", "observe.enabled", action="store_true",
               default=None,
               help="append side-by-side compressor states phi, psi")
-    time_flags(p)
+    run_flags(p)
     p.add_argument("--svg")
     p.add_argument("--svg-params", dest="svg_params")
 

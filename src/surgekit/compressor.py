@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from ._kernels import pressure_rise
 from .errors import DomainError, NoEquilibriumError
@@ -63,6 +64,12 @@ class CompressorMap:
             if not (math.isfinite(phi) and lo < phi < hi):
                 raise DomainError(
                     f"equilibrium flow must lie in ({lo}, {hi}), got {phi}")
+
+    @cached_property
+    def constants(self) -> tuple:
+        """(psi0, h, slope, offset, c0, c1, c2, c3): the parameters of
+        ``_kernels.pressure_rise`` after the flow, built on first use."""
+        return (self.psi0, self.h, self.slope, self.offset, *self.cubic)
 
 
 @dataclass(frozen=True)
@@ -139,8 +146,7 @@ def map_pressure_rise(cmap: CompressorMap, phi: float) -> float:
     """Evaluate psi_c(phi).  No domain clamping: callers decide."""
     if not math.isfinite(phi):
         raise DomainError(f"phi must be finite, got {phi}")
-    return pressure_rise(phi, cmap.psi0, cmap.h, cmap.slope, cmap.offset,
-                         *cmap.cubic)
+    return pressure_rise(phi, *cmap.constants)
 
 
 def map_slope(cmap: CompressorMap, phi: float) -> float:
@@ -172,6 +178,27 @@ def _square(x: float) -> float:
         return math.inf
 
 
+def bisect_sign_change(f, lo: float, hi: float, flo: float, ftol: float,
+                       xtol: float, iters: int) -> tuple[float, bool]:
+    """Bisect [lo, hi], across which ``f`` changes sign, ``flo = f(lo)``.
+
+    Stops at the first midpoint where |f| <= ``ftol`` or the bracket is
+    narrower than ``xtol``, and returns (that midpoint, True).  After
+    ``iters`` halvings without stopping it returns (the midpoint of what
+    is left, False).
+    """
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if abs(fm) <= ftol or hi - lo < xtol:
+            return mid, True
+        if (fm > 0.0) == (flo > 0.0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), False
+
+
 def equilibrium_from_throttle(cmap: CompressorMap, g: float) -> PlantState:
     """Unique equilibrium (phi*, psi_c(phi*)) for a throttle parameter g.
 
@@ -200,16 +227,7 @@ def equilibrium_from_throttle(cmap: CompressorMap, g: float) -> PlantState:
             f"psi_c(phi) - (phi/g)^2 does not change sign on "
             f"({lo:.6g}, {hi:.6g}) for g={g}")
     else:
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            fm = f(mid)
-            if fm == 0.0 or hi - lo < 1e-12:
-                break
-            if (fm > 0.0) == (flo > 0.0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        root = 0.5 * (lo + hi)
+        root = bisect_sign_change(f, lo, hi, flo, 0.0, 1e-12, 80)[0]
         for _ in range(5):
             d = fprime(root)
             if d == 0.0:

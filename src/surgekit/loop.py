@@ -226,7 +226,7 @@ def _observer_args(cmap: CompressorMap = DEFAULT_MAP, a: float = FLOW_GAIN,
     """The observed compressor's constants: the tuple ``m`` of
     ``observed_compressor``, whose items are those ``observed_rhs`` takes
     after the flow."""
-    return (cmap.psi0, cmap.h, cmap.slope, cmap.offset, *cmap.cubic, a, b)
+    return (*cmap.constants, a, b)
 
 
 def _step_stage(row, stage):

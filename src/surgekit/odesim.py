@@ -103,12 +103,10 @@ def simulate_greitzer(initial: PlantState, params: GreitzerParams,
         raise ModelBreakdownError(
             f"plenum pressure must stay positive, got psi={initial.psi}")
     out[0] = (0.0, initial.phi, initial.psi)
-    c0, c1, c2, c3 = cmap.cubic
     # an overflow is reported by the kernel's status, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
         status, row = _kernels.greitzer_loop(
-            out, dt, cmap.psi0, cmap.h, cmap.slope, cmap.offset,
-            c0, c1, c2, c3, params.a, params.b, params.g)
+            out, dt, (params.g, *cmap.constants, params.a, params.b))
     columns = ["t", "phi", "psi"]
     if status == _kernels.OK:
         return Trajectory(dt, columns, out)

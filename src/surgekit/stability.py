@@ -2,10 +2,11 @@
 
 Everything here works on the equilibrium manifold, where the throttle
 parameter and the plenum pressure can be eliminated so that the Jacobian,
-its characteristic polynomial, the discriminant, the eigenvalue real part
-and the divergence indicator are all functions of the equilibrium flow
-alone.  A trajectory-based limit-cycle detector complements the local
-analysis.
+its characteristic polynomial and the eigenvalue real part are functions
+of the equilibrium flow alone.  A scan tabulates them with the
+discriminant and the divergence (Bendixson) indicator, the Jacobian
+trace, as its ``delta`` and ``bendixson_r`` columns.  A trajectory-based
+limit-cycle detector complements the local analysis.
 """
 
 from __future__ import annotations
@@ -16,12 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compressor import (CompressorMap, DEFAULT_MAP, FLOW_GAIN,
-                         PRESSURE_GAIN, map_pressure_rise, map_slope)
+                         PRESSURE_GAIN, bisect_sign_change,
+                         map_pressure_rise, map_slope)
 from .errors import AnalysisError, DomainError, NoSignChangeError
 from .odesim import Trajectory
 
 #: classification threshold on the eigenvalue real part
 CLASS_TOL = 1e-9
+
+#: peak-to-peak amplitude a limit cycle must exceed, so a converged
+#: steady state does not pass on numerical ripple
+MIN_AMPLITUDE = 1e-6
 
 STABLE_FOCUS = "stable-focus"
 UNSTABLE_FOCUS = "unstable-focus"
@@ -110,17 +116,6 @@ def char_poly(cmap: CompressorMap, phi: float, a: float = FLOW_GAIN,
     return -(j11 + j22), j11 * j22 - j12 * j21
 
 
-def discriminant(cmap: CompressorMap, phi: float, a: float = FLOW_GAIN,
-                 b: float = PRESSURE_GAIN) -> float:
-    """Discriminant b^2 - 4c of the characteristic polynomial.
-
-    Negative throughout the working flow range of the shipped map: the
-    equilibria are foci, never nodes.
-    """
-    pb, pc = char_poly(cmap, phi, a, b)
-    return pb * pb - 4.0 * pc
-
-
 def _focus(cmap: CompressorMap, phi: float, a: float,
            b: float) -> tuple[float, float]:
     """(discriminant, eigenvalue real part) from one characteristic
@@ -144,18 +139,6 @@ def eig_real_part(cmap: CompressorMap, phi: float, a: float = FLOW_GAIN,
     return _focus(cmap, phi, a, b)[1]
 
 
-def bendixson_indicator(cmap: CompressorMap, phi: float,
-                        a: float = FLOW_GAIN,
-                        b: float = PRESSURE_GAIN) -> float:
-    """Divergence of the vector field on the equilibrium manifold.
-
-    Equals the Jacobian trace (twice the eigenvalue real part).  A region
-    where it keeps one sign cannot contain a limit cycle, so its sign
-    change marks where surge oscillations become possible.
-    """
-    return -char_poly(cmap, phi, a, b)[0]
-
-
 def surge_boundary(cmap: CompressorMap = DEFAULT_MAP, a: float = FLOW_GAIN,
                    b: float = PRESSURE_GAIN,
                    scan: StabilityConfig = StabilityConfig()) -> float:
@@ -175,28 +158,20 @@ def surge_boundary(cmap: CompressorMap = DEFAULT_MAP, a: float = FLOW_GAIN,
             f"eigenvalue real part does not change sign on "
             f"[{scan.lo}, {scan.hi}]")
     i = flips[-1]
-    xlo, xhi = grid[i], grid[i + 1]
-    flo = vals[i]
-    for _ in range(200):
-        mid = 0.5 * (xlo + xhi)
-        fm = eig_real_part(cmap, mid, a, b)
-        if abs(fm) <= 1e-12 or xhi - xlo < 1e-15:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            xlo, flo = mid, fm
-        else:
-            xhi = mid
-    mid = 0.5 * (xlo + xhi)
-    if abs(eig_real_part(cmap, mid, a, b)) > 1e-10:
+    root, converged = bisect_sign_change(
+        lambda phi: eig_real_part(cmap, phi, a, b), grid[i], grid[i + 1],
+        vals[i], 1e-12, 1e-15, 200)
+    if not converged and abs(eig_real_part(cmap, root, a, b)) > 1e-10:
         raise AnalysisError("surge-boundary bisection failed to converge")
-    return mid
+    return root
 
 
 def stability_scan(cmap: CompressorMap, scan: StabilityConfig,
-                   a: float = FLOW_GAIN, b: float = PRESSURE_GAIN,
-                   tol: float = CLASS_TOL) -> list[StabilityRow]:
+                   a: float = FLOW_GAIN,
+                   b: float = PRESSURE_GAIN) -> list[StabilityRow]:
     """Tabulate the stability quantities on ``scan.n`` uniformly spaced
-    flows of ``scan``."""
+    flows of ``scan``; a real part within ``CLASS_TOL`` of zero is
+    classed as the boundary."""
     cmap.check_flow(scan.lo, scan.hi)
     try:
         phis = np.empty(scan.n)
@@ -207,13 +182,15 @@ def stability_scan(cmap: CompressorMap, scan: StabilityConfig,
     rows = []
     for phi in phis.tolist():
         delta, real = _focus(cmap, phi, a, b)
-        if real < -tol:
+        if real < -CLASS_TOL:
             cls = STABLE_FOCUS
-        elif real > tol:
+        elif real > CLASS_TOL:
             cls = UNSTABLE_FOCUS
         else:
             cls = BOUNDARY
-        # the Bendixson indicator is the trace, twice the real part
+        # the divergence (Bendixson) indicator is the Jacobian trace,
+        # twice the real part.  A range where it keeps one sign holds no
+        # limit cycle, so its sign change marks where surge becomes possible
         rows.append(StabilityRow(phi, delta, real, 2.0 * real, cls))
     return rows
 
@@ -226,44 +203,40 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
     return np.nonzero(interior)[0] + 1
 
 
-def detect_limit_cycle(traj: Trajectory, cycle: CycleConfig = CycleConfig(),
-                       signal: str = "phi", second_signal: str = "psi",
-                       min_amplitude: float = 1e-6) -> LimitCycleReport:
-    """Decide from a simulated run whether it settled onto a limit cycle.
+def detect_limit_cycle(traj: Trajectory,
+                       cycle: CycleConfig = CycleConfig()) -> LimitCycleReport:
+    """Decide from an open-loop run (phi, psi) whether it settled onto a
+    limit cycle.
 
     The first ``cycle.settle_fraction`` of the run is discarded as
     transient.  A cycle is reported when at least four local maxima of
-    the primary signal remain and the last three peak-to-peak amplitudes
-    agree to the relative tolerance ``cycle.tol`` (and exceed
-    ``min_amplitude``, so a converged steady state does not pass on
-    numerical ripple).  The period is the mean spacing of successive
-    maxima.
+    phi remain and the last three peak-to-peak amplitudes of phi agree to
+    the relative tolerance ``cycle.tol`` and exceed ``MIN_AMPLITUDE``.
+    The period is the mean spacing of successive maxima.
     """
     tail = traj.tail(1.0 - cycle.settle_fraction)
-    x = tail.column(signal)
+    x = tail.column("phi")
     t = tail.t
     none = LimitCycleReport(False, 0.0, 0.0, 0.0, 0)
     peaks = _local_maxima(x)
     if len(peaks) < 4:
         return none
 
-    has_second = second_signal in tail.columns
-    y = tail.column(second_signal) if has_second else None
+    y = tail.column("psi")
     amps_x = []
     amps_y = []
     for p0, p1 in zip(peaks[:-1], peaks[1:]):
         seg = x[p0:p1 + 1]
         amps_x.append(x[p0] - seg.min())
-        if has_second:
-            seg_y = y[p0:p1 + 1]
-            amps_y.append(seg_y.max() - seg_y.min())
+        seg_y = y[p0:p1 + 1]
+        amps_y.append(seg_y.max() - seg_y.min())
     last3 = np.array(amps_x[-3:])
     mean_amp = last3.mean()
     cycles = len(peaks) - 1
     period = float(np.diff(t[peaks]).mean())
-    if mean_amp <= min_amplitude:
+    if mean_amp <= MIN_AMPLITUDE:
         return none
     if (last3.max() - last3.min()) / mean_amp > cycle.tol:
         return none
-    amp_psi = float(np.array(amps_y[-3:]).mean()) if has_second else 0.0
+    amp_psi = float(np.array(amps_y[-3:]).mean())
     return LimitCycleReport(True, float(mean_amp), amp_psi, period, cycles)

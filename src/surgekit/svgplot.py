@@ -34,13 +34,14 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _bounds(values, pad_frac=0.04):
+def _bounds(values):
+    """(lo, hi) of all ``values``, widened by 4 % of the span on each side."""
     lo = float(min(np.min(v) for v in values))
     hi = float(max(np.max(v) for v in values))
     if hi == lo:
         pad = 1.0 if hi == 0.0 else 0.1 * abs(hi)
     else:
-        pad = pad_frac * (hi - lo)
+        pad = 0.04 * (hi - lo)
     return lo - pad, hi + pad
 
 

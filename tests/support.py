@@ -45,8 +45,7 @@ def integrate(rhs, initial, dt, t_end, names):
 
 def plant_rates(phi, psi, g, cmap=DEFAULT_MAP, a=FLOW_GAIN, b=PRESSURE_GAIN):
     """``surge_rhs`` at a hand-built state: (d phi/dt, d psi/dt)."""
-    return surge_rhs(phi, psi, g, cmap.psi0, cmap.h, cmap.slope, cmap.offset,
-                     *cmap.cubic, a, b)
+    return surge_rhs(phi, psi, g, *cmap.constants, a, b)
 
 
 def vector_field_grid(g, phi_range, psi_range, n, cmap=DEFAULT_MAP):

@@ -18,14 +18,15 @@ from surgekit.averaging import (AveragedPoint, AveragingConfig,
 from surgekit.compressor import (DEFAULT_MAP, GreitzerParams, PlantState,
                                  equilibrium_from_throttle,
                                  map_pressure_rise, throttle_from_flow)
+from surgekit.errors import AnalysisError
 from surgekit.loop import (ControllerConfig, DisturbanceProfile, TuneConfig,
                            gain_excursion, simulate_closed_loop, zn_gains)
 from surgekit.odesim import simulate_greitzer, steady_state_of
 from surgekit.scenario import resolve_scenario
-from surgekit.stability import (CycleConfig, bendixson_indicator,
+from surgekit.stability import (CycleConfig, StabilityConfig,
                                 detect_limit_cycle,
-                                discriminant, eig_real_part,
-                                jacobian_at_equilibrium, surge_boundary)
+                                jacobian_at_equilibrium, stability_scan,
+                                surge_boundary)
 
 M = DEFAULT_MAP
 
@@ -91,8 +92,13 @@ def test_c01_surge_boundary():
 
 def test_c02_discriminant_negative():
     with criterion(2, "discriminant < 0 at 1000 grid points on (0.01, 0.79)"):
-        for phi in np.linspace(0.01, 0.79, 1000):
-            assert discriminant(M, float(phi)) < 0.0
+        # the scan refuses a point whose eigenvalues are real
+        try:
+            rows = stability_scan(M, StabilityConfig(0.01, 0.79, 1000))
+        except AnalysisError as err:
+            raise AssertionError(err) from None
+        assert len(rows) == 1000
+        assert all(r.discriminant < 0.0 for r in rows)
 
 
 def test_c03_equilibrium_reproduction():
@@ -124,17 +130,18 @@ def test_c05_limit_cycle():
 
 
 def test_c06_bendixson_consistency():
-    with criterion(6, "divergence indicator = 2x eigenvalue real part, "
+    with criterion(6, "divergence indicator = Jacobian trace, "
                       "same sign change as the boundary"):
-        for phi in np.linspace(0.01, 0.79, 1000):
-            assert abs(bendixson_indicator(M, float(phi))
-                       - 2.0 * eig_real_part(M, float(phi))) <= 1e-12
+        # the scan's column against the trace of the Jacobian matrix
+        for r in stability_scan(M, StabilityConfig(0.01, 0.79, 1000)):
+            assert abs(r.bendixson_r - np.trace(
+                jacobian_at_equilibrium(M, r.phi))) <= 1e-12
         b = surge_boundary(M)
-        grid = np.arange(0.1, 0.79, 1e-4)
-        vals = np.array([bendixson_indicator(M, float(p)) for p in grid])
+        rows = stability_scan(M, StabilityConfig(0.1, 0.79, 6901))
+        vals = np.array([r.bendixson_r for r in rows])
         i = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
         assert len(i) == 1
-        assert abs(grid[i[0]] - b) <= 1e-3
+        assert abs(rows[i[0]].phi - b) <= 1e-3
 
 
 def test_c07_tuning_gains():

@@ -197,6 +197,40 @@ class TestClosedLoop:
         assert code == 0
         assert "gamma = 0.5" in out
 
+    @pytest.mark.parametrize("key, why", [
+        ("h = 0.01", "eigenvalue real part does not change sign on "
+                     "[0.1, 0.79]"),
+        ("h = 2.0", "eigenvalues at phi=0.1 are real; real-part analysis "
+                    "assumes a complex pair"),
+        ("domain_hi = 0.5", "equilibrium flow must lie in (0.0, 0.5), got "
+                            "0.5006006006006006"),
+        ("psi0 = -0.5", "map value at phi=0.1 is -0.46256; need psi_c > 0")],
+        ids=["no-sign-change", "real-eigenvalues", "short-domain",
+             "negative-map"])
+    def test_map_without_boundary(self, tmp_path, capsys, key, why):
+        # the boundary is looked up after the run: a map on which it
+        # cannot be placed skips the comparison, and the run's files are
+        # those it writes on the shipped map, which the loop does not use
+        outs = []
+        for case, section in (("shipped", ""), ("odd", f"[map]\n{key}\n")):
+            (tmp_path / case).mkdir()
+            scn = tmp_path / case / "case.scn"
+            scn.write_text("[run]\nname = case\nkind = closedloop\n"
+                           f"t_end = 2\n{section}")
+            code, out, err = run(capsys, "closedloop", "--scenario", str(scn),
+                                 "--out-dir", str(tmp_path / case), "--svg",
+                                 str(tmp_path / case / "case.svg"))
+            assert (code, err) == (0, ""), case
+            outs.append(out.replace(str(tmp_path / case), "DIR")
+                        .splitlines())
+        shipped, odd = outs
+        assert shipped[-2].startswith("flow stayed above the surge boundary")
+        assert odd == shipped[:-2] + [f"surge boundary check skipped: {why}",
+                                      shipped[-1]]
+        for name in ("case.csv", "case.svg"):
+            assert (tmp_path / "odd" / name).read_bytes() == \
+                (tmp_path / "shipped" / name).read_bytes()
+
     def test_determinism(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -298,6 +332,30 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["transmogrify"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command",
+                             ["map", "stability", "tune", "averaging"])
+    def test_decimation_flag_only_where_a_run_is_recorded(self, capsys,
+                                                          command):
+        # these subcommands write no trajectory, so they have no flag that
+        # would thin one
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--decimation", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --decimation 2" in \
+            capsys.readouterr().err
+
+    def test_decimation_key_still_loads_for_any_kind(self, tmp_path, capsys):
+        # run.decimation stays a scenario key for every kind
+        scn = tmp_path / "table.scn"
+        scn.write_text("[run]\nkind = map\ndecimation = 2\n")
+        code, out, err = run(capsys, "map", "--scenario", str(scn),
+                             "--csv", str(tmp_path / "a.csv"))
+        assert (code, err) == (0, "")
+        code, _, _ = run(capsys, "map", "--csv", str(tmp_path / "b.csv"))
+        assert code == 0
+        assert (tmp_path / "a.csv").read_bytes() == \
+            (tmp_path / "b.csv").read_bytes()
 
     def test_invalid_config_exits_three(self, tmp_path, capsys):
         code, _, err = run(capsys, "closedloop", "--scenario", "fig10",

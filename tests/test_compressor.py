@@ -7,7 +7,7 @@ import pytest
 from support import plant_rates
 
 from surgekit.compressor import (CompressorMap, DEFAULT_MAP, GreitzerParams,
-                                 PlantConfig, PlantState,
+                                 PlantConfig, PlantState, bisect_sign_change,
                                  equilibrium_from_throttle,
                                  map_pressure_rise, map_slope,
                                  throttle_from_flow)
@@ -145,6 +145,14 @@ class TestThrottleEquilibrium:
         assert eq.phi == pytest.approx(0.4, abs=1e-10)
         assert eq.psi == pytest.approx(0.6746, abs=1e-3)
 
+    @pytest.mark.parametrize("flow,bits", [
+        (0.4, ("0x1.999999999999ap-2", "0x1.595feda661284p-1")),
+        (0.51, ("0x1.051eb851eb852p-1", "0x1.6c51e2cbbcac6p-1"))])
+    def test_equilibrium_bits(self, flow, bits):
+        # the bisection's iterates, then Newton's, decide every bit
+        eq = equilibrium_from_throttle(M, throttle_from_flow(M, flow))
+        assert (eq.phi.hex(), eq.psi.hex()) == bits
+
     def test_roundtrip_grid(self):
         for phi in np.linspace(0.01, 0.79, 200):
             eq = equilibrium_from_throttle(M, throttle_from_flow(M, float(phi)))
@@ -175,6 +183,29 @@ class TestThrottleEquilibrium:
             equilibrium_from_throttle(M, 0.0)
         with pytest.raises(DomainError):
             equilibrium_from_throttle(M, -2.0)
+
+
+class TestBisection:
+    def test_stops_where_the_value_is_within_ftol(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 0.5
+        assert bisect_sign_change(f, 0.0, 1.0, -0.5, 0.0, 0.0, 80) == (
+            0.5, True)
+        assert calls == [0.5]
+
+    def test_returns_the_last_midpoint_when_iterations_run_out(self):
+        # halvings keep [0.25, 0.375]; its midpoint is not evaluated
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 0.3
+        assert bisect_sign_change(f, 0.0, 1.0, -0.3, 0.0, 0.0, 3) == (
+            0.3125, False)
+        assert calls == [0.5, 0.25, 0.375]
 
 
 class TestTypes:

@@ -353,10 +353,8 @@ class TestStatusCodes:
     def test_greitzer_breakdown_reported(self):
         out = np.empty((100, 3))
         out[0] = (0.0, 0.5, 1e-9)  # pressure collapses within one step
-        c0, c1, c2, c3 = M.cubic
         status, row = _kernels.greitzer_loop(
-            out, 1.0, M.psi0, M.h, M.slope, M.offset, c0, c1, c2, c3,
-            0.8, 1.25, 5.0)
+            out, 1.0, (5.0, *M.constants, 0.8, 1.25))
         assert status == _kernels.PSI_NONPOSITIVE
         assert row == 1
 

@@ -105,9 +105,8 @@ class TestIntegrate:
         # the first unfilled row; the rows before it are the oracle's
         out = np.zeros((20, 3))
         out[0] = (0.0, *start)
-        args = (M.psi0, M.h, M.slope, M.offset, *M.cubic, a, PRESSURE_GAIN,
-                g)
-        assert _kernels.greitzer_loop(out, dt, *args) == (
+        m = (g, *M.constants, a, PRESSURE_GAIN)
+        assert _kernels.greitzer_loop(out, dt, m) == (
             _kernels.PSI_NONPOSITIVE, 9)
         gen = integrate(
             lambda t, s: np.array(plant_rates(*s, g, M, a=a)), start, dt,
@@ -124,7 +123,7 @@ class TestIntegrate:
             rates = plant_rates(phi + coef * rates[0], s, g, M, a=a)
         assert k == stage
         # a record that ends before that step is filled whole
-        assert _kernels.greitzer_loop(out[:9].copy(), dt, *args) == (
+        assert _kernels.greitzer_loop(out[:9].copy(), dt, m) == (
             _kernels.OK, 8)
 
     def test_negative_psi_fails_immediately(self):
@@ -241,8 +240,6 @@ class TestVectorFieldGrid:
         for psi in (0.0, -0.1):
             out = np.zeros((5, 3))
             out[0] = (0.0, 0.1, psi)
-            c0, c1, c2, c3 = M.cubic
             status, row = _kernels.greitzer_loop(
-                out, 0.1, M.psi0, M.h, M.slope, M.offset, c0, c1, c2, c3,
-                FLOW_GAIN, PRESSURE_GAIN, 0.6)
+                out, 0.1, (0.6, *M.constants, FLOW_GAIN, PRESSURE_GAIN))
             assert (status, row) == (_kernels.PSI_NONPOSITIVE, 1)

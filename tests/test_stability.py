@@ -9,14 +9,15 @@ from surgekit.compressor import (DEFAULT_MAP, GreitzerParams, PlantState,
 from surgekit.errors import AnalysisError, DomainError
 from surgekit.odesim import Trajectory, simulate_greitzer
 from surgekit.stability import (BOUNDARY, STABLE_FOCUS, UNSTABLE_FOCUS,
-                                CycleConfig, StabilityConfig,
-                                bendixson_indicator, char_poly,
-                                detect_limit_cycle, discriminant,
-                                eig_real_part, jacobian_at_equilibrium,
-                                stability_scan, surge_boundary)
+                                CycleConfig, StabilityConfig, char_poly,
+                                detect_limit_cycle, eig_real_part,
+                                jacobian_at_equilibrium, stability_scan,
+                                surge_boundary)
 
 M = DEFAULT_MAP
 GRID = np.linspace(0.01, 0.79, 1000)
+#: the scan over GRID
+GRID_SCAN = StabilityConfig(0.01, 0.79, 1000)
 
 
 class TestJacobian:
@@ -64,12 +65,17 @@ class TestCharPoly:
 
 
 class TestDiscriminant:
+    # the scan's ``delta`` column
     def test_value_at_peak(self):
-        assert discriminant(M, 0.5) == pytest.approx(-3.8073628448112613,
-                                                     abs=1e-9)
+        row = stability_scan(M, StabilityConfig(0.5, 0.6, 2))[0]
+        assert row.phi == 0.5
+        assert row.discriminant == pytest.approx(-3.8073628448112613,
+                                                 abs=1e-9)
 
     def test_negative_throughout_working_range(self):
-        assert all(discriminant(M, float(p)) < 0.0 for p in GRID)
+        rows = stability_scan(M, GRID_SCAN)
+        assert [r.phi for r in rows] == GRID.tolist()
+        assert all(r.discriminant < 0.0 for r in rows)
 
 
 class TestRealPart:
@@ -110,31 +116,42 @@ class TestSurgeBoundary:
         with pytest.raises(AnalysisError):
             surge_boundary(M, scan=StabilityConfig(lo=0.5, hi=0.7))
 
+    @pytest.mark.parametrize("scan,bits", [
+        (StabilityConfig(), "0x1.bd6acc53fd8a4p-2"),
+        (StabilityConfig(0.3, 0.6), "0x1.bd6acc53fceccp-2")])
+    def test_bits(self, scan, bits):
+        # the bracket and the bisection's iterates decide every bit
+        assert surge_boundary(M, scan=scan).hex() == bits
+
 
 class TestBendixson:
+    # the scan's ``bendixson_r`` column, the divergence indicator
     def test_values(self):
-        assert bendixson_indicator(M, 0.5) == pytest.approx(
-            -0.4389044943820225, abs=1e-12)
-        assert bendixson_indicator(M, 0.4) == pytest.approx(
-            0.18234804554079687, abs=1e-12)
+        low, high = stability_scan(M, StabilityConfig(0.4, 0.5, 2))
+        assert (low.phi, high.phi) == (0.4, 0.5)
+        assert high.bendixson_r == pytest.approx(-0.4389044943820225,
+                                                 abs=1e-12)
+        assert low.bendixson_r == pytest.approx(0.18234804554079687,
+                                                abs=1e-12)
 
     def test_twice_the_real_part_everywhere(self):
-        for phi in GRID:
-            assert abs(bendixson_indicator(M, float(phi))
-                       - 2.0 * eig_real_part(M, float(phi))) <= 1e-12
+        for r in stability_scan(M, GRID_SCAN):
+            assert abs(r.bendixson_r - 2.0 * r.real_part) <= 1e-12
+            assert abs(r.bendixson_r - np.trace(
+                jacobian_at_equilibrium(M, r.phi))) <= 1e-12
 
     def test_negative_in_stable_zone(self):
         b = surge_boundary(M)
-        for phi in np.linspace(b + 1e-3, 0.79, 200):
-            assert bendixson_indicator(M, float(phi)) < 0.0
+        rows = stability_scan(M, StabilityConfig(b + 1e-3, 0.79, 200))
+        assert all(r.bendixson_r < 0.0 for r in rows)
 
     def test_sign_change_matches_boundary(self):
         b = surge_boundary(M)
-        grid = np.arange(0.1, 0.79, 1e-4)
-        vals = np.array([bendixson_indicator(M, float(p)) for p in grid])
+        rows = stability_scan(M, StabilityConfig(0.1, 0.79, 6901))
+        vals = np.array([r.bendixson_r for r in rows])
         i = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
         assert len(i) == 1
-        assert abs(grid[i[0]] - b) <= 1e-3
+        assert abs(rows[i[0]].phi - b) <= 1e-3
 
 
 class TestStabilityScan:
