@@ -2,13 +2,15 @@
 
 Library layout:
 
-- ``compressor``: cubic pressure-rise map, surge-model parameters,
-  equilibrium/throttle algebra, and the one sign-change bisection (the
-  equilibrium's and the surge boundary's).
+- ``compressor``: cubic pressure-rise map, the surge model's gains
+  ``FLOW_GAIN`` and ``PRESSURE_GAIN``, equilibrium/throttle algebra, and
+  the one sign-change bisection (the equilibrium's and the surge
+  boundary's).
 - ``stability``: Jacobian/eigenvalue analysis on the equilibrium
   manifold, surge boundary, stability scans (whose rows carry the
   discriminant and the divergence indicator), limit-cycle detection.
-- ``odesim``: trajectory records and the open-loop surge-model run.
+- ``odesim``: trajectory records and the open-loop surge-model run at
+  a throttle g.
 - ``loop``: saturating anti-surge valve, fixed PD/PID and gradient
   adaptive controllers, tangent tuning rule, closed-loop simulation.
 - ``_kernels``: the fixed-step RK4 kernels and the one definition of each
@@ -25,8 +27,8 @@ Library layout:
 from .averaging import (AveragedPoint, AveragingConfig, averaged_eigenvalues,
                         averaged_jacobian, averaged_rhs, grid_points,
                         stability_verdict)
-from .compressor import (CompressorMap, DEFAULT_MAP, GreitzerParams,
-                         PlantConfig, PlantState, equilibrium_from_throttle,
+from .compressor import (CompressorMap, DEFAULT_MAP, PlantConfig,
+                         PlantState, equilibrium_from_throttle,
                          map_pressure_rise, map_slope, throttle_from_flow)
 from .errors import (AnalysisError, DegenerateResponseError, DivergenceError,
                      DomainError, ModelBreakdownError, NoEquilibriumError,
@@ -44,8 +46,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AveragedPoint", "AveragingConfig", "averaged_eigenvalues",
     "averaged_jacobian", "averaged_rhs", "grid_points", "stability_verdict",
-    "CompressorMap", "DEFAULT_MAP", "GreitzerParams", "PlantConfig",
-    "PlantState",
+    "CompressorMap", "DEFAULT_MAP", "PlantConfig", "PlantState",
     "equilibrium_from_throttle", "map_pressure_rise", "map_slope",
     "throttle_from_flow",
     "AnalysisError", "DegenerateResponseError", "DivergenceError",

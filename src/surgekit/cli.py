@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .averaging import REPORT_HEADER, grid_points, stability_verdict
-from .compressor import GreitzerParams, map_pressure_rise
+from .compressor import map_pressure_rise
 from .csvio import RunHelper, write_rows, write_trajectory
 from .errors import AnalysisError, DomainError, NoSignChangeError, \
     ScenarioError, SurgeKitError
@@ -71,7 +71,7 @@ def _thin(arr, limit: int = 2000):
 
 def _run_plant(sc: Scenario) -> Trajectory:
     initial, g = sc.plant.start(sc.cmap)
-    return simulate_greitzer(initial, GreitzerParams(g=g), sc.cmap,
+    return simulate_greitzer(initial, g, sc.cmap,
                              dt=sc.resolved_dt(), t_end=sc.resolved_t_end())
 
 

@@ -1,4 +1,4 @@
-"""Cubic compressor map, surge-model parameters and equilibrium algebra.
+"""Cubic compressor map, surge-model gains and equilibrium algebra.
 
 The map gives the steady-state pressure rise ``psi_c(phi)`` as a cubic in
 the shifted flow coordinate ``w = slope*phi + offset``.  The transient
@@ -8,8 +8,9 @@ model couples nondimensional mass flow ``phi`` and plenum pressure rise
     d(phi)/dt = a * (psi_c(phi) - psi)
     d(psi)/dt = b * (phi - g * sqrt(psi))
 
-where ``g`` is the throttle parameter.  Both equations are defined once,
-in ``_kernels`` (``pressure_rise`` and ``surge_rhs``), which
+where ``g`` is the throttle parameter and the gains are the constants
+``a = FLOW_GAIN`` and ``b = PRESSURE_GAIN``.  Both equations are defined
+once, in ``_kernels`` (``pressure_rise`` and ``surge_rhs``), which
 :func:`map_pressure_rise` calls and the kernels' RK4 steps inline.  At
 an equilibrium both rates vanish, so ``psi = psi_c(phi)`` and
 ``phi = g*sqrt(psi)``.
@@ -78,22 +79,6 @@ class PlantState:
 
     phi: float
     psi: float
-
-
-@dataclass(frozen=True)
-class GreitzerParams:
-    """Gains of the two state equations plus the throttle parameter g."""
-
-    a: float = FLOW_GAIN
-    b: float = PRESSURE_GAIN
-    g: float = 1.0
-
-    def __post_init__(self):
-        for name in ("a", "b", "g"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise DomainError(
-                    f"{name} must be finite and positive, got {value}")
 
 
 #: The shipped axial-compressor map.

@@ -10,7 +10,9 @@ class DomainError(SurgeKitError):
 
 
 class ModelBreakdownError(SurgeKitError):
-    """The state left the region where the model equations are defined (psi <= 0)."""
+    """An open-loop run was asked to start at psi <= 0, where the model
+    equations are not defined.  A run that reaches psi <= 0 raises
+    :class:`DivergenceError`."""
 
 
 class DivergenceError(SurgeKitError):

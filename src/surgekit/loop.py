@@ -221,12 +221,11 @@ def _kernel_args(cfg: ControllerConfig, valve: ValveModel,
             REF_MODEL_TWO_ZW)
 
 
-def _observer_args(cmap: CompressorMap = DEFAULT_MAP, a: float = FLOW_GAIN,
-                   b: float = PRESSURE_GAIN) -> tuple:
+def _observer_args(cmap: CompressorMap = DEFAULT_MAP) -> tuple:
     """The observed compressor's constants: the tuple ``m`` of
     ``observed_compressor``, whose items are those ``observed_rhs`` takes
     after the flow."""
-    return (*cmap.constants, a, b)
+    return (*cmap.constants, FLOW_GAIN, PRESSURE_GAIN)
 
 
 def _step_stage(row, stage):
@@ -295,8 +294,6 @@ def simulate_closed_loop(cfg: ControllerConfig,
                          dt: float = LOOP_DT, t_end: float = LOOP_T_END,
                          observe: bool = False,
                          cmap: CompressorMap = DEFAULT_MAP,
-                         a: float = FLOW_GAIN,
-                         b: float = PRESSURE_GAIN,
                          helper: Optional[RunHelper] = None) -> Trajectory:
     """Integrate the closed loop from :func:`initial_loop_state`.
 
@@ -327,7 +324,7 @@ def simulate_closed_loop(cfg: ControllerConfig,
                 f"map value at observed flow {y0} is {psi0}; cannot observe")
         state[11] = y0
         state[12] = psi0
-        m = _observer_args(cmap, a, b)
+        m = _observer_args(cmap)
         ys = _output_buffer(dt, t_end, 3)
     if not np.all(np.isfinite(state)):
         raise DomainError("initial loop state must be finite, got "

@@ -2,11 +2,12 @@
 
 :func:`simulate_greitzer` runs the surge model through the open-loop RK4
 kernel in ``_kernels``, whose step is generated from ``surge_rhs``, the
-one definition of the model's rates; ``loop.simulate_closed_loop`` does
-the same for the closed loop.  Both produce the same :class:`Trajectory`
-layout: column 0 is time, sampling is uniform, and a non-finite value
-aborts the run instead of being recorded.  The default step sizes and
-horizons of both runs are defined here.
+one definition of the model's rates, at the gains ``FLOW_GAIN`` and
+``PRESSURE_GAIN``; ``loop.simulate_closed_loop`` does the same for the
+closed loop.  Both produce the same :class:`Trajectory` layout: column 0
+is time, sampling is uniform, and a non-finite value aborts the run
+instead of being recorded.  The default step sizes and horizons of both
+runs are defined here.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .compressor import CompressorMap, DEFAULT_MAP, GreitzerParams, PlantState
+from .compressor import (CompressorMap, DEFAULT_MAP, FLOW_GAIN,
+                         PRESSURE_GAIN, PlantState)
 from .errors import DivergenceError, DomainError, ModelBreakdownError
 
 #: Default step sizes and horizons: nondimensional time for plant runs,
@@ -89,11 +91,13 @@ def _output_buffer(dt: float, t_end: float, n_cols: int) -> np.ndarray:
         f"{n_cols} values ({8.0 * rows * n_cols:.3g} bytes); cannot allocate")
 
 
-def simulate_greitzer(initial: PlantState, params: GreitzerParams,
+def simulate_greitzer(initial: PlantState, g: float,
                       cmap: CompressorMap = DEFAULT_MAP,
                       dt: float = PLANT_DT,
                       t_end: float = PLANT_T_END) -> Trajectory:
-    """Kernel-backed open-loop run of the surge model."""
+    """Kernel-backed open-loop run of the surge model at throttle ``g``."""
+    if not (math.isfinite(g) and g > 0.0):
+        raise DomainError(f"g must be finite and positive, got {g}")
     out = _output_buffer(dt, t_end, 3)
     if not all(isinstance(v, numbers.Real) and math.isfinite(v)
                for v in (initial.phi, initial.psi)):
@@ -106,7 +110,7 @@ def simulate_greitzer(initial: PlantState, params: GreitzerParams,
     # an overflow is reported by the kernel's status, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
         status, row = _kernels.greitzer_loop(
-            out, dt, (params.g, *cmap.constants, params.a, params.b))
+            out, dt, (g, *cmap.constants, FLOW_GAIN, PRESSURE_GAIN))
     columns = ["t", "phi", "psi"]
     if status == _kernels.OK:
         return Trajectory(dt, columns, out)

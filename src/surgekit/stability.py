@@ -85,8 +85,8 @@ class LimitCycleReport:
     cycles_analyzed: int
 
 
-def _jacobian_entries(cmap: CompressorMap, phi: float, a: float,
-                      b: float) -> tuple[float, float, float, float]:
+def _jacobian_entries(cmap: CompressorMap,
+                      phi: float) -> tuple[float, float, float, float]:
     """Entries (j11, j12, j21, j22) of :func:`jacobian_at_equilibrium`,
     as Python floats."""
     cmap.check_flow(phi)
@@ -94,33 +94,31 @@ def _jacobian_entries(cmap: CompressorMap, phi: float, a: float,
     psi = map_pressure_rise(cmap, phi)
     if psi <= 0.0:
         raise DomainError(f"map value at phi={phi} is {psi}; need psi_c > 0")
-    return a * map_slope(cmap, phi), -a, b, -b * phi / (2.0 * psi)
+    return (FLOW_GAIN * map_slope(cmap, phi), -FLOW_GAIN, PRESSURE_GAIN,
+            -PRESSURE_GAIN * phi / (2.0 * psi))
 
 
-def jacobian_at_equilibrium(cmap: CompressorMap, phi: float,
-                            a: float = FLOW_GAIN,
-                            b: float = PRESSURE_GAIN) -> np.ndarray:
-    """2x2 Jacobian of the surge model at the equilibrium with flow phi.
+def jacobian_at_equilibrium(cmap: CompressorMap, phi: float) -> np.ndarray:
+    """2x2 Jacobian of the surge model at the equilibrium with flow phi,
+    at the gains a = ``FLOW_GAIN`` and b = ``PRESSURE_GAIN``.
 
     At an equilibrium psi = psi_c(phi) and g = phi/sqrt(psi), which turns
     the throttle entry -b*g/(2*sqrt(psi)) into -b*phi/(2*psi_c(phi)).
     """
-    j11, j12, j21, j22 = _jacobian_entries(cmap, phi, a, b)
+    j11, j12, j21, j22 = _jacobian_entries(cmap, phi)
     return np.array([[j11, j12], [j21, j22]])
 
 
-def char_poly(cmap: CompressorMap, phi: float, a: float = FLOW_GAIN,
-              b: float = PRESSURE_GAIN) -> tuple[float, float]:
+def char_poly(cmap: CompressorMap, phi: float) -> tuple[float, float]:
     """Coefficients (b, c) of the characteristic polynomial s^2 + b*s + c."""
-    j11, j12, j21, j22 = _jacobian_entries(cmap, phi, a, b)
+    j11, j12, j21, j22 = _jacobian_entries(cmap, phi)
     return -(j11 + j22), j11 * j22 - j12 * j21
 
 
-def _focus(cmap: CompressorMap, phi: float, a: float,
-           b: float) -> tuple[float, float]:
+def _focus(cmap: CompressorMap, phi: float) -> tuple[float, float]:
     """(discriminant, eigenvalue real part) from one characteristic
     polynomial; AnalysisError unless the eigenvalues are a complex pair."""
-    pb, pc = char_poly(cmap, phi, a, b)
+    pb, pc = char_poly(cmap, phi)
     delta = pb * pb - 4.0 * pc
     if delta >= 0.0:
         raise AnalysisError(
@@ -129,18 +127,16 @@ def _focus(cmap: CompressorMap, phi: float, a: float,
     return delta, -0.5 * pb
 
 
-def eig_real_part(cmap: CompressorMap, phi: float, a: float = FLOW_GAIN,
-                  b: float = PRESSURE_GAIN) -> float:
+def eig_real_part(cmap: CompressorMap, phi: float) -> float:
     """Real part of the complex eigenvalue pair, i.e. trace/2.
 
     Requires a negative discriminant (complex pair); its sign decides
     stable versus unstable focus.
     """
-    return _focus(cmap, phi, a, b)[1]
+    return _focus(cmap, phi)[1]
 
 
-def surge_boundary(cmap: CompressorMap = DEFAULT_MAP, a: float = FLOW_GAIN,
-                   b: float = PRESSURE_GAIN,
+def surge_boundary(cmap: CompressorMap = DEFAULT_MAP,
                    scan: StabilityConfig = StabilityConfig()) -> float:
     """Largest flow where the eigenvalue real part crosses zero.
 
@@ -150,7 +146,7 @@ def surge_boundary(cmap: CompressorMap = DEFAULT_MAP, a: float = FLOW_GAIN,
     :class:`NoSignChangeError` where the scan finds no sign change.
     """
     grid = np.linspace(scan.lo, scan.hi, scan.n)
-    vals = np.array([eig_real_part(cmap, p, a, b) for p in grid])
+    vals = np.array([eig_real_part(cmap, p) for p in grid])
     signs = np.sign(vals)
     flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
     if len(flips) == 0:
@@ -159,16 +155,15 @@ def surge_boundary(cmap: CompressorMap = DEFAULT_MAP, a: float = FLOW_GAIN,
             f"[{scan.lo}, {scan.hi}]")
     i = flips[-1]
     root, converged = bisect_sign_change(
-        lambda phi: eig_real_part(cmap, phi, a, b), grid[i], grid[i + 1],
+        lambda phi: eig_real_part(cmap, phi), grid[i], grid[i + 1],
         vals[i], 1e-12, 1e-15, 200)
-    if not converged and abs(eig_real_part(cmap, root, a, b)) > 1e-10:
+    if not converged and abs(eig_real_part(cmap, root)) > 1e-10:
         raise AnalysisError("surge-boundary bisection failed to converge")
     return root
 
 
-def stability_scan(cmap: CompressorMap, scan: StabilityConfig,
-                   a: float = FLOW_GAIN,
-                   b: float = PRESSURE_GAIN) -> list[StabilityRow]:
+def stability_scan(cmap: CompressorMap,
+                   scan: StabilityConfig) -> list[StabilityRow]:
     """Tabulate the stability quantities on ``scan.n`` uniformly spaced
     flows of ``scan``; a real part within ``CLASS_TOL`` of zero is
     classed as the boundary."""
@@ -181,7 +176,7 @@ def stability_scan(cmap: CompressorMap, scan: StabilityConfig,
     phis[:] = np.linspace(scan.lo, scan.hi, scan.n)
     rows = []
     for phi in phis.tolist():
-        delta, real = _focus(cmap, phi, a, b)
+        delta, real = _focus(cmap, phi)
         if real < -CLASS_TOL:
             cls = STABLE_FOCUS
         elif real > CLASS_TOL:

@@ -15,7 +15,7 @@ from support import reference_matrix
 from surgekit.averaging import (AveragedPoint, AveragingConfig,
                                 averaged_eigenvalues,
                                 averaged_rhs, grid_points)
-from surgekit.compressor import (DEFAULT_MAP, GreitzerParams, PlantState,
+from surgekit.compressor import (DEFAULT_MAP, PlantState,
                                  equilibrium_from_throttle,
                                  map_pressure_rise, throttle_from_flow)
 from surgekit.errors import AnalysisError
@@ -73,7 +73,7 @@ def cycle_run(dt):
     g = throttle_from_flow(M, 0.4)
     eq = equilibrium_from_throttle(M, g)
     return simulate_greitzer(PlantState(eq.phi + 0.01, eq.psi + 0.01),
-                             GreitzerParams(g=g), M, dt=dt, t_end=100.0)
+                             g, M, dt=dt, t_end=100.0)
 
 
 def test_c01_surge_boundary():
@@ -105,8 +105,8 @@ def test_c03_equilibrium_reproduction():
     with criterion(3, "open loop from (0.63, 0.62) settles to "
                       "(0.51, 0.71) +- 0.01"):
         g = throttle_from_flow(M, 0.51)
-        traj = simulate_greitzer(PlantState(0.63, 0.62), GreitzerParams(g=g),
-                                 M, dt=1e-2, t_end=50.0)
+        traj = simulate_greitzer(PlantState(0.63, 0.62), g, M, dt=1e-2,
+                                 t_end=50.0)
         ss = steady_state_of(traj, window=5.0, tol=1e-3)
         assert ss is not None
         assert abs(ss[0] - 0.51) <= 0.01
@@ -291,10 +291,10 @@ def test_c13_integrator_order():
     with criterion(13, "RK4 global error shrinks 16x +- 20 % under step "
                        "halving"):
         # the shipped open-loop kernel, against its own dt = 1e-3 run
-        params = GreitzerParams(g=throttle_from_flow(M, 0.51))
+        g = throttle_from_flow(M, 0.51)
 
         def final_state(dt):
-            traj = simulate_greitzer(PlantState(0.63, 0.62), params, M,
+            traj = simulate_greitzer(PlantState(0.63, 0.62), g, M,
                                      dt=dt, t_end=1.0)
             return traj.samples[-1, 1:]
 

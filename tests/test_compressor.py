@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from support import plant_rates
 
-from surgekit.compressor import (CompressorMap, DEFAULT_MAP, GreitzerParams,
-                                 PlantConfig, PlantState, bisect_sign_change,
+from surgekit.compressor import (CompressorMap, DEFAULT_MAP, PlantConfig,
+                                 PlantState, bisect_sign_change,
                                  equilibrium_from_throttle,
                                  map_pressure_rise, map_slope,
                                  throttle_from_flow)
@@ -99,19 +99,19 @@ class TestGreitzerRhs:
 
     def test_nonpositive_psi_is_model_breakdown(self):
         with pytest.raises(ModelBreakdownError):
-            simulate_greitzer(PlantState(0.4, 0.0), GreitzerParams(g=0.5))
+            simulate_greitzer(PlantState(0.4, 0.0), 0.5)
         with pytest.raises(ModelBreakdownError):
-            simulate_greitzer(PlantState(0.4, -0.1), GreitzerParams(g=0.5))
+            simulate_greitzer(PlantState(0.4, -0.1), 0.5)
 
     def test_nonfinite_state_rejected(self):
         with pytest.raises(DomainError):
-            simulate_greitzer(PlantState(math.nan, 0.5), GreitzerParams(g=0.5))
+            simulate_greitzer(PlantState(math.nan, 0.5), 0.5)
 
     @pytest.mark.parametrize("phi,psi", [(None, 0.5), (0.5, None),
                                          (0.5, "0.6")])
     def test_nonreal_state_rejected(self, phi, psi):
         with pytest.raises(DomainError, match="finite real numbers"):
-            simulate_greitzer(PlantState(phi, psi), GreitzerParams(g=0.5))
+            simulate_greitzer(PlantState(phi, psi), 0.5)
 
 
 class TestThrottleEquilibrium:
@@ -213,17 +213,11 @@ class TestTypes:
         with pytest.raises(DomainError):
             CompressorMap(domain_lo=0.5, domain_hi=0.5)
 
-    def test_params_validate_signs(self):
-        with pytest.raises(DomainError):
-            GreitzerParams(a=-1.0)
-        with pytest.raises(DomainError):
-            GreitzerParams(g=0.0)
-
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-    @pytest.mark.parametrize("name", ["a", "b", "g"])
-    def test_params_reject_nonfinite(self, name, value):
-        with pytest.raises(DomainError, match=f"^{name} must be finite"):
-            GreitzerParams(**{name: value})
+    @pytest.mark.parametrize("g", [0.0, -1.0, math.inf, -math.inf,
+                                   math.nan])
+    def test_simulate_rejects_bad_throttle(self, g):
+        with pytest.raises(DomainError, match="^g must be finite"):
+            simulate_greitzer(PlantState(0.63, 0.62), g)
 
 
 class TestPlantConfig:

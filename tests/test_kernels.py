@@ -16,8 +16,7 @@ import support
 from support import coupled_rhs, rk4_step
 
 from surgekit import _kernels, csvio, loop
-from surgekit.compressor import DEFAULT_MAP, GreitzerParams, PlantState, \
-    map_pressure_rise
+from surgekit.compressor import DEFAULT_MAP, PlantState, map_pressure_rise
 from surgekit.odesim import simulate_greitzer
 from surgekit.errors import DivergenceError
 from surgekit.loop import (CONTROLLER_KINDS, ControllerConfig,
@@ -361,8 +360,8 @@ class TestStatusCodes:
     def test_wrapper_raises_on_breakdown(self):
         from surgekit.odesim import simulate_greitzer
         with pytest.raises(DivergenceError) as exc:
-            simulate_greitzer(PlantState(0.5, 1e-9),
-                              GreitzerParams(g=5.0), M, dt=1.0, t_end=50.0)
+            simulate_greitzer(PlantState(0.5, 1e-9), 5.0, M, dt=1.0,
+                              t_end=50.0)
         # the run stops in its first step, keeping the finite initial row
         assert exc.value.partial.n_rows == 1
         assert np.all(np.isfinite(exc.value.partial.samples))
@@ -727,8 +726,7 @@ class TestGeneratedStep:
 
     @pytest.mark.parametrize("key, source, run", [
         ("open loop", "_open_loop_source",
-         lambda: simulate_greitzer(PlantState(0.63, 0.62),
-                                   GreitzerParams(g=0.6), t_end=1.0)),
+         lambda: simulate_greitzer(PlantState(0.63, 0.62), 0.6, t_end=1.0)),
         ("observer", "_observer_source",
          lambda: simulate_closed_loop(ControllerConfig(), t_end=0.5,
                                       observe=True))],
@@ -749,8 +747,7 @@ class TestGeneratedStep:
         # the open-loop step built from another surge_rhs integrates it bit
         # for bit, as the RK4 oracle does
         def run():
-            return simulate_greitzer(PlantState(0.63, 0.62),
-                                     GreitzerParams(g=0.6), dt=1e-2,
+            return simulate_greitzer(PlantState(0.63, 0.62), 0.6, dt=1e-2,
                                      t_end=5.0)
 
         shipped = run()

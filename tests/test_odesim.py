@@ -8,9 +8,8 @@ from support import integrate, plant_rates, rk4_step, vector_field_grid
 
 from surgekit import _kernels
 from surgekit.compressor import (DEFAULT_MAP, FLOW_GAIN, PRESSURE_GAIN,
-                                 GreitzerParams, PlantState,
-                                 equilibrium_from_throttle, map_pressure_rise,
-                                 throttle_from_flow)
+                                 PlantState, equilibrium_from_throttle,
+                                 map_pressure_rise, throttle_from_flow)
 from surgekit.csvio import write_trajectory
 from surgekit.errors import DivergenceError, DomainError, ModelBreakdownError
 from surgekit.loop import ControllerConfig, simulate_closed_loop
@@ -57,14 +56,13 @@ class TestStepRk4:
     def test_bad_dt(self):
         for dt in (0.0, -0.1, math.nan):
             with pytest.raises(DomainError):
-                simulate_greitzer(PlantState(0.63, 0.62),
-                                  GreitzerParams(g=G51), M, dt=dt)
+                simulate_greitzer(PlantState(0.63, 0.62), G51, M, dt=dt)
 
 
 class TestIntegrate:
     def test_row_count_and_time_axis(self):
-        traj = simulate_greitzer(PlantState(0.63, 0.62),
-                                 GreitzerParams(g=G51), M, dt=0.1, t_end=1.0)
+        traj = simulate_greitzer(PlantState(0.63, 0.62), G51, M, dt=0.1,
+                                 t_end=1.0)
         assert traj.n_rows == 11
         diffs = np.diff(traj.t)
         assert np.all(diffs > 0)
@@ -81,16 +79,15 @@ class TestIntegrate:
             assert 16 * 0.8 <= ratio <= 16 * 1.2
 
     def test_determinism(self):
-        a = simulate_greitzer(PlantState(0.63, 0.62), GreitzerParams(g=G51), M)
-        b = simulate_greitzer(PlantState(0.63, 0.62), GreitzerParams(g=G51), M)
+        a = simulate_greitzer(PlantState(0.63, 0.62), G51, M)
+        b = simulate_greitzer(PlantState(0.63, 0.62), G51, M)
         assert np.array_equal(a.samples, b.samples)
 
     def test_generic_path_matches_kernel(self):
         # the kernel's step takes surge_rhs's operations in the oracle's
         # order, so every byte matches, on the stable and the surging side
         for g in (G51, 0.6):
-            kern = simulate_greitzer(PlantState(0.63, 0.62),
-                                     GreitzerParams(g=g), M, dt=1e-2,
+            kern = simulate_greitzer(PlantState(0.63, 0.62), g, M, dt=1e-2,
                                      t_end=50.0)
             gen = integrate(lambda t, s: np.array(plant_rates(*s, g)),
                             [0.63, 0.62], 1e-2, 50.0, ("phi", "psi"))
@@ -127,22 +124,21 @@ class TestIntegrate:
             _kernels.OK, 8)
 
     def test_negative_psi_fails_immediately(self):
-        params = GreitzerParams(g=0.6)
         with pytest.raises(ModelBreakdownError):
-            simulate_greitzer(PlantState(0.5, -0.1), params, M)
+            simulate_greitzer(PlantState(0.5, -0.1), 0.6, M)
 
     def test_all_samples_finite(self):
         g = throttle_from_flow(M, 0.4)
-        traj = simulate_greitzer(PlantState(0.41, 0.7), GreitzerParams(g=g),
-                                 M, dt=1e-2, t_end=100.0)
+        traj = simulate_greitzer(PlantState(0.41, 0.7), g, M, dt=1e-2,
+                                 t_end=100.0)
         assert np.all(np.isfinite(traj.samples))
         assert np.abs(traj.column("phi")).max() <= 1.5
 
 
 class TestGreitzerRuns:
     def test_settles_to_known_point(self):
-        traj = simulate_greitzer(PlantState(0.63, 0.62),
-                                 GreitzerParams(g=G51), M, dt=1e-2, t_end=50.0)
+        traj = simulate_greitzer(PlantState(0.63, 0.62), G51, M, dt=1e-2,
+                                 t_end=50.0)
         ss = steady_state_of(traj, window=5.0, tol=1e-3)
         assert ss is not None
         assert ss[0] == pytest.approx(0.51, abs=0.01)
@@ -151,8 +147,7 @@ class TestGreitzerRuns:
     def test_fixed_point_stays_put(self):
         g = throttle_from_flow(M, 0.55)
         eq = equilibrium_from_throttle(M, g)
-        traj = simulate_greitzer(eq, GreitzerParams(g=g), M,
-                                 dt=1e-2, t_end=20.0)
+        traj = simulate_greitzer(eq, g, M, dt=1e-2, t_end=20.0)
         assert np.abs(traj.column("phi") - eq.phi).max() <= 1e-9
         assert np.abs(traj.column("psi") - eq.psi).max() <= 1e-9
 
@@ -169,7 +164,7 @@ class TestSteadyStateOf:
         g = throttle_from_flow(M, 0.4)
         eq = equilibrium_from_throttle(M, g)
         traj = simulate_greitzer(PlantState(eq.phi + 0.01, eq.psi + 0.01),
-                                 GreitzerParams(g=g), M, dt=1e-2, t_end=100.0)
+                                 g, M, dt=1e-2, t_end=100.0)
         assert steady_state_of(traj, window=10.0, tol=1e-3) is None
 
     def test_window_validation(self):
@@ -194,7 +189,7 @@ class TestTrajectory:
         # a non-finite initial state is rejected before the kernel runs
         for phi, psi in ((math.nan, 0.6), (0.5, math.inf)):
             with pytest.raises(DomainError, match="finite"):
-                simulate_greitzer(PlantState(phi, psi), GreitzerParams(g=G51))
+                simulate_greitzer(PlantState(phi, psi), G51)
 
     def test_descriptor_name_count_checked(self, tmp_path):
         # column names must match the sample width when a run is written

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from surgekit.compressor import (DEFAULT_MAP, GreitzerParams, PlantState,
-                                 equilibrium_from_throttle,
-                                 throttle_from_flow)
+from surgekit.compressor import (DEFAULT_MAP, PlantState,
+                                 equilibrium_from_throttle, throttle_from_flow)
 from surgekit.errors import AnalysisError, DomainError
 from surgekit.odesim import Trajectory, simulate_greitzer
 from surgekit.stability import (BOUNDARY, STABLE_FOCUS, UNSTABLE_FOCUS,
@@ -97,6 +96,22 @@ class TestRealPart:
             eig = np.linalg.eigvals(jacobian_at_equilibrium(M, float(phi)))
             assert eig_real_part(M, float(phi)) == pytest.approx(
                 eig.real.mean(), abs=1e-12)
+
+    # above about 0.65 the decay reaches round-off within the run
+    @pytest.mark.parametrize("flow", [0.3, 0.42, 0.45, 0.6])
+    def test_matches_kernel_run(self, flow):
+        # the analysis linearises the model the open-loop kernel
+        # integrates: a small kick off the equilibrium grows or decays
+        # at the eigenvalue real part, read from the phi peaks
+        g = throttle_from_flow(M, flow)
+        eq = equilibrium_from_throttle(M, g)
+        traj = simulate_greitzer(PlantState(eq.phi + 1e-6, eq.psi), g, M,
+                                 dt=1e-3, t_end=30.0)
+        x = traj.column("phi") - eq.phi
+        peaks = np.nonzero((x[1:-1] > x[:-2]) & (x[1:-1] > x[2:]))[0] + 1
+        assert len(peaks) >= 2
+        slope = np.polyfit(traj.t[peaks], np.log(x[peaks]), 1)[0]
+        assert slope == pytest.approx(eig_real_part(M, flow), rel=1e-3)
 
 
 class TestSurgeBoundary:
@@ -190,7 +205,7 @@ def _cycle_run(flow, dt=1e-2, t_end=100.0):
     g = throttle_from_flow(M, flow)
     eq = equilibrium_from_throttle(M, g)
     return simulate_greitzer(PlantState(eq.phi + 0.01, eq.psi + 0.01),
-                             GreitzerParams(g=g), M, dt=dt, t_end=t_end)
+                             g, M, dt=dt, t_end=t_end)
 
 
 class TestLimitCycleDetection:
