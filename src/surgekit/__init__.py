@@ -2,10 +2,9 @@
 
 Library layout:
 
-- ``compressor``: cubic pressure-rise map, the surge model's gains
-  ``FLOW_GAIN`` and ``PRESSURE_GAIN``, equilibrium/throttle algebra, and
-  the one sign-change bisection (the equilibrium's and the surge
-  boundary's).
+- ``compressor``: cubic pressure-rise map, equilibrium/throttle
+  algebra, and the one sign-change bisection (the equilibrium's and the
+  surge boundary's).
 - ``stability``: Jacobian/eigenvalue analysis on the equilibrium
   manifold, surge boundary, stability scans (whose rows carry the
   discriminant and the divergence indicator), limit-cycle detection.
@@ -17,9 +16,11 @@ Library layout:
   model equation: ``pressure_rise`` (the map), ``surge_rhs`` (the surge
   model), ``observed_rhs`` (the observed compressor) and
   ``closed_loop_rhs`` (the closed loop), scalars in and a tuple of rates
-  out.  Each kernel's RK4 step is straight-line code generated on its
-  first use (the closed loop's once per live-state set), with its rhs's
-  own statements inlined at each stage.
+  out, and the fixed coefficients they read: the surge gains
+  ``FLOW_GAIN``, ``PRESSURE_GAIN`` and the reference model's
+  ``REF_MODEL_*``.  Each kernel's RK4 step is straight-line code
+  generated on its first use (the closed loop's once per live-state
+  set), with its rhs's own statements inlined at each stage.
 - ``averaging``: averaged adaptation dynamics and their eigenvalues.
 - ``cli``: the ``surgekit`` command-line front end and scenario files.
 """

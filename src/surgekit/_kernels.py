@@ -12,9 +12,12 @@ record in ranges of rows, and reports each to a caller's ``report``
 Each model equation is defined once: the compressor map in
 :func:`pressure_rise`, the surge model's rates in :func:`surge_rhs`, the
 observed compressor's in :func:`observed_rhs` and the closed loop's in
-:func:`closed_loop_rhs`, each a function of scalars.  No kernel calls
-them: each kernel's RK4 step over a range of rows is written out as
-straight-line code (:func:`_step_source`, :func:`_open_loop_source`,
+:func:`closed_loop_rhs`, each a function of scalars, beside the fixed
+coefficients it reads (the surge gains ``FLOW_GAIN``, ``PRESSURE_GAIN``,
+the reference model's ``REF_MODEL_*``): a kernel's constant tuple holds
+only what a run sets.  No kernel calls them: each kernel's RK4 step over
+a range of rows is written out as straight-line code
+(:func:`_step_source`, :func:`_open_loop_source`,
 :func:`_observer_source`), compiled on its first use and cached
 (:func:`_built`).  Every state is a local named after it, and each stage
 is the rhs's own statements, inlined from this module's source, which
@@ -82,14 +85,24 @@ def pressure_rise(phi, psi0, h, slope, offset, c0, c1, c2, c3):
     return psi0 + h * (c0 + w * (c1 + w * (c2 + w * c3)))
 
 
-def surge_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3, a, b):
+#: the surge model's flow-equation and pressure-equation gains a and b
+FLOW_GAIN = 0.8
+PRESSURE_GAIN = 1.25
+
+
+def surge_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3):
     """Rates (d phi/dt, d psi/dt) of the surge model at throttle g.
 
     Needs psi > 0, since sqrt(psi) is undefined below: the open-loop step
     checks it before each stage, and :func:`observed_rhs` before its call.
     """
     pc = pressure_rise(phi, psi0, h, slope, offset, c0, c1, c2, c3)
-    return a * (pc - psi), b * (phi - g * sqrt(psi))
+    return FLOW_GAIN * (pc - psi), PRESSURE_GAIN * (phi - g * sqrt(psi))
+
+
+#: the reference model ym/r = W2 / (s^2 + TWO_ZW*s + W2): damping 0.85, 5 rad/s
+REF_MODEL_W2 = 25.0
+REF_MODEL_TWO_ZW = 8.5
 
 
 def closed_loop_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
@@ -98,12 +111,12 @@ def closed_loop_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
     ``CL_STATE`` order, then the signals (u, co, y, e).  None where the
     control signal is undefined: its denominator is zero.
 
-    ``p`` is the tuple of the loop constants (``loop._kernel_args``).  The
-    observed compressor (phi, psi) feeds nothing back; its rates are
+    ``p`` is the tuple of the run's loop constants (``loop._kernel_args``);
+    the regressors v1..v3 are filtered through the valve's lag ``vtau``.
+    The observed compressor (phi, psi) feeds nothing back; its rates are
     :func:`observed_rhs`'s.
     """
-    (kind, kp, ki, kd, gamma, r, vtau, vlo, vhi, ftau, dtarget, dtau, rm_w2,
-     rm_2zw) = p
+    kind, kp, ki, kd, gamma, r, vtau, vlo, vhi, dtarget, dtau = p
     d_dot = (dtarget - d) / dtau
     linear = vlo <= x <= vhi
     if x > vhi:
@@ -146,12 +159,13 @@ def closed_loop_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
         e_int_dot = r - y
     else:
         e_int_dot = 0.0
-    return (x_dot, d_dot, ym2, rm_w2 * r - rm_w2 * ym1 - rm_2zw * ym2,
-            (r - v1) / ftau, (-y - v2) / ftau, (-y_dot - v3) / ftau,
+    return (x_dot, d_dot, ym2,
+            REF_MODEL_W2 * r - REF_MODEL_W2 * ym1 - REF_MODEL_TWO_ZW * ym2,
+            (r - v1) / vtau, (-y - v2) / vtau, (-y_dot - v3) / vtau,
             k1_dot, k2_dot, k3_dot, e_int_dot, u, co, y, e)
 
 
-def observed_rhs(phi, psi, y, psi0, h, slope, offset, c0, c1, c2, c3, a, b):
+def observed_rhs(phi, psi, y, psi0, h, slope, offset, c0, c1, c2, c3):
     """Rates (d phi/dt, d psi/dt) of the observed compressor, throttled by
     the measured flow ``y`` with g = y/sqrt(psi_c(y)), or None where the
     model is undefined: psi <= 0 or psi_c(y) <= 0."""
@@ -161,7 +175,7 @@ def observed_rhs(phi, psi, y, psi0, h, slope, offset, c0, c1, c2, c3, a, b):
     if pcy <= 0.0:
         return None
     return surge_rhs(phi, psi, y / sqrt(pcy), psi0, h, slope, offset,
-                     c0, c1, c2, c3, a, b)
+                     c0, c1, c2, c3)
 
 
 def live_states(p, state):
@@ -628,7 +642,7 @@ def greitzer_loop(out, dt, m):
     ``out`` is a preallocated C-ordered (rows, 3) array whose row 0
     already holds (0, phi0, psi0); remaining rows are filled with
     (t, phi, psi).  ``m`` is the tuple of surge_rhs's constants
-    (g, psi0, h, slope, offset, c0..c3, a, b).  Returns (status, row): on
+    (g, psi0, h, slope, offset, c0..c3).  Returns (status, row): on
     failure ``row`` is the first unfilled row.
     """
     run = _built("open loop", surge_rhs, _open_loop_source)
@@ -642,7 +656,7 @@ def observed_compressor(out, ys, dt, m, start, stop):
 
     ``out`` and ``ys`` are the flat views of the loop's (rows, 13)
     record and (rows, 3) stage flows, ``m`` the map constants
-    (psi0, h, slope, offset, c0..c3, a, b).  Returns (status, row, stage)
+    (psi0, h, slope, offset, c0..c3).  Returns (status, row, stage)
     as the loop's range function (:func:`_step_source`) does.
     """
     run = _built("observer", observed_rhs, _observer_source)

@@ -1,4 +1,4 @@
-"""Cubic compressor map, surge-model gains and equilibrium algebra.
+"""Cubic compressor map and equilibrium algebra.
 
 The map gives the steady-state pressure rise ``psi_c(phi)`` as a cubic in
 the shifted flow coordinate ``w = slope*phi + offset``.  The transient
@@ -9,11 +9,11 @@ model couples nondimensional mass flow ``phi`` and plenum pressure rise
     d(psi)/dt = b * (phi - g * sqrt(psi))
 
 where ``g`` is the throttle parameter and the gains are the constants
-``a = FLOW_GAIN`` and ``b = PRESSURE_GAIN``.  Both equations are defined
-once, in ``_kernels`` (``pressure_rise`` and ``surge_rhs``), which
-:func:`map_pressure_rise` calls and the kernels' RK4 steps inline.  At
-an equilibrium both rates vanish, so ``psi = psi_c(phi)`` and
-``phi = g*sqrt(psi)``.
+``a = FLOW_GAIN`` and ``b = PRESSURE_GAIN``, re-exported here.  Both
+equations and both gains are defined once, in ``_kernels``
+(``pressure_rise`` and ``surge_rhs``), which :func:`map_pressure_rise`
+calls and the kernels' RK4 steps inline.  At an equilibrium both rates
+vanish, so ``psi = psi_c(phi)`` and ``phi = g*sqrt(psi)``.
 """
 
 from __future__ import annotations
@@ -22,12 +22,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from ._kernels import pressure_rise
+from ._kernels import FLOW_GAIN, PRESSURE_GAIN, pressure_rise
 from .errors import DomainError, NoEquilibriumError
-
-#: Flow-equation and pressure-equation gains of the shipped model.
-FLOW_GAIN = 0.8
-PRESSURE_GAIN = 1.25
 
 
 @dataclass(frozen=True)

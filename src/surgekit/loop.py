@@ -6,6 +6,7 @@ measured compressor inlet flow ``y = d + co``.  Fixed PD/PID gains come
 from the open-loop tangent tuning rule; the adaptive controller tracks a
 second-order reference model by gradient descent on the squared model
 error, with the parameter updates gated off while the valve is saturated.
+The reference model is defined in ``_kernels``, as the loop equations are.
 
 Because the derivative term acts on ``y_dot`` and ``y_dot`` depends on the
 control signal through the valve in linear mode, the control signal is an
@@ -34,16 +35,10 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .compressor import CompressorMap, DEFAULT_MAP, FLOW_GAIN, PRESSURE_GAIN, \
-    map_pressure_rise
+from .compressor import CompressorMap, DEFAULT_MAP, map_pressure_rise
 from .csvio import _BLOCK_ROWS, RunHelper
 from .errors import DegenerateResponseError, DivergenceError, DomainError
 from .odesim import LOOP_DT, LOOP_T_END, Trajectory, _output_buffer
-
-#: reference model y_m(s)/r(s) = W2 / (s^2 + TWO_ZW*s + W2): unit-gain,
-#: damping 0.85, natural frequency 5 rad/s.
-REF_MODEL_W2 = 25.0
-REF_MODEL_TWO_ZW = 8.5
 
 FIXED_PD = "fixed-pd"
 FIXED_PID = "fixed-pid"
@@ -174,9 +169,9 @@ def extract_LT(traj: Trajectory, signal: str,
     """
     t = traj.t
     y = traj.column(signal)
-    # on values near the float range the fit overflows to inf or nan,
-    # which is refused below instead of warned about
-    with np.errstate(over="ignore", invalid="ignore"):
+    # values near the float range overflow, and times so close that their
+    # spacings' products underflow divide by 0: refused below, not warned
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if final_value is None:
             n_tail = max(1, int(0.05 * len(y)))
             final_value = float(y[-n_tail:].mean())
@@ -213,19 +208,11 @@ def initial_loop_state(cfg: ControllerConfig, valve: ValveModel,
 
 def _kernel_args(cfg: ControllerConfig, valve: ValveModel,
                  profile: DisturbanceProfile) -> tuple:
-    """The loop constants: the tuple ``p`` of ``closed_loop_rhs`` and the
-    kernel."""
+    """The run's loop constants: the tuple ``p`` of ``closed_loop_rhs``
+    and the kernel."""
     return (_KIND_CODES[cfg.kind], cfg.kp, cfg.ki, cfg.kd, cfg.gamma,
             cfg.reference, valve.tau, valve.out_min, valve.out_max,
-            valve.tau, profile.target, profile.tau, REF_MODEL_W2,
-            REF_MODEL_TWO_ZW)
-
-
-def _observer_args(cmap: CompressorMap = DEFAULT_MAP) -> tuple:
-    """The observed compressor's constants: the tuple ``m`` of
-    ``observed_compressor``, whose items are those ``observed_rhs`` takes
-    after the flow."""
-    return (*cmap.constants, FLOW_GAIN, PRESSURE_GAIN)
+            profile.target, profile.tau)
 
 
 def _step_stage(row, stage):
@@ -324,7 +311,7 @@ def simulate_closed_loop(cfg: ControllerConfig,
                 f"map value at observed flow {y0} is {psi0}; cannot observe")
         state[11] = y0
         state[12] = psi0
-        m = _observer_args(cmap)
+        m = cmap.constants
         ys = _output_buffer(dt, t_end, 3)
     if not np.all(np.isfinite(state)):
         raise DomainError("initial loop state must be finite, got "

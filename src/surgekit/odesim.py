@@ -2,11 +2,10 @@
 
 :func:`simulate_greitzer` runs the surge model through the open-loop RK4
 kernel in ``_kernels``, whose step is generated from ``surge_rhs``, the
-one definition of the model's rates, at the gains ``FLOW_GAIN`` and
-``PRESSURE_GAIN``; ``loop.simulate_closed_loop`` does the same for the
-closed loop.  Both produce the same :class:`Trajectory` layout: column 0
-is time, sampling is uniform, and a non-finite value aborts the run
-instead of being recorded.  The default step sizes and horizons of both
+one definition of the model's rates and gains; ``loop`` does the same
+for the closed loop.  Both produce the same :class:`Trajectory` layout:
+column 0 is time, sampling is uniform, and a non-finite value aborts the
+run instead of being recorded.  The default step sizes and horizons of both
 runs are defined here.
 """
 
@@ -21,8 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .compressor import (CompressorMap, DEFAULT_MAP, FLOW_GAIN,
-                         PRESSURE_GAIN, PlantState)
+from .compressor import CompressorMap, DEFAULT_MAP, PlantState
 from .errors import DivergenceError, DomainError, ModelBreakdownError
 
 #: Default step sizes and horizons: nondimensional time for plant runs,
@@ -109,21 +107,16 @@ def simulate_greitzer(initial: PlantState, g: float,
     out[0] = (0.0, initial.phi, initial.psi)
     # an overflow is reported by the kernel's status, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
-        status, row = _kernels.greitzer_loop(
-            out, dt, (g, *cmap.constants, FLOW_GAIN, PRESSURE_GAIN))
+        status, row = _kernels.greitzer_loop(out, dt, (g, *cmap.constants))
     columns = ["t", "phi", "psi"]
     if status == _kernels.OK:
         return Trajectory(dt, columns, out)
-    partial = Trajectory(dt, columns, out[:row].copy())
     t_fail = (row - 1) * dt
-    if status == _kernels.PSI_NONPOSITIVE:
-        raise DivergenceError(
-            f"plenum pressure reached zero near t={t_fail:.6g} "
-            "(surge model breakdown)", time=t_fail,
-            state=out[row - 1, 1:].copy(), partial=partial)
-    raise DivergenceError(
-        f"non-finite state near t={t_fail:.6g}", time=t_fail,
-        state=out[row - 1, 1:].copy(), partial=partial)
+    reason = (f"plenum pressure reached zero near t={t_fail:.6g} (surge model "
+              "breakdown)" if status == _kernels.PSI_NONPOSITIVE
+              else f"non-finite state near t={t_fail:.6g}")
+    raise DivergenceError(reason, time=t_fail, state=out[row - 1, 1:].copy(),
+                          partial=Trajectory(dt, columns, out[:row].copy()))
 
 
 def steady_state_of(traj: Trajectory, window: float,

@@ -179,6 +179,8 @@ def _parse_lines(lines) -> dict:
 def validate(sc: Scenario) -> None:
     """Reject, before any integration starts, what no single section can
     check: the run keys, the keys a kind requires, flows off the map."""
+    if not sc.name:
+        raise ScenarioError("run.name: must not be empty")
     if sc.kind not in KINDS:
         raise ScenarioError(f"run.kind: must be one of {KINDS}, got {sc.kind!r}")
     for key, value in (("run.dt", sc.dt), ("run.t_end", sc.t_end)):
@@ -211,6 +213,13 @@ def _check_flows(sc: Scenario, key: str, *flows: float) -> None:
 
 def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file."""
+    sc = _read_scenario(path)
+    validate(sc)
+    return sc
+
+
+def _read_scenario(path) -> Scenario:
+    """Parse a scenario file, each section checked but not the whole."""
     path = os.fspath(path)
     default_name = os.path.splitext(os.path.basename(path))[0] or "default"
     try:
@@ -223,7 +232,6 @@ def load_scenario(path) -> Scenario:
         default_name = "default"
     sc = Scenario(name=default_name)
     apply_values(sc, _parse_lines(lines))
-    validate(sc)
     return sc
 
 
@@ -238,14 +246,14 @@ def shipped_scenarios() -> dict[str, object]:
 
 
 def resolve_scenario(name_or_path: str) -> Scenario:
-    """Load a scenario by file path or shipped catalog name."""
+    """Parse a scenario by file path or catalog name, not yet validated."""
     if os.path.exists(name_or_path):
-        return load_scenario(name_or_path)
+        return _read_scenario(name_or_path)
     catalog = shipped_scenarios()
     name = name_or_path[:-4] if name_or_path.endswith(".scn") else name_or_path
     if name in catalog:
         with resources.as_file(catalog[name]) as real:
-            return load_scenario(real)
+            return _read_scenario(real)
     raise ScenarioError(
         f"no scenario file or catalog entry named {name_or_path!r}; "
         f"shipped: {', '.join(sorted(catalog))}")

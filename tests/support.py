@@ -12,12 +12,11 @@ import numpy as np
 
 from surgekit._kernels import (CL_STATE, NONFINITE, OK, PSI_NONPOSITIVE,
                                closed_loop_rhs, observed_rhs, surge_rhs)
-from surgekit.compressor import DEFAULT_MAP, FLOW_GAIN, PRESSURE_GAIN
+from surgekit.compressor import DEFAULT_MAP
 from surgekit.csvio import RunHelper
 from surgekit.errors import DivergenceError
 from surgekit.loop import (ControllerConfig, DisturbanceProfile, ValveModel,
-                           _kernel_args, _observer_args,
-                           simulate_closed_loop)
+                           _kernel_args, simulate_closed_loop)
 from surgekit.odesim import Trajectory
 from surgekit.scenario import KNOWN_KEYS, Scenario, load_scenario
 
@@ -43,9 +42,9 @@ def integrate(rhs, initial, dt, t_end, names):
     return Trajectory(dt, ["t", *names], out)
 
 
-def plant_rates(phi, psi, g, cmap=DEFAULT_MAP, a=FLOW_GAIN, b=PRESSURE_GAIN):
+def plant_rates(phi, psi, g, cmap=DEFAULT_MAP):
     """``surge_rhs`` at a hand-built state: (d phi/dt, d psi/dt)."""
-    return surge_rhs(phi, psi, g, *cmap.constants, a, b)
+    return surge_rhs(phi, psi, g, *cmap.constants)
 
 
 def vector_field_grid(g, phi_range, psi_range, n, cmap=DEFAULT_MAP):
@@ -83,7 +82,7 @@ def coupled_rhs(q, dq, sig, p, m=None):
 
 def observed_rates(phi, psi, y, cmap=DEFAULT_MAP):
     """``observed_rhs`` at a hand-built state and flow."""
-    return observed_rhs(phi, psi, y, *_observer_args(cmap))
+    return observed_rhs(phi, psi, y, *cmap.constants)
 
 
 def loop_rates(kind="adaptive", valve=ValveModel(), target=0.35,

@@ -470,6 +470,14 @@ class TestExitCodes:
         assert (code, out, stderr) == (4, "", f"error: {err}\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_empty_run_name_exits_three(self, tmp_path, capsys):
+        # an empty name would write the hidden file ".csv"
+        path = tmp_path / "f.scn"
+        path.write_text("[run]\nname =\nkind = map\n")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        _assert_refused(capsys, out_dir, ["map", "--scenario", str(path)])
+
     def test_missing_scenario_exits_three(self, tmp_path, capsys):
         code, _, err = run(capsys, "closedloop", "--scenario", "figZZ",
                            "--out-dir", str(tmp_path))
@@ -628,6 +636,9 @@ class TestExitCodes:
              signal=None)
     @example(t0=0.0, dt=1.0, ys=["0", "0.2", "0.9", "1"], final=None,
              signal="t")
+    # times so close that np.gradient's spacing products underflow to 0
+    @example(t0=6.338690196548449e-211, dt=6.338690196548449e-211,
+             ys=["0.0", "0.0", "0.0"], final=None, signal=None)
     def test_fuzzed_tune_step_csv_exits_cleanly(self, tmp_path, capsys, t0,
                                                 dt, ys, final, signal):
         # a written step response with any times and fields, any final
@@ -709,6 +720,33 @@ class TestOverrideFlags:
                 assert scenario_diff(sc, Scenario(name="case")).keys() == \
                     expected.keys(), argv
         assert len(seen) == 38
+
+    @pytest.mark.parametrize("command, text, flags, alone", [
+        ("tune", "[run]\nkind = tune\n[tune]\nrule = PI\n",
+         ["--L", "0.2", "--T", "1.8"], ["--rule", "PI"]),
+        ("simulate", "[run]\nkind = simulate\n", ["--flow", "0.51"], []),
+        ("simulate", "[run]\nkind = simulate\nt_end = -1\n"
+         "[plant]\nflow = 0.51\n", ["--t-end", "1"], ["--flow", "0.51"])],
+        ids=["tune-L-T", "simulate-flow", "t-end"])
+    def test_flags_complete_a_scenario_file(self, tmp_path, capsys, command,
+                                            text, flags, alone):
+        # the file is validated once the flags apply, so they may give a
+        # key it lacks or mend a value it cannot run: the run is the one
+        # the flags alone give (``alone`` holding what the file set)
+        path = tmp_path / "case.scn"
+        path.write_text(text)
+        code, _, err = run(capsys, command, "--scenario", str(path),
+                           "--out-dir", str(tmp_path))
+        assert code == 3 and len(err.splitlines()) == 1
+        from_file = tmp_path / "file.csv"
+        by_flags = tmp_path / "flags.csv"
+        code, _, err = run(capsys, command, "--scenario", str(path), *flags,
+                           "--csv", str(from_file))
+        assert (code, err) == (0, "")
+        code, _, err = run(capsys, command, *alone, *flags,
+                           "--csv", str(by_flags))
+        assert (code, err) == (0, "")
+        assert from_file.read_bytes() == by_flags.read_bytes()
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize("command,option", _float_flags())

@@ -3,6 +3,7 @@ merging of the loop's and the observer's failures, and their
 determinism."""
 
 import ast
+import dataclasses
 import math
 import os
 import re
@@ -16,13 +17,14 @@ import support
 from support import coupled_rhs, rk4_step
 
 from surgekit import _kernels, csvio, loop
+from surgekit._kernels import (FLOW_GAIN, PRESSURE_GAIN, REF_MODEL_TWO_ZW,
+                               REF_MODEL_W2)
 from surgekit.compressor import DEFAULT_MAP, PlantState, map_pressure_rise
 from surgekit.odesim import simulate_greitzer
 from surgekit.errors import DivergenceError
 from surgekit.loop import (CONTROLLER_KINDS, ControllerConfig,
                            DisturbanceProfile, ValveModel, _kernel_args,
-                           _observer_args, initial_loop_state,
-                           simulate_closed_loop)
+                           initial_loop_state, simulate_closed_loop)
 from surgekit.odesim import _output_buffer
 
 M = DEFAULT_MAP
@@ -36,8 +38,7 @@ KIND_FIXED_PID = _kernels.KIND_FIXED_PID
 # closed_loop_rhs with the disturbance lag at half its rate, and without a
 # docstring, for a step built from it
 def slow_disturbance_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
-    (kind, kp, ki, kd, gamma, r, vtau, vlo, vhi, ftau, dtarget, dtau, rm_w2,
-     rm_2zw) = p
+    kind, kp, ki, kd, gamma, r, vtau, vlo, vhi, dtarget, dtau = p
     d_dot = 0.5 * (dtarget - d) / dtau
     linear = vlo <= x <= vhi
     if x > vhi:
@@ -79,22 +80,22 @@ def slow_disturbance_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
         e_int_dot = r - y
     else:
         e_int_dot = 0.0
-    return (x_dot, d_dot, ym2, rm_w2 * r - rm_w2 * ym1 - rm_2zw * ym2,
-            (r - v1) / ftau, (-y - v2) / ftau, (-y_dot - v3) / ftau,
+    return (x_dot, d_dot, ym2,
+            REF_MODEL_W2 * r - REF_MODEL_W2 * ym1 - REF_MODEL_TWO_ZW * ym2,
+            (r - v1) / vtau, (-y - v2) / vtau, (-y_dot - v3) / vtau,
             k1_dot, k2_dot, k3_dot, e_int_dot, u, co, y, e)
 
 
 # surge_rhs with the pressure equation at twice its rate, and observed_rhs
 # throttled at half the flow's throttle, for steps built from them; their
 # calls into _kernels, another module, stay calls
-def fast_pressure_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3,
-                      a, b):
+def fast_pressure_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3):
     pc = _kernels.pressure_rise(phi, psi0, h, slope, offset, c0, c1, c2, c3)
-    return a * (pc - psi), 2.0 * b * (phi - g * math.sqrt(psi))
+    return (FLOW_GAIN * (pc - psi),
+            2.0 * PRESSURE_GAIN * (phi - g * math.sqrt(psi)))
 
 
-def half_throttle_rhs(phi, psi, y, psi0, h, slope, offset, c0, c1, c2, c3,
-                      a, b):
+def half_throttle_rhs(phi, psi, y, psi0, h, slope, offset, c0, c1, c2, c3):
     if psi <= 0.0:
         return None
     pcy = _kernels.pressure_rise(y, psi0, h, slope, offset, c0, c1, c2, c3)
@@ -102,7 +103,7 @@ def half_throttle_rhs(phi, psi, y, psi0, h, slope, offset, c0, c1, c2, c3,
         return None
     g = 0.5 * y / math.sqrt(pcy)
     pc = _kernels.pressure_rise(phi, psi0, h, slope, offset, c0, c1, c2, c3)
-    return a * (pc - psi), b * (phi - g * math.sqrt(psi))
+    return FLOW_GAIN * (pc - psi), PRESSURE_GAIN * (phi - g * math.sqrt(psi))
 
 
 # rhs definitions the step cannot inline, each for one reason
@@ -168,18 +169,15 @@ def other_parameters_rhs(x, d, p):
     return (x, d, x, x, x, x, x, x, x, x, x, u, co, y, e)
 
 
-def three_rates_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3, a,
-                    b):
+def three_rates_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3):
     return phi, psi, g
 
 
-def unobserved_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3, a,
-                   b):
+def unobserved_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3):
     return phi, psi
 
 
-def record_index_rhs(phi, psi, y, psi0, h, slope, offset, c0, c1, c2, c3, a,
-                     b):
+def record_index_rhs(phi, psi, y, psi0, h, slope, offset, c0, c1, c2, c3):
     r = 13 * y
     return r, psi
 
@@ -198,33 +196,32 @@ def clipped_pressure(phi, psi0, h, slope, offset, c0, c1, c2, c3):
     return psi0 + h * (c0 + w * (c1 + w * (c2 + w * c3)))
 
 
-def augmented_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3, a, b):
+def augmented_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3):
     pc = 0.0
     pc += local_pressure(phi, psi0, h, slope, offset, c0, c1, c2, c3)
-    return a * (pc - psi), b * (phi - g * math.sqrt(psi))
+    return FLOW_GAIN * (pc - psi), PRESSURE_GAIN * (phi - g * math.sqrt(psi))
 
 
-def nested_call_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3, a,
-                    b):
-    return (a * (local_pressure(phi, psi0, h, slope, offset, c0, c1, c2, c3)
-                 - psi), b * (phi - g * math.sqrt(psi)))
+def nested_call_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3):
+    return (FLOW_GAIN * (local_pressure(phi, psi0, h, slope, offset, c0, c1,
+                                        c2, c3) - psi),
+            PRESSURE_GAIN * (phi - g * math.sqrt(psi)))
 
 
-def keyword_call_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3, a,
-                     b):
+def keyword_call_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3):
     pc = local_pressure(phi, psi0, h, slope, offset, c0, c1, c2, c3=c3)
-    return a * (pc - psi), b * (phi - g * math.sqrt(psi))
+    return FLOW_GAIN * (pc - psi), PRESSURE_GAIN * (phi - g * math.sqrt(psi))
 
 
-def clipped_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3, a, b):
+def clipped_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3):
     pc = clipped_pressure(phi, psi0, h, slope, offset, c0, c1, c2, c3)
-    return a * (pc - psi), b * (phi - g * math.sqrt(psi))
+    return FLOW_GAIN * (pc - psi), PRESSURE_GAIN * (phi - g * math.sqrt(psi))
 
 
-def clashing_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3, a, b):
+def clashing_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3):
     w = phi
     pc = local_pressure(w, psi0, h, slope, offset, c0, c1, c2, c3)
-    return a * (pc - psi), b * (phi - g * math.sqrt(psi))
+    return FLOW_GAIN * (pc - psi), PRESSURE_GAIN * (phi - g * math.sqrt(psi))
 
 
 class TestLiveStates:
@@ -274,7 +271,7 @@ class TestLiveStates:
         valve = ValveModel()
         prof = DisturbanceProfile(target=0.35)
         p = _kernel_args(cfg, valve, prof)
-        m = _observer_args() if observe else None
+        m = M.constants if observe else None
         state = initial_loop_state(cfg, valve, prof)
         if observe:
             state[11] = state[2]
@@ -348,12 +345,48 @@ class TestLiveStates:
         self._check(monkeypatch, kind, observe, reference, dropped)
 
 
+class TestKernelArgs:
+    """The loop constants ``p`` carry only what a run sets: each setting
+    of the controller, the valve and the disturbance feeds exactly one
+    entry of ``p``, or none where it only sets the start, and each entry
+    is fed by one of them.  The fixed coefficients are ``_kernels``'."""
+
+    CONFIGS = (ControllerConfig(kind="fixed-pid"), ValveModel(),
+               DisturbanceProfile())
+
+    @staticmethod
+    def _run(cfg, valve, prof):
+        return (_kernel_args(cfg, valve, prof),
+                initial_loop_state(cfg, valve, prof).tobytes())
+
+    def test_each_setting_feeds_one_entry(self):
+        base_p, base_state = self._run(*self.CONFIGS)
+        assert len(base_p) == 11
+        fed = {}
+        for i, config in enumerate(self.CONFIGS):
+            for f in dataclasses.fields(config):
+                value = getattr(config, f.name)
+                changed = dataclasses.replace(config, **{
+                    f.name: "adaptive" if f.name == "kind" else 0.5 * value})
+                configs = list(self.CONFIGS)
+                configs[i] = changed
+                p, state = self._run(*configs)
+                entries = [j for j in range(11) if p[j] != base_p[j]]
+                name = f"{type(config).__name__}.{f.name}"
+                if entries:
+                    assert len(entries) == 1, (name, entries)
+                    fed[entries[0]] = name
+                else:
+                    # a start value: the adaptive gains' and the
+                    # disturbance's
+                    assert state != base_state, name
+        assert sorted(fed) == list(range(11)), fed
 class TestStatusCodes:
     def test_greitzer_breakdown_reported(self):
         out = np.empty((100, 3))
         out[0] = (0.0, 0.5, 1e-9)  # pressure collapses within one step
         status, row = _kernels.greitzer_loop(
-            out, 1.0, (5.0, *M.constants, 0.8, 1.25))
+            out, 1.0, (5.0, *M.constants))
         assert status == _kernels.PSI_NONPOSITIVE
         assert row == 1
 
@@ -403,7 +436,7 @@ class TestFailureMerge:
                             lambda *args: seen)
         rc = loop._integrate(
             np.zeros((3, 13)), np.zeros((3, 3)), state, dt,
-            _kernel_args(cfg, valve, prof), _observer_args())
+            _kernel_args(cfg, valve, prof), M.constants)
         return rc, state, start
 
     @pytest.mark.parametrize("seen, expected", [
@@ -470,7 +503,7 @@ class TestResultAfterTheLoop:
         out = _output_buffer(self.DT, 5.0, 13)
         ys = _output_buffer(self.DT, 5.0, 3)
         state = start.copy()
-        rc = loop._integrate(out, ys, state, self.DT, p, _observer_args(),
+        rc = loop._integrate(out, ys, state, self.DT, p, M.constants,
                              helper, 4)
         return rc, state, out
 
@@ -589,7 +622,7 @@ class TestLoopStageFailure:
             ys = _output_buffer(1.0, 5.0, 3)
             del forks[:]
             with csvio.RunHelper(1) as helper:
-                rc = loop._integrate(out, ys, state, 1.0, p, _observer_args(),
+                rc = loop._integrate(out, ys, state, 1.0, p, M.constants,
                                      helper if forked else None)
             assert len(forks) == forked
             assert rc == (NONFINITE, 1, stage)
@@ -769,7 +802,7 @@ class TestGeneratedStep:
         valve = ValveModel()
         prof = DisturbanceProfile(target=0.35)
         p = _kernel_args(cfg, valve, prof)
-        m = _observer_args()
+        m = M.constants
         state = initial_loop_state(cfg, valve, prof)
         state[11:] = (state[2], map_pressure_rise(M, state[2]))
         dt, steps = 1e-3, 500

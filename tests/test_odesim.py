@@ -8,7 +8,8 @@ from support import integrate, plant_rates, rk4_step, vector_field_grid
 
 from surgekit import _kernels
 from surgekit.compressor import (DEFAULT_MAP, FLOW_GAIN, PRESSURE_GAIN,
-                                 PlantState, equilibrium_from_throttle,
+                                 CompressorMap, PlantState,
+                                 equilibrium_from_throttle,
                                  map_pressure_rise, throttle_from_flow)
 from surgekit.csvio import write_trajectory
 from surgekit.errors import DivergenceError, DomainError, ModelBreakdownError
@@ -94,19 +95,23 @@ class TestIntegrate:
             assert kern.columns == gen.columns
             assert kern.samples.tobytes() == gen.samples.tobytes()
 
-    @pytest.mark.parametrize("stage, g, dt, start, a", [
-        (1, 1.0, 0.5, (0.5, 1.0), 5.0), (2, 1.5, 0.125, (-1.0, 2.0), 0.8),
-        (3, 0.5, 0.25, (0.5, 0.5), 10.0), (4, 0.5, 1.0, (0.5, 1.0), 2.0)])
-    def test_failure_after_some_steps(self, stage, g, dt, start, a):
+    @pytest.mark.parametrize("stage, psi0, h, g, dt, start", [
+        (1, 1.0, 1.0, 0.5, 0.5, (0.0, 2.75)),
+        (2, 2.0, 4.0, 1.0, 0.125, (0.0, 1.75)),
+        (3, 2.0, 4.0, 2.0, 0.125, (0.0, 3.0)),
+        (4, 1.0, 8.0, 1.5, 0.125, (0.0, 2.25))])
+    def test_failure_after_some_steps(self, stage, psi0, h, g, dt, start):
         # psi reaches zero at RK stage ``stage`` of the step into row 9,
-        # the first unfilled row; the rows before it are the oracle's
+        # the first unfilled row, on a map chosen to get it there at the
+        # shipped gains; the rows before it are the oracle's
+        cmap = CompressorMap(psi0=psi0, h=h)
         out = np.zeros((20, 3))
         out[0] = (0.0, *start)
-        m = (g, *M.constants, a, PRESSURE_GAIN)
+        m = (g, *cmap.constants)
         assert _kernels.greitzer_loop(out, dt, m) == (
             _kernels.PSI_NONPOSITIVE, 9)
         gen = integrate(
-            lambda t, s: np.array(plant_rates(*s, g, M, a=a)), start, dt,
+            lambda t, s: np.array(plant_rates(*s, g, cmap)), start, dt,
             8 * dt, ("phi", "psi"))
         assert out[:9].tobytes() == gen.samples.tobytes()
         assert not out[9:].any()
@@ -117,7 +122,7 @@ class TestIntegrate:
             s = psi + coef * rates[1]
             if s <= 0.0:
                 break
-            rates = plant_rates(phi + coef * rates[0], s, g, M, a=a)
+            rates = plant_rates(phi + coef * rates[0], s, g, cmap)
         assert k == stage
         # a record that ends before that step is filled whole
         assert _kernels.greitzer_loop(out[:9].copy(), dt, m) == (
@@ -235,6 +240,6 @@ class TestVectorFieldGrid:
         for psi in (0.0, -0.1):
             out = np.zeros((5, 3))
             out[0] = (0.0, 0.1, psi)
-            status, row = _kernels.greitzer_loop(
-                out, 0.1, (0.6, *M.constants, FLOW_GAIN, PRESSURE_GAIN))
+            status, row = _kernels.greitzer_loop(out, 0.1,
+                                                 (0.6, *M.constants))
             assert (status, row) == (_kernels.PSI_NONPOSITIVE, 1)

@@ -121,6 +121,20 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="run.dt"):
             load_scenario(write(tmp_path, "run.dt = -0.1\n"))
 
+    def test_empty_name(self, tmp_path):
+        # the name is the CSV's file name: empty, it would be hidden
+        with pytest.raises(ScenarioError, match="^run.name: must not be "
+                           "empty$"):
+            load_scenario(write(tmp_path, "[run]\nname =\n"))
+
+    def test_resolve_leaves_validation_to_the_caller(self, tmp_path):
+        # the CLI applies its flags before it validates the whole
+        path = write(tmp_path, "run.kind = tune\n")
+        sc = resolve_scenario(str(path))
+        assert (sc.name, sc.kind, sc.tune.L) == ("case", "tune", None)
+        with pytest.raises(ScenarioError, match="tune.L and tune.T"):
+            validate(sc)
+
     def test_validate_direct(self):
         sc = Scenario(kind="tune")
         with pytest.raises(ScenarioError):
@@ -136,6 +150,7 @@ class TestCatalog:
     def test_all_shipped_scenarios_load_and_validate(self):
         for name in shipped_scenarios():
             sc = resolve_scenario(name)
+            validate(sc)
             assert sc.name == name
 
     def test_resolve_by_name_or_error(self):
