@@ -4,8 +4,9 @@ Three RK4 kernels run here, each over a range of rows of a preallocated
 record: the open-loop surge model (:func:`greitzer_loop`), the closed
 loop (:func:`closed_loop_loop`) and the observed compressor
 (:func:`observed_compressor`).  Each runs on Python floats, several times
-faster in the interpreter than numpy scalars, and records through a flat
-``memoryview`` of its record (:func:`flat`).  The closed loop fills its
+faster in the interpreter than numpy scalars, and records through a
+``memoryview`` of its record: of its doubles (:func:`flat`), or of its
+bytes for the closed loop, which packs each row.  The closed loop fills its
 record in ranges of rows, and reports each to a caller's ``report``
 (``csvio.RunHelper`` observes and formats them in another process).
 
@@ -22,8 +23,13 @@ a range of rows is written out as straight-line code
 (:func:`_built`).  Every state is a local named after it, and each stage
 is the rhs's own statements, inlined from this module's source, which
 every installed copy has, with the calls to pressure_rise and surge_rhs
-inlined in turn (:func:`_inlined`).  So a step calls no function but
-``isfinite``, ``sqrt`` and ``range``, and builds no tuple of rates.
+inlined in turn (:func:`_inlined`).  So a plant step calls no function
+but ``isfinite``, ``sqrt`` and ``range``, and builds no tuple of rates.
+The closed-loop step is specialized to the run's controller kind: its
+stages keep only the branches of closed_loop_rhs that kind takes
+(:class:`_Folded`), and it writes each record row with one call of
+``record`` (``struct.Struct.pack_into``), so it calls only ``isfinite``,
+``range`` and ``record``.
 
 The closed loop integrates only its live states, :func:`live_states`:
 those whose rate :func:`closed_loop_rhs` can make nonzero for the run's
@@ -34,7 +40,8 @@ exactly 0.0, so those states keep their initial values, as a full RK4
 step would leave them.  The one exception is a zero written as ``-0.0``
 (a fixed controller's gain, say), which stays ``-0.0`` where a full
 step's ``-0.0 + 0.0`` would make it ``0.0``.  There is one closed-loop
-step for each live set, observed or not: 24 at most.
+step for each kind and live set, observed or not: 24 at most, since the
+kind settles which gains are live.
 
 The observed compressor (phi, psi) of ``closedloop --observe`` is
 one-way coupled: the measured flow y drives it and no loop rate reads it.
@@ -55,6 +62,7 @@ import copy
 import functools
 import inspect
 import math
+import struct
 import textwrap
 from math import sqrt
 
@@ -150,9 +158,10 @@ def closed_loop_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
         y_dot = d_dot
     e = y - ym1
     if kind == KIND_ADAPTIVE and linear:
-        k1_dot = -gamma * e * v1
-        k2_dot = -gamma * e * v2
-        k3_dot = -gamma * e * v3
+        ge = -gamma * e
+        k1_dot = ge * v1
+        k2_dot = ge * v2
+        k3_dot = ge * v3
     else:
         k1_dot = k2_dot = k3_dot = 0.0
     if kind == KIND_FIXED_PID:
@@ -211,7 +220,7 @@ def live_states(p, state):
 
 
 #: the RK4 range functions built so far: the closed loop's by its
-#: (live, observed) key, the open loop's and the observer's by name
+#: (kind, live, observed) key, the open loop's and the observer's by name
 _STEPS = {}
 
 
@@ -244,6 +253,54 @@ class _Stage(ast.NodeTransformer):
 
     def visit_Return(self, node):
         return ast.parse(self.failure).body
+
+
+class _Folded(ast.NodeTransformer):
+    """Reads each name in ``known`` as its value, and folds what that
+    settles: ``c == c'`` of two constants, an ``and`` with a constant
+    operand, and an ``if`` on a constant, of which only the branch that
+    runs is kept."""
+
+    def __init__(self, known):
+        self.known = known
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load) and node.id in self.known:
+            return ast.Constant(self.known[node.id])
+        return node
+
+    def visit_Compare(self, node):
+        self.generic_visit(node)
+        left, right = node.left, node.comparators[-1]
+        if (len(node.ops) == 1 and isinstance(node.ops[0], ast.Eq)
+                and isinstance(left, ast.Constant)
+                and isinstance(right, ast.Constant)):
+            return ast.Constant(left.value == right.value)
+        return node
+
+    def visit_BoolOp(self, node):
+        self.generic_visit(node)
+        if not isinstance(node.op, ast.And):
+            return node
+        values = []
+        for v in node.values:
+            const = isinstance(v, ast.Constant)
+            if const and v.value and v is not node.values[-1]:
+                continue   # a true operand but the last passes on to the next
+            values.append(v)
+            if const and not v.value:
+                break      # no operand after a false one is evaluated
+        if len(values) == 1:
+            return values[0]
+        node.values = values
+        return node
+
+    def visit_If(self, node):
+        self.generic_visit(node)
+        if isinstance(node.test, ast.Constant):
+            return (node.body if node.test.value else node.orelse
+                    or [ast.Pass()])
+        return node
 
 
 def _free(params, stmts):
@@ -436,9 +493,10 @@ def _function(signature, head, body, tail):
     return "\n".join(lines) + "\n"
 
 
-def _step_source(live, observed):
+def _step_source(kind, live, observed):
     """Source of ``run(out, s, dt, p, start, stop, last, ys)``, the RK4
-    range function of the live states ``live``, observed or not.
+    range function of the controller kind ``kind`` and the live states
+    ``live``, observed or not.
 
     ``run`` integrates the loop over rows start..stop-1 of a record whose
     last row is ``last``.  ``s`` is the list of the ``CL_DIM`` states in
@@ -446,34 +504,39 @@ def _step_source(live, observed):
     local named after it.  Only those in
     ``live`` (:func:`live_states` of ``p`` and the run's first state) are
     integrated: the others are passed to every stage unchanged, as a full
-    step would leave them.  ``out`` is the flat view of a C-ordered
-    (rows, w) array: row i holds t, d, u, x, co, y, ym, e, k1, k2, k3 at
-    ``w*i`` to ``w*i + 10``, recorded from the state at t = i*dt before
-    stepping.  w is 11, or 13 when observed: then ``ys`` is the flat view
-    of a (rows, 3) array, and row i of it gets the measured flow y at RK
-    stages 2, 3 and 4 of step i (stage 1's is column 5 of the record).
+    step would leave them.  ``out`` is the byte view of a C-ordered
+    (rows, w) array of doubles: row i holds t, d, u, x, co, y, ym, e, k1,
+    k2, k3 in columns 0-10, recorded from the state at t = i*dt before
+    stepping with one call of ``record``, ``struct.Struct("11d")``'s
+    ``pack_into``.  w is 11, or 13 when observed: then ``ys`` is the flat
+    view of a (rows, 3) array, and row i of it gets the measured flow y at
+    RK stages 2, 3 and 4 of step i (stage 1's is column 5 of the record).
     The adaptive gains, when live, are kept nonnegative by projection
     after each step.  The loop states are written back into ``s`` on every
     return: unless ``stop - 1`` is ``last``, ``s`` ends at t = stop*dt,
     where the next range starts.  ``p`` is the constants tuple of
-    :func:`closed_loop_rhs`.  Returns (status, row, stage): on
-    failure ``row`` is the first unfilled row and ``stage`` the RK stage
-    1-4 whose rates failed, or None when the step's result is not finite;
-    else ``row`` is the last row filled.
+    :func:`closed_loop_rhs`, whose first entry is ``kind``.  Returns
+    (status, row, stage): on failure ``row`` is the first unfilled row and
+    ``stage`` the RK stage 1-4 whose rates failed, or None when the step's
+    result is not finite; else ``row`` is the last row filled.
 
     The stages are closed_loop_rhs's own statements (:func:`_rhs_body`):
     its unpack of ``p`` runs once, at the head of ``run``; a dead state
-    keeps its name at every stage, which keeps the ``-0.0`` rule.
-    Raises ValueError where closed_loop_rhs takes other constants than
-    ``p``, does not begin by unpacking ``p`` into names, or does not end
-    by returning the 15-tuple of the 11 loop rates and the signals u, co,
-    y, e.
+    keeps its name at every stage, which keeps the ``-0.0`` rule.  The
+    statements are specialized to ``kind`` (:class:`_Folded`): the name
+    the unpack gives ``p[0]`` and the rhs's ``KIND_*`` codes read as their
+    values, and each test they settle keeps only the branch that runs.  So
+    ``run`` reads no kind, and calls only ``isfinite``, ``range`` and
+    ``record``.  Raises ValueError where closed_loop_rhs takes other
+    constants than ``p``, does not begin by unpacking ``p`` into names,
+    assigns to one of those names after, or does not end by returning the
+    15-tuple of the 11 loop rates and the signals u, co, y, e.
     """
     names = CL_STATE[:11]
     rhs = closed_loop_rhs
     constants, body, entries = _rhs_body(
-        rhs, "closed-loop", names, _reserved(names, "s", "last", "ys", "b",
-                                             "sb"))
+        rhs, "closed-loop", names, _reserved(names, "s", "last", "ys", "sb",
+                                             "record"))
     if constants != ["p"]:
         raise _refusal(rhs, "closed-loop", f"its parameters are "
                        f"{[*names, *constants]}, not the 11 loop states "
@@ -481,30 +544,40 @@ def _step_source(live, observed):
     unpack = body[0] if body else None
     if not (isinstance(unpack, ast.Assign) and len(unpack.targets) == 1
             and isinstance(unpack.targets[0], ast.Tuple)
+            and unpack.targets[0].elts
             and all(isinstance(t, ast.Name) for t in unpack.targets[0].elts)
             and isinstance(unpack.value, ast.Name)
             and unpack.value.id == "p"):
         raise _refusal(rhs, "closed-loop",
                        "it does not begin by unpacking p into names")
+    unpacked = [t.id for t in unpack.targets[0].elts]
+    stored = _names(body[1:], stored=True) & set(unpacked)
+    if stored:
+        raise _refusal(rhs, "closed-loop", f"it assigns to {sorted(stored)}, "
+                       "which it unpacks from p")
     if not (len(entries) == 15
             and [getattr(v, "id", None) for v in entries[11:]]
             == ["u", "co", "y", "e"]):
         raise _refusal(rhs, "closed-loop", "it does not end by returning "
                        "the 15-tuple of the 11 loop rates and u, co, y, e")
-    rates = dict(zip(names, entries))
+    known = {n: v for n, v in _inlined(rhs)[2].items()
+             if n.startswith("KIND_")}
+    known[unpacked[0]] = kind
+    fold = _Folded(known)
+    body = fold.visit(ast.Module(body[1:], [])).body
+    rates = {n: fold.visit(v) for n, v in zip(names, entries)}
     moving = [names[j] for j in live]
     state = ", ".join(names)
 
     def stage(k, coef=None):
-        return _stage(body[1:], rates, moving, k, coef,
+        return _stage(body, rates, moving, k, coef,
                       f"s[:11] = {state}\n"
                       f"return NONFINITE, {'i' if k == 1 else 'i + 1'}, {k}")
 
     w = 13 if observed else 11
     code = stage(1)
-    code += [f"b = {w} * i", "out[b] = i * dt"]
-    code += [f"out[b + {c}] = {v}" for c, v in enumerate(
-        ("d", "u", "x", "co", "y", "ym1", "e", "k1", "k2", "k3"), 1)]
+    code += [f"record(out, {8 * w} * i, i * dt, d, u, x, co, y, ym1, e, "
+             "k1, k2, k3)"]
     code += ["if i == last:", "    break"]
     if observed:
         code += ["sb = 3 * i"]   # the step's row of the stage flows
@@ -614,26 +687,31 @@ def _observer_source():
         code, ["return OK, stop - 1, None"])
 
 
-def _built(key, rhs, source):
+def _built(key, rhs, source, **bound):
     """The range function ``run`` of the text ``source()``, whose stages
-    inline ``rhs``: built on its first use and cached in ``_STEPS`` under
-    ``key``."""
+    inline ``rhs`` and which also reads the globals ``bound``: built on
+    its first use and cached in ``_STEPS`` under ``key``."""
     run = _STEPS.get(key)
     if run is None:
         text = source()
         namespace = dict(_inlined(rhs)[2], isfinite=math.isfinite, OK=OK,
                          NONFINITE=NONFINITE,
-                         PSI_NONPOSITIVE=PSI_NONPOSITIVE)
+                         PSI_NONPOSITIVE=PSI_NONPOSITIVE, **bound)
         exec(compile(text, f"<RK4 step {key}>", "exec"), namespace)
         run = _STEPS[key] = namespace["run"]
     return run
 
 
-def _step(live, observed):
-    """The RK4 range function of ``_step_source(live, observed)``, built
-    on its first use and cached in ``_STEPS``."""
-    return _built((live, observed), closed_loop_rhs,
-                  lambda: _step_source(live, observed))
+#: the closed-loop step's row writer: the 11 doubles of a record row
+_ROW = struct.Struct("11d")
+
+
+def _step(kind, live, observed):
+    """The RK4 range function of ``_step_source(kind, live, observed)``,
+    built on its first use and cached in ``_STEPS``."""
+    return _built((kind, live, observed), closed_loop_rhs,
+                  lambda: _step_source(kind, live, observed),
+                  record=_ROW.pack_into)
 
 
 def greitzer_loop(out, dt, m):
@@ -671,9 +749,10 @@ def flat(a):
 def closed_loop_loop(out, state, dt, p, block=None, report=None, ys=None):
     """RK4 on the closed loop over the C-ordered array ``out`` from the
     array ``state``, into which the loop states at the end are copied
-    back.  The loop runs on ``state.tolist()`` and records through a flat
-    view of ``out``; the live states are taken once, from the first state,
-    and select the range function that integrates them (:func:`_step`).
+    back.  The loop runs on ``state.tolist()`` and records through a byte
+    view of ``out``; the controller kind ``p[0]`` and the live states,
+    taken once from the first state, select the range function that
+    integrates them (:func:`_step`).
 
     With ``block`` the rows are filled ``block`` at a time, and after each
     such range ``report(rows, False)`` is called with the rows filled so
@@ -684,9 +763,9 @@ def closed_loop_loop(out, state, dt, p, block=None, report=None, ys=None):
     Returns (status, row, stage) as the range function does.
     """
     s = state.tolist()
-    rec = flat(out)
+    rec = memoryview(out).cast("B")
     stages = None if ys is None else flat(ys)
-    run = _step(live_states(p, s), stages is not None)
+    run = _step(p[0], live_states(p, s), stages is not None)
     n = len(out)
     block = block or n
     rc = OK, n - 1, None

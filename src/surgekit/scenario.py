@@ -181,6 +181,10 @@ def validate(sc: Scenario) -> None:
     check: the run keys, the keys a kind requires, flows off the map."""
     if not sc.name:
         raise ScenarioError("run.name: must not be empty")
+    if sc.name.startswith(".") or any(
+            sep in sc.name for sep in ("/", os.sep, os.altsep) if sep):
+        raise ScenarioError("run.name: must not start with '.' or contain a "
+                            f"path separator, got {sc.name!r}")
     if sc.kind not in KINDS:
         raise ScenarioError(f"run.kind: must be one of {KINDS}, got {sc.kind!r}")
     for key, value in (("run.dt", sc.dt), ("run.t_end", sc.t_end)):
@@ -221,7 +225,7 @@ def load_scenario(path) -> Scenario:
 def _read_scenario(path) -> Scenario:
     """Parse a scenario file, each section checked but not the whole."""
     path = os.fspath(path)
-    default_name = os.path.splitext(os.path.basename(path))[0] or "default"
+    default_name = os.path.basename(path).removesuffix(".scn") or "default"
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()

@@ -478,6 +478,30 @@ class TestExitCodes:
         out_dir.mkdir()
         _assert_refused(capsys, out_dir, ["map", "--scenario", str(path)])
 
+    @pytest.mark.parametrize("name", ["../escaped", "sub/inner", ".hidden"])
+    def test_run_name_outside_out_dir_exits_three(self, tmp_path, capsys,
+                                                  name):
+        # the name is joined to --out-dir: "../escaped" wrote beside it,
+        # and ".hidden" a hidden file in it
+        path = tmp_path / "f.scn"
+        path.write_text(f"[run]\nname = {name}\nkind = map\n")
+        out_dir = tmp_path / "out" / "a"
+        out_dir.mkdir(parents=True)
+        _assert_refused(capsys, out_dir, ["map", "--scenario", str(path)])
+        assert sorted(p.name for p in tmp_path.rglob("*")) == [
+            "a", "f.scn", "out"]
+
+    def test_scenario_file_named_scn_writes_default_csv(self, tmp_path,
+                                                        capsys):
+        path = tmp_path / ".scn"
+        path.write_text("[run]\nkind = map\n")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, _, err = run(capsys, "map", "--scenario", str(path),
+                           "--out-dir", str(out_dir))
+        assert (code, err) == (0, "")
+        assert [p.name for p in out_dir.iterdir()] == ["default.csv"]
+
     def test_missing_scenario_exits_three(self, tmp_path, capsys):
         code, _, err = run(capsys, "closedloop", "--scenario", "figZZ",
                            "--out-dir", str(tmp_path))

@@ -163,6 +163,21 @@ def step_constant_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
     return (x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, u, co, y, e)
 
 
+def row_writer_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
+    vtau, r = p
+    record = (r - x) / vtau
+    u = co = y = e = r
+    return (record, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, u, co, y, e)
+
+
+def rebinding_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
+    kind, vtau, r = p
+    if x > r:
+        kind = KIND_ADAPTIVE
+    u = co = y = e = r
+    return (x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, u, co, y, e)
+
+
 def other_parameters_rhs(x, d, p):
     vtau, r = p
     u = co = y = e = r
@@ -680,26 +695,39 @@ class TestLoopStageFailure:
 
 
 class TestGeneratedStep:
-    """Each RK4 step is generated: the closed loop's per (live, observed)
-    key, the open loop's and the observer's once.  Its stages are its
-    rhs's own statements, and it is built once, on first use."""
+    """Each RK4 step is generated: the closed loop's per (kind, live,
+    observed) key, the open loop's and the observer's once.  Its stages
+    are its rhs's own statements, and it is built once, on first use."""
 
-    KEYS = [(live, observed)
-            for live in [(0, 1, 2, 3, 4, 5, 6, 7, 8, 9), (0, 1, 5, 6, 10),
-                         (0, 1, 4, 5, 6)]
-            for observed in (False, True)]
+    #: the controller kind of each live set
+    KIND_OF = {(0, 1, 2, 3, 4, 5, 6, 7, 8, 9): KIND_ADAPTIVE,
+               (0, 1, 5, 6, 10): KIND_FIXED_PID,
+               (0, 1, 4, 5, 6): _kernels.KIND_FIXED_PD}
+    KEYS = [(live, observed) for live in KIND_OF for observed in (False, True)]
 
     @pytest.mark.parametrize("live, observed", KEYS)
     def test_only_rhs_isfinite_and_range_are_called(self, live, observed):
-        tree = ast.parse(_kernels._step_source(live, observed))
+        tree = ast.parse(_kernels._step_source(self.KIND_OF[live], live,
+                                               observed))
         called = {node.func.id for node in ast.walk(tree)
                   if isinstance(node, ast.Call)}
-        # the rhs is inlined, not called
-        assert called == {"isfinite", "range"}
+        # the rhs is inlined, not called; the row writer record is
+        assert called == {"isfinite", "range", "record"}
         # the stage flows are written only when observed
         names = {node.id for node in ast.walk(tree)
                  if isinstance(node, ast.Name)}
         assert ("ys" in names) == observed
+
+    @pytest.mark.parametrize("live, observed", KEYS)
+    def test_step_reads_no_kind(self, live, observed):
+        # the step is specialized to its kind: no test of the kind is left
+        tree = ast.parse(_kernels._step_source(self.KIND_OF[live], live,
+                                               observed))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        assert "kind" not in read
+        assert not {n for n in read if n.startswith("KIND_")}
 
     @pytest.mark.parametrize("source", ["_open_loop_source",
                                         "_observer_source"])
@@ -716,7 +744,7 @@ class TestGeneratedStep:
         live = _kernels.live_states(
             _kernel_args(cfg, ValveModel(), DisturbanceProfile()),
             initial_loop_state(cfg, ValveModel(), DisturbanceProfile()))
-        run = _kernels._STEPS[live, False]
+        run = _kernels._STEPS[KIND_FIXED_PID, live, False]
         built = len(_kernels._STEPS)
 
         def no_source(*key):
@@ -725,7 +753,7 @@ class TestGeneratedStep:
         monkeypatch.setattr(_kernels, "_step_source", no_source)
         again = simulate_closed_loop(cfg, t_end=0.5)
         assert again.samples.tobytes() == first.samples.tobytes()
-        assert _kernels._STEPS[live, False] is run
+        assert _kernels._STEPS[KIND_FIXED_PID, live, False] is run
         assert len(_kernels._STEPS) == built
 
     def test_step_follows_the_rhs(self, monkeypatch):
@@ -752,7 +780,7 @@ class TestGeneratedStep:
         out = np.empty_like(rows)
         q = state.copy()
         assert _kernels.closed_loop_loop(out, q, dt, p) == (OK, steps, None)
-        assert list(_kernels._STEPS) == [(live, False)]
+        assert list(_kernels._STEPS) == [(KIND_ADAPTIVE, live, False)]
         assert out.tobytes() == rows.tobytes()
         assert q.tobytes() == final.tobytes()
         assert out.tobytes() != shipped.tobytes()
@@ -869,6 +897,8 @@ class TestGeneratedStep:
         (step_local_rhs, "its names ['h2'] are the step's"),
         (stage_rate_rhs, "its names ['x_1'] are the step's"),
         (step_constant_rhs, "its names ['ok'] are the step's"),
+        (row_writer_rhs, "its names ['record'] are the step's"),
+        (rebinding_rhs, "it assigns to ['kind'], which it unpacks from p"),
         (other_parameters_rhs, "its parameters are ['x', 'd', 'p']"),
     ]
 
@@ -882,7 +912,7 @@ class TestGeneratedStep:
         with pytest.raises(ValueError, match=re.escape(
                 f"cannot inline {rhs.__name__} into the closed-loop RK4 "
                 f"step: {why}")):
-            _kernels._step((0, 1, 5, 6), False)
+            _kernels._step(_kernels.KIND_FIXED_PD, (0, 1, 5, 6), False)
         assert _kernels._STEPS == {}
 
     def test_no_step_is_built_at_import(self):

@@ -1,5 +1,7 @@
 """Scenario file parsing, validation, and the shipped catalog."""
 
+import re
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -126,6 +128,27 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="^run.name: must not be "
                            "empty$"):
             load_scenario(write(tmp_path, "[run]\nname =\n"))
+
+    @pytest.mark.parametrize("name", ["../escaped", "sub/inner", ".hidden",
+                                      ".", ".."])
+    def test_name_outside_out_dir(self, tmp_path, name):
+        # the name is joined to --out-dir: a separator would leave it, and
+        # a leading dot would make the CSV hidden
+        with pytest.raises(ScenarioError, match=re.escape(
+                "run.name: must not start with '.' or contain a path "
+                f"separator, got {name!r}")):
+            load_scenario(write(tmp_path, f"[run]\nname = {name}\n"))
+
+    def test_name_from_file_name(self, tmp_path):
+        # the .scn suffix is stripped; a file named only that is "default",
+        # and one named ".x.scn" gets a hidden name, refused
+        sc = load_scenario(write(tmp_path, "run.kind = map\n", name=".scn"))
+        assert sc.name == "default"
+        sc = load_scenario(write(tmp_path, "run.kind = map\n",
+                                 name="a.b.scn"))
+        assert sc.name == "a.b"
+        with pytest.raises(ScenarioError, match="got '.x'$"):
+            load_scenario(write(tmp_path, "run.kind = map\n", name=".x.scn"))
 
     def test_resolve_leaves_validation_to_the_caller(self, tmp_path):
         # the CLI applies its flags before it validates the whole
