@@ -19,8 +19,9 @@ Library layout:
   out, and the fixed coefficients they read: the surge gains
   ``FLOW_GAIN``, ``PRESSURE_GAIN`` and the reference model's
   ``REF_MODEL_*``.  Each kernel's RK4 step is straight-line code
-  generated on its first use (the closed loop's once per live-state
-  set), with its rhs's own statements inlined at each stage.
+  generated on its first use (the closed loop's once per controller
+  kind, live set and observation, its dead states read off the
+  kind-folded rhs), with its rhs's own statements inlined at each stage.
 - ``averaging``: averaged adaptation dynamics and their eigenvalues.
 - ``cli``: the ``surgekit`` command-line front end and scenario files.
 """

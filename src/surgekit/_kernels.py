@@ -27,21 +27,18 @@ inlined in turn (:func:`_inlined`).  So a plant step calls no function
 but ``isfinite``, ``sqrt`` and ``range``, and builds no tuple of rates.
 The closed-loop step is specialized to the run's controller kind: its
 stages keep only the branches of closed_loop_rhs that kind takes
-(:class:`_Folded`), and it writes each record row with one call of
+(:func:`_folded`), and it writes each record row with one call of
 ``record`` (``struct.Struct.pack_into``), so it calls only ``isfinite``,
 ``range`` and ``record``.
 
-The closed loop integrates only its live states, :func:`live_states`:
-those whose rate :func:`closed_loop_rhs` can make nonzero for the run's
-controller kind, less the reference model and the set-point filter when
-they start at rest.  The gains k1..k3 move only under the adaptive kind
-and ``e_int`` only under the fixed PID; the rhs sets every other rate to
-exactly 0.0, so those states keep their initial values, as a full RK4
-step would leave them.  The one exception is a zero written as ``-0.0``
-(a fixed controller's gain, say), which stays ``-0.0`` where a full
-step's ``-0.0 + 0.0`` would make it ``0.0``.  There is one closed-loop
-step for each kind and live set, observed or not: 24 at most, since the
-kind settles which gains are live.
+The closed loop integrates only its live states, :func:`live_states`.
+Dead states are read off the kind-folded rhs, which gives each the rate
+0.0 (k1..k3 under a fixed kind, ``e_int`` unless the fixed PID), and the
+reference model and set-point filter are dead when they start at rest.
+A dead state keeps its initial value, as a full RK4 step would, but for
+a zero written as ``-0.0``: a full step's ``-0.0 + 0.0`` would make it
+``0.0``.  There is one closed-loop step for each kind and live set,
+observed or not: 24 at most, since the kind settles which gains are live.
 
 The observed compressor (phi, psi) of ``closedloop --observe`` is
 one-way coupled: the measured flow y drives it and no loop rate reads it.
@@ -157,11 +154,14 @@ def closed_loop_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
     else:
         y_dot = d_dot
     e = y - ym1
-    if kind == KIND_ADAPTIVE and linear:
-        ge = -gamma * e
-        k1_dot = ge * v1
-        k2_dot = ge * v2
-        k3_dot = ge * v3
+    if kind == KIND_ADAPTIVE:
+        if linear:
+            ge = -gamma * e
+            k1_dot = ge * v1
+            k2_dot = ge * v2
+            k3_dot = ge * v3
+        else:
+            k1_dot = k2_dot = k3_dot = 0.0
     else:
         k1_dot = k2_dot = k3_dot = 0.0
     if kind == KIND_FIXED_PID:
@@ -191,32 +191,28 @@ def live_states(p, state):
     """Indices of the loop states the kernel integrates from ``state``
     under the constants ``p``.
 
-    The gains k1..k3 move only under the adaptive kind and ``e_int`` only
-    under the fixed PID; :func:`closed_loop_rhs` sets every other such rate
-    to exactly 0.0.  The reference model (ym1, ym2) and the set-point
-    filter v1 are closed subsystems: their rates read only themselves and
-    the constants.  Each is left out when its rates at ``state`` are
-    exactly zero and none of its values is ``-0.0``.  By induction it then
-    never moves, and a full RK4 step leaves it bit for bit as it is
-    (``-0.0 + 0.0`` would be ``0.0``, hence the sign check).  Where the rhs
-    returns None, every rate counts as nonzero.  The observed (phi, psi)
-    is never among them: :func:`observed_compressor` integrates it.
+    A state is dead where :func:`closed_loop_rhs` folded to the kind
+    ``p[0]`` (:func:`_folded`) gives it the rate 0.0.  The reference model
+    (ym1, ym2) and the set-point filter v1 are closed subsystems: their
+    rates read only themselves and the constants.  Each is left out when
+    its rates at ``state`` are exactly zero and none of its values is
+    ``-0.0``.  By induction it then never moves, and a full RK4 step leaves
+    it bit for bit as it is (``-0.0 + 0.0`` would be ``0.0``, hence the
+    sign check).  Where the rhs returns None, every rate counts as nonzero.
+    The observed (phi, psi) is never among them: :func:`observed_compressor`
+    integrates it.
     """
-    kind = p[0]
+    folded = _folded(closed_loop_rhs, p[0])[2].values()
+    dead = {j for j, v in enumerate(folded) if isinstance(v, ast.Constant)
+            and type(v.value) is float and v.value == 0.0}
     rates = closed_loop_rhs(*state[:11], p)
-    live = (0, 1)
     for sub in ((2, 3), (4,)):
-        if rates is None or not all(
+        if rates is not None and all(
                 rates[j] == 0.0 and (state[j] != 0.0
                                      or math.copysign(1.0, state[j]) > 0.0)
                 for j in sub):
-            live += sub
-    live += (5, 6)
-    if kind == KIND_ADAPTIVE:
-        live += (7, 8, 9)
-    elif kind == KIND_FIXED_PID:
-        live += (10,)
-    return live
+            dead.update(sub)
+    return tuple(j for j in range(11) if j not in dead)
 
 
 #: the RK4 range functions built so far: the closed loop's by its
@@ -256,13 +252,17 @@ class _Stage(ast.NodeTransformer):
 
 
 class _Folded(ast.NodeTransformer):
-    """Reads each name in ``known`` as its value, and folds what that
-    settles: ``c == c'`` of two constants, an ``and`` with a constant
-    operand, and an ``if`` on a constant, of which only the branch that
+    """Reads each name in ``known`` as its value, drops an assignment to
+    known names only, and folds what that settles: ``c == c'`` of two
+    constants, and an ``if`` on a constant, of which only the branch that
     runs is kept."""
 
     def __init__(self, known):
         self.known = known
+
+    def visit_Assign(self, node):
+        dead = all(getattr(t, "id", None) in self.known for t in node.targets)
+        return None if dead else self.generic_visit(node)
 
     def visit_Name(self, node):
         if isinstance(node.ctx, ast.Load) and node.id in self.known:
@@ -276,23 +276,6 @@ class _Folded(ast.NodeTransformer):
                 and isinstance(left, ast.Constant)
                 and isinstance(right, ast.Constant)):
             return ast.Constant(left.value == right.value)
-        return node
-
-    def visit_BoolOp(self, node):
-        self.generic_visit(node)
-        if not isinstance(node.op, ast.And):
-            return node
-        values = []
-        for v in node.values:
-            const = isinstance(v, ast.Constant)
-            if const and v.value and v is not node.values[-1]:
-                continue   # a true operand but the last passes on to the next
-            values.append(v)
-            if const and not v.value:
-                break      # no operand after a false one is evaluated
-        if len(values) == 1:
-            return values[0]
-        node.values = values
         return node
 
     def visit_If(self, node):
@@ -493,47 +476,21 @@ def _function(signature, head, body, tail):
     return "\n".join(lines) + "\n"
 
 
-def _step_source(kind, live, observed):
-    """Source of ``run(out, s, dt, p, start, stop, last, ys)``, the RK4
-    range function of the controller kind ``kind`` and the live states
-    ``live``, observed or not.
-
-    ``run`` integrates the loop over rows start..stop-1 of a record whose
-    last row is ``last``.  ``s`` is the list of the ``CL_DIM`` states in
-    ``CL_STATE`` order, at t = start*dt; in ``run`` each loop state is a
-    local named after it.  Only those in
-    ``live`` (:func:`live_states` of ``p`` and the run's first state) are
-    integrated: the others are passed to every stage unchanged, as a full
-    step would leave them.  ``out`` is the byte view of a C-ordered
-    (rows, w) array of doubles: row i holds t, d, u, x, co, y, ym, e, k1,
-    k2, k3 in columns 0-10, recorded from the state at t = i*dt before
-    stepping with one call of ``record``, ``struct.Struct("11d")``'s
-    ``pack_into``.  w is 11, or 13 when observed: then ``ys`` is the flat
-    view of a (rows, 3) array, and row i of it gets the measured flow y at
-    RK stages 2, 3 and 4 of step i (stage 1's is column 5 of the record).
-    The adaptive gains, when live, are kept nonnegative by projection
-    after each step.  The loop states are written back into ``s`` on every
-    return: unless ``stop - 1`` is ``last``, ``s`` ends at t = stop*dt,
-    where the next range starts.  ``p`` is the constants tuple of
-    :func:`closed_loop_rhs`, whose first entry is ``kind``.  Returns
-    (status, row, stage): on failure ``row`` is the first unfilled row and
-    ``stage`` the RK stage 1-4 whose rates failed, or None when the step's
-    result is not finite; else ``row`` is the last row filled.
-
-    The stages are closed_loop_rhs's own statements (:func:`_rhs_body`):
-    its unpack of ``p`` runs once, at the head of ``run``; a dead state
-    keeps its name at every stage, which keeps the ``-0.0`` rule.  The
-    statements are specialized to ``kind`` (:class:`_Folded`): the name
-    the unpack gives ``p[0]`` and the rhs's ``KIND_*`` codes read as their
-    values, and each test they settle keeps only the branch that runs.  So
-    ``run`` reads no kind, and calls only ``isfinite``, ``range`` and
-    ``record``.  Raises ValueError where closed_loop_rhs takes other
-    constants than ``p``, does not begin by unpacking ``p`` into names,
-    assigns to one of those names after, or does not end by returning the
-    15-tuple of the 11 loop rates and the signals u, co, y, e.
+@functools.lru_cache(maxsize=None)
+def _folded(rhs, kind):
+    """(unpack, body, rates) of the closed-loop rhs ``rhs``, inlined
+    (:func:`_rhs_body`) and folded to the controller kind ``kind``: its
+    unpack of ``p``, the statements after it before the final return, and
+    the rate of each loop state by name.  The name the unpack gives
+    ``p[0]`` and the ``KIND_*`` codes read as their values, and then so
+    does each name the folded statements assign once, at their top level,
+    to a constant (:class:`_Folded`).  Cached by ``rhs`` and ``kind``.
+    Raises ValueError where ``rhs`` takes other constants than ``p``, does
+    not begin by unpacking ``p`` into names, assigns to one of those names
+    after, or does not end by returning the 15-tuple of the 11 loop rates
+    and the signals u, co, y, e.
     """
     names = CL_STATE[:11]
-    rhs = closed_loop_rhs
     constants, body, entries = _rhs_body(
         rhs, "closed-loop", names, _reserved(names, "s", "last", "ys", "sb",
                                              "record"))
@@ -563,9 +520,52 @@ def _step_source(kind, live, observed):
     known = {n: v for n, v in _inlined(rhs)[2].items()
              if n.startswith("KIND_")}
     known[unpacked[0]] = kind
+    body = _Folded(known).visit(ast.Module(body[1:], [])).body
+    stores = [n.id for n in ast.walk(ast.Module(body, []))
+              if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load)]
+    known.update((t.id, st.value.value)
+                 for st in body for t in getattr(st, "targets", ())
+                 if isinstance(st.value, ast.Constant)
+                 and stores.count(getattr(t, "id", None)) == 1)
     fold = _Folded(known)
-    body = fold.visit(ast.Module(body[1:], [])).body
-    rates = {n: fold.visit(v) for n, v in zip(names, entries)}
+    body = fold.visit(ast.Module(body, [])).body
+    return unpack, body, {n: fold.visit(v) for n, v in zip(names, entries)}
+
+
+def _step_source(kind, live, observed):
+    """Source of ``run(out, s, dt, p, start, stop, last, ys)``, the RK4
+    range function of the controller kind ``kind`` and the live states
+    ``live``, observed or not.
+
+    ``run`` integrates the loop over rows start..stop-1 of a record whose
+    last row is ``last``.  ``s`` is the list of the ``CL_DIM`` states in
+    ``CL_STATE`` order, at t = start*dt; in ``run`` each loop state is a
+    local named after it.  Only those in
+    ``live`` (:func:`live_states` of ``p`` and the run's first state) are
+    integrated: the others are passed to every stage unchanged, as a full
+    step would leave them.  ``out`` is the byte view of a C-ordered
+    (rows, w) array of doubles: row i holds t, d, u, x, co, y, ym, e, k1,
+    k2, k3 in columns 0-10, recorded from the state at t = i*dt before
+    stepping with one call of ``record``, ``struct.Struct("11d")``'s
+    ``pack_into``.  w is 11, or 13 when observed: then ``ys`` is the flat
+    view of a (rows, 3) array, and row i of it gets the measured flow y at
+    RK stages 2, 3 and 4 of step i (stage 1's is column 5 of the record).
+    The adaptive gains, when live, are kept nonnegative by projection
+    after each step.  The loop states are written back into ``s`` on every
+    return: unless ``stop - 1`` is ``last``, ``s`` ends at t = stop*dt,
+    where the next range starts.  ``p`` is the constants tuple of
+    :func:`closed_loop_rhs`, whose first entry is ``kind``.  Returns
+    (status, row, stage): on failure ``row`` is the first unfilled row and
+    ``stage`` the RK stage 1-4 whose rates failed, or None when the step's
+    result is not finite; else ``row`` is the last row filled.
+
+    The stages are closed_loop_rhs's statements folded to ``kind``
+    (:func:`_folded`), so ``run`` reads no kind; the unpack of ``p`` runs
+    once, at its head.  A dead state keeps its name at every stage, which
+    keeps the ``-0.0`` rule.  Raises ValueError where _folded does.
+    """
+    names = CL_STATE[:11]
+    unpack, body, rates = _folded(closed_loop_rhs, kind)
     moving = [names[j] for j in live]
     state = ", ".join(names)
 

@@ -215,13 +215,6 @@ def _check_flows(sc: Scenario, key: str, *flows: float) -> None:
         raise ScenarioError(f"{key}: {err}") from err
 
 
-def load_scenario(path) -> Scenario:
-    """Parse and validate a scenario file."""
-    sc = _read_scenario(path)
-    validate(sc)
-    return sc
-
-
 def _read_scenario(path) -> Scenario:
     """Parse a scenario file, each section checked but not the whole."""
     path = os.fspath(path)
@@ -250,8 +243,10 @@ def shipped_scenarios() -> dict[str, object]:
 
 
 def resolve_scenario(name_or_path: str) -> Scenario:
-    """Parse a scenario by file path or catalog name, not yet validated."""
-    if os.path.exists(name_or_path):
+    """Parse a scenario by file path or catalog name, not yet validated.
+    Only a file is read as a path: a directory named after a catalog entry
+    (an earlier ``--out-dir fig10``, say) does not shadow it."""
+    if os.path.isfile(name_or_path):
         return _read_scenario(name_or_path)
     catalog = shipped_scenarios()
     name = name_or_path[:-4] if name_or_path.endswith(".scn") else name_or_path

@@ -1,8 +1,8 @@
 """Test-side references: a plain RK4 integrator (the oracle the kernels
 are compared against), the coupled 13-state closed-loop rhs, the kernel's
 own surge-model, closed-loop and observer rates at named states, a digest
-of the observed breakdown, the tracking cost of a run, and the values in
-which two scenarios differ.
+of the observed breakdown, the tracking cost of a run, a scenario file
+parsed and validated, and the values in which two scenarios differ.
 """
 
 import hashlib
@@ -18,7 +18,7 @@ from surgekit.errors import DivergenceError
 from surgekit.loop import (ControllerConfig, DisturbanceProfile, ValveModel,
                            _kernel_args, simulate_closed_loop)
 from surgekit.odesim import Trajectory
-from surgekit.scenario import KNOWN_KEYS, Scenario, load_scenario
+from surgekit.scenario import KNOWN_KEYS, Scenario, _read_scenario, validate
 
 
 def rk4_step(rhs, t, y, dt):
@@ -134,6 +134,13 @@ def reference_matrix():
             for ym1, ym2 in ((1.0, 0.0), (0.0, 1.0))]
     return np.array([[c["ym1_dot"] for c in cols],
                      [c["ym2_dot"] for c in cols]])
+
+
+def load_scenario(path):
+    """The scenario file at ``path``, parsed and validated."""
+    sc = _read_scenario(path)
+    validate(sc)
+    return sc
 
 
 def scenario_diff(sc, base):

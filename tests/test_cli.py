@@ -502,6 +502,18 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         assert [p.name for p in out_dir.iterdir()] == ["default.csv"]
 
+    def test_directory_does_not_shadow_catalog_entry(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # a directory left by an earlier "--out-dir fig10" is not read as
+        # the scenario file fig10
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "fig10").mkdir()
+        code, _, err = run(capsys, "closedloop", "--scenario", "fig10",
+                           "--t-end", "1", "--out-dir", "fig10")
+        assert (code, err) == (0, "")
+        assert [p.name for p in (tmp_path / "fig10").iterdir()] == [
+            "fig10.csv"]
+
     def test_missing_scenario_exits_three(self, tmp_path, capsys):
         code, _, err = run(capsys, "closedloop", "--scenario", "figZZ",
                            "--out-dir", str(tmp_path))

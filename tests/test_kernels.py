@@ -86,6 +86,57 @@ def slow_disturbance_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
             k1_dot, k2_dot, k3_dot, e_int_dot, u, co, y, e)
 
 
+# closed_loop_rhs whose integral e_int never moves, under any kind
+def no_integral_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
+    kind, kp, ki, kd, gamma, r, vtau, vlo, vhi, dtarget, dtau = p
+    d_dot = (dtarget - d) / dtau
+    linear = vlo <= x <= vhi
+    if x > vhi:
+        co = vhi
+    elif x < vlo:
+        co = vlo
+    else:
+        co = x
+    y = d + co
+    if kind == KIND_ADAPTIVE:
+        prop = k1 * r - k2 * y
+        dgain = k3
+    elif kind == KIND_FIXED_PID:
+        prop = kp * (r - y) + ki * e_int
+        dgain = kd
+    else:
+        prop = kp * (r - y)
+        dgain = kd
+    if linear:
+        den = 1.0 + dgain / vtau
+        if den == 0.0:
+            return None
+        u = (prop - dgain * d_dot + dgain * x / vtau) / den
+    else:
+        u = prop - dgain * d_dot
+    x_dot = (u - x) / vtau
+    if linear:
+        y_dot = d_dot + x_dot
+    else:
+        y_dot = d_dot
+    e = y - ym1
+    if kind == KIND_ADAPTIVE:
+        if linear:
+            ge = -gamma * e
+            k1_dot = ge * v1
+            k2_dot = ge * v2
+            k3_dot = ge * v3
+        else:
+            k1_dot = k2_dot = k3_dot = 0.0
+    else:
+        k1_dot = k2_dot = k3_dot = 0.0
+    e_int_dot = 0.0
+    return (x_dot, d_dot, ym2,
+            REF_MODEL_W2 * r - REF_MODEL_W2 * ym1 - REF_MODEL_TWO_ZW * ym2,
+            (r - v1) / vtau, (-y - v2) / vtau, (-y_dot - v3) / vtau,
+            k1_dot, k2_dot, k3_dot, e_int_dot, u, co, y, e)
+
+
 # surge_rhs with the pressure equation at twice its rate, and observed_rhs
 # throttled at half the flow's throttle, for steps built from them; their
 # calls into _kernels, another module, stay calls
@@ -729,6 +780,19 @@ class TestGeneratedStep:
         assert "kind" not in read
         assert not {n for n in read if n.startswith("KIND_")}
 
+    @pytest.mark.parametrize("live, observed", KEYS)
+    def test_step_stores_no_dead_rate(self, live, observed):
+        # a state outside the live set gets no rate: not even the 0.0 the
+        # rhs assigns it under this kind
+        tree = ast.parse(_kernels._step_source(self.KIND_OF[live], live,
+                                               observed))
+        stored = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Store)}
+        dead = {f"{n}_dot" for j, n in enumerate(_kernels.CL_STATE[:11])
+                if j not in live}
+        assert not stored & dead
+
     @pytest.mark.parametrize("source", ["_open_loop_source",
                                         "_observer_source"])
     def test_plant_steps_call_only_isfinite_sqrt_and_range(self, source):
@@ -756,6 +820,26 @@ class TestGeneratedStep:
         assert _kernels._STEPS[KIND_FIXED_PID, live, False] is run
         assert len(_kernels._STEPS) == built
 
+    @staticmethod
+    def _run_built_from(monkeypatch, rhs, p, state, dt, steps):
+        """The live set and record of a run of the step built from the
+        closed-loop rhs ``rhs``, which must integrate it bit for bit, as
+        the full RK4 oracle does."""
+        monkeypatch.setattr(_kernels, "_STEPS", {})
+        monkeypatch.setattr(_kernels, "closed_loop_rhs", rhs)
+        monkeypatch.setattr(support, "closed_loop_rhs", rhs)
+        live = _kernels.live_states(p, state)
+        rows, final, _ = TestLiveStates._oracle(
+            state, dt, steps, p, None,
+            [j for j in range(_kernels.CL_DIM) if j not in live])
+        out = np.empty_like(rows)
+        q = state.copy()
+        assert _kernels.closed_loop_loop(out, q, dt, p) == (OK, steps, None)
+        assert list(_kernels._STEPS) == [(p[0], live, False)]
+        assert out.tobytes() == rows.tobytes()
+        assert q.tobytes() == final.tobytes()
+        return live, out
+
     def test_step_follows_the_rhs(self, monkeypatch):
         # a step built from another rhs integrates that rhs bit for bit,
         # as the full RK4 oracle does: the step holds no equation of its
@@ -769,21 +853,24 @@ class TestGeneratedStep:
         shipped = np.empty((steps + 1, 11))
         assert _kernels.closed_loop_loop(shipped, state.copy(), dt, p) == (
             OK, steps, None)
-        monkeypatch.setattr(_kernels, "_STEPS", {})
-        monkeypatch.setattr(_kernels, "closed_loop_rhs",
-                            slow_disturbance_rhs)
-        monkeypatch.setattr(support, "closed_loop_rhs", slow_disturbance_rhs)
-        live = _kernels.live_states(p, state)
-        rows, final, _ = TestLiveStates._oracle(
-            state, dt, steps, p, None,
-            [j for j in range(_kernels.CL_DIM) if j not in live])
-        out = np.empty_like(rows)
-        q = state.copy()
-        assert _kernels.closed_loop_loop(out, q, dt, p) == (OK, steps, None)
-        assert list(_kernels._STEPS) == [(KIND_ADAPTIVE, live, False)]
-        assert out.tobytes() == rows.tobytes()
-        assert q.tobytes() == final.tobytes()
+        _, out = self._run_built_from(monkeypatch, slow_disturbance_rhs, p,
+                                      state, dt, steps)
         assert out.tobytes() != shipped.tobytes()
+
+    def test_dead_state_is_read_off_the_rhs(self, monkeypatch):
+        # an rhs whose integral never moves leaves e_int out of the fixed
+        # PID's live set, and its step integrates that rhs bit for bit:
+        # live_states states no rate of its own
+        cfg = ControllerConfig(kind="fixed-pid", reference=0.7)
+        valve = ValveModel()
+        prof = DisturbanceProfile(target=0.35)
+        p = _kernel_args(cfg, valve, prof)
+        state = initial_loop_state(cfg, valve, prof)
+        state[10] = 0.25   # the integral term stays, at a constant
+        assert 10 in _kernels.live_states(p, state)
+        live, _ = self._run_built_from(monkeypatch, no_integral_rhs, p,
+                                       state, 1e-3, 500)
+        assert 10 not in live
 
     @pytest.mark.parametrize("key, source, run", [
         ("open loop", "_open_loop_source",

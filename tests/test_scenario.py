@@ -5,11 +5,11 @@ import re
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from support import key_sample, load_one_key
+from support import key_sample, load_one_key, load_scenario
 
 from surgekit.errors import ScenarioError
-from surgekit.scenario import (KNOWN_KEYS, Scenario, load_scenario,
-                               resolve_scenario, shipped_scenarios, validate)
+from surgekit.scenario import (KNOWN_KEYS, Scenario, resolve_scenario,
+                               shipped_scenarios, validate)
 
 
 def write(tmp_path, text, name="case.scn"):
