@@ -10,6 +10,7 @@ validation, 4 model/runtime failure, 5 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import warnings
@@ -121,15 +122,22 @@ def cmd_stability(args) -> int:
     write_rows(SCAN_HEADER,
                [(r.phi, r.discriminant, r.real_part, r.bendixson_r,
                  r.classification) for r in rows], path)
-    # the boundary search brackets on its default grid, whatever the scan's n
+    # the boundary search brackets on its default grid, whatever the scan's
+    # n: a grid point the scan never met may leave it unplaced, which skips
+    # the boundary line, not the scan
+    why = boundary = None
     try:
         boundary = surge_boundary(sc.cmap,
                                   scan=StabilityConfig(scan.lo, scan.hi))
     except NoSignChangeError:
-        boundary = None
+        pass
+    except (AnalysisError, DomainError) as err:
+        why = err
     print(f"stability scan: {scan.n} points on "
           f"[{scan.lo:g}, {scan.hi:g}] -> {path}")
-    if boundary is None:
+    if why is not None:
+        print(f"surge boundary check skipped: {why}")
+    elif boundary is None:
         classes = Counter(r.classification for r in rows)
         print(f"no surge boundary on [{scan.lo:g}, {scan.hi:g}]: "
               + ", ".join(f"{count} of {scan.n} points {cls}"
@@ -374,7 +382,11 @@ def _override(p, option: str, key: str, **kwargs) -> None:
     p.add_argument(option, dest=key, **kwargs)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``surgekit`` parser, built once per process: each parse returns
+    a fresh namespace, and each command reads the functions it calls as
+    module globals when it runs, so rebinding one still takes effect."""
     parser = argparse.ArgumentParser(
         prog="surgekit",
         description="Compressor surge stability analysis and anti-surge "

@@ -48,6 +48,8 @@ class CompressorMap:
             raise DomainError(
                 f"map domain is empty: [{self.domain_lo}, {self.domain_hi}]"
             )
+        # a tuple, so the map hashes (``stability.surge_boundary`` caches)
+        object.__setattr__(self, "cubic", tuple(self.cubic))
         values = (self.psi0, self.h, self.slope, self.offset,
                   self.domain_lo, self.domain_hi, *self.cubic)
         if len(self.cubic) != 4 or not all(math.isfinite(v) for v in values):

@@ -11,6 +11,7 @@ limit-cycle detector complements the local analysis.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -136,6 +137,7 @@ def eig_real_part(cmap: CompressorMap, phi: float) -> float:
     return _focus(cmap, phi)[1]
 
 
+@functools.lru_cache
 def surge_boundary(cmap: CompressorMap = DEFAULT_MAP,
                    scan: StabilityConfig = StabilityConfig()) -> float:
     """Largest flow where the eigenvalue real part crosses zero.
@@ -144,6 +146,8 @@ def surge_boundary(cmap: CompressorMap = DEFAULT_MAP,
     |real part| <= 1e-10.  Below the returned flow the equilibrium is an
     unstable focus, above it a stable one.  Raises
     :class:`NoSignChangeError` where the scan finds no sign change.
+    The result is cached per (map, scan), both frozen, so an equal map
+    gets the same float without a second search; an error is not cached.
     """
     grid = np.linspace(scan.lo, scan.hi, scan.n)
     vals = np.array([eig_real_part(cmap, p) for p in grid])

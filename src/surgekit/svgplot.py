@@ -2,7 +2,9 @@
 
 Good enough for the shipped figures: multiple labeled series, axes with
 ticks, a legend, and phase-plane plots (any series may use an arbitrary
-x signal).  Output is deterministic text so files diff cleanly.
+x signal).  Output is deterministic text so files diff cleanly.  Each
+polyline's points are scaled as whole arrays and formatted by one ``%``;
+the bytes are those of scaling and formatting one point at a time.
 """
 
 from __future__ import annotations
@@ -104,8 +106,12 @@ def render_svg(series: Sequence[Series], path, x_label: str = "",
 
     for idx, s in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
-        pts = " ".join(f"{px(xx):.2f},{py(yy):.2f}"
-                       for xx, yy in zip(s.x, s.y))
+        # px and py keep their one-point operation order on whole arrays,
+        # so every coordinate has the same bits
+        xy = np.empty((len(s.x), 2))
+        xy[:, 0] = px(np.asarray(s.x, dtype=float))
+        xy[:, 1] = py(np.asarray(s.y, dtype=float))
+        pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.4"/>')
         ly = MARGIN_T + 16 + 16 * idx

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from support import integrate, key_sample, load_one_key, scenario_diff
 
+from surgekit import __version__, cli
 from surgekit.cli import _apply_overrides, _read_step_csv, build_parser, main
 from surgekit.loop import CONTROLLER_KINDS
 from surgekit.scenario import KNOWN_KEYS, Scenario
@@ -73,6 +74,63 @@ class TestStability:
         assert len(data) == 1000
         assert {row[4] for row in data} == {cls}
         assert svg.read_text().startswith("<svg")
+
+    def test_boundary_grid_meets_real_eigenvalues(self, tmp_path, capsys):
+        # the scan's five points are foci, but the boundary's own grid of
+        # 1,000 meets real eigenvalues: the scan and its figure are kept,
+        # and only the boundary line gives way to the reason it is skipped
+        scn = tmp_path / "st.scn"
+        scn.write_text("[run]\nname = st\nkind = stability\n"
+                       "[map]\nh = 0.25\n[stability]\nn = 5\n")
+        csv, svg = tmp_path / "st.csv", tmp_path / "st.svg"
+        code, out, err = run(capsys, "stability", "--scenario", str(scn),
+                             "--csv", str(csv), "--svg", str(svg))
+        assert (code, err) == (0, "")
+        assert out == (
+            f"stability scan: 5 points on [0.1, 0.79] -> {csv}\n"
+            "surge boundary check skipped: eigenvalues at "
+            "phi=0.7105705705705706 are real; real-part analysis assumes "
+            "a complex pair\n"
+            f"figure -> {svg}\n")
+        _, data = read_csv(csv)
+        assert len(data) == 5
+        assert svg.read_text().startswith("<svg")
+
+
+class TestParserBuiltOnce:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_a_parse_leaves_nothing_for_the_next(self, tmp_path, capsys):
+        # --observe's default is not left set by the call that gave it
+        observed, plain = tmp_path / "observed.csv", tmp_path / "plain.csv"
+        for csv, flags in ((observed, ["--observe"]), (plain, [])):
+            code, _, err = run(capsys, "closedloop", *flags, "--t-end", "1",
+                               "--csv", str(csv))
+            assert (code, err) == (0, "")
+        assert observed.read_text().split("\n")[0].endswith(",phi,psi")
+        assert plain.read_text().split("\n")[0] == \
+            "t,d,u,x,co,y,ym,e,k1,k2,k3"
+        for _ in range(2):
+            with pytest.raises(SystemExit) as stop:
+                main(["--version"])
+            assert stop.value.code == 0
+        assert capsys.readouterr().out == f"{__version__}\n" * 2
+
+    def test_commands_call_the_module_globals(self, tmp_path, capsys,
+                                              monkeypatch):
+        # a function rebound on the module after the parser was built is
+        # the one the command calls, as a tracer that wraps it needs
+        build_parser()
+        calls = []
+        render = cli.render_svg
+        monkeypatch.setattr(cli, "render_svg",
+                            lambda *args, **kw: calls.append(args[1])
+                            or render(*args, **kw))
+        svg = tmp_path / "map.svg"
+        code, _, _ = run(capsys, "map", "--out-dir", str(tmp_path),
+                         "--svg", str(svg))
+        assert (code, calls) == (0, [str(svg)])
 
 
 class TestTune:

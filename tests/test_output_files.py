@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from support import breakdown_digest
 
-from surgekit import _kernels, csvio, loop
+from surgekit import _kernels, csvio, loop, svgplot
 from surgekit.cli import main
 from surgekit.csvio import write_rows, write_trajectory
 from surgekit.errors import DomainError
@@ -174,6 +174,36 @@ class TestOutputBytes:
         rows = [line.split(",") for line in csv.read_text().splitlines()]
         assert rows[0][8:] == ["k1", "k2", "k3"]
         assert [row[8:] for row in rows[1:]] == [["-0", "10", "0.7"]] * 11
+
+
+class TestSvgBytes:
+    # sha256 of each figure as written before the polylines were scaled as
+    # arrays and formatted by one %: the benchmark's catalog figures and
+    # fig10's pair
+    @pytest.mark.parametrize("name,argv,digest", [
+        ("fig3_4", ["simulate", "--scenario", "fig3_4"],
+         "d86a6e6fd11f3ac598e069b5025ef28b7fcf595a8c4b79ab0ee79ee769f9e79c"),
+        ("fig6", ["limit-cycle", "--scenario", "fig6"],
+         "551b470ff453d1838843e26300486fa4382542179b3805c74aaff821232bd075"),
+        ("stability", ["stability", "--n", "1000"],
+         "d609d6b76e8be4d06adc365bed629506735423472cc12a47abbe069e8305e41d"),
+        ("map", ["map"],
+         "7fdc342dd08843258d44c5d701a6763c710481dfff1d39b5abbd1fb89efce6e8"),
+    ])
+    def test_catalog_svg_is_pinned(self, tmp_path, name, argv, digest):
+        svg = tmp_path / f"{name}.svg"
+        assert _sha256_of_run(argv + ["--out-dir", str(tmp_path),
+                                      "--svg", str(svg)], svg) == digest
+
+    def test_closed_loop_svgs_are_pinned(self, tmp_path):
+        flow, gains = tmp_path / "y.svg", tmp_path / "k.svg"
+        _sha256_of_run(["closedloop", "--scenario", "fig10", "--t-end", "5",
+                        "--out-dir", str(tmp_path), "--svg", str(flow),
+                        "--svg-params", str(gains)], flow)
+        assert [hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in (flow, gains)] == [
+            "9f21794fb26d9e44691947513e0fddb2fd5ea542133ed9808dbff423c96b1e3d",
+            "0ef5bbdbd8b2afa4566b4f083af29ba17b85312be889d0ae230279f890316f55"]
 
 
 class _Forks:
@@ -486,6 +516,42 @@ class TestSvg:
         assert 'font-size="13">x&amp;y</text>' in text
         assert 'font-size="12">s"1</text>' in text
         assert ET.fromstring(text).tag.endswith("svg")
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_polyline_matches_scaling_point_by_point(self, tmp_path, seed):
+        # the reference: each point scaled and formatted on its own, as
+        # numpy scalars, over series of any scale, integer x and -0.0
+        rng = np.random.default_rng(seed)
+        series = []
+        for j in range(3):
+            n = int(rng.integers(1, 200))
+            x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300)
+            y = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12)
+            if j == 1:
+                x = np.arange(n) - n // 2
+            if seed % 2 and j == 2:
+                y = np.full(n, -0.0)
+            series.append(Series(f"s{j}", x, y))
+        path = tmp_path / "random.svg"
+        render_svg(series, path)
+        x_lo, x_hi = svgplot._bounds([s.x for s in series])
+        y_lo, y_hi = svgplot._bounds([s.y for s in series])
+        plot_w = svgplot.WIDTH - svgplot.MARGIN_L - svgplot.MARGIN_R
+        plot_h = svgplot.HEIGHT - svgplot.MARGIN_T - svgplot.MARGIN_B
+
+        def px(x):
+            return svgplot.MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
+
+        def py(y):
+            return (svgplot.MARGIN_T + plot_h
+                    - (y - y_lo) / (y_hi - y_lo) * plot_h)
+
+        expected = [" ".join(f"{px(xx):.2f},{py(yy):.2f}"
+                             for xx, yy in zip(s.x, s.y)) for s in series]
+        drawn = [line.split('points="')[1].split('"')[0]
+                 for line in path.read_text().splitlines()
+                 if line.startswith("<polyline")]
+        assert drawn == expected
 
     def test_deterministic_output(self, tmp_path):
         t = np.linspace(0, 1, 30)

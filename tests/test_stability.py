@@ -1,11 +1,13 @@
 """Jacobian algebra, surge boundary, divergence indicator, cycle detection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from surgekit.compressor import (DEFAULT_MAP, PlantState,
                                  equilibrium_from_throttle, throttle_from_flow)
-from surgekit.errors import AnalysisError, DomainError
+from surgekit.errors import AnalysisError, DomainError, NoSignChangeError
 from surgekit.odesim import Trajectory, simulate_greitzer
 from surgekit.stability import (BOUNDARY, STABLE_FOCUS, UNSTABLE_FOCUS,
                                 CycleConfig, StabilityConfig, char_poly,
@@ -137,6 +139,25 @@ class TestSurgeBoundary:
     def test_bits(self, scan, bits):
         # the bracket and the bisection's iterates decide every bit
         assert surge_boundary(M, scan=scan).hex() == bits
+
+    def test_equal_map_is_a_cache_hit(self):
+        # an equal map, built apart and with its cubic given as a list,
+        # hashes as the shipped one and gets its boundary from the cache
+        first = surge_boundary(M)
+        hits = surge_boundary.cache_info().hits
+        twin = dataclasses.replace(M, cubic=list(M.cubic))
+        assert twin is not M
+        assert surge_boundary(twin) == first
+        assert surge_boundary.cache_info().hits == hits + 1
+
+    def test_no_boundary_raises_on_every_call(self):
+        # an error is not cached: each call searches again and raises
+        scan = StabilityConfig(lo=0.5, hi=0.7)
+        misses = surge_boundary.cache_info().misses
+        for _ in range(2):
+            with pytest.raises(NoSignChangeError):
+                surge_boundary(M, scan=scan)
+        assert surge_boundary.cache_info().misses == misses + 2
 
 
 class TestBendixson:
