@@ -6,9 +6,10 @@ loop (:func:`closed_loop_loop`) and the observed compressor
 (:func:`observed_compressor`).  Each runs on Python floats, several times
 faster in the interpreter than numpy scalars, and records through a
 ``memoryview`` of its record: of its doubles (:func:`flat`), or of its
-bytes for the closed loop, which packs each row.  The closed loop fills its
-record in ranges of rows, and reports each to a caller's ``report``
-(``csvio.RunHelper`` observes and formats them in another process).
+bytes for the closed loop, which packs each row.  The open and the closed
+loop fill their records in ranges of rows, and report each to a caller's
+``report`` (:func:`_in_blocks`): ``csvio.RunHelper`` formats them, and
+observes the closed loop's, in another process.
 
 Each model equation is defined once: the compressor map in
 :func:`pressure_rise`, the surge model's rates in :func:`surge_rhs`, the
@@ -714,17 +715,19 @@ def _step(kind, live, observed):
                   record=_ROW.pack_into)
 
 
-def greitzer_loop(out, dt, m):
+def greitzer_loop(out, dt, m, block=None, report=None):
     """RK4 on the two-state surge model (:func:`_open_loop_source`).
 
     ``out`` is a preallocated C-ordered (rows, 3) array whose row 0
     already holds (0, phi0, psi0); remaining rows are filled with
-    (t, phi, psi).  ``m`` is the tuple of surge_rhs's constants
+    (t, phi, psi), ``block`` at a time and each range reported, as
+    :func:`_in_blocks` does.  ``m`` is the tuple of surge_rhs's constants
     (g, psi0, h, slope, offset, c0..c3).  Returns (status, row): on
     failure ``row`` is the first unfilled row.
     """
     run = _built("open loop", surge_rhs, _open_loop_source)
-    return run(flat(out), dt, m, 1, len(out))
+    return _in_blocks(functools.partial(run, flat(out), dt, m), 1, len(out),
+                      block, report)
 
 
 def observed_compressor(out, ys, dt, m, start, stop):
@@ -746,19 +749,43 @@ def flat(a):
     return memoryview(a).cast("B").cast("d")
 
 
+#: the rows a kernel fills between reports, and the trajectory rows
+#: ``csvio`` formats at a time, which bounds the memory a write takes.  So
+#: at most the rows a helper process has left when the kernel ends: on
+#: fig10, 1024 beat 4096 end to end by about 2% (9 of 12 alternating runs)
+_BLOCK_ROWS = 1024
+
+
+def _in_blocks(run, first, n, block, report):
+    """Fill rows first..n-1 of a record with the range function
+    ``run(start, stop)``, ``block`` rows at a time (else all at once), up
+    to a failure.  A ``report`` is called with (rows filled, False) after
+    each range but the last, and at the end with (n or the first unfilled
+    row, True).  Returns the last range's (status, row, ...)."""
+    block = block or n
+    start = first
+    while True:
+        stop = min(start + block, n)
+        rc = run(start, stop)
+        if rc[0] != OK or stop == n:
+            break
+        if report is not None:
+            report(stop, False)
+        start = stop
+    if report is not None:
+        report(n if rc[0] == OK else rc[1], True)
+    return rc
+
+
 def closed_loop_loop(out, state, dt, p, block=None, report=None, ys=None):
     """RK4 on the closed loop over the C-ordered array ``out`` from the
     array ``state``, into which the loop states at the end are copied
     back.  The loop runs on ``state.tolist()`` and records through a byte
     view of ``out``; the controller kind ``p[0]`` and the live states,
     taken once from the first state, select the range function that
-    integrates them (:func:`_step`).
-
-    With ``block`` the rows are filled ``block`` at a time, and after each
-    such range ``report(rows, False)`` is called with the rows filled so
-    far; at the end, ``report(rows, True)`` with the rows the loop filled
-    (all of them, or those before its failure).  What ``report`` returns
-    is ignored.  Observed, ``ys`` is the (rows, 3) array of stage flows.
+    integrates them (:func:`_step`).  The rows are filled ``block`` at a
+    time and each range reported, as :func:`_in_blocks` does.  Observed,
+    ``ys`` is the (rows, 3) array of stage flows.
 
     Returns (status, row, stage) as the range function does.
     """
@@ -766,19 +793,10 @@ def closed_loop_loop(out, state, dt, p, block=None, report=None, ys=None):
     rec = memoryview(out).cast("B")
     stages = None if ys is None else flat(ys)
     run = _step(p[0], live_states(p, s), stages is not None)
-    n = len(out)
-    block = block or n
-    rc = OK, n - 1, None
+    last = len(out) - 1
     try:
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            rc = run(rec, s, dt, p, start, stop, n - 1, stages)
-            if rc[0] != OK:
-                break
-            if report is not None and stop < n:
-                report(stop, False)
-        if report is not None:
-            report(n if rc[0] == OK else rc[1], True)
-        return rc
+        return _in_blocks(
+            lambda start, stop: run(rec, s, dt, p, start, stop, last, stages),
+            0, len(out), block, report)
     finally:
         state[:] = s

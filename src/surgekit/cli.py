@@ -70,10 +70,10 @@ def _thin(arr, limit: int = 2000):
     return np.concatenate([arr[::stride], arr[-1:]])
 
 
-def _run_plant(sc: Scenario) -> Trajectory:
+def _run_plant(sc: Scenario, helper: RunHelper) -> Trajectory:
     initial, g = sc.plant.start(sc.cmap)
-    return simulate_greitzer(initial, g, sc.cmap,
-                             dt=sc.resolved_dt(), t_end=sc.resolved_t_end())
+    return simulate_greitzer(initial, g, sc.cmap, dt=sc.resolved_dt(),
+                             t_end=sc.resolved_t_end(), helper=helper)
 
 
 def cmd_map(args) -> int:
@@ -165,16 +165,18 @@ def cmd_simulate(args) -> int:
     if not (np.isfinite(args.ss_tol) and args.ss_tol >= 0.0):
         raise ScenarioError(f"--ss-tol must be finite and >= 0, "
                             f"got {args.ss_tol}")
-    traj = _run_plant(sc)
-    window = min(args.ss_window, 0.5 * sc.resolved_t_end())
-    # steady_state_of averages round(window/dt) rows: none up to 0.5.  A
-    # run that breaks down fails first, as it does at any window
-    if not window / traj.dt > 0.5:
-        raise ScenarioError(
-            f"steady-state window {window:g} (--ss-window, at most half of "
-            f"t_end) is under one step of dt={traj.dt:g}")
-    path = _csv_path(args, sc)
-    write_trajectory(traj, path, sc.decimation)
+    # where it pays, a second process formats the CSV while the kernel runs
+    with RunHelper(sc.decimation) as helper:
+        traj = _run_plant(sc, helper)
+        window = min(args.ss_window, 0.5 * sc.resolved_t_end())
+        # steady_state_of averages round(window/dt) rows: none up to 0.5.
+        # A run that breaks down fails first, as it does at any window
+        if not window / traj.dt > 0.5:
+            raise ScenarioError(
+                f"steady-state window {window:g} (--ss-window, at most half "
+                f"of t_end) is under one step of dt={traj.dt:g}")
+        path = _csv_path(args, sc)
+        write_trajectory(traj, path, sc.decimation, helper=helper)
     phi = traj.column("phi")
     psi = traj.column("psi")
     print(f"open-loop run: {traj.n_rows} samples, dt={traj.dt:g} -> {path}")
@@ -197,9 +199,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_limit_cycle(args) -> int:
     sc = _load(args, "limit-cycle")
-    traj = _run_plant(sc)
-    path = _csv_path(args, sc)
-    write_trajectory(traj, path, sc.decimation)
+    with RunHelper(sc.decimation) as helper:
+        traj = _run_plant(sc, helper)
+        path = _csv_path(args, sc)
+        write_trajectory(traj, path, sc.decimation, helper=helper)
     report = detect_limit_cycle(traj, sc.cycle)
     print(f"run: {traj.n_rows} samples, dt={traj.dt:g} -> {path}")
     if report.detected:

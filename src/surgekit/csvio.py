@@ -1,14 +1,14 @@
-"""Deterministic CSV emission, and the helper process of a closed-loop run.
+"""Deterministic CSV emission, and the helper process of a run.
 
 Numbers are written with 9 significant digits so repeated runs produce
 byte-identical files; the header row is always present.
 
-A closed-loop run can hand two jobs to a second CPU while its kernel
-fills the record: integrating the observed compressor, and formatting the
-CSV rows.  A :class:`RunHelper` forks one process per run that does both
-for each finished block of rows, sends the observer's result when the
-run ends, and the text once the run is complete.  That process never
-touches the filesystem.
+A run, open loop or closed, can hand work to a second CPU while its
+kernel fills the record: formatting the CSV rows, and for an observed
+closed loop integrating the observed compressor.  A :class:`RunHelper`
+forks one process per run that does both for each finished block of
+rows, sends the observer's result when the run ends, and the text once
+the run is complete.  That process never touches the filesystem.
 :func:`write_trajectory` creates and writes the file either way, and
 formats the rows itself when there is no helper or it failed, so the
 bytes are the same.
@@ -25,22 +25,19 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._kernels import OK
+from ._kernels import _BLOCK_ROWS, OK
 from .errors import DomainError
 from .odesim import Trajectory
 
-
-#: trajectory rows formatted at a time, which bounds the memory a write
-#: takes.  Also the rows the closed-loop kernel fills between reports, so
-#: at most the rows a helper process has left when the kernel ends: on
-#: fig10, 1024 beat 4096 end to end by about 2% (9 of 12 alternating runs)
-_BLOCK_ROWS = 1024
 
 #: written rows from which a helper process pays for formatting alone.
 #: On a 2-core Xeon VM, a fork round trip took 8 ms in an 87 MB process,
 #: and ``closedloop`` with a formatter process against without (8
 #: alternating runs each, 4096-row blocks) was even at 6,001 rows, 4%
-#: faster at 8,201 and 10% at 12,001
+#: faster at 8,201 and 10% at 12,001.  On the open loop's 3 columns
+#: (``simulate``, 1024-row blocks, 60 alternating calls in one process),
+#: the helper took 10,001 rows from 41 to 32 ms, but 5,001 only from 23
+#: to 22
 _FORK_MIN_ROWS = 8192
 
 #: written rows up to which a helper process formats them: it holds their
@@ -143,20 +140,21 @@ _REPORT = struct.Struct("<qq")
 
 
 class RunHelper:
-    """A forked process that follows a closed-loop run while the kernel
-    fills its record: it integrates the observed compressor over each
-    reported range of rows, when the run is observed, and then formats
+    """A forked process that follows a run while the kernel fills its
+    record: it integrates the observed compressor over each reported range
+    of rows, when the run is an observed closed loop, and then formats
     the range's CSV rows.
 
-    Pass the helper to ``loop.simulate_closed_loop`` and then to
-    :func:`write_trajectory`, inside a ``with`` block, which ends the
-    process if it is still running.  The process is forked when the run
-    starts (:meth:`start`) if :func:`_fork_pays`.  It observes to the end
-    of the run, or to the observer's failure, and sends the result at the
-    last report (:meth:`result`).  It formats the rows when their text,
-    which it holds until the run is complete, fits in ``_FORK_MAX_ROWS``
-    rows.  Without the process, the caller observes and formats in its
-    own; it does the same when the process is lost.
+    Pass the helper to ``odesim.simulate_greitzer`` or
+    ``loop.simulate_closed_loop`` and then to :func:`write_trajectory`,
+    inside a ``with`` block, which ends the process if it is still
+    running.  The process is forked when the run starts (:meth:`start`)
+    if :func:`_fork_pays`.  It observes to the end of the run, or to the
+    observer's failure, and sends the result at the last report
+    (:meth:`result`).  It formats the rows when their text, which it
+    holds until the run is complete, fits in ``_FORK_MAX_ROWS`` rows.
+    Without the process, the caller observes and formats in its own; it
+    does the same when the process is lost.
     """
 
     def __init__(self, decimate: int):

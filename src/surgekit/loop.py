@@ -36,7 +36,7 @@ import numpy as np
 
 from . import _kernels
 from .compressor import CompressorMap, DEFAULT_MAP, map_pressure_rise
-from .csvio import _BLOCK_ROWS, RunHelper
+from .csvio import RunHelper
 from .errors import DegenerateResponseError, DivergenceError, DomainError
 from .odesim import LOOP_DT, LOOP_T_END, Trajectory, _output_buffer
 
@@ -289,7 +289,7 @@ def simulate_closed_loop(cfg: ControllerConfig,
     (throttle parameter g = y/sqrt(psi_c(y))) and phi, psi columns are
     appended; the loop itself never feeds back from them.
 
-    The kernel fills the record in blocks of ``csvio._BLOCK_ROWS`` rows.
+    The kernel fills the record in blocks of ``_kernels._BLOCK_ROWS`` rows.
     A ``helper`` (``csvio.RunHelper``) is given each block when it is
     filled; where it forks a process, that process observes and formats
     the blocks while the kernel goes on.  Without one, the observer runs
@@ -321,7 +321,7 @@ def simulate_closed_loop(cfg: ControllerConfig,
     with np.errstate(over="ignore", invalid="ignore"):
         status, row, stage = _integrate(
             out, ys, state, dt, _kernel_args(cfg, valve, profile), m,
-            helper, _BLOCK_ROWS)
+            helper, _kernels._BLOCK_ROWS)
     if status == _kernels.OK:
         return Trajectory(dt, columns, out)
     partial = Trajectory(dt, columns, out[:row].copy())

@@ -3,10 +3,11 @@
 :func:`simulate_greitzer` runs the surge model through the open-loop RK4
 kernel in ``_kernels``, whose step is generated from ``surge_rhs``, the
 one definition of the model's rates and gains; ``loop`` does the same
-for the closed loop.  Both produce the same :class:`Trajectory` layout:
-column 0 is time, sampling is uniform, and a non-finite value aborts the
-run instead of being recorded.  The default step sizes and horizons of both
-runs are defined here.
+for the closed loop.  Both hand each block of rows they fill to a
+``csvio.RunHelper``, if given, and produce the same :class:`Trajectory`
+layout: column 0 is time, sampling is uniform, and a non-finite value
+aborts the run instead of being recorded.  The default step sizes and
+horizons of both runs are defined here.
 """
 
 from __future__ import annotations
@@ -92,8 +93,10 @@ def _output_buffer(dt: float, t_end: float, n_cols: int) -> np.ndarray:
 def simulate_greitzer(initial: PlantState, g: float,
                       cmap: CompressorMap = DEFAULT_MAP,
                       dt: float = PLANT_DT,
-                      t_end: float = PLANT_T_END) -> Trajectory:
-    """Kernel-backed open-loop run of the surge model at throttle ``g``."""
+                      t_end: float = PLANT_T_END,
+                      helper=None) -> Trajectory:
+    """Kernel-backed open-loop run of the surge model at throttle ``g``;
+    a ``helper`` (``csvio.RunHelper``) is given each block when filled."""
     if not (math.isfinite(g) and g > 0.0):
         raise DomainError(f"g must be finite and positive, got {g}")
     out = _output_buffer(dt, t_end, 3)
@@ -105,9 +108,14 @@ def simulate_greitzer(initial: PlantState, g: float,
         raise ModelBreakdownError(
             f"plenum pressure must stay positive, got psi={initial.psi}")
     out[0] = (0.0, initial.phi, initial.psi)
+    report = None
+    if helper is not None:
+        helper.start(out)
+        report = helper.rows_filled
     # an overflow is reported by the kernel's status, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
-        status, row = _kernels.greitzer_loop(out, dt, (g, *cmap.constants))
+        status, row = _kernels.greitzer_loop(
+            out, dt, (g, *cmap.constants), _kernels._BLOCK_ROWS, report)
     columns = ["t", "phi", "psi"]
     if status == _kernels.OK:
         return Trajectory(dt, columns, out)

@@ -34,7 +34,7 @@ def closed_loop_run():
 @pytest.fixture(autouse=True)
 def no_child_process_left():
     """Fail a test that leaves a child process running or unreaped, such
-    as the helper process of a closed-loop run (``csvio.RunHelper``)."""
+    as the helper process of a run (``csvio.RunHelper``)."""
     yield
     if not hasattr(os, "WNOHANG"):
         return

@@ -4,6 +4,7 @@ determinism."""
 
 import ast
 import dataclasses
+import hashlib
 import math
 import os
 import re
@@ -743,6 +744,64 @@ class TestLoopStageFailure:
             np.zeros((row, 11)), before, dt, p, block) == (OK, row - 1, None)
         assert state.tobytes() == before.tobytes()
         assert state[0] == out[row - 1, 3] > 0.25
+
+
+class TestOpenLoopBlocks:
+    """The open loop fills its record in ranges of rows and reports each,
+    as the closed loop does; the record is the same whatever the block."""
+
+    @staticmethod
+    def _run(start, g, dt, rows, block):
+        """(result, record, reports) of the open loop from ``start``."""
+        out = np.zeros((rows, 3))
+        out[0] = (0.0, *start)
+        reports = []
+        rc = _kernels.greitzer_loop(out, dt, (g, *M.constants), block,
+                                    lambda *report: reports.append(report))
+        return rc, out, reports
+
+    @pytest.mark.parametrize("block", [None, 1, 7, 1000])
+    def test_record_whatever_the_block(self, block):
+        # 2501 rows: each range after the first starts where the last
+        # stopped, and the last stops at the end
+        rc, out, reports = self._run((0.41, 0.53), 0.6, 0.01, 2501, block)
+        whole = self._run((0.41, 0.53), 0.6, 0.01, 2501, None)
+        assert rc == whole[0] == (OK, 2500)
+        assert out.tobytes() == whole[1].tobytes()
+        stops = range(1 + (block or 2501), 2501, block or 2501)
+        assert reports == [(stop, False) for stop in stops] + [(2501, True)]
+
+    @pytest.mark.parametrize("block", [None, 1, 7, 1000])
+    def test_failure_mid_block(self, block):
+        # psi reaches zero in the step into row 1606, the first unfilled
+        # row: each range filled before it is reported, then that row
+        rc, out, reports = self._run((0.0, 2.0), 1.0, 0.001, 2501, block)
+        whole = self._run((0.0, 2.0), 1.0, 0.001, 2501, None)
+        assert rc == whole[0] == (PSI, 1606)
+        assert out.tobytes() == whole[1].tobytes()
+        assert out[1605, 0] == 1605 * 0.001 and not out[1606:].any()
+        stops = range(1 + (block or 2501), 1607, block or 2501)
+        assert reports == [(stop, False) for stop in stops] + [(1606, True)]
+
+    def test_one_row_record(self):
+        # a run shorter than one step fills no row and reports its one
+        assert self._run((0.41, 0.53), 0.6, 0.01, 1, 1000)[::2] == (
+            (OK, 0), [(1, True)])
+
+    def test_step_text_is_unchanged(self):
+        # filling in blocks runs the range function the whole record ran
+        # before.  Its text is pinned where it was recorded (ast.unparse
+        # may space or bracket it differently on another version), and
+        # what it parses to everywhere
+        text = _kernels._open_loop_source()
+        if sys.version_info[:2] == (3, 11):
+            assert hashlib.sha256(text.encode()).hexdigest() == (
+                "12260688ca6cadadd4177cd0316567703abb860772d76df598a875d4"
+                "561962d0")
+        assert hashlib.sha256(
+            ast.dump(ast.parse(text)).encode()).hexdigest() == (
+            "8ba05e415d077b9c28216b44c4a4b4507444950ce5154253bbbf7b4b44f6"
+            "0775")
 
 
 class TestGeneratedStep:

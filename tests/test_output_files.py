@@ -230,30 +230,32 @@ def _run_cli(capsys, *argv):
     return code, out, err
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """Small kernel blocks, the helper processes counted, and
+    ``forks.pays`` deciding whether one is forked."""
+    forks = _Forks(monkeypatch)
+    monkeypatch.setattr(_kernels, "_BLOCK_ROWS", 1000)
+    monkeypatch.setattr(csvio, "_fork_pays", lambda *rows: forks.pays)
+    return forks
+
+
+def _both(capsys, forks, *argv):
+    """(code, stdout, stderr) of the run without and with a helper
+    process, checking that the second forks one."""
+    results = []
+    for pays in (False, True):
+        forks.pays = pays
+        del forks.pids[:]
+        results.append(_run_cli(capsys, *argv))
+        assert len(forks.pids) == pays, argv
+    return results
+
+
 class TestFormatterProcess:
     """A closed-loop run whose helper process observes the compressor and
     formats the CSV while the kernel runs has the bytes, record, errors,
     files and messages of the in-process path."""
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """Small kernel blocks, the helper processes counted, and
-        ``forks.pays`` deciding whether one is forked."""
-        forks = _Forks(monkeypatch)
-        monkeypatch.setattr(loop, "_BLOCK_ROWS", 1000)
-        monkeypatch.setattr(csvio, "_fork_pays", lambda *rows: forks.pays)
-        return forks
-
-    def _both(self, capsys, forks, *argv):
-        """(code, stdout, stderr) of the run without and with a helper
-        process, checking that the second forks one."""
-        results = []
-        for pays in (False, True):
-            forks.pays = pays
-            del forks.pids[:]
-            results.append(_run_cli(capsys, *argv))
-            assert len(forks.pids) == pays, argv
-        return results
 
     @pytest.mark.parametrize("decimation", [1, 7, 100])
     @pytest.mark.parametrize("observe", [False, True])
@@ -280,9 +282,9 @@ class TestFormatterProcess:
                                        monkeypatch):
         # the observed compressor breaks down at t=0.854, after the
         # helper has forked: no directory, no file, one line
-        monkeypatch.setattr(loop, "_BLOCK_ROWS", 100)
+        monkeypatch.setattr(_kernels, "_BLOCK_ROWS", 100)
         csv = tmp_path / "new" / "run.csv"
-        in_process, forked = self._both(
+        in_process, forked = _both(
             capsys, forks, "closedloop", "--observe", "--target", "1.0",
             "--t-end", "5", "--csv", str(csv))
         assert in_process == forked == (
@@ -293,7 +295,7 @@ class TestFormatterProcess:
     def test_unwritable_csv_exits_five(self, tmp_path, capsys, forks):
         (tmp_path / "afile").write_text("")
         csv = tmp_path / "afile" / "run.csv"
-        in_process, forked = self._both(
+        in_process, forked = _both(
             capsys, forks, "closedloop", "--t-end", "2.5", "--csv", str(csv))
         assert in_process == forked == (
             5, "", f"error: [Errno 17] File exists: "
@@ -309,7 +311,7 @@ class TestFormatterProcess:
         # rebuilt by running it again up to the failing step.  The error's
         # time, stage, rows and 13 states are those of the in-process run
         # and of a process with one CPU, which forks no helper
-        monkeypatch.setattr(loop, "_BLOCK_ROWS", block)
+        monkeypatch.setattr(_kernels, "_BLOCK_ROWS", block)
         digests = []
         for pays in (False, True):
             forks.pays = pays
@@ -443,6 +445,96 @@ class TestFormatterProcess:
         assert len(forks.pids) == 2
         assert set(here) == {"_format_rows", "observed_compressor"}
         assert csv.read_bytes() == forked
+
+
+class TestOpenLoopFormatterProcess:
+    """An open-loop run (``simulate``, ``limit-cycle``) whose helper
+    process formats the CSV while the kernel runs has the bytes, errors,
+    files and messages of the in-process path."""
+
+    PLANTS = [("simulate", "fig3_4"), ("limit-cycle", "fig6")]
+
+    @pytest.mark.parametrize("decimation", [1, 7, 100])
+    @pytest.mark.parametrize("command, scenario", PLANTS)
+    def test_bytes_match_in_process(self, tmp_path, capsys, forks,
+                                    monkeypatch, command, scenario,
+                                    decimation):
+        # 2501 rows in blocks of 1000: the kept rows straddle the bounds.
+        # Through the helper, this process formats no row
+        formatted = []
+        format_rows = csvio._format_rows
+        monkeypatch.setattr(csvio, "_format_rows", lambda samples: (
+            formatted.append(len(samples)) or format_rows(samples)))
+        csv = tmp_path / "run.csv"
+        argv = [command, "--scenario", scenario, "--t-end", "25",
+                f"--decimation={decimation}", "--csv", str(csv)]
+        results, texts, here = [], [], []
+        for pays in (False, True):
+            forks.pays = pays
+            del formatted[:]
+            results.append(_run_cli(capsys, *argv))
+            texts.append(csv.read_bytes())
+            here.append(sum(formatted))
+        assert len(forks.pids) == 1
+        assert results[0] == results[1] and results[0][0] == 0
+        assert texts[0] == texts[1]
+        kept = len(range(0, 2501, decimation))
+        assert len(texts[0].splitlines()) == 1 + kept
+        assert here == [kept, 0]
+
+    @pytest.mark.parametrize("command", ["simulate", "limit-cycle"])
+    def test_breakdown_leaves_no_file(self, tmp_path, capsys, forks,
+                                      command):
+        # psi reaches zero at t=1.605, in the second block, after the
+        # helper has forked: no directory, no file, one line
+        csv = tmp_path / "new" / "run.csv"
+        in_process, forked = _both(
+            capsys, forks, command, "--g", "1", "--phi0", "0", "--psi0", "2",
+            "--dt", "0.001", "--t-end", "2.5", "--csv", str(csv))
+        assert in_process == forked == (
+            4, "", "error: plenum pressure reached zero near t=1.605 "
+                   "(surge model breakdown)\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_ss_window_refused_after_the_run(self, tmp_path, capsys, forks):
+        # the window is checked against the run's dt, once the helper has
+        # forked: exit 3 and no file
+        csv = tmp_path / "run.csv"
+        in_process, forked = _both(
+            capsys, forks, "simulate", "--scenario", "fig3_4", "--t-end",
+            "25", "--ss-window", "0.001", "--csv", str(csv))
+        assert in_process == forked == (
+            3, "", "error: steady-state window 0.001 (--ss-window, at most "
+                   "half of t_end) is under one step of dt=0.01\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, scenario", PLANTS)
+    def test_unwritable_csv_exits_five(self, tmp_path, capsys, forks,
+                                       command, scenario):
+        (tmp_path / "afile").write_text("")
+        csv = tmp_path / "afile" / "run.csv"
+        in_process, forked = _both(
+            capsys, forks, command, "--scenario", scenario, "--t-end", "25",
+            "--csv", str(csv))
+        assert in_process == forked == (
+            5, "", f"error: [Errno 17] File exists: "
+                   f"'{tmp_path / 'afile'}'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+    def test_catalog_open_loop_runs_fork_where_they_pay(self, tmp_path,
+                                                        monkeypatch):
+        # fig3_4 and fig6 write 10001 rows and take a helper each; fig7
+        # writes 5001 and takes none
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        forks = _Forks(monkeypatch)
+        counts = []
+        with contextlib.redirect_stdout(io.StringIO()):
+            for command, scenario in self.PLANTS + [("simulate", "fig7")]:
+                assert main([command, "--scenario", scenario, "--out-dir",
+                             str(tmp_path)]) == 0
+                counts.append(len(forks.pids))
+        assert counts == [1, 2, 2]
 
 
 #: the helper process's own function, for the fakes that wrap it
