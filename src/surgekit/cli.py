@@ -119,9 +119,7 @@ def cmd_stability(args) -> int:
     scan = sc.stability
     rows = stability_scan(sc.cmap, scan)
     path = _csv_path(args, sc)
-    write_rows(SCAN_HEADER,
-               [(r.phi, r.discriminant, r.real_part, r.bendixson_r,
-                 r.classification) for r in rows], path)
+    write_rows(SCAN_HEADER, rows, path)
     # the boundary search brackets on its default grid, whatever the scan's
     # n: a grid point the scan never met may leave it unplaced, which skips
     # the boundary line, not the scan
@@ -146,11 +144,10 @@ def cmd_stability(args) -> int:
         print(f"surge boundary phi* = {boundary:.9g} "
               "(unstable focus below, stable focus above)")
     if args.svg:
-        phis = np.array([r.phi for r in rows])
-        render_svg([Series("eigenvalue real part", phis,
-                           np.array([r.real_part for r in rows])),
-                    Series("divergence indicator", phis,
-                           np.array([r.bendixson_r for r in rows]))],
+        phis, real, divergence = np.array(
+            [(r.phi, r.real_part, r.bendixson_r) for r in rows]).T
+        render_svg([Series("eigenvalue real part", phis, real),
+                    Series("divergence indicator", phis, divergence)],
                    args.svg, x_label="phi (mass flow)", y_label="1/time",
                    title="equilibrium stability vs flow")
         print(f"figure -> {args.svg}")

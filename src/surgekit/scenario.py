@@ -224,6 +224,8 @@ def _read_scenario(path) -> Scenario:
             lines = fh.readlines()
     except FileNotFoundError as err:
         raise ScenarioError(f"scenario file not found: {path}") from err
+    except UnicodeDecodeError as err:
+        raise ScenarioError(f"scenario file {path}: {err}") from None
     if not any(line.strip() and not line.strip().startswith("#")
                for line in lines):
         default_name = "default"

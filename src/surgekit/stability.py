@@ -5,8 +5,9 @@ parameter and the plenum pressure can be eliminated so that the Jacobian,
 its characteristic polynomial and the eigenvalue real part are functions
 of the equilibrium flow alone.  A scan tabulates them with the
 discriminant and the divergence (Bendixson) indicator, the Jacobian
-trace, as its ``delta`` and ``bendixson_r`` columns.  A trajectory-based
-limit-cycle detector complements the local analysis.
+trace, as its ``delta`` and ``bendixson_r`` columns; the surge boundary
+refines the scan's rightmost sign change of the real part.  A
+trajectory-based limit-cycle detector complements the local analysis.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +70,10 @@ class CycleConfig:
                               f"finite tol > 0, got {self}")
 
 
-@dataclass(frozen=True)
-class StabilityRow:
+class StabilityRow(NamedTuple):
+    """A scan row: a tuple in ``SCAN_HEADER`` order whose fields are also
+    read by name; ``dataclasses.replace`` and ``asdict`` do not apply."""
+
     phi: float
     discriminant: float
     real_part: float
@@ -142,25 +146,25 @@ def surge_boundary(cmap: CompressorMap = DEFAULT_MAP,
                    scan: StabilityConfig = StabilityConfig()) -> float:
     """Largest flow where the eigenvalue real part crosses zero.
 
-    Scans ``scan`` for the rightmost sign change and bisects it down to
-    |real part| <= 1e-10.  Below the returned flow the equilibrium is an
-    unstable focus, above it a stable one.  Raises
-    :class:`NoSignChangeError` where the scan finds no sign change.
-    The result is cached per (map, scan), both frozen, so an equal map
-    gets the same float without a second search; an error is not cached.
+    Bisects the rightmost sign change in the ``real_part`` column of
+    ``stability_scan(cmap, scan)`` down to |real part| <= 1e-10.  Below
+    the returned flow the equilibrium is an unstable focus, above it a
+    stable one.  Raises :class:`NoSignChangeError` where the scan finds
+    no sign change.  The result is cached per (map, scan), both frozen,
+    so an equal map gets the same float without a second search; an
+    error is not cached.
     """
-    grid = np.linspace(scan.lo, scan.hi, scan.n)
-    vals = np.array([eig_real_part(cmap, p) for p in grid])
-    signs = np.sign(vals)
+    rows = stability_scan(cmap, scan)
+    signs = np.sign([r.real_part for r in rows])
     flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
     if len(flips) == 0:
         raise NoSignChangeError(
             f"eigenvalue real part does not change sign on "
             f"[{scan.lo}, {scan.hi}]")
-    i = flips[-1]
+    left, right = rows[flips[-1]], rows[flips[-1] + 1]
     root, converged = bisect_sign_change(
-        lambda phi: eig_real_part(cmap, phi), grid[i], grid[i + 1],
-        vals[i], 1e-12, 1e-15, 200)
+        lambda phi: eig_real_part(cmap, phi), left.phi, right.phi,
+        left.real_part, 1e-12, 1e-15, 200)
     if not converged and abs(eig_real_part(cmap, root)) > 1e-10:
         raise AnalysisError("surge-boundary bisection failed to converge")
     return root
@@ -170,8 +174,8 @@ def stability_scan(cmap: CompressorMap,
                    scan: StabilityConfig) -> list[StabilityRow]:
     """Tabulate the stability quantities on ``scan.n`` uniformly spaced
     flows of ``scan``; a real part within ``CLASS_TOL`` of zero is
-    classed as the boundary."""
-    cmap.check_flow(scan.lo, scan.hi)
+    classed as the boundary.  Each flow is checked as it is met, so the
+    first one off the map or without a complex pair is the one named."""
     try:
         phis = np.empty(scan.n)
     except (ValueError, MemoryError):
@@ -181,12 +185,8 @@ def stability_scan(cmap: CompressorMap,
     rows = []
     for phi in phis.tolist():
         delta, real = _focus(cmap, phi)
-        if real < -CLASS_TOL:
-            cls = STABLE_FOCUS
-        elif real > CLASS_TOL:
-            cls = UNSTABLE_FOCUS
-        else:
-            cls = BOUNDARY
+        cls = (STABLE_FOCUS if real < -CLASS_TOL else
+               UNSTABLE_FOCUS if real > CLASS_TOL else BOUNDARY)
         # the divergence (Bendixson) indicator is the Jacobian trace,
         # twice the real part.  A range where it keeps one sign holds no
         # limit cycle, so its sign change marks where surge becomes possible

@@ -1,9 +1,12 @@
 """Averaged adaptation dynamics: rates, Jacobian, eigenvalues, verdicts."""
 
+import math
+
 import numpy as np
 import pytest
 from support import integrate, loop_rates
 
+from surgekit._kernels import KIND_ADAPTIVE, closed_loop_rhs
 from surgekit.averaging import (AveragedPoint, AveragingConfig,
                                 averaged_eigenvalues, averaged_jacobian,
                                 averaged_rhs, grid_points, stability_verdict,
@@ -25,6 +28,28 @@ class TestAveragedRhs:
         assert dk1 == pytest.approx(0.3025 / 11.0, rel=1e-12)
         assert dk2 == pytest.approx(-0.3025 * 10.0 / 121.0, rel=1e-12)
         assert dk3 == 0.0
+
+    @pytest.mark.parametrize("k1, k2, k3, r, gamma, vtau, dtau", [
+        (10.0, 10.0, 0.7, 0.55, 1.0, 2.0, 1.0),
+        (10.1726, 9.8303, 0.7, 0.55, 1.0, 2.0, 1.0),
+        (0.0, 0.1, 0.7, 0.55, 1.0, 0.5, 3.0),
+        (1.0, 0.0, 0.0, 0.55, 1.0, 2.0, 1.0),
+        (0.5, 2.0, 1.5, 1.2, 0.3, 0.1, 0.2),
+        (40.0, 3.0, 0.0, 0.2, 5.0, 7.0, 10.0)])
+    def test_kernel_gain_rates_at_zero_disturbance(self, k1, k2, k3, r,
+                                                   gamma, vtau, dtau):
+        # the averaged rates are the kernel's gain rates at the fast
+        # equilibrium of frozen gains: with no disturbance x = y =
+        # k1*r/(1+k2), the reference model at r and the regressors at
+        # (r, -y, 0), on a valve that stays linear
+        y = k1 * r / (1.0 + k2)
+        p = (KIND_ADAPTIVE, 0.0, 0.0, 0.0, gamma, r, vtau, -math.inf,
+             math.inf, 0.0, dtau)
+        rates = closed_loop_rhs(y, 0.0, r, 0.0, r, -y, 0.0, k1, k2, k3,
+                                0.0, p)
+        assert max(abs(rate) for rate in rates[:7]) <= 1e-12
+        assert rates[7:10] == pytest.approx(
+            averaged_rhs(AveragedPoint(k1, k2, k3, r, gamma)), rel=1e-12)
 
     def test_singularity_guard(self):
         with pytest.raises(DomainError):

@@ -536,6 +536,23 @@ class TestExitCodes:
         out_dir.mkdir()
         _assert_refused(capsys, out_dir, ["map", "--scenario", str(path)])
 
+    @pytest.mark.parametrize("text", [b"[run]\nname = caf\xe9\n",
+                                      b"\xff\xfe[\x00r\x00u\x00n\x00]\x00"],
+                             ids=["latin-1", "utf-16"])
+    def test_scenario_not_utf8_exits_three(self, tmp_path, capsys, text):
+        # a scenario file is read as UTF-8; other bytes are refused in one
+        # line that names the file, as a step CSV's are
+        path = tmp_path / "x.scn"
+        path.write_bytes(text)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        _assert_refused(capsys, out_dir, ["closedloop", "--scenario",
+                                          str(path), "--t-end", "0.1"])
+        _, _, err = run(capsys, "closedloop", "--scenario", str(path),
+                        "--out-dir", str(out_dir))
+        assert err.startswith(f"error: scenario file {path}: 'utf-8' codec "
+                              "can't decode byte 0x")
+
     @pytest.mark.parametrize("name", ["../escaped", "sub/inner", ".hidden"])
     def test_run_name_outside_out_dir_exits_three(self, tmp_path, capsys,
                                                   name):

@@ -788,20 +788,22 @@ class TestOpenLoopBlocks:
         assert self._run((0.41, 0.53), 0.6, 0.01, 1, 1000)[::2] == (
             (OK, 0), [(1, True)])
 
-    def test_step_text_is_unchanged(self):
-        # filling in blocks runs the range function the whole record ran
-        # before.  Its text is pinned where it was recorded (ast.unparse
-        # may space or bracket it differently on another version), and
-        # what it parses to everywhere
-        text = _kernels._open_loop_source()
-        if sys.version_info[:2] == (3, 11):
-            assert hashlib.sha256(text.encode()).hexdigest() == (
-                "12260688ca6cadadd4177cd0316567703abb860772d76df598a875d4"
-                "561962d0")
-        assert hashlib.sha256(
-            ast.dump(ast.parse(text)).encode()).hexdigest() == (
-            "8ba05e415d077b9c28216b44c4a4b4507444950ce5154253bbbf7b4b44f6"
-            "0775")
+
+def _shape(node):
+    """The text of an AST without its None and empty-list fields, which
+    differ between versions: 3.12 adds ``type_params=[]`` to a function,
+    and 3.13's ``ast.dump`` leaves empty fields out."""
+    if isinstance(node, ast.AST):
+        return type(node).__name__ + "(" + ", ".join(
+            f"{name}={_shape(value)}" for name, value in ast.iter_fields(node)
+            if value is not None and value != []) + ")"
+    if isinstance(node, list):
+        return "[" + ", ".join(map(_shape, node)) + "]"
+    return repr(node)
+
+
+def _sha16(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 class TestGeneratedStep:
@@ -814,6 +816,80 @@ class TestGeneratedStep:
                (0, 1, 5, 6, 10): KIND_FIXED_PID,
                (0, 1, 4, 5, 6): _kernels.KIND_FIXED_PD}
     KEYS = [(live, observed) for live in KIND_OF for observed in (False, True)]
+
+    #: the first 16 hex digits of the sha256 of each generated step's
+    #: text, as Python 3.11 writes it, and of its ``_shape``: the open
+    #: loop, the observer and the 24 closed-loop (kind, live, observed)
+    #: keys, each kind's base live set with (), (4,), (2, 3) or (2, 3, 4)
+    STEP_DIGESTS = {
+        "open-loop":
+            ("12260688ca6cadad", "b6e335db60c83249"),
+        "observer":
+            ("1331921fde8de8d5", "eeb64768f1191f82"),
+        (2, (0, 1, 5, 6, 7, 8, 9), False):
+            ("4a983edf671c78b5", "a0300795d8d5f55e"),
+        (2, (0, 1, 5, 6, 7, 8, 9), True):
+            ("b673baadd5f6509c", "c1efc1d6e19596d3"),
+        (2, (0, 1, 4, 5, 6, 7, 8, 9), False):
+            ("d2f7be6a27013548", "b74de9a9c317fcb0"),
+        (2, (0, 1, 4, 5, 6, 7, 8, 9), True):
+            ("329071b0da9af810", "89ab01e82ca2e834"),
+        (2, (0, 1, 2, 3, 5, 6, 7, 8, 9), False):
+            ("517d79f373baa629", "a67b2cca3c29dec6"),
+        (2, (0, 1, 2, 3, 5, 6, 7, 8, 9), True):
+            ("0da24382a5d70499", "e24dadcccc874cf0"),
+        (2, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9), False):
+            ("42b5d5b2c8cfc007", "58bab420a2343b32"),
+        (2, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9), True):
+            ("cee968f9ab153719", "6ee6badf60d40f6c"),
+        (1, (0, 1, 5, 6, 10), False):
+            ("f5f81d723e4132d0", "a0b008274b5b209d"),
+        (1, (0, 1, 5, 6, 10), True):
+            ("7b2049032e6a3fd3", "12f768a51a134a47"),
+        (1, (0, 1, 4, 5, 6, 10), False):
+            ("4173f892ac8cc7ae", "e2a88a219135cca4"),
+        (1, (0, 1, 4, 5, 6, 10), True):
+            ("30c4ed0fe20b824c", "2f04052acb350a5f"),
+        (1, (0, 1, 2, 3, 5, 6, 10), False):
+            ("1aaa965bbaf99a1e", "eae6a3bcc04cf175"),
+        (1, (0, 1, 2, 3, 5, 6, 10), True):
+            ("1a1cf3176e01e9f2", "4a43923b7cdafe58"),
+        (1, (0, 1, 2, 3, 4, 5, 6, 10), False):
+            ("e9ad71865a0e89aa", "2a327cbcba5faa92"),
+        (1, (0, 1, 2, 3, 4, 5, 6, 10), True):
+            ("33ad35a64880d476", "171987e2fb7be319"),
+        (0, (0, 1, 5, 6), False):
+            ("4edb5b4d4a5e30c7", "488d06845ae5a7ed"),
+        (0, (0, 1, 5, 6), True):
+            ("b906b50f939a16c4", "5c07df6250ca0313"),
+        (0, (0, 1, 4, 5, 6), False):
+            ("490eaa8e502f380b", "7c1e5be38aab6a0c"),
+        (0, (0, 1, 4, 5, 6), True):
+            ("fdd0f044e05da3ab", "1da0debf48aab03c"),
+        (0, (0, 1, 2, 3, 5, 6), False):
+            ("6878f80cf4dea4d8", "efed89d4c647f7ae"),
+        (0, (0, 1, 2, 3, 5, 6), True):
+            ("33ca77329835aab9", "2daacaac464d3838"),
+        (0, (0, 1, 2, 3, 4, 5, 6), False):
+            ("5eab02f424583a0a", "13cc7d5439696471"),
+        (0, (0, 1, 2, 3, 4, 5, 6), True):
+            ("114ee3eab02861ca", "9ec85d3cd688a3d4"),
+    }
+
+    @pytest.mark.parametrize("key", STEP_DIGESTS, ids=lambda key: (
+        key if isinstance(key, str) else
+        f"{key[0]}-{'.'.join(map(str, key[1]))}-{key[2]}"))
+    def test_step_text_is_pinned(self, key):
+        # each text is pinned where it was recorded (ast.unparse may space
+        # or bracket it differently on another version), and what it
+        # parses to everywhere
+        text = (_kernels._open_loop_source() if key == "open-loop" else
+                _kernels._observer_source() if key == "observer" else
+                _kernels._step_source(*key))
+        text_digest, shape_digest = self.STEP_DIGESTS[key]
+        if sys.version_info[:2] == (3, 11):
+            assert _sha16(text) == text_digest
+        assert _sha16(_shape(ast.parse(text))) == shape_digest
 
     @pytest.mark.parametrize("live, observed", KEYS)
     def test_only_rhs_isfinite_and_range_are_called(self, live, observed):

@@ -5,12 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from surgekit import stability
 from surgekit.compressor import (DEFAULT_MAP, PlantState,
                                  equilibrium_from_throttle, throttle_from_flow)
 from surgekit.errors import AnalysisError, DomainError, NoSignChangeError
 from surgekit.odesim import Trajectory, simulate_greitzer
-from surgekit.stability import (BOUNDARY, STABLE_FOCUS, UNSTABLE_FOCUS,
-                                CycleConfig, StabilityConfig, char_poly,
+from surgekit.stability import (BOUNDARY, SCAN_HEADER, STABLE_FOCUS,
+                                UNSTABLE_FOCUS, CycleConfig,
+                                StabilityConfig, char_poly,
                                 detect_limit_cycle, eig_real_part,
                                 jacobian_at_equilibrium, stability_scan,
                                 surge_boundary)
@@ -140,6 +142,24 @@ class TestSurgeBoundary:
         # the bracket and the bisection's iterates decide every bit
         assert surge_boundary(M, scan=scan).hex() == bits
 
+    def test_bisects_the_scans_rightmost_sign_change(self, monkeypatch):
+        # the boundary is read off the scan's own rows, which it asks for
+        # once; it evaluates no grid of its own
+        scans = []
+
+        def spy(cmap, scan):
+            scans.append(scan)
+            return stability_scan(cmap, scan)
+
+        monkeypatch.setattr(stability, "stability_scan", spy)
+        scan = StabilityConfig(0.3, 0.6, 37)
+        b = surge_boundary.__wrapped__(M, scan)
+        assert scans == [scan]
+        rows = stability_scan(M, scan)
+        i = max(k for k in range(36)
+                if rows[k].real_part > 0.0 > rows[k + 1].real_part)
+        assert rows[i].phi < b < rows[i + 1].phi
+
     def test_equal_map_is_a_cache_hit(self):
         # an equal map, built apart and with its cubic given as a list,
         # hashes as the shipped one and gets its boundary from the cache
@@ -212,6 +232,21 @@ class TestStabilityScan:
             else:
                 assert r.classification == BOUNDARY
             assert r.discriminant < 0.0
+
+    def test_rows_are_tuples_in_header_order(self):
+        # a row is written to the CSV as it is
+        row = stability_scan(M, StabilityConfig(0.3, 0.5, 3))[0]
+        assert dict(zip(SCAN_HEADER, row, strict=True)) == {
+            "phi": row.phi, "delta": row.discriminant,
+            "real_part": row.real_part, "bendixson_r": row.bendixson_r,
+            "class": row.classification}
+
+    def test_first_flow_off_the_map_is_named(self):
+        # each flow is checked as the scan meets it
+        short = dataclasses.replace(M, domain_hi=0.5)
+        with pytest.raises(DomainError, match=r"\(0\.0, 0\.5\), got "
+                           r"0\.5006006006006006$"):
+            stability_scan(short, StabilityConfig(0.1, 0.79, 1000))
 
     def test_range_validation(self):
         with pytest.raises(DomainError):
