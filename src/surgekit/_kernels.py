@@ -715,19 +715,19 @@ def _step(kind, live, observed):
                   record=_ROW.pack_into)
 
 
-def greitzer_loop(out, dt, m, block=None, report=None):
+def greitzer_loop(out, dt, m, report=None):
     """RK4 on the two-state surge model (:func:`_open_loop_source`).
 
     ``out`` is a preallocated C-ordered (rows, 3) array whose row 0
     already holds (0, phi0, psi0); remaining rows are filled with
-    (t, phi, psi), ``block`` at a time and each range reported, as
+    (t, phi, psi), ``_BLOCK_ROWS`` at a time and each range reported, as
     :func:`_in_blocks` does.  ``m`` is the tuple of surge_rhs's constants
     (g, psi0, h, slope, offset, c0..c3).  Returns (status, row): on
     failure ``row`` is the first unfilled row.
     """
     run = _built("open loop", surge_rhs, _open_loop_source)
     return _in_blocks(functools.partial(run, flat(out), dt, m), 1, len(out),
-                      block, report)
+                      report)
 
 
 def observed_compressor(out, ys, dt, m, start, stop):
@@ -756,16 +756,15 @@ def flat(a):
 _BLOCK_ROWS = 1024
 
 
-def _in_blocks(run, first, n, block, report):
+def _in_blocks(run, first, n, report):
     """Fill rows first..n-1 of a record with the range function
-    ``run(start, stop)``, ``block`` rows at a time (else all at once), up
-    to a failure.  A ``report`` is called with (rows filled, False) after
-    each range but the last, and at the end with (n or the first unfilled
-    row, True).  Returns the last range's (status, row, ...)."""
-    block = block or n
+    ``run(start, stop)``, ``_BLOCK_ROWS`` rows at a time (read per call),
+    up to a failure.  A ``report`` is called with (rows filled, False)
+    after each range but the last, and at the end with (n or the first
+    unfilled row, True).  Returns the last range's (status, row, ...)."""
     start = first
     while True:
-        stop = min(start + block, n)
+        stop = min(start + _BLOCK_ROWS, n)
         rc = run(start, stop)
         if rc[0] != OK or stop == n:
             break
@@ -777,15 +776,15 @@ def _in_blocks(run, first, n, block, report):
     return rc
 
 
-def closed_loop_loop(out, state, dt, p, block=None, report=None, ys=None):
+def closed_loop_loop(out, state, dt, p, report=None, ys=None):
     """RK4 on the closed loop over the C-ordered array ``out`` from the
     array ``state``, into which the loop states at the end are copied
     back.  The loop runs on ``state.tolist()`` and records through a byte
     view of ``out``; the controller kind ``p[0]`` and the live states,
     taken once from the first state, select the range function that
-    integrates them (:func:`_step`).  The rows are filled ``block`` at a
-    time and each range reported, as :func:`_in_blocks` does.  Observed,
-    ``ys`` is the (rows, 3) array of stage flows.
+    integrates them (:func:`_step`).  The rows are filled ``_BLOCK_ROWS``
+    at a time and each range reported, as :func:`_in_blocks` does.
+    Observed, ``ys`` is the (rows, 3) array of stage flows.
 
     Returns (status, row, stage) as the range function does.
     """
@@ -797,6 +796,6 @@ def closed_loop_loop(out, state, dt, p, block=None, report=None, ys=None):
     try:
         return _in_blocks(
             lambda start, stop: run(rec, s, dt, p, start, stop, last, stages),
-            0, len(out), block, report)
+            0, len(out), report)
     finally:
         state[:] = s

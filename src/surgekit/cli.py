@@ -29,8 +29,8 @@ from .loop import CONTROLLER_KINDS, TUNE_RULES, extract_LT, gain_excursion, \
 from .odesim import Trajectory, simulate_greitzer, steady_state_of
 from .scenario import KNOWN_KEYS, Scenario, apply_values, resolve_scenario, \
     shipped_scenarios, validate
-from .stability import SCAN_HEADER, StabilityConfig, detect_limit_cycle, \
-    stability_scan, surge_boundary
+from .stability import SCAN_HEADER, detect_limit_cycle, stability_scan, \
+    surge_boundary
 from .svgplot import Series, render_svg
 
 
@@ -120,13 +120,9 @@ def cmd_stability(args) -> int:
     rows = stability_scan(sc.cmap, scan)
     path = _csv_path(args, sc)
     write_rows(SCAN_HEADER, rows, path)
-    # the boundary search brackets on its default grid, whatever the scan's
-    # n: a grid point the scan never met may leave it unplaced, which skips
-    # the boundary line, not the scan
     why = boundary = None
     try:
-        boundary = surge_boundary(sc.cmap,
-                                  scan=StabilityConfig(scan.lo, scan.hi))
+        boundary = surge_boundary(sc.cmap, scan)
     except NoSignChangeError:
         pass
     except (AnalysisError, DomainError) as err:
@@ -233,8 +229,10 @@ def _read_step_csv(path, signal) -> tuple[Trajectory, str]:
             # the header is the first row, read as text; as numbers it is
             # a row of nan, dropped
             names = [name.strip() for name in np.genfromtxt(
-                path, delimiter=",", dtype=str, max_rows=1, ndmin=1)]
-            data = np.genfromtxt(path, delimiter=",", ndmin=2)[1:]
+                path, delimiter=",", dtype=str, max_rows=1, ndmin=1,
+                encoding="utf-8-sig")]
+            data = np.genfromtxt(path, delimiter=",", ndmin=2,
+                                 encoding="utf-8-sig")[1:]
         except (ValueError, UserWarning) as err:
             detail = " ".join(str(err).split())  # one line
             raise ScenarioError(f"step CSV {path}: {detail}") from None

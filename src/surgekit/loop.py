@@ -221,11 +221,11 @@ def _step_stage(row, stage):
     return (row, 1) if stage == 1 else (row - 1, stage or 5)
 
 
-def _integrate(out, ys, state, dt, p, m=None, helper=None, block=None):
+def _integrate(out, ys, state, dt, p, m=None, helper=None):
     """``_kernels.closed_loop_loop`` on the record ``out`` from ``state``,
-    ``block`` rows at a time, each range reported to ``helper``, if given;
-    with the map constants ``m``, observed, the stage flows going to
-    ``ys``.  Both arrays must be shared mappings
+    ``_kernels._BLOCK_ROWS`` rows at a time, each range reported to
+    ``helper``, if given; with the map constants ``m``, observed, the
+    stage flows going to ``ys``.  Both arrays must be shared mappings
     (``odesim._output_buffer``) for a ``helper`` process to read and
     write them.  Returns (status, row, stage), and leaves in ``state``
     the 13 states at the end or at the failure.
@@ -253,7 +253,7 @@ def _integrate(out, ys, state, dt, p, m=None, helper=None, block=None):
         helper.start(out, observe)
         report = helper.rows_filled
     start = state.copy()
-    rc = _kernels.closed_loop_loop(out, state, dt, p, block, report,
+    rc = _kernels.closed_loop_loop(out, state, dt, p, report,
                                    None if m is None else ys)
     if observe is None:
         return rc
@@ -320,8 +320,7 @@ def simulate_closed_loop(cfg: ControllerConfig,
     # an overflow is reported by the kernel's status, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
         status, row, stage = _integrate(
-            out, ys, state, dt, _kernel_args(cfg, valve, profile), m,
-            helper, _kernels._BLOCK_ROWS)
+            out, ys, state, dt, _kernel_args(cfg, valve, profile), m, helper)
     if status == _kernels.OK:
         return Trajectory(dt, columns, out)
     partial = Trajectory(dt, columns, out[:row].copy())

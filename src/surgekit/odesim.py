@@ -95,8 +95,9 @@ def simulate_greitzer(initial: PlantState, g: float,
                       dt: float = PLANT_DT,
                       t_end: float = PLANT_T_END,
                       helper=None) -> Trajectory:
-    """Kernel-backed open-loop run of the surge model at throttle ``g``;
-    a ``helper`` (``csvio.RunHelper``) is given each block when filled."""
+    """Kernel-backed open-loop run of the surge model at throttle ``g``,
+    filled in blocks of ``_kernels._BLOCK_ROWS`` rows; a ``helper``
+    (``csvio.RunHelper``) is given each block when filled."""
     if not (math.isfinite(g) and g > 0.0):
         raise DomainError(f"g must be finite and positive, got {g}")
     out = _output_buffer(dt, t_end, 3)
@@ -115,7 +116,7 @@ def simulate_greitzer(initial: PlantState, g: float,
     # an overflow is reported by the kernel's status, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
         status, row = _kernels.greitzer_loop(
-            out, dt, (g, *cmap.constants), _kernels._BLOCK_ROWS, report)
+            out, dt, (g, *cmap.constants), report)
     columns = ["t", "phi", "psi"]
     if status == _kernels.OK:
         return Trajectory(dt, columns, out)

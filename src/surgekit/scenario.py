@@ -220,7 +220,7 @@ def _read_scenario(path) -> Scenario:
     path = os.fspath(path)
     default_name = os.path.basename(path).removesuffix(".scn") or "default"
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except FileNotFoundError as err:
         raise ScenarioError(f"scenario file not found: {path}") from err

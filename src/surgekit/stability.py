@@ -49,10 +49,12 @@ class StabilityConfig:
     n: int = 1000
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)
-                and self.lo < self.hi and self.n >= 2):
-            raise DomainError(
-                f"stability needs finite lo < hi and n >= 2, got {self}")
+        # a finite span hi - lo has finite ends and keeps linspace from
+        # overflowing
+        if not (math.isfinite(self.hi - self.lo) and self.lo < self.hi
+                and self.n >= 2):
+            raise DomainError(f"stability needs finite lo < hi, a finite "
+                              f"span hi - lo and n >= 2, got {self}")
 
 
 @dataclass(frozen=True)

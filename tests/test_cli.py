@@ -75,10 +75,11 @@ class TestStability:
         assert {row[4] for row in data} == {cls}
         assert svg.read_text().startswith("<svg")
 
-    def test_boundary_grid_meets_real_eigenvalues(self, tmp_path, capsys):
-        # the scan's five points are foci, but the boundary's own grid of
-        # 1,000 meets real eigenvalues: the scan and its figure are kept,
-        # and only the boundary line gives way to the reason it is skipped
+    def test_boundary_bisects_the_written_scan(self, tmp_path, capsys):
+        # the boundary bisects the rightmost sign change of the five points
+        # the scan writes.  A 1,000-point grid on this map meets real
+        # eigenvalues at phi = 0.7105705705705706, which these five foci
+        # step over
         scn = tmp_path / "st.scn"
         scn.write_text("[run]\nname = st\nkind = stability\n"
                        "[map]\nh = 0.25\n[stability]\nn = 5\n")
@@ -88,13 +89,55 @@ class TestStability:
         assert (code, err) == (0, "")
         assert out == (
             f"stability scan: 5 points on [0.1, 0.79] -> {csv}\n"
-            "surge boundary check skipped: eigenvalues at "
-            "phi=0.7105705705705706 are real; real-part analysis assumes "
-            "a complex pair\n"
+            "surge boundary phi* = 0.461409434 "
+            "(unstable focus below, stable focus above)\n"
             f"figure -> {svg}\n")
         _, data = read_csv(csv)
         assert len(data) == 5
         assert svg.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("n", [2, 5, 31, 999, 1001, 3000])
+    def test_boundary_whatever_the_n(self, tmp_path, capsys, n):
+        # the boundary is bisected on the scan written, of any size: on
+        # the shipped map it prints as the default 1,000-point scan's
+        code, out, err = run(capsys, "stability", "--n", str(n),
+                             "--out-dir", str(tmp_path))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == (
+            "surge boundary phi* = 0.434977715 "
+            "(unstable focus below, stable focus above)")
+
+
+class TestByteOrderMark:
+    """A file that starts with a UTF-8 byte-order mark, as one saved as
+    "CSV UTF-8" does, reads as the same file without it."""
+
+    # a step response through two equal lags of time constant 2
+    STEP = "t,y\n" + "".join(
+        f"{t!r},{1.0 - (1.0 + t / 2.0) * math.exp(-t / 2.0)!r}\n"
+        for t in (0.25 * i for i in range(121)))
+
+    @pytest.mark.parametrize("name, text, flags", [
+        ("bom.scn", "[run]\nkind = stability\n[stability]\nn = 5\n",
+         ["stability", "--scenario"]),
+        ("bom.scn", "run.kind = stability\nstability.n = 5\n",
+         ["stability", "--scenario"]),
+        ("bom.csv", STEP, ["tune", "--step-csv"]),
+    ], ids=["scenario-section", "scenario-key", "step-csv"])
+    def test_same_output_as_without(self, tmp_path, capsys, name, text,
+                                    flags):
+        path, out_dir = tmp_path / name, tmp_path / "out"
+        out_dir.mkdir()
+        results = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            path.write_bytes(bom + text.encode())
+            code, out, err = run(capsys, *flags, str(path),
+                                 "--out-dir", str(out_dir))
+            results.append((code, out, err, {
+                f.name: f.read_bytes() for f in out_dir.iterdir()}))
+        assert results[0][0] == 0 and results[0][2] == ""
+        assert results[0][3]
+        assert results[1] == results[0]
 
 
 class TestParserBuiltOnce:
@@ -510,9 +553,11 @@ class TestExitCodes:
         ["averaging", "--scenario", "avg", "--avg-gamma", "inf"],
         ["simulate", "--scenario", "fig7", "--g", "inf"],
         ["map", "--lo=-inf", "--hi", "0.5"],
-    ], ids=["averaging-gamma", "simulate-g", "map-lo"])
+        ["stability", "--lo=-1e308", "--hi=1e308"],
+    ], ids=["averaging-gamma", "simulate-g", "map-lo", "stability-span"])
     def test_nonfinite_input_exits_three(self, tmp_path, capsys, argv):
-        # over a shipped scenario, and map's own range flags; the other
+        # over a shipped scenario, map's own range flags, and a stability
+        # range whose span hi - lo is past the float range; the other
         # float flags are TestOverrideFlags' cases
         _assert_refused(capsys, tmp_path, argv)
 

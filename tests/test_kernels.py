@@ -362,11 +362,13 @@ class TestLiveStates:
 
         monkeypatch.setattr(os, "fork", counted_fork)
         monkeypatch.setattr(csvio, "_fork_pays", lambda *rows: True)
-        # whole, and in ranges of 777 rows, whose bounds are no multiple
-        # of the block size the CLI uses: the state carries over.  In this
-        # process, and with the observer (or the formatter alone) in a
-        # helper process
+        # in one block as long as the record (None), and in blocks of 777
+        # rows, whose bounds are no multiple of the block size the CLI
+        # uses: the state carries over.  In this process, and with the
+        # observer (or the formatter alone) in a helper process
         for block in (None, 777):
+            monkeypatch.setattr(_kernels, "_BLOCK_ROWS",
+                                block or self.STEPS + 1)
             for forked in (False, True):
                 q = state.copy()
                 out = _output_buffer(self.DT, self.STEPS * self.DT,
@@ -375,16 +377,18 @@ class TestLiveStates:
                 del forks[:]
                 with csvio.RunHelper(1) as helper:
                     assert loop._integrate(
-                        out, ys, q, self.DT, p, m, helper if forked else None,
-                        block) == (_kernels.OK, self.STEPS, None)
+                        out, ys, q, self.DT, p, m,
+                        helper if forked else None) == (
+                            _kernels.OK, self.STEPS, None)
                 assert len(forks) == forked
                 assert out.tobytes() == rows.tobytes()
                 assert q.tobytes() == final.tobytes()
         if not observe:
-            # the ranges reported, the last as the end of the run
+            # the ranges of 777 rows reported, the last as the end of the
+            # run
             reported = []
             _kernels.closed_loop_loop(
-                np.empty_like(rows), state.copy(), self.DT, p, 777,
+                np.empty_like(rows), state.copy(), self.DT, p,
                 lambda *report: reported.append(report))
             assert reported == [(777, False), (1554, False), (2001, True)]
         return clamps
@@ -566,13 +570,17 @@ class TestResultAfterTheLoop:
 
     def _run(self, p, start, helper):
         """(status, row, stage), final state and record of the observed
-        run from ``start``, in 4-row blocks."""
+        run from ``start``."""
         out = _output_buffer(self.DT, 5.0, 13)
         ys = _output_buffer(self.DT, 5.0, 3)
         state = start.copy()
-        rc = loop._integrate(out, ys, state, self.DT, p, M.constants,
-                             helper, 4)
+        rc = loop._integrate(out, ys, state, self.DT, p, M.constants, helper)
         return rc, state, out
+
+    @pytest.fixture(autouse=True)
+    def blocks(self, monkeypatch):
+        """Every run here fills its record in 4-row blocks."""
+        monkeypatch.setattr(_kernels, "_BLOCK_ROWS", 4)
 
     @pytest.fixture
     def forks(self, monkeypatch):
@@ -598,7 +606,7 @@ class TestResultAfterTheLoop:
         p, start = self._start(-0.5)
         alone = start.copy()
         assert _kernels.closed_loop_loop(
-            np.zeros((101, 11)), alone, self.DT, p, 4) == (NONFINITE, 12, 4)
+            np.zeros((101, 11)), alone, self.DT, p) == (NONFINITE, 12, 4)
         before = start.copy()
         assert _kernels.closed_loop_loop(
             np.zeros((6, 11)), before, self.DT, p) == (OK, 5, None)
@@ -621,8 +629,8 @@ class TestResultAfterTheLoop:
         p, start = self._start(0.0)
         with csvio.RunHelper(1) as helper:
             assert loop._integrate(_output_buffer(self.DT, 5.0, 11), None,
-                                   start.copy(), self.DT, p, None, helper,
-                                   4) == (NONFINITE, 12, 4)
+                                   start.copy(), self.DT, p, None,
+                                   helper) == (NONFINITE, 12, 4)
             assert len(forks) == 1
             assert helper.result() is None
 
@@ -722,7 +730,8 @@ class TestLoopStageFailure:
         ("fixed-pd", 0.05, 12, 4), ("fixed-pd", 0.25, 3, 2),
         ("fixed-pid", 0.1, 5, 2)])
     @pytest.mark.parametrize("block", [None, 1, 4])
-    def test_failure_after_some_steps(self, kind, dt, row, stage, block):
+    def test_failure_after_some_steps(self, monkeypatch, kind, dt, row,
+                                      stage, block):
         # a derivative gain kd = -vtau zeroes the control denominator
         # wherever the valve is linear: the valve starts saturated at
         # x = 0.5 and decays into its range at an RK stage of a later
@@ -737,11 +746,12 @@ class TestLoopStageFailure:
         start[0] = 0.5
         state = start.copy()
         out = np.zeros((100, 11))
-        assert _kernels.closed_loop_loop(out, state, dt, p, block) == (
+        monkeypatch.setattr(_kernels, "_BLOCK_ROWS", block or len(out))
+        assert _kernels.closed_loop_loop(out, state, dt, p) == (
             NONFINITE, row, stage)
         before = start.copy()
         assert _kernels.closed_loop_loop(
-            np.zeros((row, 11)), before, dt, p, block) == (OK, row - 1, None)
+            np.zeros((row, 11)), before, dt, p) == (OK, row - 1, None)
         assert state.tobytes() == before.tobytes()
         assert state[0] == out[row - 1, 3] > 0.25
 
@@ -751,42 +761,46 @@ class TestOpenLoopBlocks:
     as the closed loop does; the record is the same whatever the block."""
 
     @staticmethod
-    def _run(start, g, dt, rows, block):
-        """(result, record, reports) of the open loop from ``start``."""
+    def _run(monkeypatch, start, g, dt, rows, block):
+        """(result, record, reports) of the open loop from ``start``, in
+        blocks of ``block`` rows, or in one block if None."""
+        monkeypatch.setattr(_kernels, "_BLOCK_ROWS", block or rows)
         out = np.zeros((rows, 3))
         out[0] = (0.0, *start)
         reports = []
-        rc = _kernels.greitzer_loop(out, dt, (g, *M.constants), block,
+        rc = _kernels.greitzer_loop(out, dt, (g, *M.constants),
                                     lambda *report: reports.append(report))
         return rc, out, reports
 
     @pytest.mark.parametrize("block", [None, 1, 7, 1000])
-    def test_record_whatever_the_block(self, block):
+    def test_record_whatever_the_block(self, monkeypatch, block):
         # 2501 rows: each range after the first starts where the last
         # stopped, and the last stops at the end
-        rc, out, reports = self._run((0.41, 0.53), 0.6, 0.01, 2501, block)
-        whole = self._run((0.41, 0.53), 0.6, 0.01, 2501, None)
+        rc, out, reports = self._run(monkeypatch, (0.41, 0.53), 0.6, 0.01,
+                                     2501, block)
+        whole = self._run(monkeypatch, (0.41, 0.53), 0.6, 0.01, 2501, None)
         assert rc == whole[0] == (OK, 2500)
         assert out.tobytes() == whole[1].tobytes()
         stops = range(1 + (block or 2501), 2501, block or 2501)
         assert reports == [(stop, False) for stop in stops] + [(2501, True)]
 
     @pytest.mark.parametrize("block", [None, 1, 7, 1000])
-    def test_failure_mid_block(self, block):
+    def test_failure_mid_block(self, monkeypatch, block):
         # psi reaches zero in the step into row 1606, the first unfilled
         # row: each range filled before it is reported, then that row
-        rc, out, reports = self._run((0.0, 2.0), 1.0, 0.001, 2501, block)
-        whole = self._run((0.0, 2.0), 1.0, 0.001, 2501, None)
+        rc, out, reports = self._run(monkeypatch, (0.0, 2.0), 1.0, 0.001,
+                                     2501, block)
+        whole = self._run(monkeypatch, (0.0, 2.0), 1.0, 0.001, 2501, None)
         assert rc == whole[0] == (PSI, 1606)
         assert out.tobytes() == whole[1].tobytes()
         assert out[1605, 0] == 1605 * 0.001 and not out[1606:].any()
         stops = range(1 + (block or 2501), 1607, block or 2501)
         assert reports == [(stop, False) for stop in stops] + [(1606, True)]
 
-    def test_one_row_record(self):
+    def test_one_row_record(self, monkeypatch):
         # a run shorter than one step fills no row and reports its one
-        assert self._run((0.41, 0.53), 0.6, 0.01, 1, 1000)[::2] == (
-            (OK, 0), [(1, True)])
+        assert self._run(monkeypatch, (0.41, 0.53), 0.6, 0.01, 1,
+                         1000)[::2] == ((OK, 0), [(1, True)])
 
     def test_step_text_is_unchanged(self):
         # filling in blocks runs the range function the whole record ran

@@ -1,6 +1,7 @@
 """Jacobian algebra, surge boundary, divergence indicator, cycle detection."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -255,6 +256,15 @@ class TestStabilityScan:
             stability_scan(M, StabilityConfig(0.1, 0.5, 1))
         with pytest.raises(DomainError):
             stability_scan(M, StabilityConfig(0.5, 0.9, 10))
+
+    def test_span_past_the_float_range_is_refused(self):
+        # linspace would overflow on hi - lo; the config refuses the span
+        # before any warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"finite span hi - lo .*"
+                               r"lo=-1e\+308, hi=1e\+308"):
+                StabilityConfig(-1e308, 1e308, 5)
 
 
 def _cycle_run(flow, dt=1e-2, t_end=100.0):
