@@ -158,7 +158,8 @@ def cmd_simulate(args) -> int:
     if not (np.isfinite(args.ss_tol) and args.ss_tol >= 0.0):
         raise ScenarioError(f"--ss-tol must be finite and >= 0, "
                             f"got {args.ss_tol}")
-    # where it pays, a second process formats the CSV while the kernel runs
+    # where it pays, a second process formats the CSV while the kernel
+    # runs; it is reaped at the end of the block, after the summary
     with RunHelper(sc.decimation) as helper:
         traj = _run_plant(sc, helper)
         window = min(args.ss_window, 0.5 * sc.resolved_t_end())
@@ -170,23 +171,24 @@ def cmd_simulate(args) -> int:
                 f"of t_end) is under one step of dt={traj.dt:g}")
         path = _csv_path(args, sc)
         write_trajectory(traj, path, sc.decimation, helper=helper)
-    phi = traj.column("phi")
-    psi = traj.column("psi")
-    print(f"open-loop run: {traj.n_rows} samples, dt={traj.dt:g} -> {path}")
-    print(f"final state phi = {phi[-1]:.6g}, psi = {psi[-1]:.6g}")
-    ss = steady_state_of(traj, window=window, tol=args.ss_tol)
-    if ss is None:
-        print(f"no steady state within tol {args.ss_tol:g} over the final "
-              f"{window:g} time units")
-    else:
-        print(f"steady state ({args.ss_tol:g} tol): "
-              f"phi = {ss[0]:.6g}, psi = {ss[1]:.6g}")
-    if args.svg:
-        render_svg([Series("phi", _thin(traj.t), _thin(phi)),
-                    Series("psi", _thin(traj.t), _thin(psi))],
-                   args.svg, x_label="time", y_label="state",
-                   title=f"open-loop transient ({sc.name})")
-        print(f"figure -> {args.svg}")
+        phi = traj.column("phi")
+        psi = traj.column("psi")
+        print(f"open-loop run: {traj.n_rows} samples, dt={traj.dt:g} "
+              f"-> {path}")
+        print(f"final state phi = {phi[-1]:.6g}, psi = {psi[-1]:.6g}")
+        ss = steady_state_of(traj, window=window, tol=args.ss_tol)
+        if ss is None:
+            print(f"no steady state within tol {args.ss_tol:g} over the final "
+                  f"{window:g} time units")
+        else:
+            print(f"steady state ({args.ss_tol:g} tol): "
+                  f"phi = {ss[0]:.6g}, psi = {ss[1]:.6g}")
+        if args.svg:
+            render_svg([Series("phi", _thin(traj.t), _thin(phi)),
+                        Series("psi", _thin(traj.t), _thin(psi))],
+                       args.svg, x_label="time", y_label="state",
+                       title=f"open-loop transient ({sc.name})")
+            print(f"figure -> {args.svg}")
     return 0
 
 
@@ -196,22 +198,22 @@ def cmd_limit_cycle(args) -> int:
         traj = _run_plant(sc, helper)
         path = _csv_path(args, sc)
         write_trajectory(traj, path, sc.decimation, helper=helper)
-    report = detect_limit_cycle(traj, sc.cycle)
-    print(f"run: {traj.n_rows} samples, dt={traj.dt:g} -> {path}")
-    if report.detected:
-        print(f"limit cycle detected: amplitude phi = "
-              f"{report.amplitude_phi:.6g}, amplitude psi = "
-              f"{report.amplitude_psi:.6g}, period = {report.period:.6g}, "
-              f"cycles analyzed = {report.cycles_analyzed}")
-    else:
-        print("no limit cycle detected")
-    if args.svg:
-        render_svg([Series("orbit", _thin(traj.column("phi"), 5000),
-                           _thin(traj.column("psi"), 5000))],
-                   args.svg, x_label="phi (mass flow)",
-                   y_label="psi (pressure rise)",
-                   title=f"phase plane ({sc.name})")
-        print(f"figure -> {args.svg}")
+        report = detect_limit_cycle(traj, sc.cycle)
+        print(f"run: {traj.n_rows} samples, dt={traj.dt:g} -> {path}")
+        if report.detected:
+            print(f"limit cycle detected: amplitude phi = "
+                  f"{report.amplitude_phi:.6g}, amplitude psi = "
+                  f"{report.amplitude_psi:.6g}, period = {report.period:.6g}, "
+                  f"cycles analyzed = {report.cycles_analyzed}")
+        else:
+            print("no limit cycle detected")
+        if args.svg:
+            render_svg([Series("orbit", _thin(traj.column("phi"), 5000),
+                               _thin(traj.column("psi"), 5000))],
+                       args.svg, x_label="phi (mass flow)",
+                       y_label="psi (pressure rise)",
+                       title=f"phase plane ({sc.name})")
+            print(f"figure -> {args.svg}")
     return 0
 
 
@@ -298,7 +300,8 @@ def cmd_closedloop(args) -> int:
     sc = _load(args, "closedloop")
     path = _csv_path(args, sc)
     # where it pays, a second process observes the compressor and formats
-    # the CSV while the kernel runs
+    # the CSV while the kernel runs; it is reaped at the end of the block,
+    # after the summary
     with RunHelper(sc.decimation) as helper:
         traj = simulate_closed_loop(sc.controller, sc.valve, sc.disturbance,
                                     dt=sc.resolved_dt(),
@@ -306,46 +309,47 @@ def cmd_closedloop(args) -> int:
                                     observe=sc.observe, cmap=sc.cmap,
                                     helper=helper)
         write_trajectory(traj, path, sc.decimation, helper=helper)
-    y = traj.column("y")
-    co = traj.column("co")
-    r = sc.controller.reference
-    # the boundary is only compared with the finished run: a map on which
-    # it cannot be placed skips that comparison, not the run
-    try:
-        boundary = surge_boundary(sc.cmap)
-    except (AnalysisError, DomainError) as err:
-        boundary, why = None, err
-    print(f"closed-loop run ({sc.controller.kind}, gamma = "
-          f"{sc.controller.gamma:g}): {traj.n_rows} samples, "
-          f"dt={traj.dt:g} -> {path}")
-    print(f"terminal flow y = {y[-1]:.6g} (set point {r:g}, "
-          f"error {abs(y[-1] - r):.3g})")
-    print(f"valve flow range [{co.min():.6g}, {co.max():.6g}], "
-          f"gain excursion {gain_excursion(traj):.6g}")
-    if boundary is None:
-        print(f"surge boundary check skipped: {why}")
-    elif y.min() < boundary:
-        print(f"WARNING: flow dipped below the surge boundary "
-              f"{boundary:.4g} (min y = {y.min():.6g})")
-    else:
-        print(f"flow stayed above the surge boundary {boundary:.4g} "
-              f"(min y = {y.min():.6g})")
-    if args.svg:
-        tt = _thin(traj.t)
-        series = [Series("y (inlet flow)", tt, _thin(y)),
-                  Series("ym (reference model)", tt, _thin(traj.column("ym"))),
-                  Series("d (disturbance)", tt, _thin(traj.column("d"))),
-                  Series("co (valve flow)", tt, _thin(co))]
-        render_svg(series, args.svg, x_label="time (s)", y_label="flow",
-                   title=f"closed loop ({sc.name})")
-        print(f"figure -> {args.svg}")
-    if args.svg_params:
-        series = [Series(n, _thin(traj.t), _thin(traj.column(n)))
-                  for n in ("k1", "k2", "k3")]
-        render_svg(series, args.svg_params, x_label="time (s)",
-                   y_label="controller gain",
-                   title=f"adaptive gains ({sc.name})")
-        print(f"figure -> {args.svg_params}")
+        y = traj.column("y")
+        co = traj.column("co")
+        r = sc.controller.reference
+        # the boundary is only compared with the finished run: a map on which
+        # it cannot be placed skips that comparison, not the run
+        try:
+            boundary = surge_boundary(sc.cmap)
+        except (AnalysisError, DomainError) as err:
+            boundary, why = None, err
+        print(f"closed-loop run ({sc.controller.kind}, gamma = "
+              f"{sc.controller.gamma:g}): {traj.n_rows} samples, "
+              f"dt={traj.dt:g} -> {path}")
+        print(f"terminal flow y = {y[-1]:.6g} (set point {r:g}, "
+              f"error {abs(y[-1] - r):.3g})")
+        print(f"valve flow range [{co.min():.6g}, {co.max():.6g}], "
+              f"gain excursion {gain_excursion(traj):.6g}")
+        if boundary is None:
+            print(f"surge boundary check skipped: {why}")
+        elif y.min() < boundary:
+            print(f"WARNING: flow dipped below the surge boundary "
+                  f"{boundary:.4g} (min y = {y.min():.6g})")
+        else:
+            print(f"flow stayed above the surge boundary {boundary:.4g} "
+                  f"(min y = {y.min():.6g})")
+        if args.svg:
+            tt = _thin(traj.t)
+            series = [Series("y (inlet flow)", tt, _thin(y)),
+                      Series("ym (reference model)", tt,
+                             _thin(traj.column("ym"))),
+                      Series("d (disturbance)", tt, _thin(traj.column("d"))),
+                      Series("co (valve flow)", tt, _thin(co))]
+            render_svg(series, args.svg, x_label="time (s)", y_label="flow",
+                       title=f"closed loop ({sc.name})")
+            print(f"figure -> {args.svg}")
+        if args.svg_params:
+            series = [Series(n, _thin(traj.t), _thin(traj.column(n)))
+                      for n in ("k1", "k2", "k3")]
+            render_svg(series, args.svg_params, x_label="time (s)",
+                       y_label="controller gain",
+                       title=f"adaptive gains ({sc.name})")
+            print(f"figure -> {args.svg_params}")
     return 0
 
 

@@ -7,11 +7,13 @@ A run, open loop or closed, can hand work to a second CPU while its
 kernel fills the record: formatting the CSV rows, and for an observed
 closed loop integrating the observed compressor.  A :class:`RunHelper`
 forks one process per run that does both for each finished block of
-rows, sends the observer's result when the run ends, and the text once
-the run is complete.  That process never touches the filesystem.
-:func:`write_trajectory` creates and writes the file either way, and
-formats the rows itself when there is no helper or it failed, so the
-bytes are the same.
+rows.  It writes the text into an anonymous memory file as it goes,
+sends the observer's result when the run ends, and the text's length
+once the run is complete.  That process never touches the filesystem.
+:func:`write_trajectory` creates and writes the file either way: it has
+the operating system copy the memory file into it when the length
+matches, and formats the rows itself when there is no helper or it
+failed, so the bytes are the same.
 """
 
 from __future__ import annotations
@@ -40,9 +42,9 @@ from .odesim import Trajectory
 #: to 22
 _FORK_MIN_ROWS = 8192
 
-#: written rows up to which a helper process formats them: it holds their
-#: text, about 130 bytes a row, until the run ends, where the in-process
-#: path holds one block at a time
+#: written rows up to which a helper process formats them: their text,
+#: about 130 bytes a row, waits in the memory file until the CSV is
+#: written, where the in-process path holds one block at a time
 _FORK_MAX_ROWS = 2_000_000
 
 #: observed rows from which a helper process pays for the observer alone.
@@ -74,7 +76,8 @@ def write_trajectory(traj: Trajectory, path, decimate: int = 1,
     """Trajectory CSV: column 't' first, then the recorded signals.
 
     With a ``helper`` that followed the run of ``traj`` to its end and
-    formatted it at this decimation, the text it formatted is written.
+    formatted it at this decimation, the text it formatted is copied from
+    its memory file.
     """
     if decimate < 1:
         raise DomainError(f"decimation factor must be >= 1, got {decimate}")
@@ -86,11 +89,8 @@ def write_trajectory(traj: Trajectory, path, decimate: int = 1,
     header = ",".join(traj.columns) + "\n"
     text = None if helper is None else helper.text(traj.samples, decimate)
     if text is not None:
-        try:
-            _write_text(path, chain([header], text))
-            return
-        except HelperLost:
-            pass   # the file is written again below, from the record
+        _write_text(path, [header], text)
+        return
     _write_text(path, chain([header], (
         _format_rows(samples[start:start + _BLOCK_ROWS])
         for start in range(0, len(samples), _BLOCK_ROWS))))
@@ -112,17 +112,14 @@ def _format_rows(samples: np.ndarray) -> str:
     return "".join([row_format % tuple(row) for row in rows])
 
 
-class HelperLost(Exception):
-    """The helper process ended without sending what it owed."""
-
-
 def _fork_pays(written: int, observed: int) -> bool:
     """Whether a helper process pays for a run that writes ``written`` CSV
-    rows and observes ``observed`` rows (0 when unobserved): there is
-    ``os.fork``, a second CPU, and either more than ``_FORK_MIN_ROWS``
-    written rows but no more than ``_FORK_MAX_ROWS``, or more than
-    ``_OBSERVE_MIN_ROWS`` observed ones."""
-    if not (hasattr(os, "fork")
+    rows and observes ``observed`` rows (0 when unobserved): there are
+    ``os.fork`` and ``os.memfd_create``, a second CPU, and either more
+    than ``_FORK_MIN_ROWS`` written rows but no more than
+    ``_FORK_MAX_ROWS``, or more than ``_OBSERVE_MIN_ROWS`` observed
+    ones."""
+    if not (hasattr(os, "fork") and hasattr(os, "memfd_create")
             and (_FORK_MIN_ROWS < written <= _FORK_MAX_ROWS
                  or observed > _OBSERVE_MIN_ROWS)):
         return False
@@ -137,6 +134,8 @@ def _fork_pays(written: int, observed: int) -> bool:
 _RESULT = struct.Struct("<qqq")
 #: a report: the rows filled, and whether the run ended there
 _REPORT = struct.Struct("<qq")
+#: the trailer of a complete run's text: its length in bytes
+_SIZE = struct.Struct("<q")
 
 
 class RunHelper:
@@ -147,21 +146,23 @@ class RunHelper:
 
     Pass the helper to ``odesim.simulate_greitzer`` or
     ``loop.simulate_closed_loop`` and then to :func:`write_trajectory`,
-    inside a ``with`` block, which ends the process if it is still
-    running.  The process is forked when the run starts (:meth:`start`)
-    if :func:`_fork_pays`.  It observes to the end of the run, or to the
-    observer's failure, and sends the result at the last report
-    (:meth:`result`).  It formats the rows when their text, which it
-    holds until the run is complete, fits in ``_FORK_MAX_ROWS`` rows.
-    Without the process, the caller observes and formats in its own; it
-    does the same when the process is lost.
+    inside a ``with`` block.  The process is forked when the run starts
+    (:meth:`start`) if :func:`_fork_pays`.  It observes to the end of the
+    run, or to the observer's failure, and sends the result at the last
+    report (:meth:`result`).  It formats the rows when their text fits in
+    ``_FORK_MAX_ROWS`` rows, writing it into an anonymous memory file
+    block by block, and sends its length once the run is complete
+    (:meth:`text`).  Only the end of the ``with`` block (:meth:`close`)
+    waits for the process, so its exit overlaps the caller's work after
+    the write.  Without the process, the caller observes and formats in
+    its own; it does the same when the process is lost.
     """
 
     def __init__(self, decimate: int):
         self.decimate = decimate
         self._samples = None
         self._pid = 0
-        self._to_child = self._from_child = -1
+        self._to_child = self._from_child = self._text = -1
         self._observes = self._formats = self._complete = False
 
     def __enter__(self) -> "RunHelper":
@@ -200,99 +201,100 @@ class RunHelper:
         run, or it was lost, which closes it."""
         if not self._observes:
             return None
-        data = b""
-        while len(data) < _RESULT.size:
-            chunk = os.read(self._from_child, _RESULT.size - len(data))
-            if not chunk:
-                self.close()
-                return None
-            data += chunk
+        data = self._read(_RESULT.size)
+        if data is None:
+            self.close()
+            return None
         status, row, stage = _RESULT.unpack(data)
         return status, row, stage or None
 
+    def text(self, samples: np.ndarray, decimate: int) -> Optional[int]:
+        """The memory file holding the text of the rows of ``samples`` at
+        ``decimate``, once the process has sent the length it wrote there
+        and the file has that length; None when it has not formatted them
+        all.  Waits for the length, not for the process to exit."""
+        if not (self._complete and samples is self._samples
+                and decimate == self.decimate):
+            return None
+        self._complete = False
+        trailer = self._read(_SIZE.size)
+        if (trailer is None
+                or _SIZE.unpack(trailer)[0] != os.fstat(self._text).st_size):
+            return None
+        return self._text
+
+    def _read(self, size: int) -> Optional[bytes]:
+        """The next ``size`` bytes from the process, or None when it ended
+        before sending them."""
+        data = b""
+        while len(data) < size:
+            chunk = os.read(self._from_child, size - len(data))
+            if not chunk:
+                return None
+            data += chunk
+        return data
+
     def _fork(self, observe, formats: bool) -> None:
-        inbox = os.pipe()
-        outbox = os.pipe()
+        fds = []
         try:
+            fds.extend(os.pipe())
+            fds.extend(os.pipe())
+            fds.append(os.memfd_create("surgekit-csv"))
             pid = os.fork()
         except OSError:
-            for fd in inbox + outbox:
+            for fd in fds:
                 os.close(fd)
             return
+        inbox, self._to_child, self._from_child, outbox, self._text = fds
         if pid == 0:
-            code = 1
             try:
                 # a collection would write to, and so copy, every page of
                 # the heap the two processes share; the rows make no cycles
                 gc.disable()
-                os.close(inbox[1])
-                os.close(outbox[0])
+                os.close(self._to_child)
+                os.close(self._from_child)
                 _follow_run(self._samples, self.decimate if formats else 0,
-                            observe, inbox[0], outbox[1])
-                code = 0
+                            observe, inbox, outbox, self._text)
             finally:
-                os._exit(code)
-        os.close(inbox[0])
-        os.close(outbox[1])
+                os._exit(0)
+        os.close(inbox)
+        os.close(outbox)
         self._pid = pid
-        self._to_child = inbox[1]
-        self._from_child = outbox[0]
         self._observes = observe is not None
         self._formats = formats
 
-    def text(self, samples: np.ndarray, decimate: int) -> Optional[Iterable]:
-        """The text of the rows of ``samples`` at ``decimate``, as pieces
-        read from the process, or None when it has not formatted them.
-        Reading past the last piece raises :class:`HelperLost` when the
-        process ended without sending them all."""
-        if (self._complete and samples is self._samples
-                and decimate == self.decimate):
-            return self._receive()
-        return None
-
-    def _receive(self):
-        # formatted numbers are ASCII, so any chunk decodes on its own
-        while chunk := os.read(self._from_child, 1 << 20):
-            yield chunk.decode("ascii")
-        if not self._reap():
-            raise HelperLost
-
-    def _reap(self) -> bool:
-        """Wait for the process; whether it exited cleanly."""
-        pid, self._pid = self._pid, 0
-        _, status = os.waitpid(pid, 0)
-        return os.waitstatus_to_exitcode(status) == 0
-
     def close(self) -> None:
-        """End the process, if any, and release its pipes."""
+        """End the process, if any, reap it, and release its pipes and
+        memory file."""
         if self._pid:
             os.kill(self._pid, signal.SIGKILL)
-            self._reap()
-        for fd in (self._to_child, self._from_child):
+            os.waitpid(self._pid, 0)
+            self._pid = 0
+        for fd in (self._to_child, self._from_child, self._text):
             if fd >= 0:
                 os.close(fd)
-        self._to_child = self._from_child = -1
+        self._to_child = self._from_child = self._text = -1
         self._observes = self._formats = self._complete = False
 
 
 def _follow_run(samples: np.ndarray, decimate: int, observe, inbox: int,
-                outbox: int) -> None:
+                outbox: int, text: int) -> None:
     """The helper process: for each range of filled rows reported on
     ``inbox``, integrate the observed compressor over it with ``observe``,
     if given and it has not failed, then format its rows kept at
-    ``decimate``, if not 0.
+    ``decimate``, if not 0, into the file open as ``text``.
 
     The observer's result goes to ``outbox`` at the last report; then,
-    when the run is complete, the text.
+    when the run is complete and formatted, the text's length.
     """
-    pieces = []
-    done = 0
+    done = size = 0
     status, row, stage = OK, 0, None
-    with open(inbox, "rb") as reports:
+    with open(inbox, "rb") as reports, \
+            open(text, "w", encoding="ascii", newline="\n") as fh:
         while True:
             report = reports.read(_REPORT.size)
             if len(report) < _REPORT.size:
-                raise HelperLost   # the run's process is gone
+                return   # the run's process is gone
             rows, last = _REPORT.unpack(report)
             if observe is not None:
                 if status == OK:
@@ -303,18 +305,25 @@ def _follow_run(samples: np.ndarray, decimate: int, observe, inbox: int,
                 return
             if decimate:
                 first = -(-done // decimate) * decimate
-                pieces.append(_format_rows(samples[first:rows:decimate]))
+                size += fh.write(_format_rows(samples[first:rows:decimate]))
             done = rows
             if last:
                 break
-    with open(outbox, "w", encoding="ascii", newline="\n") as fh:
-        fh.writelines(pieces)
+    if decimate:
+        os.write(outbox, _SIZE.pack(size))
 
 
-def _write_text(path, chunks: Iterable[str]) -> None:
-    """Write the text pieces in order, creating the directory if needed."""
+def _write_text(path, chunks: Iterable[str], text: int = -1) -> None:
+    """Write the text pieces in order, then the whole file open as
+    ``text`` if given, creating the directory if needed."""
     parent = os.path.dirname(os.fspath(path))
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(chunks)
+        if text >= 0:
+            # the system copies the file: its text never enters this process
+            fh.flush()
+            offset = 0
+            while sent := os.sendfile(fh.fileno(), text, offset, 1 << 30):
+                offset += sent

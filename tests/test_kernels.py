@@ -536,7 +536,8 @@ class TestFailureMerge:
         assert state.tobytes() == start.tobytes()
 
 
-def _killed_after_one_range(samples, decimate, observe, inbox, outbox):
+def _killed_after_one_range(samples, decimate, observe, inbox, outbox,
+                            text):
     """A helper process that observes the first reported range and is
     then killed."""
     rows, _ = csvio._REPORT.unpack(os.read(inbox, csvio._REPORT.size))

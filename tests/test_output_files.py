@@ -19,9 +19,10 @@ from support import breakdown_digest
 
 from surgekit import _kernels, csvio, loop, svgplot
 from surgekit.cli import main
+from surgekit.compressor import DEFAULT_MAP, PlantState
 from surgekit.csvio import write_rows, write_trajectory
 from surgekit.errors import DomainError
-from surgekit.odesim import Trajectory
+from surgekit.odesim import Trajectory, simulate_greitzer
 from surgekit.svgplot import Series, render_svg
 
 
@@ -327,11 +328,11 @@ class TestFormatterProcess:
             assert one_cpu == [digests[0], "forks=0"]
 
     @staticmethod
-    def _killed_at_start(samples, decimate, observe, inbox, outbox):
+    def _killed_at_start(samples, decimate, observe, inbox, outbox, text):
         os.kill(os.getpid(), signal.SIGKILL)
 
     @staticmethod
-    def _killed_mid_run(samples, decimate, observe, inbox, outbox):
+    def _killed_mid_run(samples, decimate, observe, inbox, outbox, text):
         # the first reported range observed, if the run is, then no more
         rows, _ = csvio._REPORT.unpack(os.read(inbox, csvio._REPORT.size))
         if observe is not None:
@@ -339,16 +340,28 @@ class TestFormatterProcess:
         os.kill(os.getpid(), signal.SIGKILL)
 
     @staticmethod
-    def _killed_mid_text(samples, decimate, observe, inbox, outbox):
+    def _killed_mid_text(samples, decimate, observe, inbox, outbox, text):
         # the whole run observed and its result sent, then part of a text
-        keep = os.dup(outbox)
-        _follow_run(samples, 0, observe, inbox, outbox)
+        # in the memory file, and no length after it
+        keep = os.dup(text)
+        _follow_run(samples, 0, observe, inbox, outbox, text)
         os.write(keep, b"0,1,2\n" * 1000)
         os.kill(os.getpid(), signal.SIGKILL)
 
+    @staticmethod
+    def _wrong_length(samples, decimate, observe, inbox, outbox, text):
+        # the whole run observed and formatted, then one more byte in the
+        # memory file, which the length sent after it does not count
+        keep = os.dup(text)
+        sent, passed = os.pipe()
+        _follow_run(samples, decimate, observe, inbox, passed, text)
+        os.write(keep, b"9")
+        os.write(outbox, os.read(sent, csvio._RESULT.size + csvio._SIZE.size))
+
     @pytest.mark.parametrize("helper", ["_killed_at_start",
                                         "_killed_mid_run",
-                                        "_killed_mid_text"])
+                                        "_killed_mid_text",
+                                        "_wrong_length"])
     def test_killed_formatter_falls_back(self, tmp_path, forks,
                                          monkeypatch, helper):
         # the run observes and formats in this process from where it
@@ -521,6 +534,36 @@ class TestOpenLoopFormatterProcess:
                    f"'{tmp_path / 'afile'}'\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
 
+    @pytest.mark.parametrize("helper", ["_killed_mid_text",
+                                        "_wrong_length"])
+    def test_lost_text_falls_back(self, tmp_path, forks, monkeypatch,
+                                  helper):
+        # the rows are formatted in this process when the helper's text
+        # has no length or the wrong one: the same CSV
+        formatted = []
+        format_rows = csvio._format_rows
+        monkeypatch.setattr(csvio, "_format_rows", lambda samples: (
+            formatted.append(len(samples)) or format_rows(samples)))
+        csv = tmp_path / "run.csv"
+
+        def run():
+            with csvio.RunHelper(3) as process:
+                traj = simulate_greitzer(PlantState(0.3, 0.6), 0.5,
+                                         DEFAULT_MAP, dt=0.01, t_end=25,
+                                         helper=process)
+                write_trajectory(traj, csv, 3, helper=process)
+            return csv.read_bytes()
+
+        forks.pays = False
+        expected = run()
+        forks.pays = True
+        monkeypatch.setattr(csvio, "_follow_run",
+                            getattr(TestFormatterProcess, helper))
+        del formatted[:]
+        assert run() == expected
+        assert len(forks.pids) == 1
+        assert sum(formatted) == len(range(0, 2501, 3))
+
     def test_catalog_open_loop_runs_fork_where_they_pay(self, tmp_path,
                                                         monkeypatch):
         # fig3_4 and fig6 write 10001 rows and take a helper each; fig7
@@ -535,6 +578,115 @@ class TestOpenLoopFormatterProcess:
                              str(tmp_path)]) == 0
                 counts.append(len(forks.pids))
         assert counts == [1, 2, 2]
+
+
+class TestTextHandoff:
+    """The helper process leaves the text in an anonymous memory file and
+    sends only its length; the CSV is copied from that file, and the
+    process is reaped when its ``with`` block ends."""
+
+    RUNS = [["closedloop", "--t-end", "2.5"],
+            ["simulate", "--scenario", "fig3_4", "--t-end", "25"]]
+
+    @pytest.mark.parametrize("argv", RUNS, ids=["closedloop", "simulate"])
+    def test_csv_to_dev_null(self, capsys, forks, argv):
+        code, out, err = _run_cli(capsys, *argv, "--csv", os.devnull)
+        assert (code, err) == (0, "")
+        assert f"-> {os.devnull}\n" in out
+        assert len(forks.pids) == 1
+
+    def test_no_memfd_no_fork(self, tmp_path, monkeypatch):
+        # 10001 written rows fork a helper where os.memfd_create exists,
+        # and are formatted here where it does not: the same bytes
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        forks = _Forks(monkeypatch)
+        csv = tmp_path / "run.csv"
+        runs = [["closedloop", "--t-end", "10"],
+                ["simulate", "--scenario", "fig3_4"]]
+        texts = []
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in runs:
+                assert main(argv + ["--csv", str(csv)]) == 0
+                texts.append(csv.read_bytes())
+            assert len(forks.pids) == 2
+            monkeypatch.delattr(os, "memfd_create")
+            for argv, text in zip(runs, texts):
+                assert main(argv + ["--csv", str(csv)]) == 0
+                assert csv.read_bytes() == text
+        assert len(forks.pids) == 2
+
+    @pytest.mark.parametrize("observe", [False, True])
+    def test_reads_only_result_and_length(self, tmp_path, capsys, forks,
+                                          monkeypatch, observe):
+        # the text never passes through this process
+        read = os.read
+        received = []
+        monkeypatch.setattr(os, "read", lambda fd, n: (
+            received.append(len(data := read(fd, n))) or data))
+        argv = ["closedloop", "--t-end", "2.5", "--csv",
+                str(tmp_path / "run.csv")]
+        assert _run_cli(capsys, *argv, *["--observe"] * observe)[0] == 0
+        assert len(forks.pids) == 1
+        assert sum(received) == (csvio._SIZE.size
+                                 + csvio._RESULT.size * observe)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("fork_fails", [False, True])
+    def test_no_descriptor_left_open(self, tmp_path, capsys, forks,
+                                     monkeypatch, fork_fails):
+        def failed_fork():
+            raise OSError("fork refused")
+
+        if fork_fails:
+            monkeypatch.setattr(os, "fork", failed_fork)
+        argv = ["closedloop", "--t-end", "2.5", "--csv",
+                str(tmp_path / "run.csv")]
+        before = sorted(os.listdir("/proc/self/fd"))
+        assert _run_cli(capsys, *argv)[0] == 0
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        assert len(forks.pids) == (not fork_fails)
+
+    @staticmethod
+    def _lingering(samples, decimate, observe, inbox, outbox, text):
+        # the whole run formatted and its length sent, then no exit until
+        # the process is killed or the run's process is gone
+        keep = os.dup(inbox)
+        _follow_run(samples, decimate, observe, inbox, outbox, text)
+        os.read(keep, 1)
+
+    def test_text_never_waits_and_close_reaps(self, tmp_path, forks,
+                                              monkeypatch):
+        # the helper outlives the write, which copies its text; only the
+        # end of the with block kills and reaps it
+        waitpid = os.waitpid
+        closing, waited, texts = [], [], []
+
+        def watched_waitpid(pid, options):
+            assert closing, "waited for the helper before close()"
+            waited.append(pid)
+            return waitpid(pid, options)
+
+        close, text = csvio.RunHelper.close, csvio.RunHelper.text
+        monkeypatch.setattr(os, "waitpid", watched_waitpid)
+        monkeypatch.setattr(csvio.RunHelper, "close", lambda helper: (
+            closing.append(1), close(helper)))
+        monkeypatch.setattr(csvio.RunHelper, "text", lambda helper, *args: (
+            texts.append(text(helper, *args)) or texts[-1]))
+        monkeypatch.setattr(csvio, "_follow_run", self._lingering)
+        csv = tmp_path / "run.csv"
+        with csvio.RunHelper(1) as helper:
+            traj = simulate_greitzer(PlantState(0.3, 0.6), 0.5, DEFAULT_MAP,
+                                     dt=0.01, t_end=25, helper=helper)
+            write_trajectory(traj, csv, 1, helper=helper)
+            (pid,) = forks.pids
+            os.kill(pid, 0)   # not reaped yet
+            assert waited == [] and texts[0] is not None
+        assert waited == [pid]
+        in_process = tmp_path / "in-process.csv"
+        write_trajectory(traj, in_process, 1)
+        assert csv.read_bytes() == in_process.read_bytes()
 
 
 #: the helper process's own function, for the fakes that wrap it
