@@ -20,11 +20,12 @@ the reference model's ``REF_MODEL_*``): a kernel's constant tuple holds
 only what a run sets.  No kernel calls them: each kernel's RK4 step over
 a range of rows is written out as straight-line code
 (:func:`_step_source`, :func:`_open_loop_source`,
-:func:`_observer_source`), compiled on its first use and cached
-(:func:`_built`).  Every state is a local named after it, and each stage
-is the rhs's own statements, inlined from this module's source, which
-every installed copy has, with the calls to pressure_rise and surge_rhs
-inlined in turn (:func:`_inlined`).  So a plant step calls no function
+:func:`_observer_source`), compiled on its first use with the globals
+of its rhs's module and cached (:func:`_built`).  Every state is a local
+named after it, and each stage is the rhs's own statements, inlined from
+this module's source, which every installed copy has, with the calls to
+pressure_rise and surge_rhs inlined in turn (:func:`_inlined`, once for
+each step built).  So a plant step calls no function
 but ``isfinite``, ``sqrt`` and ``range``, and builds no tuple of rates.
 The closed-loop step is specialized to the run's controller kind: its
 stages keep only the branches of closed_loop_rhs that kind takes
@@ -287,16 +288,9 @@ class _Folded(ast.NodeTransformer):
         return node
 
 
-def _free(params, stmts):
-    """The names the statements ``stmts`` of a function whose parameters
-    are ``params`` read but neither assign nor take."""
-    return _names(stmts) - _names(stmts, stored=True) - set(params)
-
-
 def _inlined(fn, outer=()):
-    """(params, statements, namespace): the parameters of the function
-    ``fn``, a copy of its statements after the docstring with its calls
-    inlined, and the values of the globals those read.
+    """(params, statements): the parameters of the function ``fn`` and a
+    copy of its statements after the docstring, with its calls inlined.
 
     A statement ``t = f(...)`` or ``return f(...)`` whose ``f`` is another
     function of ``fn``'s module becomes ``f``'s own statements, inlined in
@@ -311,9 +305,7 @@ def _inlined(fn, outer=()):
     code = []
     for st in copy.deepcopy(stmts):
         code += _call_inlined(st, fn, names, bound, outer + (fn,))
-    namespace = {n: fn.__globals__[n] for n in _free(params, code)
-                 if n in fn.__globals__}
-    return params, code, namespace
+    return params, code
 
 
 class _Uninlinable(ValueError):
@@ -357,7 +349,7 @@ def _call_inlined(st, fn, names, bound, outer):
             f"t = {f.__name__}(...) or return {f.__name__}(...)")
     if f in outer:
         raise _Uninlinable(f"{f.__name__} calls itself")
-    params, stmts, _ = _inlined(f, outer)
+    params, stmts = _inlined(f, outer)
     if (len(params) != len(call.args) or call.keywords
             or any(isinstance(a, ast.Starred) for a in call.args)):
         raise _Uninlinable(f"{fn.__name__} does not pass {f.__name__} one "
@@ -374,7 +366,9 @@ def _call_inlined(st, fn, names, bound, outer):
     if assigned & set(params):
         raise _Uninlinable(f"{f.__name__} assigns to "
                            f"{sorted(assigned & set(params))}")
-    clash = ((assigned | set(temps)) & names) | (_free(params, stmts) & bound)
+    # f's free names: those it reads but neither assigns nor takes
+    free = _names(stmts) - _names(stmts, stored=True) - set(params)
+    clash = ((assigned | set(temps)) & names) | (free & bound)
     if clash:
         raise _Uninlinable(f"the names {sorted(clash)} of {f.__name__} are "
                            f"{fn.__name__}'s")
@@ -415,7 +409,7 @@ def _rhs_body(rhs, step, lead, reserved):
     a parameter, or uses a name in ``reserved``.
     """
     try:
-        params, stmts, _ = _inlined(rhs)
+        params, stmts = _inlined(rhs)
     except _Uninlinable as e:
         raise _refusal(rhs, step, str(e)) from None
     if params[:len(lead)] != list(lead):
@@ -456,6 +450,13 @@ def _stage(body, rates, moving, k, coef, failure):
     return "\n".join(code).splitlines()
 
 
+#: RK4's stages: (stage k, the step coefficient by which stage k-1's
+#: rates advance the state stage k is taken at, the slot of stage k's flow
+#: in the step's row ``sb`` of stage flows)
+_RK4 = ((1, None, None), (2, "h2", "sb"), (3, "h2", "sb + 1"),
+        (4, "dt", "sb + 2"))
+
+
 def _combine(moving):
     """The lines of the RK4 combination of the states ``moving`` and of
     ``ok``, whether they all are finite."""
@@ -483,9 +484,10 @@ def _folded(rhs, kind):
     (:func:`_rhs_body`) and folded to the controller kind ``kind``: its
     unpack of ``p``, the statements after it before the final return, and
     the rate of each loop state by name.  The name the unpack gives
-    ``p[0]`` and the ``KIND_*`` codes read as their values, and then so
-    does each name the folded statements assign once, at their top level,
-    to a constant (:class:`_Folded`).  Cached by ``rhs`` and ``kind``.
+    ``p[0]`` and the ``KIND_*`` codes of ``rhs``'s module (but a name
+    ``rhs`` assigns) read as their values, and then so does each name the
+    folded statements assign once, at their top level, to a constant
+    (:class:`_Folded`).  Cached by ``rhs`` and ``kind``.
     Raises ValueError where ``rhs`` takes other constants than ``p``, does
     not begin by unpacking ``p`` into names, assigns to one of those names
     after, or does not end by returning the 15-tuple of the 11 loop rates
@@ -518,8 +520,9 @@ def _folded(rhs, kind):
             == ["u", "co", "y", "e"]):
         raise _refusal(rhs, "closed-loop", "it does not end by returning "
                        "the 15-tuple of the 11 loop rates and u, co, y, e")
-    known = {n: v for n, v in _inlined(rhs)[2].items()
-             if n.startswith("KIND_")}
+    assigned = _names(body, stored=True)
+    known = {n: v for n, v in rhs.__globals__.items()
+             if n.startswith("KIND_") and n not in assigned}
     known[unpacked[0]] = kind
     body = _Folded(known).visit(ast.Module(body[1:], [])).body
     stores = [n.id for n in ast.walk(ast.Module(body, []))
@@ -582,8 +585,7 @@ def _step_source(kind, live, observed):
     code += ["if i == last:", "    break"]
     if observed:
         code += ["sb = 3 * i"]   # the step's row of the stage flows
-    for k, coef, at in ((2, "h2", "sb"), (3, "h2", "sb + 1"),
-                        (4, "dt", "sb + 2")):
+    for k, coef, at in _RK4[1:]:
         code += stage(k, coef)
         if observed:
             code += [f"ys[{at}] = y"]
@@ -635,7 +637,7 @@ def _open_loop_source():
                                          "m", "r")
     body = ast.parse("if psi <= 0.0:\n    return None").body + body
     code = []
-    for k, coef in ((1, None), (2, "h2"), (3, "h2"), (4, "dt")):
+    for k, coef, _ in _RK4:
         code += _stage(body, rates, _PLANT, k, coef,
                        "return PSI_NONPOSITIVE, i")
     code += _combine(_PLANT)
@@ -673,8 +675,7 @@ def _observer_source():
     code += _stage(body, rates, _PLANT, 1, None,
                    "return PSI_NONPOSITIVE, i, 1")
     code += ["if i == last:", "    break", "sb = 3 * i"]
-    for k, coef, at in ((2, "h2", "sb"), (3, "h2", "sb + 1"),
-                        (4, "dt", "sb + 2")):
+    for k, coef, at in _RK4[1:]:
         code += [f"y = ys[{at}]"]
         code += _stage(body, rates, _PLANT, k, coef,
                        f"return PSI_NONPOSITIVE, i + 1, {k}")
@@ -689,13 +690,13 @@ def _observer_source():
 
 
 def _built(key, rhs, source, **bound):
-    """The range function ``run`` of the text ``source()``, whose stages
-    inline ``rhs`` and which also reads the globals ``bound``: built on
-    its first use and cached in ``_STEPS`` under ``key``."""
+    """The range function ``run`` of the text ``source()``, whose globals
+    are those of ``rhs``'s module and ``bound``: built on its first use
+    and cached in ``_STEPS`` under ``key``."""
     run = _STEPS.get(key)
     if run is None:
         text = source()
-        namespace = dict(_inlined(rhs)[2], isfinite=math.isfinite, OK=OK,
+        namespace = dict(rhs.__globals__, isfinite=math.isfinite, OK=OK,
                          NONFINITE=NONFINITE,
                          PSI_NONPOSITIVE=PSI_NONPOSITIVE, **bound)
         exec(compile(text, f"<RK4 step {key}>", "exec"), namespace)

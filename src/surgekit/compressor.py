@@ -19,7 +19,7 @@ vanish, so ``psi = psi_c(phi)`` and ``phi = g*sqrt(psi)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property
 
 from ._kernels import FLOW_GAIN, PRESSURE_GAIN, pressure_rise
@@ -30,16 +30,20 @@ from .errors import DomainError, NoEquilibriumError
 class CompressorMap:
     """Steady-state pressure-rise map ``psi0 + h * P(w)``, ``w = slope*phi + offset``.
 
-    ``P`` is the cubic with ascending coefficients ``cubic``.  The default
-    coefficients describe an axial machine whose map peaks at phi = 0.5
-    with value 0.712.
+    ``P`` is the cubic with ascending coefficients ``c0..c3``, so the
+    first eight fields are the parameters of ``_kernels.pressure_rise``
+    after the flow, in order.  The default coefficients describe an axial
+    machine whose map peaks at phi = 0.5 with value 0.712.
     """
 
     psi0: float = 0.352
     h: float = 0.18
     slope: float = 4.0
     offset: float = -1.0
-    cubic: tuple[float, float, float, float] = (1.0, 1.5, 0.0, -0.5)
+    c0: float = 1.0
+    c1: float = 1.5
+    c2: float = 0.0
+    c3: float = -0.5
     domain_lo: float = 0.0
     domain_hi: float = 0.8
 
@@ -48,11 +52,7 @@ class CompressorMap:
             raise DomainError(
                 f"map domain is empty: [{self.domain_lo}, {self.domain_hi}]"
             )
-        # a tuple, so the map hashes (``stability.surge_boundary`` caches)
-        object.__setattr__(self, "cubic", tuple(self.cubic))
-        values = (self.psi0, self.h, self.slope, self.offset,
-                  self.domain_lo, self.domain_hi, *self.cubic)
-        if len(self.cubic) != 4 or not all(math.isfinite(v) for v in values):
+        if not all(math.isfinite(v) for v in astuple(self)):
             raise DomainError("map coefficients must be four finite cubic "
                               "coefficients plus finite scalars")
 
@@ -66,9 +66,10 @@ class CompressorMap:
 
     @cached_property
     def constants(self) -> tuple:
-        """(psi0, h, slope, offset, c0, c1, c2, c3): the parameters of
-        ``_kernels.pressure_rise`` after the flow, built on first use."""
-        return (self.psi0, self.h, self.slope, self.offset, *self.cubic)
+        """(psi0, h, slope, offset, c0, c1, c2, c3), the map's first eight
+        fields: the parameters of ``_kernels.pressure_rise`` after the
+        flow, built on first use."""
+        return astuple(self)[:8]
 
 
 @dataclass(frozen=True)
@@ -136,9 +137,9 @@ def map_slope(cmap: CompressorMap, phi: float) -> float:
     """Analytic derivative d(psi_c)/d(phi) of the cubic map."""
     if not math.isfinite(phi):
         raise DomainError(f"phi must be finite, got {phi}")
-    _, c1, c2, c3 = cmap.cubic
     w = cmap.slope * phi + cmap.offset
-    return cmap.h * cmap.slope * (c1 + w * (2.0 * c2 + w * 3.0 * c3))
+    return cmap.h * cmap.slope * (
+        cmap.c1 + w * (2.0 * cmap.c2 + w * 3.0 * cmap.c3))
 
 
 def throttle_from_flow(cmap: CompressorMap, phi: float) -> float:

@@ -80,10 +80,9 @@ _FLAT_KEYS = {
 
 #: scenario section -> the ``Scenario`` attribute holding its config (every
 #: config field, ``map`` as ``cmap``); the section's keys are the config's
-#: fields, with ``map.c0..c3`` for ``cubic``
+#: fields
 _SECTIONS = {("map" if f.name == "cmap" else f.name): f.name
              for f in fields(Scenario) if f.default_factory is not MISSING}
-_CUBIC_KEYS = ("c0", "c1", "c2", "c3")
 
 
 def _known_keys() -> dict:
@@ -94,10 +93,7 @@ def _known_keys() -> dict:
     defaults = Scenario()
     for section, attr in _SECTIONS.items():
         for f in fields(getattr(defaults, attr)):
-            if f.name == "cubic":
-                keys.update((f"map.{c}", _FLOAT) for c in _CUBIC_KEYS)
-            else:
-                keys[f"{section}.{f.name}"] = value_type(f)
+            keys[f"{section}.{f.name}"] = value_type(f)
     return keys
 
 
@@ -119,12 +115,8 @@ def apply_values(sc: Scenario, values: dict) -> None:
         changes = by_section.get(section)
         if not changes:
             continue
-        current = getattr(sc, attr)
-        if section == "map":
-            changes["cubic"] = tuple(
-                changes.pop(c, old) for c, old in zip(_CUBIC_KEYS, current.cubic))
         try:
-            setattr(sc, attr, replace(current, **changes))
+            setattr(sc, attr, replace(getattr(sc, attr), **changes))
         except DomainError as err:
             raise ScenarioError(f"{section}: {err}") from err
 

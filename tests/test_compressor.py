@@ -1,11 +1,15 @@
 """Map algebra, surge-model right-hand side, throttle/equilibrium pairing."""
 
+import dataclasses
+import inspect
 import math
+import re
 
 import numpy as np
 import pytest
 from support import plant_rates
 
+from surgekit._kernels import pressure_rise
 from surgekit.compressor import (CompressorMap, DEFAULT_MAP, PlantConfig,
                                  PlantState, bisect_sign_change,
                                  equilibrium_from_throttle,
@@ -212,6 +216,22 @@ class TestTypes:
     def test_map_validates_domain(self):
         with pytest.raises(DomainError):
             CompressorMap(domain_lo=0.5, domain_hi=0.5)
+
+    def test_map_fields_are_the_pressure_rise_parameters(self):
+        # the map's first eight fields are pressure_rise's parameters
+        # after phi, in order, and constants is their values
+        params = list(inspect.signature(pressure_rise).parameters)
+        names = [f.name for f in dataclasses.fields(CompressorMap)]
+        assert params[0] == "phi"
+        assert names[:8] == params[1:]
+        assert M.constants == tuple(getattr(M, n) for n in names[:8])
+
+    @pytest.mark.parametrize("key", ["psi0", "c0", "c3", "domain_lo"])
+    def test_map_refuses_a_nonfinite_field(self, key):
+        with pytest.raises(DomainError, match=re.escape(
+                "map coefficients must be four finite cubic coefficients "
+                "plus finite scalars")):
+            CompressorMap(**{key: -math.inf})
 
     @pytest.mark.parametrize("g", [0.0, -1.0, math.inf, -math.inf,
                                    math.nan])

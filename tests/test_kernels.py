@@ -27,6 +27,7 @@ from surgekit.loop import (CONTROLLER_KINDS, ControllerConfig,
                            DisturbanceProfile, ValveModel, _kernel_args,
                            initial_loop_state, simulate_closed_loop)
 from surgekit.odesim import _output_buffer
+from surgekit.scenario import resolve_scenario
 
 M = DEFAULT_MAP
 OK = _kernels.OK
@@ -234,6 +235,19 @@ def other_parameters_rhs(x, d, p):
     vtau, r = p
     u = co = y = e = r
     return (x, d, x, x, x, x, x, x, x, x, x, u, co, y, e)
+
+
+# a local KIND_ADAPTIVE that shadows the module's code: the rhs's own
+# branch on it takes the else branch under every controller kind
+def shadowing_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
+    kind, = p
+    KIND_ADAPTIVE = 5
+    if kind == KIND_ADAPTIVE:
+        u = 1.0
+    else:
+        u = 0.0
+    co = y = e = 0.0
+    return (u, x, x, x, x, x, x, x, x, x, x, u, co, y, e)
 
 
 def three_rates_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3):
@@ -1162,12 +1176,50 @@ class TestGeneratedStep:
             _kernels._step(_kernels.KIND_FIXED_PD, (0, 1, 5, 6), False)
         assert _kernels._STEPS == {}
 
+    def test_fold_reads_a_local_kind_code_as_the_rhs_does(self):
+        # only the KIND_* codes the rhs reads from its module are folded
+        # in: a local of the same name keeps its own value
+        assert shadowing_rhs(*[0.0] * 11, (KIND_ADAPTIVE,))[0] == 0.0
+        _, body, _ = _kernels._folded(shadowing_rhs, KIND_ADAPTIVE)
+        assert ast.unparse(ast.Module(body, [])) == "u = 0.0"
+
     def test_no_step_is_built_at_import(self):
         code = ("import surgekit.cli; from surgekit import _kernels; "
                 "print(len(_kernels._STEPS))")
         done = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, check=True)
         assert done.stdout == "0\n"
+
+    def test_each_step_build_inlines_its_rhs_once(self, monkeypatch):
+        # a step build reads its rhs's definition once: the kind codes
+        # and the step's globals come from the rhs's module, not from
+        # inlining the rhs again
+        calls = []
+        inlined = _kernels._inlined
+
+        def counted(fn, outer=()):
+            if outer == ():
+                calls.append(fn.__name__)
+            return inlined(fn, outer)
+
+        monkeypatch.setattr(_kernels, "_STEPS", {})
+        monkeypatch.setattr(_kernels, "_inlined", counted)
+        _kernels._folded.cache_clear()
+        sc = resolve_scenario("fig10")
+        args = (sc.controller, sc.valve, sc.disturbance)
+        p = _kernel_args(*args)
+        live = _kernels.live_states(p, initial_loop_state(*args).tolist())
+        _kernels._step(p[0], live, False)
+        assert calls == ["closed_loop_rhs"]
+        _kernels.observed_compressor(_kernels.flat(np.zeros((1, 13))),
+                                     _kernels.flat(np.zeros((1, 3))), 1e-3,
+                                     M.constants, 0, 0)
+        assert calls[1:] == ["observed_rhs"]
+        assert _kernels.greitzer_loop(np.zeros((1, 3)), 1e-3,
+                                      (0.6, *M.constants)) == (OK, 0)
+        assert calls[2:] == ["surge_rhs"]
+        assert list(_kernels._STEPS) == [(p[0], live, False), "observer",
+                                         "open loop"]
 
 
 class TestKernelDeterminism:

@@ -203,9 +203,7 @@ class TestKeys:
         (path, value), = load_one_key(tmp_path, key).items()
         assert value == key_sample(key)
         name = key.partition(".")[2]
-        if key.startswith("map.c"):
-            assert path == ("cmap", "cubic", int(name[1:]))
-        elif key == "observe.enabled":
+        if key == "observe.enabled":
             assert path == ("observe",)
         else:
             assert str(path[-1]).endswith(name)
