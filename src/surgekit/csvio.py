@@ -8,8 +8,8 @@ kernel fills the record: formatting the CSV rows, and for an observed
 closed loop integrating the observed compressor.  A :class:`RunHelper`
 forks one process per run that does both for each finished block of
 rows.  It writes the text into an anonymous memory file as it goes,
-sends the observer's result when the run ends, and the text's length
-once the run is complete.  That process never touches the filesystem.
+and ends the run with one message: the observer's result and the text's
+length.  That process never touches the filesystem.
 :func:`write_trajectory` creates and writes the file either way: it has
 the operating system copy the memory file into it when the length
 matches, and formats the rows itself when there is no helper or it
@@ -130,12 +130,12 @@ def _fork_pays(written: int, observed: int) -> bool:
     return cpus >= 2
 
 
-#: the observer's result: status, row and stage (0 for None)
-_RESULT = struct.Struct("<qqq")
 #: a report: the rows filled, and whether the run ended there
 _REPORT = struct.Struct("<qq")
-#: the trailer of a complete run's text: its length in bytes
-_SIZE = struct.Struct("<q")
+#: the end of a run: the observer's status (-1 when it did not observe),
+#: row and stage (0 for None), then the text's length in bytes (-1 when it
+#: did not format the whole run)
+_END = struct.Struct("<qqqq")
 
 
 class RunHelper:
@@ -148,14 +148,15 @@ class RunHelper:
     ``loop.simulate_closed_loop`` and then to :func:`write_trajectory`,
     inside a ``with`` block.  The process is forked when the run starts
     (:meth:`start`) if :func:`_fork_pays`.  It observes to the end of the
-    run, or to the observer's failure, and sends the result at the last
-    report (:meth:`result`).  It formats the rows when their text fits in
-    ``_FORK_MAX_ROWS`` rows, writing it into an anonymous memory file
-    block by block, and sends its length once the run is complete
-    (:meth:`text`).  Only the end of the ``with`` block (:meth:`close`)
-    waits for the process, so its exit overlaps the caller's work after
-    the write.  Without the process, the caller observes and formats in
-    its own; it does the same when the process is lost.
+    run, or to the observer's failure, and formats the rows when their
+    text fits in ``_FORK_MAX_ROWS`` rows, writing it into an anonymous
+    memory file block by block.  After the last report it sends one
+    message, ``_END``, which this process reads once, when the first of
+    :meth:`result` and :meth:`text` asks for its part.  Only the end of
+    the ``with`` block (:meth:`close`) waits for the process, so its exit
+    overlaps the caller's work after the write.  Without the process, the
+    caller observes and formats in its own; it does the same when the
+    process is lost.
     """
 
     def __init__(self, decimate: int):
@@ -163,7 +164,7 @@ class RunHelper:
         self._samples = None
         self._pid = 0
         self._to_child = self._from_child = self._text = -1
-        self._observes = self._formats = self._complete = False
+        self._end = None
 
     def __enter__(self) -> "RunHelper":
         return self
@@ -171,15 +172,17 @@ class RunHelper:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def start(self, samples: np.ndarray, observe=None) -> None:
+    def start(self, samples: np.ndarray, observe=None):
         """Fork the process, where it pays, for the run whose record is
         ``samples``; ``observe(start, stop)`` integrates the observed
         compressor over rows start..stop-1 and returns its (status, row,
-        stage)."""
+        stage).  Returns the report function for the kernel
+        (:meth:`rows_filled`), or None when no process was forked."""
         self._samples = samples
         written = len(range(0, len(samples), self.decimate))
         if _fork_pays(written, 0 if observe is None else len(samples)):
             self._fork(observe, written <= _FORK_MAX_ROWS)
+        return self.rows_filled if self._pid else None
 
     def rows_filled(self, rows: int, last: bool = False) -> None:
         """Report that the first ``rows`` rows of the record are final;
@@ -191,48 +194,43 @@ class RunHelper:
             os.write(self._to_child, _REPORT.pack(rows, last))
         except OSError:
             self.close()
-            return
-        if last:
-            self._complete = self._formats and rows == len(self._samples)
 
     def result(self):
-        """The observer's (status, row, stage) over the run, read from the
-        process after the last report; None when no process observed the
-        run, or it was lost, which closes it."""
-        if not self._observes:
+        """The observer's (status, row, stage) over the run, from the
+        process's last message; None when no process observed the run,
+        or it was lost."""
+        end = self._ended()
+        if end is None or end[0] < 0:
             return None
-        data = self._read(_RESULT.size)
-        if data is None:
-            self.close()
-            return None
-        status, row, stage = _RESULT.unpack(data)
+        status, row, stage, _ = end
         return status, row, stage or None
 
     def text(self, samples: np.ndarray, decimate: int) -> Optional[int]:
         """The memory file holding the text of the rows of ``samples`` at
-        ``decimate``, once the process has sent the length it wrote there
-        and the file has that length; None when it has not formatted them
-        all.  Waits for the length, not for the process to exit."""
-        if not (self._complete and samples is self._samples
-                and decimate == self.decimate):
+        ``decimate``, when the process's last message gives the file's
+        length; None when it has not formatted them all.  Waits for the
+        message, not for the process to exit."""
+        if samples is not self._samples or decimate != self.decimate:
             return None
-        self._complete = False
-        trailer = self._read(_SIZE.size)
-        if (trailer is None
-                or _SIZE.unpack(trailer)[0] != os.fstat(self._text).st_size):
+        end = self._ended()
+        if end is None or end[3] != os.fstat(self._text).st_size:
             return None
         return self._text
 
-    def _read(self, size: int) -> Optional[bytes]:
-        """The next ``size`` bytes from the process, or None when it ended
-        before sending them."""
-        data = b""
-        while len(data) < size:
-            chunk = os.read(self._from_child, size - len(data))
-            if not chunk:
-                return None
-            data += chunk
-        return data
+    def _ended(self) -> Optional[tuple]:
+        """The process's last message (``_END``), read the first time it
+        is asked for; None when there is no process, or it ended before
+        sending the message, which closes it."""
+        if self._end is None and self._pid:
+            data = b""
+            while len(data) < _END.size:
+                chunk = os.read(self._from_child, _END.size - len(data))
+                if not chunk:
+                    self.close()
+                    return None
+                data += chunk
+            self._end = _END.unpack(data)
+        return self._end
 
     def _fork(self, observe, formats: bool) -> None:
         fds = []
@@ -260,8 +258,6 @@ class RunHelper:
         os.close(inbox)
         os.close(outbox)
         self._pid = pid
-        self._observes = observe is not None
-        self._formats = formats
 
     def close(self) -> None:
         """End the process, if any, reap it, and release its pipes and
@@ -274,7 +270,7 @@ class RunHelper:
             if fd >= 0:
                 os.close(fd)
         self._to_child = self._from_child = self._text = -1
-        self._observes = self._formats = self._complete = False
+        self._end = None
 
 
 def _follow_run(samples: np.ndarray, decimate: int, observe, inbox: int,
@@ -284,11 +280,12 @@ def _follow_run(samples: np.ndarray, decimate: int, observe, inbox: int,
     if given and it has not failed, then format its rows kept at
     ``decimate``, if not 0, into the file open as ``text``.
 
-    The observer's result goes to ``outbox`` at the last report; then,
-    when the run is complete and formatted, the text's length.
+    After the last report, one ``_END`` message goes to ``outbox``: the
+    observer's result, status -1 when it did not observe, and the text's
+    length, -1 unless the run is complete and formatted.
     """
     done = size = 0
-    status, row, stage = OK, 0, None
+    status, row, stage = OK if observe is not None else -1, 0, None
     with open(inbox, "rb") as reports, \
             open(text, "w", encoding="ascii", newline="\n") as fh:
         while True:
@@ -296,21 +293,19 @@ def _follow_run(samples: np.ndarray, decimate: int, observe, inbox: int,
             if len(report) < _REPORT.size:
                 return   # the run's process is gone
             rows, last = _REPORT.unpack(report)
-            if observe is not None:
-                if status == OK:
-                    status, row, stage = observe(done, rows)
-                if last:
-                    os.write(outbox, _RESULT.pack(status, row, stage or 0))
+            if status == OK:
+                status, row, stage = observe(done, rows)
             if last and rows < len(samples):
-                return
+                break
             if decimate:
                 first = -(-done // decimate) * decimate
                 size += fh.write(_format_rows(samples[first:rows:decimate]))
             done = rows
             if last:
                 break
-    if decimate:
-        os.write(outbox, _SIZE.pack(size))
+    complete = decimate and done == len(samples)
+    os.write(outbox, _END.pack(status, row, stage or 0,
+                               size if complete else -1))
 
 
 def _write_text(path, chunks: Iterable[str], text: int = -1) -> None:

@@ -248,10 +248,7 @@ def _integrate(out, ys, state, dt, p, m=None, helper=None):
         observe = functools.partial(_kernels.observed_compressor,
                                     _kernels.flat(out), _kernels.flat(ys),
                                     dt, m)
-    report = None
-    if helper is not None:
-        helper.start(out, observe)
-        report = helper.rows_filled
+    report = None if helper is None else helper.start(out, observe)
     start = state.copy()
     rc = _kernels.closed_loop_loop(out, state, dt, p, report,
                                    None if m is None else ys)

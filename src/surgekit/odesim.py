@@ -109,10 +109,7 @@ def simulate_greitzer(initial: PlantState, g: float,
         raise ModelBreakdownError(
             f"plenum pressure must stay positive, got psi={initial.psi}")
     out[0] = (0.0, initial.phi, initial.psi)
-    report = None
-    if helper is not None:
-        helper.start(out)
-        report = helper.rows_filled
+    report = None if helper is None else helper.start(out)
     # an overflow is reported by the kernel's status, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
         status, row = _kernels.greitzer_loop(

@@ -14,6 +14,7 @@ from support import integrate, key_sample, load_one_key, scenario_diff
 
 from surgekit import __version__, cli
 from surgekit.cli import _apply_overrides, _read_step_csv, build_parser, main
+from surgekit.errors import AnalysisError
 from surgekit.loop import CONTROLLER_KINDS
 from surgekit.scenario import KNOWN_KEYS, Scenario
 
@@ -94,6 +95,25 @@ class TestStability:
             f"figure -> {svg}\n")
         _, data = read_csv(csv)
         assert len(data) == 5
+        assert svg.read_text().startswith("<svg")
+
+    def test_boundary_check_skipped(self, tmp_path, capsys, monkeypatch):
+        # a boundary the analysis cannot place is named in one line; the
+        # scan's files are written and the command succeeds
+        def no_boundary(cmap, scan):
+            raise AnalysisError("no bisection")
+
+        monkeypatch.setattr(cli, "surge_boundary", no_boundary)
+        csv, svg = tmp_path / "scan.csv", tmp_path / "scan.svg"
+        code, out, err = run(capsys, "stability", "--csv", str(csv),
+                             "--svg", str(svg))
+        assert (code, err) == (0, "")
+        assert out == (
+            f"stability scan: 1000 points on [0.1, 0.79] -> {csv}\n"
+            "surge boundary check skipped: no bisection\n"
+            f"figure -> {svg}\n")
+        _, data = read_csv(csv)
+        assert len(data) == 1000
         assert svg.read_text().startswith("<svg")
 
     @pytest.mark.parametrize("n", [2, 5, 31, 999, 1001, 3000])
@@ -572,6 +592,16 @@ class TestExitCodes:
         code, out, stderr = run(capsys, *argv, "--out-dir", str(tmp_path))
         assert (code, out, stderr) == (4, "", f"error: {err}\n")
         assert list(tmp_path.iterdir()) == []
+
+    def test_empty_section_header_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "f.scn"
+        path.write_text("# map\n[ ]\nname = m\n")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        _assert_refused(capsys, out_dir, ["map", "--scenario", str(path)])
+        _, _, err = run(capsys, "map", "--scenario", str(path),
+                        "--out-dir", str(out_dir))
+        assert err == "error: line 2: empty section header\n"
 
     def test_empty_run_name_exits_three(self, tmp_path, capsys):
         # an empty name would write the hidden file ".csv"

@@ -237,6 +237,13 @@ def other_parameters_rhs(x, d, p):
     return (x, d, x, x, x, x, x, x, x, x, x, u, co, y, e)
 
 
+def second_constant_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p,
+                        q):
+    vtau, r = p
+    u = co = y = e = q
+    return (x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, u, co, y, e)
+
+
 # a local KIND_ADAPTIVE that shadows the module's code: the rhs's own
 # branch on it takes the else branch under every controller kind
 def shadowing_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
@@ -302,6 +309,37 @@ def clipped_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3):
 def clashing_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3):
     w = phi
     pc = local_pressure(w, psi0, h, slope, offset, c0, c1, c2, c3)
+    return FLOW_GAIN * (pc - psi), PRESSURE_GAIN * (phi - g * math.sqrt(psi))
+
+
+# compressor maps the inliner cannot take in: one that calls itself, one
+# that ends without returning a value, and one that assigns its parameter
+def recursive_pressure(phi, psi0, h, slope, offset, c0, c1, c2, c3):
+    return recursive_pressure(phi, psi0, h, slope, offset, c0, c1, c2, c3)
+
+
+def unreturned_pressure(phi, psi0, h, slope, offset, c0, c1, c2, c3):
+    w = slope * phi + offset
+    pc = psi0 + h * (c0 + w * (c1 + w * (c2 + w * c3)))
+
+
+def shifted_pressure(phi, psi0, h, slope, offset, c0, c1, c2, c3):
+    phi = slope * phi + offset
+    return psi0 + h * (c0 + phi * (c1 + phi * (c2 + phi * c3)))
+
+
+def recursive_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3):
+    pc = recursive_pressure(phi, psi0, h, slope, offset, c0, c1, c2, c3)
+    return FLOW_GAIN * (pc - psi), PRESSURE_GAIN * (phi - g * math.sqrt(psi))
+
+
+def unreturned_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3):
+    pc = unreturned_pressure(phi, psi0, h, slope, offset, c0, c1, c2, c3)
+    return FLOW_GAIN * (pc - psi), PRESSURE_GAIN * (phi - g * math.sqrt(psi))
+
+
+def shifted_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3):
+    pc = shifted_pressure(phi, psi0, h, slope, offset, c0, c1, c2, c3)
     return FLOW_GAIN * (pc - psi), PRESSURE_GAIN * (phi - g * math.sqrt(psi))
 
 
@@ -1137,6 +1175,12 @@ class TestGeneratedStep:
          "clipped_pressure returns before its end"),
         ("surge_rhs", "_open_loop_source", clashing_rhs, "open-loop",
          "the names ['w'] of local_pressure are clashing_rhs's"),
+        ("surge_rhs", "_open_loop_source", recursive_rhs, "open-loop",
+         "recursive_pressure calls itself"),
+        ("surge_rhs", "_open_loop_source", unreturned_rhs, "open-loop",
+         "unreturned_pressure does not end by returning a value"),
+        ("surge_rhs", "_open_loop_source", shifted_rhs, "open-loop",
+         "shifted_pressure assigns to ['phi']"),
     ]
 
     @pytest.mark.parametrize("name, source, rhs, step, why", PLANT_MALFORMED,
@@ -1161,6 +1205,9 @@ class TestGeneratedStep:
         (row_writer_rhs, "its names ['record'] are the step's"),
         (rebinding_rhs, "it assigns to ['kind'], which it unpacks from p"),
         (other_parameters_rhs, "its parameters are ['x', 'd', 'p']"),
+        (second_constant_rhs, "its parameters are ['x', 'd', 'ym1', 'ym2', "
+         "'v1', 'v2', 'v3', 'k1', 'k2', 'k3', 'e_int', 'p', 'q'], not the "
+         "11 loop states and p"),
     ]
 
     @pytest.mark.parametrize("rhs, why", MALFORMED,

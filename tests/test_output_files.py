@@ -341,8 +341,8 @@ class TestFormatterProcess:
 
     @staticmethod
     def _killed_mid_text(samples, decimate, observe, inbox, outbox, text):
-        # the whole run observed and its result sent, then part of a text
-        # in the memory file, and no length after it
+        # the whole run observed and its end sent with a length of -1,
+        # then part of a text in the memory file
         keep = os.dup(text)
         _follow_run(samples, 0, observe, inbox, outbox, text)
         os.write(keep, b"0,1,2\n" * 1000)
@@ -356,7 +356,7 @@ class TestFormatterProcess:
         sent, passed = os.pipe()
         _follow_run(samples, decimate, observe, inbox, passed, text)
         os.write(keep, b"9")
-        os.write(outbox, os.read(sent, csvio._RESULT.size + csvio._SIZE.size))
+        os.write(outbox, os.read(sent, csvio._END.size))
 
     @pytest.mark.parametrize("helper", ["_killed_at_start",
                                         "_killed_mid_run",
@@ -628,8 +628,7 @@ class TestTextHandoff:
                 str(tmp_path / "run.csv")]
         assert _run_cli(capsys, *argv, *["--observe"] * observe)[0] == 0
         assert len(forks.pids) == 1
-        assert sum(received) == (csvio._SIZE.size
-                                 + csvio._RESULT.size * observe)
+        assert sum(received) == csvio._END.size
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                         reason="needs /proc/self/fd")

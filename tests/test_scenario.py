@@ -79,6 +79,11 @@ controller.gamma = 2.0
         with pytest.raises(ScenarioError, match="not found"):
             load_scenario(tmp_path / "nope.scn")
 
+    @pytest.mark.parametrize("text", ["off", "no", "0", "false"])
+    def test_false_words(self, tmp_path, text):
+        sc = load_scenario(write(tmp_path, f"observe.enabled = {text}\n"))
+        assert sc.observe is False
+
 
 class TestValidation:
     def test_negative_gamma_names_key(self, tmp_path):

@@ -291,6 +291,23 @@ class TestLimitCycleDetection:
         rep = detect_limit_cycle(_cycle_run(0.55))
         assert not rep.detected
 
+    def test_unsettled_amplitudes_are_rejected(self):
+        # 0.001 below the surge boundary 0.434977715 the cycle still
+        # grows at t=400: the last three amplitudes spread by 2.7%, past
+        # the default tolerance and within a looser one
+        run = _cycle_run(0.433977715, t_end=400.0)
+        assert not detect_limit_cycle(run).detected
+        assert detect_limit_cycle(run, CycleConfig(tol=0.05)).detected
+
+    def test_vanishing_amplitudes_are_rejected(self, monkeypatch):
+        # in the stable zone the perturbation rings down to peaks of
+        # about 1e-9: a tolerance that takes any spread still rejects
+        # them, through MIN_AMPLITUDE
+        run = _cycle_run(0.51)
+        assert not detect_limit_cycle(run, CycleConfig(tol=1e9)).detected
+        monkeypatch.setattr(stability, "MIN_AMPLITUDE", 0.0)
+        assert detect_limit_cycle(run, CycleConfig(tol=1e9)).detected
+
     def test_constant_trajectory(self):
         samples = np.column_stack([np.arange(200) * 0.1,
                                    np.full(200, 0.5), np.full(200, 0.7)])
