@@ -28,10 +28,17 @@ pressure_rise and surge_rhs inlined in turn (:func:`_inlined`, once for
 each step built).  So a plant step calls no function
 but ``isfinite``, ``sqrt`` and ``range``, and builds no tuple of rates.
 The closed-loop step is specialized to the run's controller kind: its
-stages keep only the branches of closed_loop_rhs that kind takes
-(:func:`_folded`), and it writes each record row with one call of
-``record`` (``struct.Struct.pack_into``), so it calls only ``isfinite``,
-``range`` and ``record``.
+stages keep only the branches of closed_loop_rhs that kind takes, and
+read a name assigned only a constant or another name as that value
+(:func:`_folded`).  What reads only the run's constants, such as
+``-gamma``, is computed once, before the loop (:class:`_Hoisted`); a
+rate that is a name is the stage's rate itself, with no copy; and a
+stage drops what nothing after it reads (:func:`_stage`).  Each stage
+still gives each value the rhs computes by the same IEEE operations on
+the same operands, so the record is that of the rhs bit for bit.  The
+step writes each record row with one call of ``record``
+(``struct.Struct.pack_into``), so it calls only ``isfinite``, ``range``
+and ``record``.
 
 The closed loop integrates only its live states, :func:`live_states`.
 Dead states are read off the kind-folded rhs, which gives each the rate
@@ -60,6 +67,7 @@ import ast
 import copy
 import functools
 import inspect
+import itertools
 import math
 import struct
 import textwrap
@@ -125,7 +133,6 @@ def closed_loop_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
     """
     kind, kp, ki, kd, gamma, r, vtau, vlo, vhi, dtarget, dtau = p
     d_dot = (dtarget - d) / dtau
-    linear = vlo <= x <= vhi
     if x > vhi:
         co = vhi
     elif x < vlo:
@@ -133,7 +140,7 @@ def closed_loop_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
     else:
         co = x
     y = d + co
-    # control signal, solved per mode for the u <-> y_dot loop
+    e = y - ym1
     if kind == KIND_ADAPTIVE:
         prop = k1 * r - k2 * y
         dgain = k3
@@ -143,21 +150,16 @@ def closed_loop_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
     else:
         prop = kp * (r - y)
         dgain = kd
-    if linear:
+    # control signal, solved per valve mode for the u <-> y_dot loop; the
+    # gains adapt only in linear valve mode, and only the adaptive kind's
+    if vlo <= x <= vhi:
         den = 1.0 + dgain / vtau
         if den == 0.0:  # an RK stage can carry a negative gain k3 = -vtau
             return None
         u = (prop - dgain * d_dot + dgain * x / vtau) / den
-    else:
-        u = prop - dgain * d_dot
-    x_dot = (u - x) / vtau
-    if linear:
+        x_dot = (u - x) / vtau
         y_dot = d_dot + x_dot
-    else:
-        y_dot = d_dot
-    e = y - ym1
-    if kind == KIND_ADAPTIVE:
-        if linear:
+        if kind == KIND_ADAPTIVE:
             ge = -gamma * e
             k1_dot = ge * v1
             k2_dot = ge * v2
@@ -165,6 +167,9 @@ def closed_loop_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
         else:
             k1_dot = k2_dot = k3_dot = 0.0
     else:
+        u = prop - dgain * d_dot
+        x_dot = (u - x) / vtau
+        y_dot = d_dot
         k1_dot = k2_dot = k3_dot = 0.0
     if kind == KIND_FIXED_PID:
         e_int_dot = r - y
@@ -204,9 +209,10 @@ def live_states(p, state):
     The observed (phi, psi) is never among them: :func:`observed_compressor`
     integrates it.
     """
-    folded = _folded(closed_loop_rhs, p[0])[2].values()
-    dead = {j for j, v in enumerate(folded) if isinstance(v, ast.Constant)
-            and type(v.value) is float and v.value == 0.0}
+    folded = _folded(closed_loop_rhs, p[0])[2]
+    dead = {j for j, n in enumerate(CL_STATE[:11])
+            if isinstance(folded[n], ast.Constant)
+            and type(folded[n].value) is float and folded[n].value == 0.0}
     rates = closed_loop_rhs(*state[:11], p)
     for sub in ((2, 3), (4,)):
         if rates is not None and all(
@@ -254,10 +260,10 @@ class _Stage(ast.NodeTransformer):
 
 
 class _Folded(ast.NodeTransformer):
-    """Reads each name in ``known`` as its value, drops an assignment to
-    known names only, and folds what that settles: ``c == c'`` of two
-    constants, and an ``if`` on a constant, of which only the branch that
-    runs is kept."""
+    """Reads each name in ``known`` as its value, an expression (a
+    constant or a name), drops an assignment to known names only, and
+    folds what that settles: ``c == c'`` of two constants, and an ``if``
+    on a constant, of which only the branch that runs is kept."""
 
     def __init__(self, known):
         self.known = known
@@ -268,7 +274,7 @@ class _Folded(ast.NodeTransformer):
 
     def visit_Name(self, node):
         if isinstance(node.ctx, ast.Load) and node.id in self.known:
-            return ast.Constant(self.known[node.id])
+            return copy.deepcopy(self.known[node.id])
         return node
 
     def visit_Compare(self, node):
@@ -434,20 +440,211 @@ def _rhs_body(rhs, step, lead, reserved):
     return params[len(lead):], body, entries
 
 
-def _stage(body, rates, moving, k, coef, failure):
+def _stage(body, rates, moving, k, coef, failure, after=(), named=None):
     """The lines of RK stage k of the inlined rhs ``body``, at the state
     advanced by ``coef`` times the rates of stage k-1 (at the state itself
-    without ``coef``).  A state in ``moving`` is read from its stage local
-    ``<name>_s`` at stages 2-4; ``return None`` becomes the statements
-    ``failure``; and the rate expressions ``rates`` (state name: rate)
-    of the states in ``moving`` assign the stage's rates ``<name>_<k>``."""
+    without ``coef``), then the lines ``after``.
+
+    A state in ``moving`` is read from its stage local ``<name>_s`` at
+    stages 2-4; ``return None`` becomes the statements ``failure``; and
+    the rate expressions ``rates`` (state name: rate) of the states in
+    ``moving`` give their stage-k rates, ``<name>_<k>``.  ``named``, where
+    given, is the list of the names of those rates at the stages before
+    (:func:`_combine`): the stage advances the state by the last, and
+    appends its own.  Where a rate is a name, no line copies it where
+    the stage can read it as the rate: a name the body assigns is renamed
+    ``<name>_<k>`` in the stage, and so is a moving state's stage local at
+    stages 2-4; at stage 1 the rate is that state itself, where the
+    combination updates it later.
+
+    An assignment whose value cannot raise is dropped where nothing later
+    in the stage reads it (:func:`_live`): no statement, no rate and no
+    line ``after``.
+    """
+    assigned = _names(body, stored=True)
+    prev = named[-1] if named else {n: f"{n}_{k - 1}" for n in moving}
     local = {n: f"{n}_s" for n in moving} if coef else {}
+    advanced = dict(local)
+    own, lines = {}, {}
+    for n in moving:
+        v = rates[n]
+        src = v.id if isinstance(v, ast.Name) else None
+        if src in assigned and src not in local:
+            local[src] = own[n] = f"{n}_{k}"
+        elif src in moving and coef and local[src] == f"{src}_s":
+            local[src] = advanced[src] = own[n] = f"{n}_{k}"
+        elif (src in moving and not coef
+              and moving.index(src) > moving.index(n)):
+            own[n] = src
+        else:
+            own[n] = f"{n}_{k}"
+            lines[n] = v
+    if named is not None:
+        named.append(own)
     inline = _Stage(local, failure)
-    code = [f"{n}_s = {n} + {coef} * {n}_{k - 1}" for n in local]
-    code += [ast.unparse(inline.visit(copy.deepcopy(st))) for st in body]
-    code += [f"{n}_{k} = {ast.unparse(inline.visit(copy.deepcopy(v)))}"
-             for n, v in rates.items() if n in moving]
-    return "\n".join(code).splitlines()
+    code = [ast.parse(f"{advanced[n]} = {n} + {coef} * {prev[n]}").body[0]
+            for n in advanced]
+    code += inline.visit(ast.Module(copy.deepcopy(body), [])).body
+    for n, v in lines.items():
+        code.append(ast.parse(f"{own[n]} = 0").body[0])
+        code[-1].value = inline.visit(copy.deepcopy(v))
+    code += inline.visit(ast.Module(
+        [st for line in after for st in ast.parse(line).body], [])).body
+    code, _ = _live(code, set(own.values()))
+    return ast.unparse(ast.Module(code, [])).splitlines()
+
+
+def _read(node):
+    """The names the node ``node`` reads."""
+    return {n.id for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def _safe(node, divided=frozenset()):
+    """Whether the operation ``node`` (an ``ast.BinOp``) raises only where
+    dividing by one of the divisors ``divided`` would: it adds, subtracts
+    or multiplies, or divides by a nonzero number or one of them."""
+    right = node.right
+    return (isinstance(node.op, (ast.Add, ast.Sub, ast.Mult))
+            or isinstance(node.op, ast.Div)
+            and (ast.dump(right) in divided
+                 or isinstance(right, ast.Constant)
+                 and type(right.value) in (int, float) and right.value != 0))
+
+
+def _raises(node):
+    """Whether evaluating the expression ``node`` may raise: it calls,
+    subscripts or looks up an attribute, or an operation in it is not
+    :func:`_safe`."""
+    return any(isinstance(n, (ast.Call, ast.Subscript, ast.Attribute))
+               or isinstance(n, ast.BinOp) and not _safe(n)
+               for n in ast.walk(node))
+
+
+def _live(stmts, live):
+    """(kept, live): the statements ``stmts`` without each assignment to
+    names that nothing after it reads (neither a later statement nor
+    ``live``, the names read after ``stmts``) and whose value cannot raise,
+    and the names read before them."""
+    kept = []
+    for st in reversed(stmts):
+        if (isinstance(st, ast.Assign) and not _raises(st.value)
+                and all(isinstance(t, ast.Name) for t in st.targets)):
+            st.targets = [t for t in st.targets if t.id in live]
+            if not st.targets:
+                continue
+            live = live - {t.id for t in st.targets} | _read(st.value)
+        elif isinstance(st, ast.If):
+            body, into = _live(st.body, live)
+            orelse, past = _live(st.orelse, live)
+            st.body, st.orelse = body or [ast.Pass()], orelse
+            live = into | past | _read(st.test)
+        elif isinstance(st, ast.Return):
+            live = _read(st)
+        elif isinstance(st, ast.Pass):
+            continue
+        else:
+            live = live | _read(st)
+        kept.append(st)
+    return kept[::-1], live
+
+
+def _divisors(node):
+    """The divisors (as ``ast.dump`` texts) by which evaluating the
+    arithmetic expression ``node`` divides."""
+    if isinstance(node, ast.UnaryOp):
+        return _divisors(node.operand)
+    if not isinstance(node, ast.BinOp):
+        return frozenset()
+    found = _divisors(node.left) | _divisors(node.right)
+    return (found | {ast.dump(node.right)} if isinstance(node.op, ast.Div)
+            else found)
+
+
+def _meet(a, b):
+    """The intersection of the sets ``a`` and ``b``, None standing for
+    every divisor."""
+    return b if a is None else a if b is None else a & b
+
+
+def _divided(stmts, done=frozenset()):
+    """(at_return, at_end): the divisors (:func:`_divisors`) by which every
+    path through the statements ``stmts`` from the divisors ``done`` has
+    divided before each ``return`` in them, and at their end; None where
+    none returns, or no path reaches the end."""
+    at_return = None
+    for st in stmts:
+        if isinstance(st, ast.Return):
+            return _meet(at_return, done), None
+        if isinstance(st, ast.If):
+            ends = []
+            for branch in (st.body, st.orelse):
+                ret, end = _divided(branch, done)
+                at_return = _meet(at_return, ret)
+                ends += [end] if end is not None else []
+            if not ends:
+                return at_return, None
+            done = frozenset.intersection(*ends)
+        else:
+            done = done | _divisors(getattr(st, "value", None))
+    return at_return, done
+
+
+class _Hoisted(ast.NodeTransformer):
+    """Reads each subexpression that ``run``'s head can compute once as a
+    name bound there, in ``head`` (its ``ast.dump``: (name, expression)).
+
+    Such an expression is arithmetic on numbers and the names
+    ``constant``, with at least one of them, and cannot raise where the
+    step would not: it divides only by a nonzero number or a divisor in
+    ``divided``.  Its name is that of an assignment of it in ``once``,
+    which the assignment then leaves the stage, else ``c_<j>``, the first
+    not in ``taken``.
+    """
+
+    def __init__(self, constant, divided, once, taken):
+        self.constant, self.divided, self.taken = constant, divided, taken
+        self.head = {}
+        for st in once:
+            if self._computed(st.value):
+                self.head.setdefault(ast.dump(st.value),
+                                     (st.targets[0].id, st.value))
+
+    def _computed(self, node):
+        """Whether the head computes ``node``."""
+        return (isinstance(node, (ast.BinOp, ast.UnaryOp))
+                and self._constant(node)
+                and any(isinstance(n, ast.Name) for n in ast.walk(node)))
+
+    def _constant(self, node):
+        if isinstance(node, ast.Name):
+            return node.id in self.constant
+        if isinstance(node, ast.Constant):
+            return type(node.value) in (int, float)
+        if isinstance(node, ast.UnaryOp):
+            return (isinstance(node.op, (ast.USub, ast.UAdd))
+                    and self._constant(node.operand))
+        return (isinstance(node, ast.BinOp) and _safe(node, self.divided)
+                and self._constant(node.left) and self._constant(node.right))
+
+    def visit_Assign(self, node):
+        bound = self.head.get(ast.dump(node.value), (None,))[0]
+        if bound and [getattr(t, "id", None) for t in node.targets] == [bound]:
+            return None
+        return self.generic_visit(node)
+
+    def visit_BinOp(self, node):
+        if not self._computed(node):
+            return self.generic_visit(node)
+        key = ast.dump(node)
+        if key not in self.head:
+            name = next(f"c_{j}" for j in itertools.count(1)
+                        if f"c_{j}" not in self.taken)
+            self.taken.add(name)
+            self.head[key] = (name, node)
+        return ast.Name(self.head[key][0], ast.Load())
+
+    visit_UnaryOp = visit_BinOp
 
 
 #: RK4's stages: (stage k, the step coefficient by which stage k-1's
@@ -457,11 +654,14 @@ _RK4 = ((1, None, None), (2, "h2", "sb"), (3, "h2", "sb + 1"),
         (4, "dt", "sb + 2"))
 
 
-def _combine(moving):
+def _combine(moving, named=None):
     """The lines of the RK4 combination of the states ``moving`` and of
-    ``ok``, whether they all are finite."""
-    return ([f"{n} = {n} + h6 * ({n}_1 + 2.0 * {n}_2 + 2.0 * {n}_3 + {n}_4)"
-             for n in moving]
+    ``ok``, whether they all are finite.  ``named`` holds the name of each
+    state's rate at stages 1-4 (:func:`_stage`), ``<name>_<k>`` without
+    it."""
+    named = named or [{n: f"{n}_{k}" for n in moving} for k in range(1, 5)]
+    return ([f"{n} = {n} + h6 * ({named[0][n]} + 2.0 * {named[1][n]} + "
+             f"2.0 * {named[2][n]} + {named[3][n]})" for n in moving]
             + ["ok = " + " and ".join(f"isfinite({n})" for n in moving)])
 
 
@@ -478,15 +678,21 @@ def _function(signature, head, body, tail):
     return "\n".join(lines) + "\n"
 
 
+#: the signals closed_loop_rhs returns after the 11 loop rates
+_SIGNALS = ("u", "co", "y", "e")
+
+
 @functools.lru_cache(maxsize=None)
 def _folded(rhs, kind):
-    """(unpack, body, rates) of the closed-loop rhs ``rhs``, inlined
+    """(unpack, body, entries) of the closed-loop rhs ``rhs``, inlined
     (:func:`_rhs_body`) and folded to the controller kind ``kind``: its
     unpack of ``p``, the statements after it before the final return, and
-    the rate of each loop state by name.  The name the unpack gives
-    ``p[0]`` and the ``KIND_*`` codes of ``rhs``'s module (but a name
-    ``rhs`` assigns) read as their values, and then so does each name the
-    folded statements assign once, at their top level, to a constant
+    the entries of that return by name, the rate of each loop state and
+    the signals u, co, y, e.  The name the unpack gives ``p[0]`` and the
+    ``KIND_*`` codes of ``rhs``'s module (but a name ``rhs`` assigns)
+    read as their values, and then so does each name to which every
+    assignment of the folded statements gives one value: a constant, or
+    a name they never assign, which is then read in its place
     (:class:`_Folded`).  Cached by ``rhs`` and ``kind``.
     Raises ValueError where ``rhs`` takes other constants than ``p``, does
     not begin by unpacking ``p`` into names, assigns to one of those names
@@ -516,24 +722,34 @@ def _folded(rhs, kind):
         raise _refusal(rhs, "closed-loop", f"it assigns to {sorted(stored)}, "
                        "which it unpacks from p")
     if not (len(entries) == 15
-            and [getattr(v, "id", None) for v in entries[11:]]
-            == ["u", "co", "y", "e"]):
+            and tuple(getattr(v, "id", None) for v in entries[11:])
+            == _SIGNALS):
         raise _refusal(rhs, "closed-loop", "it does not end by returning "
                        "the 15-tuple of the 11 loop rates and u, co, y, e")
     assigned = _names(body, stored=True)
-    known = {n: v for n, v in rhs.__globals__.items()
+    known = {n: ast.Constant(v) for n, v in rhs.__globals__.items()
              if n.startswith("KIND_") and n not in assigned}
-    known[unpacked[0]] = kind
+    known[unpacked[0]] = ast.Constant(kind)
     body = _Folded(known).visit(ast.Module(body[1:], [])).body
-    stores = [n.id for n in ast.walk(ast.Module(body, []))
+    tree = ast.Module(body, [])
+    stores = [n.id for n in ast.walk(tree)
               if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load)]
-    known.update((t.id, st.value.value)
-                 for st in body for t in getattr(st, "targets", ())
-                 if isinstance(st.value, ast.Constant)
-                 and stores.count(getattr(t, "id", None)) == 1)
+    values = {}
+    for st in ast.walk(tree):
+        if isinstance(st, ast.Assign) and (
+                isinstance(st.value, ast.Constant)
+                or isinstance(st.value, ast.Name)
+                and st.value.id not in stores):
+            for t in st.targets:
+                if isinstance(t, ast.Name):
+                    values.setdefault(t.id, []).append(st.value)
+    known.update((n, v[0]) for n, v in values.items()
+                 if len(v) == stores.count(n)
+                 and len({ast.dump(value) for value in v}) == 1)
     fold = _Folded(known)
     body = fold.visit(ast.Module(body, [])).body
-    return unpack, body, {n: fold.visit(v) for n, v in zip(names, entries)}
+    return unpack, body, {n: fold.visit(v)
+                          for n, v in zip(names + _SIGNALS, entries)}
 
 
 def _step_source(kind, live, observed):
@@ -564,32 +780,44 @@ def _step_source(kind, live, observed):
     result is not finite; else ``row`` is the last row filled.
 
     The stages are closed_loop_rhs's statements folded to ``kind``
-    (:func:`_folded`), so ``run`` reads no kind; the unpack of ``p`` runs
-    once, at its head.  A dead state keeps its name at every stage, which
-    keeps the ``-0.0`` rule.  Raises ValueError where _folded does.
+    (:func:`_folded`), so ``run`` reads no kind, and each value they use
+    is the rhs's, by the same IEEE operations on the same operands.  The
+    unpack of ``p`` runs once, at ``run``'s head, and so does each
+    expression of the run's constants alone (:class:`_Hoisted`) that
+    raises only where every stage would: each divisor in it is one every
+    stage divides by before it can return (:func:`_divided`).  Each stage
+    names the rates directly and drops its dead stores (:func:`_stage`).
+    A dead state keeps its name at every stage, which keeps the ``-0.0``
+    rule.  Raises ValueError where _folded does.
     """
     names = CL_STATE[:11]
-    unpack, body, rates = _folded(closed_loop_rhs, kind)
     moving = [names[j] for j in live]
+    unpack, body, entries = _folded(closed_loop_rhs, kind)
+    head, body, exprs = _hoisted(
+        closed_loop_rhs, unpack, body, [entries[n] for n in moving],
+        [entries[n] for n in _SIGNALS],
+        _reserved(names, "s", "last", "ys", "sb", "record"))
+    rates = dict(zip(moving, exprs))
+    u, co, y, e = map(ast.unparse, exprs[len(moving):])
     state = ", ".join(names)
+    w = 13 if observed else 11
+    named = []
 
-    def stage(k, coef=None):
+    def stage(k, coef=None, after=()):
         return _stage(body, rates, moving, k, coef,
                       f"s[:11] = {state}\n"
-                      f"return NONFINITE, {'i' if k == 1 else 'i + 1'}, {k}")
+                      f"return NONFINITE, {'i' if k == 1 else 'i + 1'}, {k}",
+                      after, named)
 
-    w = 13 if observed else 11
-    code = stage(1)
-    code += [f"record(out, {8 * w} * i, i * dt, d, u, x, co, y, ym1, e, "
-             "k1, k2, k3)"]
+    code = stage(1, after=[
+        f"record(out, {8 * w} * i, i * dt, d, {u}, x, {co}, {y}, ym1, {e}, "
+        "k1, k2, k3)"])
     code += ["if i == last:", "    break"]
     if observed:
         code += ["sb = 3 * i"]   # the step's row of the stage flows
     for k, coef, at in _RK4[1:]:
-        code += stage(k, coef)
-        if observed:
-            code += [f"ys[{at}] = y"]
-    code += _combine(moving)
+        code += stage(k, coef, [f"ys[{at}] = {y}"] if observed else ())
+    code += _combine(moving, named)
     # adaptive gains are kept nonnegative by projection
     for n in ("k1", "k2", "k3"):
         if n in moving:
@@ -599,8 +827,46 @@ def _step_source(kind, live, observed):
              "    return NONFINITE, i + 1, None"]
     return _function(
         "run(out, s, dt, p, start, stop, last, ys)",
-        [f"{state} = s[:11]", ast.unparse(unpack)],
+        [f"{state} = s[:11]", ast.unparse(unpack)] + head,
         code, [f"s[:11] = {state}", "return OK, stop - 1, None"])
+
+
+def _hoisted(rhs, unpack, body, rates, signals, reserved):
+    """(head, body, exprs): the lines of ``run``'s head that compute once
+    what the closed-loop rhs ``rhs`` computes from the run's constants
+    alone, and copies of the statements ``body`` and of the expressions
+    ``rates`` and ``signals`` that read those values instead
+    (:class:`_Hoisted`).
+
+    The constants are the names the unpack ``unpack`` of ``p`` gives and
+    the numbers of ``rhs``'s module that ``body`` does not assign, but
+    the loop states.  Every stage computes ``rates``, and only stage 1
+    reads ``signals``.  A new name is none of ``reserved``, nor of
+    ``body``, ``rates`` and ``signals``.
+    """
+    body = copy.deepcopy(body)
+    exprs = copy.deepcopy(rates + signals)
+    stores = [n.id for n in ast.walk(ast.Module(body, []))
+              if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load)]
+    unpacked = {t.id for t in unpack.targets[0].elts}
+    used = _names(body) | {n.id for v in exprs for n in ast.walk(v)
+                           if isinstance(n, ast.Name)}
+    at_return, at_end = _divided(body)
+    if at_end is not None:
+        at_end = at_end.union(*map(_divisors, exprs[:len(rates)]))
+    hoist = _Hoisted(
+        unpacked | {n for n in used if n not in stores
+                    and n not in CL_STATE
+                    and type(rhs.__globals__.get(n)) in (int, float)},
+        _meet(at_return, at_end) or frozenset(),
+        [st for st in ast.walk(ast.Module(body, []))
+         if isinstance(st, ast.Assign) and len(st.targets) == 1
+         and stores.count(getattr(st.targets[0], "id", None)) == 1],
+        used | unpacked | reserved)
+    body = hoist.visit(ast.Module(body, [])).body
+    exprs = [hoist.visit(v) for v in exprs]
+    return ([f"{name} = {ast.unparse(v)}" for name, v in hoist.head.values()],
+            body, exprs)
 
 
 #: the states of the open loop and of the observed compressor

@@ -382,16 +382,21 @@ class TestLiveStates:
                 q[7:10] = np.where(q[7:10] < 0.0, 0.0, q[7:10])
         return rows, q, clamps
 
-    def _check(self, monkeypatch, kind, observe, reference, dropped):
+    def _check(self, monkeypatch, kind, observe, reference, dropped,
+               v1=None):
         """The kernels against the oracle, with the indices of the
         reference model and the set-point filter that ``live_states``
-        drops; returns the oracle's projection count."""
+        drops, from the start of ``initial_loop_state`` or, given ``v1``,
+        that start with the set-point filter at ``v1``; returns the
+        oracle's projection count."""
         cfg = ControllerConfig(kind=kind, k3=0.0, reference=reference)
         valve = ValveModel()
         prof = DisturbanceProfile(target=0.35)
         p = _kernel_args(cfg, valve, prof)
         m = M.constants if observe else None
         state = initial_loop_state(cfg, valve, prof)
+        if v1 is not None:
+            state[4] = v1
         if observe:
             state[11] = state[2]
             state[12] = map_pressure_rise(M, state[2])
@@ -466,6 +471,15 @@ class TestLiveStates:
         # reference model moves, and v1 = -0.0 is kept: a full step would
         # turn it into 0.0
         self._check(monkeypatch, kind, observe, reference, dropped)
+
+    @pytest.mark.parametrize("observe", [False, True])
+    @pytest.mark.parametrize("kind", CONTROLLER_KINDS)
+    def test_set_point_filter_alone_moves(self, monkeypatch, kind, observe):
+        # the reference model starts at rest on the set point 0.55, the
+        # start's measured flow, and is dropped; the set-point filter v1
+        # starts at 0.7, away from it, and moves.  No start of
+        # initial_loop_state is this one: it puts v1 on the set point
+        self._check(monkeypatch, kind, observe, 0.55, dropped=(2, 3), v1=0.7)
 
 
 class TestKernelArgs:
@@ -885,6 +899,12 @@ def _sha16(text):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _key_id(key):
+    """The test id of a step key: its kind, live set and observed flag."""
+    return (key if isinstance(key, str) else
+            f"{key[0]}-{'.'.join(map(str, key[1]))}-{key[2]}")
+
+
 class TestGeneratedStep:
     """Each RK4 step is generated: the closed loop's per (kind, live,
     observed) key, the open loop's and the observer's once.  Its stages
@@ -905,58 +925,56 @@ class TestGeneratedStep:
         "observer":
             ("1331921fde8de8d5", "eeb64768f1191f82"),
         (2, (0, 1, 5, 6, 7, 8, 9), False):
-            ("4a983edf671c78b5", "a0300795d8d5f55e"),
+            ("505a7289f23d3e03", "8a560395f3ad9ae0"),
         (2, (0, 1, 5, 6, 7, 8, 9), True):
-            ("b673baadd5f6509c", "c1efc1d6e19596d3"),
+            ("7a199e58ccfb005d", "a35a06e6442ce18e"),
         (2, (0, 1, 4, 5, 6, 7, 8, 9), False):
-            ("d2f7be6a27013548", "b74de9a9c317fcb0"),
+            ("826d79dc1ebafcf5", "bef114df203f415e"),
         (2, (0, 1, 4, 5, 6, 7, 8, 9), True):
-            ("329071b0da9af810", "89ab01e82ca2e834"),
+            ("9be4afd190e383b4", "1350724528db07fd"),
         (2, (0, 1, 2, 3, 5, 6, 7, 8, 9), False):
-            ("517d79f373baa629", "a67b2cca3c29dec6"),
+            ("79e8954aef98f2ac", "9a325d14153704b3"),
         (2, (0, 1, 2, 3, 5, 6, 7, 8, 9), True):
-            ("0da24382a5d70499", "e24dadcccc874cf0"),
+            ("8369bdfbb92d06f0", "38fd41ebbee9568f"),
         (2, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9), False):
-            ("42b5d5b2c8cfc007", "58bab420a2343b32"),
+            ("0a3c1549fc742aaa", "ac9102bfdb3f9010"),
         (2, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9), True):
-            ("cee968f9ab153719", "6ee6badf60d40f6c"),
+            ("e0ac559b3e69988a", "cac5a75029aa4e36"),
         (1, (0, 1, 5, 6, 10), False):
-            ("f5f81d723e4132d0", "a0b008274b5b209d"),
+            ("cfe52b6f9756ec09", "4c9bc2f0f01830b4"),
         (1, (0, 1, 5, 6, 10), True):
-            ("7b2049032e6a3fd3", "12f768a51a134a47"),
+            ("fe2b933a8c48a079", "47fcbb1841860fea"),
         (1, (0, 1, 4, 5, 6, 10), False):
-            ("4173f892ac8cc7ae", "e2a88a219135cca4"),
+            ("ae95499320cdf84f", "7be3eacc6932914f"),
         (1, (0, 1, 4, 5, 6, 10), True):
-            ("30c4ed0fe20b824c", "2f04052acb350a5f"),
+            ("62a5aa21c1f45512", "a5e96facf822b5a3"),
         (1, (0, 1, 2, 3, 5, 6, 10), False):
-            ("1aaa965bbaf99a1e", "eae6a3bcc04cf175"),
+            ("2ad14cfb6dbf7180", "81d07895441eccec"),
         (1, (0, 1, 2, 3, 5, 6, 10), True):
-            ("1a1cf3176e01e9f2", "4a43923b7cdafe58"),
+            ("621fe6f1b61c269e", "d67cc34a1b98aabf"),
         (1, (0, 1, 2, 3, 4, 5, 6, 10), False):
-            ("e9ad71865a0e89aa", "2a327cbcba5faa92"),
+            ("ee706e166036f3a6", "9dfc7ff344235d0c"),
         (1, (0, 1, 2, 3, 4, 5, 6, 10), True):
-            ("33ad35a64880d476", "171987e2fb7be319"),
+            ("863d5d3fa4ab6e94", "1d0037d884e9ddaf"),
         (0, (0, 1, 5, 6), False):
-            ("4edb5b4d4a5e30c7", "488d06845ae5a7ed"),
+            ("82966c39d41c96de", "adef93f7b8fe0d59"),
         (0, (0, 1, 5, 6), True):
-            ("b906b50f939a16c4", "5c07df6250ca0313"),
+            ("186a9f057f27bbb0", "7da0f8a40246c9a7"),
         (0, (0, 1, 4, 5, 6), False):
-            ("490eaa8e502f380b", "7c1e5be38aab6a0c"),
+            ("9c7999f215b3c4b7", "34447cf5a8bccfd0"),
         (0, (0, 1, 4, 5, 6), True):
-            ("fdd0f044e05da3ab", "1da0debf48aab03c"),
+            ("160a933053d9891f", "4759f500e712f8cd"),
         (0, (0, 1, 2, 3, 5, 6), False):
-            ("6878f80cf4dea4d8", "efed89d4c647f7ae"),
+            ("eae0bcfe2e817a1a", "e1664bc90a98b545"),
         (0, (0, 1, 2, 3, 5, 6), True):
-            ("33ca77329835aab9", "2daacaac464d3838"),
+            ("3d85f162428559a4", "74b871841dfc324a"),
         (0, (0, 1, 2, 3, 4, 5, 6), False):
-            ("5eab02f424583a0a", "13cc7d5439696471"),
+            ("44c83c7382f5dd35", "a7e9c0678402cd6f"),
         (0, (0, 1, 2, 3, 4, 5, 6), True):
-            ("114ee3eab02861ca", "9ec85d3cd688a3d4"),
+            ("17dd9d47a3d6ebe5", "3c49b7100e2f2a86"),
     }
 
-    @pytest.mark.parametrize("key", STEP_DIGESTS, ids=lambda key: (
-        key if isinstance(key, str) else
-        f"{key[0]}-{'.'.join(map(str, key[1]))}-{key[2]}"))
+    @pytest.mark.parametrize("key", STEP_DIGESTS, ids=_key_id)
     def test_step_text_is_pinned(self, key):
         # each text is pinned where it was recorded (ast.unparse may space
         # or bracket it differently on another version), and what it
@@ -967,6 +985,64 @@ class TestGeneratedStep:
         if sys.version_info[:2] == (3, 11):
             assert _sha16(text) == text_digest
         assert _sha16(_shape(ast.parse(text))) == shape_digest
+
+    #: the 24 closed-loop keys
+    LOOP_KEYS = [key for key in STEP_DIGESTS if key != "observer"]
+
+    @staticmethod
+    def _parts(key):
+        """The statements of the step of ``key``: of ``run``'s head
+        before its loop, of the loop up to the test ``i == last`` (RK
+        stage 1 and the record), and of the loop after it (stages 2-4 and
+        the combination)."""
+        run = ast.parse(_kernels._step_source(*key)).body[0]
+        loop = next(st for st in run.body if isinstance(st, ast.For))
+        cut = next(j for j, st in enumerate(loop.body)
+                   if isinstance(st, ast.If)
+                   and ast.unparse(st.test) == "i == last")
+        return (run.body[:run.body.index(loop)], loop.body[:cut],
+                loop.body[cut + 1:])
+
+    @staticmethod
+    def _found(stmts, text):
+        """How often the expression ``text`` is in the statements."""
+        dump = ast.dump(ast.parse(text, mode="eval").body)
+        return sum(ast.dump(node) == dump
+                   for st in stmts for node in ast.walk(st))
+
+    @pytest.mark.parametrize("key", LOOP_KEYS, ids=_key_id)
+    def test_step_copies_no_name(self, key):
+        # a name another name's value is assigned to once is read as that
+        # name, and a rate that is a name is named directly: no statement
+        # of run or its loop copies one name to another.  (The valve's
+        # saturation branches, which choose one of three names, remain)
+        head, first, rest = self._parts(key)
+        copies = [ast.unparse(st) for st in head + first + rest
+                  if isinstance(st, ast.Assign)
+                  and isinstance(st.value, ast.Name)
+                  and all(isinstance(t, ast.Name) for t in st.targets)]
+        assert copies == []
+
+    @pytest.mark.parametrize("key", LOOP_KEYS, ids=_key_id)
+    def test_run_constants_are_computed_once(self, key):
+        # -gamma, and under the fixed kinds the control denominator, read
+        # only constants of the run: run's head computes each once
+        head, first, rest = self._parts(key)
+        text = "-gamma" if key[0] == KIND_ADAPTIVE else "1.0 + kd / vtau"
+        assert self._found(head, text) == 1
+        assert self._found(first + rest, text) == 0
+
+    @pytest.mark.parametrize("key", [key for key in LOOP_KEYS
+                                     if key[0] != KIND_ADAPTIVE], ids=_key_id)
+    def test_fixed_kinds_store_no_error_after_stage_1(self, key):
+        # the fixed kinds read the model error e only to record it, at
+        # stage 1: stages 2-4 do not compute it
+        _, first, rest = self._parts(key)
+        stored = [{node.id for st in stmts for node in ast.walk(st)
+                   if isinstance(node, ast.Name)
+                   and isinstance(node.ctx, ast.Store)}
+                  for stmts in (first, rest)]
+        assert "e" in stored[0] and "e" not in stored[1]
 
     @pytest.mark.parametrize("live, observed", KEYS)
     def test_only_rhs_isfinite_and_range_are_called(self, live, observed):

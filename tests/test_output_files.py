@@ -164,6 +164,26 @@ class TestOutputBytes:
             csv) == ("5f9c9a07f26aedfa1c7a26eccc1a6ec0"
                      "ade274138dc5fa81b33a29362cede01b")
 
+    # closed-loop runs no catalog CSV pins: the fixed PD, unobserved and
+    # observed; a disturbance target of 0.7; and a set point of 0.7, away
+    # from the start's flow 0.55, which moves the reference model
+    # (ym1, ym2)
+    @pytest.mark.parametrize("argv, digest", [
+        (["--controller", "fixed-pd"],
+         "60334565d4c99d320c1b7d6e84e58de547c0717205f71304bca989778d273ba4"),
+        (["--controller", "fixed-pd", "--observe"],
+         "13e6a4321eed7c0312f80a03eb9cbde56d8e3ddf71f476124d47efbb6947c66f"),
+        (["--target", "0.7"],
+         "5b1147823776b0076d895e5bebe5830e834a783c586d2f3bb7bcc82aa0b0b80f"),
+        (["--reference", "0.7"],
+         "a7608063bdae2ac741acf3f1af6bfc2fb4a67ad3cd23f70b97f69c5f65cb2638"),
+    ], ids=["fixed-pd", "fixed-pd-observed", "disturbance-target",
+            "moving-reference"])
+    def test_closed_loop_csv_is_pinned(self, tmp_path, argv, digest):
+        csv = tmp_path / "run.csv"
+        assert _sha256_of_run(["closedloop", *argv, "--t-end", "5",
+                               "--csv", str(csv)], csv) == digest
+
     @pytest.mark.parametrize("kind", ["fixed-pd", "fixed-pid"])
     def test_fixed_gain_written_as_negative_zero_stays(self, tmp_path, kind):
         # a fixed controller's gains have no rate, so the loop leaves them
