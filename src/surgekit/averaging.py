@@ -13,6 +13,12 @@ so two eigenvalues are exactly zero and the third equals the block trace,
 which is strictly negative for nonnegative gains: the averaged adaptation
 never diverges.  In saturated-actuator mode the kernel gates adaptation
 off, so all rates are zero and every eigenvalue vanishes (marginal).
+
+A grid is solved as arrays: the Jacobians of all its points are built as
+one stack, whose entries are those of :func:`averaged_jacobian` bit for
+bit (it builds a stack of one), and solved by one batched
+``np.linalg.eigvals`` call, which runs the same LAPACK routine on each
+matrix, so every eigenvalue is that of :func:`averaged_eigenvalues`.
 """
 
 from __future__ import annotations
@@ -94,16 +100,28 @@ def averaged_rhs(p: AveragedPoint) -> tuple[float, float, float]:
     return -amp * (q - 1.0), amp * (q - 1.0) * q, 0.0
 
 
+def _jacobians(points: list[AveragedPoint]) -> np.ndarray:
+    """The (n, 3, 3) stack of the analytic Jacobians of
+    :func:`averaged_rhs` at ``points``; an overflow gives inf or nan, with
+    no warning."""
+    k1, k2, gamma, r = np.array(
+        [(p.k1, p.k2, p.gamma, p.r) for p in points]).reshape(-1, 4).T
+    jac = np.zeros((len(points), 3, 3))
+    with np.errstate(all="ignore"):
+        amp = gamma * r * r
+        c = 1.0 + k2
+        q = k1 / c
+        jac[:, 0, 0] = -1.0 / c
+        jac[:, 0, 1] = k1 / (c * c)
+        jac[:, 1, 0] = (2.0 * q - 1.0) / c
+        jac[:, 1, 1] = -(2.0 * q - 1.0) * k1 / (c * c)
+        # the zero entries too: amp * 0.0 is nan where amp is inf
+        return amp[:, None, None] * jac
+
+
 def averaged_jacobian(p: AveragedPoint) -> np.ndarray:
     """Analytic 3x3 Jacobian of :func:`averaged_rhs`."""
-    amp = p.gamma * p.r * p.r
-    c = 1.0 + p.k2
-    q = p.k1 / c
-    rows = ((-1.0 / c, p.k1 / (c * c), 0.0),
-            ((2.0 * q - 1.0) / c, -(2.0 * q - 1.0) * p.k1 / (c * c), 0.0),
-            (0.0, 0.0, 0.0))
-    # products of Python floats: an overflow gives inf or nan, no warning
-    return np.array([[amp * v for v in row] for row in rows])
+    return _jacobians([p])[0]
 
 
 def averaged_eigenvalues(p: AveragedPoint) -> tuple[float, float, float]:
@@ -124,7 +142,9 @@ def _eigenvalues(jac: np.ndarray, p: AveragedPoint) -> tuple[float, ...]:
     lam = np.linalg.eigvals(jac)
     if np.abs(lam.imag).max() > 1e-9:
         raise DomainError(f"unexpected complex eigenvalues at {p}: {lam}")
-    return tuple(sorted(lam.real, reverse=True))
+    # sorted keeps the solver's order of equal values, such as 0.0 and
+    # -0.0, where np.sort need not
+    return tuple(sorted(lam.real.tolist(), reverse=True))
 
 
 def stability_verdict(
@@ -137,13 +157,31 @@ def stability_verdict(
     small multiples of its entries; relative to them, the verdict does not
     depend on the scale of gamma*r^2.  The marginal all-zero saturated
     case counts as stable.
+
+    All points are solved at once (:func:`_jacobians`, one batched
+    eigensolve), each bit for bit as :func:`averaged_eigenvalues` solves
+    it.  The first point whose Jacobian is not finite or whose
+    eigenvalues are complex raises the error ``averaged_eigenvalues``
+    raises for it.
     """
+    points = list(points)
+    jacs = _jacobians(points)
+    finite = np.isfinite(jacs).all(axis=(1, 2))
+    # eigvals refuses a stack holding inf or nan: solve up to the first
+    stop = len(points) if finite.all() else int(np.argmin(finite))
+    lam = np.linalg.eigvals(jacs[:stop])
+    complex_pair = np.abs(lam.imag).max(axis=1) > 1e-9
+    if complex_pair.any():
+        stop = int(np.argmax(complex_pair))
+    if stop < len(points):
+        # the point's own check raises its error
+        _eigenvalues(jacs[stop], points[stop])
+    bounds = VERDICT_TOL * np.abs(jacs).max(axis=(1, 2))
     rows = []
-    for p in points:
-        jac = averaged_jacobian(p)
-        lam = _eigenvalues(jac, p)
-        stable = max(lam) <= VERDICT_TOL * np.abs(jac).max()
-        rows.append(AveragedReportRow(p, lam,
+    for p, lam_p, bound in zip(points, lam.real.tolist(), bounds.tolist()):
+        lam_p = tuple(sorted(lam_p, reverse=True))
+        stable = max(lam_p) <= bound
+        rows.append(AveragedReportRow(p, lam_p,
                                       "stable" if stable else "unstable"))
     return rows
 

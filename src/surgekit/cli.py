@@ -19,8 +19,8 @@ from collections import Counter
 import numpy as np
 
 from . import __version__
+from ._kernels import pressure_rise
 from .averaging import REPORT_HEADER, grid_points, stability_verdict
-from .compressor import map_pressure_rise
 from .csvio import RunHelper, write_rows, write_trajectory
 from .errors import AnalysisError, DomainError, NoSignChangeError, \
     ScenarioError, SurgeKitError
@@ -94,8 +94,9 @@ def cmd_map(args) -> int:
     # point is then set to hi
     with np.errstate(over="ignore"):
         phis[:] = np.linspace(lo, hi, n)
-    # on Python floats an overflow gives inf or nan, not a numpy warning
-    psis = np.array([map_pressure_rise(sc.cmap, p) for p in phis.tolist()])
+    # an overflow gives inf or nan, refused below, not a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        psis = pressure_rise(phis, *sc.cmap.constants)
     finite = np.isfinite(psis)
     if not finite.all():
         k = int(np.argmin(finite))

@@ -137,6 +137,12 @@ def map_slope(cmap: CompressorMap, phi: float) -> float:
     """Analytic derivative d(psi_c)/d(phi) of the cubic map."""
     if not math.isfinite(phi):
         raise DomainError(f"phi must be finite, got {phi}")
+    return _slope(cmap, phi)
+
+
+def _slope(cmap: CompressorMap, phi):
+    """:func:`map_slope`'s arithmetic, unchecked: on a flow array it gives
+    each flow's float bit for bit."""
     w = cmap.slope * phi + cmap.offset
     return cmap.h * cmap.slope * (
         cmap.c1 + w * (2.0 * cmap.c2 + w * 3.0 * cmap.c3))

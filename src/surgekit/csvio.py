@@ -60,15 +60,21 @@ def write_rows(header: Sequence[str], rows: Iterable[Sequence], path) -> None:
     """Write one header row plus data rows as comma-separated text.
 
     A string is written as it is, a number with 9 significant digits.
+    Each column holds the type of the first row's value: every row is
+    formatted with one ``%`` of a row template, ``%s`` for a string and
+    ``%.9g`` for a number, the same bytes as formatting each value on its
+    own.  A row of another width than the header is a DomainError, and
+    then no file is written.
     """
-    lines = [",".join(header)]
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
     for row in rows:
         if len(row) != len(header):
             raise DomainError(
                 f"row width {len(row)} does not match header {header}")
-        lines.append(",".join(v if isinstance(v, str) else "%.9g" % v
-                              for v in row))
-    _write_text(path, ["\n".join(lines) + "\n"])
+    row_format = ",".join(["%s" if isinstance(v, str) else "%.9g"
+                           for v in rows[0]]) + "\n" if rows else ""
+    _write_text(path, [",".join(header) + "\n",
+                       "".join([row_format % tuple(row) for row in rows])])
 
 
 def write_trajectory(traj: Trajectory, path, decimate: int = 1,

@@ -8,6 +8,12 @@ discriminant and the divergence (Bendixson) indicator, the Jacobian
 trace, as its ``delta`` and ``bendixson_r`` columns; the surge boundary
 refines the scan's rightmost sign change of the real part.  A
 trajectory-based limit-cycle detector complements the local analysis.
+
+The scalar functions (:func:`jacobian_at_equilibrium`, :func:`char_poly`,
+:func:`eig_real_part`) take one flow.  A scan computes the same quantities
+on its whole flow array at once, in trace-determinant form
+(:func:`_scan_arrays`): each value by the same IEEE operations on the
+same operands as the scalar path, so it is that path's float bit for bit.
 """
 
 from __future__ import annotations
@@ -19,8 +25,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._kernels import pressure_rise
 from .compressor import (CompressorMap, DEFAULT_MAP, FLOW_GAIN,
-                         PRESSURE_GAIN, bisect_sign_change,
+                         PRESSURE_GAIN, _slope, bisect_sign_change,
                          map_pressure_rise, map_slope)
 from .errors import AnalysisError, DomainError, NoSignChangeError
 from .odesim import Trajectory
@@ -143,30 +150,65 @@ def eig_real_part(cmap: CompressorMap, phi: float) -> float:
     return _focus(cmap, phi)[1]
 
 
+def _scan_arrays(cmap: CompressorMap, scan: StabilityConfig
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The flows of ``scan`` and, at each, the discriminant and the
+    eigenvalue real part of :func:`_focus`, as three arrays.
+
+    With trace = j11 + j22 = -b and det = c of :func:`char_poly`, the
+    discriminant is trace*trace - 4*det and the real part trace/2: the
+    same IEEE operations on the same operands as ``_focus``, as negation
+    is exact, so each value is its float bit for bit.  When a flow is off
+    the map, has psi_c <= 0 or a real eigenvalue pair, the first such
+    flow is handed to ``_focus``, which raises its own error for it.
+    """
+    j12, j21 = -FLOW_GAIN, PRESSURE_GAIN
+    try:
+        phis = np.empty(scan.n)
+        phis[:] = np.linspace(scan.lo, scan.hi, scan.n)
+        # where Python floats overflow silently, numpy would warn
+        with np.errstate(all="ignore"):
+            psi = pressure_rise(phis, *cmap.constants)
+            j11 = FLOW_GAIN * _slope(cmap, phis)
+            j22 = -PRESSURE_GAIN * phis / (2.0 * psi)
+            trace = j11 + j22
+            det = j11 * j22 - j12 * j21
+            delta = trace * trace - 4.0 * det
+            fails = ~((cmap.domain_lo < phis) & (phis < cmap.domain_hi))
+            fails |= (psi <= 0.0) | (delta >= 0.0)
+    except (ValueError, MemoryError):
+        raise DomainError(
+            f"a scan of {scan.n} points is too large to hold") from None
+    if fails.any():
+        _focus(cmap, phis[np.argmax(fails)].item())
+    return phis, delta, 0.5 * trace
+
+
 @functools.lru_cache
 def surge_boundary(cmap: CompressorMap = DEFAULT_MAP,
                    scan: StabilityConfig = StabilityConfig()) -> float:
     """Largest flow where the eigenvalue real part crosses zero.
 
-    Bisects the rightmost sign change in the ``real_part`` column of
-    ``stability_scan(cmap, scan)`` down to |real part| <= 1e-10.  Below
-    the returned flow the equilibrium is an unstable focus, above it a
-    stable one.  Raises :class:`NoSignChangeError` where the scan finds
-    no sign change.  The result is cached per (map, scan), both frozen,
-    so an equal map gets the same float without a second search; an
-    error is not cached.
+    Bisects the rightmost sign change of the real part over the flows of
+    ``scan``, the ``real_part`` column of ``stability_scan(cmap, scan)``
+    (read off its arrays, :func:`_scan_arrays`), down to |real part| <=
+    1e-10.  Below the returned flow the equilibrium is an unstable focus,
+    above it a stable one.  Raises :class:`NoSignChangeError` where the
+    scan finds no sign change, and the scan's error where it fails.  The
+    result is cached per (map, scan), both frozen, so an equal map gets
+    the same float without a second search; an error is not cached.
     """
-    rows = stability_scan(cmap, scan)
-    signs = np.sign([r.real_part for r in rows])
+    phis, _, real = _scan_arrays(cmap, scan)
+    signs = np.sign(real)
     flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
     if len(flips) == 0:
         raise NoSignChangeError(
             f"eigenvalue real part does not change sign on "
             f"[{scan.lo}, {scan.hi}]")
-    left, right = rows[flips[-1]], rows[flips[-1] + 1]
+    i = flips[-1]
     root, converged = bisect_sign_change(
-        lambda phi: eig_real_part(cmap, phi), left.phi, right.phi,
-        left.real_part, 1e-12, 1e-15, 200)
+        lambda phi: eig_real_part(cmap, phi), phis[i].item(),
+        phis[i + 1].item(), real[i].item(), 1e-12, 1e-15, 200)
     if not converged and abs(eig_real_part(cmap, root)) > 1e-10:
         raise AnalysisError("surge-boundary bisection failed to converge")
     return root
@@ -176,24 +218,19 @@ def stability_scan(cmap: CompressorMap,
                    scan: StabilityConfig) -> list[StabilityRow]:
     """Tabulate the stability quantities on ``scan.n`` uniformly spaced
     flows of ``scan``; a real part within ``CLASS_TOL`` of zero is
-    classed as the boundary.  Each flow is checked as it is met, so the
-    first one off the map or without a complex pair is the one named."""
-    try:
-        phis = np.empty(scan.n)
-    except (ValueError, MemoryError):
-        raise DomainError(
-            f"a scan of {scan.n} points is too large to hold") from None
-    phis[:] = np.linspace(scan.lo, scan.hi, scan.n)
-    rows = []
-    for phi in phis.tolist():
-        delta, real = _focus(cmap, phi)
-        cls = (STABLE_FOCUS if real < -CLASS_TOL else
-               UNSTABLE_FOCUS if real > CLASS_TOL else BOUNDARY)
-        # the divergence (Bendixson) indicator is the Jacobian trace,
-        # twice the real part.  A range where it keeps one sign holds no
-        # limit cycle, so its sign change marks where surge becomes possible
-        rows.append(StabilityRow(phi, delta, real, 2.0 * real, cls))
-    return rows
+    classed as the boundary.  The columns are computed as arrays
+    (:func:`_scan_arrays`), bit for bit what :func:`_focus` gives at each
+    flow, and the first flow off the map or without a complex pair is
+    named with the error ``_focus`` raises for it."""
+    phis, delta, real = _scan_arrays(cmap, scan)
+    codes = (real < -CLASS_TOL) + 2 * (real > CLASS_TOL)
+    classes = np.array((BOUNDARY, STABLE_FOCUS, UNSTABLE_FOCUS),
+                       dtype=object)[codes]
+    # the divergence (Bendixson) indicator is the Jacobian trace, twice
+    # the real part.  A range where it keeps one sign holds no limit
+    # cycle, so its sign change marks where surge becomes possible
+    return list(map(StabilityRow, phis.tolist(), delta.tolist(),
+                    real.tolist(), (2.0 * real).tolist(), classes.tolist()))
 
 
 def _local_maxima(x: np.ndarray) -> np.ndarray:

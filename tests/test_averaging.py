@@ -1,9 +1,12 @@
 """Averaged adaptation dynamics: rates, Jacobian, eigenvalues, verdicts."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from support import integrate, loop_rates
 
 from surgekit._kernels import KIND_ADAPTIVE, closed_loop_rhs
@@ -12,6 +15,7 @@ from surgekit.averaging import (AveragedPoint, AveragingConfig,
                                 averaged_rhs, grid_points, stability_verdict,
                                 VERDICT_TOL)
 from surgekit.errors import DomainError
+from surgekit.scenario import resolve_scenario
 
 P0 = AveragedPoint(k1=10.0, k2=10.0, k3=0.7, r=0.55, gamma=1.0)
 
@@ -178,6 +182,68 @@ class TestVerdicts:
         rows = stability_verdict([P0])
         assert rows[0].verdict == "stable"
         assert rows[0].eigenvalues[2] < 0.0
+
+
+def _bits(values):
+    """The floats' bit patterns, which tell 0.0 from -0.0."""
+    return [float(v).hex() for v in values]
+
+
+class TestBatchedVerdicts:
+    # one batched eigensolve over the grid gives each point the
+    # eigenvalues and verdict the per-point path gives it, bit for bit
+    def _check(self, points):
+        rows = stability_verdict(points)
+        assert [w.point for w in rows] == points
+        for p, w in zip(points, rows, strict=True):
+            lam = averaged_eigenvalues(p)
+            assert _bits(w.eigenvalues) == _bits(lam)
+            bound = VERDICT_TOL * np.abs(averaged_jacobian(p)).max()
+            assert w.verdict == ("stable" if max(lam) <= bound
+                                 else "unstable")
+
+    def test_shipped_grid(self):
+        points = grid_points(resolve_scenario("avg").averaging)
+        assert len(points) == 100
+        self._check(points)
+
+    def test_zero_amplitude_signed_zeros(self):
+        # r = 0 makes every entry a signed zero, amp * v with v of
+        # either sign
+        points = grid_points(AveragingConfig(r=0.0, n=4))
+        jac = averaged_jacobian(points[0])
+        assert not jac.any() and np.signbit(jac).any()
+        self._check(points)
+        assert all(w.verdict == "stable" for w in stability_verdict(points))
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(k1=st.floats(0.0, 1e3), k2=st.floats(0.0, 1e3),
+           span=st.floats(0.0, 1e4), n=st.integers(2, 6),
+           r=st.floats(0.0, 1e3), gamma=st.floats(1e-3, 1e3))
+    def test_random_grids(self, k1, k2, span, n, r, gamma):
+        self._check(grid_points(AveragingConfig(k1, k1 + span, k2, k2 + span,
+                                                n, r=r, gamma=gamma)))
+
+    def test_empty(self):
+        assert stability_verdict([]) == []
+
+    def test_overflow_names_the_first_such_point(self):
+        # k1 near the float range overflows the Jacobian from the grid's
+        # second k1 on: the batch raises the per-point error of the first
+        # such point, with no numpy warning on the way
+        points = grid_points(AveragingConfig(0.0, 1e308, 0.0, 1.0, 3))
+        finite = [np.isfinite(averaged_jacobian(p)).all() for p in points]
+        first = finite.index(False)
+        assert first == 3
+        with pytest.raises(DomainError) as per_point:
+            averaged_eigenvalues(points[first])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as batched:
+                stability_verdict(points)
+        assert str(batched.value) == str(per_point.value)
+        assert str(batched.value).startswith(
+            "averaged Jacobian is not finite at AveragedPoint(k1=5e+307")
 
 
 class TestCrossCheckWithSimulation:

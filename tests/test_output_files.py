@@ -53,6 +53,35 @@ class TestCsv:
         with pytest.raises(DomainError):
             write_rows(("a", "b"), [(1.0,)], tmp_path / "x.csv")
 
+    @pytest.mark.parametrize("header, rows", [
+        (("L", "T", "rule", "kp", "ki"),
+         [(0.5, 2.0, "PID", 1.0 / 3.0, 7), (1e-300, -0.0, "PI", 2e300, -5)]),
+        (("phi", "psi_c"),
+         np.column_stack([np.linspace(0.0, 0.8, 201),
+                          np.linspace(-0.0, 1e-310, 201)])),
+        (("phi", "x"), np.array([[np.nan, np.inf], [-np.inf, -0.0]])),
+        (("a", "b"), [])],
+        ids=["string-column", "numpy-rows", "numpy-specials", "no-rows"])
+    def test_bytes_equal_per_value_formatting(self, tmp_path, header, rows):
+        # one row template writes what formatting each value on its own
+        # wrote: a string as it is, a number with %.9g
+        expected = "\n".join(
+            [",".join(header)]
+            + [",".join(v if isinstance(v, str) else "%.9g" % v for v in row)
+               for row in rows]) + "\n"
+        write_rows(header, rows, tmp_path / "rows.csv")
+        assert (tmp_path / "rows.csv").read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("rows", [
+        [(1.0, "a"), (2.0, "b", 3.0)], np.zeros((3, 1))],
+        ids=["later-row", "numpy-rows"])
+    def test_width_mismatch_writes_no_file(self, tmp_path, rows):
+        path = tmp_path / "x.csv"
+        with pytest.raises(DomainError, match=r"^row width (3|1) does not "
+                           r"match header \('a', 'b'\)$"):
+            write_rows(("a", "b"), rows, path)
+        assert not path.exists()
+
     def test_trajectory_schema(self, tmp_path):
         path = tmp_path / "traj.csv"
         write_trajectory(small_traj(), path)

@@ -5,15 +5,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from surgekit import stability
+from surgekit import cli, stability
 from surgekit.compressor import (DEFAULT_MAP, CompressorMap, PlantState,
                                  equilibrium_from_throttle, throttle_from_flow)
 from surgekit.errors import AnalysisError, DomainError, NoSignChangeError
 from surgekit.odesim import Trajectory, simulate_greitzer
-from surgekit.stability import (BOUNDARY, SCAN_HEADER, STABLE_FOCUS,
-                                UNSTABLE_FOCUS, CycleConfig,
-                                StabilityConfig, char_poly,
+from surgekit.stability import (BOUNDARY, CLASS_TOL, SCAN_HEADER,
+                                STABLE_FOCUS, UNSTABLE_FOCUS, CycleConfig,
+                                StabilityConfig, _focus, char_poly,
                                 detect_limit_cycle, eig_real_part,
                                 jacobian_at_equilibrium, stability_scan,
                                 surge_boundary)
@@ -144,15 +146,16 @@ class TestSurgeBoundary:
         assert surge_boundary(M, scan=scan).hex() == bits
 
     def test_bisects_the_scans_rightmost_sign_change(self, monkeypatch):
-        # the boundary is read off the scan's own rows, which it asks for
-        # once; it evaluates no grid of its own
+        # the boundary is read off the scan's own arrays, which it asks
+        # for once; it evaluates no grid of its own
         scans = []
+        scan_arrays = stability._scan_arrays
 
         def spy(cmap, scan):
             scans.append(scan)
-            return stability_scan(cmap, scan)
+            return scan_arrays(cmap, scan)
 
-        monkeypatch.setattr(stability, "stability_scan", spy)
+        monkeypatch.setattr(stability, "_scan_arrays", spy)
         scan = StabilityConfig(0.3, 0.6, 37)
         b = surge_boundary.__wrapped__(M, scan)
         assert scans == [scan]
@@ -248,6 +251,73 @@ class TestStabilityScan:
         with pytest.raises(DomainError, match=r"\(0\.0, 0\.5\), got "
                            r"0\.5006006006006006$"):
             stability_scan(short, StabilityConfig(0.1, 0.79, 1000))
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(psi0=st.floats(-0.1, 0.6), h=st.floats(0.0, 0.8),
+           c3=st.floats(-1.0, 0.2), domain_hi=st.floats(0.4, 1.2),
+           lo=st.floats(0.01, 0.45), span=st.floats(1e-9, 0.5),
+           n=st.integers(2, 300))
+    def test_rows_are_the_scalar_foci_bit_for_bit(self, psi0, h, c3,
+                                                   domain_hi, lo, span, n):
+        # the scan's arrays give each flow the floats the scalar _focus
+        # gives it, and fail where the scalar loop first fails, with its
+        # error.  About a third of these maps and ranges scan cleanly;
+        # the rest meet real eigenvalues, leave the map or reach psi_c <= 0
+        cmap = dataclasses.replace(M, psi0=psi0, h=h, c3=c3,
+                                   domain_hi=domain_hi)
+        scan = StabilityConfig(lo, lo + span, n)
+        phis = np.linspace(scan.lo, scan.hi, scan.n).tolist()
+        try:
+            foci = [_focus(cmap, phi) for phi in phis]
+        except (AnalysisError, DomainError) as err:
+            with pytest.raises(type(err)) as scanned:
+                stability_scan(cmap, scan)
+            assert str(scanned.value) == str(err)
+            return
+        rows = stability_scan(cmap, scan)
+        assert [r.phi for r in rows] == phis
+        for row, (delta, real) in zip(rows, foci, strict=True):
+            assert row.discriminant.hex() == delta.hex()
+            assert row.real_part.hex() == real.hex()
+            assert row.bendixson_r.hex() == (2.0 * real).hex()
+            assert row.classification == (
+                STABLE_FOCUS if real < -CLASS_TOL else
+                UNSTABLE_FOCUS if real > CLASS_TOL else BOUNDARY)
+
+    @pytest.mark.parametrize("fields, phi", [
+        ({"h": 2.0, "domain_hi": 0.5}, 0.1),
+        ({"h": 0.6, "domain_hi": 0.5}, 0.10207207207207208),
+        ({"h": 2.0, "domain_lo": 0.2}, 0.1),
+        ({"h": 2.0, "psi0": -0.5}, 0.1)],
+        ids=["real-then-off-map", "second-flow-real", "off-map-then-real",
+             "negative-map-and-real"])
+    def test_lowest_failing_flow_is_named(self, fields, phi):
+        # flows fail different checks; the lowest failing one is named,
+        # with the error the scalar check raises there first, whichever
+        # check fails over more of the grid
+        cmap = dataclasses.replace(M, **fields)
+        with pytest.raises((AnalysisError, DomainError)) as scalar:
+            _focus(cmap, phi)
+        with pytest.raises(type(scalar.value)) as scanned:
+            stability_scan(cmap, StabilityConfig(0.1, 0.79, 1000))
+        assert str(scanned.value) == str(scalar.value)
+
+    def test_memory_error_is_the_too_large_error(self, monkeypatch, capsys,
+                                                 tmp_path):
+        # an n-sized temporary that cannot be held is a DomainError, and
+        # the command ends on its one line, not a traceback
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(stability, "pressure_rise", no_memory)
+        with pytest.raises(DomainError,
+                           match="^a scan of 1000 points is too large to "
+                           "hold$"):
+            stability_scan(M, StabilityConfig())
+        code = cli.main(["stability", "--out-dir", str(tmp_path)])
+        assert (code, capsys.readouterr().err) == (
+            4, "error: a scan of 1000 points is too large to hold\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_range_validation(self):
         with pytest.raises(DomainError):
