@@ -18,14 +18,17 @@ observed compressor's in :func:`observed_rhs` and the closed loop's in
 coefficients it reads (the surge gains ``FLOW_GAIN``, ``PRESSURE_GAIN``,
 the reference model's ``REF_MODEL_*``): a kernel's constant tuple holds
 only what a run sets.  No kernel calls them: each kernel's RK4 step over
-a range of rows is written out as straight-line code
-(:func:`_step_source`, :func:`_open_loop_source`,
-:func:`_observer_source`), compiled on its first use with the globals
-of its rhs's module and cached (:func:`_built`).  Every state is a local
-named after it, and each stage is the rhs's own statements, inlined from
-this module's source, which every installed copy has, with the calls to
-pressure_rise and surge_rhs inlined in turn (:func:`_inlined`, once for
-each step built).  So a plant step calls no function
+a range of rows is written out as straight-line code by one writer,
+:func:`_rk4_source`, which :func:`_step_source`,
+:func:`_open_loop_source` and :func:`_observer_source` call with their
+rhs, states, record layout and failure returns; each step is compiled on
+its first use with the globals of its rhs's module and cached
+(:func:`_built`).  Every state is a local named after it, and each stage
+is the rhs's own statements, inlined from this module's source, which
+every installed copy has, with the calls to pressure_rise and surge_rhs
+inlined in turn (:func:`_inlined`, once for each step built).  A build
+copies no tree: each inlining, hoisting and stage works on a tree parsed
+for it.  So a plant step calls no function
 but ``isfinite``, ``sqrt`` and ``range``, and builds no tuple of rates.
 The closed-loop step is specialized to the run's controller kind: its
 stages keep only the branches of closed_loop_rhs that kind takes, and
@@ -64,7 +67,6 @@ the observer ``(status, row, stage)``) so the wrappers in
 """
 
 import ast
-import copy
 import functools
 import inspect
 import itertools
@@ -228,13 +230,6 @@ def live_states(p, state):
 _STEPS = {}
 
 
-@functools.lru_cache(maxsize=None)
-def _definition(fn):
-    """The ``def`` of the function ``fn``, parsed from its source.  The
-    tree is shared by every call; :func:`_inlined` copies it."""
-    return ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0]
-
-
 def _names(stmts, stored=False):
     """The names the statements ``stmts`` use (with ``stored``, only those
     they assign)."""
@@ -274,7 +269,8 @@ class _Folded(ast.NodeTransformer):
 
     def visit_Name(self, node):
         if isinstance(node.ctx, ast.Load) and node.id in self.known:
-            return copy.deepcopy(self.known[node.id])
+            value = self.known[node.id]   # a leaf: a constant or a name
+            return type(value)(**dict(ast.iter_fields(value)))
         return node
 
     def visit_Compare(self, node):
@@ -295,21 +291,22 @@ class _Folded(ast.NodeTransformer):
 
 
 def _inlined(fn, outer=()):
-    """(params, statements): the parameters of the function ``fn`` and a
-    copy of its statements after the docstring, with its calls inlined.
+    """(params, statements): the parameters of the function ``fn`` and its
+    statements after the docstring, parsed from its source for this call,
+    with its calls inlined.
 
     A statement ``t = f(...)`` or ``return f(...)`` whose ``f`` is another
     function of ``fn``'s module becomes ``f``'s own statements, inlined in
     turn (:func:`_call_inlined`); any other call of such an ``f`` raises
     :class:`_Uninlinable`.
     """
-    node = _definition(fn)
+    node = ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0]
     params = [a.arg for a in node.args.args]
     stmts = node.body[1:] if ast.get_docstring(node) is not None else node.body
     names = _names(stmts) | set(params)
     bound = _names(stmts, stored=True) | set(params)
     code = []
-    for st in copy.deepcopy(stmts):
+    for st in stmts:
         code += _call_inlined(st, fn, names, bound, outer + (fn,))
     return params, code
 
@@ -403,16 +400,18 @@ def _refusal(rhs, step, why):
                       f"RK4 step: {why}")
 
 
-def _rhs_body(rhs, step, lead, reserved):
+def _rhs_body(rhs, step, lead, states, reserved, signals=()):
     """The rhs ``rhs`` of the ``step`` RK4 step, inlined (:func:`_inlined`)
-    and taken apart for a range function: (constants, body, entries), the
+    and taken apart for a range function: (constants, body, rates), the
     parameters after ``lead``, the statements before the final return,
-    and the entries of the tuple that return gives ([] if none).
+    and the entries of the tuple that return gives, by name: the rate of
+    each state in ``states``, then the signals ``signals``.
 
     Raises ValueError where a call in the rhs cannot be inlined
-    (:class:`_Uninlinable`), the parameters do not begin with ``lead``, or
+    (:class:`_Uninlinable`), the parameters do not begin with ``lead``,
     the rhs returns something other than None before its end, assigns to
-    a parameter, or uses a name in ``reserved``.
+    a parameter or uses a name in ``reserved``, or does not end by
+    returning one rate for each state, then each signal as the name it is.
     """
     try:
         params, stmts = _inlined(rhs)
@@ -437,38 +436,44 @@ def _rhs_body(rhs, step, lead, reserved):
     clash = (_names(stmts) | set(params)) & reserved
     if clash:
         raise _refusal(rhs, step, f"its names {sorted(clash)} are the step's")
-    return params[len(lead):], body, entries
+    named = (*states, *signals)
+    if not (len(entries) == len(named)
+            and [getattr(v, "id", None) for v in entries[len(states):]]
+            == list(signals)):
+        raise _refusal(rhs, step, "it does not end by returning " + (
+            f"the {len(named)}-tuple of the {len(states)} loop rates and "
+            f"{', '.join(signals)}" if signals
+            else "the rates of " + " and ".join(states)))
+    return params[len(lead):], body, dict(zip(named, entries))
 
 
-def _stage(body, rates, moving, k, coef, failure, after=(), named=None):
-    """The lines of RK stage k of the inlined rhs ``body``, at the state
-    advanced by ``coef`` times the rates of stage k-1 (at the state itself
-    without ``coef``), then the lines ``after``.
+def _stage(body, assigned, rates, k, coef, failure, after, named):
+    """The lines of RK stage k of the inlined rhs statements ``body`` (a
+    text, parsed anew for the stage), which assign the names ``assigned``,
+    at the state advanced by ``coef`` times the rates of stage k-1 (at the
+    state itself without ``coef``), then the lines ``after``.
 
-    A state in ``moving`` is read from its stage local ``<name>_s`` at
-    stages 2-4; ``return None`` becomes the statements ``failure``; and
-    the rate expressions ``rates`` (state name: rate) of the states in
-    ``moving`` give their stage-k rates, ``<name>_<k>``.  ``named``, where
-    given, is the list of the names of those rates at the stages before
-    (:func:`_combine`): the stage advances the state by the last, and
-    appends its own.  Where a rate is a name, no line copies it where
-    the stage can read it as the rate: a name the body assigns is renamed
-    ``<name>_<k>`` in the stage, and so is a moving state's stage local at
-    stages 2-4; at stage 1 the rate is that state itself, where the
-    combination updates it later.
+    The rate expressions ``rates`` (state name: its text) give the stage-k
+    rates, ``<name>_<k>``, of the states they name, and each such state is
+    read from its stage local ``<name>_s`` at stages 2-4; ``return None``
+    becomes the statements ``failure``.  ``named`` is the list of the
+    names of those rates at the stages before: the stage advances the
+    state by the last, and appends its own.  Where a rate is a name, no
+    line copies it where the stage can read it as the rate: a name the
+    body assigns is renamed ``<name>_<k>`` in the stage, and so is a
+    state's stage local at stages 2-4; at stage 1 the rate is that state
+    itself, where the combination updates it later.
 
     An assignment whose value cannot raise is dropped where nothing later
     in the stage reads it (:func:`_live`): no statement, no rate and no
     line ``after``.
     """
-    assigned = _names(body, stored=True)
-    prev = named[-1] if named else {n: f"{n}_{k - 1}" for n in moving}
+    moving = list(rates)
     local = {n: f"{n}_s" for n in moving} if coef else {}
     advanced = dict(local)
-    own, lines = {}, {}
-    for n in moving:
-        v = rates[n]
-        src = v.id if isinstance(v, ast.Name) else None
+    own, lines = {}, []
+    for n, v in rates.items():
+        src = v if v.isidentifier() else None
         if src in assigned and src not in local:
             local[src] = own[n] = f"{n}_{k}"
         elif src in moving and coef and local[src] == f"{src}_s":
@@ -478,18 +483,12 @@ def _stage(body, rates, moving, k, coef, failure, after=(), named=None):
             own[n] = src
         else:
             own[n] = f"{n}_{k}"
-            lines[n] = v
-    if named is not None:
-        named.append(own)
-    inline = _Stage(local, failure)
-    code = [ast.parse(f"{advanced[n]} = {n} + {coef} * {prev[n]}").body[0]
-            for n in advanced]
-    code += inline.visit(ast.Module(copy.deepcopy(body), [])).body
-    for n, v in lines.items():
-        code.append(ast.parse(f"{own[n]} = 0").body[0])
-        code[-1].value = inline.visit(copy.deepcopy(v))
-    code += inline.visit(ast.Module(
-        [st for line in after for st in ast.parse(line).body], [])).body
+            lines.append(f"{own[n]} = {v}")
+    code = ast.parse("\n".join(f"{advanced[n]} = {n} + {coef} * "
+                               f"{named[-1][n]}" for n in advanced)).body
+    named.append(own)
+    tree = ast.parse("\n".join([body, *lines, *after]))
+    code += _Stage(local, failure).visit(tree).body
     code, _ = _live(code, set(own.values()))
     return ast.unparse(ast.Module(code, [])).splitlines()
 
@@ -654,32 +653,56 @@ _RK4 = ((1, None, None), (2, "h2", "sb"), (3, "h2", "sb + 1"),
         (4, "dt", "sb + 2"))
 
 
-def _combine(moving, named=None):
-    """The lines of the RK4 combination of the states ``moving`` and of
-    ``ok``, whether they all are finite.  ``named`` holds the name of each
-    state's rate at stages 1-4 (:func:`_stage`), ``<name>_<k>`` without
-    it."""
-    named = named or [{n: f"{n}_{k}" for n in moving} for k in range(1, 5)]
-    return ([f"{n} = {n} + h6 * ({named[0][n]} + 2.0 * {named[1][n]} + "
-             f"2.0 * {named[2][n]} + {named[3][n]})" for n in moving]
-            + ["ok = " + " and ".join(f"isfinite({n})" for n in moving)])
+def _rk4_source(params, head, body, rates, failure, post, tail,
+                first=((), ()), later=None):
+    """Source of ``run(<params>)``, an RK4 range function over rows
+    start..stop-1: the lines ``head``, the half step ``h2`` and the sixth
+    ``h6`` of ``dt``, a loop ``for i in range(start, stop)`` and the lines
+    ``tail``.  Each pass of the loop takes RK stages 1-4 (:func:`_stage`)
+    of the inlined rhs statements ``body`` and its rate expressions
+    ``rates`` (state name: rate), combines the states those rates name,
+    sets ``ok`` to whether they all are finite, and runs the lines
+    ``post``.
 
-
-def _function(signature, head, body, tail):
-    """The source of ``def <signature>``: the lines ``head``, the half
-    step ``h2`` and the sixth ``h6`` of ``dt``, a loop
-    ``for i in range(start, stop)`` over the lines ``body``, and the
-    lines ``tail``."""
-    lines = [f"def {signature}:"] + ["    " + line for line in head]
-    lines += ["    h2 = 0.5 * dt", "    h6 = dt / 6.0",
-              "    for i in range(start, stop):"]
-    lines += ["        " + line for line in body]
-    lines += ["    " + line for line in tail]
-    return "\n".join(lines) + "\n"
+    At stage k, ``return None`` becomes the statements of the text
+    ``failure`` formatted with ``k`` and ``row``, the first unfilled row:
+    ``i`` at stage 1, ``i + 1`` after it.  ``first`` holds the lines
+    before stage 1 and those after it, which read its values.  ``later``,
+    where given, is the function of the slot ``at`` of a later stage's
+    flow in the step's row ``sb`` of stage flows (``_RK4``) that gives
+    that stage's lines before and after, and ``sb`` is computed after
+    stage 1.  A function that takes ``last``, the record's last row, ends
+    its loop after stage 1 of that row.
+    """
+    assigned = _names(body, stored=True)
+    body = ast.unparse(ast.Module(body, []))
+    rates = {n: ast.unparse(v) for n, v in rates.items()}
+    code, named = [], []
+    for k, coef, at in _RK4:
+        before, after = first if k == 1 else later(at) if later else ((), ())
+        if k == 2:
+            code += ["if i == last:", "    break"] if "last" in params else []
+            code += ["sb = 3 * i"] if later else []
+        code += before
+        code += _stage(body, assigned, rates, k, coef, failure.format(
+            k=k, row="i" if k == 1 else "i + 1"), after, named)
+    code += [f"{n} = {n} + h6 * ({named[0][n]} + 2.0 * {named[1][n]} + "
+             f"2.0 * {named[2][n]} + {named[3][n]})" for n in rates]
+    code += ["ok = " + " and ".join(f"isfinite({n})" for n in rates), *post]
+    return "\n".join([f"def run({', '.join(params)}):",
+                      *("    " + line for line in head),
+                      "    h2 = 0.5 * dt", "    h6 = dt / 6.0",
+                      "    for i in range(start, stop):",
+                      *("        " + line for line in code),
+                      *("    " + line for line in tail)]) + "\n"
 
 
 #: the signals closed_loop_rhs returns after the 11 loop rates
 _SIGNALS = ("u", "co", "y", "e")
+
+#: the names the closed loop's range function gives its own locals and
+#: globals
+_LOOP_RESERVED = _reserved(CL_STATE[:11], "s", "last", "ys", "sb", "record")
 
 
 @functools.lru_cache(maxsize=None)
@@ -694,15 +717,13 @@ def _folded(rhs, kind):
     assignment of the folded statements gives one value: a constant, or
     a name they never assign, which is then read in its place
     (:class:`_Folded`).  Cached by ``rhs`` and ``kind``.
-    Raises ValueError where ``rhs`` takes other constants than ``p``, does
-    not begin by unpacking ``p`` into names, assigns to one of those names
-    after, or does not end by returning the 15-tuple of the 11 loop rates
-    and the signals u, co, y, e.
+    Raises ValueError where :func:`_rhs_body` does, or ``rhs`` takes other
+    constants than ``p``, does not begin by unpacking ``p`` into names, or
+    assigns to one of those names after.
     """
     names = CL_STATE[:11]
-    constants, body, entries = _rhs_body(
-        rhs, "closed-loop", names, _reserved(names, "s", "last", "ys", "sb",
-                                             "record"))
+    constants, body, entries = _rhs_body(rhs, "closed-loop", names, names,
+                                         _LOOP_RESERVED, _SIGNALS)
     if constants != ["p"]:
         raise _refusal(rhs, "closed-loop", f"its parameters are "
                        f"{[*names, *constants]}, not the 11 loop states "
@@ -721,11 +742,6 @@ def _folded(rhs, kind):
     if stored:
         raise _refusal(rhs, "closed-loop", f"it assigns to {sorted(stored)}, "
                        "which it unpacks from p")
-    if not (len(entries) == 15
-            and tuple(getattr(v, "id", None) for v in entries[11:])
-            == _SIGNALS):
-        raise _refusal(rhs, "closed-loop", "it does not end by returning "
-                       "the 15-tuple of the 11 loop rates and u, co, y, e")
     assigned = _names(body, stored=True)
     known = {n: ast.Constant(v) for n, v in rhs.__globals__.items()
              if n.startswith("KIND_") and n not in assigned}
@@ -748,8 +764,7 @@ def _folded(rhs, kind):
                  and len({ast.dump(value) for value in v}) == 1)
     fold = _Folded(known)
     body = fold.visit(ast.Module(body, [])).body
-    return unpack, body, {n: fold.visit(v)
-                          for n, v in zip(names + _SIGNALS, entries)}
+    return unpack, body, {n: fold.visit(v) for n, v in entries.items()}
 
 
 def _step_source(kind, live, observed):
@@ -795,48 +810,31 @@ def _step_source(kind, live, observed):
     unpack, body, entries = _folded(closed_loop_rhs, kind)
     head, body, exprs = _hoisted(
         closed_loop_rhs, unpack, body, [entries[n] for n in moving],
-        [entries[n] for n in _SIGNALS],
-        _reserved(names, "s", "last", "ys", "sb", "record"))
-    rates = dict(zip(moving, exprs))
+        [entries[n] for n in _SIGNALS], _LOOP_RESERVED)
     u, co, y, e = map(ast.unparse, exprs[len(moving):])
     state = ", ".join(names)
-    w = 13 if observed else 11
-    named = []
-
-    def stage(k, coef=None, after=()):
-        return _stage(body, rates, moving, k, coef,
-                      f"s[:11] = {state}\n"
-                      f"return NONFINITE, {'i' if k == 1 else 'i + 1'}, {k}",
-                      after, named)
-
-    code = stage(1, after=[
-        f"record(out, {8 * w} * i, i * dt, d, {u}, x, {co}, {y}, ym1, {e}, "
-        "k1, k2, k3)"])
-    code += ["if i == last:", "    break"]
-    if observed:
-        code += ["sb = 3 * i"]   # the step's row of the stage flows
-    for k, coef, at in _RK4[1:]:
-        code += stage(k, coef, [f"ys[{at}] = {y}"] if observed else ())
-    code += _combine(moving, named)
     # adaptive gains are kept nonnegative by projection
-    for n in ("k1", "k2", "k3"):
-        if n in moving:
-            code += [f"if {n} < 0.0:", f"    {n} = 0.0"]
-    code += ["if not ok:",
-             f"    s[:11] = {state}",
-             "    return NONFINITE, i + 1, None"]
-    return _function(
-        "run(out, s, dt, p, start, stop, last, ys)",
-        [f"{state} = s[:11]", ast.unparse(unpack)] + head,
-        code, [f"s[:11] = {state}", "return OK, stop - 1, None"])
+    projected = [line for n in ("k1", "k2", "k3") if n in moving
+                 for line in (f"if {n} < 0.0:", f"    {n} = 0.0")]
+    return _rk4_source(
+        ("out", "s", "dt", "p", "start", "stop", "last", "ys"),
+        [f"{state} = s[:11]", ast.unparse(unpack), *head], body,
+        dict(zip(moving, exprs)),
+        f"s[:11] = {state}\nreturn NONFINITE, {{row}}, {{k}}",
+        [*projected, "if not ok:", f"    s[:11] = {state}",
+         "    return NONFINITE, i + 1, None"],
+        [f"s[:11] = {state}", "return OK, stop - 1, None"],
+        first=((), [f"record(out, {8 * (13 if observed else 11)} * i, "
+                    f"i * dt, d, {u}, x, {co}, {y}, ym1, {e}, k1, k2, k3)"]),
+        later=(lambda at: ((), [f"ys[{at}] = {y}"])) if observed else None)
 
 
 def _hoisted(rhs, unpack, body, rates, signals, reserved):
     """(head, body, exprs): the lines of ``run``'s head that compute once
     what the closed-loop rhs ``rhs`` computes from the run's constants
     alone, and copies of the statements ``body`` and of the expressions
-    ``rates`` and ``signals`` that read those values instead
-    (:class:`_Hoisted`).
+    ``rates`` and ``signals``, parsed anew from their text, that read
+    those values instead (:class:`_Hoisted`).
 
     The constants are the names the unpack ``unpack`` of ``p`` gives and
     the numbers of ``rhs``'s module that ``body`` does not assign, but
@@ -844,8 +842,9 @@ def _hoisted(rhs, unpack, body, rates, signals, reserved):
     reads ``signals``.  A new name is none of ``reserved``, nor of
     ``body``, ``rates`` and ``signals``.
     """
-    body = copy.deepcopy(body)
-    exprs = copy.deepcopy(rates + signals)
+    *body, exprs = ast.parse(ast.unparse(ast.Module(
+        [*body, ast.Expr(ast.Tuple(rates + signals, ast.Load()))], []))).body
+    exprs = exprs.value.elts
     stores = [n.id for n in ast.walk(ast.Module(body, []))
               if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load)]
     unpacked = {t.id for t in unpack.targets[0].elts}
@@ -873,18 +872,6 @@ def _hoisted(rhs, unpack, body, rates, signals, reserved):
 _PLANT = ("phi", "psi")
 
 
-def _plant_body(rhs, step, lead, *reserved):
-    """(constants, body, rates) of :func:`_rhs_body` for the two plant
-    states; raises ValueError where ``rhs`` does not end by returning
-    their rates."""
-    constants, body, entries = _rhs_body(rhs, step, lead,
-                                         _reserved(_PLANT, *reserved))
-    if len(entries) != 2:
-        raise _refusal(rhs, step, "it does not end by returning the rates "
-                       "of phi and psi")
-    return constants, body, dict(zip(_PLANT, entries))
-
-
 def _open_loop_source():
     """Source of ``run(out, dt, m, start, stop)``, the open loop's RK4
     range function: the surge model, :func:`surge_rhs`.
@@ -899,21 +886,17 @@ def _open_loop_source():
     else ``row`` is the last row filled.  The stages are surge_rhs's own
     statements, with pressure_rise's inlined.
     """
-    constants, body, rates = _plant_body(surge_rhs, "open-loop", _PLANT,
-                                         "m", "r")
-    body = ast.parse("if psi <= 0.0:\n    return None").body + body
-    code = []
-    for k, coef, _ in _RK4:
-        code += _stage(body, rates, _PLANT, k, coef,
-                       "return PSI_NONPOSITIVE, i")
-    code += _combine(_PLANT)
-    code += ["if not ok:", "    return NONFINITE, i", "r = 3 * i",
-             "out[r] = i * dt", "out[r + 1] = phi", "out[r + 2] = psi"]
-    return _function(
-        "run(out, dt, m, start, stop)",
+    constants, body, rates = _rhs_body(surge_rhs, "open-loop", _PLANT,
+                                       _PLANT, _reserved(_PLANT, "m", "r"))
+    return _rk4_source(
+        ("out", "dt", "m", "start", "stop"),
         [f"[{', '.join(constants)}] = m", "phi = out[3 * start - 2]",
          "psi = out[3 * start - 1]"],
-        code, ["return OK, stop - 1"])
+        ast.parse("if psi <= 0.0:\n    return None").body + body, rates,
+        "return PSI_NONPOSITIVE, i",
+        ["if not ok:", "    return NONFINITE, i", "r = 3 * i",
+         "out[r] = i * dt", "out[r + 1] = phi", "out[r + 2] = psi"],
+        ["return OK, stop - 1"])
 
 
 def _observer_source():
@@ -934,25 +917,19 @@ def _observer_source():
     finite result.  Returns (status, row, stage) as the loop's range
     function (:func:`_step_source`) does.
     """
-    constants, body, rates = _plant_body(
-        observed_rhs, "observer", _PLANT + ("y",), "m", "r", "ys", "sb",
-        "last")
-    code = ["r = 13 * i", "y = out[r + 5]"]
-    code += _stage(body, rates, _PLANT, 1, None,
-                   "return PSI_NONPOSITIVE, i, 1")
-    code += ["if i == last:", "    break", "sb = 3 * i"]
-    for k, coef, at in _RK4[1:]:
-        code += [f"y = ys[{at}]"]
-        code += _stage(body, rates, _PLANT, k, coef,
-                       f"return PSI_NONPOSITIVE, i + 1, {k}")
-    code += _combine(_PLANT)
-    code += ["out[r + 24] = phi", "out[r + 25] = psi", "if not ok:",
-             "    return NONFINITE, i + 1, None"]
-    return _function(
-        "run(out, ys, dt, m, start, stop, last)",
+    constants, body, rates = _rhs_body(
+        observed_rhs, "observer", _PLANT + ("y",), _PLANT,
+        _reserved(_PLANT, "m", "r", "ys", "sb", "last"))
+    return _rk4_source(
+        ("out", "ys", "dt", "m", "start", "stop", "last"),
         [f"[{', '.join(constants)}] = m", "phi = out[13 * start + 11]",
          "psi = out[13 * start + 12]"],
-        code, ["return OK, stop - 1, None"])
+        body, rates, "return PSI_NONPOSITIVE, {row}, {k}",
+        ["out[r + 24] = phi", "out[r + 25] = psi", "if not ok:",
+         "    return NONFINITE, i + 1, None"],
+        ["return OK, stop - 1, None"],
+        first=(["r = 13 * i", "y = out[r + 5]"], ()),
+        later=lambda at: ([f"y = ys[{at}]"], ()))
 
 
 def _built(key, rhs, source, **bound):

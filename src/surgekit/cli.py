@@ -141,10 +141,11 @@ def cmd_stability(args) -> int:
         print(f"surge boundary phi* = {boundary:.9g} "
               "(unstable focus below, stable focus above)")
     if args.svg:
-        phis, real, divergence = np.array(
-            [(r.phi, r.real_part, r.bendixson_r) for r in rows]).T
-        render_svg([Series("eigenvalue real part", phis, real),
-                    Series("divergence indicator", phis, divergence)],
+        phis, _, real, divergence, _ = zip(*rows)
+        phis = np.array(phis)
+        render_svg([Series("eigenvalue real part", phis, np.array(real)),
+                    Series("divergence indicator", phis,
+                           np.array(divergence))],
                    args.svg, x_label="phi (mass flow)", y_label="1/time",
                    title="equilibrium stability vs flow")
         print(f"figure -> {args.svg}")

@@ -3,6 +3,7 @@ merging of the loop's and the observer's failures, and their
 determinism."""
 
 import ast
+import copy
 import dataclasses
 import hashlib
 import math
@@ -341,6 +342,39 @@ def unreturned_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3):
 def shifted_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3):
     pc = shifted_pressure(phi, psi0, h, slope, offset, c0, c1, c2, c3)
     return FLOW_GAIN * (pc - psi), PRESSURE_GAIN * (phi - g * math.sqrt(psi))
+
+
+#: the states of damped_rhs
+TOY = ("a", "b", "c")
+
+
+def damped_rhs(a, b, c, k, zeta, w):
+    """Rates (da/dt, db/dt, dc/dt) of a damped linear system of three
+    states: a and its rate b on a spring ``k`` with damping ``zeta``,
+    coupled through ``w`` to c, which decays at ``zeta``.  The shape of a
+    model with a third state, such as a stall amplitude."""
+    force = -k * a - zeta * b
+    return b, force + w * c, -w * b - zeta * c
+
+
+# damped_rhs without its third rate, which the step writer refuses
+def two_rates_rhs(a, b, c, k, zeta, w):
+    return b, -k * a
+
+
+def damped_source():
+    """Source of ``run(out, dt, m, start, stop)``, the RK4 range function
+    of damped_rhs written by the kernels' one step writer: ``out`` is a
+    list of (a, b, c) rows whose last holds the state at t = (start-1)*dt,
+    to which each step appends its result, and ``m`` is (k, zeta, w)."""
+    constants, body, rates = _kernels._rhs_body(
+        damped_rhs, "toy", TOY, TOY, _kernels._reserved(TOY, "m"))
+    return _kernels._rk4_source(
+        ("out", "dt", "m", "start", "stop"),
+        [f"[{', '.join(constants)}] = m", "a, b, c = out[-1]"], body, rates,
+        "return NONFINITE, i",
+        ["if not ok:", "    return NONFINITE, i", "out.append((a, b, c))"],
+        ["return OK, stop - 1"])
 
 
 class TestLiveStates:
@@ -1341,6 +1375,59 @@ class TestGeneratedStep:
         assert _kernels.greitzer_loop(np.zeros((1, 3)), 1e-3,
                                       (0.6, *M.constants)) == (OK, 0)
         assert calls[2:] == ["surge_rhs"]
+        assert list(_kernels._STEPS) == [(p[0], live, False), "observer",
+                                         "open loop"]
+
+    def test_three_state_step_is_a_plain_rk4_loop(self, monkeypatch):
+        # a step of three states from the one writer (the shape of a model
+        # with a stall amplitude) integrates its rhs bit for bit as a
+        # plain RK4 loop that calls the rhs does
+        monkeypatch.setattr(_kernels, "_STEPS", {})
+        run = _kernels._built("toy", damped_rhs, damped_source)
+        tree = ast.parse(damped_source())
+        assert "damped_rhs" not in {node.id for node in ast.walk(tree)
+                                    if isinstance(node, ast.Name)}
+        m, dt, steps = (4.0, 0.3, 1.5), 0.01, 400
+        out = [(1.0, 0.0, 0.5)]
+        assert run(out, dt, m, 1, steps + 1) == (OK, steps)
+        y, rows = out[0], [out[0]]
+        h2, h6 = 0.5 * dt, dt / 6.0
+        for _ in range(steps):
+            k1 = damped_rhs(*y, *m)
+            k2 = damped_rhs(*(v + h2 * r for v, r in zip(y, k1)), *m)
+            k3 = damped_rhs(*(v + h2 * r for v, r in zip(y, k2)), *m)
+            k4 = damped_rhs(*(v + dt * r for v, r in zip(y, k3)), *m)
+            y = tuple(v + h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+                      for v, r1, r2, r3, r4 in zip(y, k1, k2, k3, k4))
+            rows.append(y)
+        assert np.array(out).tobytes() == np.array(rows).tobytes()
+        assert 0.0 < abs(out[-1][0]) < 0.5   # damped, not yet at rest
+
+    def test_three_state_rhs_must_return_three_rates(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "cannot inline two_rates_rhs into the toy RK4 step: it does "
+                "not end by returning the rates of a and b and c")):
+            _kernels._rhs_body(two_rates_rhs, "toy", TOY, TOY, frozenset())
+
+    def test_steps_are_built_without_deep_copies(self, monkeypatch):
+        # no stage, hoisting, inlining or folding copies a tree: each
+        # works on one parsed for it
+        def no_copy(*args, **kwargs):
+            raise AssertionError("copy.deepcopy called in a step build")
+
+        sc = resolve_scenario("fig10")
+        args = (sc.controller, sc.valve, sc.disturbance)
+        p = _kernel_args(*args)
+        state = initial_loop_state(*args).tolist()
+        monkeypatch.setattr(copy, "deepcopy", no_copy)
+        monkeypatch.setattr(_kernels, "_STEPS", {})
+        _kernels._folded.cache_clear()
+        live = _kernels.live_states(p, state)
+        _kernels._step(p[0], live, False)
+        _kernels._built("observer", _kernels.observed_rhs,
+                        _kernels._observer_source)
+        _kernels._built("open loop", _kernels.surge_rhs,
+                        _kernels._open_loop_source)
         assert list(_kernels._STEPS) == [(p[0], live, False), "observer",
                                          "open loop"]
 
