@@ -1,6 +1,7 @@
 """Command-line behavior: subcommands, scenario catalog, exit codes."""
 
 import argparse
+import hashlib
 import math
 import subprocess
 import sys
@@ -75,6 +76,21 @@ class TestStability:
         assert len(data) == 1000
         assert {row[4] for row in data} == {cls}
         assert svg.read_text().startswith("<svg")
+
+    def test_mixed_class_summary(self, tmp_path, capsys):
+        # a range that starts on the boundary has two classes and no sign
+        # change: the summary counts each class, in the order the scan
+        # first meets it
+        csv = tmp_path / "scan.csv"
+        code, out, err = run(capsys, "stability", "--lo", "0.434977715135924",
+                             "--hi", "0.6", "--n", "50", "--csv", str(csv))
+        assert (code, err) == (0, "")
+        assert out == (
+            f"stability scan: 50 points on [0.434978, 0.6] -> {csv}\n"
+            "no surge boundary on [0.434978, 0.6]: 1 of 50 points "
+            "boundary, 49 of 50 points stable-focus\n")
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
+            "b3fa8f30dd4c5192eb932a5bd58f6a046419110ac2b6cbf2b1510c005eab60b6")
 
     def test_boundary_bisects_the_written_scan(self, tmp_path, capsys):
         # the boundary bisects the rightmost sign change of the five points
