@@ -6,8 +6,9 @@ Library layout:
   algebra, and the one sign-change bisection (the equilibrium's and the
   surge boundary's).
 - ``stability``: Jacobian/eigenvalue analysis on the equilibrium
-  manifold, surge boundary, stability scans (whose rows carry the
-  discriminant and the divergence indicator), limit-cycle detection.
+  manifold, surge boundary, stability scans (held as columns, among
+  them the discriminant and the divergence indicator), limit-cycle
+  detection.
 - ``odesim``: trajectory records and the open-loop surge-model run at
   a throttle g.
 - ``loop``: saturating anti-surge valve, fixed PD/PID and gradient
@@ -39,7 +40,7 @@ from .loop import (ControllerConfig, DisturbanceProfile, TuneConfig,
                    ValveModel, extract_LT, simulate_closed_loop, zn_gains)
 from .odesim import Trajectory, simulate_greitzer, steady_state_of
 from .stability import (CycleConfig, LimitCycleReport, StabilityConfig,
-                        StabilityRow, char_poly, detect_limit_cycle,
+                        StabilityScan, char_poly, detect_limit_cycle,
                         eig_real_part, jacobian_at_equilibrium,
                         stability_scan, surge_boundary)
 
@@ -57,7 +58,7 @@ __all__ = [
     "ControllerConfig", "DisturbanceProfile", "TuneConfig", "ValveModel",
     "extract_LT", "simulate_closed_loop", "zn_gains",
     "Trajectory", "simulate_greitzer", "steady_state_of",
-    "CycleConfig", "LimitCycleReport", "StabilityConfig", "StabilityRow",
+    "CycleConfig", "LimitCycleReport", "StabilityConfig", "StabilityScan",
     "char_poly", "detect_limit_cycle", "eig_real_part",
     "jacobian_at_equilibrium", "stability_scan", "surge_boundary",
     "__version__",

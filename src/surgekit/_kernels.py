@@ -230,12 +230,17 @@ def live_states(p, state):
 _STEPS = {}
 
 
-def _names(stmts, stored=False):
-    """The names the statements ``stmts`` use (with ``stored``, only those
-    they assign)."""
-    return {node.id for st in stmts for node in ast.walk(st)
-            if isinstance(node, ast.Name)
-            and not (stored and isinstance(node.ctx, ast.Load))}
+def _names(stmts):
+    """(used, stored): the names the statements ``stmts`` use, and those
+    of them they assign, from one walk of their trees."""
+    used, stored = set(), set()
+    for st in stmts:
+        for node in ast.walk(st):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+                if not isinstance(node.ctx, ast.Load):
+                    stored.add(node.id)
+    return used, stored
 
 
 class _Stage(ast.NodeTransformer):
@@ -290,21 +295,29 @@ class _Folded(ast.NodeTransformer):
         return node
 
 
+@functools.lru_cache(maxsize=None)
+def _source(fn):
+    """The dedented source text of the function ``fn``, read once per
+    process: a build parses its own tree from it."""
+    return textwrap.dedent(inspect.getsource(fn))
+
+
 def _inlined(fn, outer=()):
     """(params, statements): the parameters of the function ``fn`` and its
-    statements after the docstring, parsed from its source for this call,
-    with its calls inlined.
+    statements after the docstring, parsed from its source
+    (:func:`_source`) for this call, with its calls inlined.
 
     A statement ``t = f(...)`` or ``return f(...)`` whose ``f`` is another
     function of ``fn``'s module becomes ``f``'s own statements, inlined in
     turn (:func:`_call_inlined`); any other call of such an ``f`` raises
     :class:`_Uninlinable`.
     """
-    node = ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0]
+    node = ast.parse(_source(fn)).body[0]
     params = [a.arg for a in node.args.args]
     stmts = node.body[1:] if ast.get_docstring(node) is not None else node.body
-    names = _names(stmts) | set(params)
-    bound = _names(stmts, stored=True) | set(params)
+    used, stored = _names(stmts)
+    names = used | set(params)
+    bound = stored | set(params)
     code = []
     for st in stmts:
         code += _call_inlined(st, fn, names, bound, outer + (fn,))
@@ -364,13 +377,14 @@ def _call_inlined(st, fn, names, bound, outer):
         raise _Uninlinable(f"{f.__name__} returns before its end")
     given = dict(zip(params, call.args))
     rename = {p: a.id for p, a in given.items() if isinstance(a, ast.Name)}
-    assigned = _names(body, stored=True)
+    used, assigned = _names(body)
     temps = [p for p in params if p not in rename]
     if assigned & set(params):
         raise _Uninlinable(f"{f.__name__} assigns to "
                            f"{sorted(assigned & set(params))}")
     # f's free names: those it reads but neither assigns nor takes
-    free = _names(stmts) - _names(stmts, stored=True) - set(params)
+    final_used, final_stored = _names([final])
+    free = (used | final_used) - assigned - final_stored - set(params)
     clash = ((assigned | set(temps)) & names) | (free & bound)
     if clash:
         raise _Uninlinable(f"the names {sorted(clash)} of {f.__name__} are "
@@ -430,10 +444,11 @@ def _rhs_body(rhs, step, lead, states, reserved, signals=()):
                                   and v.value is None) for v in returned):
         raise _refusal(rhs, step,
                        "it returns something other than None before its end")
-    stored = _names(stmts, stored=True) & set(params)
+    used, stored = _names(stmts)
+    stored &= set(params)
     if stored:
         raise _refusal(rhs, step, f"it assigns to {sorted(stored)}")
-    clash = (_names(stmts) | set(params)) & reserved
+    clash = (used | set(params)) & reserved
     if clash:
         raise _refusal(rhs, step, f"its names {sorted(clash)} are the step's")
     named = (*states, *signals)
@@ -674,7 +689,7 @@ def _rk4_source(params, head, body, rates, failure, post, tail,
     stage 1.  A function that takes ``last``, the record's last row, ends
     its loop after stage 1 of that row.
     """
-    assigned = _names(body, stored=True)
+    assigned = _names(body)[1]
     body = ast.unparse(ast.Module(body, []))
     rates = {n: ast.unparse(v) for n, v in rates.items()}
     code, named = [], []
@@ -738,11 +753,13 @@ def _folded(rhs, kind):
         raise _refusal(rhs, "closed-loop",
                        "it does not begin by unpacking p into names")
     unpacked = [t.id for t in unpack.targets[0].elts]
-    stored = _names(body[1:], stored=True) & set(unpacked)
+    # the unpack assigns the unpacked names and nothing else
+    later = _names(body[1:])[1]
+    stored = later & set(unpacked)
     if stored:
         raise _refusal(rhs, "closed-loop", f"it assigns to {sorted(stored)}, "
                        "which it unpacks from p")
-    assigned = _names(body, stored=True)
+    assigned = later | set(unpacked)
     known = {n: ast.Constant(v) for n, v in rhs.__globals__.items()
              if n.startswith("KIND_") and n not in assigned}
     known[unpacked[0]] = ast.Constant(kind)
@@ -848,8 +865,8 @@ def _hoisted(rhs, unpack, body, rates, signals, reserved):
     stores = [n.id for n in ast.walk(ast.Module(body, []))
               if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load)]
     unpacked = {t.id for t in unpack.targets[0].elts}
-    used = _names(body) | {n.id for v in exprs for n in ast.walk(v)
-                           if isinstance(n, ast.Name)}
+    used = _names(body)[0] | {n.id for v in exprs for n in ast.walk(v)
+                              if isinstance(n, ast.Name)}
     at_return, at_end = _divided(body)
     if at_end is not None:
         at_end = at_end.union(*map(_divisors, exprs[:len(rates)]))

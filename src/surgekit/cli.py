@@ -118,9 +118,11 @@ def cmd_map(args) -> int:
 def cmd_stability(args) -> int:
     sc = _load(args, "stability")
     scan = sc.stability
-    rows = stability_scan(sc.cmap, scan)
+    table = stability_scan(sc.cmap, scan)
     path = _csv_path(args, sc)
-    write_rows(SCAN_HEADER, rows, path)
+    write_rows(SCAN_HEADER,
+               list(zip(*[column.tolist() for column in table.columns()])),
+               path)
     why = boundary = None
     try:
         boundary = surge_boundary(sc.cmap, scan)
@@ -133,7 +135,7 @@ def cmd_stability(args) -> int:
     if why is not None:
         print(f"surge boundary check skipped: {why}")
     elif boundary is None:
-        classes = Counter(r.classification for r in rows)
+        classes = Counter(table.classification.tolist())
         print(f"no surge boundary on [{scan.lo:g}, {scan.hi:g}]: "
               + ", ".join(f"{count} of {scan.n} points {cls}"
                           for cls, count in classes.items()))
@@ -141,11 +143,10 @@ def cmd_stability(args) -> int:
         print(f"surge boundary phi* = {boundary:.9g} "
               "(unstable focus below, stable focus above)")
     if args.svg:
-        phis, _, real, divergence, _ = zip(*rows)
-        phis = np.array(phis)
-        render_svg([Series("eigenvalue real part", phis, np.array(real)),
-                    Series("divergence indicator", phis,
-                           np.array(divergence))],
+        render_svg([Series("eigenvalue real part", table.phi,
+                           table.real_part),
+                    Series("divergence indicator", table.phi,
+                           table.bendixson_r)],
                    args.svg, x_label="phi (mass flow)", y_label="1/time",
                    title="equilibrium stability vs flow")
         print(f"figure -> {args.svg}")

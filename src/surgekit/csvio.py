@@ -64,17 +64,19 @@ def write_rows(header: Sequence[str], rows: Iterable[Sequence], path) -> None:
     formatted with one ``%`` of a row template, ``%s`` for a string and
     ``%.9g`` for a number, the same bytes as formatting each value on its
     own.  A row of another width than the header is a DomainError, and
-    then no file is written.
+    then no file is written.  A row that is not a tuple (an array's
+    ``tolist()`` gives lists) is copied into one; a tuple is used as it
+    is.
     """
-    rows = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
-    for row in rows:
-        if len(row) != len(header):
-            raise DomainError(
-                f"row width {len(row)} does not match header {header}")
+    rows = list(map(tuple, rows.tolist() if isinstance(rows, np.ndarray)
+                    else rows))
+    if set(map(len, rows)) - {len(header)}:
+        width = next(len(row) for row in rows if len(row) != len(header))
+        raise DomainError(f"row width {width} does not match header {header}")
     row_format = ",".join(["%s" if isinstance(v, str) else "%.9g"
                            for v in rows[0]]) + "\n" if rows else ""
     _write_text(path, [",".join(header) + "\n",
-                       "".join([row_format % tuple(row) for row in rows])])
+                       "".join(map(row_format.__mod__, rows))])
 
 
 def write_trajectory(traj: Trajectory, path, decimate: int = 1,

@@ -14,6 +14,8 @@ The scalar functions (:func:`jacobian_at_equilibrium`, :func:`char_poly`,
 on its whole flow array at once, in trace-determinant form
 (:func:`_scan_arrays`): each value by the same IEEE operations on the
 same operands as the scalar path, so it is that path's float bit for bit.
+It is held as columns (:class:`StabilityScan`), one array per CSV column,
+and written and drawn from them without a row object in between.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -79,15 +80,27 @@ class CycleConfig:
                               f"finite tol > 0, got {self}")
 
 
-class StabilityRow(NamedTuple):
-    """A scan row: a tuple in ``SCAN_HEADER`` order whose fields are also
-    read by name; ``dataclasses.replace`` and ``asdict`` do not apply."""
+@dataclass(frozen=True, eq=False)
+class StabilityScan:
+    """A scan as columns: one array per ``SCAN_HEADER`` column, in that
+    order (:meth:`columns`), the flows, the discriminant, the eigenvalue
+    real part, the divergence (Bendixson) indicator and the class of each
+    flow, an object array of strings.  Its length is the number of
+    flows."""
 
-    phi: float
-    discriminant: float
-    real_part: float
-    bendixson_r: float
-    classification: str
+    phi: np.ndarray
+    discriminant: np.ndarray
+    real_part: np.ndarray
+    bendixson_r: np.ndarray
+    classification: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.phi)
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The columns in ``SCAN_HEADER`` order."""
+        return (self.phi, self.discriminant, self.real_part,
+                self.bendixson_r, self.classification)
 
 
 @dataclass(frozen=True)
@@ -215,10 +228,10 @@ def surge_boundary(cmap: CompressorMap = DEFAULT_MAP,
 
 
 def stability_scan(cmap: CompressorMap,
-                   scan: StabilityConfig) -> list[StabilityRow]:
+                   scan: StabilityConfig) -> StabilityScan:
     """Tabulate the stability quantities on ``scan.n`` uniformly spaced
-    flows of ``scan``; a real part within ``CLASS_TOL`` of zero is
-    classed as the boundary.  The columns are computed as arrays
+    flows of ``scan``, as columns; a real part within ``CLASS_TOL`` of
+    zero is classed as the boundary.  The columns are computed as arrays
     (:func:`_scan_arrays`), bit for bit what :func:`_focus` gives at each
     flow, and the first flow off the map or without a complex pair is
     named with the error ``_focus`` raises for it."""
@@ -229,8 +242,7 @@ def stability_scan(cmap: CompressorMap,
     # the divergence (Bendixson) indicator is the Jacobian trace, twice
     # the real part.  A range where it keeps one sign holds no limit
     # cycle, so its sign change marks where surge becomes possible
-    return list(map(StabilityRow, phis.tolist(), delta.tolist(),
-                    real.tolist(), (2.0 * real).tolist(), classes.tolist()))
+    return StabilityScan(phis, delta, real, 2.0 * real, classes)
 
 
 def _local_maxima(x: np.ndarray) -> np.ndarray:

@@ -94,11 +94,11 @@ def test_c02_discriminant_negative():
     with criterion(2, "discriminant < 0 at 1000 grid points on (0.01, 0.79)"):
         # the scan refuses a point whose eigenvalues are real
         try:
-            rows = stability_scan(M, StabilityConfig(0.01, 0.79, 1000))
+            table = stability_scan(M, StabilityConfig(0.01, 0.79, 1000))
         except AnalysisError as err:
             raise AssertionError(err) from None
-        assert len(rows) == 1000
-        assert all(r.discriminant < 0.0 for r in rows)
+        assert len(table) == 1000
+        assert (table.discriminant < 0.0).all()
 
 
 def test_c03_equilibrium_reproduction():
@@ -133,15 +133,17 @@ def test_c06_bendixson_consistency():
     with criterion(6, "divergence indicator = Jacobian trace, "
                       "same sign change as the boundary"):
         # the scan's column against the trace of the Jacobian matrix
-        for r in stability_scan(M, StabilityConfig(0.01, 0.79, 1000)):
-            assert abs(r.bendixson_r - np.trace(
-                jacobian_at_equilibrium(M, r.phi))) <= 1e-12
+        table = stability_scan(M, StabilityConfig(0.01, 0.79, 1000))
+        for phi, div in zip(table.phi.tolist(), table.bendixson_r.tolist(),
+                            strict=True):
+            assert abs(div - np.trace(
+                jacobian_at_equilibrium(M, phi))) <= 1e-12
         b = surge_boundary(M)
-        rows = stability_scan(M, StabilityConfig(0.1, 0.79, 6901))
-        vals = np.array([r.bendixson_r for r in rows])
+        table = stability_scan(M, StabilityConfig(0.1, 0.79, 6901))
+        vals = table.bendixson_r
         i = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
         assert len(i) == 1
-        assert abs(rows[i[0]].phi - b) <= 1e-3
+        assert abs(table.phi[i[0]] - b) <= 1e-3
 
 
 def test_c07_tuning_gains():

@@ -72,6 +72,23 @@ class TestCsv:
         write_rows(header, rows, tmp_path / "rows.csv")
         assert (tmp_path / "rows.csv").read_bytes() == expected.encode()
 
+    @pytest.mark.parametrize("rows_of", [
+        lambda columns: (row for row in zip(*columns)),
+        lambda columns: list(zip(*columns))],
+        ids=["generator", "zipped-tuples"])
+    def test_rows_zipped_from_columns(self, tmp_path, rows_of):
+        # rows built from columns' tolist()s, as a scan's CSV is, give
+        # the bytes of formatting each value on its own
+        columns = [np.linspace(0.1, 0.79, 7).tolist(),
+                   [-0.0, 1e-300, np.nan, np.inf, -2e300, 1.0 / 3.0, 5.0],
+                   ["boundary", "stable-focus", "a,b", "", "x", "y", "z"]]
+        expected = "phi,v,class\n" + "".join(
+            ",".join(v if isinstance(v, str) else "%.9g" % v
+                     for v in row) + "\n" for row in zip(*columns))
+        write_rows(("phi", "v", "class"), rows_of(columns),
+                   tmp_path / "rows.csv")
+        assert (tmp_path / "rows.csv").read_bytes() == expected.encode()
+
     @pytest.mark.parametrize("rows", [
         [(1.0, "a"), (2.0, "b", 3.0)], np.zeros((3, 1))],
         ids=["later-row", "numpy-rows"])

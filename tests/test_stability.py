@@ -73,15 +73,15 @@ class TestCharPoly:
 class TestDiscriminant:
     # the scan's ``delta`` column
     def test_value_at_peak(self):
-        row = stability_scan(M, StabilityConfig(0.5, 0.6, 2))[0]
-        assert row.phi == 0.5
-        assert row.discriminant == pytest.approx(-3.8073628448112613,
-                                                 abs=1e-9)
+        table = stability_scan(M, StabilityConfig(0.5, 0.6, 2))
+        assert table.phi[0] == 0.5
+        assert table.discriminant[0] == pytest.approx(-3.8073628448112613,
+                                                      abs=1e-9)
 
     def test_negative_throughout_working_range(self):
-        rows = stability_scan(M, GRID_SCAN)
-        assert [r.phi for r in rows] == GRID.tolist()
-        assert all(r.discriminant < 0.0 for r in rows)
+        table = stability_scan(M, GRID_SCAN)
+        assert table.phi.tolist() == GRID.tolist()
+        assert (table.discriminant < 0.0).all()
 
 
 class TestRealPart:
@@ -159,10 +159,10 @@ class TestSurgeBoundary:
         scan = StabilityConfig(0.3, 0.6, 37)
         b = surge_boundary.__wrapped__(M, scan)
         assert scans == [scan]
-        rows = stability_scan(M, scan)
-        i = max(k for k in range(36)
-                if rows[k].real_part > 0.0 > rows[k + 1].real_part)
-        assert rows[i].phi < b < rows[i + 1].phi
+        table = stability_scan(M, scan)
+        real = table.real_part
+        i = max(k for k in range(36) if real[k] > 0.0 > real[k + 1])
+        assert table.phi[i] < b < table.phi[i + 1]
 
     def test_equal_map_is_a_cache_hit(self):
         # an equal map, built apart from the shipped one's fields, hashes
@@ -187,63 +187,77 @@ class TestSurgeBoundary:
 class TestBendixson:
     # the scan's ``bendixson_r`` column, the divergence indicator
     def test_values(self):
-        low, high = stability_scan(M, StabilityConfig(0.4, 0.5, 2))
-        assert (low.phi, high.phi) == (0.4, 0.5)
-        assert high.bendixson_r == pytest.approx(-0.4389044943820225,
-                                                 abs=1e-12)
-        assert low.bendixson_r == pytest.approx(0.18234804554079687,
-                                                abs=1e-12)
+        table = stability_scan(M, StabilityConfig(0.4, 0.5, 2))
+        assert table.phi.tolist() == [0.4, 0.5]
+        low, high = table.bendixson_r
+        assert high == pytest.approx(-0.4389044943820225, abs=1e-12)
+        assert low == pytest.approx(0.18234804554079687, abs=1e-12)
 
     def test_twice_the_real_part_everywhere(self):
-        for r in stability_scan(M, GRID_SCAN):
-            assert abs(r.bendixson_r - 2.0 * r.real_part) <= 1e-12
-            assert abs(r.bendixson_r - np.trace(
-                jacobian_at_equilibrium(M, r.phi))) <= 1e-12
+        table = stability_scan(M, GRID_SCAN)
+        for phi, real, div in zip(table.phi.tolist(),
+                                  table.real_part.tolist(),
+                                  table.bendixson_r.tolist(), strict=True):
+            assert abs(div - 2.0 * real) <= 1e-12
+            assert abs(div - np.trace(
+                jacobian_at_equilibrium(M, phi))) <= 1e-12
 
     def test_negative_in_stable_zone(self):
         b = surge_boundary(M)
-        rows = stability_scan(M, StabilityConfig(b + 1e-3, 0.79, 200))
-        assert all(r.bendixson_r < 0.0 for r in rows)
+        table = stability_scan(M, StabilityConfig(b + 1e-3, 0.79, 200))
+        assert (table.bendixson_r < 0.0).all()
 
     def test_sign_change_matches_boundary(self):
         b = surge_boundary(M)
-        rows = stability_scan(M, StabilityConfig(0.1, 0.79, 6901))
-        vals = np.array([r.bendixson_r for r in rows])
+        table = stability_scan(M, StabilityConfig(0.1, 0.79, 6901))
+        vals = table.bendixson_r
         i = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
         assert len(i) == 1
-        assert abs(rows[i[0]].phi - b) <= 1e-3
+        assert abs(table.phi[i[0]] - b) <= 1e-3
 
 
 class TestStabilityScan:
     def test_grid_spacing(self):
-        rows = stability_scan(M, StabilityConfig(0.3, 0.5, 3))
-        assert [r.phi for r in rows] == pytest.approx([0.3, 0.4, 0.5])
+        table = stability_scan(M, StabilityConfig(0.3, 0.5, 3))
+        assert table.phi.tolist() == pytest.approx([0.3, 0.4, 0.5])
 
     def test_stable_zone_classification(self):
-        rows = stability_scan(M, StabilityConfig(0.45, 0.79, 50))
-        assert all(r.classification == STABLE_FOCUS for r in rows)
+        table = stability_scan(M, StabilityConfig(0.45, 0.79, 50))
+        assert set(table.classification.tolist()) == {STABLE_FOCUS}
 
     def test_unstable_zone_classification(self):
-        rows = stability_scan(M, StabilityConfig(0.1, 0.42, 50))
-        assert all(r.classification == UNSTABLE_FOCUS for r in rows)
+        table = stability_scan(M, StabilityConfig(0.1, 0.42, 50))
+        assert set(table.classification.tolist()) == {UNSTABLE_FOCUS}
 
     def test_classification_consistency(self):
-        for r in stability_scan(M, StabilityConfig(0.2, 0.7, 101)):
-            if r.real_part < -1e-9:
-                assert r.classification == STABLE_FOCUS
-            elif r.real_part > 1e-9:
-                assert r.classification == UNSTABLE_FOCUS
+        table = stability_scan(M, StabilityConfig(0.2, 0.7, 101))
+        for real, delta, cls in zip(table.real_part.tolist(),
+                                    table.discriminant.tolist(),
+                                    table.classification.tolist(),
+                                    strict=True):
+            if real < -1e-9:
+                assert cls == STABLE_FOCUS
+            elif real > 1e-9:
+                assert cls == UNSTABLE_FOCUS
             else:
-                assert r.classification == BOUNDARY
-            assert r.discriminant < 0.0
+                assert cls == BOUNDARY
+            assert delta < 0.0
 
-    def test_rows_are_tuples_in_header_order(self):
-        # a row is written to the CSV as it is
-        row = stability_scan(M, StabilityConfig(0.3, 0.5, 3))[0]
-        assert dict(zip(SCAN_HEADER, row, strict=True)) == {
-            "phi": row.phi, "delta": row.discriminant,
-            "real_part": row.real_part, "bendixson_r": row.bendixson_r,
-            "class": row.classification}
+    def test_columns_in_header_order(self):
+        # the CSV is written from the columns in this order
+        table = stability_scan(M, StabilityConfig(0.3, 0.5, 3))
+        assert dict(zip(SCAN_HEADER, table.columns(), strict=True)) == {
+            "phi": table.phi, "delta": table.discriminant,
+            "real_part": table.real_part, "bendixson_r": table.bendixson_r,
+            "class": table.classification}
+
+    @pytest.mark.parametrize("scan", [
+        StabilityConfig(0.3, 0.5, 2), StabilityConfig(0.3, 0.5, 3),
+        GRID_SCAN, StabilityConfig(0.1, 0.79, 6901)])
+    def test_length_is_the_number_of_flows(self, scan):
+        table = stability_scan(M, scan)
+        assert len(table) == scan.n
+        assert {len(column) for column in table.columns()} == {scan.n}
 
     def test_first_flow_off_the_map_is_named(self):
         # each flow is checked as the scan meets it
@@ -274,15 +288,19 @@ class TestStabilityScan:
                 stability_scan(cmap, scan)
             assert str(scanned.value) == str(err)
             return
-        rows = stability_scan(cmap, scan)
-        assert [r.phi for r in rows] == phis
-        for row, (delta, real) in zip(rows, foci, strict=True):
-            assert row.discriminant.hex() == delta.hex()
-            assert row.real_part.hex() == real.hex()
-            assert row.bendixson_r.hex() == (2.0 * real).hex()
-            assert row.classification == (
-                STABLE_FOCUS if real < -CLASS_TOL else
-                UNSTABLE_FOCUS if real > CLASS_TOL else BOUNDARY)
+        table = stability_scan(cmap, scan)
+        assert len(table) == scan.n
+        columns = [column.tolist() for column in table.columns()]
+        for k, (phi, delta, real, div, cls) in enumerate(zip(*columns,
+                                                             strict=True)):
+            want_delta, want_real = foci[k]
+            assert phi.hex() == phis[k].hex()
+            assert delta.hex() == want_delta.hex()
+            assert real.hex() == want_real.hex()
+            assert div.hex() == (2.0 * want_real).hex()
+            assert cls == (
+                STABLE_FOCUS if want_real < -CLASS_TOL else
+                UNSTABLE_FOCUS if want_real > CLASS_TOL else BOUNDARY)
 
     @pytest.mark.parametrize("fields, phi", [
         ({"h": 2.0, "domain_hi": 0.5}, 0.1),
