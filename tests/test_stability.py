@@ -246,10 +246,12 @@ class TestStabilityScan:
     def test_columns_in_header_order(self):
         # the CSV is written from the columns in this order
         table = stability_scan(M, StabilityConfig(0.3, 0.5, 3))
-        assert dict(zip(SCAN_HEADER, table.columns(), strict=True)) == {
-            "phi": table.phi, "delta": table.discriminant,
-            "real_part": table.real_part, "bendixson_r": table.bendixson_r,
-            "class": table.classification}
+        by_name = dict(zip(SCAN_HEADER, table.columns(), strict=True))
+        assert by_name["phi"] is table.phi
+        assert by_name["delta"] is table.discriminant
+        assert by_name["real_part"] is table.real_part
+        assert by_name["bendixson_r"] is table.bendixson_r
+        assert by_name["class"] is table.classification
 
     @pytest.mark.parametrize("scan", [
         StabilityConfig(0.3, 0.5, 2), StabilityConfig(0.3, 0.5, 3),
