@@ -464,6 +464,38 @@ class TestShippedCatalogRuns:
         assert "fig10" in out and "avg" in out
 
 
+class TestRunSummaries:
+    """The whole stdout of each run command with its figures, the output
+    directory written as DIR."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["simulate", "--scenario", "fig3_4", "--svg", "DIR/fig3_4.svg"],
+         "open-loop run: 10001 samples, dt=0.01 -> DIR/fig3_4.csv\n"
+         "final state phi = 0.629959, psi = 0.635996\n"
+         "no steady state within tol 0.001 over the final 5 time units\n"
+         "figure -> DIR/fig3_4.svg\n"),
+        (["limit-cycle", "--scenario", "fig6", "--svg", "DIR/fig6.svg"],
+         "run: 10001 samples, dt=0.01 -> DIR/fig6.csv\n"
+         "limit cycle detected: amplitude phi = 0.535145, amplitude psi = "
+         "0.674802, period = 7.245, cycles analyzed = 6\n"
+         "figure -> DIR/fig6.svg\n"),
+        (["closedloop", "--scenario", "fig10", "--t-end", "5", "--svg",
+          "DIR/y.svg", "--svg-params", "DIR/k.svg"],
+         "closed-loop run (adaptive, gamma = 1): 5001 samples, dt=0.001 "
+         "-> DIR/fig10.csv\n"
+         "terminal flow y = 0.536257 (set point 0.55, error 0.0137)\n"
+         "valve flow range [0.05, 0.185247], gain excursion 0.0485532\n"
+         "flow stayed above the surge boundary 0.435 (min y = 0.525327)\n"
+         "figure -> DIR/y.svg\n"
+         "figure -> DIR/k.svg\n")],
+        ids=["simulate", "limit-cycle", "closedloop"])
+    def test_stdout_is_pinned(self, tmp_path, capsys, argv, expected):
+        argv = [arg.replace("DIR", str(tmp_path)) for arg in argv]
+        code, out, err = run(capsys, *argv, "--out-dir", str(tmp_path))
+        assert (code, err) == (0, "")
+        assert out.replace(str(tmp_path), "DIR") == expected
+
+
 class TestExitCodes:
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
