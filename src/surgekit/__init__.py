@@ -7,8 +7,8 @@ Library layout:
   surge boundary's).
 - ``stability``: Jacobian/eigenvalue analysis on the equilibrium
   manifold, surge boundary, stability scans (held as columns, among
-  them the discriminant and the divergence indicator), limit-cycle
-  detection.
+  them the discriminant and the divergence indicator), the class
+  boundaries in closed form, limit-cycle detection.
 - ``odesim``: trajectory records and the open-loop surge-model run at
   a throttle g.
 - ``loop``: saturating anti-surge valve, fixed PD/PID and gradient
@@ -39,9 +39,10 @@ from .errors import (AnalysisError, DegenerateResponseError, DivergenceError,
 from .loop import (ControllerConfig, DisturbanceProfile, TuneConfig,
                    ValveModel, extract_LT, simulate_closed_loop, zn_gains)
 from .odesim import Trajectory, simulate_greitzer, steady_state_of
-from .stability import (CycleConfig, LimitCycleReport, StabilityConfig,
-                        StabilityScan, char_poly, detect_limit_cycle,
-                        eig_real_part, jacobian_at_equilibrium,
+from .stability import (CycleConfig, LimitCycleReport, RegionBoundaries,
+                        StabilityConfig, StabilityScan, char_poly,
+                        detect_limit_cycle, eig_real_part,
+                        jacobian_at_equilibrium, region_boundaries,
                         stability_scan, surge_boundary)
 
 __version__ = "0.1.0"
@@ -58,8 +59,9 @@ __all__ = [
     "ControllerConfig", "DisturbanceProfile", "TuneConfig", "ValveModel",
     "extract_LT", "simulate_closed_loop", "zn_gains",
     "Trajectory", "simulate_greitzer", "steady_state_of",
-    "CycleConfig", "LimitCycleReport", "StabilityConfig", "StabilityScan",
-    "char_poly", "detect_limit_cycle", "eig_real_part",
-    "jacobian_at_equilibrium", "stability_scan", "surge_boundary",
+    "CycleConfig", "LimitCycleReport", "RegionBoundaries", "StabilityConfig",
+    "StabilityScan", "char_poly", "detect_limit_cycle", "eig_real_part",
+    "jacobian_at_equilibrium", "region_boundaries", "stability_scan",
+    "surge_boundary",
     "__version__",
 ]

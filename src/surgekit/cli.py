@@ -162,7 +162,9 @@ def cmd_simulate(args) -> int:
         raise ScenarioError(f"--ss-tol must be finite and >= 0, "
                             f"got {args.ss_tol}")
     # where it pays, a second process formats the CSV while the kernel
-    # runs; it is reaped at the end of the block, after the summary
+    # runs.  The summary and the figure are made from the record while it
+    # formats its last rows; only then does the write wait for its text.
+    # It is reaped at the end of the block, after the summary
     with RunHelper(sc.decimation) as helper:
         traj = _run_plant(sc, helper)
         window = min(args.ss_window, 0.5 * sc.resolved_t_end())
@@ -172,14 +174,19 @@ def cmd_simulate(args) -> int:
             raise ScenarioError(
                 f"steady-state window {window:g} (--ss-window, at most half "
                 f"of t_end) is under one step of dt={traj.dt:g}")
-        path = _csv_path(args, sc)
-        write_trajectory(traj, path, sc.decimation, helper=helper)
         phi = traj.column("phi")
         psi = traj.column("psi")
+        ss = steady_state_of(traj, window=window, tol=args.ss_tol)
+        if args.svg:
+            render_svg([Series("phi", _thin(traj.t), _thin(phi)),
+                        Series("psi", _thin(traj.t), _thin(psi))],
+                       args.svg, x_label="time", y_label="state",
+                       title=f"open-loop transient ({sc.name})")
+        path = _csv_path(args, sc)
+        write_trajectory(traj, path, sc.decimation, helper=helper)
         print(f"open-loop run: {traj.n_rows} samples, dt={traj.dt:g} "
               f"-> {path}")
         print(f"final state phi = {phi[-1]:.6g}, psi = {psi[-1]:.6g}")
-        ss = steady_state_of(traj, window=window, tol=args.ss_tol)
         if ss is None:
             print(f"no steady state within tol {args.ss_tol:g} over the final "
                   f"{window:g} time units")
@@ -187,21 +194,24 @@ def cmd_simulate(args) -> int:
             print(f"steady state ({args.ss_tol:g} tol): "
                   f"phi = {ss[0]:.6g}, psi = {ss[1]:.6g}")
         if args.svg:
-            render_svg([Series("phi", _thin(traj.t), _thin(phi)),
-                        Series("psi", _thin(traj.t), _thin(psi))],
-                       args.svg, x_label="time", y_label="state",
-                       title=f"open-loop transient ({sc.name})")
             print(f"figure -> {args.svg}")
     return 0
 
 
 def cmd_limit_cycle(args) -> int:
     sc = _load(args, "limit-cycle")
+    # as in cmd_simulate: the summary and the figure first, then the write
     with RunHelper(sc.decimation) as helper:
         traj = _run_plant(sc, helper)
+        report = detect_limit_cycle(traj, sc.cycle)
+        if args.svg:
+            render_svg([Series("orbit", _thin(traj.column("phi"), 5000),
+                               _thin(traj.column("psi"), 5000))],
+                       args.svg, x_label="phi (mass flow)",
+                       y_label="psi (pressure rise)",
+                       title=f"phase plane ({sc.name})")
         path = _csv_path(args, sc)
         write_trajectory(traj, path, sc.decimation, helper=helper)
-        report = detect_limit_cycle(traj, sc.cycle)
         print(f"run: {traj.n_rows} samples, dt={traj.dt:g} -> {path}")
         if report.detected:
             print(f"limit cycle detected: amplitude phi = "
@@ -211,11 +221,6 @@ def cmd_limit_cycle(args) -> int:
         else:
             print("no limit cycle detected")
         if args.svg:
-            render_svg([Series("orbit", _thin(traj.column("phi"), 5000),
-                               _thin(traj.column("psi"), 5000))],
-                       args.svg, x_label="phi (mass flow)",
-                       y_label="psi (pressure rise)",
-                       title=f"phase plane ({sc.name})")
             print(f"figure -> {args.svg}")
     return 0
 
@@ -303,15 +308,15 @@ def cmd_closedloop(args) -> int:
     sc = _load(args, "closedloop")
     path = _csv_path(args, sc)
     # where it pays, a second process observes the compressor and formats
-    # the CSV while the kernel runs; it is reaped at the end of the block,
-    # after the summary
+    # the CSV while the kernel runs.  As in cmd_simulate, the summary and
+    # the figures are made from the record before the write waits for the
+    # text, and the process is reaped at the end of the block
     with RunHelper(sc.decimation) as helper:
         traj = simulate_closed_loop(sc.controller, sc.valve, sc.disturbance,
                                     dt=sc.resolved_dt(),
                                     t_end=sc.resolved_t_end(),
                                     observe=sc.observe, cmap=sc.cmap,
                                     helper=helper)
-        write_trajectory(traj, path, sc.decimation, helper=helper)
         y = traj.column("y")
         co = traj.column("co")
         r = sc.controller.reference
@@ -321,21 +326,8 @@ def cmd_closedloop(args) -> int:
             boundary = surge_boundary(sc.cmap)
         except (AnalysisError, DomainError) as err:
             boundary, why = None, err
-        print(f"closed-loop run ({sc.controller.kind}, gamma = "
-              f"{sc.controller.gamma:g}): {traj.n_rows} samples, "
-              f"dt={traj.dt:g} -> {path}")
-        print(f"terminal flow y = {y[-1]:.6g} (set point {r:g}, "
-              f"error {abs(y[-1] - r):.3g})")
-        print(f"valve flow range [{co.min():.6g}, {co.max():.6g}], "
-              f"gain excursion {gain_excursion(traj):.6g}")
-        if boundary is None:
-            print(f"surge boundary check skipped: {why}")
-        elif y.min() < boundary:
-            print(f"WARNING: flow dipped below the surge boundary "
-                  f"{boundary:.4g} (min y = {y.min():.6g})")
-        else:
-            print(f"flow stayed above the surge boundary {boundary:.4g} "
-                  f"(min y = {y.min():.6g})")
+        excursion = gain_excursion(traj)
+        y_min, co_min, co_max = y.min(), co.min(), co.max()
         if args.svg:
             tt = _thin(traj.t)
             series = [Series("y (inlet flow)", tt, _thin(y)),
@@ -345,13 +337,31 @@ def cmd_closedloop(args) -> int:
                       Series("co (valve flow)", tt, _thin(co))]
             render_svg(series, args.svg, x_label="time (s)", y_label="flow",
                        title=f"closed loop ({sc.name})")
-            print(f"figure -> {args.svg}")
         if args.svg_params:
             series = [Series(n, _thin(traj.t), _thin(traj.column(n)))
                       for n in ("k1", "k2", "k3")]
             render_svg(series, args.svg_params, x_label="time (s)",
                        y_label="controller gain",
                        title=f"adaptive gains ({sc.name})")
+        write_trajectory(traj, path, sc.decimation, helper=helper)
+        print(f"closed-loop run ({sc.controller.kind}, gamma = "
+              f"{sc.controller.gamma:g}): {traj.n_rows} samples, "
+              f"dt={traj.dt:g} -> {path}")
+        print(f"terminal flow y = {y[-1]:.6g} (set point {r:g}, "
+              f"error {abs(y[-1] - r):.3g})")
+        print(f"valve flow range [{co_min:.6g}, {co_max:.6g}], "
+              f"gain excursion {excursion:.6g}")
+        if boundary is None:
+            print(f"surge boundary check skipped: {why}")
+        elif y_min < boundary:
+            print(f"WARNING: flow dipped below the surge boundary "
+                  f"{boundary:.4g} (min y = {y_min:.6g})")
+        else:
+            print(f"flow stayed above the surge boundary {boundary:.4g} "
+                  f"(min y = {y_min:.6g})")
+        if args.svg:
+            print(f"figure -> {args.svg}")
+        if args.svg_params:
             print(f"figure -> {args.svg_params}")
     return 0
 

@@ -33,13 +33,17 @@ from .odesim import Trajectory
 
 
 #: written rows from which a helper process pays for formatting alone.
-#: On a 2-core Xeon VM, a fork round trip took 8 ms in an 87 MB process,
-#: and ``closedloop`` with a formatter process against without (8
-#: alternating runs each, 4096-row blocks) was even at 6,001 rows, 4%
-#: faster at 8,201 and 10% at 12,001.  On the open loop's 3 columns
-#: (``simulate``, 1024-row blocks, 60 alternating calls in one process),
-#: the helper took 10,001 rows from 41 to 32 ms, but 5,001 only from 23
-#: to 22
+#: With the text handed over in a memory file, on a 2-core Xeon VM
+#: (Python 3.11.7; ``simulate`` on fig3_4's start, 60 alternating calls
+#: with and without a helper in one process, 1,024-row blocks), the
+#: helper took 8,193 rows from a median 19-29 to 17-23 ms (faster in 58
+#: of 60) and 10,001 from 23-34 to 19-25 ms (49 to 56 of 60), but 5,001
+#: rows from 12.6 to 13.2-13.8 ms (faster in only 26 to 38 of 60).  A
+#: helper for fig7's 5,001 rows also slows the calls after it, which
+#: fault on the pages the fork shared: there the next ``stability`` call
+#: took 4.3 ms instead of 3.7 (428 minor faults instead of 88), and a
+#: limit of 4,096 raised perfbench's ``catalog_analysis`` median call
+#: from 5.9 to 6.9 ms (4 of 4 alternating 10-second pairs)
 _FORK_MIN_ROWS = 8192
 
 #: written rows up to which a helper process formats them: their text,
@@ -60,23 +64,22 @@ def write_rows(header: Sequence[str], rows: Iterable[Sequence], path) -> None:
     """Write one header row plus data rows as comma-separated text.
 
     A string is written as it is, a number with 9 significant digits.
-    Each column holds the type of the first row's value: every row is
-    formatted with one ``%`` of a row template, ``%s`` for a string and
-    ``%.9g`` for a number, the same bytes as formatting each value on its
-    own.  A row of another width than the header is a DomainError, and
-    then no file is written.  A row that is not a tuple (an array's
-    ``tolist()`` gives lists) is copied into one; a tuple is used as it
-    is.
+    Each column holds the type of the first row's value: the row template
+    has ``%s`` for a string and ``%.9g`` for a number, and the whole table
+    is formatted with one ``%`` of that template repeated once per row
+    over the rows' values in order, the same bytes as formatting each
+    value on its own.  A row of another width than the header is a
+    DomainError, and then no file is written.
     """
-    rows = list(map(tuple, rows.tolist() if isinstance(rows, np.ndarray)
-                    else rows))
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
     if set(map(len, rows)) - {len(header)}:
         width = next(len(row) for row in rows if len(row) != len(header))
         raise DomainError(f"row width {width} does not match header {header}")
     row_format = ",".join(["%s" if isinstance(v, str) else "%.9g"
                            for v in rows[0]]) + "\n" if rows else ""
     _write_text(path, [",".join(header) + "\n",
-                       "".join(map(row_format.__mod__, rows))])
+                       (row_format * len(rows))
+                       % tuple(chain.from_iterable(rows))])
 
 
 def write_trajectory(traj: Trajectory, path, decimate: int = 1,
@@ -105,7 +108,8 @@ def write_trajectory(traj: Trajectory, path, decimate: int = 1,
 
 
 def _format_rows(samples: np.ndarray) -> str:
-    """CSV lines of the rows of ``samples``.
+    """CSV lines of the rows of ``samples``, formatted with one ``%`` of
+    the row template repeated once per row over the block's values.
 
     A column whose values all have the same bits (-0.0 and NaN compared
     exactly) is formatted once, into the row template.
@@ -116,8 +120,8 @@ def _format_rows(samples: np.ndarray) -> str:
     constant = (bits == bits[:1]).all(axis=0)
     row_format = ",".join(["%.9g" % samples[0, k] if constant[k] else "%.9g"
                            for k in range(samples.shape[1])]) + "\n"
-    rows = samples[:, ~constant].tolist()
-    return "".join([row_format % tuple(row) for row in rows])
+    return ((row_format * len(samples))
+            % tuple(samples[:, ~constant].ravel().tolist()))
 
 
 def _fork_pays(written: int, observed: int) -> bool:
@@ -160,9 +164,11 @@ class RunHelper:
     text fits in ``_FORK_MAX_ROWS`` rows, writing it into an anonymous
     memory file block by block.  After the last report it sends one
     message, ``_END``, which this process reads once, when the first of
-    :meth:`result` and :meth:`text` asks for its part.  Only the end of
-    the ``with`` block (:meth:`close`) waits for the process, so its exit
-    overlaps the caller's work after the write.  Without the process, the
+    :meth:`result` and :meth:`text` asks for its part, so what the caller
+    reads off the record between the run and the write overlaps the
+    formatting of the last blocks.  Only the end of the ``with`` block
+    (:meth:`close`) waits for the process, so its exit overlaps the
+    caller's work after the write.  Without the process, the
     caller observes and formats in its own; it does the same when the
     process is lost.
     """

@@ -6,8 +6,10 @@ its characteristic polynomial and the eigenvalue real part are functions
 of the equilibrium flow alone.  A scan tabulates them with the
 discriminant and the divergence (Bendixson) indicator, the Jacobian
 trace, as its ``delta`` and ``bendixson_r`` columns; the surge boundary
-refines the scan's rightmost sign change of the real part.  A
-trajectory-based limit-cycle detector complements the local analysis.
+refines the scan's rightmost sign change of the real part.  The flows
+where the trace, the determinant or the discriminant is zero are also
+found in closed form, as polynomial roots (:func:`region_boundaries`).
+A trajectory-based limit-cycle detector complements the local analysis.
 
 The scalar functions (:func:`jacobian_at_equilibrium`, :func:`char_poly`,
 :func:`eig_real_part`) take one flow.  A scan computes the same quantities
@@ -225,6 +227,57 @@ def surge_boundary(cmap: CompressorMap = DEFAULT_MAP,
     if not converged and abs(eig_real_part(cmap, root)) > 1e-10:
         raise AnalysisError("surge-boundary bisection failed to converge")
     return root
+
+
+@dataclass(frozen=True, eq=False)
+class RegionBoundaries:
+    """The flows where an equilibrium can change class, each array in
+    increasing order: the zeros of the Jacobian trace (a Hopf point where
+    the determinant is positive), of its determinant (a saddle-node
+    point) and of its discriminant (a focus against a node)."""
+
+    trace: np.ndarray
+    determinant: np.ndarray
+    discriminant: np.ndarray
+
+
+def region_boundaries(cmap: CompressorMap = DEFAULT_MAP) -> RegionBoundaries:
+    """The class boundaries of the equilibria of ``cmap`` in closed form.
+
+    At the equilibrium psi = psi_c(phi), with a = ``FLOW_GAIN`` and b =
+    ``PRESSURE_GAIN``, the entries of :func:`jacobian_at_equilibrium`
+    make each quantity, times a positive factor, a polynomial in phi:
+
+    - 2*psi_c * trace = 2a*psi_c'*psi_c - b*phi, a quintic;
+    - 2*psi_c * det / (a*b) = 2*psi_c - phi*psi_c', a cubic;
+    - (2*psi_c)**2 * (trace**2 - 4*det) = (2a*psi_c'*psi_c + b*phi)**2
+      - 16ab*psi_c**2, of degree 10.
+
+    Returned are their real roots, those ``np.roots`` gives a zero
+    imaginary part, inside the open map domain where psi_c > 0.
+    """
+    psi0, h, slope, offset, c0, c1, c2, c3 = cmap.constants
+    cubic = np.array([c3])
+    for c in (c2, c1, c0):   # Horner's rule in w = slope*phi + offset
+        cubic = np.polyadd(np.polymul(cubic, [slope, offset]), [c])
+    psi = np.polyadd(h * cubic, [psi0])
+    dpsi = np.polyder(psi)
+    a_term = 2.0 * FLOW_GAIN * np.polymul(dpsi, psi)   # 2a*psi_c'*psi_c
+    b_term = np.array([PRESSURE_GAIN, 0.0])            # b*phi
+    plus = np.polyadd(a_term, b_term)
+    polynomials = (
+        np.polysub(a_term, b_term),
+        np.polysub(2.0 * psi, np.polymul([1.0, 0.0], dpsi)),
+        np.polysub(np.polymul(plus, plus),
+                   16.0 * FLOW_GAIN * PRESSURE_GAIN * np.polymul(psi, psi)))
+    found = []
+    for polynomial in polynomials:
+        roots = np.roots(polynomial)
+        phis = np.sort(roots.real[roots.imag == 0.0])
+        on_map = (cmap.domain_lo < phis) & (phis < cmap.domain_hi)
+        phis = phis[on_map]
+        found.append(phis[pressure_rise(phis, *cmap.constants) > 0.0])
+    return RegionBoundaries(*found)
 
 
 def stability_scan(cmap: CompressorMap,

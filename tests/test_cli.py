@@ -495,6 +495,69 @@ class TestRunSummaries:
         assert (code, err) == (0, "")
         assert out.replace(str(tmp_path), "DIR") == expected
 
+    @pytest.mark.parametrize("argv, record_calls", [
+        (["simulate", "--scenario", "fig3_4", "--t-end", "25"],
+         ["steady_state_of", "render_svg"]),
+        (["limit-cycle", "--scenario", "fig6", "--t-end", "25"],
+         ["detect_limit_cycle", "render_svg"]),
+        (["closedloop", "--scenario", "fig10", "--t-end", "2",
+          "--svg-params", "DIR/k.svg"],
+         ["surge_boundary", "gain_excursion", "render_svg", "render_svg"])],
+        ids=["simulate", "limit-cycle", "closedloop"])
+    def test_record_read_before_the_write(self, tmp_path, capsys,
+                                          monkeypatch, argv, record_calls):
+        # everything read off the finished record, figures included, is
+        # made before the CSV waits for the helper's text; the lines are
+        # printed after the write, through the names the command imports
+        log = []
+
+        def logged(name, fn):
+            return lambda *args, **kw: log.append(name) or fn(*args, **kw)
+
+        for name in ("steady_state_of", "detect_limit_cycle",
+                     "surge_boundary", "gain_excursion", "render_svg",
+                     "write_trajectory"):
+            monkeypatch.setattr(cli, name, logged(name, getattr(cli, name)))
+        monkeypatch.setattr(cli, "print", lambda *args, **kw: (
+            log.append(("print", *args)), print(*args, **kw)), raising=False)
+        argv = [arg.replace("DIR", str(tmp_path)) for arg in argv]
+        code, out, err = run(capsys, *argv, "--out-dir", str(tmp_path),
+                             "--svg", str(tmp_path / "f.svg"))
+        assert (code, err) == (0, "")
+        assert log == record_calls + ["write_trajectory"] + [
+            ("print", line) for line in out.splitlines()]
+        assert out.count("\nfigure -> ") == record_calls.count("render_svg")
+
+    def test_unwritable_svg_exits_five_before_the_csv(self, tmp_path,
+                                                      capsys):
+        # the figure is written before the CSV: a figure path that names
+        # a directory ends the run there, with no CSV and no summary
+        svg = tmp_path / "figure.svg"
+        svg.mkdir()
+        code, out, err = run(capsys, "simulate", "--scenario", "fig3_4",
+                             "--out-dir", str(tmp_path), "--svg", str(svg))
+        assert (code, out) == (5, "")
+        assert err == f"error: [Errno 21] Is a directory: '{svg}'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["figure.svg"]
+        assert list(svg.iterdir()) == []
+
+    def test_unwritable_csv_exits_five_after_the_svg(self, tmp_path,
+                                                     capsys):
+        # a CSV path that cannot be created ends the run once the figure
+        # is on disk, with no summary
+        (tmp_path / "afile").write_text("")
+        svg = tmp_path / "figure.svg"
+        code, out, err = run(capsys, "simulate", "--scenario", "fig3_4",
+                             "--csv", str(tmp_path / "afile" / "run.csv"),
+                             "--svg", str(svg))
+        assert (code, out) == (5, "")
+        assert err == (f"error: [Errno 17] File exists: "
+                       f"'{tmp_path / 'afile'}'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile",
+                                                              "figure.svg"]
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
+            "d86a6e6fd11f3ac598e069b5025ef28b7fcf595a8c4b79ab0ee79ee769f9e79c")
+
 
 class TestExitCodes:
     def test_unknown_subcommand_exits_two(self, capsys):

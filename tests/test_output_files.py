@@ -12,7 +12,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from support import breakdown_digest
@@ -30,6 +30,32 @@ def small_traj(n=20):
     t = np.arange(n) * 0.5
     return Trajectory(0.5, ["t", "a", "b"],
                       np.column_stack([t, np.sin(t), np.cos(t)]))
+
+
+#: any float, or one of the values %.9g writes in its own way: signed
+#: zeros, nan, infinities, subnormals and the ends of the exponent range
+_CELLS = st.floats() | st.sampled_from(
+    [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 1e-300,
+     -1e300, 1e300, 1.0 / 3.0])
+
+
+@st.composite
+def _blocks(draw):
+    """A block of rows as the kernels write it: empty, one row, a few
+    rows or a whole 1,024-row block.  Each column's cells are drawn from
+    a pool of one to three values of its own, so some columns are
+    constant and some mix values such as 0.0 and -0.0."""
+    n = draw(st.sampled_from([0, 1, 2, 5, 1024]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.column_stack([
+        rng.choice(np.array(draw(st.lists(_CELLS, min_size=1, max_size=3))),
+                   size=n) for _ in range(draw(st.integers(1, 6)))])
+
+
+#: a column of zeros of both signs, which is not constant, and constant
+#: columns of nan, -0.0 and a subnormal
+_MIXED = np.array([[0.0, -0.0, 0.0, 0.0, -0.0], [np.nan] * 5, [-0.0] * 5,
+                   [5e-324] * 5, [1e300, -np.inf, np.inf, np.nan, 1e-300]]).T
 
 
 class TestCsv:
@@ -172,6 +198,38 @@ class TestCsv:
         assert back.shape == samples.shape
         assert np.all(np.abs(back - samples)
                       <= 5e-9 * (1 + 1e-7) * np.abs(samples))
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(block=_blocks())
+    @example(block=_MIXED)
+    def test_block_bytes_equal_per_value_formatting(self, block):
+        # one % of the row template repeated over the block's values
+        # writes what %.9g of each value joined by commas wrote
+        assert csvio._format_rows(block) == "".join(
+            ",".join("%.9g" % v for v in row) + "\n"
+            for row in block.tolist())
+
+    @settings(max_examples=80, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(block=_blocks(), strings=st.lists(st.booleans(), min_size=6,
+                                             max_size=6),
+           cells=st.lists(st.text(alphabet="%sdg.9,x ", max_size=6),
+                          min_size=1, max_size=8))
+    @example(block=_MIXED, strings=[False, True] * 3,
+             cells=["%s", "100%", "%.9g", "%%", ""])
+    def test_table_bytes_equal_per_value_formatting(self, tmp_path, block,
+                                                    strings, cells):
+        # a table whose string columns hold cells with % in them, through
+        # write_rows: %s of a string, %.9g of a number
+        rows = [tuple(cells[(i + j) % len(cells)] if strings[j] else v
+                      for j, v in enumerate(row))
+                for i, row in enumerate(block.tolist())]
+        header = tuple(f"c{j}" for j in range(block.shape[1]))
+        write_rows(header, rows, tmp_path / "rows.csv")
+        expected = "".join(
+            ",".join(v if isinstance(v, str) else "%.9g" % v for v in row)
+            + "\n" for row in [header] + rows)
+        assert (tmp_path / "rows.csv").read_bytes() == expected.encode()
 
 
 #: sha256 of each catalog CSV, recorded when the benchmark was defined

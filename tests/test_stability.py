@@ -17,8 +17,8 @@ from surgekit.stability import (BOUNDARY, CLASS_TOL, SCAN_HEADER,
                                 STABLE_FOCUS, UNSTABLE_FOCUS, CycleConfig,
                                 StabilityConfig, _focus, char_poly,
                                 detect_limit_cycle, eig_real_part,
-                                jacobian_at_equilibrium, stability_scan,
-                                surge_boundary)
+                                jacobian_at_equilibrium, region_boundaries,
+                                stability_scan, surge_boundary)
 
 M = DEFAULT_MAP
 GRID = np.linspace(0.01, 0.79, 1000)
@@ -182,6 +182,49 @@ class TestSurgeBoundary:
             with pytest.raises(NoSignChangeError):
                 surge_boundary(M, scan=scan)
         assert surge_boundary.cache_info().misses == misses + 2
+
+
+class TestRegionBoundaries:
+    #: a map steeper than the throttle line where psi_c turns positive:
+    #: a saddle, then an unstable node, two foci and a stable node
+    SADDLE = CompressorMap(psi0=0.3, c0=-1.0, c1=3.0, c2=0.0, c3=-1.0)
+
+    def test_default_map_hopf_point_is_the_surge_boundary(self):
+        # the quintic's one root on the map is the bisected boundary; the
+        # map is a focus everywhere, so the other two have none
+        found = region_boundaries(M)
+        assert len(found.trace) == 1
+        assert abs(found.trace[0] - surge_boundary(M)) <= 1e-12
+        assert len(found.determinant) == len(found.discriminant) == 0
+
+    def test_focus_node_changes_of_a_taller_map(self):
+        found = region_boundaries(CompressorMap(h=0.6))
+        np.testing.assert_allclose(
+            found.discriminant,
+            [0.101785, 0.401338, 0.583770, 0.775147, 0.776860], atol=1e-6)
+        assert len(found.determinant) == 0
+
+    def test_saddle_ends_where_the_determinant_turns_positive(self):
+        found = region_boundaries(self.SADDLE)
+        assert found.determinant == pytest.approx([0.3467], abs=5e-5)
+
+    @pytest.mark.parametrize("cmap", [M, CompressorMap(h=0.6), SADDLE],
+                             ids=["default", "h-0.6", "saddle"])
+    def test_each_root_is_a_sign_change_of_the_scalar_path(self, cmap):
+        # trace -b, determinant c and discriminant b*b - 4c of char_poly
+        # change sign across each root, and every root is in order on
+        # the map where psi_c > 0
+        found = region_boundaries(cmap)
+        quantities = {"trace": lambda b, c: -b,
+                      "determinant": lambda b, c: c,
+                      "discriminant": lambda b, c: b * b - 4.0 * c}
+        for name, quantity in quantities.items():
+            roots = getattr(found, name)
+            assert list(roots) == sorted(roots)
+            for phi in roots:
+                below = quantity(*char_poly(cmap, phi - 1e-7))
+                above = quantity(*char_poly(cmap, phi + 1e-7))
+                assert below * above < 0.0, (name, phi)
 
 
 class TestBendixson:
