@@ -161,10 +161,10 @@ def cmd_simulate(args) -> int:
     if not (np.isfinite(args.ss_tol) and args.ss_tol >= 0.0):
         raise ScenarioError(f"--ss-tol must be finite and >= 0, "
                             f"got {args.ss_tol}")
-    # where it pays, a second process formats the CSV while the kernel
+    # where it pays, the helper process formats the CSV while the kernel
     # runs.  The summary and the figure are made from the record while it
     # formats its last rows; only then does the write wait for its text.
-    # It is reaped at the end of the block, after the summary
+    # It lives on after the block, for the process's next run
     with RunHelper(sc.decimation) as helper:
         traj = _run_plant(sc, helper)
         window = min(args.ss_window, 0.5 * sc.resolved_t_end())
@@ -307,10 +307,10 @@ def cmd_tune(args) -> int:
 def cmd_closedloop(args) -> int:
     sc = _load(args, "closedloop")
     path = _csv_path(args, sc)
-    # where it pays, a second process observes the compressor and formats
-    # the CSV while the kernel runs.  As in cmd_simulate, the summary and
-    # the figures are made from the record before the write waits for the
-    # text, and the process is reaped at the end of the block
+    # where it pays, the helper process observes the compressor and
+    # formats the CSV while the kernel runs.  As in cmd_simulate, the
+    # summary and the figures are made from the record before the write
+    # waits for the text
     with RunHelper(sc.decimation) as helper:
         traj = simulate_closed_loop(sc.controller, sc.valve, sc.disturbance,
                                     dt=sc.resolved_dt(),

@@ -17,9 +17,9 @@ breaking it with a one-step delay.
 ``--observe`` runs a compressor beside the loop, throttled by the
 measured flow and feeding nothing back.  The loop kernel records the flow
 at each RK stage, and the observer's own kernel integrates (phi, psi) from
-those flows: one block of rows behind the loop in the process of a
-``csvio.RunHelper`` when the CLI forks one (on the second CPU), else here
-after the loop.  The loop runs to its own end or failure either way, and
+those flows: one block of rows behind the loop in the helper process
+of ``csvio.RunHelper`` when the run goes to it (on the second CPU), else
+here after the loop.  The loop runs to its own end or failure either way, and
 :func:`_integrate` merges the observer's result with the loop's once, at
 the end, so the columns, and the time, rows, stage and state of a
 failure, are those of the coupled 13-state RK4.
@@ -225,8 +225,8 @@ def _integrate(out, ys, state, dt, p, m=None, helper=None):
     """``_kernels.closed_loop_loop`` on the record ``out`` from ``state``,
     ``_kernels._BLOCK_ROWS`` rows at a time, each range reported to
     ``helper``, if given; with the map constants ``m``, observed, the
-    stage flows going to ``ys``.  Both arrays must be shared mappings
-    (``odesim._output_buffer``) for a ``helper`` process to read and
+    stage flows going to ``ys``.  Both arrays must be made for the
+    ``helper`` (``odesim._output_buffer``) for its process to read and
     write them.  Returns (status, row, stage), and leaves in ``state``
     the 13 states at the end or at the failure.
 
@@ -248,7 +248,8 @@ def _integrate(out, ys, state, dt, p, m=None, helper=None):
         observe = functools.partial(_kernels.observed_compressor,
                                     _kernels.flat(out), _kernels.flat(ys),
                                     dt, m)
-    report = None if helper is None else helper.start(out, observe)
+    report = None if helper is None else helper.start(
+        out, None if m is None else (dt, m))
     start = state.copy()
     rc = _kernels.closed_loop_loop(out, state, dt, p, report,
                                    None if m is None else ys)
@@ -288,14 +289,14 @@ def simulate_closed_loop(cfg: ControllerConfig,
 
     The kernel fills the record in blocks of ``_kernels._BLOCK_ROWS`` rows.
     A ``helper`` (``csvio.RunHelper``) is given each block when it is
-    filled; where it forks a process, that process observes and formats
-    the blocks while the kernel goes on.  Without one, the observer runs
-    here after the loop.  An observed run whose observer fails still runs
-    the loop to its end, or to the loop's own failure, before the earlier
-    failure is raised.
+    filled; where the run goes to its process, that process observes and
+    formats the blocks while the kernel goes on.  Without one, the
+    observer runs here after the loop.  An observed run whose observer
+    fails still runs the loop to its end, or to the loop's own failure,
+    before the earlier failure is raised.
     """
     columns = list(LOOP_COLUMNS) + (["phi", "psi"] if observe else [])
-    out = _output_buffer(dt, t_end, len(columns))
+    out = _output_buffer(dt, t_end, len(columns), helper, observe)
     state = initial_loop_state(cfg, valve, profile)
     m = ys = None
     if observe:
@@ -309,7 +310,7 @@ def simulate_closed_loop(cfg: ControllerConfig,
         state[11] = y0
         state[12] = psi0
         m = cmap.constants
-        ys = _output_buffer(dt, t_end, 3)
+        ys = _output_buffer(dt, t_end, 3, helper, True)
     if not np.all(np.isfinite(state)):
         raise DomainError("initial loop state must be finite, got "
                           f"{dict(zip(_kernels.CL_STATE, state.tolist()))}")

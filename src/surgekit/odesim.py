@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import mmap
 import numbers
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -66,21 +67,28 @@ class Trajectory:
         return Trajectory(self.dt, self.columns, self.samples[start:])
 
 
-def _output_buffer(dt: float, t_end: float, n_cols: int) -> np.ndarray:
+def _output_buffer(dt: float, t_end: float, n_cols: int, helper=None,
+                   observed: bool = False) -> np.ndarray:
     """Zeroed record of a run from t=0 to t_end, one row per step; a run
     too long to hold is a DomainError naming the size it needs.
 
-    The rows live in an anonymous shared mapping, so a process forked
-    while the run goes on (``csvio.RunHelper``) reads the rows filled
-    after the fork, and the rows it writes are the run's.
+    The rows live in a shared mapping: of a memory file when the run,
+    observed or not, goes to the process of ``helper``
+    (``csvio.RunHelper.memfd``), else anonymous.  So the helper process
+    reads the rows filled after the run is handed to it, and the rows it
+    writes are the run's.
     """
     if not (dt > 0.0 and t_end > 0.0):
         raise DomainError(f"need dt > 0 and t_end > 0, got {dt}, {t_end}")
     rows = t_end / dt + 1e-9
     if math.isfinite(rows):
         rows = math.floor(rows) + 1
+        size = 8 * rows * n_cols
         try:
-            shared = mmap.mmap(-1, 8 * rows * n_cols)
+            fd = -1 if helper is None else helper.memfd(rows, observed)
+            if fd >= 0:
+                os.ftruncate(fd, size)
+            shared = mmap.mmap(fd, size)
         except (OverflowError, OSError, ValueError):
             pass
         else:
@@ -100,7 +108,7 @@ def simulate_greitzer(initial: PlantState, g: float,
     (``csvio.RunHelper``) is given each block when filled."""
     if not (math.isfinite(g) and g > 0.0):
         raise DomainError(f"g must be finite and positive, got {g}")
-    out = _output_buffer(dt, t_end, 3)
+    out = _output_buffer(dt, t_end, 3, helper)
     if not all(isinstance(v, numbers.Real) and math.isfinite(v)
                for v in (initial.phi, initial.psi)):
         raise DomainError(f"initial state must be two finite real numbers, "

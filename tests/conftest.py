@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from surgekit import csvio
 from surgekit.loop import simulate_closed_loop
 
 
@@ -33,9 +34,12 @@ def closed_loop_run():
 
 @pytest.fixture(autouse=True)
 def no_child_process_left():
-    """Fail a test that leaves a child process running or unreaped, such
-    as the helper process of a run (``csvio.RunHelper``)."""
+    """Fail a test that leaves a child process running or unreaped.  The
+    helper process of the runs (``csvio.RunHelper``) is shut down first,
+    as at exit (``csvio._shutdown``), so the check also proves that the
+    shutdown reaps it, and each test starts without one."""
     yield
+    csvio._shutdown()
     if not hasattr(os, "WNOHANG"):
         return
     try:

@@ -456,24 +456,25 @@ class TestLiveStates:
         # in one block as long as the record (None), and in blocks of 777
         # rows, whose bounds are no multiple of the block size the CLI
         # uses: the state carries over.  In this process, and with the
-        # observer (or the formatter alone) in a helper process
+        # observer (or the formatter alone) in the helper process, forked
+        # once, by the first run given it, and following the second too
         for block in (None, 777):
             monkeypatch.setattr(_kernels, "_BLOCK_ROWS",
                                 block or self.STEPS + 1)
             for forked in (False, True):
                 q = state.copy()
-                out = _output_buffer(self.DT, self.STEPS * self.DT,
-                                     rows.shape[1])
-                ys = _output_buffer(self.DT, self.STEPS * self.DT, 3)
-                del forks[:]
                 with csvio.RunHelper(1) as helper:
-                    assert loop._integrate(
-                        out, ys, q, self.DT, p, m,
-                        helper if forked else None) == (
-                            _kernels.OK, self.STEPS, None)
-                assert len(forks) == forked
+                    given = helper if forked else None
+                    out = _output_buffer(self.DT, self.STEPS * self.DT,
+                                         rows.shape[1], given, observe)
+                    ys = _output_buffer(self.DT, self.STEPS * self.DT, 3,
+                                        given if observe else None)
+                    assert loop._integrate(out, ys, q, self.DT, p, m,
+                                           given) == (
+                        _kernels.OK, self.STEPS, None)
                 assert out.tobytes() == rows.tobytes()
                 assert q.tobytes() == final.tobytes()
+        assert len(forks) == 1
         if not observe:
             # the ranges of 777 rows reported, the last as the end of the
             # run
@@ -671,9 +672,9 @@ class TestResultAfterTheLoop:
 
     def _run(self, p, start, helper):
         """(status, row, stage), final state and record of the observed
-        run from ``start``."""
-        out = _output_buffer(self.DT, 5.0, 13)
-        ys = _output_buffer(self.DT, 5.0, 3)
+        run from ``start``, made for ``helper``'s process if given."""
+        out = _output_buffer(self.DT, 5.0, 13, helper, True)
+        ys = _output_buffer(self.DT, 5.0, 3, helper, True)
         state = start.copy()
         rc = loop._integrate(out, ys, state, self.DT, p, M.constants, helper)
         return rc, state, out
@@ -685,7 +686,8 @@ class TestResultAfterTheLoop:
 
     @pytest.fixture
     def forks(self, monkeypatch):
-        """The helper processes forked, one for every run given one."""
+        """The helper processes forked: one a process, by the first run
+        given one."""
         forks = []
         fork = os.fork
 
@@ -729,8 +731,8 @@ class TestResultAfterTheLoop:
         # the process only formats
         p, start = self._start(0.0)
         with csvio.RunHelper(1) as helper:
-            assert loop._integrate(_output_buffer(self.DT, 5.0, 11), None,
-                                   start.copy(), self.DT, p, None,
+            assert loop._integrate(_output_buffer(self.DT, 5.0, 11, helper),
+                                   None, start.copy(), self.DT, p, None,
                                    helper) == (NONFINITE, 12, 4)
             assert len(forks) == 1
             assert helper.result() is None
@@ -794,12 +796,13 @@ class TestLoopStageFailure:
         monkeypatch.setattr(csvio, "_fork_pays", lambda *rows: True)
         for forked in (False, True):
             state = start.copy()
-            out = _output_buffer(1.0, 5.0, 13)
-            ys = _output_buffer(1.0, 5.0, 3)
             del forks[:]
             with csvio.RunHelper(1) as helper:
+                given = helper if forked else None
+                out = _output_buffer(1.0, 5.0, 13, given, True)
+                ys = _output_buffer(1.0, 5.0, 3, given, True)
                 rc = loop._integrate(out, ys, state, 1.0, p, M.constants,
-                                     helper if forked else None)
+                                     given)
             assert len(forks) == forked
             assert rc == (NONFINITE, 1, stage)
             assert state.tobytes() == start.tobytes()

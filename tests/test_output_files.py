@@ -8,6 +8,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -332,13 +333,17 @@ class TestSvgBytes:
 
 
 class _Forks:
-    """The processes forked through ``os.fork`` while it is patched, and
+    """The processes forked through ``os.fork`` while it is patched, the
+    runs handed to the helper process (``handed``: True for each run
+    started with it, False for each run left in this process), and
     ``pays``, for a patched ``csvio._fork_pays`` to answer."""
 
     def __init__(self, monkeypatch):
         self.pids = []
+        self.handed = []
         self.pays = True
         fork = os.fork
+        start = csvio.RunHelper.start
 
         def counted_fork():
             pid = fork()
@@ -346,7 +351,13 @@ class _Forks:
                 self.pids.append(pid)
             return pid
 
+        def counted_start(helper, *args):
+            report = start(helper, *args)
+            self.handed.append(report is not None)
+            return report
+
         monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(csvio.RunHelper, "start", counted_start)
 
 
 def _run_cli(capsys, *argv):
@@ -508,7 +519,13 @@ class TestFormatterProcess:
             with monkeypatch.context() as patch:
                 patch.setattr(csvio, "_follow_run", getattr(self, helper))
                 assert run(observe) == expected
-        assert len(forks.pids) == 2
+            if helper == "_killed_mid_text":
+                # killed after its end: dead, and left unreaped (WNOWAIT),
+                # before the next run finds it lost
+                os.waitid(os.P_PID, forks.pids[-1], os.WEXITED | os.WNOWAIT)
+        # a helper that lives on follows the second run too; one killed
+        # is reaped, and the next run forks another
+        assert len(forks.pids) == (1 if helper == "_wrong_length" else 2)
 
     def test_forks_only_where_it_pays(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
@@ -530,24 +547,24 @@ class TestFormatterProcess:
         assert not pays(50001, 0)
         assert not pays(201, 20001)
 
-    def test_catalog_run_and_sweep_call_fork_one_helper_each(self, tmp_path,
-                                                             monkeypatch):
-        # a 10001-row CSV takes a helper to format it, and so does the
-        # 20001-row record a decimated sweep call observes; a 1001-row
-        # observed run takes none
+    def test_catalog_run_and_sweep_call_go_to_one_helper(self, tmp_path,
+                                                         monkeypatch):
+        # a 10001-row CSV goes to the helper to be formatted, and so does
+        # the 20001-row record a decimated sweep call observes; a 1001-row
+        # observed run stays here.  The first forks the helper, the
+        # second finds it
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
         forks = _Forks(monkeypatch)
         csv = str(tmp_path / "run.csv")
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["closedloop", "--t-end", "10", "--csv", csv]) == 0
-            assert len(forks.pids) == 1
             assert main(["closedloop", "--observe", "--t-end", "20",
                          "--decimation", "100", "--csv", csv]) == 0
-            assert len(forks.pids) == 2
             assert main(["closedloop", "--observe", "--t-end", "1",
                          "--csv", csv]) == 0
-        assert len(forks.pids) == 2
+        assert forks.handed == [True, True, False]
+        assert len(forks.pids) == 1
 
     def test_dense_observed_run_forks_one_helper_for_both_jobs(
             self, tmp_path, monkeypatch):
@@ -574,12 +591,13 @@ class TestFormatterProcess:
             monkeypatch.setattr(_kernels, "observed_compressor",
                                 counted(_kernels.observed_compressor))
             assert main(argv) == 0
-        assert len(forks.pids) == 2
+        assert forks.handed == [True, True]
+        assert len(forks.pids) == 1
         assert here == []
         monkeypatch.setattr(csvio, "_fork_pays", lambda *rows: False)
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0
-        assert len(forks.pids) == 2
+        assert len(forks.pids) == 1
         assert set(here) == {"_format_rows", "observed_compressor"}
         assert csv.read_bytes() == forked
 
@@ -690,24 +708,23 @@ class TestOpenLoopFormatterProcess:
 
     def test_catalog_open_loop_runs_fork_where_they_pay(self, tmp_path,
                                                         monkeypatch):
-        # fig3_4 and fig6 write 10001 rows and take a helper each; fig7
-        # writes 5001 and takes none
+        # fig3_4 and fig6 write 10001 rows and fig7 5001: they go to the
+        # helper, forked by the first
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
         forks = _Forks(monkeypatch)
-        counts = []
         with contextlib.redirect_stdout(io.StringIO()):
             for command, scenario in self.PLANTS + [("simulate", "fig7")]:
                 assert main([command, "--scenario", scenario, "--out-dir",
                              str(tmp_path)]) == 0
-                counts.append(len(forks.pids))
-        assert counts == [1, 2, 2]
+        assert forks.handed == [True, True, True]
+        assert len(forks.pids) == 1
 
 
 class TestTextHandoff:
     """The helper process leaves the text in an anonymous memory file and
-    sends only its length; the CSV is copied from that file, and the
-    process is reaped when its ``with`` block ends."""
+    sends only its length; the CSV is copied from that file.  The process
+    outlives the run's ``with`` block, and is reaped at shutdown."""
 
     RUNS = [["closedloop", "--t-end", "2.5"],
             ["simulate", "--scenario", "fig3_4", "--t-end", "25"]]
@@ -733,12 +750,12 @@ class TestTextHandoff:
             for argv in runs:
                 assert main(argv + ["--csv", str(csv)]) == 0
                 texts.append(csv.read_bytes())
-            assert len(forks.pids) == 2
             monkeypatch.delattr(os, "memfd_create")
             for argv, text in zip(runs, texts):
                 assert main(argv + ["--csv", str(csv)]) == 0
                 assert csv.read_bytes() == text
-        assert len(forks.pids) == 2
+        assert forks.handed == [True, True, False, False]
+        assert len(forks.pids) == 1
 
     @pytest.mark.parametrize("observe", [False, True])
     def test_reads_only_result_and_length(self, tmp_path, capsys, forks,
@@ -766,35 +783,39 @@ class TestTextHandoff:
             monkeypatch.setattr(os, "fork", failed_fork)
         argv = ["closedloop", "--t-end", "2.5", "--csv",
                 str(tmp_path / "run.csv")]
-        before = sorted(os.listdir("/proc/self/fd"))
+        before = set(os.listdir("/proc/self/fd"))
         assert _run_cli(capsys, *argv)[0] == 0
-        assert sorted(os.listdir("/proc/self/fd")) == before
+        # the helper's channel and text file stay open, as long as it
+        # lives; the run's record and the files of its handover do not
+        kept = set() if fork_fails else {
+            str(csvio._helper.fd), str(csvio._helper.text)}
+        assert set(os.listdir("/proc/self/fd")) == before | kept
         assert len(forks.pids) == (not fork_fails)
+        csvio._shutdown()
+        assert set(os.listdir("/proc/self/fd")) == before
 
     @staticmethod
     def _lingering(samples, decimate, observe, inbox, outbox, text):
-        # the whole run formatted and its length sent, then no exit until
-        # the process is killed or the run's process is gone
+        # the whole run formatted and its length sent, then no return
+        # until the channel carries another message or ends
         keep = os.dup(inbox)
         _follow_run(samples, decimate, observe, inbox, outbox, text)
         os.read(keep, 1)
 
-    def test_text_never_waits_and_close_reaps(self, tmp_path, forks,
-                                              monkeypatch):
-        # the helper outlives the write, which copies its text; only the
-        # end of the with block kills and reaps it
+    def test_text_never_waits_and_shutdown_reaps(self, tmp_path, forks,
+                                                 monkeypatch):
+        # the helper outlives the write, which copies its text, and the
+        # with block; only the shutdown, as at exit, ends and reaps it
         waitpid = os.waitpid
-        closing, waited, texts = [], [], []
+        shutting, waited, texts = [], [], []
 
         def watched_waitpid(pid, options):
-            assert closing, "waited for the helper before close()"
-            waited.append(pid)
-            return waitpid(pid, options)
+            assert shutting, "waited for the helper before the shutdown"
+            waited.append(waitpid(pid, options))
+            return waited[-1]
 
-        close, text = csvio.RunHelper.close, csvio.RunHelper.text
+        text = csvio.RunHelper.text
         monkeypatch.setattr(os, "waitpid", watched_waitpid)
-        monkeypatch.setattr(csvio.RunHelper, "close", lambda helper: (
-            closing.append(1), close(helper)))
         monkeypatch.setattr(csvio.RunHelper, "text", lambda helper, *args: (
             texts.append(text(helper, *args)) or texts[-1]))
         monkeypatch.setattr(csvio, "_follow_run", self._lingering)
@@ -803,13 +824,189 @@ class TestTextHandoff:
             traj = simulate_greitzer(PlantState(0.3, 0.6), 0.5, DEFAULT_MAP,
                                      dt=0.01, t_end=25, helper=helper)
             write_trajectory(traj, csv, 1, helper=helper)
-            (pid,) = forks.pids
-            os.kill(pid, 0)   # not reaped yet
-            assert waited == [] and texts[0] is not None
-        assert waited == [pid]
+            assert texts[0] is not None
+        (pid,) = forks.pids
+        os.kill(pid, 0)   # not reaped yet
+        assert waited == []
+        shutting.append(1)
+        csvio._shutdown()
+        # it exited by itself, with status 0, once its channel ended
+        assert waited == [(pid, 0)]
         in_process = tmp_path / "in-process.csv"
         write_trajectory(traj, in_process, 1)
         assert csv.read_bytes() == in_process.read_bytes()
+
+
+class TestOneHelperPerProcess:
+    """One helper process serves every run of the process that forked it:
+    the first run that pays forks it, the later ones find it, and it ends
+    with its parent.  A run that stops early, or a helper lost between
+    runs, leaves the next run's bytes those of the in-process path."""
+
+    #: forking runs of the catalog, the last the first again; the closed
+    #: loops cut to 10001 rows
+    CATALOG = [["simulate", "--scenario", "fig3_4"],
+               ["limit-cycle", "--scenario", "fig6"],
+               ["closedloop", "--scenario", "fig10", "--observe",
+                "--t-end", "10"],
+               ["closedloop", "--scenario", "fig15", "--t-end", "10"],
+               ["simulate", "--scenario", "fig3_4"]]
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+
+    @staticmethod
+    def _csv(argv, csv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv + ["--csv", str(csv)]) == 0
+        return csv.read_bytes()
+
+    def _in_process(self, monkeypatch, argv, csv):
+        with monkeypatch.context() as patch:
+            patch.setattr(csvio, "_fork_pays", lambda *rows: False)
+            return self._csv(argv, csv)
+
+    @staticmethod
+    def _formatted_here(monkeypatch):
+        """The rows this process formats from now on: none, where every
+        CSV is copied from the helper's text."""
+        formatted = []
+        format_rows = csvio._format_rows
+        monkeypatch.setattr(csvio, "_format_rows", lambda samples: (
+            formatted.append(len(samples)) or format_rows(samples)))
+        return formatted
+
+    def test_catalog_runs_fork_once(self, tmp_path, monkeypatch, two_cpus):
+        csv = tmp_path / "run.csv"
+        expected = [self._in_process(monkeypatch, argv, csv)
+                    for argv in self.CATALOG]
+        forks = _Forks(monkeypatch)
+        formatted = self._formatted_here(monkeypatch)
+        assert [self._csv(argv, csv) for argv in self.CATALOG] == expected
+        assert forks.handed == [True] * 5
+        assert len(forks.pids) == 1
+        assert formatted == []
+
+    @staticmethod
+    def _raising_after_one_block(run, first, n, report):
+        run(first, first + _kernels._BLOCK_ROWS)
+        report(first + _kernels._BLOCK_ROWS, False)
+        raise RuntimeError("kernel stopped")
+
+    def test_run_stopped_early_leaves_the_next_in_step(self, tmp_path,
+                                                       monkeypatch, two_cpus):
+        # a kernel that raises after its first block, and a figure that
+        # cannot be written after the run (exit 5), both between the
+        # handover and the write: the next run writes the in-process bytes
+        # through the same helper
+        argv = ["simulate", "--scenario", "fig3_4"]
+        csv = tmp_path / "run.csv"
+        expected = self._in_process(monkeypatch, argv, csv)
+        forks = _Forks(monkeypatch)
+        formatted = self._formatted_here(monkeypatch)
+        with monkeypatch.context() as patch:
+            patch.setattr(_kernels, "_in_blocks",
+                          self._raising_after_one_block)
+            with pytest.raises(RuntimeError, match="kernel stopped"):
+                main(argv + ["--csv", str(tmp_path / "stopped.csv")])
+        assert self._csv(argv, csv) == expected
+        (tmp_path / "afile").write_text("")
+        svg = tmp_path / "afile" / "fig.svg"
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv + ["--csv", str(tmp_path / "no.csv"),
+                                "--svg", str(svg)]) == 5
+        assert self._csv(argv, csv) == expected
+        assert forks.handed == [True] * 4
+        assert len(forks.pids) == 1
+        assert formatted == []
+        assert not (tmp_path / "stopped.csv").exists()
+        assert not (tmp_path / "no.csv").exists()
+
+    def test_helper_killed_between_runs(self, tmp_path, monkeypatch,
+                                        two_cpus):
+        # the next run finds it lost: it is reaped, no zombie is left, and
+        # another is forked for the run, which writes the same bytes
+        argv = ["simulate", "--scenario", "fig3_4"]
+        csv = tmp_path / "run.csv"
+        expected = self._in_process(monkeypatch, argv, csv)
+        forks = _Forks(monkeypatch)
+        assert self._csv(argv, csv) == expected
+        (killed,) = forks.pids
+        os.kill(killed, signal.SIGKILL)
+        # dead, and left unreaped (WNOWAIT) for the run to find
+        os.waitid(os.P_PID, killed, os.WEXITED | os.WNOWAIT)
+        assert self._csv(argv, csv) == expected
+        with pytest.raises(ChildProcessError):
+            os.waitpid(killed, os.WNOHANG)
+        assert forks.handed == [True, True]
+        assert len(forks.pids) == 2
+        assert csvio._helper.pid == forks.pids[1]
+
+    def test_threads_take_turns(self, tmp_path, monkeypatch):
+        # more threads than CPUs, switching often, each making runs: the
+        # run that has the helper keeps it to its close and the others
+        # stay in their own thread, so the one helper forked serves them
+        # all, and every CSV has the in-process bytes
+        forks = _Forks(monkeypatch)
+        monkeypatch.setattr(csvio, "_fork_pays", lambda *rows: True)
+        errors = []
+
+        def run(csv, handed=True):
+            with csvio.RunHelper(1) as helper:
+                traj = simulate_greitzer(PlantState(0.3, 0.6), 0.5,
+                                         DEFAULT_MAP, dt=0.01, t_end=25,
+                                         helper=helper if handed else None)
+                write_trajectory(traj, csv, 1, helper=helper)
+            return csv.read_bytes()
+
+        def runs(k):
+            try:
+                for i in range(4):
+                    run(tmp_path / f"{k}-{i}.csv")
+            except BaseException as err:   # reported below
+                errors.append(err)
+
+        expected = run(tmp_path / "in-process.csv", handed=False)
+        assert run(tmp_path / "first.csv") == expected
+        threads = [threading.Thread(target=runs, args=(k,))
+                   for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert {(tmp_path / f"{k}-{i}.csv").read_bytes()
+                for k in range(4) for i in range(4)} == {expected}
+        assert len(forks.pids) == 1
+        assert forks.handed.count(True) >= 2
+
+    def test_no_helper_outlives_its_parent(self, tmp_path):
+        # a process that runs fig3_4 through the helper and then leaves by
+        # os._exit, with no exit hook: the helper holds the process's
+        # stdout and stderr, so their end shows that it exited too, on
+        # its channel's end
+        code = _PARENT_EXITS.format(
+            paths=[os.path.dirname(os.path.dirname(csvio.__file__))],
+            csv=str(tmp_path / "fig3_4.csv"))
+        proc = subprocess.Popen([sys.executable, "-c", code],
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True)
+        try:
+            out, err = proc.communicate(timeout=5)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 0, err
+        word, pid = out.splitlines()[-1].split()
+        assert word == "helper" and int(pid) > 0
 
 
 #: the helper process's own function, for the fakes that wrap it
@@ -926,3 +1123,16 @@ class TestSvg:
         render_svg([Series("s", t, t ** 2)], p1)
         render_svg([Series("s", t, t ** 2)], p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+#: a process that runs fig3_4 through the helper, prints the helper's pid
+#: and leaves with os._exit, which runs no exit hook
+_PARENT_EXITS = """
+import os
+import sys
+sys.path[:0] = {paths!r}
+os.sched_getaffinity = lambda pid: {{0, 1}}
+from surgekit import cli, csvio
+cli.main(["simulate", "--scenario", "fig3_4", "--csv", {csv!r}])
+print("helper", csvio._helper.pid, flush=True)
+os._exit(0)
+"""
