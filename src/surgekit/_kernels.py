@@ -27,19 +27,16 @@ its first use with the globals of its rhs's module and cached
 is the rhs's own statements, inlined from this module's source, which
 every installed copy has, with the calls to pressure_rise and surge_rhs
 inlined in turn (:func:`_inlined`, once for each step built).  A build
-copies no tree: each inlining, hoisting and stage works on a tree parsed
-for it.  So a plant step calls no function
-but ``isfinite``, ``sqrt`` and ``range``, and builds no tuple of rates.
-The closed-loop step is specialized to the run's controller kind: its
-stages keep only the branches of closed_loop_rhs that kind takes, and
-read a name assigned only a constant or another name as that value
-(:func:`_folded`).  What reads only the run's constants, such as
-``-gamma``, is computed once, before the loop (:class:`_Hoisted`); a
-rate that is a name is the stage's rate itself, with no copy; and a
-stage drops what nothing after it reads (:func:`_stage`).  Each stage
-still gives each value the rhs computes by the same IEEE operations on
-the same operands, so the record is that of the rhs bit for bit.  The
-step writes each record row with one call of ``record``
+copies no tree: each inlining and stage works on a tree parsed for it.
+So a plant step calls no function but ``isfinite``, ``sqrt`` and
+``range``, and builds no tuple of rates.  The closed-loop step is
+specialized to the run's controller kind: its stages keep only the
+branches of closed_loop_rhs that kind takes, and read a name assigned
+only a constant or another name as that value (:func:`_folded`); a rate
+that is a name is the stage's rate itself, with no copy (:func:`_stage`).
+Each stage gives each value the rhs computes by the same IEEE
+operations on the same operands, so the record is that of the rhs bit
+for bit.  The step writes each record row with one call of ``record``
 (``struct.Struct.pack_into``), so it calls only ``isfinite``, ``range``
 and ``record``.
 
@@ -69,7 +66,6 @@ the observer ``(status, row, stage)``) so the wrappers in
 import ast
 import functools
 import inspect
-import itertools
 import math
 import struct
 import textwrap
@@ -478,10 +474,6 @@ def _stage(body, assigned, rates, k, coef, failure, after, named):
     body assigns is renamed ``<name>_<k>`` in the stage, and so is a
     state's stage local at stages 2-4; at stage 1 the rate is that state
     itself, where the combination updates it later.
-
-    An assignment whose value cannot raise is dropped where nothing later
-    in the stage reads it (:func:`_live`): no statement, no rate and no
-    line ``after``.
     """
     moving = list(rates)
     local = {n: f"{n}_s" for n in moving} if coef else {}
@@ -504,161 +496,7 @@ def _stage(body, assigned, rates, k, coef, failure, after, named):
     named.append(own)
     tree = ast.parse("\n".join([body, *lines, *after]))
     code += _Stage(local, failure).visit(tree).body
-    code, _ = _live(code, set(own.values()))
     return ast.unparse(ast.Module(code, [])).splitlines()
-
-
-def _read(node):
-    """The names the node ``node`` reads."""
-    return {n.id for n in ast.walk(node)
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-
-
-def _safe(node, divided=frozenset()):
-    """Whether the operation ``node`` (an ``ast.BinOp``) raises only where
-    dividing by one of the divisors ``divided`` would: it adds, subtracts
-    or multiplies, or divides by a nonzero number or one of them."""
-    right = node.right
-    return (isinstance(node.op, (ast.Add, ast.Sub, ast.Mult))
-            or isinstance(node.op, ast.Div)
-            and (ast.dump(right) in divided
-                 or isinstance(right, ast.Constant)
-                 and type(right.value) in (int, float) and right.value != 0))
-
-
-def _raises(node):
-    """Whether evaluating the expression ``node`` may raise: it calls,
-    subscripts or looks up an attribute, or an operation in it is not
-    :func:`_safe`."""
-    return any(isinstance(n, (ast.Call, ast.Subscript, ast.Attribute))
-               or isinstance(n, ast.BinOp) and not _safe(n)
-               for n in ast.walk(node))
-
-
-def _live(stmts, live):
-    """(kept, live): the statements ``stmts`` without each assignment to
-    names that nothing after it reads (neither a later statement nor
-    ``live``, the names read after ``stmts``) and whose value cannot raise,
-    and the names read before them."""
-    kept = []
-    for st in reversed(stmts):
-        if (isinstance(st, ast.Assign) and not _raises(st.value)
-                and all(isinstance(t, ast.Name) for t in st.targets)):
-            st.targets = [t for t in st.targets if t.id in live]
-            if not st.targets:
-                continue
-            live = live - {t.id for t in st.targets} | _read(st.value)
-        elif isinstance(st, ast.If):
-            body, into = _live(st.body, live)
-            orelse, past = _live(st.orelse, live)
-            st.body, st.orelse = body or [ast.Pass()], orelse
-            live = into | past | _read(st.test)
-        elif isinstance(st, ast.Return):
-            live = _read(st)
-        elif isinstance(st, ast.Pass):
-            continue
-        else:
-            live = live | _read(st)
-        kept.append(st)
-    return kept[::-1], live
-
-
-def _divisors(node):
-    """The divisors (as ``ast.dump`` texts) by which evaluating the
-    arithmetic expression ``node`` divides."""
-    if isinstance(node, ast.UnaryOp):
-        return _divisors(node.operand)
-    if not isinstance(node, ast.BinOp):
-        return frozenset()
-    found = _divisors(node.left) | _divisors(node.right)
-    return (found | {ast.dump(node.right)} if isinstance(node.op, ast.Div)
-            else found)
-
-
-def _meet(a, b):
-    """The intersection of the sets ``a`` and ``b``, None standing for
-    every divisor."""
-    return b if a is None else a if b is None else a & b
-
-
-def _divided(stmts, done=frozenset()):
-    """(at_return, at_end): the divisors (:func:`_divisors`) by which every
-    path through the statements ``stmts`` from the divisors ``done`` has
-    divided before each ``return`` in them, and at their end; None where
-    none returns, or no path reaches the end."""
-    at_return = None
-    for st in stmts:
-        if isinstance(st, ast.Return):
-            return _meet(at_return, done), None
-        if isinstance(st, ast.If):
-            ends = []
-            for branch in (st.body, st.orelse):
-                ret, end = _divided(branch, done)
-                at_return = _meet(at_return, ret)
-                ends += [end] if end is not None else []
-            if not ends:
-                return at_return, None
-            done = frozenset.intersection(*ends)
-        else:
-            done = done | _divisors(getattr(st, "value", None))
-    return at_return, done
-
-
-class _Hoisted(ast.NodeTransformer):
-    """Reads each subexpression that ``run``'s head can compute once as a
-    name bound there, in ``head`` (its ``ast.dump``: (name, expression)).
-
-    Such an expression is arithmetic on numbers and the names
-    ``constant``, with at least one of them, and cannot raise where the
-    step would not: it divides only by a nonzero number or a divisor in
-    ``divided``.  Its name is that of an assignment of it in ``once``,
-    which the assignment then leaves the stage, else ``c_<j>``, the first
-    not in ``taken``.
-    """
-
-    def __init__(self, constant, divided, once, taken):
-        self.constant, self.divided, self.taken = constant, divided, taken
-        self.head = {}
-        for st in once:
-            if self._computed(st.value):
-                self.head.setdefault(ast.dump(st.value),
-                                     (st.targets[0].id, st.value))
-
-    def _computed(self, node):
-        """Whether the head computes ``node``."""
-        return (isinstance(node, (ast.BinOp, ast.UnaryOp))
-                and self._constant(node)
-                and any(isinstance(n, ast.Name) for n in ast.walk(node)))
-
-    def _constant(self, node):
-        if isinstance(node, ast.Name):
-            return node.id in self.constant
-        if isinstance(node, ast.Constant):
-            return type(node.value) in (int, float)
-        if isinstance(node, ast.UnaryOp):
-            return (isinstance(node.op, (ast.USub, ast.UAdd))
-                    and self._constant(node.operand))
-        return (isinstance(node, ast.BinOp) and _safe(node, self.divided)
-                and self._constant(node.left) and self._constant(node.right))
-
-    def visit_Assign(self, node):
-        bound = self.head.get(ast.dump(node.value), (None,))[0]
-        if bound and [getattr(t, "id", None) for t in node.targets] == [bound]:
-            return None
-        return self.generic_visit(node)
-
-    def visit_BinOp(self, node):
-        if not self._computed(node):
-            return self.generic_visit(node)
-        key = ast.dump(node)
-        if key not in self.head:
-            name = next(f"c_{j}" for j in itertools.count(1)
-                        if f"c_{j}" not in self.taken)
-            self.taken.add(name)
-            self.head[key] = (name, node)
-        return ast.Name(self.head[key][0], ast.Load())
-
-    visit_UnaryOp = visit_BinOp
 
 
 #: RK4's stages: (stage k, the step coefficient by which stage k-1's
@@ -814,29 +652,23 @@ def _step_source(kind, live, observed):
     The stages are closed_loop_rhs's statements folded to ``kind``
     (:func:`_folded`), so ``run`` reads no kind, and each value they use
     is the rhs's, by the same IEEE operations on the same operands.  The
-    unpack of ``p`` runs once, at ``run``'s head, and so does each
-    expression of the run's constants alone (:class:`_Hoisted`) that
-    raises only where every stage would: each divisor in it is one every
-    stage divides by before it can return (:func:`_divided`).  Each stage
-    names the rates directly and drops its dead stores (:func:`_stage`).
-    A dead state keeps its name at every stage, which keeps the ``-0.0``
-    rule.  Raises ValueError where _folded does.
+    unpack of ``p`` runs once, at ``run``'s head; each stage computes all
+    the rest and names the rates directly (:func:`_stage`).  A dead state
+    keeps its name at every stage, which keeps the ``-0.0`` rule.  Raises
+    ValueError where _folded does.
     """
     names = CL_STATE[:11]
     moving = [names[j] for j in live]
     unpack, body, entries = _folded(closed_loop_rhs, kind)
-    head, body, exprs = _hoisted(
-        closed_loop_rhs, unpack, body, [entries[n] for n in moving],
-        [entries[n] for n in _SIGNALS], _LOOP_RESERVED)
-    u, co, y, e = map(ast.unparse, exprs[len(moving):])
+    u, co, y, e = (ast.unparse(entries[n]) for n in _SIGNALS)
     state = ", ".join(names)
     # adaptive gains are kept nonnegative by projection
     projected = [line for n in ("k1", "k2", "k3") if n in moving
                  for line in (f"if {n} < 0.0:", f"    {n} = 0.0")]
     return _rk4_source(
         ("out", "s", "dt", "p", "start", "stop", "last", "ys"),
-        [f"{state} = s[:11]", ast.unparse(unpack), *head], body,
-        dict(zip(moving, exprs)),
+        [f"{state} = s[:11]", ast.unparse(unpack)], body,
+        {n: entries[n] for n in moving},
         f"s[:11] = {state}\nreturn NONFINITE, {{row}}, {{k}}",
         [*projected, "if not ok:", f"    s[:11] = {state}",
          "    return NONFINITE, i + 1, None"],
@@ -844,45 +676,6 @@ def _step_source(kind, live, observed):
         first=((), [f"record(out, {8 * (13 if observed else 11)} * i, "
                     f"i * dt, d, {u}, x, {co}, {y}, ym1, {e}, k1, k2, k3)"]),
         later=(lambda at: ((), [f"ys[{at}] = {y}"])) if observed else None)
-
-
-def _hoisted(rhs, unpack, body, rates, signals, reserved):
-    """(head, body, exprs): the lines of ``run``'s head that compute once
-    what the closed-loop rhs ``rhs`` computes from the run's constants
-    alone, and copies of the statements ``body`` and of the expressions
-    ``rates`` and ``signals``, parsed anew from their text, that read
-    those values instead (:class:`_Hoisted`).
-
-    The constants are the names the unpack ``unpack`` of ``p`` gives and
-    the numbers of ``rhs``'s module that ``body`` does not assign, but
-    the loop states.  Every stage computes ``rates``, and only stage 1
-    reads ``signals``.  A new name is none of ``reserved``, nor of
-    ``body``, ``rates`` and ``signals``.
-    """
-    *body, exprs = ast.parse(ast.unparse(ast.Module(
-        [*body, ast.Expr(ast.Tuple(rates + signals, ast.Load()))], []))).body
-    exprs = exprs.value.elts
-    stores = [n.id for n in ast.walk(ast.Module(body, []))
-              if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load)]
-    unpacked = {t.id for t in unpack.targets[0].elts}
-    used = _names(body)[0] | {n.id for v in exprs for n in ast.walk(v)
-                              if isinstance(n, ast.Name)}
-    at_return, at_end = _divided(body)
-    if at_end is not None:
-        at_end = at_end.union(*map(_divisors, exprs[:len(rates)]))
-    hoist = _Hoisted(
-        unpacked | {n for n in used if n not in stores
-                    and n not in CL_STATE
-                    and type(rhs.__globals__.get(n)) in (int, float)},
-        _meet(at_return, at_end) or frozenset(),
-        [st for st in ast.walk(ast.Module(body, []))
-         if isinstance(st, ast.Assign) and len(st.targets) == 1
-         and stores.count(getattr(st.targets[0], "id", None)) == 1],
-        used | unpacked | reserved)
-    body = hoist.visit(ast.Module(body, [])).body
-    exprs = [hoist.visit(v) for v in exprs]
-    return ([f"{name} = {ast.unparse(v)}" for name, v in hoist.head.values()],
-            body, exprs)
 
 
 #: the states of the open loop and of the observed compressor

@@ -121,7 +121,10 @@ class PlantConfig:
                                                                  self.flow)
         if self.phi0 is not None:
             return PlantState(self.phi0, self.psi0), g
-        eq = equilibrium_from_throttle(cmap, g)
+        # a flow is its own equilibrium: solving back for it from g would
+        # search a bracket that misses the flows near the domain's ends
+        eq = (equilibrium_from_throttle(cmap, g) if self.g is not None
+              else PlantState(self.flow, map_pressure_rise(cmap, self.flow)))
         return PlantState(eq.phi + self.perturb_phi,
                           eq.psi + self.perturb_psi), g
 

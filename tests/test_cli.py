@@ -386,6 +386,16 @@ class TestPlantCommands:
         assert "steady state" in out
         assert "phi = 0.51" in out
 
+    @pytest.mark.parametrize("flow", ["5e-7", "0.7999995", "0.79999999"])
+    def test_flow_near_a_domain_end_runs(self, tmp_path, capsys, flow):
+        # validation accepts a flow this near either end of the map's
+        # domain, and the run starts on that flow's own equilibrium
+        code, out, err = run(capsys, "simulate", "--scenario", "fig3_4",
+                             "--flow", flow, "--t-end", "1",
+                             "--out-dir", str(tmp_path))
+        assert (code, err) == (0, "")
+        assert out.startswith("open-loop run: 101 samples")
+
     def test_limit_cycle_detection(self, tmp_path, capsys):
         code, out, _ = run(capsys, "limit-cycle", "--scenario", "fig6",
                            "--svg", str(tmp_path / "orbit.svg"),

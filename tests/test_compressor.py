@@ -255,3 +255,13 @@ class TestPlantConfig:
         eq = equilibrium_from_throttle(M, 0.6)
         assert PlantConfig(g=0.6).start(M) == (
             PlantState(eq.phi + 0.01, eq.psi + 0.01), 0.6)
+
+    @pytest.mark.parametrize("flow", [5e-7, 0.4, 0.51, 0.7999995, 0.79999999])
+    def test_flow_starts_from_its_own_equilibrium(self, flow):
+        # the flow and its map value, moved by the perturbation, bit for
+        # bit, with the throttle that holds it there
+        start, g = PlantConfig(flow=flow, perturb_phi=0.02,
+                               perturb_psi=-0.01).start(M)
+        psi = map_pressure_rise(M, flow)
+        assert (start.phi, start.psi, g) == (flow + 0.02, psi - 0.01,
+                                             flow / math.sqrt(psi))

@@ -16,6 +16,8 @@ import sys
 import numpy as np
 import pytest
 import support
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from support import coupled_rhs, rk4_step
 
 from surgekit import _kernels, csvio, loop
@@ -517,6 +519,61 @@ class TestLiveStates:
         self._check(monkeypatch, kind, observe, 0.55, dropped=(2, 3), v1=0.7)
 
 
+def _configs():
+    """A strategy of valid controller settings, of every kind."""
+    gain = st.floats(0.0, 20.0)
+    return st.builds(ControllerConfig,
+                     kind=st.sampled_from(sorted(CONTROLLER_KINDS)),
+                     kp=gain, ki=gain, kd=gain, k1=gain, k2=gain, k3=gain,
+                     gamma=st.floats(0.01, 10.0), reference=st.floats(0.0, 1.0))
+
+
+@st.composite
+def _valves(draw):
+    """A valve whose lag and limits are drawn."""
+    lo = draw(st.floats(0.01, 0.5))
+    return ValveModel(tau=draw(st.floats(0.2, 5.0)), out_min=lo,
+                      out_max=lo + draw(st.floats(0.01, 0.5)))
+
+
+class TestRandomLoopSettings:
+    """The loop kernel at drawn settings, from the start of
+    ``initial_loop_state``, against the full RK4 oracle of
+    :class:`TestLiveStates`, bit for bit: record and final state."""
+
+    DT = 2e-3
+    STEPS = 300
+
+    @given(cfg=_configs(), valve=_valves(),
+           prof=st.builds(DisturbanceProfile, target=st.floats(0.0, 1.0),
+                          tau=st.floats(0.2, 5.0),
+                          initial=st.floats(0.0, 1.0)))
+    @example(cfg=ControllerConfig(kind="fixed-pd", reference=0.9),
+             valve=ValveModel(), prof=DisturbanceProfile())
+    @example(cfg=ControllerConfig(kind="fixed-pid", reference=0.0),
+             valve=ValveModel(tau=0.5), prof=DisturbanceProfile())
+    @example(cfg=ControllerConfig(reference=0.9, gamma=5.0),
+             valve=ValveModel(), prof=DisturbanceProfile(target=0.1))
+    @settings(max_examples=40, deadline=None, database=None)
+    def test_kernel_matches_full_rk4(self, cfg, valve, prof):
+        # each run starts with the valve at its floor, in linear mode; most
+        # drawn runs also saturate (three in four, over 200 draws), and each
+        # example does: above out_max (fixed PD, adaptive) or below
+        # out_min (fixed PID)
+        p = _kernel_args(cfg, valve, prof)
+        state = initial_loop_state(cfg, valve, prof)
+        live = _kernels.live_states(p, state)
+        rows, final, _ = TestLiveStates._oracle(
+            state, self.DT, self.STEPS, p, None,
+            [j for j in range(_kernels.CL_DIM) if j not in live])
+        out = np.empty_like(rows)
+        q = state.copy()
+        assert _kernels.closed_loop_loop(out, q, self.DT, p) == (
+            OK, self.STEPS, None)
+        assert out.tobytes() == rows.tobytes()
+        assert q.tobytes() == final.tobytes()
+
+
 class TestKernelArgs:
     """The loop constants ``p`` carry only what a run sets: each setting
     of the controller, the valve and the disturbance feeds exactly one
@@ -962,66 +1019,68 @@ class TestGeneratedStep:
         "observer":
             ("1331921fde8de8d5", "eeb64768f1191f82"),
         (2, (0, 1, 5, 6, 7, 8, 9), False):
-            ("505a7289f23d3e03", "8a560395f3ad9ae0"),
+            ("9746b663a3072c6d", "47d60e9a1c306798"),
         (2, (0, 1, 5, 6, 7, 8, 9), True):
-            ("7a199e58ccfb005d", "a35a06e6442ce18e"),
+            ("08411c0802d190c3", "965fe8ae7c70aa03"),
         (2, (0, 1, 4, 5, 6, 7, 8, 9), False):
-            ("826d79dc1ebafcf5", "bef114df203f415e"),
+            ("3f847b3c47fbfd68", "50291684d52b9ab4"),
         (2, (0, 1, 4, 5, 6, 7, 8, 9), True):
-            ("9be4afd190e383b4", "1350724528db07fd"),
+            ("aba41a7d6def1e8c", "5b56ab622c977966"),
         (2, (0, 1, 2, 3, 5, 6, 7, 8, 9), False):
-            ("79e8954aef98f2ac", "9a325d14153704b3"),
+            ("d837c3fccf8d2fe8", "aa7bafb7bf08f34b"),
         (2, (0, 1, 2, 3, 5, 6, 7, 8, 9), True):
-            ("8369bdfbb92d06f0", "38fd41ebbee9568f"),
+            ("d3a4886ed46fa9c1", "1ddefcbfe1ac6d21"),
         (2, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9), False):
-            ("0a3c1549fc742aaa", "ac9102bfdb3f9010"),
+            ("013e6d45138a1f2e", "fd67a0cc91b468d4"),
         (2, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9), True):
-            ("e0ac559b3e69988a", "cac5a75029aa4e36"),
+            ("789951ba614768e9", "15a866b013754e1d"),
         (1, (0, 1, 5, 6, 10), False):
-            ("cfe52b6f9756ec09", "4c9bc2f0f01830b4"),
+            ("ab7001519104bc88", "673e3ab5a1efb106"),
         (1, (0, 1, 5, 6, 10), True):
-            ("fe2b933a8c48a079", "47fcbb1841860fea"),
+            ("1129f17c5b59a0d3", "e550bd511f856a26"),
         (1, (0, 1, 4, 5, 6, 10), False):
-            ("ae95499320cdf84f", "7be3eacc6932914f"),
+            ("e2d8ff0a245c22b6", "697b1986e774ed21"),
         (1, (0, 1, 4, 5, 6, 10), True):
-            ("62a5aa21c1f45512", "a5e96facf822b5a3"),
+            ("a6a3283e9fc21332", "5c9982ae861df22e"),
         (1, (0, 1, 2, 3, 5, 6, 10), False):
-            ("2ad14cfb6dbf7180", "81d07895441eccec"),
+            ("2c0862b6ba41e451", "36ed27cffd46101f"),
         (1, (0, 1, 2, 3, 5, 6, 10), True):
-            ("621fe6f1b61c269e", "d67cc34a1b98aabf"),
+            ("6cba243b9bf6e51b", "edda1c75598cc353"),
         (1, (0, 1, 2, 3, 4, 5, 6, 10), False):
-            ("ee706e166036f3a6", "9dfc7ff344235d0c"),
+            ("542346ef8826d4b9", "83a845baa6a41fec"),
         (1, (0, 1, 2, 3, 4, 5, 6, 10), True):
-            ("863d5d3fa4ab6e94", "1d0037d884e9ddaf"),
+            ("8f49b7c9d5110c89", "1f43a67d7bdb8ad7"),
         (0, (0, 1, 5, 6), False):
-            ("82966c39d41c96de", "adef93f7b8fe0d59"),
+            ("183ac6edb141b2f6", "491ec73236a3c5a2"),
         (0, (0, 1, 5, 6), True):
-            ("186a9f057f27bbb0", "7da0f8a40246c9a7"),
+            ("a38ea462828ce19e", "f6683b7b39a3360a"),
         (0, (0, 1, 4, 5, 6), False):
-            ("9c7999f215b3c4b7", "34447cf5a8bccfd0"),
+            ("07f16c6b00a76cce", "d13525e1f0708c4a"),
         (0, (0, 1, 4, 5, 6), True):
-            ("160a933053d9891f", "4759f500e712f8cd"),
+            ("aad907bdadc89769", "a54edda284a23956"),
         (0, (0, 1, 2, 3, 5, 6), False):
-            ("eae0bcfe2e817a1a", "e1664bc90a98b545"),
+            ("1b83bb1337e5000d", "95fef8ad1aabd0ad"),
         (0, (0, 1, 2, 3, 5, 6), True):
-            ("3d85f162428559a4", "74b871841dfc324a"),
+            ("6da96b55a7cb40ce", "cb8b1d1eb73f334b"),
         (0, (0, 1, 2, 3, 4, 5, 6), False):
-            ("44c83c7382f5dd35", "a7e9c0678402cd6f"),
+            ("10ab60c057190321", "e7989c8976c57fa5"),
         (0, (0, 1, 2, 3, 4, 5, 6), True):
-            ("17dd9d47a3d6ebe5", "3c49b7100e2f2a86"),
+            ("eb51da98d5d6be7c", "890808c8bbc8c5a6"),
     }
 
     @pytest.mark.parametrize("key", STEP_DIGESTS, ids=_key_id)
     def test_step_text_is_pinned(self, key):
         # each text is pinned where it was recorded (ast.unparse may space
         # or bracket it differently on another version), and what it
-        # parses to everywhere
+        # parses to everywhere.  A failure shows both digests of the text
+        # built, the pair to pin
         text = (_kernels._observer_source() if key == "observer" else
                 _kernels._step_source(*key))
+        recorded = sys.version_info[:2] == (3, 11)
         text_digest, shape_digest = self.STEP_DIGESTS[key]
-        if sys.version_info[:2] == (3, 11):
-            assert _sha16(text) == text_digest
-        assert _sha16(_shape(ast.parse(text))) == shape_digest
+        assert (_sha16(text) if recorded else None,
+                _sha16(_shape(ast.parse(text)))) == (
+            text_digest if recorded else None, shape_digest)
 
     #: the 24 closed-loop keys
     LOOP_KEYS = [key for key in STEP_DIGESTS if key != "observer"]
@@ -1040,13 +1099,6 @@ class TestGeneratedStep:
         return (run.body[:run.body.index(loop)], loop.body[:cut],
                 loop.body[cut + 1:])
 
-    @staticmethod
-    def _found(stmts, text):
-        """How often the expression ``text`` is in the statements."""
-        dump = ast.dump(ast.parse(text, mode="eval").body)
-        return sum(ast.dump(node) == dump
-                   for st in stmts for node in ast.walk(st))
-
     @pytest.mark.parametrize("key", LOOP_KEYS, ids=_key_id)
     def test_step_copies_no_name(self, key):
         # a name another name's value is assigned to once is read as that
@@ -1061,25 +1113,15 @@ class TestGeneratedStep:
         assert copies == []
 
     @pytest.mark.parametrize("key", LOOP_KEYS, ids=_key_id)
-    def test_run_constants_are_computed_once(self, key):
-        # -gamma, and under the fixed kinds the control denominator, read
-        # only constants of the run: run's head computes each once
-        head, first, rest = self._parts(key)
-        text = "-gamma" if key[0] == KIND_ADAPTIVE else "1.0 + kd / vtau"
-        assert self._found(head, text) == 1
-        assert self._found(first + rest, text) == 0
-
-    @pytest.mark.parametrize("key", [key for key in LOOP_KEYS
-                                     if key[0] != KIND_ADAPTIVE], ids=_key_id)
-    def test_fixed_kinds_store_no_error_after_stage_1(self, key):
-        # the fixed kinds read the model error e only to record it, at
-        # stage 1: stages 2-4 do not compute it
-        _, first, rest = self._parts(key)
-        stored = [{node.id for st in stmts for node in ast.walk(st)
-                   if isinstance(node, ast.Name)
-                   and isinstance(node.ctx, ast.Store)}
-                  for stmts in (first, rest)]
-        assert "e" in stored[0] and "e" not in stored[1]
+    def test_run_head_only_unpacks(self, key):
+        # before its loop, run unpacks the states and the constants and
+        # takes the step's fractions; every value the rhs computes is
+        # computed at each stage
+        head, _, _ = self._parts(key)
+        assert [ast.unparse(st) for st in head] == [
+            f"{', '.join(_kernels.CL_STATE[:11])} = s[:11]",
+            "kind, kp, ki, kd, gamma, r, vtau, vlo, vhi, dtarget, dtau = p",
+            "h2 = 0.5 * dt", "h6 = dt / 6.0"]
 
     @pytest.mark.parametrize("live, observed", KEYS)
     def test_only_rhs_isfinite_and_range_are_called(self, live, observed):
@@ -1413,8 +1455,8 @@ class TestGeneratedStep:
             _kernels._rhs_body(two_rates_rhs, "toy", TOY, TOY, frozenset())
 
     def test_steps_are_built_without_deep_copies(self, monkeypatch):
-        # no stage, hoisting, inlining or folding copies a tree: each
-        # works on one parsed for it
+        # no stage, inlining or folding copies a tree: each works on one
+        # parsed for it
         def no_copy(*args, **kwargs):
             raise AssertionError("copy.deepcopy called in a step build")
 
