@@ -26,9 +26,13 @@ its first use with the globals of its rhs's module and cached
 (:func:`_built`).  Every state is a local named after it, and each stage
 is the rhs's own statements, inlined from this module's source, which
 every installed copy has, with the calls to pressure_rise and surge_rhs
-inlined in turn (:func:`_inlined`, once for each step built).  A build
-copies no tree: each inlining and stage works on a tree parsed for it.
-So a plant step calls no function but ``isfinite``, ``sqrt`` and
+inlined in turn (:func:`_inlined`, once for each step built).  One rule
+set reads every function: an rhs takes its states, then its constants,
+as parameters, which the step unpacks once from its constant tuple; no
+function assigns to a parameter; and a call is inlined only where it
+passes a name for each parameter, which then reads as that name.
+A build copies no tree: each inlining and stage works on a tree parsed
+for it.  So a plant step calls no function but ``isfinite``, ``sqrt`` and
 ``range``, and builds no tuple of rates.  The closed-loop step is
 specialized to the run's controller kind: its stages keep only the
 branches of closed_loop_rhs that kind takes, and read a name assigned
@@ -118,18 +122,21 @@ REF_MODEL_W2 = 25.0
 REF_MODEL_TWO_ZW = 8.5
 
 
-def closed_loop_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
+def closed_loop_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int,
+                    kind, kp, ki, kd, gamma, r, vtau, vlo, vhi, dtarget, dtau):
     """The closed-loop equations at the loop state (x .. e_int, the first
     11 entries of ``CL_STATE``): the 15-tuple of the 11 loop rates in
     ``CL_STATE`` order, then the signals (u, co, y, e).  None where the
     control signal is undefined: its denominator is zero.
 
-    ``p`` is the tuple of the run's loop constants (``loop._kernel_args``);
-    the regressors v1..v3 are filtered through the valve's lag ``vtau``.
-    The observed compressor (phi, psi) feeds nothing back; its rates are
+    The parameters after the state are the run's loop constants, in the
+    order of ``loop._kernel_args``: the controller kind and gains, the
+    adaptation rate ``gamma``, the set point ``r``, the valve's lag and
+    limits and the disturbance's target and lag.  The regressors v1..v3
+    are filtered through the valve's lag ``vtau``.  The observed
+    compressor (phi, psi) feeds nothing back; its rates are
     :func:`observed_rhs`'s.
     """
-    kind, kp, ki, kd, gamma, r, vtau, vlo, vhi, dtarget, dtau = p
     d_dot = (dtarget - d) / dtau
     if x > vhi:
         co = vhi
@@ -188,8 +195,8 @@ def observed_rhs(phi, psi, y, psi0, h, slope, offset, c0, c1, c2, c3):
     pcy = pressure_rise(y, psi0, h, slope, offset, c0, c1, c2, c3)
     if pcy <= 0.0:
         return None
-    return surge_rhs(phi, psi, y / sqrt(pcy), psi0, h, slope, offset,
-                     c0, c1, c2, c3)
+    g = y / sqrt(pcy)
+    return surge_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3)
 
 
 def live_states(p, state):
@@ -211,7 +218,7 @@ def live_states(p, state):
     dead = {j for j, n in enumerate(CL_STATE[:11])
             if isinstance(folded[n], ast.Constant)
             and type(folded[n].value) is float and folded[n].value == 0.0}
-    rates = closed_loop_rhs(*state[:11], p)
+    rates = closed_loop_rhs(*state[:11], *p)
     for sub in ((2, 3), (4,)):
         if rates is not None and all(
                 rates[j] == 0.0 and (state[j] != 0.0
@@ -305,23 +312,24 @@ def _inlined(fn, outer=()):
 
     A statement ``t = f(...)`` or ``return f(...)`` whose ``f`` is another
     function of ``fn``'s module becomes ``f``'s own statements, inlined in
-    turn (:func:`_call_inlined`); any other call of such an ``f`` raises
-    :class:`_Uninlinable`.
+    turn (:func:`_call_inlined`).  Raises ValueError where ``fn`` assigns
+    to one of its parameters (an inlined call renames each to the name
+    passed it, and a step reads each as given), or a call cannot be
+    inlined.
     """
     node = ast.parse(_source(fn)).body[0]
     params = [a.arg for a in node.args.args]
     stmts = node.body[1:] if ast.get_docstring(node) is not None else node.body
     used, stored = _names(stmts)
+    if stored & set(params):
+        raise ValueError(f"{fn.__name__} assigns to "
+                         f"{sorted(stored & set(params))}")
     names = used | set(params)
     bound = stored | set(params)
     code = []
     for st in stmts:
         code += _call_inlined(st, fn, names, bound, outer + (fn,))
     return params, code
-
-
-class _Uninlinable(ValueError):
-    """A call of a function of the rhs's module that cannot be inlined."""
 
 
 def _callee(node, fn):
@@ -336,16 +344,16 @@ def _call_inlined(st, fn, names, bound, outer):
     """The statements that replace the statement ``st`` of the function
     ``fn``: ``[st]`` where it calls no function of ``fn``'s module, else
     the call inlined.  ``st`` must then be ``t = f(...)`` or
-    ``return f(...)``, and becomes ``f``'s statements (:func:`_inlined`),
-    a parameter passed a name renamed to it, one passed another
-    expression assigned it, and ``f``'s final return assigning ``t`` or
+    ``return f(...)`` with a name for each of ``f``'s parameters, and
+    becomes ``f``'s statements (:func:`_inlined`), each parameter renamed
+    to the name passed it, and ``f``'s final return assigning ``t`` or
     returned.
 
-    Raises :class:`_Uninlinable` where ``st`` calls such an ``f`` in
-    another way, ``f`` is in ``outer`` (being inlined already), takes
-    other arguments, returns before its end or assigns a parameter, or
-    would clash with ``fn``: it assigns one of ``fn``'s ``names``, or
-    reads one ``fn`` assigns or takes, ``bound``.
+    Raises ValueError where ``st`` calls such an ``f`` in another way,
+    ``f`` is in ``outer`` (being inlined already), is not passed one name
+    for each parameter, returns before its end or does not end by
+    returning a value, or would clash with ``fn``: it assigns one of
+    ``fn``'s ``names``, or reads one ``fn`` assigns or takes, ``bound``.
     """
     calls = [n for n in ast.walk(st) if _callee(n, fn) is not None]
     if not calls:
@@ -356,39 +364,32 @@ def _call_inlined(st, fn, names, bound, outer):
             and (isinstance(st, ast.Return)
                  or isinstance(st, ast.Assign) and len(st.targets) == 1
                  and isinstance(st.targets[0], ast.Name))):
-        raise _Uninlinable(
+        raise ValueError(
             f"{fn.__name__} calls {f.__name__} other than as "
             f"t = {f.__name__}(...) or return {f.__name__}(...)")
     if f in outer:
-        raise _Uninlinable(f"{f.__name__} calls itself")
+        raise ValueError(f"{f.__name__} calls itself")
     params, stmts = _inlined(f, outer)
     if (len(params) != len(call.args) or call.keywords
-            or any(isinstance(a, ast.Starred) for a in call.args)):
-        raise _Uninlinable(f"{fn.__name__} does not pass {f.__name__} one "
-                           "positional argument for each parameter")
+            or not all(isinstance(a, ast.Name) for a in call.args)):
+        raise ValueError(f"{fn.__name__} does not pass {f.__name__} one "
+                         "name for each parameter")
     *body, final = stmts or [None]
     if not isinstance(final, ast.Return) or final.value is None:
-        raise _Uninlinable(f"{f.__name__} does not end by returning a value")
+        raise ValueError(f"{f.__name__} does not end by returning a value")
     if any(isinstance(n, ast.Return) for s in body for n in ast.walk(s)):
-        raise _Uninlinable(f"{f.__name__} returns before its end")
-    given = dict(zip(params, call.args))
-    rename = {p: a.id for p, a in given.items() if isinstance(a, ast.Name)}
+        raise ValueError(f"{f.__name__} returns before its end")
     used, assigned = _names(body)
-    temps = [p for p in params if p not in rename]
-    if assigned & set(params):
-        raise _Uninlinable(f"{f.__name__} assigns to "
-                           f"{sorted(assigned & set(params))}")
     # f's free names: those it reads but neither assigns nor takes
     final_used, final_stored = _names([final])
     free = (used | final_used) - assigned - final_stored - set(params)
-    clash = ((assigned | set(temps)) & names) | (free & bound)
+    clash = (assigned & names) | (free & bound)
     if clash:
-        raise _Uninlinable(f"the names {sorted(clash)} of {f.__name__} are "
-                           f"{fn.__name__}'s")
-    inline = _Stage(rename)
+        raise ValueError(f"the names {sorted(clash)} of {f.__name__} are "
+                         f"{fn.__name__}'s")
+    inline = _Stage({p: a.id for p, a in zip(params, call.args)})
     value = inline.visit(final.value)
-    code = [ast.Assign([ast.Name(p, ast.Store())], given[p]) for p in temps]
-    code += [inline.visit(s) for s in body]
+    code = [inline.visit(s) for s in body]
     code.append(ast.Return(value) if isinstance(st, ast.Return)
                 else ast.Assign(st.targets, value))
     return [ast.fix_missing_locations(ast.copy_location(s, st))
@@ -417,17 +418,18 @@ def _rhs_body(rhs, step, lead, states, reserved, signals=()):
     and the entries of the tuple that return gives, by name: the rate of
     each state in ``states``, then the signals ``signals``.
 
-    Raises ValueError where a call in the rhs cannot be inlined
-    (:class:`_Uninlinable`), the parameters do not begin with ``lead``,
-    the rhs returns something other than None before its end, assigns to
-    a parameter or uses a name in ``reserved``, or does not end by
-    returning one rate for each state, then each signal as the name it is.
+    Raises ValueError where :func:`_inlined` does (the rhs or a function
+    it calls assigns to a parameter, or a call cannot be inlined), the
+    parameters are not ``lead`` and at least one constant, or the rhs
+    returns something other than None before its end, uses a name in
+    ``reserved``, or does not end by returning one rate for each state,
+    then each signal as the name it is.
     """
     try:
         params, stmts = _inlined(rhs)
-    except _Uninlinable as e:
+    except ValueError as e:
         raise _refusal(rhs, step, str(e)) from None
-    if params[:len(lead)] != list(lead):
+    if len(params) <= len(lead) or params[:len(lead)] != list(lead):
         raise _refusal(rhs, step, f"its parameters are {params}, not "
                        f"{list(lead)} and its constants")
     *body, final = stmts or [None]
@@ -440,11 +442,7 @@ def _rhs_body(rhs, step, lead, states, reserved, signals=()):
                                   and v.value is None) for v in returned):
         raise _refusal(rhs, step,
                        "it returns something other than None before its end")
-    used, stored = _names(stmts)
-    stored &= set(params)
-    if stored:
-        raise _refusal(rhs, step, f"it assigns to {sorted(stored)}")
-    clash = (used | set(params)) & reserved
+    clash = (_names(stmts)[0] | set(params)) & reserved
     if clash:
         raise _refusal(rhs, step, f"its names {sorted(clash)} are the step's")
     named = (*states, *signals)
@@ -560,48 +558,26 @@ _LOOP_RESERVED = _reserved(CL_STATE[:11], "s", "last", "ys", "sb", "record")
 
 @functools.lru_cache(maxsize=None)
 def _folded(rhs, kind):
-    """(unpack, body, entries) of the closed-loop rhs ``rhs``, inlined
+    """(constants, body, entries) of the closed-loop rhs ``rhs``, inlined
     (:func:`_rhs_body`) and folded to the controller kind ``kind``: its
-    unpack of ``p``, the statements after it before the final return, and
-    the entries of that return by name, the rate of each loop state and
-    the signals u, co, y, e.  The name the unpack gives ``p[0]`` and the
-    ``KIND_*`` codes of ``rhs``'s module (but a name ``rhs`` assigns)
-    read as their values, and then so does each name to which every
-    assignment of the folded statements gives one value: a constant, or
-    a name they never assign, which is then read in its place
-    (:class:`_Folded`).  Cached by ``rhs`` and ``kind``.
-    Raises ValueError where :func:`_rhs_body` does, or ``rhs`` takes other
-    constants than ``p``, does not begin by unpacking ``p`` into names, or
-    assigns to one of those names after.
+    parameters after the 11 loop states, its statements before the final
+    return, and the entries of that return by name, the rate of each loop
+    state and the signals u, co, y, e.  The first constant, the kind, and
+    the ``KIND_*`` codes of ``rhs``'s module (but a name ``rhs`` assigns
+    or takes) read as their values, and then so does each name to which
+    every assignment of the folded statements gives one value: a
+    constant, or a name they never assign, which is then read in its place
+    (:class:`_Folded`).  Cached by ``rhs`` and ``kind``.  Raises
+    ValueError where :func:`_rhs_body` does.
     """
     names = CL_STATE[:11]
     constants, body, entries = _rhs_body(rhs, "closed-loop", names, names,
                                          _LOOP_RESERVED, _SIGNALS)
-    if constants != ["p"]:
-        raise _refusal(rhs, "closed-loop", f"its parameters are "
-                       f"{[*names, *constants]}, not the 11 loop states "
-                       "and p")
-    unpack = body[0] if body else None
-    if not (isinstance(unpack, ast.Assign) and len(unpack.targets) == 1
-            and isinstance(unpack.targets[0], ast.Tuple)
-            and unpack.targets[0].elts
-            and all(isinstance(t, ast.Name) for t in unpack.targets[0].elts)
-            and isinstance(unpack.value, ast.Name)
-            and unpack.value.id == "p"):
-        raise _refusal(rhs, "closed-loop",
-                       "it does not begin by unpacking p into names")
-    unpacked = [t.id for t in unpack.targets[0].elts]
-    # the unpack assigns the unpacked names and nothing else
-    later = _names(body[1:])[1]
-    stored = later & set(unpacked)
-    if stored:
-        raise _refusal(rhs, "closed-loop", f"it assigns to {sorted(stored)}, "
-                       "which it unpacks from p")
-    assigned = later | set(unpacked)
+    taken = _names(body)[1] | set(constants)
     known = {n: ast.Constant(v) for n, v in rhs.__globals__.items()
-             if n.startswith("KIND_") and n not in assigned}
-    known[unpacked[0]] = ast.Constant(kind)
-    body = _Folded(known).visit(ast.Module(body[1:], [])).body
+             if n.startswith("KIND_") and n not in taken}
+    known[constants[0]] = ast.Constant(kind)
+    body = _Folded(known).visit(ast.Module(body, [])).body
     tree = ast.Module(body, [])
     stores = [n.id for n in ast.walk(tree)
               if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load)]
@@ -619,7 +595,7 @@ def _folded(rhs, kind):
                  and len({ast.dump(value) for value in v}) == 1)
     fold = _Folded(known)
     body = fold.visit(ast.Module(body, [])).body
-    return unpack, body, {n: fold.visit(v) for n, v in entries.items()}
+    return constants, body, {n: fold.visit(v) for n, v in entries.items()}
 
 
 def _step_source(kind, live, observed):
@@ -643,23 +619,24 @@ def _step_source(kind, live, observed):
     The adaptive gains, when live, are kept nonnegative by projection
     after each step.  The loop states are written back into ``s`` on every
     return: unless ``stop - 1`` is ``last``, ``s`` ends at t = stop*dt,
-    where the next range starts.  ``p`` is the constants tuple of
-    :func:`closed_loop_rhs`, whose first entry is ``kind``.  Returns
-    (status, row, stage): on failure ``row`` is the first unfilled row and
-    ``stage`` the RK stage 1-4 whose rates failed, or None when the step's
-    result is not finite; else ``row`` is the last row filled.
+    where the next range starts.  ``p`` is the tuple of the constants of
+    :func:`closed_loop_rhs`, its parameters after the loop states, whose
+    first entry is ``kind``.  Returns (status, row, stage): on failure
+    ``row`` is the first unfilled row and ``stage`` the RK stage 1-4 whose
+    rates failed, or None when the step's result is not finite; else
+    ``row`` is the last row filled.
 
     The stages are closed_loop_rhs's statements folded to ``kind``
     (:func:`_folded`), so ``run`` reads no kind, and each value they use
-    is the rhs's, by the same IEEE operations on the same operands.  The
-    unpack of ``p`` runs once, at ``run``'s head; each stage computes all
-    the rest and names the rates directly (:func:`_stage`).  A dead state
-    keeps its name at every stage, which keeps the ``-0.0`` rule.  Raises
-    ValueError where _folded does.
+    is the rhs's, by the same IEEE operations on the same operands.
+    ``run``'s head unpacks ``p`` once into the names of those constants;
+    each stage computes all the rest and names the rates directly
+    (:func:`_stage`).  A dead state keeps its name at every stage, which
+    keeps the ``-0.0`` rule.  Raises ValueError where _folded does.
     """
     names = CL_STATE[:11]
     moving = [names[j] for j in live]
-    unpack, body, entries = _folded(closed_loop_rhs, kind)
+    constants, body, entries = _folded(closed_loop_rhs, kind)
     u, co, y, e = (ast.unparse(entries[n]) for n in _SIGNALS)
     state = ", ".join(names)
     # adaptive gains are kept nonnegative by projection
@@ -667,7 +644,8 @@ def _step_source(kind, live, observed):
                  for line in (f"if {n} < 0.0:", f"    {n} = 0.0")]
     return _rk4_source(
         ("out", "s", "dt", "p", "start", "stop", "last", "ys"),
-        [f"{state} = s[:11]", ast.unparse(unpack)], body,
+        [f"{state} = s[:11]",
+         ast.unparse(ast.parse(f"({', '.join(constants)},) = p"))], body,
         {n: entries[n] for n in moving},
         f"s[:11] = {state}\nreturn NONFINITE, {{row}}, {{k}}",
         [*projected, "if not ok:", f"    s[:11] = {state}",

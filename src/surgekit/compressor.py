@@ -196,8 +196,11 @@ def equilibrium_from_throttle(cmap: CompressorMap, g: float) -> PlantState:
     """Unique equilibrium (phi*, psi_c(phi*)) for a throttle parameter g.
 
     Solves psi_c(phi) = (phi/g)^2 by bisection on the open map domain
-    followed by a few Newton polish steps.  On the shipped map the
-    residual of the returned point is far below 1e-10.
+    followed by a few Newton polish steps.  The bracket is the domain
+    shrunk by 1e-6 at each end, or where the sign does not change across
+    it, the end sliver across which it does.  A root on a domain end is
+    refused.  On the shipped map the residual of the returned point is
+    far below 1e-10.
     """
     if not math.isfinite(g) or g <= 0.0:
         raise DomainError(f"throttle parameter must be positive, got {g}")
@@ -211,6 +214,12 @@ def equilibrium_from_throttle(cmap: CompressorMap, g: float) -> PlantState:
     lo = cmap.domain_lo + 1e-6
     hi = cmap.domain_hi - 1e-6
     flo, fhi = f(lo), f(hi)
+    if flo * fhi > 0.0 and g * g > 0.0:   # fprime divides by g * g
+        for a, b in ((cmap.domain_lo, lo), (hi, cmap.domain_hi)):
+            fa, fb = f(a), f(b)
+            if fa * fb < 0.0:
+                lo, hi, flo, fhi = a, b, fa, fb
+                break
     if flo == 0.0:
         root = lo
     elif fhi == 0.0:
@@ -228,6 +237,10 @@ def equilibrium_from_throttle(cmap: CompressorMap, g: float) -> PlantState:
             step = f(root) / d
             root -= step
 
+    if not cmap.domain_lo < root < cmap.domain_hi:
+        raise NoEquilibriumError(
+            f"the equilibrium phi={root} is not inside the map domain "
+            f"({cmap.domain_lo}, {cmap.domain_hi}) for g={g}")
     psi = map_pressure_rise(cmap, root)
     if abs(psi - _square(root / g)) > 1e-10:
         raise NoEquilibriumError(

@@ -208,8 +208,8 @@ def initial_loop_state(cfg: ControllerConfig, valve: ValveModel,
 
 def _kernel_args(cfg: ControllerConfig, valve: ValveModel,
                  profile: DisturbanceProfile) -> tuple:
-    """The run's loop constants: the tuple ``p`` of ``closed_loop_rhs``
-    and the kernel."""
+    """The run's loop constants, for the kernel: ``closed_loop_rhs``'s
+    constants, in its parameter order."""
     return (_KIND_CODES[cfg.kind], cfg.kp, cfg.ki, cfg.kd, cfg.gamma,
             cfg.reference, valve.tau, valve.out_min, valve.out_max,
             profile.target, profile.tau)

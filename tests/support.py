@@ -66,7 +66,7 @@ def coupled_rhs(q, dq, sig, p, m=None):
     ``m``).  The checks come in the order of one rhs: the loop's, then the
     observer's.  Returns a status code."""
     dq[11] = dq[12] = 0.0
-    rates = closed_loop_rhs(*q[:11], p)
+    rates = closed_loop_rhs(*q[:11], *p)
     if rates is None:
         return NONFINITE
     dq[:11] = rates[:11]
@@ -99,7 +99,7 @@ def loop_rates(kind="adaptive", valve=ValveModel(), target=0.35,
     q = [float(values.pop(name, 0.0)) for name in CL_STATE][:11]
     args = _kernel_args(ControllerConfig(kind=kind, **values), valve,
                         DisturbanceProfile(target=target))
-    rates = closed_loop_rhs(*q, args)
+    rates = closed_loop_rhs(*q, *args)
     assert (OK if rates is not None else NONFINITE) == status
     if rates is None:
         return None

@@ -50,7 +50,7 @@ class TestAveragedRhs:
         p = (KIND_ADAPTIVE, 0.0, 0.0, 0.0, gamma, r, vtau, -math.inf,
              math.inf, 0.0, dtau)
         rates = closed_loop_rhs(y, 0.0, r, 0.0, r, -y, 0.0, k1, k2, k3,
-                                0.0, p)
+                                0.0, *p)
         assert max(abs(rate) for rate in rates[:7]) <= 1e-12
         assert rates[7:10] == pytest.approx(
             averaged_rhs(AveragedPoint(k1, k2, k3, r, gamma)), rel=1e-12)

@@ -396,6 +396,16 @@ class TestPlantCommands:
         assert (code, err) == (0, "")
         assert out.startswith("open-loop run: 101 samples")
 
+    @pytest.mark.parametrize("g", ["1.9536483621135727", "8.4e-7"])
+    def test_throttle_near_a_domain_end_runs(self, tmp_path, capsys, g):
+        # these throttles hold the flows 0.7999995 and about 5e-7, inside
+        # the map's domain but within 1e-6 of one of its ends
+        code, out, err = run(capsys, "simulate", "--scenario", "fig3_4",
+                             "--g", g, "--t-end", "1",
+                             "--out-dir", str(tmp_path))
+        assert (code, err) == (0, "")
+        assert out.startswith("open-loop run: 101 samples")
+
     def test_limit_cycle_detection(self, tmp_path, capsys):
         code, out, _ = run(capsys, "limit-cycle", "--scenario", "fig6",
                            "--svg", str(tmp_path / "orbit.svg"),

@@ -162,6 +162,15 @@ class TestThrottleEquilibrium:
             eq = equilibrium_from_throttle(M, throttle_from_flow(M, float(phi)))
             assert abs(eq.phi - phi) <= 1e-8
 
+    @pytest.mark.parametrize("g", [1.9536483621135727, 8.4e-7, 5e-7])
+    def test_root_near_a_domain_end_is_found(self, g):
+        # the root lies within 1e-6 of an end of the open domain, outside
+        # the shrunk bracket, and is found in the end sliver
+        eq = equilibrium_from_throttle(M, g)
+        assert M.domain_lo < eq.phi < M.domain_hi
+        assert min(eq.phi - M.domain_lo, M.domain_hi - eq.phi) < 1e-6
+        assert abs(map_pressure_rise(M, eq.phi) - (eq.phi / g) ** 2) <= 1e-10
+
     def test_residual_bound(self):
         for phi in (0.1, 0.3, 0.55, 0.7):
             g = throttle_from_flow(M, phi)
@@ -181,6 +190,13 @@ class TestThrottleEquilibrium:
     def test_no_equilibrium(self):
         with pytest.raises(NoEquilibriumError):
             equilibrium_from_throttle(M, 1e6)
+
+    @pytest.mark.parametrize("g", [1e-50, 1e-200])
+    def test_tiny_throttle_is_refused(self, g):
+        # their roots lie far below the bisection's 1e-12 tolerance, and
+        # the square of 1e-200 underflows to 0.0
+        with pytest.raises(NoEquilibriumError):
+            equilibrium_from_throttle(M, g)
 
     def test_bad_throttle(self):
         with pytest.raises(DomainError):

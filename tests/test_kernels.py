@@ -6,6 +6,7 @@ import ast
 import copy
 import dataclasses
 import hashlib
+import inspect
 import math
 import os
 import re
@@ -42,8 +43,9 @@ KIND_FIXED_PID = _kernels.KIND_FIXED_PID
 
 # closed_loop_rhs with the disturbance lag at half its rate, and without a
 # docstring, for a step built from it
-def slow_disturbance_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
-    kind, kp, ki, kd, gamma, r, vtau, vlo, vhi, dtarget, dtau = p
+def slow_disturbance_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int,
+                         kind, kp, ki, kd, gamma, r, vtau, vlo, vhi, dtarget,
+                         dtau):
     d_dot = 0.5 * (dtarget - d) / dtau
     linear = vlo <= x <= vhi
     if x > vhi:
@@ -92,8 +94,9 @@ def slow_disturbance_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
 
 
 # closed_loop_rhs whose integral e_int never moves, under any kind
-def no_integral_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
-    kind, kp, ki, kd, gamma, r, vtau, vlo, vhi, dtarget, dtau = p
+def no_integral_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int,
+                    kind, kp, ki, kd, gamma, r, vtau, vlo, vhi, dtarget,
+                    dtau):
     d_dot = (dtarget - d) / dtau
     linear = vlo <= x <= vhi
     if x > vhi:
@@ -165,92 +168,76 @@ def half_throttle_rhs(phi, psi, y, psi0, h, slope, offset, c0, c1, c2, c3):
 # rhs definitions the step cannot inline, each for one reason
 
 
-def no_unpack_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
-    """Reads no constant."""
-    u = co = y = e = x
-    return (x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, u, co, y, e)
-
-
-def short_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
-    vtau, r = p
+def short_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, vtau, r):
     u = co = y = e = r
     return ((u - x) / vtau, u, co, y, e)
 
 
-def swapped_signals_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
-    vtau, r = p
+def swapped_signals_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, vtau,
+                        r):
     u = co = y = e = r
     return (x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, u, y, co, e)
 
 
-def early_return_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
-    vtau, r = p
+def early_return_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, vtau, r):
     if x > r:
         return x
     u = co = y = e = r
     return (x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, u, co, y, e)
 
 
-def clamping_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
-    vtau, r = p
+def clamping_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, vtau, r):
     if x > r:
         x = r
     u = co = y = e = r
     return (x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, u, co, y, e)
 
 
-def step_local_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
-    vtau, r = p
+def step_local_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, vtau, r):
     h2 = 0.5 * r
     u = co = y = e = h2
     return (x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, u, co, y, e)
 
 
-def stage_rate_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
-    vtau, r = p
+def stage_rate_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, vtau, r):
     x_1 = (r - x) / vtau
     u = co = y = e = r
     return (x_1, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, u, co, y, e)
 
 
-def step_constant_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
-    vtau, ok = p
+def step_constant_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, vtau,
+                      ok):
     u = co = y = e = ok
     return (x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, u, co, y, e)
 
 
-def row_writer_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
-    vtau, r = p
+def row_writer_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, vtau, r):
     record = (r - x) / vtau
     u = co = y = e = r
     return (record, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, u, co, y, e)
 
 
-def rebinding_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
-    kind, vtau, r = p
+def rebinding_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, kind, vtau,
+                  r):
     if x > r:
         kind = KIND_ADAPTIVE
     u = co = y = e = r
     return (x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, u, co, y, e)
 
 
-def other_parameters_rhs(x, d, p):
-    vtau, r = p
+def other_parameters_rhs(x, d, vtau, r):
     u = co = y = e = r
     return (x, d, x, x, x, x, x, x, x, x, x, u, co, y, e)
 
 
-def second_constant_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p,
-                        q):
-    vtau, r = p
-    u = co = y = e = q
+def no_constant_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int):
+    u = co = y = e = x
     return (x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, u, co, y, e)
 
 
 # a local KIND_ADAPTIVE that shadows the module's code: the rhs's own
 # branch on it takes the else branch under every controller kind
-def shadowing_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, p):
-    kind, = p
+def shadowing_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int, kind):
     KIND_ADAPTIVE = 5
     if kind == KIND_ADAPTIVE:
         u = 1.0
@@ -306,6 +293,11 @@ def keyword_call_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3):
 
 def clipped_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3):
     pc = clipped_pressure(phi, psi0, h, slope, offset, c0, c1, c2, c3)
+    return FLOW_GAIN * (pc - psi), PRESSURE_GAIN * (phi - g * math.sqrt(psi))
+
+
+def scaled_flow_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3):
+    pc = local_pressure(2.0 * phi, psi0, h, slope, offset, c0, c1, c2, c3)
     return FLOW_GAIN * (pc - psi), PRESSURE_GAIN * (phi - g * math.sqrt(psi))
 
 
@@ -588,7 +580,17 @@ class TestKernelArgs:
         return (_kernel_args(cfg, valve, prof),
                 initial_loop_state(cfg, valve, prof).tobytes())
 
-    def test_each_setting_feeds_one_entry(self):
+    #: the setting that feeds each constant of closed_loop_rhs, by name
+    FED_BY = {"kind": "ControllerConfig.kind", "kp": "ControllerConfig.kp",
+              "ki": "ControllerConfig.ki", "kd": "ControllerConfig.kd",
+              "gamma": "ControllerConfig.gamma",
+              "r": "ControllerConfig.reference", "vtau": "ValveModel.tau",
+              "vlo": "ValveModel.out_min", "vhi": "ValveModel.out_max",
+              "dtarget": "DisturbanceProfile.target",
+              "dtau": "DisturbanceProfile.tau"}
+
+    def _fed(self):
+        """The setting that feeds each entry of ``p``, by index."""
         base_p, base_state = self._run(*self.CONFIGS)
         assert len(base_p) == 11
         fed = {}
@@ -609,7 +611,21 @@ class TestKernelArgs:
                     # a start value: the adaptive gains' and the
                     # disturbance's
                     assert state != base_state, name
+        return fed
+
+    def test_each_setting_feeds_one_entry(self):
+        fed = self._fed()
         assert sorted(fed) == list(range(11)), fed
+
+    def test_one_entry_for_each_rhs_constant_in_its_order(self):
+        # p is closed_loop_rhs's constants, its parameters after the 11
+        # loop states: entry j is fed by the setting of the j-th constant
+        params = list(inspect.signature(_kernels.closed_loop_rhs).parameters)
+        assert params[:11] == list(_kernels.CL_STATE[:11])
+        assert len(self._run(*self.CONFIGS)[0]) == len(params) - 11
+        fed = self._fed()
+        assert [fed.get(j) for j in range(len(params) - 11)] == [
+            self.FED_BY[n] for n in params[11:]]
 class TestStatusCodes:
     def test_greitzer_breakdown_reported(self):
         out = np.empty((100, 3))
@@ -639,9 +655,9 @@ class TestStatusCodes:
         q = initial_loop_state(cfg, valve, prof)
         q[0] = 0.1
         p = _kernel_args(cfg, valve, prof)
-        assert _kernels.closed_loop_rhs(*map(scalar, q[:11]), p) is not None
+        assert _kernels.closed_loop_rhs(*map(scalar, q[:11]), *p) is not None
         q[9] = -valve.tau
-        assert _kernels.closed_loop_rhs(*map(scalar, q[:11]), p) is None
+        assert _kernels.closed_loop_rhs(*map(scalar, q[:11]), *p) is None
 
 
 class TestFailureMerge:
@@ -1324,8 +1340,11 @@ class TestGeneratedStep:
         ("surge_rhs", "_open_loop_source", nested_call_rhs, "open-loop",
          "nested_call_rhs calls local_pressure other than as"),
         ("surge_rhs", "_open_loop_source", keyword_call_rhs, "open-loop",
-         "keyword_call_rhs does not pass local_pressure one positional "
-         "argument for each parameter"),
+         "keyword_call_rhs does not pass local_pressure one name for each "
+         "parameter"),
+        ("surge_rhs", "_open_loop_source", scaled_flow_rhs, "open-loop",
+         "scaled_flow_rhs does not pass local_pressure one name for each "
+         "parameter"),
         ("surge_rhs", "_open_loop_source", clipped_rhs, "open-loop",
          "clipped_pressure returns before its end"),
         ("surge_rhs", "_open_loop_source", clashing_rhs, "open-loop",
@@ -1349,20 +1368,20 @@ class TestGeneratedStep:
             getattr(_kernels, source)()
 
     MALFORMED = [
-        (no_unpack_rhs, "it does not begin by unpacking p"),
         (short_rhs, "it does not end by returning the 15-tuple"),
         (swapped_signals_rhs, "it does not end by returning the 15-tuple"),
         (early_return_rhs, "it returns something other than None"),
-        (clamping_rhs, "it assigns to ['x']"),
+        (clamping_rhs, "clamping_rhs assigns to ['x']"),
         (step_local_rhs, "its names ['h2'] are the step's"),
         (stage_rate_rhs, "its names ['x_1'] are the step's"),
         (step_constant_rhs, "its names ['ok'] are the step's"),
         (row_writer_rhs, "its names ['record'] are the step's"),
-        (rebinding_rhs, "it assigns to ['kind'], which it unpacks from p"),
-        (other_parameters_rhs, "its parameters are ['x', 'd', 'p']"),
-        (second_constant_rhs, "its parameters are ['x', 'd', 'ym1', 'ym2', "
-         "'v1', 'v2', 'v3', 'k1', 'k2', 'k3', 'e_int', 'p', 'q'], not the "
-         "11 loop states and p"),
+        (rebinding_rhs, "rebinding_rhs assigns to ['kind']"),
+        (other_parameters_rhs, "its parameters are ['x', 'd', 'vtau', 'r']"),
+        (no_constant_rhs, "its parameters are ['x', 'd', 'ym1', 'ym2', "
+         "'v1', 'v2', 'v3', 'k1', 'k2', 'k3', 'e_int'], not ['x', 'd', "
+         "'ym1', 'ym2', 'v1', 'v2', 'v3', 'k1', 'k2', 'k3', 'e_int'] and "
+         "its constants"),
     ]
 
     @pytest.mark.parametrize("rhs, why", MALFORMED,
@@ -1381,7 +1400,7 @@ class TestGeneratedStep:
     def test_fold_reads_a_local_kind_code_as_the_rhs_does(self):
         # only the KIND_* codes the rhs reads from its module are folded
         # in: a local of the same name keeps its own value
-        assert shadowing_rhs(*[0.0] * 11, (KIND_ADAPTIVE,))[0] == 0.0
+        assert shadowing_rhs(*[0.0] * 11, KIND_ADAPTIVE)[0] == 0.0
         _, body, _ = _kernels._folded(shadowing_rhs, KIND_ADAPTIVE)
         assert ast.unparse(ast.Module(body, [])) == "u = 0.0"
 
