@@ -25,6 +25,10 @@ Library layout:
   kind-folded rhs), with its rhs's own statements inlined at each stage.
 - ``averaging``: averaged adaptation dynamics and their eigenvalues.
 - ``cli``: the ``surgekit`` command-line front end and scenario files.
+
+Each module imports numpy inside the functions that use it, never at
+module level: a start that computes nothing (``surgekit scenarios``,
+``--help``, ``--version``, a refused flag or scenario) does not load it.
 """
 
 from .averaging import (AveragedPoint, AveragingConfig, averaged_eigenvalues,

@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from .errors import DomainError
 
 #: bound on the largest eigenvalue of a stable point, relative to the
@@ -104,6 +102,7 @@ def _jacobians(points: list[AveragedPoint]) -> np.ndarray:
     """The (n, 3, 3) stack of the analytic Jacobians of
     :func:`averaged_rhs` at ``points``; an overflow gives inf or nan, with
     no warning."""
+    import numpy as np
     k1, k2, gamma, r = np.array(
         [(p.k1, p.k2, p.gamma, p.r) for p in points]).reshape(-1, 4).T
     jac = np.zeros((len(points), 3, 3))
@@ -137,6 +136,7 @@ def averaged_eigenvalues(p: AveragedPoint) -> tuple[float, float, float]:
 
 def _eigenvalues(jac: np.ndarray, p: AveragedPoint) -> tuple[float, ...]:
     """:func:`averaged_eigenvalues` of the Jacobian ``jac`` at ``p``."""
+    import numpy as np
     if not np.isfinite(jac).all():
         raise DomainError(f"averaged Jacobian is not finite at {p}")
     lam = np.linalg.eigvals(jac)
@@ -164,6 +164,7 @@ def stability_verdict(
     eigenvalues are complex raises the error ``averaged_eigenvalues``
     raises for it.
     """
+    import numpy as np
     points = list(points)
     jacs = _jacobians(points)
     finite = np.isfinite(jacs).all(axis=(1, 2))
@@ -189,6 +190,7 @@ def stability_verdict(
 def grid_points(grid: AveragingConfig) -> list[AveragedPoint]:
     """The ``grid.n`` by ``grid.n`` averaged points of ``grid``, k1 in the
     outer order; a grid too large to hold is a DomainError."""
+    import numpy as np
     n = grid.n
     try:
         k1s = np.empty(n * n)

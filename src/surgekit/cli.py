@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 import warnings
 from collections import Counter
-
-import numpy as np
 
 from . import __version__
 from ._kernels import pressure_rise
@@ -63,6 +62,7 @@ def _apply_overrides(sc: Scenario, args) -> None:
 
 def _thin(arr, limit: int = 2000):
     """Stride-decimate a series for plotting; keeps the final sample."""
+    import numpy as np
     n = len(arr)
     stride = max(1, n // limit)
     if stride == 1:
@@ -77,6 +77,7 @@ def _run_plant(sc: Scenario, helper: RunHelper) -> Trajectory:
 
 
 def cmd_map(args) -> int:
+    import numpy as np
     sc = _load(args, "map")
     lo = args.lo if args.lo is not None else sc.cmap.domain_lo
     hi = args.hi if args.hi is not None else sc.cmap.domain_hi
@@ -155,10 +156,10 @@ def cmd_stability(args) -> int:
 
 def cmd_simulate(args) -> int:
     sc = _load(args, "simulate")
-    if not (np.isfinite(args.ss_window) and args.ss_window > 0.0):
+    if not (math.isfinite(args.ss_window) and args.ss_window > 0.0):
         raise ScenarioError(f"--ss-window must be finite and > 0, "
                             f"got {args.ss_window}")
-    if not (np.isfinite(args.ss_tol) and args.ss_tol >= 0.0):
+    if not (math.isfinite(args.ss_tol) and args.ss_tol >= 0.0):
         raise ScenarioError(f"--ss-tol must be finite and >= 0, "
                             f"got {args.ss_tol}")
     # where it pays, the helper process formats the CSV while the kernel
@@ -232,6 +233,7 @@ def _read_step_csv(path, signal) -> tuple[Trajectory, str]:
     they are written, less the blanks around them, and must be unique and
     nonempty; the time column and the fitted one must hold finite
     numbers."""
+    import numpy as np
     with warnings.catch_warnings():
         # genfromtxt warns of an empty file before it fails on it
         warnings.simplefilter("error", UserWarning)
@@ -279,7 +281,7 @@ def _read_step_csv(path, signal) -> tuple[Trajectory, str]:
 
 def cmd_tune(args) -> int:
     if args.step_csv:
-        if args.final is not None and not np.isfinite(args.final):
+        if args.final is not None and not math.isfinite(args.final):
             raise ScenarioError(f"--final must be finite, got {args.final}")
         traj, signal = _read_step_csv(args.step_csv, args.signal)
         L, T = extract_LT(traj, signal, final_value=args.final)
@@ -328,6 +330,9 @@ def cmd_closedloop(args) -> int:
             boundary, why = None, err
         excursion = gain_excursion(traj)
         y_min, co_min, co_max = y.min(), co.min(), co.max()
+        # a Python float: an error past the float range reads inf, with no
+        # numpy warning
+        y_end = y[-1].item()
         if args.svg:
             tt = _thin(traj.t)
             series = [Series("y (inlet flow)", tt, _thin(y)),
@@ -347,8 +352,8 @@ def cmd_closedloop(args) -> int:
         print(f"closed-loop run ({sc.controller.kind}, gamma = "
               f"{sc.controller.gamma:g}): {traj.n_rows} samples, "
               f"dt={traj.dt:g} -> {path}")
-        print(f"terminal flow y = {y[-1]:.6g} (set point {r:g}, "
-              f"error {abs(y[-1] - r):.3g})")
+        print(f"terminal flow y = {y_end:.6g} (set point {r:g}, "
+              f"error {abs(y_end - r):.3g})")
         print(f"valve flow range [{co_min:.6g}, {co_max:.6g}], "
               f"gain excursion {excursion:.6g}")
         if boundary is None:

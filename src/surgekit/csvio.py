@@ -33,8 +33,6 @@ import struct
 from itertools import chain
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from . import _kernels
 from ._kernels import _BLOCK_ROWS, OK
 from .errors import DomainError
@@ -77,6 +75,7 @@ def write_rows(header: Sequence[str], rows: Iterable[Sequence], path) -> None:
     value on its own.  A row of another width than the header is a
     DomainError, and then no file is written.
     """
+    import numpy as np
     rows = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
     if set(map(len, rows)) - {len(header)}:
         width = next(len(row) for row in rows if len(row) != len(header))
@@ -120,6 +119,7 @@ def _format_rows(samples: np.ndarray) -> str:
     A column whose values all have the same bits (-0.0 and NaN compared
     exactly) is formatted once, into the row template.
     """
+    import numpy as np
     if not len(samples):
         return ""
     bits = samples.view(np.uint64)
@@ -454,6 +454,7 @@ def _follow_handed(run: bytes, fds: tuple, channel: int,
     """Follow one run handed over (``_RUN``, with the memory files of its
     record and stage flows), its text written into the file open as
     ``text``, emptied and rewound first."""
+    import numpy as np
     rows, cols, decimate, observed, dt, *m = _RUN.unpack(run)
     arrays = []
     for fd, width in zip(fds, (cols, 3)):

@@ -32,8 +32,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import _kernels
 from .compressor import CompressorMap, DEFAULT_MAP, map_pressure_rise
 from .csvio import RunHelper
@@ -147,14 +145,16 @@ def zn_gains(tune: TuneConfig) -> dict[str, float]:
         kp, ti, td = 0.9 * T / L, L / 0.3, 0.0
     else:
         kp, ti, td = 1.2 * T / L, 2.0 * L, 0.5 * L
-    ki = 0.0 if math.isinf(ti) else kp / ti
+    ki = 0.0 if tune.rule == "P" else kp / ti
     kd = kp * td
-    # ti is infinite for the P rule by design; a gain past the float range
-    # is not a gain
-    if not all(map(math.isfinite, (kp, ki, kd, td))):
+    # ti is infinite for the P rule by design, and for PI or PID only when
+    # it overflows; a gain past the float range is not a gain
+    gains = (kp, ki, kd, td) if tune.rule == "P" else (kp, ti, ki, kd, td)
+    if not all(map(math.isfinite, gains)):
         raise DomainError(
             f"rule {tune.rule} at L = {L:g}, T = {T:g} gives gains past the "
-            f"float range: kp = {kp:g}, ki = {ki:g}, kd = {kd:g}, td = {td:g}")
+            f"float range: kp = {kp:g}, ti = {ti:g}, ki = {ki:g}, "
+            f"kd = {kd:g}, td = {td:g}")
     return {"kp": kp, "ti": ti, "td": td, "ki": ki, "kd": kd}
 
 
@@ -167,6 +167,7 @@ def extract_LT(traj: Trajectory, signal: str,
     where the tangent reaches the final value.  The construction is
     amplitude-invariant.
     """
+    import numpy as np
     t = traj.t
     y = traj.column(signal)
     # values near the float range overflow, and times so close that their
@@ -201,6 +202,7 @@ def initial_loop_state(cfg: ControllerConfig, valve: ValveModel,
     their steady values for that output, and the gains at their configured
     initial values.  The observed compressor pair (phi, psi) is zero.
     """
+    import numpy as np
     y0 = profile.initial + valve.out_min
     return np.array([valve.out_min, profile.initial, y0, 0.0, cfg.reference,
                      -y0, 0.0, cfg.k1, cfg.k2, cfg.k3, 0.0, 0.0, 0.0])
@@ -295,6 +297,7 @@ def simulate_closed_loop(cfg: ControllerConfig,
     fails still runs the loop to its end, or to the loop's own failure,
     before the earlier failure is raised.
     """
+    import numpy as np
     columns = list(LOOP_COLUMNS) + (["phi", "psi"] if observe else [])
     out = _output_buffer(dt, t_end, len(columns), helper, observe)
     state = initial_loop_state(cfg, valve, profile)
@@ -336,6 +339,7 @@ def simulate_closed_loop(cfg: ControllerConfig,
 
 def gain_excursion(traj: Trajectory) -> float:
     """Largest |k_i(t) - k_i(0)| over the run, across the three gains."""
+    import numpy as np
     exc = 0.0
     for name in ("k1", "k2", "k3"):
         col = traj.column(name)

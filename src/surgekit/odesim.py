@@ -19,8 +19,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from . import _kernels
 from .compressor import CompressorMap, DEFAULT_MAP, PlantState
 from .errors import DivergenceError, DomainError, ModelBreakdownError
@@ -33,6 +31,12 @@ LOOP_DT = 1e-3
 LOOP_T_END = 50.0
 
 
+def _no_samples():
+    """The samples of an empty :class:`Trajectory`: no rows, no columns."""
+    import numpy as np
+    return np.empty((0, 0))
+
+
 @dataclass
 class Trajectory:
     """Uniformly sampled multi-signal record of one run.
@@ -42,7 +46,7 @@ class Trajectory:
 
     dt: float
     columns: list[str] = field(default_factory=list)
-    samples: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    samples: np.ndarray = field(default_factory=_no_samples)
 
     def column(self, name: str) -> np.ndarray:
         try:
@@ -78,6 +82,7 @@ def _output_buffer(dt: float, t_end: float, n_cols: int, helper=None,
     reads the rows filled after the run is handed to it, and the rows it
     writes are the run's.
     """
+    import numpy as np
     if not (dt > 0.0 and t_end > 0.0):
         raise DomainError(f"need dt > 0 and t_end > 0, got {dt}, {t_end}")
     rows = t_end / dt + 1e-9
@@ -106,6 +111,7 @@ def simulate_greitzer(initial: PlantState, g: float,
     """Kernel-backed open-loop run of the surge model at throttle ``g``,
     filled in blocks of ``_kernels._BLOCK_ROWS`` rows; a ``helper``
     (``csvio.RunHelper``) is given each block when filled."""
+    import numpy as np
     if not (math.isfinite(g) and g > 0.0):
         raise DomainError(f"g must be finite and positive, got {g}")
     out = _output_buffer(dt, t_end, 3, helper)
@@ -141,6 +147,7 @@ def steady_state_of(traj: Trajectory, window: float,
     signal's peak-to-peak variation inside the window is at most ``tol``,
     else None.
     """
+    import numpy as np
     if traj.n_rows < 2:
         raise DomainError("trajectory too short")
     n_win = int(round(window / traj.dt))

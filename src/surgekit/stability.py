@@ -26,8 +26,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._kernels import pressure_rise
 from .compressor import (CompressorMap, DEFAULT_MAP, FLOW_GAIN,
                          PRESSURE_GAIN, _slope, bisect_sign_change,
@@ -134,6 +132,7 @@ def jacobian_at_equilibrium(cmap: CompressorMap, phi: float) -> np.ndarray:
     At an equilibrium psi = psi_c(phi) and g = phi/sqrt(psi), which turns
     the throttle entry -b*g/(2*sqrt(psi)) into -b*phi/(2*psi_c(phi)).
     """
+    import numpy as np
     j11, j12, j21, j22 = _jacobian_entries(cmap, phi)
     return np.array([[j11, j12], [j21, j22]])
 
@@ -177,6 +176,7 @@ def _scan_arrays(cmap: CompressorMap, scan: StabilityConfig
     the map, has psi_c <= 0 or a real eigenvalue pair, the first such
     flow is handed to ``_focus``, which raises its own error for it.
     """
+    import numpy as np
     j12, j21 = -FLOW_GAIN, PRESSURE_GAIN
     try:
         phis = np.empty(scan.n)
@@ -213,6 +213,7 @@ def surge_boundary(cmap: CompressorMap = DEFAULT_MAP,
     result is cached per (map, scan), both frozen, so an equal map gets
     the same float without a second search; an error is not cached.
     """
+    import numpy as np
     phis, _, real = _scan_arrays(cmap, scan)
     signs = np.sign(real)
     flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
@@ -256,6 +257,7 @@ def region_boundaries(cmap: CompressorMap = DEFAULT_MAP) -> RegionBoundaries:
     Returned are their real roots, those ``np.roots`` gives a zero
     imaginary part, inside the open map domain where psi_c > 0.
     """
+    import numpy as np
     psi0, h, slope, offset, c0, c1, c2, c3 = cmap.constants
     cubic = np.array([c3])
     for c in (c2, c1, c0):   # Horner's rule in w = slope*phi + offset
@@ -288,6 +290,7 @@ def stability_scan(cmap: CompressorMap,
     (:func:`_scan_arrays`), bit for bit what :func:`_focus` gives at each
     flow, and the first flow off the map or without a complex pair is
     named with the error ``_focus`` raises for it."""
+    import numpy as np
     phis, delta, real = _scan_arrays(cmap, scan)
     codes = (real < -CLASS_TOL) + 2 * (real > CLASS_TOL)
     classes = np.array((BOUNDARY, STABLE_FOCUS, UNSTABLE_FOCUS),
@@ -300,6 +303,7 @@ def stability_scan(cmap: CompressorMap,
 
 def _local_maxima(x: np.ndarray) -> np.ndarray:
     """Indices of strict interior local maxima."""
+    import numpy as np
     if len(x) < 3:
         return np.empty(0, dtype=int)
     interior = (x[1:-1] > x[:-2]) & (x[1:-1] > x[2:])
@@ -317,6 +321,7 @@ def detect_limit_cycle(traj: Trajectory,
     the relative tolerance ``cycle.tol`` and exceed ``MIN_AMPLITUDE``.
     The period is the mean spacing of successive maxima.
     """
+    import numpy as np
     tail = traj.tail(1.0 - cycle.settle_fraction)
     x = tail.column("phi")
     t = tail.t

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .csvio import _write_text
 from .errors import DomainError
 
@@ -38,6 +36,7 @@ def _escape(text: str) -> str:
 
 def _bounds(values):
     """(lo, hi) of all ``values``, widened by 4 % of the span on each side."""
+    import numpy as np
     lo = float(min(np.min(v) for v in values))
     hi = float(max(np.max(v) for v in values))
     if hi == lo:
@@ -50,6 +49,7 @@ def _bounds(values):
 def render_svg(series: Sequence[Series], path, x_label: str = "",
                y_label: str = "", title: str = "") -> None:
     """Render the series set as a standalone SVG file."""
+    import numpy as np
     if len(series) == 0:
         raise DomainError("need at least one series")
     for s in series:

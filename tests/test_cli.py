@@ -1,8 +1,12 @@
 """Command-line behavior: subcommands, scenario catalog, exit codes."""
 
 import argparse
+import ast
 import hashlib
+import importlib
+import json
 import math
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -225,6 +229,17 @@ class TestTune:
         code, out, _ = run(capsys, "tune", "--scenario", "zn",
                            "--out-dir", str(tmp_path))
         assert code == 0 and "kp = 10.0845" in out
+
+    def test_p_rule_writes_infinite_ti(self, tmp_path, capsys):
+        # the P rule has no integral term, so its ti is infinite by
+        # design, also at a dead time where the PI and PID ti overflow
+        code, out, _ = run(capsys, "tune", "--scenario", "zn", "--rule", "P",
+                           "--L", "1e308", "--T", "1", "--out-dir",
+                           str(tmp_path))
+        assert code == 0
+        assert out.startswith("rule P: kp = 1e-308, ti = inf, td = 0, ki = 0")
+        assert ((tmp_path / "zn.csv").read_text().splitlines()[1]
+                == "1e+308,1,P,1e-308,inf,0,0,0")
 
     def test_from_step_csv(self, tmp_path, capsys):
         # S-shaped two-lag step response written the same way the other
@@ -659,10 +674,21 @@ class TestExitCodes:
          "k2=0.1, k3=0.7, r=1e+300, gamma=1.0)\n"),
         (["tune", "--L", "1e-300", "--T", "1e300"],
          "error: rule PID at L = 1e-300, T = 1e+300 gives gains past the "
-         "float range: kp = inf, ki = inf, kd = inf, td = 5e-301\n"),
+         "float range: kp = inf, ti = 2e-300, ki = inf, kd = inf, "
+         "td = 5e-301\n"),
         (["tune", "--rule", "PI", "--L", "1e-300", "--T", "1e300"],
          "error: rule PI at L = 1e-300, T = 1e+300 gives gains past the "
-         "float range: kp = inf, ki = inf, kd = nan, td = 0\n"),
+         "float range: kp = inf, ti = 3.33333e-300, ki = inf, kd = nan, "
+         "td = 0\n"),
+        # ti itself overflows, and ki = kp / ti reads 0
+        (["tune", "--scenario", "zn", "--rule", "PID", "--L", "1e308", "--T",
+          "1"],
+         "error: rule PID at L = 1e+308, T = 1 gives gains past the float "
+         "range: kp = 1.2e-308, ti = inf, ki = 0, kd = 0.6, td = 5e+307\n"),
+        (["tune", "--scenario", "zn", "--rule", "PI", "--L", "6e307", "--T",
+          "1"],
+         "error: rule PI at L = 6e+307, T = 1 gives gains past the float "
+         "range: kp = 1.5e-308, ti = inf, ki = 0, kd = 0, td = 0\n"),
     ])
     def test_overflow_exits_four_without_warnings(self, tmp_path, capsys,
                                                   argv, message):
@@ -816,6 +842,10 @@ class TestExitCodes:
                                 "reference", "target", "dinit"]), _VALUES),
            dt=st.floats(1e-4, 0.05), t_end=st.floats(1e-6, 0.05),
            observe=st.booleans(), decimation=st.integers(0, 600))
+    # a run of one row, whose terminal error in the summary overflows
+    @example(kind="fixed-pd",
+             values={"dinit": 1.7e308, "reference": -9.769313486231587e306},
+             dt=0.046875, t_end=0.03125, observe=False, decimation=1)
     def test_fuzzed_closedloop_exits_cleanly(self, tmp_path, capsys, kind,
                                              values, dt, t_end, observe,
                                              decimation):
@@ -923,10 +953,11 @@ class TestExitCodes:
            rule=st.none() | st.sampled_from(["P", "PI", "PID"]))
     @example(values={"L": 1e-320, "T": 1e308}, rule=None)
     @example(values={"L": 1e-300, "T": 1e300}, rule="PI")
+    @example(values={"L": 1e308}, rule=None)
     def test_fuzzed_tune_exits_cleanly(self, tmp_path, capsys, values, rule):
         # any dead time and time constant: gains past the float range are
-        # refused, and only ti (infinite for the P rule) may be written
-        # non-finite
+        # refused, and only the P rule's ti (infinite by design) may be
+        # written non-finite
         argv = ["tune", "--scenario", "zn", "--out-dir", str(tmp_path)]
         argv += [f"--{flag}={value!r}" for flag, value in values.items()]
         if rule is not None:
@@ -936,6 +967,7 @@ class TestExitCodes:
             gains = dict(zip(header, row.tolist()))
             assert all(math.isfinite(gains[g])
                        for g in ("kp", "td", "ki", "kd")), argv
+            assert math.isfinite(gains["ti"]) or gains["rule"] == "P", argv
 
     # a step-response field: any float, or a field that reads as nan
     _FIELDS = (_ANY.map(repr)
@@ -1082,3 +1114,63 @@ def test_import_loads_no_network_modules():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert res.stdout == "[]\n"
+
+
+PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
+
+#: a fresh interpreter that runs ``main`` on its arguments and prints the
+#: exit code and whether numpy was imported
+_FOOTPRINT = ("import sys\n"
+              "from surgekit.cli import main\n"
+              "try:\n"
+              "    code = main(sys.argv[1:])\n"
+              "except SystemExit as exit:\n"
+              "    code = exit.code\n"
+              "print(code, 'numpy' in sys.modules)\n")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["scenarios"], 0), (["--version"], 0), (["--help"], 0),
+    (["simulate", "--bogus"], 2), (["closedloop", "--gamma", "-1"], 3)])
+def test_commands_that_compute_nothing_leave_numpy_unloaded(argv, code):
+    # numpy is imported by the functions that compute, so a start that
+    # lists the catalog, prints the version or help, or refuses its
+    # arguments does not pay for it
+    res = subprocess.run([sys.executable, "-c", _FOOTPRINT, *argv],
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.splitlines()[-1] == f"{code} False"
+
+
+def test_numpy_free_start_then_a_command_that_computes(tmp_path):
+    # the command after a start without numpy imports it where it computes
+    # and writes the catalog's bytes
+    path = tmp_path / "P"
+    script = ("import sys\n"
+              "from surgekit.cli import main\n"
+              "print(main(['scenarios']), 'numpy' in sys.modules)\n"
+              "print(main(['stability', '--n', '1000', '--csv', sys.argv[1]]),"
+              " 'numpy' in sys.modules)\n")
+    res = subprocess.run([sys.executable, "-c", script, str(path)],
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.splitlines()[-1] == "0 True"
+    assert "0 False" in res.stdout.splitlines()
+    digest = json.loads((PERFBENCH / "digests.json").read_text())["stability"]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_tracer_names_are_the_cli_imports():
+    # perfbench's tracer rebinds each name of its WRAPPED table on
+    # surgekit.cli, and a span "<module>.<name>" names the module that
+    # defines it: each must be a global of the CLI, and the function
+    # that module defines.  The table is read as text, not imported
+    tree = ast.parse((PERFBENCH / "spans.py").read_text())
+    wrapped, = [ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and ast.unparse(node.targets[0]) == "WRAPPED"]
+    assert wrapped
+    for name, (_, span) in wrapped.items():
+        module, defined = span.rsplit(".", 1)
+        assert defined == name
+        assert name in vars(cli), name
+        assert getattr(cli, name) is getattr(
+            importlib.import_module(f"surgekit.{module}"), name), name
