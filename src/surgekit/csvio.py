@@ -11,11 +11,12 @@ then follows run after run until the interpreter exits.  A
 :class:`RunHelper` hands it one run: the run's record, and an observed
 run's stage flows, live in memory files (``os.memfd_create``) whose
 descriptors go to the process over a socket, with a header giving the
-run's shape, decimation and observer constants.  For each finished block
+run's shape, decimation and observer constants; at each run handed to
+it, the process is kept off the CPU the run is on.  For each finished block
 of rows the process writes the text into a memory file of its own, and
 it ends each run with one message: the observer's result and the text's
 length.  It never touches the filesystem.  :func:`write_trajectory`
-creates and writes the file either way: it has the operating system copy
+creates or rewrites the file either way: it has the operating system copy
 the memory file into it when the length matches, and formats the rows
 itself when there is no helper or it failed, so the bytes are the same.
 """
@@ -29,7 +30,9 @@ import gc
 import mmap
 import os
 import signal
+import stat
 import struct
+import sys
 from itertools import chain
 from typing import Iterable, Optional, Sequence
 
@@ -75,8 +78,11 @@ def write_rows(header: Sequence[str], rows: Iterable[Sequence], path) -> None:
     value on its own.  A row of another width than the header is a
     DomainError, and then no file is written.
     """
-    import numpy as np
-    rows = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
+    # an ndarray exists only once numpy is loaded: a table of lists, as
+    # ``tune`` writes, does not load it
+    np = sys.modules.get("numpy")
+    rows = (rows.tolist() if np is not None and isinstance(rows, np.ndarray)
+            else list(rows))
     if set(map(len, rows)) - {len(header)}:
         width = next(len(row) for row in rows if len(row) != len(header))
         raise DomainError(f"row width {width} does not match header {header}")
@@ -279,6 +285,7 @@ class RunHelper:
                 _shutdown(kill=True)
                 continue
             self._process = process
+            _pin_away(process.pid)
             return
 
     def rows_filled(self, rows: int, last: bool = False) -> None:
@@ -351,6 +358,28 @@ class RunHelper:
         if self._pays:
             _claim.release()
         self._pays = None
+
+
+def _current_cpu() -> int:
+    """The CPU the calling thread runs on: field 39 of
+    ``/proc/thread-self/stat``, counted after the command name, which may
+    hold spaces and ``)``.  ``/proc/self/stat`` would give the main
+    thread's, which is not the run's when a worker thread makes it."""
+    with open("/proc/thread-self/stat", "rb") as fh:
+        return int(fh.read().rpartition(b")")[2].split()[36])
+
+
+def _pin_away(pid: int) -> None:
+    """Restrict the helper process ``pid`` to the CPUs the calling thread
+    may use other than the one it runs on, so the run does not wait while
+    the helper formats on its CPU; nothing where that CPU cannot be read,
+    the affinity cannot be set, or there is no other CPU."""
+    try:
+        cpus = os.sched_getaffinity(0) - {_current_cpu()}
+        if cpus:
+            os.sched_setaffinity(pid, cpus)
+    except (AttributeError, OSError):
+        pass
 
 
 def _helper_process() -> Optional[_Process]:
@@ -507,15 +536,47 @@ def _follow_run(samples: np.ndarray, decimate: int, observe, inbox: int,
 
 def _write_text(path, chunks: Iterable[str], text: int = -1) -> None:
     """Write the text pieces in order, then the whole file open as
-    ``text`` if given, creating the directory if needed."""
+    ``text`` if given, creating the directory if needed.
+
+    An existing file is written over in place and then cut to the length
+    written, also when the write raises, so none of its old bytes follow
+    the new text; opening it empty (``O_TRUNC``) would have the file
+    system free its blocks only to allocate them again.  A file that is
+    not regular (``/dev/null``, a pipe) is not cut.
+    """
     parent = os.path.dirname(os.fspath(path))
     if parent:
         os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(chunks)
-        if text >= 0:
-            # the system copies the file: its text never enters this process
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
+                 0o666)
+    with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+        try:
+            fh.writelines(chunks)
             fh.flush()
-            offset = 0
-            while sent := os.sendfile(fh.fileno(), text, offset, 1 << 30):
-                offset += sent
+            if text >= 0:
+                # the system copies the file: its text never enters this
+                # process
+                offset = 0
+                while sent := os.sendfile(fd, text, offset, 1 << 30):
+                    offset += sent
+        except BaseException:
+            # cut at what was written, best effort: the write's own error
+            # is the one raised, not one of the cut chained onto it; what
+            # the buffer still holds goes after the cut at close
+            try:
+                _cut(fd)
+            except OSError:
+                pass
+            raise
+        _cut(fd)
+
+
+def _cut(fd: int) -> None:
+    """Cut the regular file open as ``fd`` at its position, where it
+    goes on past it: a new file, or one written over with as many bytes,
+    is left as it is."""
+    st = os.fstat(fd)
+    if stat.S_ISREG(st.st_mode):
+        end = os.lseek(fd, 0, os.SEEK_CUR)
+        if st.st_size > end:
+            os.ftruncate(fd, end)

@@ -1158,6 +1158,18 @@ def test_numpy_free_start_then_a_command_that_computes(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+def test_tune_leaves_numpy_unloaded(tmp_path):
+    # the tuning table is a list of one row: writing it needs no numpy,
+    # and its bytes are the catalog's
+    path = tmp_path / "P"
+    res = subprocess.run([sys.executable, "-c", _FOOTPRINT, "tune",
+                          "--scenario", "zn", "--csv", str(path)],
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.splitlines()[-1] == "0 False"
+    digest = json.loads((PERFBENCH / "digests.json").read_text())["zn"]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_tracer_names_are_the_cli_imports():
     # perfbench's tracer rebinds each name of its WRAPPED table on
     # surgekit.cli, and a span "<module>.<name>" names the module that

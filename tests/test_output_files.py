@@ -1136,3 +1136,204 @@ cli.main(["simulate", "--scenario", "fig3_4", "--csv", {csv!r}])
 print("helper", csvio._helper.pid, flush=True)
 os._exit(0)
 """
+
+
+class TestRewrite:
+    """An output file written over an older one is rewritten in place and
+    cut to the new text's length: the bytes of a write to a new path, the
+    old file's inode, links and mode, and no old byte after the text."""
+
+    @staticmethod
+    def _over_longer(path, write):
+        """Check that ``write(path)`` over a file longer than its text
+        leaves what it writes to a new path."""
+        fresh = path.with_name("fresh-" + path.name)
+        write(fresh)
+        expected = fresh.read_bytes()
+        path.write_bytes(b"x" * (2 * len(expected) + 5000))
+        write(path)
+        assert path.read_bytes() == expected
+
+    def test_rows(self, tmp_path):
+        self._over_longer(tmp_path / "rows.csv", lambda path: write_rows(
+            ("a", "b", "cls"), [(1.0, 2.5, "stable"), (-0.0, 1e300, "x")],
+            path))
+
+    def test_trajectory_in_process(self, tmp_path):
+        self._over_longer(tmp_path / "traj.csv",
+                          lambda path: write_trajectory(small_traj(3000), path,
+                                                        decimate=7))
+
+    def test_trajectory_through_the_helper(self, tmp_path, capsys, forks,
+                                           monkeypatch):
+        # the text is copied from the helper's memory file; none of the
+        # rows is formatted here
+        formatted = []
+        format_rows = csvio._format_rows
+        monkeypatch.setattr(csvio, "_format_rows", lambda samples: (
+            formatted.append(len(samples)) or format_rows(samples)))
+
+        def write(path):
+            code, _, err = _run_cli(capsys, "simulate", "--scenario",
+                                    "fig3_4", "--t-end", "25", "--csv",
+                                    str(path))
+            assert (code, err) == (0, "")
+
+        self._over_longer(tmp_path / "run.csv", write)
+        assert forks.handed == [True, True]
+        assert formatted == []
+
+    def test_svg(self, tmp_path):
+        t = np.linspace(0, 1, 30)
+        self._over_longer(tmp_path / "plot.svg", lambda path: render_svg(
+            [Series("s", t, t ** 2)], path, title="rewritten"))
+
+    def test_keeps_inode_links_and_mode(self, tmp_path):
+        path, link = tmp_path / "rows.csv", tmp_path / "link.csv"
+        path.write_text("old,text\n" * 100)
+        path.chmod(0o640)
+        os.link(path, link)
+        before = path.stat()
+        write_rows(("a",), [(1.0,)], path)
+        after = path.stat()
+        assert (after.st_ino, after.st_nlink) == (before.st_ino, 2)
+        assert after.st_mode & 0o7777 == 0o640
+        assert link.read_bytes() == b"a\n1\n"
+
+    def test_new_file_mode_follows_umask(self, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            write_rows(("a",), [(1.0,)], tmp_path / "rows.csv")
+        finally:
+            os.umask(umask)
+        assert (tmp_path / "rows.csv").stat().st_mode & 0o7777 == 0o640
+
+    def test_failed_write_leaves_a_prefix_of_the_new_text(self, tmp_path):
+        # a write that raises cuts the file at what it wrote: no byte of
+        # the longer old file follows
+        path = tmp_path / "rows.csv"
+        path.write_text("old,text\n" * 1000)
+
+        def chunks():
+            yield "a,b\n"
+            raise OSError(28, "No space left on device")
+
+        with pytest.raises(OSError, match="No space left on device"):
+            csvio._write_text(path, chunks())
+        assert path.read_bytes() == b"a,b\n"
+
+
+_TWO_CPUS = pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                               or len(os.sched_getaffinity(0)) < 2,
+                               reason="needs two CPUs")
+
+
+def _in_thread(cpus, target):
+    """Call ``target`` in a worker thread confined to ``cpus``, while this
+    thread waits confined to the allowed CPU furthest from them."""
+    allowed = os.sched_getaffinity(0)
+    errors = []
+
+    def run():
+        try:
+            os.sched_setaffinity(0, cpus)
+            target()
+        except BaseException as err:   # reported below
+            errors.append(err)
+
+    os.sched_setaffinity(0, {max(allowed - {min(cpus)})})
+    try:
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=60)
+    finally:
+        os.sched_setaffinity(0, allowed)
+    assert not thread.is_alive()
+    assert errors == []
+
+
+class TestHelperAffinity:
+    """At each run handed to it, the helper process is restricted to the
+    CPUs the run's thread may use other than the one it runs on."""
+
+    @_TWO_CPUS
+    def test_helper_runs_off_the_run_cpu(self, tmp_path, monkeypatch):
+        allowed = os.sched_getaffinity(0)
+        forks = _Forks(monkeypatch)
+        for cpu in (max(allowed), min(allowed)):
+            monkeypatch.setattr(csvio, "_current_cpu", lambda: cpu)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["simulate", "--scenario", "fig7", "--out-dir",
+                             str(tmp_path)]) == 0
+            assert os.sched_getaffinity(csvio._helper.pid) == allowed - {cpu}
+        assert forks.handed == [True, True]
+        assert len(forks.pids) == 1
+
+    @_TWO_CPUS
+    def test_cpu_reader_reads_the_calling_thread(self):
+        # a worker thread on one CPU while the main thread waits on
+        # another: the CPU read is the worker's, not the main thread's
+        run_cpu = min(os.sched_getaffinity(0))
+        read = []
+        _in_thread({run_cpu}, lambda: read.append(csvio._current_cpu()))
+        assert read == [run_cpu]
+
+    @_TWO_CPUS
+    def test_run_from_a_thread(self, tmp_path, forks, monkeypatch):
+        # runs made from a worker thread while the main thread waits on
+        # another CPU, each handed to the helper: it is kept off the CPU
+        # the worker read, and never confined to the worker's own CPU
+        allowed = os.sched_getaffinity(0)
+        run_cpu = min(allowed)
+        read = []
+        current_cpu = csvio._current_cpu
+        monkeypatch.setattr(csvio, "_current_cpu", lambda: (
+            read.append(current_cpu()) or read[-1]))
+
+        def simulate():
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["simulate", "--scenario", "fig7", "--out-dir",
+                             str(tmp_path)]) == 0
+
+        simulate()
+        # the worker may use every allowed CPU: the helper gets the others
+        os.sched_setaffinity(csvio._helper.pid, allowed)
+        _in_thread(allowed, simulate)
+        assert os.sched_getaffinity(csvio._helper.pid) == allowed - {read[-1]}
+        # the worker may use its CPU alone: the helper stays as it was
+        os.sched_setaffinity(csvio._helper.pid, allowed)
+        _in_thread({run_cpu}, simulate)
+        assert read[-1] == run_cpu
+        assert os.sched_getaffinity(csvio._helper.pid) == allowed
+        assert forks.handed == [True, True, True]
+        assert len(forks.pids) <= 1
+
+    @pytest.mark.parametrize("missing", ["stat-file", "setaffinity",
+                                         "second-cpu"])
+    def test_pin_skipped_silently(self, tmp_path, capsys, forks, monkeypatch,
+                                  missing):
+        # no /proc/thread-self/stat, no os.sched_setaffinity, or no CPU
+        # but the run's: the helper stays where it is, with the same bytes
+        # and messages
+        csv = tmp_path / "run.csv"
+        argv = ["simulate", "--scenario", "fig7", "--csv", str(csv)]
+        forks.pays = False
+        expected = _run_cli(capsys, *argv), csv.read_bytes()
+        forks.pays = True
+        pinned = []
+        if missing == "stat-file":
+            def no_stat_file():
+                raise FileNotFoundError(2, "No such file or directory")
+            monkeypatch.setattr(csvio, "_current_cpu", no_stat_file)
+        elif missing == "setaffinity":
+            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                                raising=False)
+            monkeypatch.setattr(csvio, "_current_cpu", lambda: 0)
+            monkeypatch.setattr(os, "sched_setaffinity",
+                                lambda *args: pinned.append(args),
+                                raising=False)
+        assert (_run_cli(capsys, *argv), csv.read_bytes()) == expected
+        assert forks.handed == [False, True]
+        assert pinned == []
