@@ -15,14 +15,15 @@ Library layout:
   adaptive controllers, tangent tuning rule, closed-loop simulation.
 - ``_kernels``: the fixed-step RK4 kernels and the one definition of each
   model equation: ``pressure_rise`` (the map), ``surge_rhs`` (the surge
-  model), ``observed_rhs`` (the observed compressor) and
-  ``closed_loop_rhs`` (the closed loop), scalars in and a tuple of rates
-  out, and the fixed coefficients they read: the surge gains
-  ``FLOW_GAIN``, ``PRESSURE_GAIN`` and the reference model's
-  ``REF_MODEL_*``.  Each kernel's RK4 step is straight-line code
-  generated on its first use (the closed loop's once per controller
-  kind, live set and observation, its dead states read off the
-  kind-folded rhs), with its rhs's own statements inlined at each stage.
+  model) and ``closed_loop_rhs`` (the closed loop), scalars in and a
+  tuple of rates out, and the fixed coefficients they read: the surge
+  gains ``FLOW_GAIN``, ``PRESSURE_GAIN`` and the reference model's
+  ``REF_MODEL_*``.  The observed compressor is ``surge_rhs`` at the
+  throttle of the measured flow, computed for each range of rows on
+  arrays.  Each kernel's RK4 step is straight-line code generated on its
+  first use (the closed loop's once per controller kind, live set and
+  observation, its dead states read off the kind-folded rhs), with its
+  rhs's own statements inlined at each stage.
 - ``averaging``: averaged adaptation dynamics and their eigenvalues.
 - ``cli``: the ``surgekit`` command-line front end and scenario files.
 

@@ -12,21 +12,20 @@ loop fill their records in ranges of rows, and report each to a caller's
 observes the closed loop's, in another process.
 
 Each model equation is defined once: the compressor map in
-:func:`pressure_rise`, the surge model's rates in :func:`surge_rhs`, the
-observed compressor's in :func:`observed_rhs` and the closed loop's in
-:func:`closed_loop_rhs`, each a function of scalars, beside the fixed
-coefficients it reads (the surge gains ``FLOW_GAIN``, ``PRESSURE_GAIN``,
-the reference model's ``REF_MODEL_*``): a kernel's constant tuple holds
-only what a run sets.  No kernel calls them: each kernel's RK4 step over
-a range of rows is written out as straight-line code by one writer,
-:func:`_rk4_source`, which :func:`_step_source`,
+:func:`pressure_rise`, the surge model's rates in :func:`surge_rhs` and
+the closed loop's in :func:`closed_loop_rhs`, each a function of scalars,
+beside the fixed coefficients it reads (the surge gains ``FLOW_GAIN``,
+``PRESSURE_GAIN``, the reference model's ``REF_MODEL_*``): a kernel's
+constant tuple holds only what a run sets.  No kernel calls them: each
+kernel's RK4 step over a range of rows is written out as straight-line
+code by one writer, :func:`_rk4_source`, which :func:`_step_source`,
 :func:`_open_loop_source` and :func:`_observer_source` call with their
 rhs, states, record layout and failure returns; each step is compiled on
 its first use with the globals of its rhs's module and cached
 (:func:`_built`).  Every state is a local named after it, and each stage
 is the rhs's own statements, inlined from this module's source, which
-every installed copy has, with the calls to pressure_rise and surge_rhs
-inlined in turn (:func:`_inlined`, once for each step built).  One rule
+every installed copy has, with surge_rhs's call of pressure_rise inlined
+in turn (:func:`_inlined`, once for each step built).  One rule
 set reads every function: an rhs takes its states, then its constants,
 as parameters, which the step unpacks once from its constant tuple; no
 function assigns to a parameter; and a call is inlined only where it
@@ -57,10 +56,13 @@ The observed compressor (phi, psi) of ``closedloop --observe`` is
 one-way coupled: the measured flow y drives it and no loop rate reads it.
 So it has its own kernel, which integrates it over a range of rows from
 the flows the loop recorded: y at RK stage 1 in the record, and at
-stages 2-4 in a stage buffer.  It may run in another process while the
-loop goes on (``csvio.RunHelper``), or in this one after the loop; its
-columns are bit for bit those of the coupled 13-state RK4.  ``loop``
-merges its failure with the loop's.
+stages 2-4 in a stage buffer.  Its rates are surge_rhs's at the throttle
+g = y/sqrt(psi_c(y)), which depends on the recorded flows alone: the
+kernel computes the throttles of a range's stages first, on arrays
+(:func:`_throttles`), and its step reads each stage's g from them.  It
+may run in another process while the loop goes on (``csvio.RunHelper``),
+or in this one after the loop; its columns are bit for bit those of the
+coupled 13-state RK4.  ``loop`` merges its failure with the loop's.
 
 Kernels never raise: they return ``(status, row)`` (the closed loop and
 the observer ``(status, row, stage)``) so the wrappers in
@@ -110,8 +112,8 @@ PRESSURE_GAIN = 1.25
 def surge_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3):
     """Rates (d phi/dt, d psi/dt) of the surge model at throttle g.
 
-    Needs psi > 0, since sqrt(psi) is undefined below: the open-loop step
-    checks it before each stage, and :func:`observed_rhs` before its call.
+    Needs psi > 0, since sqrt(psi) is undefined below: the open-loop and
+    the observer steps check it before each stage.
     """
     pc = pressure_rise(phi, psi0, h, slope, offset, c0, c1, c2, c3)
     return FLOW_GAIN * (pc - psi), PRESSURE_GAIN * (phi - g * sqrt(psi))
@@ -135,7 +137,8 @@ def closed_loop_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int,
     limits and the disturbance's target and lag.  The regressors v1..v3
     are filtered through the valve's lag ``vtau``.  The observed
     compressor (phi, psi) feeds nothing back; its rates are
-    :func:`observed_rhs`'s.
+    :func:`surge_rhs`'s at the throttle of the flow y
+    (:func:`observed_compressor`).
     """
     d_dot = (dtarget - d) / dtau
     if x > vhi:
@@ -184,19 +187,6 @@ def closed_loop_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int,
             REF_MODEL_W2 * r - REF_MODEL_W2 * ym1 - REF_MODEL_TWO_ZW * ym2,
             (r - v1) / vtau, (-y - v2) / vtau, (-y_dot - v3) / vtau,
             k1_dot, k2_dot, k3_dot, e_int_dot, u, co, y, e)
-
-
-def observed_rhs(phi, psi, y, psi0, h, slope, offset, c0, c1, c2, c3):
-    """Rates (d phi/dt, d psi/dt) of the observed compressor, throttled by
-    the measured flow ``y`` with g = y/sqrt(psi_c(y)), or None where the
-    model is undefined: psi <= 0 or psi_c(y) <= 0."""
-    if psi <= 0.0:
-        return None
-    pcy = pressure_rise(y, psi0, h, slope, offset, c0, c1, c2, c3)
-    if pcy <= 0.0:
-        return None
-    g = y / sqrt(pcy)
-    return surge_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3)
 
 
 def live_states(p, state):
@@ -498,14 +488,12 @@ def _stage(body, assigned, rates, k, coef, failure, after, named):
 
 
 #: RK4's stages: (stage k, the step coefficient by which stage k-1's
-#: rates advance the state stage k is taken at, the slot of stage k's flow
-#: in the step's row ``sb`` of stage flows)
-_RK4 = ((1, None, None), (2, "h2", "sb"), (3, "h2", "sb + 1"),
-        (4, "dt", "sb + 2"))
+#: rates advance the state stage k is taken at)
+_RK4 = ((1, None), (2, "h2"), (3, "h2"), (4, "dt"))
 
 
 def _rk4_source(params, head, body, rates, failure, post, tail,
-                first=((), ()), later=None):
+                lines=None):
     """Source of ``run(<params>)``, an RK4 range function over rows
     start..stop-1: the lines ``head``, the half step ``h2`` and the sixth
     ``h6`` of ``dt``, a loop ``for i in range(start, stop)`` and the lines
@@ -517,23 +505,19 @@ def _rk4_source(params, head, body, rates, failure, post, tail,
 
     At stage k, ``return None`` becomes the statements of the text
     ``failure`` formatted with ``k`` and ``row``, the first unfilled row:
-    ``i`` at stage 1, ``i + 1`` after it.  ``first`` holds the lines
-    before stage 1 and those after it, which read its values.  ``later``,
-    where given, is the function of the slot ``at`` of a later stage's
-    flow in the step's row ``sb`` of stage flows (``_RK4``) that gives
-    that stage's lines before and after, and ``sb`` is computed after
-    stage 1.  A function that takes ``last``, the record's last row, ends
-    its loop after stage 1 of that row.
+    ``i`` at stage 1, ``i + 1`` after it.  ``lines``, where given, is the
+    function of k that gives stage k's lines before it and those after
+    it, which read its values.  A function that takes ``last``, the
+    record's last row, ends its loop after stage 1 of that row.
     """
     assigned = _names(body)[1]
     body = ast.unparse(ast.Module(body, []))
     rates = {n: ast.unparse(v) for n, v in rates.items()}
     code, named = [], []
-    for k, coef, at in _RK4:
-        before, after = first if k == 1 else later(at) if later else ((), ())
-        if k == 2:
-            code += ["if i == last:", "    break"] if "last" in params else []
-            code += ["sb = 3 * i"] if later else []
+    for k, coef in _RK4:
+        before, after = lines(k) if lines else ((), ())
+        if k == 2 and "last" in params:
+            code += ["if i == last:", "    break"]
         code += before
         code += _stage(body, assigned, rates, k, coef, failure.format(
             k=k, row="i" if k == 1 else "i + 1"), after, named)
@@ -642,6 +626,18 @@ def _step_source(kind, live, observed):
     # adaptive gains are kept nonnegative by projection
     projected = [line for n in ("k1", "k2", "k3") if n in moving
                  for line in (f"if {n} < 0.0:", f"    {n} = 0.0")]
+
+    def lines(k):
+        # stage 1 records the row; observed, each later stage's flow goes
+        # to the step's row sb of stage flows
+        if k == 1:
+            return (), [f"record(out, {8 * (13 if observed else 11)} * i, "
+                        f"i * dt, d, {u}, x, {co}, {y}, ym1, {e}, k1, k2, k3)"]
+        if not observed:
+            return (), ()
+        at = "sb" if k == 2 else f"sb + {k - 2}"
+        return ["sb = 3 * i"] if k == 2 else [], [f"ys[{at}] = {y}"]
+
     return _rk4_source(
         ("out", "s", "dt", "p", "start", "stop", "last", "ys"),
         [f"{state} = s[:11]",
@@ -650,10 +646,7 @@ def _step_source(kind, live, observed):
         f"s[:11] = {state}\nreturn NONFINITE, {{row}}, {{k}}",
         [*projected, "if not ok:", f"    s[:11] = {state}",
          "    return NONFINITE, i + 1, None"],
-        [f"s[:11] = {state}", "return OK, stop - 1, None"],
-        first=((), [f"record(out, {8 * (13 if observed else 11)} * i, "
-                    f"i * dt, d, {u}, x, {co}, {y}, ym1, {e}, k1, k2, k3)"]),
-        later=(lambda at: ((), [f"ys[{at}] = {y}"])) if observed else None)
+        [f"s[:11] = {state}", "return OK, stop - 1, None"], lines)
 
 
 #: the states of the open loop and of the observed compressor
@@ -688,36 +681,67 @@ def _open_loop_source():
 
 
 def _observer_source():
-    """Source of ``run(out, ys, dt, m, start, stop, last)``, the RK4 range
-    function of the observed compressor (phi, psi): :func:`observed_rhs`,
-    driven by the flows the loop recorded.
+    """Source of ``run(out, gs, dt, m, start, stop, last)``, the RK4 range
+    function of the observed compressor (phi, psi): :func:`surge_rhs` at
+    the throttle of the flow the loop measured at each RK stage.
 
-    ``out`` and ``ys`` are the flat views of the loop's (rows, 13) record,
-    whose last row is ``last``, and (rows, 3) stage flows; ``m`` is the
-    tuple of observed_rhs's constants, its parameters after phi, psi and
-    y.  (phi, psi) at t = start*dt is read from columns 11-12 of row
-    ``start``, and each step over rows start..stop-1 writes its result
-    into those of the next row.  The flow y at stage 1 is column 5 of the
-    step's row, at stages 2-4 the step's row of ``ys``.  The rates,
-    checks and stages are those the coupled 13-state RK4 would take:
-    observed_rhs's own statements, with pressure_rise's and surge_rhs's
-    inlined, at each stage (at stage 1 also in the last row), and a
-    finite result.  Returns (status, row, stage) as the loop's range
-    function (:func:`_step_source`) does.
+    ``out`` is the flat view of the loop's (rows, 13) record, whose last
+    row is ``last``; ``gs`` the list of the throttles of rows
+    start..stop-1 (:func:`_throttles`), four a row in stage order, and
+    ``m`` the tuple of surge_rhs's constants, its parameters after phi,
+    psi and g.  (phi, psi) at t = start*dt is read from columns 11-12 of
+    row ``start``, and each step over rows start..stop-1 writes its result
+    into those of the next row.  Each stage reads its g from ``gs`` and
+    first checks that psi > 0 and that g is not None, which marks the
+    range's first flow whose map value is not positive: the checks,
+    rates and stages are those the coupled 13-state RK4 would take
+    (at stage 1 also in the last row), and a finite result.  Returns
+    (status, row, stage) as the loop's range function
+    (:func:`_step_source`) does.
     """
     constants, body, rates = _rhs_body(
-        observed_rhs, "observer", _PLANT + ("y",), _PLANT,
-        _reserved(_PLANT, "m", "r", "ys", "sb", "last"))
+        surge_rhs, "observer", _PLANT + ("g",), _PLANT,
+        _reserved(_PLANT, "m", "r", "gs", "q", "last"))
     return _rk4_source(
-        ("out", "ys", "dt", "m", "start", "stop", "last"),
+        ("out", "gs", "dt", "m", "start", "stop", "last"),
         [f"[{', '.join(constants)}] = m", "phi = out[13 * start + 11]",
          "psi = out[13 * start + 12]"],
-        body, rates, "return PSI_NONPOSITIVE, {row}, {k}",
+        ast.parse("if psi <= 0.0 or g is None:\n    return None").body
+        + body, rates, "return PSI_NONPOSITIVE, {row}, {k}",
         ["out[r + 24] = phi", "out[r + 25] = psi", "if not ok:",
          "    return NONFINITE, i + 1, None"],
         ["return OK, stop - 1, None"],
-        first=(["r = 13 * i", "y = out[r + 5]"], ()),
-        later=lambda at: ([f"y = ys[{at}]"], ()))
+        lambda k: ((["r = 13 * i", "q = 4 * (i - start)", "g = gs[q]"]
+                    if k == 1 else [f"g = gs[q + {k - 1}]"]), ()))
+
+
+def _throttles(out, ys, m, start, stop):
+    """The throttles g = y/sqrt(psi_c(y)) of the flows y the loop measured
+    at RK stages 1-4 of rows start..stop-1 of an observed record, a list of
+    four a row in stage order, in which the first flow whose map value
+    psi_c(y) is not positive has None instead.
+
+    ``out`` and ``ys`` are the flat views of the record and the stage
+    flows (:func:`observed_compressor`), ``m`` the map constants.  Stage
+    1's flow is column 5 of the row, stages 2-4's its row of ``ys``.  Each
+    throttle is computed on arrays by the operations of
+    ``compressor.throttle_from_flow``, so bit for bit as the scalar
+    arithmetic gives it; a NaN map value is not "not positive", as in the
+    scalar test.  A flow the step never reaches (after the record's last
+    stage 1, or after a failure) may be unfilled: its arithmetic warns of
+    nothing.
+    """
+    import numpy as np
+    y = np.empty((stop - start, 4))
+    y[:, 0] = np.asarray(out)[13 * start + 5:13 * stop:13]
+    y[:, 1:] = np.asarray(ys)[3 * start:3 * stop].reshape(-1, 3)
+    with np.errstate(all="ignore"):
+        pc = pressure_rise(y, *m)
+        gs = (y / np.sqrt(pc)).ravel().tolist()
+        bad = np.flatnonzero(pc <= 0.0)
+    if bad.size:
+        gs[bad[0]] = None
+    return gs
 
 
 def _built(key, rhs, source, **bound):
@@ -765,15 +789,22 @@ def greitzer_loop(out, dt, m, report=None):
 def observed_compressor(out, ys, dt, m, start, stop):
     """RK4 on the observed compressor (phi, psi) over rows start..stop-1
     of an observed closed-loop record, driven by the flows the loop kernel
-    recorded there (:func:`_observer_source`).
+    recorded there, ``_BLOCK_ROWS`` rows at a time (:func:`_in_blocks`):
+    for each range, the throttles of its stages on arrays
+    (:func:`_throttles`), then its steps (:func:`_observer_source`).  The
+    ranges bound the memory those arrays take where a whole record is
+    observed after the loop.
 
     ``out`` and ``ys`` are the flat views of the loop's (rows, 13)
     record and (rows, 3) stage flows, ``m`` the map constants
     (psi0, h, slope, offset, c0..c3).  Returns (status, row, stage)
     as the loop's range function (:func:`_step_source`) does.
     """
-    run = _built("observer", observed_rhs, _observer_source)
-    return run(out, ys, dt, m, start, stop, len(out) // 13 - 1)
+    run = _built("observer", surge_rhs, _observer_source)
+    last = len(out) // 13 - 1
+    return _in_blocks(lambda first, end: run(
+        out, _throttles(out, ys, m, first, end), dt, m, first, end, last),
+        start, stop, None)
 
 
 def flat(a):

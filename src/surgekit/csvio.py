@@ -481,8 +481,8 @@ def _serve(channel, text: int) -> None:
 def _follow_handed(run: bytes, fds: tuple, channel: int,
                    text: int) -> None:
     """Follow one run handed over (``_RUN``, with the memory files of its
-    record and stage flows), its text written into the file open as
-    ``text``, emptied and rewound first."""
+    record and stage flows), its text written over the file open as
+    ``text`` from its start (:func:`_follow_run`)."""
     import numpy as np
     rows, cols, decimate, observed, dt, *m = _RUN.unpack(run)
     arrays = []
@@ -494,7 +494,6 @@ def _follow_handed(run: bytes, fds: tuple, channel: int,
     if observed:
         observe = functools.partial(
             _kernels.observed_compressor, *map(_kernels.flat, arrays), dt, m)
-    os.ftruncate(text, 0)
     os.lseek(text, 0, os.SEEK_SET)
     _follow_run(arrays[0], decimate, observe, channel, channel, text)
 
@@ -506,9 +505,12 @@ def _follow_run(samples: np.ndarray, decimate: int, observe, inbox: int,
     ``observe``, if given and it has not failed, then format its rows kept
     at ``decimate``, if not 0, into the file open as ``text``.
 
-    After the last report, one ``_END`` message goes to ``outbox``: the
-    observer's result, status -1 when it did not observe, and the text's
-    length, -1 unless the run is complete and formatted.
+    After the last report, the file is cut at the end of the text
+    (:func:`_cut`): it is written over in place, and emptying it at each
+    run would have the system free its pages only to fault them in
+    again.  Then one ``_END`` message goes to ``outbox``: the observer's
+    result, status -1 when it did not observe, and the text's length, -1
+    unless the run is complete and formatted.
     """
     done = size = 0
     status, row, stage = OK if observe is not None else -1, 0, None
@@ -529,6 +531,7 @@ def _follow_run(samples: np.ndarray, decimate: int, observe, inbox: int,
             done = rows
             if last:
                 break
+    _cut(text)
     complete = decimate and done == len(samples)
     os.write(outbox, _END.pack(status, row, stage or 0,
                                size if complete else -1))

@@ -1,17 +1,19 @@
 """Test-side references: a plain RK4 integrator (the oracle the kernels
-are compared against), the coupled 13-state closed-loop rhs, the kernel's
-own surge-model, closed-loop and observer rates at named states, a digest
+are compared against), the coupled 13-state closed-loop rhs with the
+observed compressor's rates, the kernel's own surge-model and closed-loop
+rates and the observer's at named states, a digest
 of the observed breakdown, the tracking cost of a run, a scenario file
 parsed and validated, and the values in which two scenarios differ.
 """
 
 import hashlib
+import math
 from dataclasses import asdict
 
 import numpy as np
 
 from surgekit._kernels import (CL_STATE, NONFINITE, OK, PSI_NONPOSITIVE,
-                               closed_loop_rhs, observed_rhs, surge_rhs)
+                               closed_loop_rhs, pressure_rise, surge_rhs)
 from surgekit.compressor import DEFAULT_MAP
 from surgekit.csvio import RunHelper
 from surgekit.errors import DivergenceError
@@ -56,6 +58,21 @@ def vector_field_grid(g, phi_range, psi_range, n, cmap=DEFAULT_MAP):
     for idx in np.ndindex(PHI.shape):
         DPHI[idx], DPSI[idx] = plant_rates(PHI[idx], PSI[idx], g, cmap)
     return PHI, PSI, DPHI, DPSI
+
+
+def observed_rhs(phi, psi, y, psi0, h, slope, offset, c0, c1, c2, c3):
+    """Rates (d phi/dt, d psi/dt) of the observed compressor, throttled by
+    the measured flow ``y`` with g = y/sqrt(psi_c(y)), or None where the
+    model is undefined: psi <= 0 or psi_c(y) <= 0.  The kernel computes
+    the throttles of a range of rows on arrays before its steps; this is
+    the scalar reference, the checks in the coupled rhs's order."""
+    if psi <= 0.0:
+        return None
+    pcy = pressure_rise(y, psi0, h, slope, offset, c0, c1, c2, c3)
+    if pcy <= 0.0:
+        return None
+    g = y / math.sqrt(pcy)
+    return surge_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3)
 
 
 def coupled_rhs(q, dq, sig, p, m=None):

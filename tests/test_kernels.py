@@ -13,18 +13,20 @@ import re
 import signal
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 import support
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from support import coupled_rhs, rk4_step
 
 from surgekit import _kernels, csvio, loop
 from surgekit._kernels import (FLOW_GAIN, PRESSURE_GAIN, REF_MODEL_TWO_ZW,
                                REF_MODEL_W2)
-from surgekit.compressor import DEFAULT_MAP, PlantState, map_pressure_rise
+from surgekit.compressor import (DEFAULT_MAP, CompressorMap, PlantState,
+                                 map_pressure_rise, throttle_from_flow)
 from surgekit.odesim import simulate_greitzer
 from surgekit.errors import DivergenceError
 from surgekit.loop import (CONTROLLER_KINDS, ControllerConfig,
@@ -145,24 +147,13 @@ def no_integral_rhs(x, d, ym1, ym2, v1, v2, v3, k1, k2, k3, e_int,
             k1_dot, k2_dot, k3_dot, e_int_dot, u, co, y, e)
 
 
-# surge_rhs with the pressure equation at twice its rate, and observed_rhs
-# throttled at half the flow's throttle, for steps built from them; their
-# calls into _kernels, another module, stay calls
+# surge_rhs with the pressure equation at twice its rate, for the open-loop
+# and observer steps built from it; its call into _kernels, another
+# module, stays a call
 def fast_pressure_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3):
     pc = _kernels.pressure_rise(phi, psi0, h, slope, offset, c0, c1, c2, c3)
     return (FLOW_GAIN * (pc - psi),
             2.0 * PRESSURE_GAIN * (phi - g * math.sqrt(psi)))
-
-
-def half_throttle_rhs(phi, psi, y, psi0, h, slope, offset, c0, c1, c2, c3):
-    if psi <= 0.0:
-        return None
-    pcy = _kernels.pressure_rise(y, psi0, h, slope, offset, c0, c1, c2, c3)
-    if pcy <= 0.0:
-        return None
-    g = 0.5 * y / math.sqrt(pcy)
-    pc = _kernels.pressure_rise(phi, psi0, h, slope, offset, c0, c1, c2, c3)
-    return FLOW_GAIN * (pc - psi), PRESSURE_GAIN * (phi - g * math.sqrt(psi))
 
 
 # rhs definitions the step cannot inline, each for one reason
@@ -251,12 +242,13 @@ def three_rates_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3):
     return phi, psi, g
 
 
-def unobserved_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3):
+# no throttle: the observer step passes each stage's g
+def unobserved_rhs(phi, psi, psi0, h, slope, offset, c0, c1, c2, c3):
     return phi, psi
 
 
-def record_index_rhs(phi, psi, y, psi0, h, slope, offset, c0, c1, c2, c3):
-    r = 13 * y
+def record_index_rhs(phi, psi, g, psi0, h, slope, offset, c0, c1, c2, c3):
+    r = 13 * g
     return r, psi
 
 
@@ -933,6 +925,147 @@ class TestLoopStageFailure:
         assert state[0] == out[row - 1, 3] > 0.25
 
 
+class _Broke(Exception):
+    """An rhs call of the coupled oracle that failed, with its status."""
+
+
+class TestObserverThrottle:
+    """The observer computes the throttle g = y/sqrt(psi_c(y)) of every
+    RK stage of a range on arrays before its steps: each is
+    ``compressor.throttle_from_flow``'s bit for bit, and a flow whose map
+    value is not positive stops the run at that stage, as the coupled
+    13-state RK4 does."""
+
+    @given(cmap=st.builds(
+        CompressorMap, psi0=st.floats(-2.0, 2.0), h=st.floats(-2.0, 2.0),
+        slope=st.floats(-10.0, 10.0), offset=st.floats(-10.0, 10.0),
+        c0=st.floats(-10.0, 10.0), c1=st.floats(-10.0, 10.0),
+        c2=st.floats(-10.0, 10.0), c3=st.floats(-10.0, 10.0)),
+        flows=st.lists(st.floats(min_value=0.0, exclude_min=True,
+                                 allow_infinity=False), min_size=1,
+                       max_size=40))
+    @example(cmap=DEFAULT_MAP, flows=[0.55, 1e-300, 0.8, 0.25])
+    @settings(max_examples=200, deadline=None, database=None)
+    def test_array_throttle_is_throttle_from_flow(self, cmap, flows):
+        flows = [y for y in flows if map_pressure_rise(cmap, y) > 0.0]
+        assume(flows)
+        # four stage flows a row: the record's column 5, then ys
+        rows = -(-len(flows) // 4)
+        y = np.resize(np.array(flows), 4 * rows).reshape(rows, 4)
+        out = np.zeros((rows, 13))
+        out[:, 5] = y[:, 0]
+        ys = np.ascontiguousarray(y[:, 1:])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gs = _kernels._throttles(_kernels.flat(out), _kernels.flat(ys),
+                                     cmap.constants, 0, rows)
+        expected = [throttle_from_flow(cmap, v) for v in y.ravel().tolist()]
+        assert np.array(gs).tobytes() == np.array(expected).tobytes()
+
+    def test_first_nonpositive_map_value_is_marked(self):
+        # only the first flow whose map value is <= 0 is None; a NaN map
+        # value is not <= 0, and no flow warns, unfilled or not
+        out = np.zeros((3, 13))
+        out[:, 5] = (0.55, np.nan, 2.0)
+        ys = np.array([[0.5, 0.6, 0.7], [1.5, 0.5, 1e300],
+                       [-1e300, np.inf, -np.inf]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gs = _kernels._throttles(_kernels.flat(out), _kernels.flat(ys),
+                                     M.constants, 0, 3)
+        assert map_pressure_rise(M, 1.5) <= 0.0
+        assert [j for j, g in enumerate(gs) if g is None] == [5]
+        assert math.isnan(gs[4])
+        assert gs[:4] == [throttle_from_flow(M, v)
+                          for v in (0.55, 0.5, 0.6, 0.7)]
+
+    #: a fixed PID run at dt = 0.1 whose measured flow falls, with RK
+    #: stage flows below every flow before them at stage 2 and 4 of step
+    #: 0, stage 3 of step 1 and stage 1 of step 2
+    CFG = ControllerConfig(kind="fixed-pid", kp=8.0, ki=2.0, kd=2.0,
+                           reference=0.5)
+    VALVE = ValveModel(tau=0.05)
+    PROFILE = DisturbanceProfile(target=0.0, tau=0.65, initial=0.8)
+    DT = 0.1
+
+    @staticmethod
+    def _oracle(state, dt, rows, p, m):
+        """(status, row, stage), the record rows up to the failing step's
+        and the state at its start: the coupled 13-state RK4
+        (``support.rk4_step`` on ``support.coupled_rhs``) up to its first
+        failing rhs call, in a record of ``rows`` rows."""
+        sig = np.empty(4)
+        calls = []
+
+        def rates(_t, q):
+            calls.append(None)
+            dq = np.empty(_kernels.CL_DIM)
+            status = coupled_rhs(q, dq, sig, p, m)
+            if status != OK:
+                raise _Broke(status)
+            return dq
+
+        q = state.copy()
+        record = []
+        for i in range(rows):
+            status = coupled_rhs(q, np.empty(_kernels.CL_DIM), sig, p, m)
+            record.append([i * dt, q[1], sig[0], q[0], sig[1], sig[2], q[2],
+                           sig[3], q[7], q[8], q[9], q[11], q[12]])
+            if status != OK or i == rows - 1:
+                return ((status, i, 1) if status != OK else (OK, i, None),
+                        np.array(record), q)
+            del calls[:]
+            try:
+                q = rk4_step(rates, i * dt, q, dt)
+            except _Broke as broke:
+                return ((broke.args[0], i + 1, len(calls)),
+                        np.array(record), q)
+        raise AssertionError("no rows")
+
+    @pytest.mark.parametrize("row, stage, rows", [
+        (0, 2, 6), (1, 3, 6), (0, 4, 6), (2, 1, 6), (2, 1, 3)],
+        ids=["stage-2", "stage-3", "stage-4", "stage-1", "last-row"])
+    def test_nonpositive_map_value_at_a_stage(self, monkeypatch, row, stage,
+                                              rows):
+        p = _kernel_args(self.CFG, self.VALVE, self.PROFILE)
+        start = initial_loop_state(self.CFG, self.VALVE, self.PROFILE)
+        out = np.zeros((6, 13))
+        ys = np.zeros((6, 3))
+        assert _kernels.closed_loop_loop(out, start.copy(), self.DT, p,
+                                         ys=ys) == (OK, 5, None)
+        y = np.column_stack([out[:, 5], ys]).ravel().tolist()
+        # a linear map psi_c(y) = K*(y - y*) whose zero lies halfway
+        # between the stage's flow and the lowest flow before it
+        j = 4 * row + stage - 1
+        gap = min(y[:j]) - y[j]
+        assert gap > 0.04
+        zero, slope = y[j] + 0.5 * gap, 1.0 / gap
+        m = (0.0, 1.0, slope, -slope * zero, 0.0, 1.0, 0.0, 0.0)
+        assert all(_kernels.pressure_rise(v, *m) > 0.0 for v in y[:j])
+        assert _kernels.pressure_rise(y[j], *m) <= 0.0
+        # the observer starts with its own flow's map value at psi
+        start[11:] = (zero + 0.5 / slope, 0.5)
+        rc, rec, final = self._oracle(start, self.DT, rows, p, m)
+        assert rc == (PSI, row + (stage > 1), stage)
+        monkeypatch.setattr(csvio, "_fork_pays", lambda *rows: True)
+        for forked in (False, True):
+            state = start.copy()
+            with csvio.RunHelper(1) as helper:
+                given = helper if forked else None
+                t_end = (rows - 1) * self.DT
+                out = _output_buffer(self.DT, t_end, 13, given, True)
+                ys = _output_buffer(self.DT, t_end, 3, given, True)
+                # stage flows never recorded: the observer reaches none
+                ys[:] = -1e308
+                assert len(out) == rows
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert loop._integrate(out, ys, state, self.DT, p, m,
+                                           given) == rc
+            assert out[:row + 1].tobytes() == rec.tobytes()
+            assert state.tobytes() == final.tobytes()
+
+
 class TestOpenLoopBlocks:
     """The open loop fills its record in ranges of rows and reports each,
     as the closed loop does; the record is the same whatever the block."""
@@ -1033,7 +1166,7 @@ class TestGeneratedStep:
     #: loop's is pinned in ``TestOpenLoopBlocks``
     STEP_DIGESTS = {
         "observer":
-            ("1331921fde8de8d5", "eeb64768f1191f82"),
+            ("1ef7a5b9d3850fc1", "c01e481fe4f29a6f"),
         (2, (0, 1, 5, 6, 7, 8, 9), False):
             ("9746b663a3072c6d", "47d60e9a1c306798"),
         (2, (0, 1, 5, 6, 7, 8, 9), True):
@@ -1151,6 +1284,17 @@ class TestGeneratedStep:
         names = {node.id for node in ast.walk(tree)
                  if isinstance(node, ast.Name)}
         assert ("ys" in names) == observed
+        if observed:
+            # the observer step that follows an observed run calls only
+            # isfinite, sqrt and range, and reads each stage's throttle:
+            # it touches no stage flow
+            tree = ast.parse(_kernels._observer_source())
+            called = {node.func.id for node in ast.walk(tree)
+                      if isinstance(node, ast.Call)}
+            assert called == {"isfinite", "sqrt", "range"}
+            names = {node.id for node in ast.walk(tree)
+                     if isinstance(node, ast.Name)}
+            assert "gs" in names and not {"ys", "sb"} & names
 
     @pytest.mark.parametrize("live, observed", KEYS)
     def test_step_reads_no_kind(self, live, observed):
@@ -1179,7 +1323,7 @@ class TestGeneratedStep:
     @pytest.mark.parametrize("source", ["_open_loop_source",
                                         "_observer_source"])
     def test_plant_steps_call_only_isfinite_sqrt_and_range(self, source):
-        # surge_rhs, observed_rhs and pressure_rise are inlined, not called
+        # surge_rhs and pressure_rise are inlined, not called
         tree = ast.parse(getattr(_kernels, source)())
         called = {node.func.id for node in ast.walk(tree)
                   if isinstance(node, ast.Call)}
@@ -1294,7 +1438,7 @@ class TestGeneratedStep:
         assert traj.samples.tobytes() != shipped.samples.tobytes()
 
     def test_observer_step_follows_the_rhs(self, monkeypatch):
-        # the observer step built from another observed_rhs integrates it
+        # the observer step built from another surge_rhs integrates it
         # bit for bit, as the coupled 13-state oracle does
         cfg = ControllerConfig(kind="fixed-pd", reference=0.7)
         valve = ValveModel()
@@ -1314,8 +1458,8 @@ class TestGeneratedStep:
 
         shipped, _ = run()
         monkeypatch.setattr(_kernels, "_STEPS", {})
-        monkeypatch.setattr(_kernels, "observed_rhs", half_throttle_rhs)
-        monkeypatch.setattr(support, "observed_rhs", half_throttle_rhs)
+        monkeypatch.setattr(_kernels, "surge_rhs", fast_pressure_rhs)
+        monkeypatch.setattr(support, "surge_rhs", fast_pressure_rhs)
         live = _kernels.live_states(p, state)
         rows, final, _ = TestLiveStates._oracle(
             state, dt, steps, p, m, [j for j in range(11) if j not in live])
@@ -1328,9 +1472,9 @@ class TestGeneratedStep:
     PLANT_MALFORMED = [
         ("surge_rhs", "_open_loop_source", three_rates_rhs, "open-loop",
          "it does not end by returning the rates of phi and psi"),
-        ("observed_rhs", "_observer_source", unobserved_rhs, "observer",
-         "its parameters are ['phi', 'psi', 'g',"),
-        ("observed_rhs", "_observer_source", record_index_rhs, "observer",
+        ("surge_rhs", "_observer_source", unobserved_rhs, "observer",
+         "its parameters are ['phi', 'psi', 'psi0',"),
+        ("surge_rhs", "_observer_source", record_index_rhs, "observer",
          "its names ['r'] are the step's"),
         # a call of a function of the rhs's module is inlined or refused,
         # never left a call
@@ -1435,7 +1579,7 @@ class TestGeneratedStep:
         _kernels.observed_compressor(_kernels.flat(np.zeros((1, 13))),
                                      _kernels.flat(np.zeros((1, 3))), 1e-3,
                                      M.constants, 0, 0)
-        assert calls[1:] == ["observed_rhs"]
+        assert calls[1:] == ["surge_rhs"]
         assert _kernels.greitzer_loop(np.zeros((1, 3)), 1e-3,
                                       (0.6, *M.constants)) == (OK, 0)
         assert calls[2:] == ["surge_rhs"]
@@ -1488,7 +1632,7 @@ class TestGeneratedStep:
         _kernels._folded.cache_clear()
         live = _kernels.live_states(p, state)
         _kernels._step(p[0], live, False)
-        _kernels._built("observer", _kernels.observed_rhs,
+        _kernels._built("observer", _kernels.surge_rhs,
                         _kernels._observer_source)
         _kernels._built("open loop", _kernels.surge_rhs,
                         _kernels._open_loop_source)

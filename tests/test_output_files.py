@@ -889,6 +889,28 @@ class TestOneHelperPerProcess:
         assert len(forks.pids) == 1
         assert formatted == []
 
+    def test_shorter_text_after_a_longer_one(self, tmp_path, monkeypatch,
+                                             two_cpus):
+        # the helper writes each text over its memory file from the start
+        # and cuts the file after it: fig7's CSV, shorter than the
+        # undecimated observed fig10's before it, is copied from the
+        # helper's file with none of fig10's bytes after it
+        fig7 = ["simulate", "--scenario", "fig7"]
+        csv = tmp_path / "fig7.csv"
+        expected = self._in_process(monkeypatch, fig7, csv)
+        with open(DIGESTS, encoding="utf-8") as fh:
+            assert hashlib.sha256(expected).hexdigest() == json.load(fh)[
+                "fig7"]
+        forks = _Forks(monkeypatch)
+        formatted = self._formatted_here(monkeypatch)
+        fig10 = self._csv(["closedloop", "--scenario", "fig10", "--observe"],
+                          tmp_path / "fig10.csv")
+        assert self._csv(fig7, csv) == expected
+        assert len(fig10) > len(expected)
+        assert forks.handed == [True, True]
+        assert len(forks.pids) == 1
+        assert formatted == []
+
     @staticmethod
     def _raising_after_one_block(run, first, n, report):
         run(first, first + _kernels._BLOCK_ROWS)
